@@ -100,11 +100,11 @@ let measure_extension () =
   let r_target = E.Identify.extension_schema inst.r inst.key
   and s_target = E.Identify.extension_schema inst.s inst.key in
   let fixpoint () =
-    ( Ilfd.Apply.extend_relation inst.r ~target:r_target inst.ilfds,
-      Ilfd.Apply.extend_relation inst.s ~target:s_target inst.ilfds )
+    ( Ilfd.Fixpoint.extend_relation inst.r ~target:r_target inst.ilfds,
+      Ilfd.Fixpoint.extend_relation inst.s ~target:s_target inst.ilfds )
   and recursive () =
-    ( Ilfd.Apply.extend_relation_recursive inst.r ~target:r_target inst.ilfds,
-      Ilfd.Apply.extend_relation_recursive inst.s ~target:s_target inst.ilfds
+    ( Ilfd.Apply.extend_relation inst.r ~target:r_target inst.ilfds,
+      Ilfd.Apply.extend_relation inst.s ~target:s_target inst.ilfds
     )
   in
   let fr, fs = fixpoint () and rr, rs = recursive () in

@@ -88,9 +88,9 @@ let measure n =
      shard without degenerating into one-item batches. *)
   let tight = max 4096 (n * 6) in
   let shard_count = if smoke then 4 else 8 in
-  (* The resident no-budget row schedules shards on the domain pool at
-     the host's own width — the configuration the CI ratio gate holds
-     against serial. *)
+  (* The sharded rows schedule shard chunks on the domain pool at the
+     host's own width; the no-budget row is the grace join with every
+     shard partition resident. *)
   let pool = Parallel.resolve None in
   let materialised (shards, jobs, budget) =
     let telemetry = Telemetry.create () in

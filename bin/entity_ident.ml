@@ -33,8 +33,29 @@ let parse_key_list s =
   String.split_on_char ',' s |> List.map String.trim
   |> List.filter (fun a -> a <> "")
 
+(* Malformed input is a usage error naming the file and the problem
+   (exit 2), never an uncaught exception. *)
 let load_relation path key =
-  Relational.Csv_io.load ~keys:[ parse_key_list key ] path
+  let fail fmt =
+    Format.kasprintf
+      (fun msg ->
+        Format.eprintf "entity_ident: %s: %s@." path msg;
+        exit 2)
+      fmt
+  in
+  match Relational.Csv_io.load ~keys:[ parse_key_list key ] path with
+  | rel -> rel
+  | exception Relational.Csv_io.Parse_error { line; message } ->
+      fail "line %d: %s" line message
+  | exception Relational.Schema.Unknown_attribute a ->
+      fail "key attribute %S is not a column" a
+  | exception Relational.Relation.Key_violation { key; tuple } ->
+      let schema = Relational.Relation.schema (Relational.Csv_io.load path) in
+      fail "row %a has a %s on key (%s)" Relational.Tuple.pp tuple
+        (if Relational.Tuple.has_null (Relational.Tuple.project schema tuple key)
+         then "NULL value"
+         else "duplicate value")
+        (String.concat "," key)
 
 (* ---- common args ---- *)
 

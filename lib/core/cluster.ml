@@ -33,7 +33,7 @@ let integrate ~key ilfds dbs =
     List.map
       (fun (name, r) ->
         let target = Identify.extension_schema r key in
-        (name, Ilfd.Apply.extend_relation r ~target ilfds))
+        (name, Ilfd.Fixpoint.extend_relation r ~target ilfds))
       dbs
   in
   let buckets = ref Vmap.empty in

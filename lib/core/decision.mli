@@ -51,19 +51,18 @@ val decide :
     pair raises {!Inconsistent}, and with which witnessing rules — is
     identical to {!partition_naive}'s.
 
-    The merge enumerates only the fired pairs plus each row's
-    undetermined remainder against the sorted fired lists — never a
-    per-pair decision over the full cross product. A pair in both fired
+    The partition is {!partition_stream}'s verdicts bucketed by tag: the
+    row walk tags each pair against the row's sorted fired lists — never
+    a per-pair decision over the full cross product. A pair in both fired
     sets (an inconsistent rule base) is detected up front from the sets
     themselves: the engine raises from the row-major-minimal conflicting
     pair ({!Blocking.min_conflict}) with the same witnessing rules the
     naive serial scan reports, for every [jobs] and [shards] value; the
     conflict pre-scan is skipped when either fired set is empty.
 
-    [jobs] (default [1]) > 1 runs the blocking probes and the merge
-    chunked over that many domains ({!Parallel}); chunk results are
-    concatenated in chunk order, so the three lists are bit-identical to
-    the serial engine's. [jobs = 1] takes the exact serial code path.
+    [jobs] (default [1]) > 1 runs the blocking probes chunked over that
+    many domains ({!Parallel}); the row walk is serial at every [jobs],
+    so the three lists are bit-identical to the serial engine's.
 
     [shards] (default [1]) > 1 runs the keyed blocking rules key-sharded
     with an optional spill budget of [mem_budget] bytes — see
@@ -116,18 +115,10 @@ val partition :
     three lists byte-for-byte, for every [jobs] and [shards] value —
     including which pair raises {!Inconsistent} or {!Blocking_desync}.
 
-    [jobs <= 1] (or a sub-threshold input) streams verdicts straight off
-    the serial row merge — zero verdict buffering whatever the budget.
-    [jobs > 1] classifies chunks concurrently into a budgeted
-    {!Shard.Sink} (one part per chunk, [mem_budget] split across parts,
-    overflow to temp files) and k-way merges the parts back into
-    row-major order on the calling domain.
-
-    [telemetry] records everything {!partition} records, plus
-    [partition.peak_verdict_bytes] (sink peak resident verdict bytes;
-    [0] on the unbuffered serial path) — a configuration-dependent
-    counter excluded from {!Telemetry.counters_stable} — and the
-    [parallel.sink.*] spill counters. *)
+    Verdicts stream straight off the serial row walk at every [jobs] —
+    zero verdict buffering; [jobs], [shards] and [mem_budget] shape only
+    the blocking passes. [telemetry] records what {!partition}
+    records. *)
 val partition_stream :
   ?jobs:int ->
   ?shards:int ->

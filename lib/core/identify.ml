@@ -31,18 +31,6 @@ let extension_schema relation key =
   in
   Schema.concat schema (Schema.of_names missing)
 
-(* The NULL-key / violation / pair accounting shared by [run] and
-   [run_rules]; counter costs (List.length) are paid only when the sink
-   is live. *)
-let count_outcome telemetry o =
-  if Telemetry.enabled telemetry then begin
-    Telemetry.add telemetry "identify.pairs" (List.length o.pairs);
-    Telemetry.add telemetry "identify.unmatched_r" (List.length o.unmatched_r);
-    Telemetry.add telemetry "identify.unmatched_s" (List.length o.unmatched_s);
-    Telemetry.add telemetry "identify.violations" (List.length o.violations)
-  end;
-  o
-
 (* Both relations ILFD-extended to the K_Ext target schemas — the phase
    shared verbatim by [run], [run_stream] and [run_rules]. *)
 let extend_both ?mode ~jobs ~telemetry ~r ~s ~key ilfds =
@@ -50,15 +38,53 @@ let extend_both ?mode ~jobs ~telemetry ~r ~s ~key ilfds =
   and s_target = extension_schema s key in
   let r_ext =
     Telemetry.span telemetry "identify.extend_r" (fun () ->
-        Ilfd.Apply.extend_relation ?mode ~jobs ~telemetry r ~target:r_target
-          ilfds)
+        Ilfd.Fixpoint.extend_relation ?mode ~jobs ~telemetry r
+          ~target:r_target ilfds)
   in
   let s_ext =
     Telemetry.span telemetry "identify.extend_s" (fun () ->
-        Ilfd.Apply.extend_relation ?mode ~jobs ~telemetry s ~target:s_target
-          ilfds)
+        Ilfd.Fixpoint.extend_relation ?mode ~jobs ~telemetry s
+          ~target:s_target ilfds)
   in
   (r_target, s_target, r_ext, s_ext)
+
+(* The outcome over the matched pairs — candidate-key matching table,
+   uniqueness check, NULL-key accounting — assembled once for [run] and
+   [run_rules]; counter costs (List.length) are paid only when the sink
+   is live. *)
+let assemble ~telemetry ~r ~s ~key (r_target, s_target, r_ext, s_ext) pairs =
+  let r_key = Relation.primary_key r and s_key = Relation.primary_key s in
+  let r_key_plan = Tuple.plan r_target r_key
+  and s_key_plan = Tuple.plan s_target s_key in
+  let entry_of (tr, ts) =
+    {
+      Matching_table.r_key = Tuple.project_with r_key_plan tr;
+      s_key = Tuple.project_with s_key_plan ts;
+    }
+  in
+  let matching_table =
+    Matching_table.make ~r_key_attrs:r_key ~s_key_attrs:s_key
+      (List.map entry_of pairs)
+  in
+  let kext = Extended_key.attributes key in
+  let o =
+    {
+      r_extended = r_ext;
+      s_extended = s_ext;
+      matching_table;
+      violations = Matching_table.uniqueness_violations matching_table;
+      pairs;
+      unmatched_r = null_key_tuples r_target r_ext kext;
+      unmatched_s = null_key_tuples s_target s_ext kext;
+    }
+  in
+  if Telemetry.enabled telemetry then begin
+    Telemetry.add telemetry "identify.pairs" (List.length o.pairs);
+    Telemetry.add telemetry "identify.unmatched_r" (List.length o.unmatched_r);
+    Telemetry.add telemetry "identify.unmatched_s" (List.length o.unmatched_s);
+    Telemetry.add telemetry "identify.violations" (List.length o.violations)
+  end;
+  o
 
 (* The spill/bucket accounting one shard chunk reports back to the
    calling domain. *)
@@ -106,96 +132,24 @@ let serial_join ~telemetry ~r_cols ~s_cols ~nr ~ns ~emit =
     | None -> ()
   done
 
-(* All-resident sharded join — the no-budget configuration. The
-   shards' hash tables all stay resident (without a memory budget there
-   is nothing to bound, and [shards] tables cost what the one unsharded
-   table costs), built as chunks of shards on the {!Parallel} domain
-   pool: each chunk scans the S key columns and keeps exactly the rows
-   the router assigns to its shards, building straight into its own
-   tables. No routed partition is ever materialised — nothing from the
-   build survives but the tables themselves (retained index lists and
-   key caches are pure promotion pressure), at the price of each domain
-   re-scanning the key columns. At [jobs = 1] this is exactly the
-   serial build plus one router hash per row.
-
-   The probe is then a single serial pass in global row order: [emit i
-   j] observes strictly ascending (i, j) — callers emit output
-   directly, no merge step — and again the only per-row cost over the
-   unsharded join is the router hash.
-
-   Callers route the [jobs = 1] case to {!serial_join} instead (one
-   domain gains nothing from resident sharding, so it collapses to the
-   plain join), hence [jobs > 1] here. Each [tables] slot has exactly
-   one writing domain (its shard's chunk) and is read only after the
-   build barrier; descending scans cons each bucket straight into
-   ascending partner order, no reversal pass. *)
-let sharded_join_resident ~jobs ~shards ~telemetry ~r_cols ~s_cols ~nr ~ns
-    ~emit =
-  let tele_on = Telemetry.enabled telemetry in
-  if tele_on then
-    Telemetry.add telemetry "parallel.chunks"
-      (Parallel.chunk_count ~jobs ~threshold:0 shards);
-  let tables = Array.make shards (Hashtbl.create 0) in
-  let buckets =
-    Parallel.map_chunks ~jobs ~threshold:0 shards (fun ~start ~stop ->
-        for sh = start to stop - 1 do
-          tables.(sh) <- Hashtbl.create (max 16 (ns / shards))
-        done;
-        for j = ns - 1 downto 0 do
-          match Columnar.key_opt s_cols j with
-          | Some codes ->
-              let sh = Shard.router_codes ~shards codes in
-              if sh >= start && sh < stop then begin
-                let tbl = tables.(sh) in
-                match Hashtbl.find_opt tbl codes with
-                | Some l -> l := j :: !l
-                | None -> Hashtbl.add tbl codes (ref [ j ])
-              end
-          | None -> ()
-        done;
-        if tele_on then begin
-          let buckets = ref 0 in
-          for sh = start to stop - 1 do
-            buckets := !buckets + Hashtbl.length tables.(sh)
-          done;
-          !buckets
-        end
-        else 0)
-  in
-  if tele_on then
-    Telemetry.add telemetry "identify.join.buckets"
-      (List.fold_left ( + ) 0 buckets);
-  for i = 0 to nr - 1 do
-    match Columnar.key_opt r_cols i with
-    | Some codes -> (
-        match
-          Hashtbl.find_opt tables.(Shard.router_codes ~shards codes) codes
-        with
-        | Some l -> List.iter (fun j -> emit i j) !l
-        | None -> ())
-    | None -> ()
-  done
-
-(* Out-of-core sharded grace join — the budgeted configuration. S rows
-   are routed into per-shard spill buffers (budget [b / shards] each,
-   overflow to temp files), R row indices into per-shard lists with
-   their key codes cached, and chunks of shards run on the domain pool:
-   each chunk replays, builds and probes its shards one at a time with
-   a single hash table reused across them ([Hashtbl.clear] keeps the
-   bucket array, so every shard after the first starts presized from
-   the largest shard the chunk has seen). Only the routed partitions
-   and one build table per domain are resident — the point of the
-   budget.
+(* The sharded grace join. S rows are routed into per-shard spill
+   buffers (with a [mem_budget], [b / shards] each, overflow to temp
+   files; without one, all resident), R row indices into per-shard lists
+   with their key codes cached, and chunks of shards run on the domain
+   pool: each chunk replays, builds and probes its shards one at a time
+   with a single hash table reused across them ([Hashtbl.clear] keeps
+   the bucket array, so every shard after the first starts presized from
+   the largest shard the chunk has seen). Only the routed partitions and
+   one build table per domain are resident — the point of the budget.
 
    [emit sh i js] receives each probing row's ascending partner list.
    Shards own disjoint row sets, so chunks emit concurrently without
    overlap; within one shard, rows arrive in ascending order from a
-   single domain. Emitting into per-row slots (or per-shard sink parts)
-   and reading them back in ascending row order afterwards therefore
-   reproduces the serial row-major output for every shards x jobs
-   configuration. *)
-let sharded_join_spilled ~jobs ~shards ~budget ~telemetry ~r_cols ~s_cols ~nr
-    ~ns ~emit =
+   single domain. Emitting into per-shard sink parts and merging them
+   back in ascending row order afterwards therefore reproduces the
+   serial row-major output for every shards x jobs configuration. *)
+let grace_join ~jobs ~shards ~mem_budget ~telemetry ~r_cols ~s_cols ~nr ~ns
+    ~emit =
   let tele_on = Telemetry.enabled telemetry in
   (* One key extraction per R row, cached — routing and probing read
      the same codes, filled and routed in one pass. *)
@@ -209,9 +163,9 @@ let sharded_join_spilled ~jobs ~shards ~budget ~telemetry ~r_cols ~s_cols ~nr
         r_parts.(sh) <- i :: r_parts.(sh)
     | None -> ()
   done;
-  let per_budget = max 1024 (budget / shards) in
+  let per_budget = Option.map (fun b -> max 1024 (b / shards)) mem_budget in
   let s_parts =
-    Array.init shards (fun _ -> Shard.Spill.create ~budget:per_budget ())
+    Array.init shards (fun _ -> Shard.Spill.create ?budget:per_budget ())
   in
   Fun.protect ~finally:(fun () -> Array.iter Shard.Spill.close s_parts)
   @@ fun () ->
@@ -284,96 +238,18 @@ let sharded_join_spilled ~jobs ~shards ~budget ~telemetry ~r_cols ~s_cols ~nr
         (abs (tot (fun c -> c.cs_actual) - est) * 100 / est)
   end
 
-let run ?mode ?(jobs = 1) ?(shards = 1) ?mem_budget
-    ?(telemetry = Telemetry.off) ~r ~s ~key ilfds =
-  if shards <= 0 then invalid_arg "Identify.run: shards must be positive";
-  let r_target, s_target, r_ext, s_ext =
-    extend_both ?mode ~jobs ~telemetry ~r ~s ~key ilfds
-  in
-  let kext = Extended_key.attributes key in
-  let pairs =
-    Telemetry.span telemetry "identify.join" @@ fun () ->
-    let s_cols = Columnar.columns (Relation.columnar s_ext) kext
-    and r_cols = Columnar.columns (Relation.columnar r_ext) kext in
-    let st = Array.of_list (Relation.tuples s_ext)
-    and rt = Array.of_list (Relation.tuples r_ext) in
-    let nr = Array.length rt and ns = Array.length st in
-    if shards = 1 then begin
-      let pairs = ref [] in
-      serial_join ~telemetry ~r_cols ~s_cols ~nr ~ns ~emit:(fun i j ->
-          pairs := (rt.(i), st.(j)) :: !pairs);
-      List.rev !pairs
-    end
-    else begin
-      if Telemetry.enabled telemetry then
-        Telemetry.add telemetry "parallel.shards" shards;
-      match mem_budget with
-      | None ->
-          (* All-resident sharded join: parallel table build when the
-             pool has more than one domain to offer — with one domain
-             resident sharding is pure overhead, so it collapses to the
-             plain join (same tables, same output) — then a serial
-             row-major probe either way, pairs streaming straight out
-             ascending. *)
-          let pairs = ref [] in
-          let emit i j = pairs := (rt.(i), st.(j)) :: !pairs in
-          let jj = join_jobs ~jobs ~nr ~ns in
-          if jj = 1 then serial_join ~telemetry ~r_cols ~s_cols ~nr ~ns ~emit
-          else
-            sharded_join_resident ~jobs:jj ~shards ~telemetry ~r_cols ~s_cols
-              ~nr ~ns ~emit;
-          List.rev !pairs
-      | Some budget ->
-          (* Out-of-core grace join: shard chunks run on the domain
-             pool, each row's ascending partner list lands in its own
-             slot, and the slots are read back in ascending row order —
-             the serial row-major pair list, whatever the shard count
-             or job count. *)
-          let partners = Array.make nr [] in
-          sharded_join_spilled ~jobs ~shards ~budget ~telemetry ~r_cols
-            ~s_cols ~nr ~ns ~emit:(fun _sh i js -> partners.(i) <- js);
-          let pairs = ref [] in
-          for i = nr - 1 downto 0 do
-            let tr = rt.(i) in
-            (* Partner lists are ascending; descending row order with a
-               right fold keeps the final list row-major ascending. *)
-            pairs :=
-              List.fold_right
-                (fun j acc -> (tr, st.(j)) :: acc)
-                partners.(i) !pairs
-          done;
-          !pairs
-    end
-  in
-  let r_key = Relation.primary_key r and s_key = Relation.primary_key s in
-  let r_key_plan = Tuple.plan r_target r_key
-  and s_key_plan = Tuple.plan s_target s_key in
-  let entry_of (tr, ts) =
-    {
-      Matching_table.r_key = Tuple.project_with r_key_plan tr;
-      s_key = Tuple.project_with s_key_plan ts;
-    }
-  in
-  let matching_table =
-    Matching_table.make ~r_key_attrs:r_key ~s_key_attrs:s_key
-      (List.map entry_of pairs)
-  in
-  count_outcome telemetry
-    {
-      r_extended = r_ext;
-      s_extended = s_ext;
-      matching_table;
-      violations = Matching_table.uniqueness_violations matching_table;
-      pairs;
-      unmatched_r = null_key_tuples r_target r_ext kext;
-      unmatched_s = null_key_tuples s_target s_ext kext;
-    }
+(* The K_Ext join over the extended relations, folded in the serial
+   row-major order (ascending R′ row, ascending S′ partner within it) —
+   the one production path behind [run] and [run_stream].
 
-let run_stream ?mode ?(jobs = 1) ?(shards = 1) ?mem_budget
-    ?(telemetry = Telemetry.off) ~r ~s ~key ~init ~f ilfds =
-  if shards <= 0 then
-    invalid_arg "Identify.run_stream: shards must be positive";
-  let _, _, r_ext, s_ext = extend_both ?mode ~jobs ~telemetry ~r ~s ~key ilfds in
+   [shards = 1] folds straight off the probe loop: zero verdict
+   buffering. [shards > 1] runs the grace join, its shard chunks writing
+   (row, partner) verdicts into per-shard sink parts — one writer per
+   part, overflow to temp files above the budget when there is one — and
+   the consuming domain k-way merges the parts by row index back into
+   the serial order. *)
+let join_fold ~jobs ~shards ~mem_budget ~telemetry ~key ~r_ext ~s_ext ~init ~f
+    =
   let kext = Extended_key.attributes key in
   Telemetry.span telemetry "identify.join" @@ fun () ->
   let s_cols = Columnar.columns (Relation.columnar s_ext) kext
@@ -381,100 +257,64 @@ let run_stream ?mode ?(jobs = 1) ?(shards = 1) ?mem_budget
   let st = Array.of_list (Relation.tuples s_ext)
   and rt = Array.of_list (Relation.tuples r_ext) in
   let nr = Array.length rt and ns = Array.length st in
+  let acc = ref init in
+  let consume i j = acc := f !acc rt.(i) st.(j) in
   if shards = 1 then begin
-    (* Single-shard short-circuit: the ordinary coded hash join already
-       probes rows in ascending order, so verdicts flow straight into
-       the fold — no sink, no buffering, zero peak verdict memory. *)
-    if Telemetry.enabled telemetry then
-      Telemetry.add telemetry "identify.peak_verdict_bytes" 0;
-    let acc = ref init in
-    serial_join ~telemetry ~r_cols ~s_cols ~nr ~ns ~emit:(fun i j ->
-        acc := f !acc rt.(i) st.(j));
-    !acc
+    Telemetry.add telemetry "identify.peak_verdict_bytes" 0;
+    serial_join ~telemetry ~r_cols ~s_cols ~nr ~ns ~emit:consume
   end
   else begin
-    if Telemetry.enabled telemetry then
-      Telemetry.add telemetry "parallel.shards" shards;
-    match mem_budget with
-    | None ->
-        (* All-resident sharded join probes in global row order, so
-           verdicts flow straight into the fold — no sink, zero peak
-           verdict memory. One pool domain collapses to the plain
-           join, as in {!run}. *)
-        let acc = ref init in
-        let emit i j = acc := f !acc rt.(i) st.(j) in
-        let jj = join_jobs ~jobs ~nr ~ns in
-        if jj = 1 then serial_join ~telemetry ~r_cols ~s_cols ~nr ~ns ~emit
-        else
-          sharded_join_resident ~jobs:jj ~shards ~telemetry ~r_cols ~s_cols
-            ~nr ~ns ~emit;
-        if Telemetry.enabled telemetry then
-          Telemetry.add telemetry "identify.peak_verdict_bytes" 0;
-        !acc
-    | Some budget ->
-        (* Budgeted streaming: shard chunks write (row, partner)
-           verdicts into per-shard sink parts — one writer per part,
-           budgeted, so overflow goes to temp files instead of the
-           heap — and the consuming domain k-way merges the parts by
-           row index back into the serial row-major order. *)
-        let sink = Shard.Sink.create ~budget ~parts:shards () in
-        Fun.protect ~finally:(fun () -> Shard.Sink.close sink) @@ fun () ->
-        sharded_join_spilled ~jobs ~shards ~budget ~telemetry ~r_cols ~s_cols
-          ~nr ~ns ~emit:(fun sh i js ->
-            List.iter
-              (fun j -> Shard.Sink.add sink ~part:sh ~bytes:32 (i, j))
-              js);
-        if Telemetry.enabled telemetry then begin
-          Telemetry.add telemetry "identify.peak_verdict_bytes"
-            (Shard.Sink.peak_bytes sink);
-          Telemetry.add telemetry "parallel.sink.spills"
-            (Shard.Sink.spills sink);
-          Telemetry.add telemetry "parallel.sink.spilled_bytes"
-            (Shard.Sink.spilled_bytes sink);
-          match Shard.Sink.estimate_error_pct sink with
-          | Some pct ->
-              Telemetry.add telemetry "parallel.shard.estimate_error_pct" pct
-          | None -> ()
-        end;
-        let acc = ref init in
-        Shard.Sink.iter_merged ~index:fst sink (fun (i, j) ->
-            acc := f !acc rt.(i) st.(j));
-        !acc
-  end
+    Telemetry.add telemetry "parallel.shards" shards;
+    let sink = Shard.Sink.create ?budget:mem_budget ~parts:shards () in
+    Fun.protect ~finally:(fun () -> Shard.Sink.close sink) @@ fun () ->
+    grace_join ~jobs ~shards ~mem_budget ~telemetry ~r_cols ~s_cols ~nr ~ns
+      ~emit:(fun sh i js ->
+        List.iter (fun j -> Shard.Sink.add sink ~part:sh ~bytes:32 (i, j)) js);
+    if Telemetry.enabled telemetry then begin
+      Telemetry.add telemetry "identify.peak_verdict_bytes"
+        (Shard.Sink.peak_bytes sink);
+      Telemetry.add telemetry "parallel.sink.spills" (Shard.Sink.spills sink);
+      Telemetry.add telemetry "parallel.sink.spilled_bytes"
+        (Shard.Sink.spilled_bytes sink)
+    end;
+    Shard.Sink.iter_merged ~index:fst sink (fun (i, j) -> consume i j)
+  end;
+  !acc
+
+let run_stream ?mode ?(jobs = 1) ?(shards = 1) ?mem_budget
+    ?(telemetry = Telemetry.off) ~r ~s ~key ~init ~f ilfds =
+  if shards <= 0 then
+    invalid_arg "Identify.run_stream: shards must be positive";
+  let _, _, r_ext, s_ext = extend_both ?mode ~jobs ~telemetry ~r ~s ~key ilfds in
+  join_fold ~jobs ~shards ~mem_budget ~telemetry ~key ~r_ext ~s_ext ~init ~f
+
+let run ?mode ?(jobs = 1) ?(shards = 1) ?mem_budget
+    ?(telemetry = Telemetry.off) ~r ~s ~key ilfds =
+  if shards <= 0 then invalid_arg "Identify.run: shards must be positive";
+  let ((_, _, r_ext, s_ext) as extended) =
+    extend_both ?mode ~jobs ~telemetry ~r ~s ~key ilfds
+  in
+  let pairs =
+    join_fold ~jobs ~shards ~mem_budget ~telemetry ~key ~r_ext ~s_ext ~init:[]
+      ~f:(fun acc tr ts -> (tr, ts) :: acc)
+  in
+  assemble ~telemetry ~r ~s ~key extended (List.rev pairs)
 
 let is_verified o = o.violations = []
 
 let run_rules ?mode ?(jobs = 1) ?(shards = 1) ?mem_budget
     ?(telemetry = Telemetry.off) ~identity ?(distinctness = []) ~r ~s ~key
     ilfds =
-  let r_target, s_target, r_ext, s_ext =
+  let ((_, _, r_ext, s_ext) as extended) =
     extend_both ?mode ~jobs ~telemetry ~r ~s ~key ilfds
   in
-  let matched, _, _ =
-    Decision.partition ~jobs ~shards ?mem_budget ~telemetry ~identity
-      ~distinctness r_ext s_ext
+  let matched =
+    Decision.partition_stream ~jobs ~shards ?mem_budget ~telemetry ~identity
+      ~distinctness ~init:[]
+      ~f:(fun acc result tr ts ->
+        match result with
+        | Match_result.Match -> (tr, ts) :: acc
+        | Match_result.No_match | Match_result.Undetermined -> acc)
+      r_ext s_ext
   in
-  let r_key = Relation.primary_key r and s_key = Relation.primary_key s in
-  let r_key_plan = Tuple.plan r_target r_key
-  and s_key_plan = Tuple.plan s_target s_key in
-  let entry_of (tr, ts) =
-    {
-      Matching_table.r_key = Tuple.project_with r_key_plan tr;
-      s_key = Tuple.project_with s_key_plan ts;
-    }
-  in
-  let matching_table =
-    Matching_table.make ~r_key_attrs:r_key ~s_key_attrs:s_key
-      (List.map entry_of matched)
-  in
-  let kext = Extended_key.attributes key in
-  count_outcome telemetry
-    {
-      r_extended = r_ext;
-      s_extended = s_ext;
-      matching_table;
-      violations = Matching_table.uniqueness_violations matching_table;
-      pairs = matched;
-      unmatched_r = null_key_tuples r_target r_ext kext;
-      unmatched_s = null_key_tuples s_target s_ext kext;
-    }
+  assemble ~telemetry ~r ~s ~key extended (List.rev matched)

@@ -30,31 +30,30 @@ type outcome = {
   unmatched_s : Relational.Tuple.t list;  (** the S′ counterpart *)
 }
 
-(** [run ?mode ?jobs ?shards ?mem_budget ?telemetry ~r ~s ~key ilfds].
-    [jobs] (default [1]) > 1 runs the ILFD extension of both relations
-    chunked over that many domains ({!Ilfd.Apply.extend_relation}); the
-    outcome is identical for every [jobs] value.
+(** [run ?mode ?jobs ?shards ?mem_budget ?telemetry ~r ~s ~key ilfds] —
+    {!run_stream}'s pairs collected in order, with the outcome assembled
+    around them. [jobs] (default [1]) > 1 runs the ILFD extension of both
+    relations chunked over that many domains
+    ({!Ilfd.Fixpoint.extend_relation}); the outcome is identical for
+    every [jobs] value.
 
     [shards] (default [1]) > 1 runs the K_Ext join as a grace hash join
-    over key-hash partitions ({!Shard.router}). With a [mem_budget],
-    S′ entries buffer in {!Shard.Spill} values with a spill-to-temp-file
+    over key-hash partitions ({!Shard.router}), shard chunks scheduled
+    on the shared domain pool at [jobs] width. With a [mem_budget], S′
+    entries buffer in {!Shard.Spill} values with a spill-to-temp-file
     budget of [mem_budget / shards] bytes each, and each shard builds
     and probes its own hash table with only that table resident — the
-    out-of-core configuration. Without a budget, shard chunks are
-    scheduled on the shared domain pool at [jobs] width, each chunk
-    building only its own shards' tables (scan-per-chunk); at a
-    resolved width of 1 this collapses to the serial join, so resident
-    sharding never costs more than a routing pass. Matching tuples
-    carry equal key values, so every join bucket lives in exactly one
-    shard; per-row partner slots read back in ascending row order make
-    the outcome identical for every [shards] and [jobs] value.
-    [mem_budget] without [shards > 1] has no effect.
+    out-of-core configuration; without one, every shard partition stays
+    resident. Matching tuples carry equal key values, so every join
+    bucket lives in exactly one shard, and the outcome is identical for
+    every [shards] and [jobs] value. [mem_budget] without [shards > 1]
+    has no effect.
 
     [telemetry] (default {!Telemetry.off}) records the
     [identify.extend_r] / [identify.extend_s] / [identify.join] spans,
     the [identify.pairs] / [identify.unmatched_r] / [identify.unmatched_s]
     / [identify.violations] / [identify.join.buckets] counters, and the
-    ILFD extension counters ({!Ilfd.Apply.extend_relation}). Everything
+    ILFD extension counters ({!Ilfd.Fixpoint.extend_relation}). Everything
     outside the [parallel.*] namespace is identical for every [jobs] and
     [shards] value.
     @raise Invalid_argument when [shards <= 0].
@@ -78,10 +77,10 @@ val run :
     row) {e without materialising the pair list}, so peak memory is the
     join state plus the verdict buffers, not the output.
 
-    [shards = 1] short-circuits to the ordinary hash join and streams
-    pairs straight out of the probe loop — zero verdict buffering.
-    [shards > 1] routes matches through a budgeted {!Shard.Sink} (one
-    part per shard, [mem_budget] split across parts, overflow to temp
+    [shards = 1] runs the ordinary hash join and streams pairs straight
+    out of the probe loop — zero verdict buffering. [shards > 1] routes
+    the grace join's matches through a {!Shard.Sink} (one part per
+    shard; with a [mem_budget], split across parts with overflow to temp
     files) and k-way merges the parts back into row-major order.
     The fold observes exactly the pairs {!run} materialises, in the
     same order, for every [jobs] and [shards] value.
@@ -118,14 +117,15 @@ val extension_schema :
     set over the ILFD-extended relations, still recording pairs by their
     candidate-key values and checking uniqueness. [key] controls which
     attributes are derived into R′/S′ (pass the union of attributes your
-    rules mention). Distinctness rules contribute nothing to MT but an
-    {!Decision.Inconsistent} pair raises. [jobs] (default [1]) > 1
-    parallelises both the ILFD extension and {!Decision.partition};
+    rules mention). The matched pairs are folded off
+    {!Decision.partition_stream}. Distinctness rules contribute nothing
+    to MT but an {!Decision.Inconsistent} pair raises. [jobs] (default
+    [1]) > 1 parallelises the ILFD extension and the blocking passes;
     [shards] (default [1]) > 1 runs the keyed blocking rules key-sharded
     with an optional [mem_budget] spill budget ({!Blocking.fired}).
     Results — including which pair raises — are identical to serial for
     every [jobs] and [shards] value. [telemetry] additionally collects
-    the {!Decision.partition} blocking counters (candidate-pair
+    the {!Decision.partition_stream} blocking counters (candidate-pair
     reduction vs the cross product).
     @raise Decision.Inconsistent when an identity and a distinctness rule
     fire on the same pair. *)

@@ -268,13 +268,6 @@ module Sink = struct
      counters. *)
   let peak_bytes t = sum Spill.peak_bytes t
 
-  let estimate_error_pct t =
-    let est = sum Spill.spilled_bytes t in
-    if est = 0 then None
-    else
-      let actual = sum Spill.actual_spilled_bytes t in
-      Some (abs (actual - est) * 100 / est)
-
   let iter_ordered t f = Array.iter (fun p -> Spill.iter p f) t.parts
 
   let fold_ordered t init f =

@@ -160,10 +160,6 @@ module Sink : sig
       simultaneous in-memory verdict bytes. *)
   val peak_bytes : 'a t -> int
 
-  (** Byte-weighted {!Spill.estimate_error_pct} across all parts;
-      [None] if nothing spilled. *)
-  val estimate_error_pct : 'a t -> int option
-
   (** [iter_ordered t f] — every item, parts in ascending index order,
       insertion order within each part. For row-range parts this is
       exactly the serial row-major order. *)

@@ -160,82 +160,19 @@ let extend_tuple_compiled ?(mode = First_rule) schema tuple ~target c =
 let extend_tuple ?mode schema tuple ~target ilfds =
   extend_tuple_compiled ?mode schema tuple ~target (compile ilfds)
 
-let extend_relation ?mode ?(jobs = 1) ?(telemetry = Telemetry.off) r ~target
-    ilfds =
-  Telemetry.span telemetry "ilfd.extend" @@ fun () ->
+(* The reference evaluator: every tuple derived independently by the
+   recursive engine, in row order, so the first conflicting row raises. *)
+let extend_relation ?mode r ~target ilfds =
   let c = compile ilfds in
   let schema = Relational.Relation.schema r in
-  (* Source cells of the target schema, before any derivation: source
-     positions resolved once, not per tuple. *)
-  let base_plan =
-    Array.of_list
-      (List.map
-         (fun (a : Schema.attribute) -> Schema.index_of_opt schema a.name)
-         (Schema.attributes target))
-  in
-  let base_cells t =
-    Array.map
-      (function Some i -> Tuple.nth t i | None -> V.Null)
-      base_plan
-  in
-  (* This is the per-tuple reference path (the production path is the
-     semi-naive fixpoint in [Fixpoint], which shares classes of tuples);
-     every tuple is derived independently by the recursive engine. *)
   let extend t =
     match extend_tuple_compiled ?mode schema t ~target c with
     | Error conflict -> raise (Conflict_found conflict)
     | Ok (extended, _) -> extended
   in
-  let rows =
-    if jobs <= 1 then List.map extend (Relational.Relation.tuples r)
-    else begin
-      (* Chunked over domains: tuples are immutable arrays, so sharing
-         is read-only; each chunk extends its rows in ascending order
-         and stops at its first conflict, so [Parallel.map_chunks]
-         re-raises the same [Conflict_found] the serial scan reports
-         first. Chunk-order concatenation keeps the relation's row order
-         identical to the serial result. *)
-      let tuples = Array.of_list (Relational.Relation.tuples r) in
-      List.concat
-        (Parallel.map_chunks ~jobs (Array.length tuples)
-           (fun ~start ~stop ->
-             let acc = ref [] in
-             for i = start to stop - 1 do
-               acc := extend tuples.(i) :: !acc
-             done;
-             List.rev !acc))
-    end
-  in
-  (* Telemetry is measured after the fact so the extension loop itself
-     carries no instrumentation cost when the sink is off; every counter
-     is a pure function of the input and output, hence identical for
-     every [jobs] value. *)
-  if Telemetry.enabled telemetry then begin
-    let sources = Relational.Relation.tuples r in
-    let n = List.length sources in
-    let derived_cells =
-      List.fold_left2
-        (fun acc source extended ->
-          let base = base_cells source in
-          let filled = ref 0 in
-          Array.iteri
-            (fun i b ->
-              if V.is_null b && not (V.is_null (Tuple.nth extended i)) then
-                Stdlib.incr filled)
-            base;
-          acc + !filled)
-        0 sources rows
-    in
-    Telemetry.add telemetry "ilfd.tuples" n;
-    Telemetry.add telemetry "ilfd.derivations" derived_cells;
-    if mode = Some Check_conflicts then
-      Telemetry.add telemetry "ilfd.conflict_checks" n;
-    if jobs > 1 then
-      Telemetry.add telemetry "parallel.chunks" (Parallel.chunk_count ~jobs n)
-  end;
   Relational.Relation.of_tuples target
     ~keys:(Relational.Relation.declared_keys r)
-    rows
+    (List.map extend (Relational.Relation.tuples r))
 
 let derivable_attributes schema ilfds =
   (* Fixpoint over attribute availability: an ILFD can contribute when

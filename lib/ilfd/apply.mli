@@ -67,30 +67,16 @@ val extend_tuple :
   Def.t list ->
   (Relational.Tuple.t * derivation list, conflict) result
 
-(** [extend_relation ?mode ?jobs r ~target ilfds] maps {!extend_tuple}
-    over a relation; the result keeps [r]'s declared keys (still valid:
-    original attributes are unchanged). The family is compiled once and
-    every tuple is derived independently by the recursive engine — this
-    is the {e reference} evaluator; production callers go through the
-    facade ([Ilfd.Apply.extend_relation]), which routes eligible
-    families to the semi-naive {!Fixpoint} and falls back here.
-
-    [jobs] (default [1]) > 1 extends row chunks on that many domains
-    ({!Parallel.map_chunks}); the rows — and, in [Check_conflicts] mode,
-    which conflict raises — are identical to the serial result, and
-    [jobs = 1] takes the exact serial code path.
-
-    [telemetry] (default {!Telemetry.off}) records the [ilfd.extend]
-    span and the [ilfd.tuples] / [ilfd.derivations] (cells filled in) /
-    [ilfd.conflict_checks] counters, all post-hoc pure functions of
-    input and output — identical for every [jobs] value, and free when
-    the sink is off.
-    @raise Conflict_found (with the witness inside) in [Check_conflicts]
-    mode when some tuple has disagreeing derivations. *)
+(** [extend_relation ?mode r ~target ilfds] maps {!extend_tuple} over a
+    relation, serially and in row order; the result keeps [r]'s declared
+    keys (still valid: original attributes are unchanged). This is the
+    {e reference} evaluator the tests, benches and agreement oracles
+    hold the production extender ({!Fixpoint.extend_relation}) to.
+    @raise Conflict_found (with the first conflicting row's witness) in
+    [Check_conflicts] mode when some tuple has disagreeing
+    derivations. *)
 val extend_relation :
   ?mode:mode ->
-  ?jobs:int ->
-  ?telemetry:Telemetry.t ->
   Relational.Relation.t ->
   target:Relational.Schema.t ->
   Def.t list ->

@@ -32,7 +32,12 @@ type plan = {
   key_ids : int array;  (** chase columns initialised from source cells *)
   key_attrs : string array;  (** their source attribute names *)
   strata : attr_task array array;
-      (** tasks grouped by stratum, in evaluation order *)
+      (** tasks grouped by stratum, in evaluation order; empty when the
+          chase is not exact *)
+  exact : bool;
+      (** the compiled chase replays the recursive engine's First_rule
+          answer: the family is acyclic and every rule value has a
+          well-defined match class *)
 }
 
 exception Cyclic
@@ -43,10 +48,10 @@ exception
     conflict : Apply.conflict;
   }
 
-(* Fault-injection hook for the [Fallback_desync] arm below: the
-   per-class recursive fallback runs in First_rule mode, which by
-   construction never reports a conflict, so the arm is unreachable in
-   production. Tests inject a witness here to prove the arm raises the
+(* Fault-injection hook for the [Fallback_desync] arm below: in
+   First_rule mode the per-class recursive fallback by construction
+   never reports a conflict, so the arm is unreachable in production.
+   Tests inject a witness here to prove the arm raises the
    typed exception (same pattern as [Decision.partition]'s [?decide]
    hook) instead of an anonymous assertion failure. *)
 let inject_fallback_conflict : (Relational.Tuple.t -> Apply.conflict option) ref
@@ -84,9 +89,29 @@ let make ~source ~target c =
   let rules_of attr = Option.value (List.assoc_opt attr cons) ~default:[] in
   let derivable = Array.make n false in
   List.iter (fun (attr, _) -> derivable.(id_of attr) <- true) cons;
+  (* The class key: the mentioned attributes present in both source and
+     target. The recursive engine reads nothing else of a tuple, so it
+     determines the whole derivation — including a conflict — whatever
+     the family. *)
+  let target_pos =
+    Array.map
+      (fun a ->
+        match Schema.index_of_opt target a with Some i -> i | None -> -1)
+      attr_names
+  in
+  let is_key =
+    Array.mapi
+      (fun id a -> target_pos.(id) >= 0 && Schema.mem source a)
+      attr_names
+  in
+  let key_ids =
+    Array.of_list
+      (List.filter (fun id -> is_key.(id)) (List.init n (fun i -> i)))
+  in
+  let key_attrs = Array.map (fun id -> attr_names.(id)) key_ids in
   (* Every rule value (antecedent conditions and the derived value) must
      have a well-defined match class, or hash matching could diverge
-     from [non_null_eq]; one ambiguous numeric disqualifies the family. *)
+     from [non_null_eq]; one ambiguous numeric disqualifies the chase. *)
   let safe v = Intern.match_code (Intern.code v) <> Intern.unsafe_match in
   let all_safe =
     List.for_all
@@ -100,129 +125,119 @@ let make ~source ~target c =
           rules)
       cons
   in
-  if not all_safe then None
-  else
-    match
-      (* Stratify: a derivable attribute sits one level above the
-         deepest attribute any of its rules reads. A cycle means demand
-         order (which the recursive engine's cut semantics depends on)
-         cannot be replayed by rounds — no plan. *)
-      let strat = Array.make n (-1) in
-      let rec depth id =
-        if strat.(id) = -2 then raise Cyclic
-        else if strat.(id) >= 0 then strat.(id)
-        else if not derivable.(id) then begin
-          strat.(id) <- 0;
-          0
-        end
-        else begin
-          strat.(id) <- -2;
-          let d =
+  (* Stratify: a derivable attribute sits one level above the deepest
+     attribute any of its rules reads. A cycle means demand order (which
+     the recursive engine's cut semantics depends on) cannot be replayed
+     by rounds — no exact chase. *)
+  let strat = Array.make n (-1) in
+  let rec depth id =
+    if strat.(id) = -2 then raise Cyclic
+    else if strat.(id) >= 0 then strat.(id)
+    else if not derivable.(id) then begin
+      strat.(id) <- 0;
+      0
+    end
+    else begin
+      strat.(id) <- -2;
+      let d =
+        List.fold_left
+          (fun acc (rule, _) ->
             List.fold_left
-              (fun acc (rule, _) ->
-                List.fold_left
-                  (fun acc (cond : Def.condition) ->
-                    max acc (depth (id_of cond.attribute)))
-                  acc (Def.antecedent rule))
-              0
-              (rules_of attr_names.(id))
-          in
-          strat.(id) <- d + 1;
-          d + 1
-        end
+              (fun acc (cond : Def.condition) ->
+                max acc (depth (id_of cond.attribute)))
+              acc (Def.antecedent rule))
+          0
+          (rules_of attr_names.(id))
       in
+      strat.(id) <- d + 1;
+      d + 1
+    end
+  in
+  let exact =
+    all_safe
+    &&
+    match
       for id = 0 to n - 1 do
         ignore (depth id)
-      done;
-      strat
+      done
     with
-    | exception Cyclic -> None
-    | strat ->
-        let target_pos =
-          Array.map
-            (fun a ->
-              match Schema.index_of_opt target a with Some i -> i | None -> -1)
-            attr_names
-        in
-        let is_key =
-          Array.mapi
-            (fun id a -> target_pos.(id) >= 0 && Schema.mem source a)
-            attr_names
-        in
-        let key_ids =
-          Array.of_list
-            (List.filter (fun id -> is_key.(id)) (List.init n (fun i -> i)))
-        in
-        let key_attrs = Array.map (fun id -> attr_names.(id)) key_ids in
-        let signature rule =
-          List.map (fun (c : Def.condition) -> c.attribute) (Def.antecedent rule)
-        in
-        let group_of sig_attrs rules =
-          let table = Hashtbl.create 8 in
-          List.iter
-            (fun (rule, v) ->
-              let k =
-                Array.of_list
-                  (List.map
-                     (fun (c : Def.condition) ->
-                       Intern.match_code (Intern.code c.value))
-                     (Def.antecedent rule))
-              in
-              if not (Hashtbl.mem table k) then
-                Hashtbl.add table k (Intern.code v))
-            rules;
-          { sig_ids = Array.of_list (List.map id_of sig_attrs); table }
-        in
-        let rec groups_of = function
-          | [] -> []
-          | ((rule, _) :: _) as rules ->
-              let s = signature rule in
-              let same, rest =
-                let rec span acc = function
-                  | (r', v') :: tl when signature r' = s ->
-                      span ((r', v') :: acc) tl
-                  | tl -> (List.rev acc, tl)
-                in
-                span [] rules
-              in
-              group_of s same :: groups_of rest
-        in
-        let task_of (attr, rules) =
-          let id = id_of attr in
-          let delta_only =
-            rules <> []
-            && List.for_all
-                 (fun (rule, _) ->
-                   List.exists
-                     (fun (c : Def.condition) ->
-                       let b = id_of c.attribute in
-                       derivable.(b) && not is_key.(b))
-                     (Def.antecedent rule))
-                 rules
+    | () -> true
+    | exception Cyclic -> false
+  in
+  let plan =
+    { compiled = c; n_cols = n; key_ids; key_attrs; strata = [||]; exact }
+  in
+  if not exact then plan
+  else
+    let signature rule =
+      List.map (fun (c : Def.condition) -> c.attribute) (Def.antecedent rule)
+    in
+    let group_of sig_attrs rules =
+      let table = Hashtbl.create 8 in
+      List.iter
+        (fun (rule, v) ->
+          let k =
+            Array.of_list
+              (List.map
+                 (fun (c : Def.condition) ->
+                   Intern.match_code (Intern.code c.value))
+                 (Def.antecedent rule))
           in
-          ( strat.(id),
-            {
-              col_id = id;
-              target_pos = target_pos.(id);
-              groups = groups_of rules;
-              delta_only;
-            } )
-        in
-        let tasks = List.map task_of cons in
-        let max_stratum = List.fold_left (fun m (s, _) -> max m s) 0 tasks in
-        let strata =
-          Array.init max_stratum (fun k ->
-              Array.of_list
-                (List.filter_map
-                   (fun (s, t) -> if s = k + 1 then Some t else None)
-                   tasks))
-        in
-        Some { compiled = c; n_cols = n; key_ids; key_attrs; strata }
+          if not (Hashtbl.mem table k) then
+            Hashtbl.add table k (Intern.code v))
+        rules;
+      { sig_ids = Array.of_list (List.map id_of sig_attrs); table }
+    in
+    let rec groups_of = function
+      | [] -> []
+      | ((rule, _) :: _) as rules ->
+          let s = signature rule in
+          let same, rest =
+            let rec span acc = function
+              | (r', v') :: tl when signature r' = s ->
+                  span ((r', v') :: acc) tl
+              | tl -> (List.rev acc, tl)
+            in
+            span [] rules
+          in
+          group_of s same :: groups_of rest
+    in
+    let task_of (attr, rules) =
+      let id = id_of attr in
+      let delta_only =
+        rules <> []
+        && List.for_all
+             (fun (rule, _) ->
+               List.exists
+                 (fun (c : Def.condition) ->
+                   let b = id_of c.attribute in
+                   derivable.(b) && not is_key.(b))
+                 (Def.antecedent rule))
+             rules
+      in
+      ( strat.(id),
+        {
+          col_id = id;
+          target_pos = target_pos.(id);
+          groups = groups_of rules;
+          delta_only;
+        } )
+    in
+    let tasks = List.map task_of cons in
+    let max_stratum = List.fold_left (fun m (s, _) -> max m s) 0 tasks in
+    let strata =
+      Array.init max_stratum (fun k ->
+          Array.of_list
+            (List.filter_map
+               (fun (s, t) -> if s = k + 1 then Some t else None)
+               tasks))
+    in
+    { plan with strata }
 
 let supported ~source ~target ilfds =
-  Option.is_some (make ~source ~target (Apply.compile ilfds))
+  (make ~source ~target (Apply.compile ilfds)).exact
 
-let run plan r ~target ~jobs ~telemetry =
+let run plan ~mode r ~target ~jobs ~telemetry =
   let schema = Relation.schema r in
   let cr = Relation.columnar r in
   let n_rows = Columnar.length cr in
@@ -231,7 +246,8 @@ let run plan r ~target ~jobs ~telemetry =
   let key_cols = Array.map (fun a -> Columnar.column cr a) plan.key_attrs in
   (* Derivation classes: one per distinct coded projection onto the
      source-initialised chase columns — those cells alone determine the
-     whole chase, so all rows of a class share one derivation. *)
+     whole derivation, so all rows of a class share one. Class ids follow
+     first-row order. *)
   let class_of_row = Array.make n_rows 0 in
   let tbl : (int array, int) Hashtbl.t = Hashtbl.create (max 16 n_rows) in
   let reps = ref [] in
@@ -257,9 +273,13 @@ let run plan r ~target ~jobs ~telemetry =
     !reps;
   (* Chase cells, column-major over classes; 0 = NULL/underived. Classes
      whose base cells carry ambiguous numerics cannot be hash-matched
-     exactly and take the recursive engine individually. *)
+     exactly and take the recursive engine individually — as does every
+     class when the chase is not exact, or in Check_conflicts mode, whose
+     conflict witness depends on the recursive engine's demand order. *)
+  let per_class = mode = Apply.Check_conflicts || not plan.exact in
+  let strata = if per_class then [||] else plan.strata in
   let state = Array.init plan.n_cols (fun _ -> Array.make n_classes 0) in
-  let fallback = Array.make n_classes false in
+  let fallback = Array.make n_classes per_class in
   for cid = 0 to n_classes - 1 do
     let k = class_key.(cid) in
     for p = 0 to nkeys - 1 do
@@ -326,13 +346,15 @@ let run plan r ~target ~jobs ~telemetry =
               scan cid
             done)
         stratum)
-    plan.strata;
+    strata;
   let base_plan =
     Array.of_list
       (List.map
          (fun (a : Schema.attribute) -> Schema.index_of_opt schema a.name)
          (Schema.attributes target))
   in
+  (* Ascending class ids visit classes in first-row order, so the first
+     class that conflicts holds the row the serial engine raises on. *)
   let fallback_count = ref 0 in
   for cid = 0 to n_classes - 1 do
     if fallback.(cid) then begin
@@ -341,9 +363,12 @@ let run plan r ~target ~jobs ~telemetry =
       let extended =
         match !inject_fallback_conflict t with
         | Some conflict -> Error conflict
-        | None -> Apply.extend_tuple_compiled schema t ~target plan.compiled
+        | None ->
+            Apply.extend_tuple_compiled ~mode schema t ~target plan.compiled
       in
       match extended with
+      | Error conflict when mode = Apply.Check_conflicts ->
+          raise (Apply.Conflict_found conflict)
       | Error conflict ->
           (* First_rule mode never conflicts; a witness here means the
              fallback evaluator and the plan disagree about the mode, so
@@ -391,7 +416,7 @@ let run plan r ~target ~jobs ~telemetry =
   if Telemetry.enabled telemetry then begin
     Telemetry.add telemetry "ilfd.tuples" n_rows;
     Telemetry.add telemetry "ilfd.fixpoint.classes" n_classes;
-    Telemetry.add telemetry "ilfd.fixpoint.rounds" (Array.length plan.strata);
+    Telemetry.add telemetry "ilfd.fixpoint.rounds" (Array.length strata);
     Telemetry.add telemetry "ilfd.fixpoint.delta_facts" !facts;
     Telemetry.add telemetry "ilfd.fixpoint.fallback_classes" !fallback_count;
     let dlen = Array.map List.length deltas in
@@ -406,18 +431,8 @@ let run plan r ~target ~jobs ~telemetry =
   end;
   Relation.of_tuples target ~keys:(Relation.declared_keys r) rows
 
-let extend_relation ?mode ?(jobs = 1) ?(telemetry = Telemetry.off) r ~target
-    ilfds =
-  match mode with
-  | Some Apply.Check_conflicts ->
-      (* A conflict witness depends on the recursive engine's demand
-         order; only that engine defines it. *)
-      Apply.extend_relation ~mode:Apply.Check_conflicts ~jobs ~telemetry r
-        ~target ilfds
-  | None | Some Apply.First_rule -> (
-      let c = Apply.compile ilfds in
-      match make ~source:(Relation.schema r) ~target c with
-      | None -> Apply.extend_relation ~jobs ~telemetry r ~target ilfds
-      | Some plan ->
-          Telemetry.span telemetry "ilfd.extend" (fun () ->
-              run plan r ~target ~jobs ~telemetry))
+let extend_relation ?(mode = Apply.First_rule) ?(jobs = 1)
+    ?(telemetry = Telemetry.off) r ~target ilfds =
+  Telemetry.span telemetry "ilfd.extend" @@ fun () ->
+  let plan = make ~source:(Relation.schema r) ~target (Apply.compile ilfds) in
+  run plan ~mode r ~target ~jobs ~telemetry

@@ -1,5 +1,5 @@
 (** Compiled semi-naive fixpoint evaluation of an ILFD family — the
-    production path for relation extension (Section 4.2's algebraic
+    only production path for relation extension (Section 4.2's algebraic
     [IM(x̄,y)] construction made executable).
 
     Instead of re-running the recursive Armstrong engine per tuple,
@@ -18,18 +18,19 @@
       antecedents, only classes the previous rounds changed.
 
     On acyclic families with First_rule semantics this is provably the
-    same function as {!Apply.extend_relation} — each stratum fixes
-    exactly the values the recursive engine would look up — and the
-    checker's [fixpoint-agreement] oracle holds it to byte-identical
-    output. Families the plan cannot express exactly (cyclic attribute
-    dependencies, [Check_conflicts] mode, numeric condition values whose
-    cross-type identity is ambiguous above 2⁵³) fall back to the
-    recursive engine wholesale; classes whose base cells carry such
-    numerics fall back individually. *)
+    same function as the per-tuple reference {!Apply.extend_relation} —
+    each stratum fixes exactly the values the recursive engine would
+    look up — and the checker's [fixpoint-agreement] oracle holds it to
+    byte-identical output. Where the chase is not exact — cyclic
+    attribute dependencies, [Check_conflicts] mode, numeric rule values
+    whose cross-type identity is ambiguous above 2⁵³ — every derivation
+    class runs the recursive engine ({!Apply.extend_tuple_compiled}) on
+    its representative row instead, as do single classes whose base
+    cells carry such numerics. *)
 
 (** Raised if the per-class recursive fallback ever reports a derivation
-    conflict. The fallback runs in [First_rule] mode, where conflicts are
-    impossible by construction, so this exception marks an evaluator/plan
+    conflict in [First_rule] mode, where conflicts are impossible by
+    construction, so this exception marks an evaluator/plan
     desync — it carries the offending tuple and the conflicting rule (the
     same witness shape as {!Apply.Conflict_found}) rather than dying on
     an anonymous assertion. Matches the [Conflict_found] /
@@ -48,26 +49,34 @@ exception
 val inject_fallback_conflict :
   (Relational.Tuple.t -> Apply.conflict option) ref
 
-(** [supported ~source ~target ilfds] — whether the family compiles to
-    a fixpoint plan for this source/target pair ([false] means
-    {!extend_relation} delegates to {!Apply.extend_relation}). *)
+(** [supported ~source ~target ilfds] — whether the family's compiled
+    chase is exact for this source/target pair ([false] means
+    {!extend_relation} runs every class through the recursive
+    engine). *)
 val supported :
   source:Relational.Schema.t ->
   target:Relational.Schema.t ->
   Def.t list ->
   bool
 
-(** Drop-in replacement for {!Apply.extend_relation} (same signature,
-    same output, same exceptions). [Check_conflicts] mode always takes
-    the recursive reference path: a conflict witness depends on the
-    demand order of derivation, which only that engine defines.
+(** [extend_relation ?mode ?jobs ?telemetry r ~target ilfds] — the
+    relation extension: same output and same exceptions as the reference
+    {!Apply.extend_relation}. In [Check_conflicts] mode every class runs
+    the recursive engine, since a conflict witness depends on its demand
+    order; class ids follow first-row order, so the first class that
+    conflicts holds the reference's first conflicting row and raises
+    the same {!Apply.Conflict_found} witness. [jobs] (default [1]) > 1
+    materialises row chunks on that many domains.
 
-    [telemetry] records (on the fixpoint path) [ilfd.tuples],
+    [telemetry] records the [ilfd.extend] span and [ilfd.tuples],
     [ilfd.derivations], [ilfd.fixpoint.classes] (derivation classes),
-    [ilfd.fixpoint.rounds] (strata evaluated), [ilfd.fixpoint.delta_facts]
-    (facts derived across classes, scratch intermediates included) and
+    [ilfd.fixpoint.rounds] (strata chased; [0] when every class runs the
+    recursive engine), [ilfd.fixpoint.delta_facts] (facts derived across
+    classes, scratch intermediates included on the chase) and
     [ilfd.fixpoint.fallback_classes] — all class-level, hence identical
-    for every [jobs] and shard count. *)
+    for every [jobs] and shard count.
+    @raise Apply.Conflict_found in [Check_conflicts] mode.
+    @raise Fallback_desync as described above. *)
 val extend_relation :
   ?mode:Apply.mode ->
   ?jobs:int ->

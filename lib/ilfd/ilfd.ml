@@ -1,24 +1,14 @@
 (* Facade: [Ilfd.t] is the ILFD type itself (from {!Def}), with the
-   theory, derivation engine, tables and propositions as submodules. *)
+   theory, derivation engines, tables and propositions as submodules.
+   Relation extension in production is {!Fixpoint.extend_relation};
+   {!Apply.extend_relation} is its serial per-tuple reference. *)
 
 include Def
 
 module Encode = Encode
 module Theory = Theory
 module Fixpoint = Fixpoint
-
-module Apply = struct
-  include Apply
-
-  (* The per-tuple recursive engine stays available as the reference
-     evaluator (benches and agreement tests diff against it)... *)
-  let extend_relation_recursive = extend_relation
-
-  (* ...while the production name routes through the semi-naive fixpoint,
-     which falls back to the recursive engine on families it cannot
-     replay exactly. Same signature, same output, same exceptions. *)
-  let extend_relation = Fixpoint.extend_relation
-end
+module Apply = Apply
 module Table = Table
 module Props = Props
 module Mine = Mine

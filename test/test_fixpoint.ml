@@ -14,8 +14,8 @@ let case name f = Alcotest.test_case name `Quick f
 
 let extension_agrees (sc : Checker.Scenario.t) rel =
   let target = E.Identify.extension_schema rel sc.key in
-  let fixpoint = Ilfd.Apply.extend_relation rel ~target sc.ilfds in
-  let recursive = Ilfd.Apply.extend_relation_recursive rel ~target sc.ilfds in
+  let fixpoint = Ilfd.Fixpoint.extend_relation rel ~target sc.ilfds in
+  let recursive = Ilfd.Apply.extend_relation rel ~target sc.ilfds in
   R.Relation.equal fixpoint recursive
 
 let agreement_tests =
@@ -58,13 +58,13 @@ let agreement_tests =
         Alcotest.(check bool)
           "family compiles" true
           (Ilfd.Fixpoint.supported ~source:(R.Relation.schema r) ~target ilfds);
-        let out = Ilfd.Apply.extend_relation r ~target ilfds in
+        let out = Ilfd.Fixpoint.extend_relation r ~target ilfds in
         let a = R.Tuple.get target (List.hd (R.Relation.tuples out)) "a" in
         Alcotest.(check bool) "a = 1 (recursive answer)" true
           (V.equal a (vi 1));
         Alcotest.(check bool) "byte-identical to recursive" true
           (R.Relation.equal out
-             (Ilfd.Apply.extend_relation_recursive r ~target ilfds)));
+             (Ilfd.Apply.extend_relation r ~target ilfds)));
     case "cyclic families fall back and still agree" (fun () ->
         let ilfds =
           [
@@ -84,8 +84,95 @@ let agreement_tests =
           (Ilfd.Fixpoint.supported ~source:(R.Relation.schema r) ~target ilfds);
         Alcotest.(check bool) "fallback agrees" true
           (R.Relation.equal
-             (Ilfd.Apply.extend_relation r ~target ilfds)
-             (Ilfd.Apply.extend_relation_recursive r ~target ilfds)));
+             (Ilfd.Fixpoint.extend_relation r ~target ilfds)
+             (Ilfd.Apply.extend_relation r ~target ilfds)));
+    case "Check_conflicts witnesses match the serial reference" (fun () ->
+        (* The production extender runs Check_conflicts per derivation
+           class, in first-row order; at every job count it must raise
+           the reference's first-row witness, or return its rows. *)
+        let outcome f =
+          match f () with
+          | rel -> Ok rel
+          | exception Ilfd.Apply.Conflict_found c -> Error c
+        in
+        let agree label rel ~target ilfds =
+          let reference =
+            outcome (fun () ->
+                Ilfd.Apply.extend_relation ~mode:Ilfd.Apply.Check_conflicts
+                  rel ~target ilfds)
+          in
+          List.iter
+            (fun jobs ->
+              let label = Printf.sprintf "%s jobs=%d" label jobs in
+              match
+                ( reference,
+                  outcome (fun () ->
+                      Ilfd.Fixpoint.extend_relation
+                        ~mode:Ilfd.Apply.Check_conflicts ~jobs rel ~target
+                        ilfds) )
+              with
+              | Ok a, Ok b ->
+                  Alcotest.(check bool) (label ^ " rows") true
+                    (R.Relation.equal a b)
+              | Error a, Error b ->
+                  Alcotest.(check string) (label ^ " attribute") a.attribute
+                    b.attribute;
+                  Alcotest.(check bool) (label ^ " values") true
+                    (V.equal a.first b.first && V.equal a.second b.second);
+                  Alcotest.(check bool) (label ^ " rule") true
+                    (Ilfd.equal a.rule b.rule)
+              | Ok _, Error _ -> Alcotest.fail (label ^ ": spurious conflict")
+              | Error _, Ok _ -> Alcotest.fail (label ^ ": missed conflict"))
+            [ 1; 3 ]
+        in
+        for seed = 1 to 40 do
+          let sc = Checker.Scenario.generate ~seed in
+          List.iter
+            (fun (side, rel) ->
+              agree
+                (Printf.sprintf "seed %d %s" seed side)
+                rel
+                ~target:(E.Identify.extension_schema rel sc.key)
+                sc.ilfds)
+            [ ("R", sc.r); ("S", sc.s) ]
+        done;
+        (* A cyclic family: b is derivable two ways, and they disagree
+           from the second row on (rows 2 and 3 share a class). *)
+        let ilfds =
+          [
+            Ilfd.make1 [ Ilfd.condition "a" (vi 1) ] "b" (vi 1);
+            Ilfd.make1 [ Ilfd.condition "b" (vi 1) ] "a" (vi 1);
+            Ilfd.make1 [ Ilfd.condition "c" (vi 1) ] "b" (vi 2);
+          ]
+        in
+        let r =
+          R.Relation.create
+            (R.Schema.of_names [ "id"; "a"; "c" ])
+            ~keys:[ [ "id" ] ]
+            [
+              [ vi 1; V.null; vi 1 ];
+              [ vi 2; vi 1; vi 1 ];
+              [ vi 3; vi 1; vi 1 ];
+              [ vi 4; vi 1; V.null ];
+            ]
+        in
+        let target =
+          R.Schema.concat (R.Relation.schema r) (R.Schema.of_names [ "b" ])
+        in
+        (match
+           Ilfd.Fixpoint.extend_relation ~mode:Ilfd.Apply.Check_conflicts r
+             ~target ilfds
+         with
+        | _ -> Alcotest.fail "cyclic family: expected a conflict"
+        | exception Ilfd.Apply.Conflict_found c ->
+            Alcotest.(check bool) "cyclic witness b: 1 vs 2" true
+              (c.attribute = "b" && V.equal c.first (vi 1)
+              && V.equal c.second (vi 2)));
+        agree "cyclic" r ~target ilfds;
+        agree "cyclic, conflict-free rows"
+          (R.Relation.create (R.Relation.schema r) ~keys:[ [ "id" ] ]
+             [ [ vi 1; V.null; vi 1 ]; [ vi 4; vi 1; V.null ] ])
+          ~target ilfds);
     case "ambiguous numeric rule values disqualify the plan" (fun () ->
         (* 2^53 + 1 has no exact float partner: hash matching on a
            canonical representative is unsound there, so the family
@@ -106,8 +193,8 @@ let agreement_tests =
           (Ilfd.Fixpoint.supported ~source:(R.Relation.schema r) ~target ilfds);
         Alcotest.(check bool) "fallback agrees" true
           (R.Relation.equal
-             (Ilfd.Apply.extend_relation r ~target ilfds)
-             (Ilfd.Apply.extend_relation_recursive r ~target ilfds)));
+             (Ilfd.Fixpoint.extend_relation r ~target ilfds)
+             (Ilfd.Apply.extend_relation r ~target ilfds)));
   ]
 
 let intern_tests =
@@ -235,11 +322,11 @@ let fallback_tests =
           (Ilfd.Fixpoint.supported ~source:(R.Relation.schema r) ~target
              ilfds);
         let telemetry = Telemetry.create () in
-        let out = Ilfd.Apply.extend_relation ~telemetry r ~target ilfds in
+        let out = Ilfd.Fixpoint.extend_relation ~telemetry r ~target ilfds in
         Alcotest.(check bool) "fallback classes counted" true
           (Telemetry.counter telemetry "ilfd.fixpoint.fallback_classes" > 0);
         let recursive =
-          Ilfd.Apply.extend_relation_recursive r ~target ilfds
+          Ilfd.Apply.extend_relation r ~target ilfds
         in
         Alcotest.(check bool) "agrees with recursive" true
           (R.Relation.equal out recursive));
@@ -266,7 +353,7 @@ let fallback_tests =
                fun t ->
                  if V.equal (R.Tuple.nth t 1) (vi huge) then Some injected
                  else None);
-            match Ilfd.Apply.extend_relation r ~target ilfds with
+            match Ilfd.Fixpoint.extend_relation r ~target ilfds with
             | _ -> Alcotest.fail "expected Fallback_desync"
             | exception Ilfd.Fixpoint.Fallback_desync { tuple; conflict } ->
                 Alcotest.(check bool) "witness tuple" true
@@ -274,7 +361,7 @@ let fallback_tests =
                 Alcotest.(check string) "witness attribute" "flag"
                   conflict.attribute);
         (* The hook is restored: the same evaluation succeeds again. *)
-        ignore (Ilfd.Apply.extend_relation r ~target ilfds));
+        ignore (Ilfd.Fixpoint.extend_relation r ~target ilfds));
   ]
 
 (* ---- telemetry contract ---- *)
@@ -291,7 +378,7 @@ let counter_tests =
         let target = E.Identify.extension_schema inst.r inst.key in
         let telemetry = Telemetry.create () in
         ignore
-          (Ilfd.Apply.extend_relation ~telemetry inst.r ~target inst.ilfds);
+          (Ilfd.Fixpoint.extend_relation ~telemetry inst.r ~target inst.ilfds);
         let c = Telemetry.counter telemetry in
         Alcotest.(check int) "rounds" 2 (c "ilfd.fixpoint.rounds");
         Alcotest.(check bool) "classes <= tuples" true
@@ -307,7 +394,7 @@ let counter_tests =
         let run jobs =
           let telemetry = Telemetry.create () in
           let out =
-            Ilfd.Apply.extend_relation ~jobs ~telemetry inst.r ~target
+            Ilfd.Fixpoint.extend_relation ~jobs ~telemetry inst.r ~target
               inst.ilfds
           in
           (Telemetry.counters_stable telemetry, out)

@@ -266,12 +266,12 @@ let apply_tests =
         let target =
           Entity_id.Identify.extension_schema inst.r inst.key
         in
-        let once = Ilfd.Apply.extend_relation inst.r ~target inst.ilfds in
-        let twice = Ilfd.Apply.extend_relation once ~target inst.ilfds in
+        let once = Ilfd.Fixpoint.extend_relation inst.r ~target inst.ilfds in
+        let twice = Ilfd.Fixpoint.extend_relation once ~target inst.ilfds in
         R.Relation.equal once twice);
     case "extend_relation keeps declared keys" (fun () ->
         let r = relation [ "speciality" ] [ [ "speciality" ] ] [ [ "Hunan" ] ] in
-        let out = Ilfd.Apply.extend_relation r ~target [ i1 ] in
+        let out = Ilfd.Fixpoint.extend_relation r ~target [ i1 ] in
         Alcotest.(check (list (list string))) ""
           [ [ "speciality" ] ]
           (R.Relation.keys out));

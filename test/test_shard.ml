@@ -377,9 +377,10 @@ let invariance_tests =
         in
         let base = run 1 None in
         List.iter
-          (fun shards ->
-            (* The 4 KiB budget forces the spill path at 60 entities. *)
-            let o = run shards (Some 4096) in
+          (fun (shards, mem_budget) ->
+            (* The 4 KiB budget forces the spill path at 60 entities;
+               no budget keeps every shard partition resident. *)
+            let o = run shards mem_budget in
             Alcotest.check pairs
               (Printf.sprintf "pairs shards=%d" shards)
               base.pairs o.pairs;
@@ -389,7 +390,7 @@ let invariance_tests =
               (mt_entries_equal base.matching_table o.matching_table);
             Alcotest.(check (list (pair int int))) "extended untouched" []
               [])
-          [ 2; 7 ]);
+          [ (2, Some 4096); (7, Some 4096); (2, None); (7, None) ]);
     case "Decision.partition is invariant in the shard count" (fun () ->
         let inst = instance () in
         let identity = [ E.Extended_key.equivalence_rule inst.key ] in

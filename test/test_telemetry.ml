@@ -222,7 +222,7 @@ let pipeline_tests =
         in
         let telemetry = Telemetry.create () in
         ignore
-          (Ilfd.Apply.extend_relation ~telemetry r ~target
+          (Ilfd.Fixpoint.extend_relation ~telemetry r ~target
              [ Ilfd.parse "speciality = Hunan -> cuisine = Chinese" ]);
         let c = Telemetry.counter telemetry in
         Alcotest.(check int) "tuples" 2 (c "ilfd.tuples");
