@@ -100,8 +100,9 @@ let measure_extension () =
   let r_target = E.Identify.extension_schema inst.r inst.key
   and s_target = E.Identify.extension_schema inst.s inst.key in
   let fixpoint () =
-    ( Ilfd.Fixpoint.extend_relation inst.r ~target:r_target inst.ilfds,
-      Ilfd.Fixpoint.extend_relation inst.s ~target:s_target inst.ilfds )
+    let compiled = Ilfd.Apply.compile inst.ilfds in
+    ( Ilfd.Fixpoint.extend_relation inst.r ~target:r_target compiled,
+      Ilfd.Fixpoint.extend_relation inst.s ~target:s_target compiled )
   and recursive () =
     ( Ilfd.Apply.extend_relation inst.r ~target:r_target inst.ilfds,
       Ilfd.Apply.extend_relation inst.s ~target:s_target inst.ilfds

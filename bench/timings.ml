@@ -83,7 +83,8 @@ let paper_pipeline_tests =
              let target =
                E.Identify.extension_schema PD.table5_r PD.example3_key
              in
-             Ilfd.Fixpoint.extend_relation PD.table5_r ~target PD.ilfds_i1_i8));
+             Ilfd.Fixpoint.extend_relation PD.table5_r ~target
+               (Ilfd.Apply.compile PD.ilfds_i1_i8)));
       Test.make ~name:"t8:ilfd-tables"
         (Staged.stage (fun () -> Ilfd.Table.of_ilfds PD.ilfds_i1_i8));
       Test.make ~name:"f3:monotonic-snapshot"

@@ -29,11 +29,12 @@ let integrate ~key ilfds dbs =
   if List.length (List.sort_uniq String.compare names) <> List.length names
   then invalid_arg "Cluster.integrate: duplicate database names";
   let kext = Extended_key.attributes key in
+  let compiled = Ilfd.Apply.compile ilfds in
   let extended =
     List.map
       (fun (name, r) ->
         let target = Identify.extension_schema r key in
-        (name, Ilfd.Fixpoint.extend_relation r ~target ilfds))
+        (name, Ilfd.Fixpoint.extend_relation r ~target compiled))
       dbs
   in
   let buckets = ref Vmap.empty in

@@ -10,16 +10,26 @@ type explanation = {
   s_derivations : Ilfd.Apply.derivation list;
 }
 
-let find_by_key rel key_attrs key_tuple =
-  Relation.find_opt
-    (fun t ->
-      Tuple.equal (Tuple.project (Relation.schema rel) t key_attrs) key_tuple)
-    rel
+module Tuple_tbl = Hashtbl.Make (Tuple)
 
-let derivations_of ?mode rel key ilfds tuple =
+(* A relation's tuples by primary-key value; keys are declared unique,
+   so the first row with a key is the only one. *)
+let index_by_key rel =
+  let plan = Tuple.plan (Relation.schema rel) (Relation.primary_key rel) in
+  let by_key = Tuple_tbl.create (max 16 (Relation.cardinality rel)) in
+  Relation.iter
+    (fun t ->
+      let k = Tuple.project_with plan t in
+      if not (Tuple_tbl.mem by_key k) then Tuple_tbl.add by_key k t)
+    rel;
+  by_key
+
+let derivations_of ?mode rel key compiled tuple =
   let schema = Relation.schema rel in
   let target = Identify.extension_schema rel key in
-  match Ilfd.Apply.extend_tuple ?mode schema tuple ~target ilfds with
+  match
+    Ilfd.Apply.extend_tuple_compiled ?mode schema tuple ~target compiled
+  with
   | Ok (extended, derivations) -> (extended, derivations)
   | Error conflict ->
       (* Check_conflicts mode: surface the disagreeing derivations the
@@ -30,16 +40,17 @@ let derivations_of ?mode rel key ilfds tuple =
 let matches ?mode ~r ~s ~key ilfds =
   let outcome = Identify.run ?mode ~r ~s ~key ilfds in
   let kext = Extended_key.attributes key in
-  let r_key = Relation.primary_key r and s_key = Relation.primary_key s in
+  let compiled = Ilfd.Apply.compile ilfds in
+  let r_by_key = index_by_key r and s_by_key = index_by_key s in
   List.filter_map
     (fun (entry : Matching_table.entry) ->
       match
-        ( find_by_key r r_key entry.r_key,
-          find_by_key s s_key entry.s_key )
+        ( Tuple_tbl.find_opt r_by_key entry.r_key,
+          Tuple_tbl.find_opt s_by_key entry.s_key )
       with
       | Some tr, Some ts ->
-          let r_ext, r_derivations = derivations_of ?mode r key ilfds tr in
-          let _, s_derivations = derivations_of ?mode s key ilfds ts in
+          let r_ext, r_derivations = derivations_of ?mode r key compiled tr in
+          let _, s_derivations = derivations_of ?mode s key compiled ts in
           let target = Identify.extension_schema r key in
           let key_values =
             List.map (fun a -> (a, Tuple.get target r_ext a)) kext

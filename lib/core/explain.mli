@@ -19,7 +19,9 @@ type explanation = {
 }
 
 (** [matches ?mode ~r ~s ~key ilfds] — one explanation per matched pair,
-    in matching-table order (re-runs the pipeline capturing derivations).
+    in matching-table order (re-runs the pipeline capturing derivations;
+    the family is compiled once per call, and each pair's tuples are
+    found through one key index per side).
     [mode] (default [First_rule]) is the derivation mode, matching the
     run being explained.
     @raise Ilfd.Apply.Conflict_found in [Check_conflicts] mode when some

@@ -32,19 +32,21 @@ let extension_schema relation key =
   Schema.concat schema (Schema.of_names missing)
 
 (* Both relations ILFD-extended to the K_Ext target schemas — the phase
-   shared verbatim by [run], [run_stream] and [run_rules]. *)
+   shared verbatim by [run], [run_stream] and [run_rules]. The family is
+   compiled once for both sides. *)
 let extend_both ?mode ~jobs ~telemetry ~r ~s ~key ilfds =
   let r_target = extension_schema r key
   and s_target = extension_schema s key in
+  let compiled = Ilfd.Apply.compile ilfds in
   let r_ext =
     Telemetry.span telemetry "identify.extend_r" (fun () ->
         Ilfd.Fixpoint.extend_relation ?mode ~jobs ~telemetry r
-          ~target:r_target ilfds)
+          ~target:r_target compiled)
   in
   let s_ext =
     Telemetry.span telemetry "identify.extend_s" (fun () ->
         Ilfd.Fixpoint.extend_relation ?mode ~jobs ~telemetry s
-          ~target:s_target ilfds)
+          ~target:s_target compiled)
   in
   (r_target, s_target, r_ext, s_ext)
 

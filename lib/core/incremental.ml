@@ -13,6 +13,9 @@ type t = {
   s : Relation.t;
   key : Extended_key.t;
   ilfds : Ilfd.t list;
+  compiled : Ilfd.Apply.compiled;
+      (** [ilfds] compiled once per state, never per insert; rebuilt by
+          [restore] and [add_ilfd], never dumped *)
   mode : Ilfd.Apply.mode;  (** derivation mode, applied to every insert *)
   telemetry : Telemetry.t;  (** sink charged by every insertion *)
   r_target : Schema.t;
@@ -56,6 +59,7 @@ let of_outcome ?(mode = Ilfd.Apply.First_rule) ?(telemetry = Telemetry.off)
     s;
     key;
     ilfds;
+    compiled = Ilfd.Apply.compile ilfds;
     mode;
     telemetry;
     r_target;
@@ -79,7 +83,10 @@ let create ?(mode = Ilfd.Apply.First_rule) ?(telemetry = Telemetry.off) ~r ~s
     (Identify.run ~mode ~telemetry ~r ~s ~key ilfds)
 
 let extend_one t schema tuple ~target =
-  match Ilfd.Apply.extend_tuple ~mode:t.mode schema tuple ~target t.ilfds with
+  match
+    Ilfd.Apply.extend_tuple_compiled ~mode:t.mode schema tuple ~target
+      t.compiled
+  with
   | Ok (extended, _) -> extended
   | Error conflict ->
       (* Only reachable in Check_conflicts mode; surface the witness the
@@ -156,6 +163,7 @@ let add_ilfd t ilfd =
 
 let r t = t.r
 let s t = t.s
+let ilfds t = t.ilfds
 let unmatched_r t = List.rev t.unmatched_r
 let unmatched_s t = List.rev t.unmatched_s
 
@@ -262,6 +270,7 @@ let restore ?(telemetry = Telemetry.off) d =
     s;
     key;
     ilfds;
+    compiled = Ilfd.Apply.compile ilfds;
     mode = d.d_mode;
     telemetry;
     r_target;

@@ -10,6 +10,13 @@
     pipeline: each new tuple is extended once and probed against a hash
     index of the other side's extended relation.
 
+    The ILFD family is compiled ({!Ilfd.Apply.compile}) once per state
+    and held in [t]: {!create} (and so {!add_ilfd}) and {!restore} build
+    it, and every insertion — a live one or one replayed from a store's
+    write-ahead log — reuses it, so an insert never recompiles the
+    family. The compiled form is derived data and is not part of a
+    {!dump}.
+
     Equivalence with the batch pipeline ({!Identify.run} on the final
     relations) is a tested invariant. Adding an {e ILFD} invalidates
     derived attributes globally, so {!add_ilfd} recomputes — knowledge
@@ -50,13 +57,18 @@ val insert_r : t -> Relational.Tuple.t -> t * Matching_table.entry list
 val insert_s : t -> Relational.Tuple.t -> t * Matching_table.entry list
 
 (** [add_ilfd t ilfd] — extend the knowledge base; recomputes extended
-    relations and the matching table (monotone: the previous matches are
-    preserved — {!Monotonic} has the property-level statement). *)
+    relations, the matching table and the compiled family (monotone: the
+    previous matches are preserved — {!Monotonic} has the property-level
+    statement). *)
 val add_ilfd : t -> Ilfd.t -> t
 
 val matching_table : t -> Matching_table.t
 val r : t -> Relational.Relation.t
 val s : t -> Relational.Relation.t
+
+(** [ilfds t] — the ILFD family in force, already parsed, in family
+    order. *)
+val ilfds : t -> Ilfd.t list
 
 (** [unmatched_r t] — extended R tuples whose K_Ext projection still
     carries a NULL, maintained incrementally as tuples arrive (same
@@ -100,7 +112,7 @@ val with_journal : t -> (journal_op -> unit) option -> t
     [Marshal] to disk and back across processes. [restore] rebuilds the
     exact state {e without} re-running ILFD derivation: extended tuples,
     matched pairs and unmatched accounting are carried over; only the
-    hash indexes are rebuilt. *)
+    hash indexes and the compiled ILFD family are rebuilt. *)
 
 type dump
 

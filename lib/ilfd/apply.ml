@@ -45,13 +45,13 @@ let compile ilfds =
                 (Hashtbl.find_opt by_consequent c.attribute)
                 ~default:[]
             in
-            (* Append keeps rule order; families are small and this runs
-               once per family, not per tuple. *)
+            (* Prepend now, reverse once below: linear in the family. *)
             Hashtbl.replace by_consequent c.attribute
-              (existing @ [ (rule, c.value) ])
+              ((rule, c.value) :: existing)
           end)
         (Def.consequent rule))
     ilfds;
+  Hashtbl.filter_map_inplace (fun _ rules -> Some (List.rev rules)) by_consequent;
   { rules = ilfds; by_consequent }
 
 let compiled_rules c = c.rules

@@ -33,6 +33,12 @@ type derivation = {
     instead of scanning the whole family per attribute per tuple. *)
 type compiled
 
+(** [compile ilfds] builds the index in time linear in the family (one
+    pass, each consequent list reversed once at the end). Production
+    callers compile once per family and reuse the result: a batch run
+    for both sides ({!Fixpoint.extend_relation}), a serve store for
+    every insert and every replayed WAL record, an explain request for
+    every pair. *)
 val compile : Def.t list -> compiled
 val compiled_rules : compiled -> Def.t list
 
@@ -58,7 +64,10 @@ val extend_tuple_compiled :
     attributes start as NULL), then derives what it can. Returns the
     extended tuple and the per-attribute derivations performed (in
     derivation order, including scratch intermediates), or the first
-    conflict in [Check_conflicts] mode. *)
+    conflict in [Check_conflicts] mode. A one-shot convenience that
+    compiles [ilfds] on every call, for tests and checker references;
+    production code holds a {!compiled} family and calls
+    {!extend_tuple_compiled}. *)
 val extend_tuple :
   ?mode:mode ->
   Relational.Schema.t ->

@@ -432,7 +432,7 @@ let run plan ~mode r ~target ~jobs ~telemetry =
   Relation.of_tuples target ~keys:(Relation.declared_keys r) rows
 
 let extend_relation ?(mode = Apply.First_rule) ?(jobs = 1)
-    ?(telemetry = Telemetry.off) r ~target ilfds =
+    ?(telemetry = Telemetry.off) r ~target compiled =
   Telemetry.span telemetry "ilfd.extend" @@ fun () ->
-  let plan = make ~source:(Relation.schema r) ~target (Apply.compile ilfds) in
+  let plan = make ~source:(Relation.schema r) ~target compiled in
   run plan ~mode r ~target ~jobs ~telemetry

@@ -59,9 +59,13 @@ val supported :
   Def.t list ->
   bool
 
-(** [extend_relation ?mode ?jobs ?telemetry r ~target ilfds] — the
+(** [extend_relation ?mode ?jobs ?telemetry r ~target compiled] — the
     relation extension: same output and same exceptions as the reference
-    {!Apply.extend_relation}. In [Check_conflicts] mode every class runs
+    {!Apply.extend_relation} over [Apply.compiled_rules compiled]. The
+    family arrives already compiled ({!Apply.compile}) so a caller that
+    extends several relations with one family — both sides of a batch
+    run — compiles it once; only the per-source plan is built here.
+    In [Check_conflicts] mode every class runs
     the recursive engine, since a conflict witness depends on its demand
     order; class ids follow first-row order, so the first class that
     conflicts holds the reference's first conflicting row and raises
@@ -83,5 +87,5 @@ val extend_relation :
   ?telemetry:Telemetry.t ->
   Relational.Relation.t ->
   target:Relational.Schema.t ->
-  Def.t list ->
+  Apply.compiled ->
   Relational.Relation.t

@@ -237,7 +237,7 @@ let handle_explain st =
   let explanations =
     Explain.matches ~mode ~r:(Incremental.r inc) ~s:(Incremental.s inc)
       ~key:(Extended_key.make cfg.Store.key)
-      (List.map Ilfd.parse cfg.Store.rules)
+      (Incremental.ilfds inc)
   in
   ok [ ("report", Json.String (Explain.render explanations)) ]
 

@@ -163,6 +163,12 @@ if ! grep -q Anjuman "$store_scratch/got$((wal_size - 3)).json"; then
 fi
 rm -rf "$store_scratch"
 
+# 7. ILFD compilation scaling: compiling a 32k-rule family must cost at
+#    most 40x a 2k-rule one (linear is ~16x, the old quadratic compile
+#    ~256x and more). Batch runs, store opens and explain requests all
+#    compile the family, so a quadratic compile is a per-update cost.
+dune exec bench/compile_scaling.exe
+
 dune build bench/main.exe
 bench_dir=$(mktemp -d)
 (

@@ -14,7 +14,9 @@ let case name f = Alcotest.test_case name `Quick f
 
 let extension_agrees (sc : Checker.Scenario.t) rel =
   let target = E.Identify.extension_schema rel sc.key in
-  let fixpoint = Ilfd.Fixpoint.extend_relation rel ~target sc.ilfds in
+  let fixpoint = Ilfd.Fixpoint.extend_relation rel ~target
+      (Ilfd.Apply.compile sc.ilfds)
+  in
   let recursive = Ilfd.Apply.extend_relation rel ~target sc.ilfds in
   R.Relation.equal fixpoint recursive
 
@@ -58,7 +60,9 @@ let agreement_tests =
         Alcotest.(check bool)
           "family compiles" true
           (Ilfd.Fixpoint.supported ~source:(R.Relation.schema r) ~target ilfds);
-        let out = Ilfd.Fixpoint.extend_relation r ~target ilfds in
+        let out =
+          Ilfd.Fixpoint.extend_relation r ~target (Ilfd.Apply.compile ilfds)
+        in
         let a = R.Tuple.get target (List.hd (R.Relation.tuples out)) "a" in
         Alcotest.(check bool) "a = 1 (recursive answer)" true
           (V.equal a (vi 1));
@@ -84,7 +88,7 @@ let agreement_tests =
           (Ilfd.Fixpoint.supported ~source:(R.Relation.schema r) ~target ilfds);
         Alcotest.(check bool) "fallback agrees" true
           (R.Relation.equal
-             (Ilfd.Fixpoint.extend_relation r ~target ilfds)
+             (Ilfd.Fixpoint.extend_relation r ~target (Ilfd.Apply.compile ilfds))
              (Ilfd.Apply.extend_relation r ~target ilfds)));
     case "Check_conflicts witnesses match the serial reference" (fun () ->
         (* The production extender runs Check_conflicts per derivation
@@ -109,7 +113,7 @@ let agreement_tests =
                   outcome (fun () ->
                       Ilfd.Fixpoint.extend_relation
                         ~mode:Ilfd.Apply.Check_conflicts ~jobs rel ~target
-                        ilfds) )
+                        (Ilfd.Apply.compile ilfds)) )
               with
               | Ok a, Ok b ->
                   Alcotest.(check bool) (label ^ " rows") true
@@ -161,7 +165,7 @@ let agreement_tests =
         in
         (match
            Ilfd.Fixpoint.extend_relation ~mode:Ilfd.Apply.Check_conflicts r
-             ~target ilfds
+             ~target (Ilfd.Apply.compile ilfds)
          with
         | _ -> Alcotest.fail "cyclic family: expected a conflict"
         | exception Ilfd.Apply.Conflict_found c ->
@@ -193,7 +197,7 @@ let agreement_tests =
           (Ilfd.Fixpoint.supported ~source:(R.Relation.schema r) ~target ilfds);
         Alcotest.(check bool) "fallback agrees" true
           (R.Relation.equal
-             (Ilfd.Fixpoint.extend_relation r ~target ilfds)
+             (Ilfd.Fixpoint.extend_relation r ~target (Ilfd.Apply.compile ilfds))
              (Ilfd.Apply.extend_relation r ~target ilfds)));
   ]
 
@@ -322,7 +326,10 @@ let fallback_tests =
           (Ilfd.Fixpoint.supported ~source:(R.Relation.schema r) ~target
              ilfds);
         let telemetry = Telemetry.create () in
-        let out = Ilfd.Fixpoint.extend_relation ~telemetry r ~target ilfds in
+        let out =
+          Ilfd.Fixpoint.extend_relation ~telemetry r ~target
+            (Ilfd.Apply.compile ilfds)
+        in
         Alcotest.(check bool) "fallback classes counted" true
           (Telemetry.counter telemetry "ilfd.fixpoint.fallback_classes" > 0);
         let recursive =
@@ -353,7 +360,10 @@ let fallback_tests =
                fun t ->
                  if V.equal (R.Tuple.nth t 1) (vi huge) then Some injected
                  else None);
-            match Ilfd.Fixpoint.extend_relation r ~target ilfds with
+            match
+              Ilfd.Fixpoint.extend_relation r ~target
+                (Ilfd.Apply.compile ilfds)
+            with
             | _ -> Alcotest.fail "expected Fallback_desync"
             | exception Ilfd.Fixpoint.Fallback_desync { tuple; conflict } ->
                 Alcotest.(check bool) "witness tuple" true
@@ -361,7 +371,8 @@ let fallback_tests =
                 Alcotest.(check string) "witness attribute" "flag"
                   conflict.attribute);
         (* The hook is restored: the same evaluation succeeds again. *)
-        ignore (Ilfd.Fixpoint.extend_relation r ~target ilfds));
+        ignore
+          (Ilfd.Fixpoint.extend_relation r ~target (Ilfd.Apply.compile ilfds)));
   ]
 
 (* ---- telemetry contract ---- *)
@@ -378,7 +389,8 @@ let counter_tests =
         let target = E.Identify.extension_schema inst.r inst.key in
         let telemetry = Telemetry.create () in
         ignore
-          (Ilfd.Fixpoint.extend_relation ~telemetry inst.r ~target inst.ilfds);
+          (Ilfd.Fixpoint.extend_relation ~telemetry inst.r ~target
+             (Ilfd.Apply.compile inst.ilfds));
         let c = Telemetry.counter telemetry in
         Alcotest.(check int) "rounds" 2 (c "ilfd.fixpoint.rounds");
         Alcotest.(check bool) "classes <= tuples" true
@@ -395,7 +407,7 @@ let counter_tests =
           let telemetry = Telemetry.create () in
           let out =
             Ilfd.Fixpoint.extend_relation ~jobs ~telemetry inst.r ~target
-              inst.ilfds
+              (Ilfd.Apply.compile inst.ilfds)
           in
           (Telemetry.counters_stable telemetry, out)
         in

@@ -1,7 +1,8 @@
 (* Tests for the ILFD library: the core type and parser, the symbol
    encoding, the Section 5 theory (closure, entailment three ways,
    Armstrong proofs, saturation, covers), the derivation engine that
-   extends tuples, ILFD tables, and Propositions 1 and 2. *)
+   extends tuples and its compiled index, ILFD tables, and Propositions
+   1 and 2. *)
 
 module R = Relational
 module V = R.Value
@@ -266,15 +267,125 @@ let apply_tests =
         let target =
           Entity_id.Identify.extension_schema inst.r inst.key
         in
-        let once = Ilfd.Fixpoint.extend_relation inst.r ~target inst.ilfds in
-        let twice = Ilfd.Fixpoint.extend_relation once ~target inst.ilfds in
+        let compiled = Ilfd.Apply.compile inst.ilfds in
+        let once = Ilfd.Fixpoint.extend_relation inst.r ~target compiled in
+        let twice = Ilfd.Fixpoint.extend_relation once ~target compiled in
         R.Relation.equal once twice);
     case "extend_relation keeps declared keys" (fun () ->
         let r = relation [ "speciality" ] [ [ "speciality" ] ] [ [ "Hunan" ] ] in
-        let out = Ilfd.Fixpoint.extend_relation r ~target [ i1 ] in
+        let out = Ilfd.Fixpoint.extend_relation r ~target (Ilfd.Apply.compile [ i1 ]) in
         Alcotest.(check (list (list string))) ""
           [ [ "speciality" ] ]
           (R.Relation.keys out));
+  ]
+
+(* ---- the compiled index ---- *)
+
+(* The index by hand: per consequent attribute, append each rule in
+   family order, counting only a rule's first condition per attribute. *)
+let naive_consequents rules =
+  let by_attr = ref [] in
+  List.iter
+    (fun rule ->
+      let seen = ref [] in
+      List.iter
+        (fun (c : Ilfd.condition) ->
+          if not (List.mem c.attribute !seen) then begin
+            seen := c.attribute :: !seen;
+            let existing =
+              Option.value (List.assoc_opt c.attribute !by_attr) ~default:[]
+            in
+            by_attr :=
+              (c.attribute, existing @ [ (rule, c.value) ])
+              :: List.remove_assoc c.attribute !by_attr
+          end)
+        (Ilfd.consequent rule))
+    rules;
+  List.sort (fun (a, _) (b, _) -> String.compare a b) !by_attr
+
+(* Rules over four attributes, so families share consequent attributes,
+   with up to three consequent conditions that may repeat an attribute.
+   A rule gives one value per attribute, so [Ilfd.make] accepts the
+   repeat (and folds it into one condition). *)
+let repeating_ilfd_gen =
+  QCheck2.Gen.(
+    let* ante = Helpers.conditions_gen 2 in
+    let* attrs = list_size (1 -- 3) Helpers.attr_gen in
+    let* values = list_repeat 4 Helpers.value_gen in
+    let value_of a =
+      v (List.nth values (Char.code a.[0] - Char.code 'a'))
+    in
+    return
+      (Ilfd.make ante (List.map (fun a -> Ilfd.condition a (value_of a)) attrs)))
+
+let same_index a b =
+  List.equal
+    (fun (attr, rules) (attr', rules') ->
+      String.equal attr attr'
+      && List.equal
+           (fun (rule, value) (rule', value') ->
+             rule == rule' && V.equal value value')
+           rules rules')
+    a b
+
+let conflict_witness (c : Ilfd.Apply.conflict) =
+  (c.attribute, V.to_string c.first, V.to_string c.second, c.rule)
+
+let compiled_tests =
+  [
+    qtest ~count:200 "compiled index keeps family order per attribute"
+      QCheck2.Gen.(list_size (0 -- 40) repeating_ilfd_gen)
+      (fun rules ->
+        same_index
+          (Ilfd.Apply.consequents (Ilfd.Apply.compile rules))
+          (naive_consequents rules));
+    case "restored and created states answer an insert alike" (fun () ->
+        (* Check_conflicts mode: one S insert derives a match, the other
+           hits two disagreeing rules; a state restored from a dump holds
+           its own compiled family and must give the same answers. *)
+        let rules =
+          List.map Ilfd.parse
+            [
+              "speciality = Gyros -> cuisine = Greek";
+              "speciality = Hunan -> cuisine = Chinese";
+              "speciality = Hunan -> cuisine = Thai";
+            ]
+        in
+        let r =
+          relation [ "name"; "cuisine" ] [ [ "name"; "cuisine" ] ]
+            [ [ "It'sGreek"; "Greek" ] ]
+        and s = relation [ "name"; "speciality" ] [ [ "name"; "speciality" ] ] [] in
+        let fresh =
+          Entity_id.Incremental.create ~mode:Ilfd.Apply.Check_conflicts ~r ~s
+            ~key:(Entity_id.Extended_key.make [ "name"; "cuisine" ])
+            rules
+        in
+        let restored =
+          Entity_id.Incremental.restore (Entity_id.Incremental.dump fresh)
+        in
+        let s_schema = R.Relation.schema s in
+        let keys =
+          List.map (fun (e : Entity_id.Matching_table.entry) ->
+              (R.Tuple.to_string e.r_key, R.Tuple.to_string e.s_key))
+        in
+        let insert t row =
+          match Entity_id.Incremental.insert_s t (R.Tuple.make s_schema row) with
+          | t', entries ->
+              Ok
+                ( keys entries,
+                  keys
+                    (Entity_id.Matching_table.entries
+                       (Entity_id.Incremental.matching_table t')) )
+          | exception Ilfd.Apply.Conflict_found c -> Error (conflict_witness c)
+        in
+        let answers t =
+          [ insert t [ v "It'sGreek"; v "Gyros" ]; insert t [ v "Wok"; v "Hunan" ] ]
+        in
+        let want = answers fresh and got = answers restored in
+        (match want with
+        | [ Ok ([ _ ], _); Error ("cuisine", "Chinese", "Thai", _) ] -> ()
+        | _ -> Alcotest.fail "expected one match, then a cuisine conflict");
+        Alcotest.(check bool) "same answers" true (want = got));
   ]
 
 let table_tests =
@@ -388,6 +499,7 @@ let () =
       ("encode", encode_tests);
       ("theory", theory_tests);
       ("apply", apply_tests);
+      ("compiled", compiled_tests);
       ("table", table_tests);
       ("props", props_tests);
     ]

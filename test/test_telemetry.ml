@@ -223,7 +223,8 @@ let pipeline_tests =
         let telemetry = Telemetry.create () in
         ignore
           (Ilfd.Fixpoint.extend_relation ~telemetry r ~target
-             [ Ilfd.parse "speciality = Hunan -> cuisine = Chinese" ]);
+             (Ilfd.Apply.compile
+                [ Ilfd.parse "speciality = Hunan -> cuisine = Chinese" ]));
         let c = Telemetry.counter telemetry in
         Alcotest.(check int) "tuples" 2 (c "ilfd.tuples");
         Alcotest.(check int) "classes" 1 (c "ilfd.fixpoint.classes");
