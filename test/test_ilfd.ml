@@ -499,7 +499,7 @@ let () =
       ("encode", encode_tests);
       ("theory", theory_tests);
       ("apply", apply_tests);
-      ("compiled", compiled_tests);
+      ("index", compiled_tests);
       ("table", table_tests);
       ("props", props_tests);
     ]
