@@ -160,8 +160,12 @@ let weak_join (sc : Scenario.t) (base : Identify.outcome) =
 
 (* Replay the scenario through the incremental engine from empty
    relations, in relation order (R first, then S — the batch pipeline's
-   extension order, so Check_conflicts witnesses line up). *)
-let replay ?mode ?(skip = fun _ -> false) (sc : Scenario.t) =
+   extension order, so Check_conflicts witnesses line up). Rows are
+   numbered across both sides; [skip i] drops row [i], and [repeat i]
+   inserts row [i] a second time once both sides are in — an exact
+   duplicate, which set semantics must ignore. *)
+let replay ?mode ?(skip = fun _ -> false) ?(repeat = fun _ -> false)
+    (sc : Scenario.t) =
   let empty_like rel =
     R.Relation.empty (R.Relation.schema rel)
       ~keys:(R.Relation.declared_keys rel)
@@ -171,18 +175,22 @@ let replay ?mode ?(skip = fun _ -> false) (sc : Scenario.t) =
     Incremental.create ?mode ~r:(empty_like sc.r) ~s:(empty_like sc.s)
       ~key:sc.key sc.ilfds
   in
-  let step insert (inc, i) t =
-    ((if skip i then inc else fst (insert inc t)), i + 1)
-  in
-  let inc, i =
-    List.fold_left (step Incremental.insert_r) (inc, 0)
-      (R.Relation.tuples sc.r)
-  in
-  let inc, _ =
-    List.fold_left (step Incremental.insert_s) (inc, i)
-      (R.Relation.tuples sc.s)
+  (* One pass over both sides, inserting the rows [keep] selects. *)
+  let pass keep inc =
+    let step insert (inc, i) t =
+      ((if keep i then fst (insert inc t) else inc), i + 1)
+    in
+    let inc, i =
+      List.fold_left (step Incremental.insert_r) (inc, 0)
+        (R.Relation.tuples sc.r)
+    in
+    fst
+      (List.fold_left (step Incremental.insert_s) (inc, i)
+         (R.Relation.tuples sc.s))
   in
   inc
+  |> pass (fun i -> not (skip i))
+  |> pass (fun i -> repeat i && not (skip i))
 
 let conflict_of f =
   match f () with
@@ -374,16 +382,33 @@ let check_rules (sc : Scenario.t) ~engine_entries =
     (MT.entries o.matching_table)
     engine_entries
 
-let check_incremental ~fault (sc : Scenario.t) ~engine_entries =
+(* Every seventh row goes in twice: the replay must hold set semantics,
+   so its pairs (with their multiplicity) and its unmatched accounting
+   both equal batch's. *)
+let check_incremental ~fault (sc : Scenario.t) (base : Identify.outcome)
+    ~engine_entries =
   let skip =
     match fault with
     | Lost_insert -> fun i -> i mod 7 = 6
     | _ -> fun _ -> false
   in
-  let inc = replay ~skip sc in
-  entry_sets_equal "incremental-replay" ~left:"incremental" ~right:"batch"
-    (MT.entries (Incremental.matching_table inc))
-    engine_entries
+  let inc = replay ~skip ~repeat:(fun i -> i mod 7 = 0) sc in
+  let* () =
+    entry_sets_equal "incremental-replay" ~left:"incremental" ~right:"batch"
+      (Incremental.entries inc) engine_entries
+  in
+  let unmatched_r = Incremental.unmatched_r inc
+  and unmatched_s = Incremental.unmatched_s inc in
+  if
+    List.equal R.Tuple.equal unmatched_r base.unmatched_r
+    && List.equal R.Tuple.equal unmatched_s base.unmatched_s
+  then Ok ()
+  else
+    fail "incremental-replay"
+      "incremental leaves %d R and %d S tuples unmatched, batch %d and %d"
+      (List.length unmatched_r) (List.length unmatched_s)
+      (List.length base.unmatched_r)
+      (List.length base.unmatched_s)
 
 let check_store (sc : Scenario.t) ~base_entries =
   Result.map_error
@@ -597,7 +622,7 @@ let run ?(fault = No_fault) ?(telemetry = Telemetry.off) (sc : Scenario.t) =
       let* () = check_stream sc base in
       let* () = check_partition_stream sc base in
       let* () = check_rules sc ~engine_entries in
-      let* () = check_incremental ~fault sc ~engine_entries in
+      let* () = check_incremental ~fault sc base ~engine_entries in
       let* () = check_store sc ~base_entries in
       let* () = check_cluster sc base in
       let* () = check_family ~fault ~telemetry sc base in

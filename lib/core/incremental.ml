@@ -1,4 +1,5 @@
 module Relation = Relational.Relation
+module Keyed = Relational.Keyed
 module Schema = Relational.Schema
 module Tuple = Relational.Tuple
 module Value = Relational.Value
@@ -9,8 +10,8 @@ type journal_op =
   | Journal_insert_s of Tuple.t
 
 type t = {
-  r : Relation.t;
-  s : Relation.t;
+  r : Keyed.t;  (** the base rows, append-only, with a key index *)
+  s : Keyed.t;
   key : Extended_key.t;
   ilfds : Ilfd.t list;
   compiled : Ilfd.Apply.compiled;
@@ -39,15 +40,17 @@ let kext t = Extended_key.attributes t.key
 
 let entry_of t (tr, ts) =
   {
-    Matching_table.r_key = Tuple.project t.r_target tr (Relation.primary_key t.r);
-    s_key = Tuple.project t.s_target ts (Relation.primary_key t.s);
+    Matching_table.r_key = Tuple.project t.r_target tr (Keyed.primary_key t.r);
+    s_key = Tuple.project t.s_target ts (Keyed.primary_key t.s);
   }
+
+let entries t = List.rev_map (entry_of t) t.pairs
 
 let matching_table t =
   Matching_table.make
-    ~r_key_attrs:(Relation.primary_key t.r)
-    ~s_key_attrs:(Relation.primary_key t.s)
-    (List.rev_map (entry_of t) t.pairs)
+    ~r_key_attrs:(Keyed.primary_key t.r)
+    ~s_key_attrs:(Keyed.primary_key t.s)
+    (entries t)
 
 let of_outcome ?(mode = Ilfd.Apply.First_rule) ?(telemetry = Telemetry.off)
     ~r ~s ~key ~ilfds (o : Identify.outcome) =
@@ -55,8 +58,8 @@ let of_outcome ?(mode = Ilfd.Apply.First_rule) ?(telemetry = Telemetry.off)
   let s_target = Relation.schema o.s_extended in
   let kext = Extended_key.attributes key in
   {
-    r;
-    s;
+    r = Keyed.of_relation r;
+    s = Keyed.of_relation s;
     key;
     ilfds;
     compiled = Ilfd.Apply.compile ilfds;
@@ -99,10 +102,9 @@ let count_insert t ~probe_null ~pairs_added =
   Telemetry.add t.telemetry "incremental.pairs_added" pairs_added;
   if probe_null then Telemetry.incr t.telemetry "incremental.null_key"
 
-let insert_r t tuple =
-  Telemetry.span t.telemetry "incremental.insert" @@ fun () ->
-  let r = Relation.add t.r tuple in
-  let extended = extend_one t (Relation.schema t.r) tuple ~target:t.r_target in
+(* [r] is [t.r] with [tuple] appended. *)
+let extend_r t r tuple =
+  let extended = extend_one t (Keyed.schema t.r) tuple ~target:t.r_target in
   let partners = Index.lookup_tuple t.s_index t.r_target extended in
   (* Index lookup finds S′ tuples equal on K_Ext; both sides must be
      fully non-NULL (the index drops NULL keys, and so does the probe). *)
@@ -127,10 +129,8 @@ let insert_r t tuple =
   notify t' (Journal_insert_r tuple);
   (t', List.map (entry_of t') new_pairs)
 
-let insert_s t tuple =
-  Telemetry.span t.telemetry "incremental.insert" @@ fun () ->
-  let s = Relation.add t.s tuple in
-  let extended = extend_one t (Relation.schema t.s) tuple ~target:t.s_target in
+let extend_s t s tuple =
+  let extended = extend_one t (Keyed.schema t.s) tuple ~target:t.s_target in
   let partners = Index.lookup_tuple t.r_index t.s_target extended in
   let probe_null =
     Tuple.has_null (Tuple.project t.s_target extended (kext t))
@@ -153,16 +153,34 @@ let insert_s t tuple =
   notify t' (Journal_insert_s tuple);
   (t', List.map (entry_of t') new_pairs)
 
+(* The key check runs before the extension, so a row that both breaks a
+   key and has disagreeing derivations reports the key violation. An
+   exact duplicate stops there: it changes nothing and is not
+   journalled. *)
+let insert_r t tuple =
+  Telemetry.span t.telemetry "incremental.insert" @@ fun () ->
+  match Keyed.add t.r tuple with
+  | None -> (t, [])
+  | Some r -> extend_r t r tuple
+
+let insert_s t tuple =
+  Telemetry.span t.telemetry "incremental.insert" @@ fun () ->
+  match Keyed.add t.s tuple with
+  | None -> (t, [])
+  | Some s -> extend_s t s tuple
+
 let add_ilfd t ilfd =
   (* A knowledge update recomputes wholesale; the journal hook survives
      it (the persistence layer re-snapshots around rule changes). *)
   with_journal
-    (create ~mode:t.mode ~telemetry:t.telemetry ~r:t.r ~s:t.s ~key:t.key
-       (t.ilfds @ [ ilfd ]))
+    (create ~mode:t.mode ~telemetry:t.telemetry ~r:(Keyed.to_relation t.r)
+       ~s:(Keyed.to_relation t.s) ~key:t.key (t.ilfds @ [ ilfd ]))
     t.journal
 
-let r t = t.r
-let s t = t.s
+let r t = Keyed.to_relation t.r
+let s t = Keyed.to_relation t.s
+let r_base t = t.r
+let s_base t = t.s
 let ilfds t = t.ilfds
 let unmatched_r t = List.rev t.unmatched_r
 let unmatched_s t = List.rev t.unmatched_s
@@ -178,7 +196,7 @@ let violations t = Matching_table.uniqueness_violations (matching_table t)
    relations re-interns on first use). [restore] reconstructs the exact
    state without re-running ILFD derivation: the extended tuples, the
    matched pairs and the unmatched accounting are all carried over, and
-   only the hash indexes are rebuilt. *)
+   only the indexes are rebuilt. *)
 
 type dump = {
   d_r_attrs : (string * Value.ty option) list;
@@ -206,16 +224,16 @@ let dump t =
       (fun (a : Schema.attribute) -> (a.name, a.ty))
       (Schema.attributes schema)
   in
-  let rows rel = List.map Tuple.to_array (Relation.tuples rel) in
+  let rows base = List.map Tuple.to_array (Keyed.tuples base) in
   let conds cs =
     List.map (fun (c : Ilfd.condition) -> (c.attribute, c.value)) cs
   in
   {
-    d_r_attrs = attrs (Relation.schema t.r);
-    d_r_keys = Relation.declared_keys t.r;
+    d_r_attrs = attrs (Keyed.schema t.r);
+    d_r_keys = Keyed.declared_keys t.r;
     d_r_rows = rows t.r;
-    d_s_attrs = attrs (Relation.schema t.s);
-    d_s_keys = Relation.declared_keys t.s;
+    d_s_attrs = attrs (Keyed.schema t.s);
+    d_s_keys = Keyed.declared_keys t.s;
     d_s_rows = rows t.s;
     d_key = Extended_key.attributes t.key;
     d_ilfds =
@@ -242,10 +260,10 @@ let restore ?(telemetry = Telemetry.off) d =
   let r_target = schema_of d.d_r_target and s_target = schema_of d.d_s_target in
   let tuple_of schema cells = Tuple.of_array schema cells in
   let r =
-    Relation.of_tuples r_schema ~keys:d.d_r_keys
+    Keyed.of_tuples r_schema ~keys:d.d_r_keys
       (List.map (tuple_of r_schema) d.d_r_rows)
   and s =
-    Relation.of_tuples s_schema ~keys:d.d_s_keys
+    Keyed.of_tuples s_schema ~keys:d.d_s_keys
       (List.map (tuple_of s_schema) d.d_s_rows)
   in
   let key = Extended_key.make d.d_key in
@@ -259,11 +277,14 @@ let restore ?(telemetry = Telemetry.off) d =
   let r_ext = List.map (tuple_of r_target) d.d_r_ext
   and s_ext = List.map (tuple_of s_target) d.d_s_ext in
   let kext = Extended_key.attributes key in
-  (* [of_outcome] builds indexes from the extended relation in relation
-     order; mirror it exactly so a restored state probes partners in the
-     same order a never-interrupted one would. *)
-  let index schema keys rows =
-    Index.build (Relation.of_tuples schema ~keys (List.rev rows)) kext
+  (* [of_outcome] indexes the extended relation in relation order;
+     mirror it so a restored state probes partners in the same order a
+     never-interrupted one would. A dump of a state that extended an
+     exact-duplicate insert twice holds both copies; the index keeps the
+     first, as a relation of the rows would. *)
+  let index schema newest_first =
+    Index.of_tuples schema kext
+      (Keyed.tuples (Keyed.of_tuples schema ~keys:[] (List.rev newest_first)))
   in
   {
     r;
@@ -277,8 +298,8 @@ let restore ?(telemetry = Telemetry.off) d =
     s_target;
     r_ext;
     s_ext;
-    r_index = index r_target d.d_r_keys r_ext;
-    s_index = index s_target d.d_s_keys s_ext;
+    r_index = index r_target r_ext;
+    s_index = index s_target s_ext;
     pairs =
       List.map
         (fun (a, b) -> (tuple_of r_target a, tuple_of s_target b))
@@ -293,11 +314,11 @@ let outcome t =
   {
     Identify.r_extended =
       Relation.of_tuples t.r_target
-        ~keys:(Relation.declared_keys t.r)
+        ~keys:(Keyed.declared_keys t.r)
         (List.rev t.r_ext);
     s_extended =
       Relation.of_tuples t.s_target
-        ~keys:(Relation.declared_keys t.s)
+        ~keys:(Keyed.declared_keys t.s)
         (List.rev t.s_ext);
     matching_table = mt;
     violations = Matching_table.uniqueness_violations mt;

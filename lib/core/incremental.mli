@@ -10,6 +10,12 @@
     pipeline: each new tuple is extended once and probed against a hash
     index of the other side's extended relation.
 
+    Each side's base relation is held as a {!Relational.Keyed.t}: rows
+    in insertion order, a count and a persistent index per declared key.
+    An insertion costs O(k log n) for k declared keys, plus the
+    extension of the one new tuple and an O(log n) K_Ext probe; nothing
+    on the insert path rebuilds a {!Relational.Relation.t}.
+
     The ILFD family is compiled ({!Ilfd.Apply.compile}) once per state
     and held in [t]: {!create} (and so {!add_ilfd}) and {!restore} build
     it, and every insertion — a live one or one replayed from a store's
@@ -33,9 +39,9 @@ type t
 
     [telemetry] (default {!Telemetry.off}) is stored on the state: the
     initial batch run charges the {!Identify.run} counters, and every
-    subsequent insertion charges the [incremental.insert] span plus the
-    [incremental.inserts] / [incremental.pairs_added] /
-    [incremental.null_key] counters. *)
+    subsequent insertion charges the [incremental.insert] span plus —
+    unless it is an exact duplicate — the [incremental.inserts] /
+    [incremental.pairs_added] / [incremental.null_key] counters. *)
 val create :
   ?mode:Ilfd.Apply.mode ->
   ?telemetry:Telemetry.t ->
@@ -47,9 +53,12 @@ val create :
 
 (** [insert_r t tuple] — add a tuple (of R's original schema) to R.
     Returns the new state and the matching-table entries the insertion
-    created (possibly none).
+    created (possibly none). Set semantics as {!Relational.Relation.add}:
+    an exact duplicate of a stored row returns [(t, [])] unchanged — not
+    extended, not counted and not journalled.
     @raise Relational.Relation.Key_violation if the tuple breaks one of
-    R's candidate keys.
+    R's declared keys (checked before the extension, so this wins over a
+    derivation conflict).
     @raise Ilfd.Apply.Conflict_found in [Check_conflicts] mode when the
     tuple's derivations disagree. *)
 val insert_r : t -> Relational.Tuple.t -> t * Matching_table.entry list
@@ -62,9 +71,23 @@ val insert_s : t -> Relational.Tuple.t -> t * Matching_table.entry list
     statement). *)
 val add_ilfd : t -> Ilfd.t -> t
 
+(** [entries t] — the matched pairs' entries, in derivation order. *)
+val entries : t -> Matching_table.entry list
+
 val matching_table : t -> Matching_table.t
+
+(** [r t] — R as a {!Relational.Relation.t}, built on each call:
+    O(n log n), since the relation re-checks its keys. For reports,
+    {!add_ilfd} and tests; hot paths read {!r_base}. *)
 val r : t -> Relational.Relation.t
+
 val s : t -> Relational.Relation.t
+
+(** [r_base t] — R's base rows as held: schema, declared keys,
+    cardinality and primary-key probes in O(1) or O(log n). *)
+val r_base : t -> Relational.Keyed.t
+
+val s_base : t -> Relational.Keyed.t
 
 (** [ilfds t] — the ILFD family in force, already parsed, in family
     order. *)
@@ -112,7 +135,7 @@ val with_journal : t -> (journal_op -> unit) option -> t
     [Marshal] to disk and back across processes. [restore] rebuilds the
     exact state {e without} re-running ILFD derivation: extended tuples,
     matched pairs and unmatched accounting are carried over; only the
-    hash indexes and the compiled ILFD family are rebuilt. *)
+    indexes and the compiled ILFD family are rebuilt, in O(n log n). *)
 
 type dump
 

@@ -24,18 +24,19 @@ let add_tuple buckets schema attrs tuple =
     let existing = Option.value (Cmap.find_opt k buckets) ~default:[] in
     Some (Cmap.add k (tuple :: existing) buckets)
 
-let build r attrs =
-  let schema = Relation.schema r in
+let add t schema tuple =
+  match add_tuple t.buckets schema t.attrs tuple with
+  | Some buckets -> { t with buckets; size = t.size + 1 }
+  | None -> t
+
+let of_tuples schema attrs tuples =
   List.iter (fun a -> ignore (Schema.index_of schema a)) attrs;
-  let buckets, size =
-    Relation.fold
-      (fun (buckets, size) tuple ->
-        match add_tuple buckets schema attrs tuple with
-        | Some buckets -> (buckets, size + 1)
-        | None -> (buckets, size))
-      (Cmap.empty, 0) r
-  in
-  { attrs; buckets; size }
+  List.fold_left
+    (fun t tuple -> add t schema tuple)
+    { attrs; buckets = Cmap.empty; size = 0 }
+    tuples
+
+let build r attrs = of_tuples (Relation.schema r) attrs (Relation.tuples r)
 
 (* Probing must not intern: a value that was never interned cannot key
    any bucket, so [Intern.find] failing is simply a miss. *)
@@ -61,10 +62,5 @@ let lookup t values =
 
 let lookup_tuple t schema tuple =
   lookup t (Tuple.values (Tuple.project schema tuple t.attrs))
-
-let add t schema tuple =
-  match add_tuple t.buckets schema t.attrs tuple with
-  | Some buckets -> { t with buckets; size = t.size + 1 }
-  | None -> t
 
 let cardinality t = t.size

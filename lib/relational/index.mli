@@ -11,6 +11,11 @@ type t
     @raise Schema.Unknown_attribute for unknown attributes. *)
 val build : Relation.t -> string list -> t
 
+(** [of_tuples schema attrs tuples] — index [tuples] (conforming to
+    [schema]) on [attrs], in list order.
+    @raise Schema.Unknown_attribute for unknown attributes. *)
+val of_tuples : Schema.t -> string list -> Tuple.t list -> t
+
 val attributes : t -> string list
 
 (** [lookup idx values] — all tuples whose (non-NULL) projection equals

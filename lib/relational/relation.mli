@@ -50,8 +50,12 @@ val for_all : (Tuple.t -> bool) -> t -> bool
 val find_opt : (Tuple.t -> bool) -> t -> Tuple.t option
 val mem : t -> Tuple.t -> bool
 
-(** [add r tuple] is [r] plus [tuple] (O(n); bulk paths should use
-    {!create}). @raise Key_violation as for {!create}. *)
+(** [add r tuple] is [r] plus [tuple]: an exact duplicate leaves [r]
+    as it is. O(n) — it rebuilds the relation and re-checks every key —
+    so bulk paths should use {!create}, and a relation that grows one
+    tuple at a time should be a {!Keyed.t}, whose [add] has these
+    semantics in O(log n) and is tested against this one.
+    @raise Key_violation as for {!create}. *)
 val add : t -> Tuple.t -> t
 
 (** [get schema-lookup] sugar: [value r tuple name]. *)

@@ -1,4 +1,4 @@
-module Relation = Relational.Relation
+module Keyed = Relational.Keyed
 module Schema = Relational.Schema
 module Tuple = Relational.Tuple
 module Value = Relational.Value
@@ -189,17 +189,17 @@ let store_keys st =
   let cfg = Store.config st in
   (cfg.Store.r_key, cfg.Store.s_key)
 
+let base st side =
+  let inc = Store.incremental st in
+  match side with
+  | Store.R -> Incremental.r_base inc
+  | Store.S -> Incremental.s_base inc
+
 let handle_insert st req =
   let side = side_of req in
-  let rel =
-    let inc = Store.incremental st in
-    match side with
-    | Store.R -> Incremental.r inc
-    | Store.S -> Incremental.s inc
-  in
   let row =
     match Json.member "row" req with
-    | Some j -> row_of_json (Relation.schema rel) j
+    | Some j -> row_of_json (Keyed.schema (base st side)) j
     | None -> bad "missing \"row\""
   in
   match Store.insert st side row with
@@ -260,7 +260,6 @@ let handle_rollback st =
   | None -> ok [ ("record", Json.Null) ]
 
 let handle_stats st =
-  let inc = Store.incremental st in
   let telemetry_json =
     (* Telemetry renders itself; re-parse so stats stays one JSON tree. *)
     match Json.parse (Telemetry.to_json (Store.telemetry st)) with
@@ -271,10 +270,9 @@ let handle_stats st =
     [
       ("wal_offset", Json.Int (Store.wal_offset st));
       ("recovered_records", Json.Int (Store.recovered_records st));
-      ("r_cardinality", Json.Int (Relation.cardinality (Incremental.r inc)));
-      ("s_cardinality", Json.Int (Relation.cardinality (Incremental.s inc)));
-      ( "matches",
-        Json.Int (Matching_table.cardinality (Store.matching_table st)) );
+      ("r_cardinality", Json.Int (Keyed.cardinality (base st Store.R)));
+      ("s_cardinality", Json.Int (Keyed.cardinality (base st Store.S)));
+      ("matches", Json.Int (Store.match_count st));
       ("conflicts", Json.Int (List.length (Store.conflicts st)));
       ("merge_log", Json.Int (List.length (Store.merge_log st)));
       ("telemetry", telemetry_json);

@@ -1,4 +1,5 @@
 module Relation = Relational.Relation
+module Keyed = Relational.Keyed
 module Schema = Relational.Schema
 module Tuple = Relational.Tuple
 module Value = Relational.Value
@@ -152,8 +153,9 @@ type t = {
   sync : bool;
   wal : Wal.writer;
   mutable inc : Incremental.t;
-  mutable manual : (Value.t array * Value.t array) list;
-  mutable suppressed : (Value.t array * Value.t array) list;
+  mutable effective : Effective.t;
+      (** [(derived \ suppressed) ∪ manual], kept current by every
+          operation: the derived pairs are [inc]'s *)
   mutable merges : merge_record list;
   mutable conflict_log : conflict list;
   mutable replaying : bool;
@@ -165,27 +167,10 @@ let snapshot_path dir = Filename.concat dir "snapshot"
 let config_path dir = Filename.concat dir "config.json"
 let lock_path dir = Filename.concat dir "lock"
 
-let key_eq a b =
-  Array.length a = Array.length b
-  && (let ok = ref true in
-      Array.iteri (fun i v -> if not (Value.equal v b.(i)) then ok := false) a;
-      !ok)
-
-let pair_eq (r1, s1) (r2, s2) = key_eq r1 r2 && key_eq s1 s2
-let mem_pair pairs p = List.exists (pair_eq p) pairs
-let remove_pair pairs p = List.filter (fun q -> not (pair_eq p q)) pairs
-
 (* Deterministic primary choice: elementwise {!Value.compare}, length as
    the final tiebreak; R wins an exact tie. *)
-let compare_keys a b =
-  let n = min (Array.length a) (Array.length b) in
-  let rec go i =
-    if i = n then compare (Array.length a) (Array.length b)
-    else
-      let c = Value.compare a.(i) b.(i) in
-      if c <> 0 then c else go (i + 1)
-  in
-  go 0
+let primary_of r_key s_key =
+  if Effective.compare_keys r_key s_key <= 0 then R else S
 
 (* ---- WAL plumbing ---- *)
 
@@ -200,22 +185,16 @@ let record_conflict t c =
 
 let apply_merge t ~r_key ~s_key =
   let pair = (r_key, s_key) in
-  let inverse_manual =
-    if mem_pair t.suppressed pair then begin
-      t.suppressed <- remove_pair t.suppressed pair;
-      false
-    end
-    else begin
-      t.manual <- pair :: t.manual;
-      true
-    end
-  in
+  let inverse_manual = not (Effective.is_suppressed t.effective pair) in
+  t.effective <-
+    (if inverse_manual then Effective.assert_manual t.effective pair
+     else Effective.unsuppress t.effective pair);
   let record =
     {
       action = Merge_pair;
       m_r_key = r_key;
       m_s_key = s_key;
-      primary = (if compare_keys r_key s_key <= 0 then R else S);
+      primary = primary_of r_key s_key;
       inverse_manual;
       rolled_back = false;
     }
@@ -225,22 +204,16 @@ let apply_merge t ~r_key ~s_key =
 
 let apply_split t ~r_key ~s_key =
   let pair = (r_key, s_key) in
-  let inverse_manual =
-    if mem_pair t.manual pair then begin
-      t.manual <- remove_pair t.manual pair;
-      true
-    end
-    else begin
-      t.suppressed <- pair :: t.suppressed;
-      false
-    end
-  in
+  let inverse_manual = Effective.is_manual t.effective pair in
+  t.effective <-
+    (if inverse_manual then Effective.retract_manual t.effective pair
+     else Effective.suppress t.effective pair);
   let record =
     {
       action = Split_pair;
       m_r_key = r_key;
       m_s_key = s_key;
-      primary = (if compare_keys r_key s_key <= 0 then R else S);
+      primary = primary_of r_key s_key;
       inverse_manual;
       rolled_back = false;
     }
@@ -254,28 +227,40 @@ let apply_rollback t =
     | record :: rest when record.rolled_back -> pop (record :: seen) rest
     | record :: rest ->
         let pair = (record.m_r_key, record.m_s_key) in
-        (match (record.action, record.inverse_manual) with
-        | Merge_pair, true -> t.manual <- remove_pair t.manual pair
-        | Merge_pair, false -> t.suppressed <- pair :: t.suppressed
-        | Split_pair, true -> t.manual <- pair :: t.manual
-        | Split_pair, false -> t.suppressed <- remove_pair t.suppressed pair);
+        let inverse =
+          match (record.action, record.inverse_manual) with
+          | Merge_pair, true -> Effective.retract_manual
+          | Merge_pair, false -> Effective.suppress
+          | Split_pair, true -> Effective.assert_manual
+          | Split_pair, false -> Effective.unsuppress
+        in
+        t.effective <- inverse t.effective pair;
         let marked = { record with rolled_back = true } in
         t.merges <- List.rev_append seen (marked :: rest);
         Some marked
   in
   pop [] t.merges
 
+let base t side =
+  match side with
+  | R -> Incremental.r_base t.inc
+  | S -> Incremental.s_base t.inc
+
+let pair_of (e : Matching_table.entry) =
+  (Tuple.to_array e.r_key, Tuple.to_array e.s_key)
+
 let insert_tuple t side row =
-  let rel =
-    match side with R -> Incremental.r t.inc | S -> Incremental.s t.inc
-  in
-  let tuple = Tuple.of_array (Relation.schema rel) row in
+  let tuple = Tuple.of_array (Keyed.schema (base t side)) row in
   let inc', entries =
     match side with
     | R -> Incremental.insert_r t.inc tuple
     | S -> Incremental.insert_s t.inc tuple
   in
   t.inc <- inc';
+  t.effective <-
+    List.fold_left
+      (fun eff e -> Effective.derive eff (pair_of e))
+      t.effective entries;
   entries
 
 let apply_op t op =
@@ -289,26 +274,11 @@ let apply_op t op =
 
 (* ---- effective matching table ---- *)
 
-let key_schemas t =
-  let r = Incremental.r t.inc and s = Incremental.s t.inc in
-  let r_pk = Relation.primary_key r and s_pk = Relation.primary_key s in
-  ( r_pk,
-    s_pk,
-    Schema.project (Relation.schema r) r_pk,
-    Schema.project (Relation.schema s) s_pk )
-
-let effective_pairs t =
-  let derived =
-    List.map
-      (fun (e : Matching_table.entry) ->
-        (Tuple.to_array e.r_key, Tuple.to_array e.s_key))
-      (Matching_table.entries (Incremental.matching_table t.inc))
-  in
-  let kept = List.filter (fun p -> not (mem_pair t.suppressed p)) derived in
-  kept @ List.rev t.manual
-
 let matching_table t =
-  let r_pk, s_pk, r_key_schema, s_key_schema = key_schemas t in
+  let r = Incremental.r_base t.inc and s = Incremental.s_base t.inc in
+  let r_pk = Keyed.primary_key r and s_pk = Keyed.primary_key s in
+  let r_key_schema = Schema.project (Keyed.schema r) r_pk
+  and s_key_schema = Schema.project (Keyed.schema s) s_pk in
   Matching_table.make ~r_key_attrs:r_pk ~s_key_attrs:s_pk
     (List.map
        (fun (r, s) ->
@@ -316,7 +286,9 @@ let matching_table t =
            Matching_table.r_key = Tuple.of_array r_key_schema r;
            s_key = Tuple.of_array s_key_schema s;
          })
-       (effective_pairs t))
+       (Effective.pairs t.effective))
+
+let match_count t = Effective.count t.effective
 
 (* ---- opening ---- *)
 
@@ -408,41 +380,35 @@ let open_store ?(telemetry = Telemetry.off) ?(sync = true) ?config ~dir () =
     end;
     let* ops = decode_ops replay.payloads in
     let wal, _ = Wal.open_append ~telemetry (wal_path dir) in
-    let t =
+    let inc, manual, suppressed, merges, conflict_log =
       match restored with
       | Some p ->
           let st = p.Snapshot.state in
-          {
-            store_dir = dir;
-            store_config = config;
-            hash;
-            telemetry;
-            sync;
-            wal;
-            inc = Incremental.restore ~telemetry st.p_inc;
-            manual = st.p_manual;
-            suppressed = st.p_suppressed;
-            merges = st.p_merges;
-            conflict_log = st.p_conflicts;
-            replaying = true;
-            recovered = 0;
-          }
-      | None ->
-          {
-            store_dir = dir;
-            store_config = config;
-            hash;
-            telemetry;
-            sync;
-            wal;
-            inc = fresh_incremental config ilfds telemetry;
-            manual = [];
-            suppressed = [];
-            merges = [];
-            conflict_log = [];
-            replaying = true;
-            recovered = 0;
-          }
+          ( Incremental.restore ~telemetry st.p_inc,
+            st.p_manual,
+            st.p_suppressed,
+            st.p_merges,
+            st.p_conflicts )
+      | None -> (fresh_incremental config ilfds telemetry, [], [], [], [])
+    in
+    let t =
+      {
+        store_dir = dir;
+        store_config = config;
+        hash;
+        telemetry;
+        sync;
+        wal;
+        inc;
+        effective =
+          Effective.create
+            ~derived:(List.map pair_of (Incremental.entries inc))
+            ~manual ~suppressed;
+        merges;
+        conflict_log;
+        replaying = true;
+        recovered = 0;
+      }
     in
     t.inc <-
       Incremental.with_journal t.inc
@@ -505,30 +471,19 @@ let insert t side row =
   commit t;
   result
 
-let key_exists t side key =
-  let rel =
-    match side with R -> Incremental.r t.inc | S -> Incremental.s t.inc
-  in
-  let pk = Relation.primary_key rel in
-  let schema = Relation.schema rel in
-  Relation.exists
-    (fun tuple -> key_eq (Tuple.to_array (Tuple.project schema tuple pk)) key)
-    rel
+let key_exists t side key = Keyed.mem_key (base t side) key
 
 let validate_merge t ~r_key ~s_key =
   if not (key_exists t R r_key) then Error (Unknown_key { side = R; key = r_key })
   else if not (key_exists t S s_key) then
     Error (Unknown_key { side = S; key = s_key })
+  else if Effective.mem t.effective (r_key, s_key) then
+    Error (Duplicate_merge { r_key; s_key })
   else
-    let pairs = effective_pairs t in
-    if mem_pair pairs (r_key, s_key) then Error (Duplicate_merge { r_key; s_key })
-    else
-      match
-        List.find_opt (fun (r, s) -> key_eq r r_key || key_eq s s_key) pairs
-      with
-      | Some (existing_r, existing_s) ->
-          Error (Merge_uniqueness { r_key; s_key; existing_r; existing_s })
-      | None -> Ok ()
+    match Effective.first_touching t.effective ~r_key ~s_key with
+    | Some (existing_r, existing_s) ->
+        Error (Merge_uniqueness { r_key; s_key; existing_r; existing_s })
+    | None -> Ok ()
 
 let merge t ~r_key ~s_key =
   match validate_merge t ~r_key ~s_key with
@@ -543,7 +498,7 @@ let merge t ~r_key ~s_key =
       Ok record
 
 let split t ~r_key ~s_key =
-  if not (mem_pair (effective_pairs t) (r_key, s_key)) then begin
+  if not (Effective.mem t.effective (r_key, s_key)) then begin
     let c = Unknown_pair { r_key; s_key } in
     record_conflict t c;
     commit t;
@@ -573,8 +528,8 @@ let snapshot t =
       state =
         {
           p_inc = Incremental.dump t.inc;
-          p_manual = t.manual;
-          p_suppressed = t.suppressed;
+          p_manual = Effective.manual t.effective;
+          p_suppressed = Effective.suppressed t.effective;
           p_merges = t.merges;
           p_conflicts = t.conflict_log;
         };

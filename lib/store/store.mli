@@ -186,8 +186,15 @@ val dir : t -> string
 val telemetry : t -> Telemetry.t
 
 (** The effective matching table: derived entries minus the suppressed
-    overlay, plus the manual overlay. *)
+    overlay, plus the manual overlay — derived entries in derivation
+    order, then manual ones oldest first. The store keeps this pair set
+    current as operations arrive ({!Effective}), so building the table
+    is one pass over its entries. *)
 val matching_table : t -> Entity_id.Matching_table.t
+
+(** [match_count t] — the number of entries in {!matching_table}, in
+    O(1). *)
+val match_count : t -> int
 
 val incremental : t -> Entity_id.Incremental.t
 

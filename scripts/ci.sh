@@ -169,6 +169,12 @@ rm -rf "$store_scratch"
 #    compile the family, so a quadratic compile is a per-update cost.
 dune exec bench/compile_scaling.exe
 
+# 8. Serve-request scaling: on stores of 1k and 64k rows per side, the
+#    median insert and the median stats request at 64k must cost at
+#    most 4x their 1k medians (measured 1.3-1.5x and ~1x; a per-insert
+#    relation rebuild or a per-request matching-table rebuild is ~64x).
+dune exec bench/insert_scaling.exe
+
 dune build bench/main.exe
 bench_dir=$(mktemp -d)
 (

@@ -258,6 +258,64 @@ let incremental_tests =
           batch.matching_table
         && E.Incremental.unmatched_r t = batch.unmatched_r
         && E.Incremental.unmatched_s t = batch.unmatched_s);
+    qtest ~count:10 "exact duplicate inserts are no-ops"
+      QCheck2.Gen.(int_range 0 10_000)
+      (fun seed ->
+        let inst =
+          Workload.Restaurant.generate
+            {
+              Workload.Restaurant.default with
+              n_entities = 20;
+              null_street_rate = 0.25;
+              seed;
+            }
+        in
+        let empty rel =
+          R.Relation.empty (R.Relation.schema rel)
+            ~keys:(R.Relation.declared_keys rel) ()
+        in
+        (* Every third row goes in twice in a row, and once more after
+           the other side is complete: a copy must neither probe for
+           partners again nor join the unmatched accounting again. *)
+        let again insert t tuples =
+          List.fold_left
+            (fun (t, ok) tuple ->
+              let t', created = insert t tuple in
+              (t', ok && t' == t && created = []))
+            (t, true)
+            (List.filteri (fun i _ -> i mod 3 = 0) tuples)
+        in
+        let stream insert t tuples =
+          List.fold_left
+            (fun (t, ok) tuple ->
+              let t, _ = insert t tuple in
+              let t', created = insert t tuple in
+              (t', ok && t' == t && created = []))
+            (t, true) tuples
+        in
+        let rows = R.Relation.tuples inst.r and srows = R.Relation.tuples inst.s in
+        let t =
+          E.Incremental.create ~r:(empty inst.r) ~s:(empty inst.s)
+            ~key:inst.key inst.ilfds
+        in
+        let t, ok1 = stream E.Incremental.insert_r t rows in
+        let t, ok2 = stream E.Incremental.insert_s t srows in
+        let t, ok3 = again E.Incremental.insert_r t rows in
+        let t, ok4 = again E.Incremental.insert_s t srows in
+        let batch =
+          E.Identify.run ~r:inst.r ~s:inst.s ~key:inst.key inst.ilfds
+        in
+        let o = E.Incremental.outcome t in
+        ok1 && ok2 && ok3 && ok4
+        && mt_entries_equal o.matching_table batch.matching_table
+        && List.length o.pairs = List.length batch.pairs
+        && List.length (E.Incremental.entries t) = List.length batch.pairs
+        && R.Relation.cardinality o.r_extended
+           = R.Relation.cardinality batch.r_extended
+        && R.Relation.cardinality (E.Incremental.r t)
+           = R.Relation.cardinality inst.r
+        && E.Incremental.unmatched_r t = batch.unmatched_r
+        && E.Incremental.unmatched_s t = batch.unmatched_s);
     case "outcome integrates like batch" (fun () ->
         let t =
           E.Incremental.create ~r:PD.table5_r ~s:PD.table5_s

@@ -246,6 +246,76 @@ let tuple_tests =
 
 (* ---- Relation ---- *)
 
+(* ---- Keyed: the incremental append, held to Relation.add ---- *)
+
+(* Cells that sit on every edge of key equality: NULL, [Int 1] vs
+   [Float 1.], [nan] (equal to itself), [0.] vs [-0.] (equal). *)
+let key_cell_gen =
+  QCheck2.Gen.oneofl
+    [ V.Null; V.int 1; V.float 1.; V.float Float.nan; V.float 0.;
+      V.float (-0.); V.string "x"; V.int 2 ]
+
+(* Insert sequences drawn from a small pool of rows, so exact duplicates
+   and key collisions are common; no key, one key, a composite key and
+   two declared keys. *)
+let insert_sequence_gen =
+  QCheck2.Gen.(
+    let* keys =
+      oneofl
+        [ []; [ [ "a" ] ]; [ [ "a"; "b" ] ]; [ [ "a" ]; [ "b"; "c" ] ];
+          [ [ "c" ]; [ "a" ] ] ]
+    in
+    let* pool =
+      list_size (1 -- 6) (triple key_cell_gen key_cell_gen key_cell_gen)
+    in
+    let pool = Array.of_list pool in
+    let* picks = list_size (0 -- 20) (int_bound (Array.length pool - 1)) in
+    return (keys, List.map (fun i -> pool.(i)) picks))
+
+let keyed_agrees (keys, rows) =
+  let schema = R.Schema.of_names [ "a"; "b"; "c" ] in
+  let violation f =
+    match f () with
+    | x -> Ok x
+    | exception R.Relation.Key_violation { key; tuple } -> Error (key, tuple)
+  in
+  let step (rel, keyed, ok) (a, b, c) =
+    let tuple = R.Tuple.make schema [ a; b; c ] in
+    match
+      ( violation (fun () -> R.Relation.add rel tuple),
+        violation (fun () -> R.Keyed.add keyed tuple) )
+    with
+    | Ok rel', Ok None ->
+        (rel, keyed, ok && R.Relation.cardinality rel' = R.Relation.cardinality rel)
+    | Ok rel', Ok (Some keyed') ->
+        ( rel',
+          keyed',
+          ok
+          && R.Relation.cardinality rel' = R.Relation.cardinality rel + 1 )
+    | Error (k1, t1), Error (k2, t2) ->
+        (rel, keyed, ok && k1 = k2 && R.Tuple.equal t1 t2)
+    | _ -> (rel, keyed, false)
+  in
+  let rel, keyed, ok =
+    List.fold_left step
+      (R.Relation.empty schema ~keys (), R.Keyed.empty schema ~keys, true)
+      rows
+  in
+  let pk = R.Relation.primary_key rel in
+  let probe (a, b, c) =
+    let key = R.Tuple.project schema (R.Tuple.make schema [ a; b; c ]) pk in
+    R.Keyed.mem_key keyed (R.Tuple.to_array key)
+    = R.Relation.exists
+        (fun row -> R.Tuple.equal (R.Tuple.project schema row pk) key)
+        rel
+  in
+  ok
+  && List.equal R.Tuple.equal (R.Relation.tuples rel) (R.Keyed.tuples keyed)
+  && R.Keyed.cardinality keyed = R.Relation.cardinality rel
+  && R.Keyed.primary_key keyed = pk
+  && R.Relation.equal (R.Keyed.to_relation keyed) rel
+  && List.for_all probe rows
+
 let relation_tests =
   [
     case "exact duplicates collapse" (fun () ->
@@ -295,6 +365,8 @@ let relation_tests =
           (match R.Relation.with_keys r [ [ "a" ] ] with
           | _ -> false
           | exception R.Relation.Key_violation _ -> true));
+    qtest ~count:500 "keyed append agrees with add" insert_sequence_gen
+      keyed_agrees;
   ]
 
 (* ---- Algebra ---- *)

@@ -287,6 +287,32 @@ let recovery_tests =
             Alcotest.(check int) "full WAL replayed" 2 (S.recovered_records t);
             Alcotest.(check int) "state rebuilt" 1 (cardinality t);
             S.close t));
+    case "a logged duplicate insert replays as a no-op" (fun () ->
+        in_dir (fun dir ->
+            S.close (open_ok ~config:cfg dir);
+            (* The log a store writes when it journals the duplicate
+               insert too. *)
+            let w, _ = W.open_append (wal_file dir) in
+            List.iter
+              (fun op -> ignore (W.append w (Marshal.to_string op []) : int))
+              [ S.Op_insert_r r_match; S.Op_insert_r r_match;
+                S.Op_insert_s s_match ];
+            W.sync w;
+            W.close w;
+            let t = open_ok dir in
+            Alcotest.(check int) "all three replayed" 3
+              (S.recovered_records t);
+            Alcotest.(check int) "one R row"
+              1
+              (R.Keyed.cardinality (E.Incremental.r_base (S.incremental t)));
+            Alcotest.(check int) "one pair" 1 (cardinality t);
+            Alcotest.(check int) "one derived entry" 1
+              (List.length (E.Incremental.entries (S.incremental t)));
+            Alcotest.(check int) "nothing unmatched" 0
+              (List.length (E.Incremental.unmatched_r (S.incremental t)));
+            Alcotest.(check int) "a later copy creates nothing" 0
+              (List.length (ok (S.insert t S.R r_match)));
+            S.close t));
     case "a changed provided configuration is refused" (fun () ->
         in_dir (fun dir ->
             let t = open_ok ~config:cfg dir in
@@ -368,6 +394,21 @@ let overlay_tests =
             | None -> Alcotest.fail "rollback found nothing");
             Alcotest.(check int) "restored" 1 (cardinality t);
             S.close t));
+    case "an exact duplicate insert is a silent no-op" (fun () ->
+        in_dir (fun dir ->
+            let t = open_ok ~config:cfg dir in
+            ignore (ok (S.insert t S.R r_match));
+            let offset = S.wal_offset t in
+            Alcotest.(check int) "duplicate creates nothing" 0
+              (List.length (ok (S.insert t S.R r_match)));
+            Alcotest.(check int) "and is not journalled" offset
+              (S.wal_offset t);
+            let entries = ok (S.insert t S.S s_match) in
+            Alcotest.(check int) "the partner matches once" 1
+              (List.length entries);
+            Alcotest.(check int) "one effective pair" 1 (cardinality t);
+            Alcotest.(check int) "counted once" 1 (S.match_count t);
+            S.close t));
     case "merge validates its keys" (fun () ->
         in_dir (fun dir ->
             let t = open_ok ~config:cfg dir in
@@ -396,6 +437,397 @@ let overlay_tests =
             S.close t));
   ]
 
+(* ---- model-based interleavings ----
+
+   Random sequences of inserts (exact duplicates, key violations, NULL
+   keys and wrong arities included), merges (unknown keys, duplicates,
+   uniqueness violations), splits (unknown pairs), rollbacks (past
+   empty), snapshots and close-then-reopen, run against the store and
+   against a reference model. The model keeps the overlays as plain
+   lists and recomputes the effective pairs from scratch on every
+   read, as [(derived \ suppressed) @ manual]; its derivations extend
+   each row with the recursive engine and join it against every stored
+   row of the other side. After every operation the store must agree
+   with it on the answer (conflict witnesses included), the matching
+   table (entry order included), the stats cardinalities, the merge log
+   and the conflict table. *)
+
+(* Matching on (name, cuisine) with two specialities per cuisine: an R
+   row can match two S rows, so merges meet uniqueness witnesses on
+   either side. *)
+let model_cfg =
+  {
+    S.r_attrs = [ "name"; "cuisine"; "street" ];
+    r_key = [ "name"; "cuisine" ];
+    s_attrs = [ "name"; "speciality"; "county" ];
+    s_key = [ "name"; "speciality" ];
+    key = [ "name"; "cuisine" ];
+    rules =
+      [
+        "speciality = Hunan -> cuisine = Chinese";
+        "speciality = Szechuan -> cuisine = Chinese";
+        "speciality = Sushi -> cuisine = Japanese";
+      ];
+    check_conflicts = false;
+  }
+
+type model_op =
+  | Insert of S.side * R.Value.t array
+  | Merge of int * int
+      (** a stored row's key on each side, or a universe key when the
+          index is a multiple of 5 *)
+  | Split of int  (** an effective pair, or a universe pair when [i mod 4 = 0] *)
+  | Rollback
+  | Snapshot
+  | Reopen
+
+let names = [ "A"; "B" ]
+let cuisines = [ "Chinese"; "Japanese"; "Thai" ]
+let specialities = [ "Hunan"; "Szechuan"; "Sushi"; "Pizza" ]
+
+(* Every key the rows can carry, plus one no row carries. *)
+let universe firsts seconds missing =
+  Array.of_list
+    (List.concat_map (fun a -> List.map (fun b -> [| v a; v b |]) seconds) firsts
+    @ [ missing ])
+
+let r_universe = universe names cuisines [| v "Z"; v "Thai" |]
+let s_universe = universe names specialities [| v "Z"; v "Sushi" |]
+
+let model_op_gen =
+  QCheck2.Gen.(
+    let str l = map v (oneofl l) in
+    let name = frequency [ (9, str names); (1, return R.Value.Null) ] in
+    let row a b c = map3 (fun a b c -> [| a; b; c |]) a b c in
+    frequency
+      [
+        (5, map (fun r -> Insert (S.R, r)) (row name (str cuisines) (str [ "X"; "Y" ])));
+        (5, map (fun r -> Insert (S.S, r)) (row name (str specialities) (str [ "K"; "L" ])));
+        (1, return (Insert (S.R, [| v "A"; v "Chinese" |])));
+        (3, map2 (fun i j -> Merge (i, j)) nat nat);
+        (2, map (fun i -> Split i) nat);
+        (2, return Rollback);
+        (1, return Snapshot);
+        (1, return Reopen);
+      ])
+
+let model_op_to_string = function
+  | Insert (side, row) ->
+      Printf.sprintf "insert %s (%s)"
+        (match side with S.R -> "r" | S.S -> "s")
+        (String.concat ", " (Array.to_list (Array.map R.Value.to_string row)))
+  | Merge (i, j) -> Printf.sprintf "merge %d %d" i j
+  | Split i -> Printf.sprintf "split %d" i
+  | Rollback -> "rollback"
+  | Snapshot -> "snapshot"
+  | Reopen -> "reopen"
+
+module Model = struct
+  type pair = R.Value.t array * R.Value.t array
+
+  type t = {
+    r : R.Relation.t;
+    s : R.Relation.t;
+    r_ext : R.Tuple.t list;  (** insertion order *)
+    s_ext : R.Tuple.t list;
+    derived : pair list;  (** derivation order *)
+    manual : pair list;  (** newest first *)
+    suppressed : pair list;  (** newest first *)
+    merges : S.merge_record list;  (** newest first *)
+    conflicts : S.conflict list;  (** newest first *)
+  }
+
+  let ilfds = List.map Ilfd.parse model_cfg.rules
+  let key = E.Extended_key.make model_cfg.key
+  let kext = model_cfg.key
+
+  let empty =
+    let rel attrs k = R.Relation.empty (R.Schema.of_names attrs) ~keys:[ k ] () in
+    {
+      r = rel model_cfg.r_attrs model_cfg.r_key;
+      s = rel model_cfg.s_attrs model_cfg.s_key;
+      r_ext = [];
+      s_ext = [];
+      derived = [];
+      manual = [];
+      suppressed = [];
+      merges = [];
+      conflicts = [];
+    }
+
+  let key_eq a b = Array.length a = Array.length b && Array.for_all2 R.Value.equal a b
+  let pair_eq (r1, s1) (r2, s2) = key_eq r1 r2 && key_eq s1 s2
+  let mem_pair pairs p = List.exists (pair_eq p) pairs
+  let remove_pair pairs p = List.filter (fun q -> not (pair_eq p q)) pairs
+
+  let compare_keys a b =
+    let n = min (Array.length a) (Array.length b) in
+    let rec go i =
+      if i = n then compare (Array.length a) (Array.length b)
+      else
+        let c = R.Value.compare a.(i) b.(i) in
+        if c <> 0 then c else go (i + 1)
+    in
+    go 0
+
+  let rec distinct = function
+    | [] -> []
+    | p :: rest -> p :: distinct (List.filter (fun q -> not (pair_eq p q)) rest)
+
+  let effective_pairs m =
+    List.filter (fun p -> not (mem_pair m.suppressed p)) (distinct m.derived)
+    @ List.rev m.manual
+
+  let target rel = E.Identify.extension_schema rel key
+
+  let extend rel tuple =
+    match
+      Ilfd.Apply.extend_tuple (R.Relation.schema rel) tuple ~target:(target rel)
+        ilfds
+    with
+    | Ok (t, _) -> t
+    | Error _ -> assert false (* first-rule mode never disagrees *)
+
+  let pk rel ext =
+    R.Tuple.to_array
+      (R.Tuple.project (target rel) ext (R.Relation.primary_key rel))
+
+  let conflict m c = ({ m with conflicts = c :: m.conflicts }, Error c)
+
+  let insert m side row =
+    let rel = match side with S.R -> m.r | S.S -> m.s in
+    match R.Tuple.of_array (R.Relation.schema rel) row with
+    | exception R.Tuple.Arity_mismatch { expected; got } ->
+        conflict m (S.Arity_mismatch { side; expected; got })
+    | tuple -> (
+        match R.Relation.add rel tuple with
+        | exception R.Relation.Key_violation { key; _ } ->
+            conflict m (S.Key_violation { side; row; key })
+        | rel' when R.Relation.cardinality rel' = R.Relation.cardinality rel ->
+            (m, Ok [])
+        | rel' -> (
+            let ext = extend rel tuple in
+            let agree rt a st b = R.Tuple.agree (target rt) a (target st) b kext in
+            match side with
+            | S.R ->
+                let pairs =
+                  List.filter_map
+                    (fun u ->
+                      if agree m.r ext m.s u then Some (pk m.r ext, pk m.s u)
+                      else None)
+                    m.s_ext
+                in
+                ( { m with r = rel'; r_ext = m.r_ext @ [ ext ];
+                    derived = m.derived @ pairs },
+                  Ok pairs )
+            | S.S ->
+                let pairs =
+                  List.filter_map
+                    (fun u ->
+                      if agree m.r u m.s ext then Some (pk m.r u, pk m.s ext)
+                      else None)
+                    m.r_ext
+                in
+                ( { m with s = rel'; s_ext = m.s_ext @ [ ext ];
+                    derived = m.derived @ pairs },
+                  Ok pairs )))
+
+  let key_exists m side k =
+    let rel = match side with S.R -> m.r | S.S -> m.s in
+    let schema = R.Relation.schema rel and pk = R.Relation.primary_key rel in
+    R.Relation.exists
+      (fun t -> key_eq (R.Tuple.to_array (R.Tuple.project schema t pk)) k)
+      rel
+
+  let record m action ~r_key ~s_key ~inverse_manual =
+    let record =
+      {
+        S.action;
+        m_r_key = r_key;
+        m_s_key = s_key;
+        primary = (if compare_keys r_key s_key <= 0 then S.R else S.S);
+        inverse_manual;
+        rolled_back = false;
+      }
+    in
+    ({ m with merges = record :: m.merges }, Ok record)
+
+  let merge m ~r_key ~s_key =
+    let pair = (r_key, s_key) and pairs = effective_pairs m in
+    if not (key_exists m S.R r_key) then
+      conflict m (S.Unknown_key { side = S.R; key = r_key })
+    else if not (key_exists m S.S s_key) then
+      conflict m (S.Unknown_key { side = S.S; key = s_key })
+    else if mem_pair pairs pair then conflict m (S.Duplicate_merge { r_key; s_key })
+    else
+      match
+        List.find_opt (fun (r, s) -> key_eq r r_key || key_eq s s_key) pairs
+      with
+      | Some (existing_r, existing_s) ->
+          conflict m (S.Merge_uniqueness { r_key; s_key; existing_r; existing_s })
+      | None ->
+          if mem_pair m.suppressed pair then
+            record { m with suppressed = remove_pair m.suppressed pair }
+              S.Merge_pair ~r_key ~s_key ~inverse_manual:false
+          else
+            record { m with manual = pair :: m.manual } S.Merge_pair ~r_key
+              ~s_key ~inverse_manual:true
+
+  let split m ~r_key ~s_key =
+    let pair = (r_key, s_key) in
+    if not (mem_pair (effective_pairs m) pair) then
+      conflict m (S.Unknown_pair { r_key; s_key })
+    else if mem_pair m.manual pair then
+      record { m with manual = remove_pair m.manual pair } S.Split_pair ~r_key
+        ~s_key ~inverse_manual:true
+    else
+      record { m with suppressed = pair :: m.suppressed } S.Split_pair ~r_key
+        ~s_key ~inverse_manual:false
+
+  let rollback m =
+    let rec pop seen = function
+      | [] -> (m, None)
+      | (record : S.merge_record) :: rest when record.rolled_back ->
+          pop (record :: seen) rest
+      | record :: rest ->
+          let pair = (record.m_r_key, record.m_s_key) in
+          let m =
+            match (record.action, record.inverse_manual) with
+            | S.Merge_pair, true -> { m with manual = remove_pair m.manual pair }
+            | S.Merge_pair, false -> { m with suppressed = pair :: m.suppressed }
+            | S.Split_pair, true -> { m with manual = pair :: m.manual }
+            | S.Split_pair, false ->
+                { m with suppressed = remove_pair m.suppressed pair }
+          in
+          let marked = { record with rolled_back = true } in
+          ( { m with merges = List.rev_append seen (marked :: rest) },
+            Some marked )
+    in
+    pop [] m.merges
+
+  let merge_keys m i j =
+    let pick rel universe i =
+      match R.Relation.tuples rel with
+      | rows when rows <> [] && i mod 5 <> 0 ->
+          let row = List.nth rows (i / 5 mod List.length rows) in
+          R.Tuple.to_array
+            (R.Tuple.project (R.Relation.schema rel) row
+               (R.Relation.primary_key rel))
+      | _ -> universe.(i mod Array.length universe)
+    in
+    (pick m.r r_universe i, pick m.s s_universe j)
+
+  let split_target m i =
+    match effective_pairs m with
+    | pairs when pairs <> [] && i mod 4 <> 0 ->
+        List.nth pairs (i / 4 mod List.length pairs)
+    | _ ->
+        ( r_universe.(i mod Array.length r_universe),
+          s_universe.(i mod Array.length s_universe) )
+end
+
+let pairs_of_entries =
+  List.map (fun (e : E.Matching_table.entry) ->
+      (R.Tuple.to_array e.r_key, R.Tuple.to_array e.s_key))
+
+let same x y = compare x y = 0
+
+let stats_of st =
+  let reply =
+    Eid_store.Service.handle st
+      (Eid_store.Json.Obj [ ("op", Eid_store.Json.String "stats") ])
+  in
+  List.map
+    (fun field ->
+      match Eid_store.Json.member field reply with
+      | Some (Eid_store.Json.Int n) -> n
+      | _ -> -1)
+    [ "r_cardinality"; "s_cardinality"; "matches" ]
+
+let run_model ops =
+  in_dir (fun dir ->
+      let st = ref (open_ok ~config:model_cfg dir) in
+      let step (m, i) op =
+        let fail fmt =
+          Format.kasprintf
+            (fun msg ->
+              S.close !st;
+              QCheck2.Test.fail_reportf "op %d (%s): %s" i
+                (model_op_to_string op) msg)
+            fmt
+        in
+        let m, answers_agree =
+          match op with
+          | Insert (side, row) ->
+              let m', want = Model.insert m side row in
+              let got = Result.map pairs_of_entries (S.insert !st side row) in
+              (m', same got want)
+          | Merge (i, j) ->
+              let r_key, s_key = Model.merge_keys m i j in
+              let m', want = Model.merge m ~r_key ~s_key in
+              (m', same (S.merge !st ~r_key ~s_key) want)
+          | Split i ->
+              let r_key, s_key = Model.split_target m i in
+              let m', want = Model.split m ~r_key ~s_key in
+              (m', same (S.split !st ~r_key ~s_key) want)
+          | Rollback ->
+              let m', want = Model.rollback m in
+              (m', same (S.rollback !st) want)
+          | Snapshot ->
+              S.snapshot !st;
+              (m, true)
+          | Reopen ->
+              S.close !st;
+              st := open_ok dir;
+              (m, true)
+        in
+        if not answers_agree then fail "the answer differs";
+        let want_table =
+          E.Matching_table.make ~r_key_attrs:model_cfg.r_key
+            ~s_key_attrs:model_cfg.s_key
+            (List.map
+               (fun (r, s) ->
+                 {
+                   E.Matching_table.r_key =
+                     R.Tuple.of_array (R.Schema.of_names model_cfg.r_key) r;
+                   s_key = R.Tuple.of_array (R.Schema.of_names model_cfg.s_key) s;
+                 })
+               (Model.effective_pairs m))
+        in
+        let want_pairs = pairs_of_entries (E.Matching_table.entries want_table) in
+        if
+          not
+            (same
+               (pairs_of_entries (E.Matching_table.entries (S.matching_table !st)))
+               want_pairs)
+        then fail "the matching table differs";
+        if
+          stats_of !st
+          <> [
+               R.Relation.cardinality m.r;
+               R.Relation.cardinality m.s;
+               E.Matching_table.cardinality want_table;
+             ]
+        then fail "the stats cardinalities differ";
+        if not (same (S.merge_log !st) (List.rev m.merges)) then
+          fail "the merge log differs";
+        if not (same (S.conflicts !st) (List.rev m.conflicts)) then
+          fail "the conflict table differs";
+        (m, i + 1)
+      in
+      ignore (List.fold_left step (Model.empty, 0) ops);
+      S.close !st;
+      true)
+
+let model_tests =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:150 ~name:"interleavings agree with the model"
+         ~print:(fun ops -> String.concat "; " (List.map model_op_to_string ops))
+         QCheck2.Gen.(list_size (0 -- 40) model_op_gen)
+         run_model);
+  ]
+
 let () =
   Alcotest.run "store"
     [
@@ -403,4 +835,5 @@ let () =
       ("fsutil", fsutil_tests);
       ("recovery", recovery_tests);
       ("overlay", overlay_tests);
+      ("model", model_tests);
     ]
