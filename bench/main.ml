@@ -26,7 +26,6 @@ let experiments =
     ("timings", Timings.all);
     ("partition", Partition_bench.all);
     ("parallel", Parallel_bench.all);
-    ("shard", Shard_bench.all);
   ]
 
 let run_all () =
@@ -34,8 +33,7 @@ let run_all () =
   Sweeps.all ();
   Timings.all ();
   Partition_bench.all ();
-  Parallel_bench.all ();
-  Shard_bench.all ()
+  Parallel_bench.all ()
 
 let () =
   match Array.to_list Sys.argv with

@@ -107,55 +107,6 @@ let jobs_arg =
    itself raises on non-positive counts. *)
 let resolve_jobs n = Parallel.resolve (if n = 0 then None else Some n)
 
-let shards_conv =
-  let parse s =
-    match int_of_string_opt s with
-    | Some n when n >= 1 -> Ok n
-    | Some _ -> Error (`Msg "--shards must be >= 1")
-    | None -> Error (`Msg (Printf.sprintf "invalid shard count %S" s))
-  in
-  Arg.conv (parse, Format.pp_print_int)
-
-let shards_arg =
-  Arg.(value & opt shards_conv 1 & info [ "shards" ] ~docv:"N"
-         ~doc:"Key-shard the blocking and join hash tables into $(docv) \
-               partitions processed one at a time (default 1 = \
-               unsharded). The result is identical for every value.")
-
-(* Accept the usual size suffixes so "--mem-budget 64M" works; a bare
-   number is bytes. *)
-let mem_budget_conv =
-  let parse s =
-    let fail () =
-      Error
-        (`Msg
-           (Printf.sprintf
-              "invalid memory budget %S (bytes, or K/M/G suffix)" s))
-    in
-    let n = String.length s in
-    if n = 0 then fail ()
-    else
-      let unit, digits =
-        match Char.uppercase_ascii s.[n - 1] with
-        | 'K' -> (1024, String.sub s 0 (n - 1))
-        | 'M' -> (1024 * 1024, String.sub s 0 (n - 1))
-        | 'G' -> (1024 * 1024 * 1024, String.sub s 0 (n - 1))
-        | _ -> (1, s)
-      in
-      match int_of_string_opt digits with
-      | Some b when b > 0 -> Ok (b * unit)
-      | _ -> fail ()
-  in
-  Arg.conv (parse, Format.pp_print_int)
-
-let mem_budget_arg =
-  Arg.(value & opt (some mem_budget_conv) None
-       & info [ "mem-budget" ] ~docv:"BYTES"
-           ~doc:"Per-stage memory budget for sharded hash inputs (bytes; \
-                 K/M/G suffixes accepted). Buffered shard partitions \
-                 spill to temp files above $(docv)/shards each. Only \
-                 meaningful with --shards > 1.")
-
 let stats_arg =
   Arg.(value
        & opt ~vopt:(Some `Pretty)
@@ -185,64 +136,35 @@ let setup r s rk sk rules_path =
 
 (* ---- streaming output ---- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let json_of_value = function
-  | Relational.Value.Null -> "null"
-  | Relational.Value.Int i -> string_of_int i
-  | Relational.Value.Bool b -> if b then "true" else "false"
-  | Relational.Value.Float f ->
-      (* JSON has no inf/nan literals; quote the stragglers. *)
-      if Float.is_finite f then Printf.sprintf "%.12g" f
-      else "\"" ^ Float.to_string f ^ "\""
-  | Relational.Value.String s -> "\"" ^ json_escape s ^ "\""
-
-let csv_cell s =
-  if String.exists (fun c -> c = ',' || c = '"' || c = '\n' || c = '\r') s
-  then "\"" ^ String.concat "\"\"" (String.split_on_char '"' s) ^ "\""
-  else s
-
 (* One matched (r', s') pair per output record, written as the join
    produces it — the emitter never holds more than the current record. *)
 let pair_emitter oc format ~r_names ~s_names =
   match format with
   | `Ndjson ->
       let side names t =
-        List.mapi
-          (fun k name ->
-            Printf.sprintf "\"%s\":%s" (json_escape name)
-              (json_of_value (Relational.Tuple.nth t k)))
-          names
-        |> String.concat ","
+        Eid_store.Json.Obj
+          (List.mapi
+             (fun k name ->
+               let v = Relational.Tuple.nth t k in
+               (name, Eid_store.Service.json_of_value v))
+             names)
       in
       fun tr ts ->
         output_string oc
-          (Printf.sprintf "{\"r\":{%s},\"s\":{%s}}\n" (side r_names tr)
-             (side s_names ts))
+          (Eid_store.Json.to_string
+             (Obj [ ("r", side r_names tr); ("s", side s_names ts) ]));
+        output_char oc '\n'
   | `Csv ->
+      let cell = Relational.Csv_io.escape_cell in
       output_string oc
         (String.concat ","
-           (List.map (fun a -> csv_cell ("r." ^ a)) r_names
-           @ List.map (fun a -> csv_cell ("s." ^ a)) s_names));
+           (List.map (fun a -> cell ("r." ^ a)) r_names
+           @ List.map (fun a -> cell ("s." ^ a)) s_names));
       output_char oc '\n';
       let cells names t =
         List.mapi
           (fun k _ ->
-            csv_cell (Relational.Value.to_string (Relational.Tuple.nth t k)))
+            cell (Relational.Value.to_string (Relational.Tuple.nth t k)))
           names
       in
       fun tr ts ->
@@ -276,10 +198,10 @@ let identify_cmd =
          & info [ "stream-out" ] ~docv:"PATH"
              ~doc:"Stream matched pairs to $(docv) ('-' = stdout) as the \
                    join produces them, instead of rendering the tables: \
-                   peak memory is bounded by the join state plus \
-                   --mem-budget, never the match count. Replaces --show \
-                   output and skips the uniqueness verification (which \
-                   would materialise the matching table).")
+                   peak memory is the join state, never the match count. \
+                   Replaces --show output and skips the uniqueness \
+                   verification (which would materialise the matching \
+                   table).")
   in
   let stream_format =
     Arg.(value & opt (enum [ ("ndjson", `Ndjson); ("csv", `Csv) ]) `Ndjson
@@ -288,8 +210,8 @@ let identify_cmd =
                    {\"r\":{...},\"s\":{...}} object per line, default) or \
                    csv (header row of r.*/s.* columns).")
   in
-  let run r s rk sk rules key jobs shards mem_budget stats show negative
-      check_conflicts explain stream_out stream_format =
+  let run r s rk sk rules key jobs stats show negative check_conflicts
+      explain stream_out stream_format =
     let r, s, ilfds = setup r s rk sk rules in
     let key = Entity_id.Extended_key.make (parse_key_list key) in
     let jobs = resolve_jobs jobs in
@@ -313,8 +235,8 @@ let identify_cmd =
               (Entity_id.Identify.extension_schema s key)
           in
           let emit = pair_emitter oc stream_format ~r_names ~s_names in
-          Entity_id.Identify.run_stream ~mode ~jobs ~shards ?mem_budget
-            ~telemetry ~r ~s ~key ~init:0
+          Entity_id.Identify.run_stream ~mode ~jobs ~telemetry ~r ~s ~key
+            ~init:0
             ~f:(fun n tr ts ->
               emit tr ts;
               n + 1)
@@ -351,8 +273,7 @@ let identify_cmd =
     | None ->
     let o =
       try
-        Entity_id.Identify.run ~mode ~jobs ~shards ?mem_budget ~telemetry ~r
-          ~s ~key ilfds
+        Entity_id.Identify.run ~mode ~jobs ~telemetry ~r ~s ~key ilfds
       with Ilfd.Apply.Conflict_found c ->
         Format.eprintf "entity_ident: %a@." Ilfd.Apply.pp_conflict c;
         exit 2
@@ -406,9 +327,8 @@ let identify_cmd =
   Cmd.v
     (Cmd.info "identify" ~doc:"Run extended-key + ILFD entity identification.")
     Term.(const run $ r_file $ s_file $ r_key_arg $ s_key_arg $ rules_file
-          $ extkey_arg $ jobs_arg $ shards_arg $ mem_budget_arg $ stats_arg
-          $ show $ negative $ check_conflicts $ explain $ stream_out
-          $ stream_format)
+          $ extkey_arg $ jobs_arg $ stats_arg $ show $ negative
+          $ check_conflicts $ explain $ stream_out $ stream_format)
 
 (* ---- closure ---- *)
 
@@ -506,13 +426,13 @@ let fuse_cmd =
     Arg.(value & opt (some string) None & info [ "out" ] ~docv:"CSV"
            ~doc:"Write the fused relation to a CSV file (default: print).")
   in
-  let run r s rk sk rules key jobs shards mem_budget stats policy output =
+  let run r s rk sk rules key jobs stats policy output =
     let r, s, ilfds = setup r s rk sk rules in
     let key = Entity_id.Extended_key.make (parse_key_list key) in
     let telemetry = telemetry_of stats in
     let o =
-      Entity_id.Identify.run ~jobs:(resolve_jobs jobs) ~shards ?mem_budget
-        ~telemetry ~r ~s ~key ilfds
+      Entity_id.Identify.run ~jobs:(resolve_jobs jobs) ~telemetry ~r ~s ~key
+        ilfds
     in
     let conflicts = Entity_id.Fusion.conflicts o in
     List.iter
@@ -545,8 +465,7 @@ let fuse_cmd =
        ~doc:"Identify entities, resolve attribute-value conflicts, and \
              emit the actually-integrated relation.")
     Term.(const run $ r_file $ s_file $ r_key_arg $ s_key_arg $ rules_file
-          $ extkey_arg $ jobs_arg $ shards_arg $ mem_budget_arg $ stats_arg
-          $ policy_arg $ output)
+          $ extkey_arg $ jobs_arg $ stats_arg $ policy_arg $ output)
 
 (* ---- session ---- *)
 

@@ -265,76 +265,26 @@ let check_jobs (sc : Scenario.t) (base : Identify.outcome) =
       (List.length o.violations)
       (List.length base.violations)
 
-(* Sharded execution must be observationally identical to shards=1 —
-   same outcome, same partition, byte-for-byte pair order. The tiny
-   budget (1 KiB per shard after the split) forces the spill-to-disk
-   path on any scenario with more than a few tuples, so the out-of-core
-   machinery is exercised by every run, not just the benchmarks. *)
-let check_shards (sc : Scenario.t) (base : Identify.outcome) =
-  let o : Identify.outcome =
-    Identify.run ~shards:3 ~mem_budget:3072 ~r:sc.r ~s:sc.s ~key:sc.key
-      sc.ilfds
-  in
-  if
-    not
-      (List.equal entry_equal
-         (MT.entries o.matching_table)
-         (MT.entries base.matching_table)
-      && pairs_equal o.pairs base.pairs
-      && List.length o.violations = List.length base.violations)
-  then
-    fail "shard-agreement"
-      "outcome at shards=3 differs from shards=1 (%d vs %d entries, %d vs \
-       %d pairs)"
-      (MT.cardinality o.matching_table)
-      (MT.cardinality base.matching_table)
-      (List.length o.pairs) (List.length base.pairs)
-  else
-    let identity = [ EK.equivalence_rule sc.key ] in
-    let m1, d1, u1 =
-      Decision.partition ~identity ~distinctness:[] base.r_extended
-        base.s_extended
-    in
-    let m3, d3, u3 =
-      Decision.partition ~shards:3 ~mem_budget:3072 ~identity
-        ~distinctness:[] base.r_extended base.s_extended
-    in
-    if pairs_equal m1 m3 && pairs_equal d1 d3 && pairs_equal u1 u3 then Ok ()
-    else
-      fail "shard-agreement"
-        "partition at shards=3 differs from shards=1: %d/%d/%d vs %d/%d/%d \
-         (matched/distinct/undetermined)"
-        (List.length m3) (List.length d3) (List.length u3) (List.length m1)
-        (List.length d1) (List.length u1)
-
 (* Streamed execution must observe exactly the pairs the materialising
-   engine produces, in the same row-major order, across a shards x jobs
-   cross matrix. The tiny budgets force the Sink spill path on any
-   non-trivial scenario, so the k-way merge is exercised by every run. *)
+   engine produces, in the same row-major order, at every job count. *)
 let check_stream (sc : Scenario.t) (base : Identify.outcome) =
-  let cell (shards, jobs, mem_budget) =
+  let cell jobs =
     let streamed =
       List.rev
-        (Identify.run_stream ~jobs ~shards ?mem_budget ~r:sc.r ~s:sc.s
-           ~key:sc.key ~init:[]
+        (Identify.run_stream ~jobs ~r:sc.r ~s:sc.s ~key:sc.key ~init:[]
            ~f:(fun acc tr ts -> (tr, ts) :: acc)
            sc.ilfds)
     in
     if pairs_equal streamed base.pairs then Ok ()
     else
       fail "stream-agreement"
-        "run_stream at shards=%d jobs=%d budget=%s observes %d pairs vs \
-         run's %d, or in a different order"
-        shards jobs
-        (match mem_budget with
-        | None -> "none"
-        | Some b -> string_of_int b)
-        (List.length streamed) (List.length base.pairs)
+        "run_stream at jobs=%d observes %d pairs vs run's %d, or in a \
+         different order"
+        jobs (List.length streamed) (List.length base.pairs)
   in
   List.fold_left
-    (fun acc cfg -> Result.bind acc (fun () -> cell cfg))
-    (Ok ())
-    [ (1, 1, None); (2, 1, Some 2048); (3, 2, Some 3072); (1, 4, None) ]
+    (fun acc jobs -> Result.bind acc (fun () -> cell jobs))
+    (Ok ()) [ 1; 2; 4 ]
 
 (* Bucketing the tagged verdict stream by Match_result must reproduce
    Decision.partition's three lists byte-for-byte. *)
@@ -344,10 +294,10 @@ let check_partition_stream (sc : Scenario.t) (base : Identify.outcome) =
     Decision.partition ~identity ~distinctness:[] base.r_extended
       base.s_extended
   in
-  let cell (shards, jobs, mem_budget) =
+  let cell jobs =
     let m, d, u =
-      Decision.partition_stream ~jobs ~shards ?mem_budget ~identity
-        ~distinctness:[] ~init:([], [], [])
+      Decision.partition_stream ~jobs ~identity ~distinctness:[]
+        ~init:([], [], [])
         ~f:(fun (m, d, u) result tr ts ->
           match result with
           | Entity_id.Match_result.Match -> ((tr, ts) :: m, d, u)
@@ -362,15 +312,14 @@ let check_partition_stream (sc : Scenario.t) (base : Identify.outcome) =
     then Ok ()
     else
       fail "stream-agreement"
-        "partition_stream at shards=%d jobs=%d rebuckets to %d/%d/%d vs \
-         partition's %d/%d/%d (matched/distinct/undetermined)"
-        shards jobs (List.length m) (List.length d) (List.length u)
+        "partition_stream at jobs=%d rebuckets to %d/%d/%d vs partition's \
+         %d/%d/%d (matched/distinct/undetermined)"
+        jobs (List.length m) (List.length d) (List.length u)
         (List.length m0) (List.length d0) (List.length u0)
   in
   List.fold_left
-    (fun acc cfg -> Result.bind acc (fun () -> cell cfg))
-    (Ok ())
-    [ (1, 1, None); (2, 2, Some 2048) ]
+    (fun acc jobs -> Result.bind acc (fun () -> cell jobs))
+    (Ok ()) [ 1; 2 ]
 
 let check_rules (sc : Scenario.t) ~engine_entries =
   let o : Identify.outcome =
@@ -618,7 +567,6 @@ let run ?(fault = No_fault) ?(telemetry = Telemetry.off) (sc : Scenario.t) =
       in
       let* () = check_partition sc base in
       let* () = check_jobs sc base in
-      let* () = check_shards sc base in
       let* () = check_stream sc base in
       let* () = check_partition_stream sc base in
       let* () = check_rules sc ~engine_entries in

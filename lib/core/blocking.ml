@@ -43,18 +43,17 @@ type 'rule spec = {
     'rule -> Schema.t -> Schema.t -> Tuple.t -> Tuple.t -> V.truth;
 }
 
-let fired ?(jobs = 1) ?(shards = 1) ?mem_budget ?(telemetry = Telemetry.off)
-    ?(label = "") spec rules sr rt ss st =
-  if shards <= 0 then invalid_arg "Blocking.fired: shards must be positive";
+let fired ?(jobs = 1) ?(telemetry = Telemetry.off) ?(label = "") spec rules
+    sr rt ss st =
   let set = { ns = Array.length st; fired = Itbl.create 64 } in
   let nr = Array.length rt and ns = Array.length st in
   (* Counter namespace: "blocking" or "blocking.<label>", so the two
      rule kinds of a partition stay distinguishable in one sink. *)
   let pfx = if label = "" then "blocking" else "blocking." ^ label in
   let tele_on = Telemetry.enabled telemetry in
-  let chunks = ref 0 and spill_count = ref 0 and spill_bytes = ref 0 in
+  let chunks = ref 0 in
   (* Interned column views of both sides, shared by every rule's coded
-     buckets; forced only when some rule can block at shards = 1. *)
+     buckets; forced only when some rule can block. *)
   let r_coded = lazy (Columnar.encode sr rt)
   and s_coded = lazy (Columnar.encode ss st) in
   List.iter
@@ -82,7 +81,7 @@ let fired ?(jobs = 1) ?(shards = 1) ?mem_budget ?(telemetry = Telemetry.off)
          for every j the rule could fire on with row i. Candidate pairs
          proposed (callback invocations) are a pure function of the
          blocking structure, not of the fired set or the scan order, so
-         the counter is identical serial vs chunked vs sharded. The
+         the counter is identical serial vs chunked. The
          per-pair cost when the sink is off is one branch on an
          immutable bool — dwarfed by the compiled-rule evaluation it
          sits next to. *)
@@ -147,154 +146,33 @@ let fired ?(jobs = 1) ?(shards = 1) ?mem_budget ?(telemetry = Telemetry.off)
           (* The rule only fires on pairs with identical non-NULL values
              on [attrs] — in either orientation, since the implied
              equality is attribute-to-same-attribute. Probe R buckets
-             against S buckets and evaluate only co-bucketed pairs. *)
-          if shards = 1 then begin
-            (* Coded buckets: both sides' interned key columns are
-               projected once, so bucket keys are small int arrays —
-               hashing, equality and the per-candidate probe are pure
-               integer work, no per-tuple value projection. Storage
-               codes partition values exactly like structural equality
-               on the values themselves, so the buckets (and the
-               [.buckets] counter) are unchanged. *)
-            let r_cols = Columnar.columns (Lazy.force r_coded) attrs
-            and s_cols = Columnar.columns (Lazy.force s_coded) attrs in
-            let s_buckets = Hashtbl.create (max 16 ns) in
-            for j = 0 to ns - 1 do
-              match Columnar.key_opt s_cols j with
-              | Some k -> (
-                  match Hashtbl.find_opt s_buckets k with
-                  | Some l -> l := j :: !l
-                  | None -> Hashtbl.add s_buckets k (ref [ j ]))
-              | None -> ()
-            done;
-            Telemetry.add telemetry (pfx ^ ".buckets")
-              (Hashtbl.length s_buckets);
-            all_rows (fun i k ->
-                match Columnar.key_opt r_cols i with
-                | Some key -> (
-                    match Hashtbl.find_opt s_buckets key with
-                    | Some js -> List.iter k !js
-                    | None -> ())
-                | None -> ())
-          end
-          else begin
-            (* Key-sharded: a pair can only fire when both sides carry
-               the same key value, so hashing the key assigns each
-               bucket — and every candidate pair — to exactly one shard.
-               S-side entries are buffered per shard (spilling to temp
-               files above the budget), R rows are routed once, and
-               chunks of shards run on the {!Parallel} domain pool: each
-               chunk builds and probes its shards one at a time with a
-               single bucket table reused across them ([Hashtbl.clear]
-               keeps the bucket array grown by earlier shards),
-               accumulating newly fired pair ids and counters privately.
-               The fired pairset is a set of pair ids and shards own
-               disjoint pairs, so the chunk-order merge cannot change
-               it, and the bucket/candidate counters sum to exactly the
-               unsharded values (each key lives in one shard). Keys are
-               the interned storage codes the unsharded buckets use —
-               integer hashing, no per-tuple value projection. *)
-            let r_cols = Columnar.columns (Lazy.force r_coded) attrs
-            and s_cols = Columnar.columns (Lazy.force s_coded) attrs in
-            let per_budget =
-              Option.map (fun b -> max 1024 (b / shards)) mem_budget
-            in
-            let s_parts =
-              Array.init shards (fun _ -> Shard.Spill.create ?budget:per_budget ())
-            in
-            Fun.protect
-              ~finally:(fun () -> Array.iter Shard.Spill.close s_parts)
-            @@ fun () ->
-            for j = 0 to ns - 1 do
-              match Columnar.key_opt s_cols j with
-              | Some codes ->
-                  Shard.Spill.add
-                    s_parts.(Shard.router_codes ~shards codes)
-                    ~bytes:(Shard.estimate_codes codes + 16)
-                    (codes, j)
-              | None -> ()
-            done;
-            let r_parts = Array.make shards [] in
-            for i = nr - 1 downto 0 do
+             against S buckets and evaluate only co-bucketed pairs.
+             Both sides' interned key columns are projected once, so
+             bucket keys are small int arrays — hashing, equality and
+             the per-candidate probe are pure integer work, no per-tuple
+             value projection. Storage codes partition values exactly
+             like structural equality on the values themselves, so the
+             buckets (and the [.buckets] counter) are those of a
+             value-keyed table. *)
+          let r_cols = Columnar.columns (Lazy.force r_coded) attrs
+          and s_cols = Columnar.columns (Lazy.force s_coded) attrs in
+          let s_buckets = Hashtbl.create (max 16 ns) in
+          for j = 0 to ns - 1 do
+            match Columnar.key_opt s_cols j with
+            | Some k -> (
+                match Hashtbl.find_opt s_buckets k with
+                | Some l -> l := j :: !l
+                | None -> Hashtbl.add s_buckets k (ref [ j ]))
+            | None -> ()
+          done;
+          Telemetry.add telemetry (pfx ^ ".buckets") (Hashtbl.length s_buckets);
+          all_rows (fun i k ->
               match Columnar.key_opt r_cols i with
-              | Some codes ->
-                  let sh = Shard.router_codes ~shards codes in
-                  r_parts.(sh) <- i :: r_parts.(sh)
-              | None -> ()
-            done;
-            (* Covering rules' per-candidate work is a set insert —
-               pool dispatch is pure overhead for them — and small row
-               sets stay below the executor's serial regime. *)
-            let chunk_jobs =
-              if
-                covering
-                || nr < Parallel.default_threshold
-                   && ns < Parallel.default_threshold
-              then 1
-              else jobs
-            in
-            if tele_on && chunk_jobs > 1 then
-              chunks :=
-                !chunks
-                + Parallel.chunk_count ~jobs:chunk_jobs ~threshold:0 shards;
-            let results =
-              Parallel.map_chunks ~jobs:chunk_jobs ~threshold:0 shards
-                (fun ~start ~stop ->
-                  let lt = Telemetry.local telemetry in
-                  let ids = ref [] in
-                  let buckets = ref 0
-                  and cand = ref 0
-                  and sp = ref 0
-                  and sb = ref 0 in
-                  let tbl = Hashtbl.create 64 in
-                  for sh = start to stop - 1 do
-                    let part = s_parts.(sh) in
-                    Hashtbl.clear tbl;
-                    Shard.Spill.iter part (fun (codes, j) ->
-                        match Hashtbl.find_opt tbl codes with
-                        | Some l -> l := j :: !l
-                        | None -> Hashtbl.add tbl codes (ref [ j ]));
-                    Hashtbl.iter (fun _ l -> l := List.rev !l) tbl;
-                    if tele_on then begin
-                      buckets := !buckets + Hashtbl.length tbl;
-                      sp := !sp + Shard.Spill.spills part;
-                      sb := !sb + Shard.Spill.spilled_bytes part
-                    end;
-                    List.iter
-                      (fun i ->
-                        match Columnar.key_opt r_cols i with
-                        | Some codes -> (
-                            match Hashtbl.find_opt tbl codes with
-                            | Some js ->
-                                List.iter
-                                  (fun j ->
-                                    if tele_on then incr cand;
-                                    let id = pair_id set i j in
-                                    if
-                                      (not (Itbl.mem set.fired id))
-                                      && hits i j
-                                    then ids := id :: !ids)
-                                  !js
-                            | None -> ())
-                        | None -> ())
-                      r_parts.(sh);
-                    Shard.Spill.close part
-                  done;
-                  if tele_on then
-                    Telemetry.local_add lt (pfx ^ ".candidates") !cand;
-                  (!ids, !buckets, !sp, !sb, lt))
-            in
-            let buckets = ref 0 in
-            List.iter
-              (fun (ids, b, sp, sb, lt) ->
-                List.iter (fun id -> Itbl.replace set.fired id ()) ids;
-                buckets := !buckets + b;
-                spill_count := !spill_count + sp;
-                spill_bytes := !spill_bytes + sb;
-                Telemetry.merge telemetry lt)
-              results;
-            Telemetry.add telemetry (pfx ^ ".buckets") !buckets
-          end
+              | Some key -> (
+                  match Hashtbl.find_opt s_buckets key with
+                  | Some js -> List.iter k !js
+                  | None -> ())
+              | None -> ())
       | Some _ ->
           (* A blocking attribute is missing from one of the schemas: it
              reads as NULL on every tuple of that side, so the implied
@@ -303,7 +181,7 @@ let fired ?(jobs = 1) ?(shards = 1) ?mem_budget ?(telemetry = Telemetry.off)
           ()
       | None ->
           (* No equality atoms to block on: nested-loop fallback over
-             the full S side; key sharding does not apply. *)
+             the full S side. *)
           all_rows (fun _ k ->
               for j = 0 to ns - 1 do
                 k j
@@ -315,11 +193,6 @@ let fired ?(jobs = 1) ?(shards = 1) ?mem_budget ?(telemetry = Telemetry.off)
     rules;
   if tele_on then begin
     Telemetry.add telemetry (pfx ^ ".fired") (Itbl.length set.fired);
-    if jobs > 1 then Telemetry.add telemetry "parallel.chunks" !chunks;
-    if shards > 1 then begin
-      Telemetry.add telemetry "parallel.shards" shards;
-      Telemetry.add telemetry "parallel.shard.spills" !spill_count;
-      Telemetry.add telemetry "parallel.shard.spilled_bytes" !spill_bytes
-    end
+    if jobs > 1 then Telemetry.add telemetry "parallel.chunks" !chunks
   end;
   set

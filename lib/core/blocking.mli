@@ -68,42 +68,27 @@ type 'rule spec = {
     Relational.Value.truth;
 }
 
-(** [fired ?jobs ?shards ?mem_budget spec rules sr rt ss st] — all pairs
-    some rule fires on. With [jobs > 1] each rule's probe loop is
-    chunked over R's rows on pool domains ({!Parallel.map_chunks});
-    newly fired pairs are accumulated privately per chunk and merged
-    between scans, so the resulting set — a pure function of the
-    inputs — is identical to the serial one. [jobs = 1] (the default)
-    is the serial reference path.
-
-    [shards > 1] (default [1]) runs each {e keyed} rule key-sharded: the
-    rule's S-side bucket entries are routed by key hash into [shards]
-    partitions ({!Shard.router}), buffered with a spill-to-temp-file
-    budget of [mem_budget / shards] bytes each ({!Shard.Spill}), and
-    each shard builds and probes its own bucket table with only that
-    table resident — the out-of-core configuration. A pair can only
-    fire on equal key values, so every candidate pair lives in exactly
-    one shard and the fired set is identical for every [shards] value;
-    rules with no usable blocking key keep the nested-loop fallback
-    regardless. [mem_budget] without [shards > 1] has no effect.
+(** [fired ?jobs spec rules sr rt ss st] — all pairs some rule fires
+    on. A rule with a usable blocking key probes hash buckets over its
+    key columns; a rule with none falls back to a nested loop. With
+    [jobs > 1] each rule's probe loop is chunked over R's rows on pool
+    domains ({!Parallel.map_chunks}); newly fired pairs are accumulated
+    privately per chunk and merged between scans, so the resulting set —
+    a pure function of the inputs — is identical to the serial one.
+    [jobs = 1] (the default) is the serial reference path.
 
     [telemetry] (default {!Telemetry.off}) records, under
     ["blocking.<label>"] (or plain ["blocking"] when [label] is empty):
-    [.buckets] (hash buckets built, summed over keyed rules and shards),
+    [.buckets] (hash buckets built, summed over keyed rules),
     [.candidates] (pairs actually proposed for evaluation — compare
     with |R|×|S|), [.fired] (final pairset cardinality), and
     [.rule.<name>.fired] per rule (pairs first recorded by that rule, in
-    rule order). All of these are identical for every [jobs] {e and}
-    [shards] value; chunk bodies accumulate into {!Telemetry.local}s
-    merged at join. The execution-configuration counters
-    ([parallel.chunks], [parallel.shards], [parallel.shard.spills],
-    [parallel.shard.spilled_bytes]) live in the [parallel.*] namespace
-    excluded from {!Telemetry.counters_stable}.
-    @raise Invalid_argument when [shards <= 0]. *)
+    rule order). All of these are identical for every [jobs] value;
+    chunk bodies accumulate into {!Telemetry.local}s merged at join. The
+    execution-configuration counter [parallel.chunks] lives in the
+    [parallel.*] namespace excluded from {!Telemetry.counters_stable}. *)
 val fired :
   ?jobs:int ->
-  ?shards:int ->
-  ?mem_budget:int ->
   ?telemetry:Telemetry.t ->
   ?label:string ->
   'rule spec ->

@@ -57,17 +57,13 @@ val decide :
     sets (an inconsistent rule base) is detected up front from the sets
     themselves: the engine raises from the row-major-minimal conflicting
     pair ({!Blocking.min_conflict}) with the same witnessing rules the
-    naive serial scan reports, for every [jobs] and [shards] value; the
-    conflict pre-scan is skipped when either fired set is empty.
+    naive serial scan reports, for every [jobs] value; the conflict
+    pre-scan is skipped when either fired set is empty.
 
     [jobs] (default [1]) > 1 runs the blocking probes chunked over that
     many domains ({!Parallel}); the row walk is serial at every [jobs],
-    so the three lists are bit-identical to the serial engine's.
-
-    [shards] (default [1]) > 1 runs the keyed blocking rules key-sharded
-    with an optional spill budget of [mem_budget] bytes — see
-    {!Blocking.fired}. Results and stable counters are invariant in
-    both.
+    so the three lists are bit-identical to the serial engine's, and the
+    stable counters are invariant.
 
     [telemetry] (default {!Telemetry.off}) records the
     [partition.block.identity] / [partition.block.distinctness] /
@@ -77,7 +73,7 @@ val decide :
     [partition.matched] / [partition.distinct] / [partition.undetermined]
     counters, the per-kind blocking counters ({!Blocking.fired}), and
     the [parallel.*] execution-configuration counters (the only ones
-    that vary with [jobs]/[shards] — everything else is invariant).
+    that vary with [jobs] — everything else is invariant).
 
     [decide] (default {!decide} over the given rules) is what the
     both-fired arms re-run to reproduce the naive engine's
@@ -89,8 +85,6 @@ val decide :
     a pair for which [decide] does not raise. *)
 val partition :
   ?jobs:int ->
-  ?shards:int ->
-  ?mem_budget:int ->
   ?telemetry:Telemetry.t ->
   ?decide:
     (Relational.Schema.t ->
@@ -106,23 +100,20 @@ val partition :
   * (Relational.Tuple.t * Relational.Tuple.t) list
   * (Relational.Tuple.t * Relational.Tuple.t) list
 
-(** [partition_stream ?jobs ?shards ?mem_budget ?telemetry ?decide
-    ~identity ~distinctness ~init ~f r s] — the streaming form of
-    {!partition}: folds [f] over {e every} (r, s) pair in strict
-    row-major (ascending R row, ascending S row within it) order, each
-    tagged with its {!Match_result.t} verdict, without materialising the
-    three lists. Bucketing the stream by tag reproduces {!partition}'s
-    three lists byte-for-byte, for every [jobs] and [shards] value —
-    including which pair raises {!Inconsistent} or {!Blocking_desync}.
+(** [partition_stream ?jobs ?telemetry ?decide ~identity ~distinctness
+    ~init ~f r s] — the streaming form of {!partition}: folds [f] over
+    {e every} (r, s) pair in strict row-major (ascending R row,
+    ascending S row within it) order, each tagged with its
+    {!Match_result.t} verdict, without materialising the three lists.
+    Bucketing the stream by tag reproduces {!partition}'s three lists
+    byte-for-byte, for every [jobs] value — including which pair raises
+    {!Inconsistent} or {!Blocking_desync}.
 
     Verdicts stream straight off the serial row walk at every [jobs] —
-    zero verdict buffering; [jobs], [shards] and [mem_budget] shape only
-    the blocking passes. [telemetry] records what {!partition}
-    records. *)
+    zero verdict buffering; [jobs] shapes only the blocking passes.
+    [telemetry] records what {!partition} records. *)
 val partition_stream :
   ?jobs:int ->
-  ?shards:int ->
-  ?mem_budget:int ->
   ?telemetry:Telemetry.t ->
   ?decide:
     (Relational.Schema.t ->

@@ -70,7 +70,6 @@ module Pool = struct
     }
 
   let spawned t = t.spawned
-  let size t = List.length t.workers
 
   (* Worker loop: park on [work_ready] until a task or shutdown
      arrives. Tasks never raise ([run_batch] wraps bodies in a result),
@@ -186,23 +185,13 @@ let pool () =
       p
 
 let pool_spawned () = match !global with None -> 0 | Some p -> Pool.spawned p
-let pool_size () = match !global with None -> 0 | Some p -> Pool.size p
 
-(* Join every parked worker now. Idempotent, and the pool re-grows on
-   the next parallel call, so this is safe at any point — its purpose is
-   to let exit-time cleanup pin an ordering: [Shard.Spill]'s sweep calls
-   this before removing spill files, so no worker domain can still be
-   draining a spill when its file is unlinked, regardless of the LIFO
-   order in which the two [at_exit] handlers were registered. *)
-let shutdown_pool () =
-  match !global with None -> () | Some p -> Pool.shutdown p
-
-(* How many chunks a [map_chunks ?jobs ?threshold n] call actually uses —
-   the telemetry "chunk utilisation" number. Mirrors [map_chunks]'s
-   serial fallback and [chunk_bounds]'s clamping without materialising
-   the bounds. *)
-let chunk_count ?jobs ?(threshold = default_threshold) n =
-  if n < threshold then 1 else max 1 (min (resolve jobs) n)
+(* How many chunks a [map_chunks ?jobs n] call actually uses — the
+   telemetry "chunk utilisation" number. Mirrors [map_chunks]'s serial
+   fallback and [chunk_bounds]'s clamping without materialising the
+   bounds. *)
+let chunk_count ?jobs n =
+  if n < default_threshold then 1 else max 1 (min (resolve jobs) n)
 
 (* Re-raise the first chunk's exception even when several chunks failed:
    chunks scan their ranges in ascending index order, so the error of the
@@ -212,10 +201,10 @@ let rec force = function
   | Ok v :: rest -> v :: force rest
   | Error e :: _ -> raise e
 
-let map_chunks ?jobs ?(threshold = default_threshold) n f =
+let map_chunks ?jobs n f =
   if n < 0 then invalid_arg "Parallel.map_chunks: negative range";
   let jobs = resolve jobs in
-  let jobs = if n < threshold then 1 else jobs in
+  let jobs = if n < default_threshold then 1 else jobs in
   match chunk_bounds ~chunks:jobs n with
   | [ (start, stop) ] -> [ f ~start ~stop ]
   | first :: rest ->
@@ -225,10 +214,3 @@ let map_chunks ?jobs ?(threshold = default_threshold) n f =
      single empty range [(0, 0)]), but keep the function total: an empty
      chunking means no work, not a crash. *)
   | [] -> []
-
-let iter_rows ?jobs ?threshold n f =
-  ignore
-    (map_chunks ?jobs ?threshold n (fun ~start ~stop ->
-         for i = start to stop - 1 do
-           f i
-         done))

@@ -21,14 +21,14 @@
       the exception of the {e lowest} failing chunk is re-raised — the
       one the serial scan would have hit first, provided each body scans
       its range in ascending order and stops at its first error;
-    + when [n < threshold] (default {!default_threshold}) the call runs
-      as a {e single serial chunk} on the calling domain, whatever
-      [jobs] — at that size the cross-domain handoff and GC interaction
-      cost more than the scan, which is precisely the small-input
-      regression the threshold removes.
+    + when [n] is below {!default_threshold} the call runs as a {e
+      single serial chunk} on the calling domain, whatever [jobs] — at
+      that size the cross-domain handoff and GC interaction cost more
+      than the scan, which is precisely the small-input regression the
+      threshold removes.
 
     {b Execution.} Worker domains are not spawned per call. The first
-    call that needs them builds a process-wide {!Pool} of parked domains
+    call that needs them builds a process-wide pool of parked domains
     (work handed over via mutex/condition); subsequent calls reuse it,
     growing it if they ask for more parallelism than any call before.
     The pool is joined automatically at process exit. *)
@@ -45,70 +45,24 @@ val default_jobs : unit -> int
 val resolve : int option -> int
 
 (** Rows below which {!map_chunks} ignores [jobs] and runs one serial
-    chunk (4096). Override per call with [?threshold]; [~threshold:0]
-    forces the parallel path for any [n]. *)
+    chunk (4096). *)
 val default_threshold : int
-
-(** The reusable worker-domain pool behind {!map_chunks}. Exposed for
-    lifecycle tests and embedders that want their own pool lifetime;
-    ordinary callers never touch it. *)
-module Pool : sig
-  type t
-
-  (** A fresh pool with no workers; they are spawned on demand by
-      {!run_batch} and parked between batches. *)
-  val create : unit -> t
-
-  (** Current worker-domain count (grows, never shrinks). *)
-  val size : t -> int
-
-  (** Domains ever spawned by this pool — the reuse diagnostic: it must
-      not grow once the pool has seen the largest batch. *)
-  val spawned : t -> int
-
-  (** [run_batch t thunks] — run every thunk (the first on the calling
-      domain, which also helps drain the queue), returning per-thunk
-      results in order. *)
-  val run_batch : t -> (unit -> 'a) list -> ('a, exn) result list
-
-  (** Wake every worker, join them all, and empty the pool. The pool is
-      reusable afterwards (workers respawn on demand). *)
-  val shutdown : t -> unit
-end
 
 (** Domains ever spawned by the process-wide pool ([0] before the first
     parallel call). A sequence of equal-[jobs] parallel calls must not
     move this number — that is the whole point of the pool. *)
 val pool_spawned : unit -> int
 
-(** Worker domains currently parked in the process-wide pool (0 before
-    first use and after {!shutdown_pool}). *)
-val pool_size : unit -> int
-
-(** [shutdown_pool ()] — join every worker domain of the process-wide
-    pool now. Idempotent; the pool re-grows on the next parallel call.
-    Exit-time cleanup that removes resources a worker might still hold
-    (e.g. {!Shard.Spill} temp files) calls this first to pin the
-    ordering instead of relying on [at_exit]'s LIFO registration
-    order. *)
-val shutdown_pool : unit -> unit
-
-(** [chunk_count ?jobs ?threshold n] — how many chunks {!map_chunks}
-    with the same arguments would use: [1] below the threshold,
+(** [chunk_count ?jobs n] — how many chunks {!map_chunks} with the same
+    arguments would use: [1] below {!default_threshold},
     [max 1 (min (resolve jobs) n)] otherwise. Exposed for telemetry
     (chunk utilisation). *)
-val chunk_count : ?jobs:int -> ?threshold:int -> int -> int
+val chunk_count : ?jobs:int -> int -> int
 
-(** [map_chunks ?jobs ?threshold n f] — run [f ~start ~stop] over a
-    chunking of [0, n) and return the per-chunk results in chunk order.
-    [jobs] defaults to {!default_jobs}; [jobs = 1], [n <= 1], or
-    [n < threshold] runs the single chunk inline on the calling domain,
-    touching no pool.
+(** [map_chunks ?jobs n f] — run [f ~start ~stop] over a chunking of
+    [0, n) and return the per-chunk results in chunk order. [jobs]
+    defaults to {!default_jobs}; [jobs = 1], [n <= 1], or [n] below
+    {!default_threshold} runs the single chunk inline on the calling
+    domain, touching no pool.
     @raise Invalid_argument on negative [n] or non-positive [jobs]. *)
-val map_chunks :
-  ?jobs:int -> ?threshold:int -> int -> (start:int -> stop:int -> 'a) -> 'a list
-
-(** [iter_rows ?jobs ?threshold n f] — run [f i] for every [i] in
-    [0, n), chunked as in {!map_chunks}. [f] must be safe to call
-    concurrently. *)
-val iter_rows : ?jobs:int -> ?threshold:int -> int -> (int -> unit) -> unit
+val map_chunks : ?jobs:int -> int -> (start:int -> stop:int -> 'a) -> 'a list

@@ -87,19 +87,8 @@ let counters t =
 let is_parallel_counter (name, _) =
   String.length name >= 9 && String.sub name 0 9 = "parallel."
 
-(* Peak resident verdict bytes depend on the budget/jobs configuration
-   (0 on unbuffered paths, budget-bounded otherwise), never on the
-   pipeline's logical outcome — configuration telemetry like the
-   parallel.* namespace, just named by its owning stage. *)
-let is_peak_counter (name, _) =
-  let suffix = ".peak_verdict_bytes" in
-  let ln = String.length name and ls = String.length suffix in
-  ln >= ls && String.sub name (ln - ls) ls = suffix
-
 let counters_stable t =
-  List.filter
-    (fun c -> not (is_parallel_counter c || is_peak_counter c))
-    (counters t)
+  List.filter (fun c -> not (is_parallel_counter c)) (counters t)
 
 type span_stat = { span_name : string; total_ms : float; calls : int }
 

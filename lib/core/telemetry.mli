@@ -71,11 +71,8 @@ val counter : t -> string -> int
 (** All counters, sorted by name. Empty for {!off}. *)
 val counters : t -> (string * int) list
 
-(** {!counters} without the [parallel.*] namespace and without the
-    [*.peak_verdict_bytes] counters (peak resident verdict bytes are a
-    property of the budget/jobs configuration, not the pipeline
-    outcome) — the jobs/shards-invariant subset, for comparing runs
-    across execution configurations. *)
+(** {!counters} without the [parallel.*] namespace — the jobs-invariant
+    subset, for comparing runs across execution configurations. *)
 val counters_stable : t -> (string * int) list
 
 type span_stat = { span_name : string; total_ms : float; calls : int }

@@ -78,7 +78,7 @@ val supported :
     recursive engine), [ilfd.fixpoint.delta_facts] (facts derived across
     classes, scratch intermediates included on the chase) and
     [ilfd.fixpoint.fallback_classes] — all class-level, hence identical
-    for every [jobs] and shard count.
+    for every [jobs] value.
     @raise Apply.Conflict_found in [Check_conflicts] mode.
     @raise Fallback_desync as described above. *)
 val extend_relation :

@@ -16,6 +16,11 @@ val relation_of_string : ?keys:string list list -> string -> Relation.t
 val load : ?keys:string list list -> string -> Relation.t
 (** [load path] reads a relation from the file at [path]. *)
 
+(** [escape_cell s] — [s] as one CSV cell: unchanged unless it holds a
+    comma, a double quote or a line break, in which case it is quoted
+    with inner quotes doubled. *)
+val escape_cell : string -> string
+
 (** [to_string r] renders with a header row; [Null] prints as empty. *)
 val to_string : Relation.t -> string
 

@@ -138,11 +138,11 @@ let sink_tests =
 
 (* ---- the pipeline contract ---- *)
 
-let run_paper_pipeline ?(jobs = 1) ?(shards = 1) ?mem_budget () =
+let run_paper_pipeline ?(jobs = 1) () =
   let telemetry = Telemetry.create () in
   let o =
-    E.Identify.run ~jobs ~shards ?mem_budget ~telemetry ~r:PD.table5_r
-      ~s:PD.table5_s ~key:PD.example3_key PD.ilfds_i1_i8
+    E.Identify.run ~jobs ~telemetry ~r:PD.table5_r ~s:PD.table5_s
+      ~key:PD.example3_key PD.ilfds_i1_i8
   in
   (telemetry, o)
 
@@ -150,11 +150,11 @@ let restaurant_instance () =
   Workload.Restaurant.generate
     { Workload.Restaurant.default with n_entities = 40; seed = 7 }
 
-let run_rules_pipeline ?(jobs = 1) ?(shards = 1) ?mem_budget () =
+let run_rules_pipeline ?(jobs = 1) () =
   let telemetry = Telemetry.create () in
   let inst = restaurant_instance () in
   let o =
-    E.Identify.run_rules ~jobs ~shards ?mem_budget ~telemetry
+    E.Identify.run_rules ~jobs ~telemetry
       ~identity:[ E.Extended_key.equivalence_rule inst.key ]
       ~r:inst.r ~s:inst.s ~key:inst.key inst.ilfds
   in
@@ -246,22 +246,6 @@ let pipeline_tests =
           "identify jobs 1 = jobs 3"
           (Telemetry.counters_stable i1)
           (Telemetry.counters_stable i4));
-    case "stable counters are shards-invariant" (fun () ->
-        (* The 2 KiB budget forces the spill path; spill/shard accounting
-           stays in the parallel.* namespace, so the stable sets must
-           still be byte-identical. *)
-        let t1, _ = run_rules_pipeline ~shards:1 () in
-        let t5, _ = run_rules_pipeline ~shards:5 ~mem_budget:2048 () in
-        Alcotest.(check (list (pair string int)))
-          "shards 1 = shards 5"
-          (Telemetry.counters_stable t1)
-          (Telemetry.counters_stable t5);
-        let i1, _ = run_paper_pipeline ~shards:1 () in
-        let i3, _ = run_paper_pipeline ~shards:3 ~mem_budget:2048 () in
-        Alcotest.(check (list (pair string int)))
-          "identify shards 1 = shards 3"
-          (Telemetry.counters_stable i1)
-          (Telemetry.counters_stable i3));
     case "disabled telemetry changes nothing" (fun () ->
         let _, on = run_rules_pipeline () in
         let inst = restaurant_instance () in
