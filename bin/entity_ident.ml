@@ -35,7 +35,7 @@ let parse_key_list s =
 
 (* Malformed input is a usage error naming the file and the problem
    (exit 2), never an uncaught exception. *)
-let load_relation path key =
+let load_relation path ~keys =
   let fail fmt =
     Format.kasprintf
       (fun msg ->
@@ -43,7 +43,7 @@ let load_relation path key =
         exit 2)
       fmt
   in
-  match Relational.Csv_io.load ~keys:[ parse_key_list key ] path with
+  match Relational.Csv_io.load ~keys path with
   | rel -> rel
   | exception Relational.Csv_io.Parse_error { line; message } ->
       fail "line %d: %s" line message
@@ -130,7 +130,8 @@ let print_stats fmt telemetry =
   | Some `Pretty -> Format.printf "%a@." Telemetry.pp telemetry
 
 let setup r s rk sk rules_path =
-  let r = load_relation r rk and s = load_relation s sk in
+  let r = load_relation r ~keys:[ parse_key_list rk ]
+  and s = load_relation s ~keys:[ parse_key_list sk ] in
   let ilfds = match rules_path with None -> [] | Some p -> read_rules p in
   (r, s, ilfds)
 
@@ -395,7 +396,7 @@ let mine_cmd =
            ~doc:"Minimum confidence (default 1.0 = exact ILFDs only).")
   in
   let run input lhs rhs min_support min_confidence =
-    let r = Relational.Csv_io.load input in
+    let r = load_relation input ~keys:[] in
     let candidates =
       Ilfd.Mine.mine ~min_support ~min_confidence r
         ~lhs:(parse_key_list lhs) ~rhs

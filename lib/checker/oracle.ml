@@ -204,15 +204,34 @@ let describe_conflict (c : Ilfd.Apply.conflict) =
 
 (* ---- the checks, in their fixed order ---- *)
 
+(* R′ and S′ inherit set semantics and a coded view from R and S rather
+   than re-establishing them, so both are held to what the general
+   constructor and a fresh encode would give. *)
 let check_fixpoint (sc : Scenario.t) (base : Identify.outcome) =
   let side name rel ext =
     let _, manual = manual_extension sc rel in
-    if List.equal R.Tuple.equal manual (R.Relation.tuples ext) then Ok ()
-    else
+    let rows = R.Relation.tuples ext in
+    if not (List.equal R.Tuple.equal manual rows) then
       fail "fixpoint-agreement"
         "%s': semi-naive fixpoint extension disagrees with per-tuple \
          recursive derivation"
         name
+    else if
+      match rebuild ext rows with
+      | checked ->
+          not (List.equal R.Tuple.equal rows (R.Relation.tuples checked))
+      | exception R.Relation.Key_violation _ -> true
+    then
+      fail "fixpoint-agreement"
+        "%s': the general constructor collapses or rejects its rows" name
+    else if
+      not
+        (R.Columnar.equal (R.Relation.columnar ext)
+           (R.Columnar.encode (R.Relation.schema ext) (Array.of_list rows)))
+    then
+      fail "fixpoint-agreement"
+        "%s': the cached coded view differs from an encode of its rows" name
+    else Ok ()
   in
   let* () = side "R" sc.r base.r_extended in
   side "S" sc.s base.s_extended

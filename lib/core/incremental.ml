@@ -1,5 +1,5 @@
 module Relation = Relational.Relation
-module Keyed = Relational.Keyed
+module Keyed = Relational.Relation.Keyed
 module Schema = Relational.Schema
 module Tuple = Relational.Tuple
 module Value = Relational.Value

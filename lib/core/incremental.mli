@@ -10,11 +10,12 @@
     pipeline: each new tuple is extended once and probed against a hash
     index of the other side's extended relation.
 
-    Each side's base relation is held as a {!Relational.Keyed.t}: rows
-    in insertion order, a count and a persistent index per declared key.
-    An insertion costs O(k log n) for k declared keys, plus the
-    extension of the one new tuple and an O(log n) K_Ext probe; nothing
-    on the insert path rebuilds a {!Relational.Relation.t}.
+    Each side's base relation is held as a
+    {!Relational.Relation.Keyed.t}: rows in insertion order, a count and
+    a persistent index per declared key. An insertion costs O(k log n)
+    for k declared keys, plus the extension of the one new tuple and an
+    O(log n) K_Ext probe; nothing on the insert path rebuilds a
+    {!Relational.Relation.t}.
 
     The ILFD family is compiled ({!Ilfd.Apply.compile}) once per state
     and held in [t]: {!create} (and so {!add_ilfd}) and {!restore} build
@@ -76,18 +77,19 @@ val entries : t -> Matching_table.entry list
 
 val matching_table : t -> Matching_table.t
 
-(** [r t] — R as a {!Relational.Relation.t}, built on each call:
-    O(n log n), since the relation re-checks its keys. For reports,
-    {!add_ilfd} and tests; hot paths read {!r_base}. *)
+(** [r t] — R as a {!Relational.Relation.t}, built on each call in
+    O(n) ({!Relational.Relation.Keyed.to_relation}: the rows are not
+    checked again). For reports, {!add_ilfd} and tests; hot paths read
+    {!r_base}. *)
 val r : t -> Relational.Relation.t
 
 val s : t -> Relational.Relation.t
 
 (** [r_base t] — R's base rows as held: schema, declared keys,
     cardinality and primary-key probes in O(1) or O(log n). *)
-val r_base : t -> Relational.Keyed.t
+val r_base : t -> Relational.Relation.Keyed.t
 
-val s_base : t -> Relational.Keyed.t
+val s_base : t -> Relational.Relation.Keyed.t
 
 (** [ilfds t] — the ILFD family in force, already parsed, in family
     order. *)

@@ -241,7 +241,6 @@ let run plan ~mode r ~target ~jobs ~telemetry =
   let schema = Relation.schema r in
   let cr = Relation.columnar r in
   let n_rows = Columnar.length cr in
-  let tuples = Array.of_list (Relation.tuples r) in
   let nkeys = Array.length plan.key_ids in
   let key_cols = Array.map (fun a -> Columnar.column cr a) plan.key_attrs in
   (* Derivation classes: one per distinct coded projection onto the
@@ -332,8 +331,7 @@ let run plan ~mode r ~target ~jobs ~telemetry =
                           incr facts;
                           if task.target_pos >= 0 then
                             deltas.(cid) <-
-                              (task.target_pos, Intern.value vcode)
-                              :: deltas.(cid);
+                              (task.target_pos, vcode) :: deltas.(cid);
                           mark cid
                       | None -> try_groups rest
                     else try_groups rest
@@ -356,10 +354,11 @@ let run plan ~mode r ~target ~jobs ~telemetry =
   (* Ascending class ids visit classes in first-row order, so the first
      class that conflicts holds the row the serial engine raises on. *)
   let fallback_count = ref 0 in
+  let tuples = lazy (Array.of_list (Relation.tuples r)) in
   for cid = 0 to n_classes - 1 do
     if fallback.(cid) then begin
       incr fallback_count;
-      let t = tuples.(rep_row.(cid)) in
+      let t = (Lazy.force tuples).(rep_row.(cid)) in
       let extended =
         match !inject_fallback_conflict t with
         | Some conflict -> Error conflict
@@ -383,36 +382,12 @@ let run plan ~mode r ~target ~jobs ~telemetry =
               in
               let v = Tuple.nth ext ti in
               if V.is_null base && not (V.is_null v) then
-                delta := (ti, v) :: !delta)
+                delta := (ti, Intern.code v) :: !delta)
             base_plan;
           deltas.(cid) <- !delta;
           facts := !facts + List.length !delta
     end
   done;
-  (* Materialise rows: base cells plus the class delta. Reads only
-     frozen structures (decoded values included), so chunking over
-     domains is safe and chunk-order concatenation keeps row order. *)
-  let materialise i =
-    let t = tuples.(i) in
-    let cells =
-      Array.map
-        (function Some j -> Tuple.nth t j | None -> V.Null)
-        base_plan
-    in
-    List.iter (fun (ti, v) -> cells.(ti) <- v) deltas.(class_of_row.(i));
-    Tuple.of_array target cells
-  in
-  let rows =
-    if jobs <= 1 then List.init n_rows materialise
-    else
-      List.concat
-        (Parallel.map_chunks ~jobs n_rows (fun ~start ~stop ->
-             let acc = ref [] in
-             for i = start to stop - 1 do
-               acc := materialise i :: !acc
-             done;
-             List.rev !acc))
-  in
   if Telemetry.enabled telemetry then begin
     Telemetry.add telemetry "ilfd.tuples" n_rows;
     Telemetry.add telemetry "ilfd.fixpoint.classes" n_classes;
@@ -429,7 +404,11 @@ let run plan ~mode r ~target ~jobs ~telemetry =
       Telemetry.add telemetry "parallel.chunks"
         (Parallel.chunk_count ~jobs n_rows)
   end;
-  Relation.of_tuples target ~keys:(Relation.declared_keys r) rows
+  (* Rows: base cells plus the class delta. Every delta cell fills a NULL
+     base cell, so when [r] has a declared key and [target] keeps its
+     attributes, [Relation.extend] inherits [r]'s set semantics and coded
+     view rather than re-establishing them. *)
+  Relation.extend ~jobs r target ~classes:class_of_row ~derived:deltas
 
 let extend_relation ?(mode = Apply.First_rule) ?(jobs = 1)
     ?(telemetry = Telemetry.off) r ~target compiled =

@@ -72,6 +72,17 @@ val supported :
     the same {!Apply.Conflict_found} witness. [jobs] (default [1]) > 1
     materialises row chunks on that many domains.
 
+    The rows are built by {!Relational.Relation.extend} from [r]'s rows
+    and the classes' derived cells, as storage codes the chase already
+    holds. When [r] has a declared key and [target] keeps every
+    attribute of [r], the result inherits [r]'s set semantics and coded
+    view: its rows are distinct and key-valid by construction, no
+    set-semantics pass runs, and nothing is interned. Every [Identify],
+    [Explain], [Cluster] and [Incremental] target keeps the source's
+    attributes, and the CLI declares a key on both sides. Otherwise the
+    rows go through {!Relational.Relation.of_tuples}, which collapses
+    rows that derivation made equal.
+
     [telemetry] records the [ilfd.extend] span and [ilfd.tuples],
     [ilfd.derivations], [ilfd.fixpoint.classes] (derivation classes),
     [ilfd.fixpoint.rounds] (strata chased; [0] when every class runs the

@@ -4,6 +4,13 @@ type t = {
   columns : int array array;  (** columns.(attr).(row) *)
 }
 
+let make schema length columns =
+  if
+    Array.length columns <> Schema.arity schema
+    || Array.exists (fun col -> Array.length col <> length) columns
+  then invalid_arg "Columnar.make: one column of [length] codes per attribute";
+  { schema; length; columns }
+
 let encode schema rows =
   let arity = Schema.arity schema in
   let n = Array.length rows in
@@ -18,8 +25,14 @@ let encode schema rows =
 
 let schema t = t.schema
 let length t = t.length
+let nth t a = t.columns.(a)
 let column t name = t.columns.(Schema.index_of t.schema name)
 let columns t names = Array.of_list (List.map (column t) names)
+
+let equal a b =
+  Schema.equal a.schema b.schema
+  && a.length = b.length
+  && Array.for_all2 (fun x y -> x = y) a.columns b.columns
 
 let key cols i = Array.map (fun col -> col.(i)) cols
 

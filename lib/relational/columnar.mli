@@ -16,10 +16,19 @@ type t
     [schema]) and return the column-major code view. *)
 val encode : Schema.t -> Tuple.t array -> t
 
+(** [make schema length columns] — the view whose column [a] is
+    [columns.(a)], taken as is (not copied): codes the caller interned,
+    one column of [length] codes per attribute of [schema].
+    @raise Invalid_argument on any other shape. *)
+val make : Schema.t -> int -> int array array -> t
+
 val schema : t -> Schema.t
 
 (** Number of rows. *)
 val length : t -> int
+
+(** [nth t a] — the code column of the attribute at position [a]. *)
+val nth : t -> int -> int array
 
 (** [column t name] — the code column of one attribute.
     @raise Schema.Unknown_attribute on an unknown name. *)
@@ -27,6 +36,10 @@ val column : t -> string -> int array
 
 (** [columns t names] — the code columns of [names], in order. *)
 val columns : t -> string list -> int array array
+
+(** [equal a b] — same schema, same length, same code in every cell.
+    Codes are process-global, so two views of equal rows are equal. *)
+val equal : t -> t -> bool
 
 (** [key cols i] — row [i]'s codes across [cols] as a fresh array (a
     hashable join/bucket key). *)

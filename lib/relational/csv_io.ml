@@ -2,62 +2,36 @@ exception Parse_error of { line : int; message : string }
 
 let fail line message = raise (Parse_error { line; message })
 
-(* A hand-rolled state machine handling quoted fields, escaped quotes
-   ("") and both \n and \r\n record separators. *)
-let parse_string s =
+(* The record scanner: a hand-rolled state machine handling quoted
+   fields, escaped quotes ("") and both \n and \r\n record separators.
+   It calls [cell] on each cell and [record] after each record's last
+   cell, so a reader can consume records as they are found. A quote opens
+   a quoted field only at the start of a field; after the closing quote,
+   and anywhere in an unquoted field, it is content, as is a CR that
+   does not start a CRLF. *)
+let scan s ~cell ~record =
   let n = String.length s in
-  let records = ref [] in
-  let fields = ref [] in
   let buf = Buffer.create 32 in
   let line = ref 1 in
-  (* The current record has content even though [buf] and [fields] are
-     empty — exactly when a quoted (possibly empty) field was read. *)
-  let pending = ref false in
-  let flush_field () =
-    fields := Buffer.contents buf :: !fields;
-    Buffer.clear buf
+  let ends_field i =
+    i >= n
+    || s.[i] = ','
+    || s.[i] = '\n'
+    || (s.[i] = '\r' && i + 1 < n && s.[i + 1] = '\n')
   in
-  let flush_record () =
-    flush_field ();
-    records := List.rev !fields :: !records;
-    fields := [];
-    pending := false
-  in
-  let rec plain i =
+  (* [field i ~first]: a field starts at [i], the record's first when
+     [first]. At the end of the input, a record with cells already (a
+     trailing comma) gets a last empty cell; a record without is none. *)
+  let rec field i ~first =
     if i >= n then begin
-      if Buffer.length buf > 0 || !fields <> [] || !pending then
-        flush_record ()
+      if not first then finish "" i
     end
-    else
-      match s.[i] with
-      | ',' ->
-          flush_field ();
-          plain (i + 1)
-      | '\n' ->
-          flush_record ();
-          incr line;
-          plain (i + 1)
-      | '\r' ->
-          if i + 1 < n && s.[i + 1] = '\n' then begin
-            flush_record ();
-            incr line;
-            plain (i + 2)
-          end
-          else begin
-            (* A CR that doesn't start a CRLF is field content, not a
-               record separator to be silently swallowed. *)
-            Buffer.add_char buf '\r';
-            plain (i + 1)
-          end
-      | '"' ->
-          if Buffer.length buf = 0 then quoted (i + 1)
-          else begin
-            Buffer.add_char buf '"';
-            plain (i + 1)
-          end
-      | c ->
-          Buffer.add_char buf c;
-          plain (i + 1)
+    else if s.[i] = '"' then quoted (i + 1)
+    else plain i i
+  (* An unquoted field from [start]: cut out of [s] at its end. *)
+  and plain start i =
+    if ends_field i then finish (String.sub s start (i - start)) i
+    else plain start (i + 1)
   and quoted i =
     if i >= n then fail !line "unterminated quoted field"
     else
@@ -67,12 +41,7 @@ let parse_string s =
             Buffer.add_char buf '"';
             quoted (i + 2)
           end
-          else begin
-            (* Even an empty quoted field makes the record real — without
-               this, a final [""] line at EOF was dropped. *)
-            pending := true;
-            plain (i + 1)
-          end
+          else after_quote (i + 1)
       | '\n' ->
           incr line;
           Buffer.add_char buf '\n';
@@ -80,29 +49,92 @@ let parse_string s =
       | c ->
           Buffer.add_char buf c;
           quoted (i + 1)
+  (* Past a closing quote, up to the field's end. Even an empty quoted
+     field makes a record real, so a final [""] line at EOF is kept. *)
+  and after_quote i =
+    if ends_field i then begin
+      let c = Buffer.contents buf in
+      Buffer.clear buf;
+      finish c i
+    end
+    else begin
+      Buffer.add_char buf s.[i];
+      after_quote (i + 1)
+    end
+  (* [i] ends a field: at the input's end, a comma or a separator. *)
+  and finish c i =
+    cell c;
+    if i >= n then record ()
+    else if s.[i] = ',' then field (i + 1) ~first:false
+    else begin
+      record ();
+      incr line;
+      field (if s.[i] = '\r' then i + 2 else i + 1) ~first:true
+    end
   in
-  plain 0;
+  field 0 ~first:true
+
+let parse_string s =
+  let records = ref [] and cells = ref [] in
+  scan s
+    ~cell:(fun c -> cells := c :: !cells)
+    ~record:(fun () ->
+      records := List.rev !cells :: !records;
+      cells := []);
   List.rev !records
 
+(* What the loader has read so far: header cells (reversed), then rows
+   going into a builder through one reused code buffer, or the first
+   problem found — raised once the scan is over, so that a quote left
+   open at the end of the input is reported first, as a full parse
+   would. *)
+type reading =
+  | Header of string list
+  | Rows of Relation.builder * int array
+  | Failed of int * string
+
+(* One pass: each cell is interned once, straight into the builder's
+   code columns; no record list and no tuple is built before set
+   semantics are settled. *)
 let relation_of_string ?(keys = []) s =
-  match parse_string s with
-  | [] -> fail 1 "empty CSV: missing header row"
-  | header :: rows ->
-      let schema = Schema.of_names (List.map String.trim header) in
-      let arity = Schema.arity schema in
-      let parse_row i cells =
-        if List.length cells <> arity then
-          fail (i + 2)
-            (Printf.sprintf "expected %d cells, got %d" arity
-               (List.length cells))
+  let state = ref (Header []) and width = ref 0 and record_no = ref 1 in
+  let cell c =
+    (match !state with
+    | Header names -> state := Header (String.trim c :: names)
+    | Rows (_, codes) when !width < Array.length codes ->
+        codes.(!width) <- Intern.code (Value.of_csv_string c)
+    | Rows _ | Failed _ -> ());
+    incr width
+  in
+  let record () =
+    (match !state with
+    | Header names -> (
+        match Schema.of_names (List.rev names) with
+        | schema ->
+            let codes = Array.make (Schema.arity schema) 0 in
+            state := Rows (Relation.builder schema ~keys, codes)
+        | exception Schema.Duplicate_attribute a ->
+            let message =
+              Printf.sprintf "duplicate column %S in the header" a
+            in
+            state := Failed (1, message))
+    | Rows (b, codes) ->
+        let arity = Array.length codes in
+        if !width = arity then Relation.add_codes b codes
         else
-          (* Intern at parse time: equal cells across the file share one
-             pooled value, and downstream columnar encoding finds every
-             cell already coded. *)
-          Tuple.make schema
-            (List.map (fun c -> Intern.share (Value.of_csv_string c)) cells)
-      in
-      Relation.of_tuples schema ~keys (List.mapi parse_row rows)
+          state :=
+            Failed
+              ( !record_no,
+                Printf.sprintf "expected %d cells, got %d" arity !width )
+    | Failed _ -> ());
+    width := 0;
+    incr record_no
+  in
+  scan s ~cell ~record;
+  match !state with
+  | Header _ -> fail 1 "empty CSV: missing header row"
+  | Rows (b, _) -> Relation.build b
+  | Failed (line, message) -> fail line message
 
 let load ?(keys = []) path =
   let ic = open_in_bin path in

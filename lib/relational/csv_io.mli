@@ -8,9 +8,22 @@ exception Parse_error of { line : int; message : string }
 (** [parse_string s] returns the records of [s] (each a list of cells). *)
 val parse_string : string -> string list list
 
-(** [relation_of_string ?keys s] reads a relation with a header row.
-    @raise Parse_error on malformed input (unterminated quote, ragged row,
-    empty input). *)
+(** [relation_of_string ?keys s] reads a relation with a header row, in
+    one pass over the records: each cell is interned once ({!Intern}),
+    straight into the code columns of a {!Relation.builder}, which drops
+    exact-duplicate rows (the first copy wins) and checks each declared
+    key as the rows arrive. The result has its {!Relation.columnar} view
+    set.
+
+    The outcome is exactly that of {!Relation.of_tuples} over the rows of
+    {!parse_string}: the same rows in the same order, the same exception
+    with the same witness. Exceptions come in this order:
+    - [Parse_error] on an unterminated quote (line: where the input
+      ends), empty input (line 1), a header that repeats a column name
+      (line 1), then the first ragged row (line: its record number,
+      the header being record 1);
+    - then, for each declared key in declaration order,
+      {!Schema.Unknown_attribute} or {!Relation.Key_violation}. *)
 val relation_of_string : ?keys:string list list -> string -> Relation.t
 
 val load : ?keys:string list list -> string -> Relation.t

@@ -1,4 +1,4 @@
-module Keyed = Relational.Keyed
+module Keyed = Relational.Relation.Keyed
 module Schema = Relational.Schema
 module Tuple = Relational.Tuple
 module Value = Relational.Value

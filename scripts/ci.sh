@@ -78,15 +78,17 @@ if dune exec bin/entity_ident.exe -- soak --no-such-flag \
 fi
 
 # Malformed CSV input (a NULL in a key column, an unterminated quote,
-# a key naming no column) must exit 2 with a message naming the
-# problem, never an uncaught exception.
+# a key naming no column, a header repeating a column) must exit 2 with
+# a message naming the problem, never an uncaught exception.
 bad_csv=$(mktemp -d)
 printf 'name,cuisine\nAnjuman,Indian\n' > "$bad_csv/ok.csv"
 printf 'name,cuisine\n,Indian\n' > "$bad_csv/null_key.csv"
 printf 'name,cuisine\n"Anjuman,Indian\n' > "$bad_csv/open_quote.csv"
+printf 'name,name\nAnjuman,Indian\n' > "$bad_csv/dup_header.csv"
 for case in "null_key.csv name,cuisine NULL value" \
     "open_quote.csv name,cuisine unterminated" \
-    "ok.csv name,nope is not a column"; do
+    "ok.csv name,nope is not a column" \
+    "dup_header.csv name duplicate column"; do
   # shellcheck disable=SC2086
   set -- $case
   file=$1 key=$2
@@ -101,6 +103,15 @@ for case in "null_key.csv name,cuisine NULL value" \
     exit 1
   fi
 done
+# mine reads its relation through the same error path, with no key.
+status=0
+dune exec bin/entity_ident.exe -- mine --from "$bad_csv/open_quote.csv" \
+  --lhs name --rhs cuisine > /dev/null 2> "$bad_csv/err" || status=$?
+if [ "$status" -ne 2 ] || ! grep -q "unterminated" "$bad_csv/err"; then
+  echo "CI: mine on open_quote.csv exited $status without naming the" \
+       "problem: $(cat "$bad_csv/err")" >&2
+  exit 1
+fi
 rm -rf "$bad_csv"
 
 # 6. Durable-store crash recovery: drive a request stream through the

@@ -310,8 +310,12 @@ let incremental_tests =
         && mt_entries_equal o.matching_table batch.matching_table
         && List.length o.pairs = List.length batch.pairs
         && List.length (E.Incremental.entries t) = List.length batch.pairs
-        && R.Relation.cardinality o.r_extended
-           = R.Relation.cardinality batch.r_extended
+        && List.equal R.Tuple.equal
+             (R.Relation.tuples o.r_extended)
+             (R.Relation.tuples batch.r_extended)
+        && List.equal R.Tuple.equal
+             (R.Relation.tuples o.s_extended)
+             (R.Relation.tuples batch.s_extended)
         && R.Relation.cardinality (E.Incremental.r t)
            = R.Relation.cardinality inst.r
         && E.Incremental.unmatched_r t = batch.unmatched_r
@@ -393,6 +397,27 @@ let incremental_tests =
         ignore
           (E.Incremental.add_ilfd t
              (Ilfd.parse "name = alpha -> cuisine = second")));
+    case "outcome collapses rows derivation made equal, with no key"
+      (fun () ->
+        (* With no declared key, [a = x -> b = v] fills (x, NULL) into a
+           copy of (x, v): the batch extension keeps one row, and so must
+           the incremental outcome. *)
+        let r =
+          R.Relation.create
+            (R.Schema.of_names [ "a"; "b" ])
+            [ [ R.Value.string "x"; R.Value.Null ];
+              [ R.Value.string "x"; R.Value.string "v" ] ]
+        in
+        let s = relation [ "a"; "b" ] [] [ [ "x"; "v" ] ] in
+        let key = E.Extended_key.make [ "a"; "b" ] in
+        let ilfds = [ Ilfd.parse "a = x -> b = v" ] in
+        let o =
+          E.Incremental.outcome (E.Incremental.create ~r ~s ~key ilfds)
+        in
+        let batch = E.Identify.run ~r ~s ~key ilfds in
+        Alcotest.(check int) "one row" 1 (R.Relation.cardinality o.r_extended);
+        Alcotest.(check bool) "as batch" true
+          (R.Relation.equal o.r_extended batch.r_extended));
   ]
 
 (* ---- Mine ---- *)

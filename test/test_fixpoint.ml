@@ -201,6 +201,69 @@ let agreement_tests =
              (Ilfd.Apply.extend_relation r ~target ilfds)));
   ]
 
+(* Set semantics through the extension. With no declared key, a rule
+   that fills a NULL can make two rows equal, so the extension must
+   still deduplicate; with a declared key, the rows stay distinct by
+   construction and the coded view is inherited from the source. *)
+let extension_tests =
+  let family =
+    Ilfd.Apply.compile [ Ilfd.make1 [ Ilfd.condition "a" (v "x") ] "b" (v "v") ]
+  in
+  let extend r =
+    Ilfd.Fixpoint.extend_relation r ~target:(R.Relation.schema r) family
+  in
+  let coded_view_agrees r =
+    R.Columnar.equal (R.Relation.columnar r)
+      (R.Columnar.encode (R.Relation.schema r)
+         (Array.of_list (R.Relation.tuples r)))
+  in
+  [
+    case "no declared key: a filled NULL collapses into its copy" (fun () ->
+        let r =
+          R.Relation.create (R.Schema.of_names [ "a"; "b" ])
+            [ [ v "x"; V.Null ]; [ v "x"; v "v" ] ]
+        in
+        let ext = extend r in
+        Alcotest.(check int) "one row" 1 (R.Relation.cardinality ext);
+        Alcotest.(check bool) "the filled row" true
+          (R.Tuple.equal (List.hd (R.Relation.tuples ext))
+             (R.Tuple.make (R.Relation.schema r) [ v "x"; v "v" ]));
+        Alcotest.(check bool) "coded view" true (coded_view_agrees ext));
+    case "declared key: identical rows through the trusted path" (fun () ->
+        let schema = R.Schema.of_names [ "a"; "b"; "c" ] in
+        let r =
+          R.Relation.create schema ~keys:[ [ "c" ] ]
+            [ [ v "x"; V.Null; vi 1 ]; [ v "x"; v "v"; vi 2 ] ]
+        in
+        let ext = extend r in
+        let expected =
+          R.Relation.of_tuples schema ~keys:[ [ "c" ] ]
+            [
+              R.Tuple.make schema [ v "x"; v "v"; vi 1 ];
+              R.Tuple.make schema [ v "x"; v "v"; vi 2 ];
+            ]
+        in
+        Alcotest.(check bool) "rows" true
+          (List.equal R.Tuple.equal (R.Relation.tuples ext)
+             (R.Relation.tuples expected));
+        Alcotest.(check (list (list string))) "keys" [ [ "c" ] ]
+          (R.Relation.declared_keys ext);
+        Alcotest.(check bool) "coded view" true (coded_view_agrees ext));
+    case "a derived cell only fills a NULL" (fun () ->
+        let r =
+          R.Relation.create (R.Schema.of_names [ "a" ]) ~keys:[ [ "a" ] ]
+            [ [ v "x" ] ]
+        in
+        Alcotest.check_raises "overwrite"
+          (Invalid_argument
+             "Relation.extend: a derived cell overwrites a non-NULL cell")
+          (fun () ->
+            ignore
+              (R.Relation.extend ~jobs:1 r (R.Relation.schema r)
+                 ~classes:[| 0 |]
+                 ~derived:[| [ (0, R.Intern.code (v "y")) ] |])));
+  ]
+
 let intern_tests =
   [
     case "codes round-trip and share structure" (fun () ->
@@ -420,6 +483,7 @@ let () =
   Alcotest.run "fixpoint"
     [
       ("agreement", agreement_tests);
+      ("extension", extension_tests);
       ("intern", intern_tests);
       ("covering", covering_tests);
       ("fallback", fallback_tests);

@@ -248,6 +248,8 @@ let tuple_tests =
 
 (* ---- Keyed: the incremental append, held to Relation.add ---- *)
 
+module Keyed = R.Relation.Keyed
+
 (* Cells that sit on every edge of key equality: NULL, [Int 1] vs
    [Float 1.], [nan] (equal to itself), [0.] vs [-0.] (equal). *)
 let key_cell_gen =
@@ -283,7 +285,7 @@ let keyed_agrees (keys, rows) =
     let tuple = R.Tuple.make schema [ a; b; c ] in
     match
       ( violation (fun () -> R.Relation.add rel tuple),
-        violation (fun () -> R.Keyed.add keyed tuple) )
+        violation (fun () -> Keyed.add keyed tuple) )
     with
     | Ok rel', Ok None ->
         (rel, keyed, ok && R.Relation.cardinality rel' = R.Relation.cardinality rel)
@@ -298,22 +300,22 @@ let keyed_agrees (keys, rows) =
   in
   let rel, keyed, ok =
     List.fold_left step
-      (R.Relation.empty schema ~keys (), R.Keyed.empty schema ~keys, true)
+      (R.Relation.empty schema ~keys (), Keyed.empty schema ~keys, true)
       rows
   in
   let pk = R.Relation.primary_key rel in
   let probe (a, b, c) =
     let key = R.Tuple.project schema (R.Tuple.make schema [ a; b; c ]) pk in
-    R.Keyed.mem_key keyed (R.Tuple.to_array key)
+    Keyed.mem_key keyed (R.Tuple.to_array key)
     = R.Relation.exists
         (fun row -> R.Tuple.equal (R.Tuple.project schema row pk) key)
         rel
   in
   ok
-  && List.equal R.Tuple.equal (R.Relation.tuples rel) (R.Keyed.tuples keyed)
-  && R.Keyed.cardinality keyed = R.Relation.cardinality rel
-  && R.Keyed.primary_key keyed = pk
-  && R.Relation.equal (R.Keyed.to_relation keyed) rel
+  && List.equal R.Tuple.equal (R.Relation.tuples rel) (Keyed.tuples keyed)
+  && Keyed.cardinality keyed = R.Relation.cardinality rel
+  && Keyed.primary_key keyed = pk
+  && R.Relation.equal (Keyed.to_relation keyed) rel
   && List.for_all probe rows
 
 let relation_tests =
@@ -632,6 +634,87 @@ let key_tools_tests =
 
 (* ---- CSV ---- *)
 
+(* CSV text over the key-edge cells, rendered as the loader reads them:
+   empty and "null" (NULL), 1 and 1.0 (Int vs Float), nan, 0. and -0.
+   (equal floats), x, and a quoted cell holding a comma. Rows come from
+   a small pool, so exact duplicates and key collisions are common; a
+   ragged row, an unterminated quote at the end and CRLF separators turn
+   up now and then. Keys: none, one, composite, two declared keys, and
+   keys naming a missing column. *)
+let csv_text_gen =
+  QCheck2.Gen.(
+    let cell =
+      oneofl [ ""; "null"; "1"; "1.0"; "nan"; "0."; "-0."; "x"; "\"x,y\"" ]
+    in
+    let* keys =
+      oneofl
+        [ []; [ [ "a" ] ]; [ [ "a"; "b" ] ]; [ [ "a" ]; [ "b"; "c" ] ];
+          [ [ "c" ]; [ "a" ] ]; [ [ "a" ]; [ "zz" ] ]; [ [ "zz"; "a" ] ];
+          [ [ "b" ]; [ "a" ]; [ "c"; "zz" ] ] ]
+    in
+    let* pool = list_size (1 -- 6) (list_repeat 3 cell) in
+    let pool = Array.of_list (List.map (String.concat ",") pool) in
+    let* rows =
+      list_size (0 -- 20)
+        (frequency
+           [ (80, map (fun i -> pool.(i)) (int_bound (Array.length pool - 1)));
+             (1, map (String.concat ",") (list_size (1 -- 4) cell)) ])
+    in
+    let* eol = oneofl [ "\n"; "\r\n" ] in
+    let* tail = frequency [ (20, return ""); (1, return "\"x") ] in
+    return (keys, String.concat eol ("a,b,c" :: rows) ^ eol ^ tail))
+
+(* Witnesses compare with [Tuple.equal]: a loaded cell is the intern
+   pool's representative of its class, so a 0. cell may come back as a
+   -0. interned earlier. *)
+let csv_outcome f =
+  match f () with
+  | r -> Ok r
+  | exception R.Csv_io.Parse_error { line; message } ->
+      Error (`Parse (line, message))
+  | exception R.Schema.Unknown_attribute a -> Error (`Unknown a)
+  | exception R.Relation.Key_violation { key; tuple } ->
+      Error (`Key (key, tuple))
+
+(* The reference: [Relation.of_tuples] over [parse_string]'s records. *)
+let csv_reference keys text =
+  match R.Csv_io.parse_string text with
+  | [] ->
+      raise
+        (R.Csv_io.Parse_error
+           { line = 1; message = "empty CSV: missing header row" })
+  | header :: rows ->
+      let schema = R.Schema.of_names (List.map String.trim header) in
+      let arity = R.Schema.arity schema in
+      let tuple i cells =
+        let got = List.length cells in
+        if got <> arity then
+          raise
+            (R.Csv_io.Parse_error
+               {
+                 line = i + 2;
+                 message = Printf.sprintf "expected %d cells, got %d" arity got;
+               });
+        R.Tuple.make schema (List.map R.Value.of_csv_string cells)
+      in
+      R.Relation.of_tuples schema ~keys (List.mapi tuple rows)
+
+let csv_load_agrees (keys, text) =
+  match
+    ( csv_outcome (fun () -> R.Csv_io.relation_of_string ~keys text),
+      csv_outcome (fun () -> csv_reference keys text) )
+  with
+  | Ok loaded, Ok reference ->
+      let rows = R.Relation.tuples loaded in
+      List.equal R.Tuple.equal rows (R.Relation.tuples reference)
+      && R.Relation.declared_keys loaded = keys
+      && R.Columnar.equal (R.Relation.columnar loaded)
+           (R.Columnar.encode (R.Relation.schema loaded) (Array.of_list rows))
+  | Error (`Key (k1, t1)), Error (`Key (k2, t2)) ->
+      k1 = k2 && R.Tuple.equal t1 t2
+  | Error a, Error b -> a = b
+  | Ok _, Error _ | Error _, Ok _ -> false
+
 let csv_tests =
   [
     case "round-trip with quoting" (fun () ->
@@ -696,6 +779,20 @@ let csv_tests =
             Alcotest.(check bool) "" true (R.Relation.equal r back);
             Alcotest.(check (list (list string))) "" [ [ "a" ] ]
               (R.Relation.keys back)));
+    case "repeated header column is a parse error" (fun () ->
+        match R.Csv_io.relation_of_string "name,cuisine,name\nx,y,z\n" with
+        | _ -> Alcotest.fail "expected a parse error"
+        | exception R.Csv_io.Parse_error { line; message } ->
+            Alcotest.(check int) "line" 1 line;
+            Alcotest.(check string) "message"
+              "duplicate column \"name\" in the header" message);
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:1000 ~name:"load = of_tuples over parse_string"
+         ~print:(fun (keys, text) ->
+           Printf.sprintf "keys %s, text %S"
+             (String.concat ";" (List.map (String.concat ",") keys))
+             text)
+         csv_text_gen csv_load_agrees);
   ]
 
 let pretty_tests =

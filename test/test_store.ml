@@ -304,7 +304,8 @@ let recovery_tests =
               (S.recovered_records t);
             Alcotest.(check int) "one R row"
               1
-              (R.Keyed.cardinality (E.Incremental.r_base (S.incremental t)));
+              (R.Relation.Keyed.cardinality
+                 (E.Incremental.r_base (S.incremental t)));
             Alcotest.(check int) "one pair" 1 (cardinality t);
             Alcotest.(check int) "one derived entry" 1
               (List.length (E.Incremental.entries (S.incremental t)));
