@@ -104,8 +104,8 @@ let measure_extension () =
     ( Ilfd.Fixpoint.extend_relation inst.r ~target:r_target compiled,
       Ilfd.Fixpoint.extend_relation inst.s ~target:s_target compiled )
   and recursive () =
-    ( Ilfd.Apply.extend_relation inst.r ~target:r_target inst.ilfds,
-      Ilfd.Apply.extend_relation inst.s ~target:s_target inst.ilfds
+    ( Checker.Reference.extend_relation inst.r ~target:r_target inst.ilfds,
+      Checker.Reference.extend_relation inst.s ~target:s_target inst.ilfds
     )
   in
   let fr, fs = fixpoint () and rr, rs = recursive () in

@@ -17,6 +17,7 @@ type fault =
   | Kdb_lost_edge
   | Md_phantom_match
   | Merge_rogue_pair
+  | Stratum_order
 
 let all_faults =
   [
@@ -27,6 +28,7 @@ let all_faults =
     Kdb_lost_edge;
     Md_phantom_match;
     Merge_rogue_pair;
+    Stratum_order;
   ]
 
 let fault_to_string = function
@@ -37,6 +39,7 @@ let fault_to_string = function
   | Kdb_lost_edge -> "kdb-lost-edge"
   | Md_phantom_match -> "md-phantom-match"
   | Merge_rogue_pair -> "merge-rogue-pair"
+  | Stratum_order -> "derivation-stratum-order"
 
 let fault_of_string s =
   List.find_opt (fun f -> String.equal (fault_to_string f) s) all_faults
@@ -204,10 +207,202 @@ let describe_conflict (c : Ilfd.Apply.conflict) =
 
 (* ---- the checks, in their fixed order ---- *)
 
+(* ---- the per-tuple evaluator against the scan ---- *)
+
+let same_derivation (a : Ilfd.Apply.derivation) (b : Ilfd.Apply.derivation) =
+  String.equal a.attribute b.attribute
+  && R.Value.equal a.value b.value
+  && Ilfd.equal a.rule b.rule
+
+let same_conflict (a : Ilfd.Apply.conflict) (b : Ilfd.Apply.conflict) =
+  String.equal a.attribute b.attribute
+  && R.Value.equal a.first b.first
+  && R.Value.equal a.second b.second
+  && Ilfd.equal a.rule b.rule
+
+let same_extension a b =
+  match (a, b) with
+  | Ok (t1, d1), Ok (t2, d2) ->
+      R.Tuple.equal t1 t2 && List.equal same_derivation d1 d2
+  | Error c1, Error c2 -> same_conflict c1 c2
+  | _ -> false
+
+let describe_extension = function
+  | Ok (t, ds) ->
+      Printf.sprintf "%s by [%s]" (R.Tuple.to_string t)
+        (String.concat "; "
+           (List.map (fun (d : Ilfd.Apply.derivation) -> d.attribute) ds))
+  | Error (c : Ilfd.Apply.conflict) ->
+      Printf.sprintf "conflict on %s: %s vs %s" c.attribute
+        (R.Value.to_string c.first)
+        (R.Value.to_string c.second)
+
+(* A probe: one family and one target for one side's rows, and how many
+   of them must take the scan, when that is known. *)
+type probe = {
+  label : string;
+  ilfds : Ilfd.t list;
+  target : R.Schema.t;
+  rows : R.Tuple.t list;
+  scans : int option;
+}
+
+(* The seeded fault: the evaluator's derivations re-sorted by stratum,
+   which loses the demand order whenever a lookup reaches a deep
+   attribute before a shallow one. *)
+let by_stratum ilfds = function
+  | Error _ as e -> e
+  | Ok (t, ds) ->
+      let stratum = Reference.strata ilfds in
+      Ok
+        ( t,
+          List.stable_sort
+            (fun (a : Ilfd.Apply.derivation) (b : Ilfd.Apply.derivation) ->
+              Int.compare (stratum a.attribute) (stratum b.attribute))
+            ds )
+
+(* Every row of the probe through [Fixpoint.extend_tuple] and through
+   the scan: the same tuple, the same derivations in the same order, the
+   same witness; and exactly the expected rows counted as scans. *)
+let run_probe check ~fault ~mode ~source p =
+  let compiled = Ilfd.Apply.compile p.ilfds in
+  let plan = Ilfd.Fixpoint.plan ~source ~target:p.target compiled in
+  let telemetry = Telemetry.create () in
+  let rec go = function
+    | [] -> Ok ()
+    | t :: rest ->
+        let got =
+          Ilfd.Fixpoint.extend_tuple ~mode ~telemetry plan t
+          |> if fault = Stratum_order then by_stratum p.ilfds else Fun.id
+        in
+        let want =
+          Ilfd.Apply.extend_tuple_compiled ~mode source t ~target:p.target
+            compiled
+        in
+        if same_extension got want then go rest
+        else
+          fail check
+            "%s probe, row %s: the per-tuple evaluator gives %s, the scan %s"
+            p.label (R.Tuple.to_string t) (describe_extension got)
+            (describe_extension want)
+  in
+  let* () = go p.rows in
+  let scans = Telemetry.counter telemetry "ilfd.fixpoint.fallback_classes" in
+  match p.scans with
+  | Some n when n <> scans ->
+      fail check "%s probe: %d of %d rows took the scan, expected %d" p.label
+        scans (List.length p.rows) n
+  | _ -> Ok ()
+
+(* Past 2^53 an integer's match class is ambiguous. *)
+let above_2_53 = R.Value.Int 9007199254740993
+
+(* The probes for one side: the scenario's family and target; the
+   family plus an echo of every consequent, over a target listing every
+   attribute the family mentions, deepest first, so demand order and
+   stratum order part; the family closed into a cycle, which no table
+   evaluates; and rows whose first cell the family reads holds a number
+   above 2^53, which the tables cannot match. *)
+let probes (sc : Scenario.t) rel =
+  let source = R.Relation.schema rel in
+  let rows = R.Relation.tuples rel in
+  let target = Identify.extension_schema rel sc.key in
+  let echo =
+    List.sort_uniq compare
+      (List.concat_map
+         (fun rule ->
+           List.map
+             (fun (c : Ilfd.condition) -> (c.attribute, c.value))
+             (Ilfd.consequent rule))
+         sc.ilfds)
+    |> List.map (fun (a, v) ->
+           Ilfd.make1 [ Ilfd.condition a v ] ("echo_" ^ a) v)
+  in
+  let demand_ilfds = sc.ilfds @ echo in
+  let stratum = Reference.strata demand_ilfds in
+  let wide =
+    List.concat_map Ilfd.attributes demand_ilfds
+    |> List.sort_uniq String.compare
+    |> List.filter (fun a -> not (R.Schema.mem source a))
+    |> List.stable_sort (fun a b -> Int.compare (stratum b) (stratum a))
+  in
+  let read =
+    List.find_opt
+      (fun a ->
+        List.exists
+          (fun rule ->
+            List.exists
+              (fun (c : Ilfd.condition) -> String.equal c.attribute a)
+              (Ilfd.antecedent rule))
+          sc.ilfds)
+      (R.Schema.names source)
+  in
+  let cycle =
+    List.find_map
+      (fun rule ->
+        match (Ilfd.antecedent rule, Ilfd.consequent rule) with
+        | (a : Ilfd.condition) :: _, (c : Ilfd.condition) :: _ ->
+            Some
+              (Ilfd.make1
+                 [ Ilfd.condition c.attribute c.value ]
+                 a.attribute a.value)
+        | _ -> None)
+      sc.ilfds
+  in
+  let n = List.length rows in
+  List.concat
+    [
+      [ { label = "scenario"; ilfds = sc.ilfds; target; rows; scans = None } ];
+      [
+        {
+          label = "demand-order";
+          ilfds = demand_ilfds;
+          target = R.Schema.concat source (R.Schema.of_names wide);
+          rows;
+          scans = None;
+        };
+      ];
+      (match cycle with
+      | Some back ->
+          [
+            {
+              label = "cyclic";
+              ilfds = sc.ilfds @ [ back ];
+              target;
+              rows;
+              scans = Some n;
+            };
+          ]
+      | None -> []);
+      (match read with
+      | Some a ->
+          [
+            {
+              label = "above-2^53";
+              ilfds = sc.ilfds;
+              target;
+              rows = List.map (fun t -> R.Tuple.set source t a above_2_53) rows;
+              scans = Some n;
+            };
+          ]
+      | None -> []);
+    ]
+
+let check_tuples ~fault ~mode check (sc : Scenario.t) =
+  let side rel =
+    let source = R.Relation.schema rel in
+    List.fold_left
+      (fun acc p ->
+        Result.bind acc (fun () -> run_probe check ~fault ~mode ~source p))
+      (Ok ()) (probes sc rel)
+  in
+  let* () = side sc.r in
+  side sc.s
+
 (* R′ and S′ inherit set semantics and a coded view from R and S rather
    than re-establishing them, so both are held to what the general
    constructor and a fresh encode would give. *)
-let check_fixpoint (sc : Scenario.t) (base : Identify.outcome) =
+let check_fixpoint ~fault (sc : Scenario.t) (base : Identify.outcome) =
   let side name rel ext =
     let _, manual = manual_extension sc rel in
     let rows = R.Relation.tuples ext in
@@ -234,7 +429,8 @@ let check_fixpoint (sc : Scenario.t) (base : Identify.outcome) =
     else Ok ()
   in
   let* () = side "R" sc.r base.r_extended in
-  side "S" sc.s base.s_extended
+  let* () = side "S" sc.s base.s_extended in
+  check_tuples ~fault ~mode:Ilfd.Apply.First_rule "fixpoint-agreement" sc
 
 let check_partition (sc : Scenario.t) (base : Identify.outcome) =
   let identity = [ EK.equivalence_rule sc.key ] in
@@ -394,7 +590,8 @@ let check_family ~fault ~telemetry (sc : Scenario.t) (base : Identify.outcome)
     | Kdb_lost_edge -> Families.Lost_edge
     | Md_phantom_match -> Families.Phantom_match
     | Merge_rogue_pair -> Families.Rogue_pair
-    | No_fault | Broken_blocking_key | Drop_last_pair | Lost_insert ->
+    | No_fault | Broken_blocking_key | Drop_last_pair | Lost_insert
+    | Stratum_order ->
         Families.No_fault
   in
   Result.map_error
@@ -439,6 +636,10 @@ let check_conflicts (sc : Scenario.t) =
   in
   let incr =
     conflict_of (fun () -> replay ~mode:Ilfd.Apply.Check_conflicts sc)
+  in
+  let* () =
+    check_tuples ~fault:No_fault ~mode:Ilfd.Apply.Check_conflicts
+      "conflict-agreement" sc
   in
   match (batch, incr) with
   | None, None -> Ok ()
@@ -570,7 +771,7 @@ let run ?(fault = No_fault) ?(telemetry = Telemetry.off) (sc : Scenario.t) =
             | [] -> []
             | _ :: t -> List.rev t)
         | No_fault | Lost_insert | Kdb_lost_edge | Md_phantom_match
-        | Merge_rogue_pair ->
+        | Merge_rogue_pair | Stratum_order ->
             base_entries
       in
       let mt =
@@ -579,7 +780,7 @@ let run ?(fault = No_fault) ?(telemetry = Telemetry.off) (sc : Scenario.t) =
           ~s_key_attrs:(R.Relation.primary_key sc.s)
           engine_entries
       in
-      let* () = check_fixpoint sc base in
+      let* () = check_fixpoint ~fault sc base in
       let* () =
         entry_sets_equal "verdict-tables" ~left:"engine" ~right:"reference"
           engine_entries (reference_entries sc)

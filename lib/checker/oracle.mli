@@ -2,8 +2,9 @@
     verdict.
 
     A scenario is pushed through the whole engine matrix — recursive
-    per-tuple vs semi-naive fixpoint ILFD extension
-    ([fixpoint-agreement]), the naive reference join, the blocked
+    per-tuple vs semi-naive fixpoint ILFD extension, and the per-tuple
+    evaluator vs the scan on every row ([fixpoint-agreement]), the naive
+    reference join, the blocked
     partition, the parallel executor, the rule-driven matcher, the
     incremental replay, k-ary clustering — and through the metamorphic
     transformations (ILFD prefixes, tuple removal, tuple-order
@@ -39,6 +40,10 @@ type fault =
   | Merge_rogue_pair
       (** a merge-policy scenario's MT gains a pair from two distinct
           merge-then-rematch groups ({!Families.fault}[.Rogue_pair]) *)
+  | Stratum_order
+      (** the per-tuple evaluator ({!Ilfd.Fixpoint.extend_tuple}) lists
+          its derivations in stratum order instead of the reference's
+          demand order *)
 
 val all_faults : fault list
 val fault_to_string : fault -> string

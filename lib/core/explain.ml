@@ -24,23 +24,39 @@ let index_by_key rel =
     rel;
   by_key
 
-let derivations_of ?mode rel key compiled tuple =
-  let schema = Relation.schema rel in
-  let target = Identify.extension_schema rel key in
-  match
-    Ilfd.Apply.extend_tuple_compiled ?mode schema tuple ~target compiled
-  with
-  | Ok (extended, derivations) -> (extended, derivations)
+type item =
+  | Derived of explanation
+  | Manual of { entry : Matching_table.entry; record : int }
+
+let derive ?mode plan tuple =
+  match Ilfd.Fixpoint.extend_tuple ?mode plan tuple with
+  | Ok derived -> derived
   | Error conflict ->
       (* Check_conflicts mode: surface the disagreeing derivations the
          same way the extension pipeline does, witness attached, instead
          of dying on an assertion. *)
       raise (Ilfd.Apply.Conflict_found conflict)
 
+let of_rows ?mode ~key ~r_plan ~s_plan entry tr ts =
+  let r_ext, r_derivations = derive ?mode r_plan tr in
+  let _, s_derivations = derive ?mode s_plan ts in
+  let target = Ilfd.Fixpoint.plan_target r_plan in
+  let key_values =
+    List.map
+      (fun a -> (a, Tuple.get target r_ext a))
+      (Extended_key.attributes key)
+  in
+  { entry; key_values; r_derivations; s_derivations }
+
 let matches ?mode ~r ~s ~key ilfds =
   let outcome = Identify.run ?mode ~r ~s ~key ilfds in
-  let kext = Extended_key.attributes key in
   let compiled = Ilfd.Apply.compile ilfds in
+  let plan rel =
+    Ilfd.Fixpoint.plan ~source:(Relation.schema rel)
+      ~target:(Identify.extension_schema rel key)
+      compiled
+  in
+  let r_plan = plan r and s_plan = plan s in
   let r_by_key = index_by_key r and s_by_key = index_by_key s in
   List.filter_map
     (fun (entry : Matching_table.entry) ->
@@ -49,13 +65,7 @@ let matches ?mode ~r ~s ~key ilfds =
           Tuple_tbl.find_opt s_by_key entry.s_key )
       with
       | Some tr, Some ts ->
-          let r_ext, r_derivations = derivations_of ?mode r key compiled tr in
-          let _, s_derivations = derivations_of ?mode s key compiled ts in
-          let target = Identify.extension_schema r key in
-          let key_values =
-            List.map (fun a -> (a, Tuple.get target r_ext a)) kext
-          in
-          Some { entry; key_values; r_derivations; s_derivations }
+          Some (of_rows ?mode ~key ~r_plan ~s_plan entry tr ts)
       | _ -> None)
     (Matching_table.entries outcome.matching_table)
 
@@ -99,12 +109,27 @@ let pp_explanation ppf e =
           List.iter (fun d -> Format.fprintf ppf "  %a@," pp_derivation d) ds)
     e.s_derivations
 
-let render explanations =
+(* A manual pair has no derivation to show: it cites the merge that
+   asserted it, and reads "manual", never "match", so a count of the
+   "] match " headers counts derived pairs only. *)
+let pp_manual ppf (entry : Matching_table.entry) record =
+  Format.fprintf ppf
+    "@[<v2>manual %a ~ %a@,asserted by merge-log record #%d; no ILFD \
+     derivation@]"
+    Tuple.pp entry.r_key Tuple.pp entry.s_key record
+
+let pp_item ppf = function
+  | Derived e -> pp_explanation ppf e
+  | Manual { entry; record } -> pp_manual ppf entry record
+
+let render_items items =
   let buf = Buffer.create 256 in
   let ppf = Format.formatter_of_buffer buf in
   List.iteri
-    (fun i e ->
-      Format.fprintf ppf "[%d] %a@.@." (i + 1) pp_explanation e)
-    explanations;
+    (fun i item -> Format.fprintf ppf "[%d] %a@.@." (i + 1) pp_item item)
+    items;
   Format.pp_print_flush ppf ();
   Buffer.contents buf
+
+let render explanations =
+  render_items (List.map (fun e -> Derived e) explanations)

@@ -18,10 +18,34 @@ type explanation = {
   s_derivations : Ilfd.Apply.derivation list;
 }
 
+(** One pair of an effective matching table: a pair the ILFDs derived,
+    with its chains, or a pair a manual merge asserted, citing that
+    merge's 1-based position in the store's merge log. *)
+type item =
+  | Derived of explanation
+  | Manual of { entry : Matching_table.entry; record : int }
+
+(** [of_rows ?mode ~key ~r_plan ~s_plan entry tr ts] — the explanation
+    of [entry], whose base rows are [tr] and [ts]: both rows derived
+    through their side's plan ({!Ilfd.Fixpoint.extend_tuple}), the
+    agreed key values read off [tr]'s extension.
+    @raise Ilfd.Apply.Conflict_found in [Check_conflicts] mode when a
+    row's derivations disagree. *)
+val of_rows :
+  ?mode:Ilfd.Apply.mode ->
+  key:Extended_key.t ->
+  r_plan:Ilfd.Fixpoint.plan ->
+  s_plan:Ilfd.Fixpoint.plan ->
+  Matching_table.entry ->
+  Relational.Tuple.t ->
+  Relational.Tuple.t ->
+  explanation
+
 (** [matches ?mode ~r ~s ~key ilfds] — one explanation per matched pair,
-    in matching-table order (re-runs the pipeline capturing derivations;
-    the family is compiled once per call, and each pair's tuples are
-    found through one key index per side).
+    in matching-table order (re-runs the pipeline for the pairs; the
+    family is compiled once per call into one plan per side, each
+    pair's tuples are found through one key index per side, and their
+    chains are derived through the plans).
     [mode] (default [First_rule]) is the derivation mode, matching the
     run being explained.
     @raise Ilfd.Apply.Conflict_found in [Check_conflicts] mode when some
@@ -48,5 +72,12 @@ val prove_derivation :
 
 val pp_explanation : Format.formatter -> explanation -> unit
 
-(** [render explanations] — a human-readable report. *)
+(** [render explanations] — a human-readable report: [render_items] of
+    the explanations as [Derived] items. *)
 val render : explanation list -> string
+
+(** [render_items items] — one numbered entry per item. A derived pair's
+    header reads [[i] match (r key) ~ (s key)], a manual pair's
+    [[i] manual (r key) ~ (s key)], followed by its merge-log
+    citation. *)
+val render_items : item list -> string

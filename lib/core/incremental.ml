@@ -14,9 +14,10 @@ type t = {
   s : Keyed.t;
   key : Extended_key.t;
   ilfds : Ilfd.t list;
-  compiled : Ilfd.Apply.compiled;
-      (** [ilfds] compiled once per state, never per insert; rebuilt by
-          [restore] and [add_ilfd], never dumped *)
+  r_plan : Ilfd.Fixpoint.plan;
+      (** [ilfds] compiled for R's tuples once per state, never per
+          insert; rebuilt by [restore] and [add_ilfd], never dumped *)
+  s_plan : Ilfd.Fixpoint.plan;
   mode : Ilfd.Apply.mode;  (** derivation mode, applied to every insert *)
   telemetry : Telemetry.t;  (** sink charged by every insertion *)
   r_target : Schema.t;
@@ -52,17 +53,28 @@ let matching_table t =
     ~s_key_attrs:(Keyed.primary_key t.s)
     (entries t)
 
+(* One plan per side, over one compilation of the family. *)
+let plans ilfds ~r_source ~r_target ~s_source ~s_target =
+  let compiled = Ilfd.Apply.compile ilfds in
+  ( Ilfd.Fixpoint.plan ~source:r_source ~target:r_target compiled,
+    Ilfd.Fixpoint.plan ~source:s_source ~target:s_target compiled )
+
 let of_outcome ?(mode = Ilfd.Apply.First_rule) ?(telemetry = Telemetry.off)
     ~r ~s ~key ~ilfds (o : Identify.outcome) =
   let r_target = Relation.schema o.r_extended in
   let s_target = Relation.schema o.s_extended in
   let kext = Extended_key.attributes key in
+  let r_plan, s_plan =
+    plans ilfds ~r_source:(Relation.schema r) ~r_target
+      ~s_source:(Relation.schema s) ~s_target
+  in
   {
     r = Keyed.of_relation r;
     s = Keyed.of_relation s;
     key;
     ilfds;
-    compiled = Ilfd.Apply.compile ilfds;
+    r_plan;
+    s_plan;
     mode;
     telemetry;
     r_target;
@@ -85,12 +97,11 @@ let create ?(mode = Ilfd.Apply.First_rule) ?(telemetry = Telemetry.off) ~r ~s
   of_outcome ~mode ~telemetry ~r ~s ~key ~ilfds
     (Identify.run ~mode ~telemetry ~r ~s ~key ilfds)
 
-let extend_one t schema tuple ~target =
+let derive t plan tuple =
   match
-    Ilfd.Apply.extend_tuple_compiled ~mode:t.mode schema tuple ~target
-      t.compiled
+    Ilfd.Fixpoint.extend_tuple ~mode:t.mode ~telemetry:t.telemetry plan tuple
   with
-  | Ok (extended, _) -> extended
+  | Ok derived -> derived
   | Error conflict ->
       (* Only reachable in Check_conflicts mode; surface the witness the
          same way the batch pipeline does. *)
@@ -104,7 +115,7 @@ let count_insert t ~probe_null ~pairs_added =
 
 (* [r] is [t.r] with [tuple] appended. *)
 let extend_r t r tuple =
-  let extended = extend_one t (Keyed.schema t.r) tuple ~target:t.r_target in
+  let extended, _ = derive t t.r_plan tuple in
   let partners = Index.lookup_tuple t.s_index t.r_target extended in
   (* Index lookup finds S′ tuples equal on K_Ext; both sides must be
      fully non-NULL (the index drops NULL keys, and so does the probe). *)
@@ -130,7 +141,7 @@ let extend_r t r tuple =
   (t', List.map (entry_of t') new_pairs)
 
 let extend_s t s tuple =
-  let extended = extend_one t (Keyed.schema t.s) tuple ~target:t.s_target in
+  let extended, _ = derive t t.s_plan tuple in
   let partners = Index.lookup_tuple t.r_index t.s_target extended in
   let probe_null =
     Tuple.has_null (Tuple.project t.s_target extended (kext t))
@@ -176,6 +187,17 @@ let add_ilfd t ilfd =
     (create ~mode:t.mode ~telemetry:t.telemetry ~r:(Keyed.to_relation t.r)
        ~s:(Keyed.to_relation t.s) ~key:t.key (t.ilfds @ [ ilfd ]))
     t.journal
+
+let explain t (entry : Matching_table.entry) =
+  match
+    ( Keyed.find_key t.r (Tuple.to_array entry.r_key),
+      Keyed.find_key t.s (Tuple.to_array entry.s_key) )
+  with
+  | Some tr, Some ts ->
+      Some
+        (Explain.of_rows ~mode:t.mode ~key:t.key ~r_plan:t.r_plan
+           ~s_plan:t.s_plan entry tr ts)
+  | _ -> None
 
 let r t = Keyed.to_relation t.r
 let s t = Keyed.to_relation t.s
@@ -286,12 +308,16 @@ let restore ?(telemetry = Telemetry.off) d =
     Index.of_tuples schema kext
       (Keyed.tuples (Keyed.of_tuples schema ~keys:[] (List.rev newest_first)))
   in
+  let r_plan, s_plan =
+    plans ilfds ~r_source:r_schema ~r_target ~s_source:s_schema ~s_target
+  in
   {
     r;
     s;
     key;
     ilfds;
-    compiled = Ilfd.Apply.compile ilfds;
+    r_plan;
+    s_plan;
     mode = d.d_mode;
     telemetry;
     r_target;

@@ -77,6 +77,13 @@ val entries : t -> Matching_table.entry list
 
 val matching_table : t -> Matching_table.t
 
+(** [explain t entry] — the ILFD chains behind the stored rows whose
+    primary keys are [entry]'s, derived through the state's plans
+    ({!Explain.of_rows}), or [None] when either key names no stored row.
+    It does not check that the rows match: the caller picks the pair.
+    O(log n) plus the two derivations. *)
+val explain : t -> Matching_table.entry -> Explain.explanation option
+
 (** [r t] — R as a {!Relational.Relation.t}, built on each call in
     O(n) ({!Relational.Relation.Keyed.to_relation}: the rows are not
     checked again). For reports, {!add_ilfd} and tests; hot paths read

@@ -160,20 +160,6 @@ let extend_tuple_compiled ?(mode = First_rule) schema tuple ~target c =
 let extend_tuple ?mode schema tuple ~target ilfds =
   extend_tuple_compiled ?mode schema tuple ~target (compile ilfds)
 
-(* The reference evaluator: every tuple derived independently by the
-   recursive engine, in row order, so the first conflicting row raises. *)
-let extend_relation ?mode r ~target ilfds =
-  let c = compile ilfds in
-  let schema = Relational.Relation.schema r in
-  let extend t =
-    match extend_tuple_compiled ?mode schema t ~target c with
-    | Error conflict -> raise (Conflict_found conflict)
-    | Ok (extended, _) -> extended
-  in
-  Relational.Relation.of_tuples target
-    ~keys:(Relational.Relation.declared_keys r)
-    (List.map extend (Relational.Relation.tuples r))
-
 let derivable_attributes schema ilfds =
   (* Fixpoint over attribute availability: an ILFD can contribute when
      all its antecedent attributes are available. *)

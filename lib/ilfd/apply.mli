@@ -35,10 +35,10 @@ type compiled
 
 (** [compile ilfds] builds the index in time linear in the family (one
     pass, each consequent list reversed once at the end). Production
-    callers compile once per family and reuse the result: a batch run
-    for both sides ({!Fixpoint.extend_relation}), a serve store for
-    every insert and every replayed WAL record, an explain request for
-    every pair. *)
+    callers compile once per family and build their {!Fixpoint.plan}s
+    on it: a batch run for both sides ({!Fixpoint.extend_relation}), a
+    serve store for every insert, replayed WAL record and explained
+    pair, an explain report for every pair. *)
 val compile : Def.t list -> compiled
 val compiled_rules : compiled -> Def.t list
 
@@ -49,8 +49,10 @@ val compiled_rules : compiled -> Def.t list
 val consequents : compiled -> (string * (Def.t * Relational.Value.t) list) list
 
 (** [extend_tuple_compiled ?mode schema tuple ~target c] — as
-    {!extend_tuple}, against a precompiled family. Use this when
-    extending many tuples with the same ILFDs. *)
+    {!extend_tuple}, against a precompiled family: the scan, which tests
+    every candidate rule of an attribute. It is the reference
+    {!Fixpoint.extend_tuple} is held to; in production only that
+    evaluator's fallback calls it. *)
 val extend_tuple_compiled :
   ?mode:mode ->
   Relational.Schema.t ->
@@ -66,8 +68,8 @@ val extend_tuple_compiled :
     derivation order, including scratch intermediates), or the first
     conflict in [Check_conflicts] mode. A one-shot convenience that
     compiles [ilfds] on every call, for tests and checker references;
-    production code holds a {!compiled} family and calls
-    {!extend_tuple_compiled}. *)
+    production code holds a {!Fixpoint.plan} and calls
+    {!Fixpoint.extend_tuple}. *)
 val extend_tuple :
   ?mode:mode ->
   Relational.Schema.t ->
@@ -76,21 +78,10 @@ val extend_tuple :
   Def.t list ->
   (Relational.Tuple.t * derivation list, conflict) result
 
-(** [extend_relation ?mode r ~target ilfds] maps {!extend_tuple} over a
-    relation, serially and in row order; the result keeps [r]'s declared
-    keys (still valid: original attributes are unchanged). This is the
-    {e reference} evaluator the tests, benches and agreement oracles
-    hold the production extender ({!Fixpoint.extend_relation}) to.
-    @raise Conflict_found (with the first conflicting row's witness) in
-    [Check_conflicts] mode when some tuple has disagreeing
-    derivations. *)
-val extend_relation :
-  ?mode:mode ->
-  Relational.Relation.t ->
-  target:Relational.Schema.t ->
-  Def.t list ->
-  Relational.Relation.t
-
+(** A derivation conflict surfaced as an exception — by
+    {!Fixpoint.extend_relation} and every caller that extends in
+    [Check_conflicts] mode — carrying the first conflicting tuple's
+    witness. *)
 exception Conflict_found of conflict
 
 (** [derivable_attributes schema ilfds] — attributes some ILFD could in

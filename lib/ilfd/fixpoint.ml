@@ -5,15 +5,24 @@ module Relation = Relational.Relation
 module Intern = Relational.Intern
 module Columnar = Relational.Columnar
 
-(* One hash table per run of consecutive same-antecedent-signature rules
-   of a consequent attribute: key = match codes of the antecedent
-   condition values (in the antecedent's sorted condition order), value =
-   the storage code the first such rule assigns. Keep-first insertion
-   preserves First_rule priority inside a group; group order preserves it
-   across groups. *)
+(* One group per run of consecutive same-antecedent-signature rules of
+   a consequent attribute. Both of its tables are keyed on the match
+   codes of the antecedent condition values, in the antecedent's sorted
+   condition order, and each is built on first use:
+   - [table], for the chase: the storage code the first such rule
+     assigns (keep-first insertion preserves First_rule priority inside
+     a group; group order preserves it across groups);
+   - [trie], for the per-tuple evaluator: every proper prefix of a key,
+     zero-padded to the key's length, maps to [Prefix], and a full key
+     to every (rule, value, value's match code) it fires, in family
+     order. Full keys hold no zero (NULL never matches), so the two
+     kinds of entry never collide. *)
+type node = Prefix | Leaf of (Def.t * V.t * int) list
+
 type group = {
   sig_ids : int array;  (** chase column per antecedent condition *)
-  table : (int array, int) Hashtbl.t;
+  table : (int array, int) Hashtbl.t Lazy.t;
+  trie : (int array, node) Hashtbl.t Lazy.t;
 }
 
 type attr_task = {
@@ -28,9 +37,21 @@ type attr_task = {
 
 type plan = {
   compiled : Apply.compiled;
+  source : Schema.t;
+  target : Schema.t;
   n_cols : int;  (** chase columns: every attribute any rule mentions *)
+  attr_names : string array;  (** chase column -> attribute *)
+  col_target : int array;  (** chase column -> target position, or [-1] *)
   key_ids : int array;  (** chase columns initialised from source cells *)
   key_attrs : string array;  (** their source attribute names *)
+  key_src : int array;  (** their source positions *)
+  groups_of : group list array;
+      (** chase column -> its rules' groups, in family order; empty when
+          the chase is not exact *)
+  top : int array;
+      (** the derivable chase columns of the target, in target order:
+          the attributes the reference looks up, in its order *)
+  target_src : int array;  (** target position -> source position, or [-1] *)
   strata : attr_task array array;
       (** tasks grouped by stratum, in evaluation order; empty when the
           chase is not exact *)
@@ -49,8 +70,8 @@ exception
   }
 
 (* Fault-injection hook for the [Fallback_desync] arm below: in
-   First_rule mode the per-class recursive fallback by construction
-   never reports a conflict, so the arm is unreachable in production.
+   First_rule mode the per-class evaluation by construction never
+   reports a conflict, so the arm is unreachable in production.
    Tests inject a witness here to prove the arm raises the
    typed exception (same pattern as [Decision.partition]'s [?decide]
    hook) instead of an anonymous assertion failure. *)
@@ -58,7 +79,7 @@ let inject_fallback_conflict : (Relational.Tuple.t -> Apply.conflict option) ref
     =
   ref (fun _ -> None)
 
-let make ~source ~target c =
+let plan ~source ~target c =
   let cons = Apply.consequents c in
   (* Chase column ids, in first-mention order over the (deterministic)
      consequent listing. *)
@@ -164,44 +185,111 @@ let make ~source ~target c =
     | () -> true
     | exception Cyclic -> false
   in
-  let plan =
-    { compiled = c; n_cols = n; key_ids; key_attrs; strata = [||]; exact }
+  let match_of v = Intern.match_code (Intern.code v) in
+  let group_of sig_attrs rules =
+    let key_of rule =
+      Array.of_list
+        (List.map
+           (fun (c : Def.condition) -> match_of c.value)
+           (Def.antecedent rule))
+    in
+    let table =
+      lazy
+        (let table = Hashtbl.create 8 in
+         List.iter
+           (fun (rule, v) ->
+             let k = key_of rule in
+             if not (Hashtbl.mem table k) then
+               Hashtbl.add table k (Intern.code v))
+           rules;
+         table)
+    in
+    let trie =
+      lazy
+        (let trie = Hashtbl.create 8 in
+         List.iter
+           (fun (rule, v) ->
+             let k = key_of rule in
+             let m = Array.length k in
+             for p = 0 to m - 2 do
+               let prefix =
+                 Array.init m (fun i -> if i <= p then k.(i) else 0)
+               in
+               if not (Hashtbl.mem trie prefix) then
+                 Hashtbl.add trie prefix Prefix
+             done;
+             let fired =
+               match Hashtbl.find_opt trie k with Some (Leaf l) -> l | _ -> []
+             in
+             (* Prepend now, reverse once below: family order. *)
+             Hashtbl.replace trie k (Leaf ((rule, v, match_of v) :: fired)))
+           rules;
+         Hashtbl.filter_map_inplace
+           (fun _ node ->
+             match node with
+             | Leaf l -> Some (Leaf (List.rev l))
+             | Prefix -> Some Prefix)
+           trie;
+         trie)
+    in
+    { sig_ids = Array.of_list (List.map id_of sig_attrs); table; trie }
   in
-  if not exact then plan
+  let signature rule =
+    List.map (fun (c : Def.condition) -> c.attribute) (Def.antecedent rule)
+  in
+  let rec groups_of = function
+    | [] -> []
+    | ((rule, _) :: _) as rules ->
+        let s = signature rule in
+        let same, rest =
+          let rec span acc = function
+            | (r', v') :: tl when signature r' = s -> span ((r', v') :: acc) tl
+            | tl -> (List.rev acc, tl)
+          in
+          span [] rules
+        in
+        group_of s same :: groups_of rest
+  in
+  let groups_by_col = Array.make n [] in
+  if exact then
+    List.iter
+      (fun (attr, rules) -> groups_by_col.(id_of attr) <- groups_of rules)
+      cons;
+  let top =
+    List.filter_map
+      (fun (a : Schema.attribute) ->
+        match Hashtbl.find_opt ids a.name with
+        | Some id when derivable.(id) -> Some id
+        | _ -> None)
+      (Schema.attributes target)
+  in
+  let p =
+    {
+      compiled = c;
+      source;
+      target;
+      n_cols = n;
+      attr_names;
+      col_target = target_pos;
+      key_ids;
+      key_attrs;
+      key_src = Array.map (fun a -> Schema.index_of source a) key_attrs;
+      groups_of = groups_by_col;
+      top = Array.of_list top;
+      target_src =
+        Array.of_list
+          (List.map
+             (fun (a : Schema.attribute) ->
+               match Schema.index_of_opt source a.name with
+               | Some i -> i
+               | None -> -1)
+             (Schema.attributes target));
+      strata = [||];
+      exact;
+    }
+  in
+  if not exact then p
   else
-    let signature rule =
-      List.map (fun (c : Def.condition) -> c.attribute) (Def.antecedent rule)
-    in
-    let group_of sig_attrs rules =
-      let table = Hashtbl.create 8 in
-      List.iter
-        (fun (rule, v) ->
-          let k =
-            Array.of_list
-              (List.map
-                 (fun (c : Def.condition) ->
-                   Intern.match_code (Intern.code c.value))
-                 (Def.antecedent rule))
-          in
-          if not (Hashtbl.mem table k) then
-            Hashtbl.add table k (Intern.code v))
-        rules;
-      { sig_ids = Array.of_list (List.map id_of sig_attrs); table }
-    in
-    let rec groups_of = function
-      | [] -> []
-      | ((rule, _) :: _) as rules ->
-          let s = signature rule in
-          let same, rest =
-            let rec span acc = function
-              | (r', v') :: tl when signature r' = s ->
-                  span ((r', v') :: acc) tl
-              | tl -> (List.rev acc, tl)
-            in
-            span [] rules
-          in
-          group_of s same :: groups_of rest
-    in
     let task_of (attr, rules) =
       let id = id_of attr in
       let delta_only =
@@ -219,7 +307,7 @@ let make ~source ~target c =
         {
           col_id = id;
           target_pos = target_pos.(id);
-          groups = groups_of rules;
+          groups = groups_by_col.(id);
           delta_only;
         } )
     in
@@ -232,13 +320,135 @@ let make ~source ~target c =
                (fun (s, t) -> if s = k + 1 then Some t else None)
                tasks))
     in
-    { plan with strata }
+    { p with strata }
 
 let supported ~source ~target ilfds =
-  (make ~source ~target (Apply.compile ilfds)).exact
+  (plan ~source ~target (Apply.compile ilfds)).exact
+
+let plan_target p = p.target
+
+exception Conflict_exn of Apply.conflict
+
+(* The per-tuple evaluator: the recursive engine's answer — its tuple,
+   its derivation list in its order, its conflict witness — read off the
+   group tries instead of a scan of every candidate rule.
+
+   The reference derives an attribute by testing every candidate rule's
+   antecedent in family order ([List.filter]), each condition in order
+   until one fails ([List.for_all]); each lookup of an unresolved
+   attribute derives it, and a derivation is recorded when it completes.
+   On an acyclic family every lookup after the first returns the same
+   value and derives nothing, so only the first lookup of each attribute
+   has an effect, and a group's rules make their first lookups in
+   signature order: the group's first rule looks up its first
+   attribute, and the rules reach the attribute at position p + 1 iff
+   some rule's first p + 1 values match the tuple's — a prefix the trie
+   holds. Walking each group's trie, in group order, therefore makes the
+   reference's first lookups in the reference's order, and the rules it
+   finds applicable are the leaves reached, in family order. A derived
+   attribute is resolved once: no re-entry is possible without a cycle.
+
+   [on_scan] is called when the tuple takes the scan instead: the plan
+   is not exact (a cyclic family, or an ambiguous numeric rule value),
+   or a source cell the family reads is a numeric above 2^53, whose
+   match class is ambiguous. *)
+let eval ~on_scan p ~mode tuple =
+  let n = p.n_cols in
+  let codes = Array.make n 0 in
+  let resolved = Bytes.make n '\000' in
+  let safe = ref p.exact in
+  Array.iteri
+    (fun k id ->
+      let v = Tuple.nth tuple p.key_src.(k) in
+      if not (V.is_null v) then begin
+        let m = Intern.match_code (Intern.code v) in
+        if m = Intern.unsafe_match then safe := false;
+        codes.(id) <- m;
+        Bytes.set resolved id '\001'
+      end)
+    p.key_ids;
+  if not !safe then begin
+    on_scan ();
+    Apply.extend_tuple_compiled ~mode p.source tuple ~target:p.target
+      p.compiled
+  end
+  else
+    let cells =
+      Array.map
+        (fun i -> if i >= 0 then Tuple.nth tuple i else V.Null)
+        p.target_src
+    in
+    let used = ref [] in
+    let rec resolve id =
+      if Bytes.get resolved id = '\001' then codes.(id)
+      else begin
+        Bytes.set resolved id '\001';
+        (match derive id with
+        | None -> ()
+        | Some (rule, v, m) ->
+            codes.(id) <- m;
+            let pos = p.col_target.(id) in
+            if pos >= 0 then cells.(pos) <- v;
+            used :=
+              { Apply.attribute = p.attr_names.(id); value = v; rule }
+              :: !used);
+        codes.(id)
+      end
+    (* The rules of [g] the tuple fires, after making the group's first
+       lookups. *)
+    and walk g =
+      let m = Array.length g.sig_ids in
+      let key = Array.make m 0 in
+      let trie = Lazy.force g.trie in
+      let rec go i =
+        if i = m then
+          match Hashtbl.find_opt trie key with Some (Leaf l) -> l | _ -> []
+        else
+          let c = resolve g.sig_ids.(i) in
+          if c = 0 then []
+          else begin
+            key.(i) <- c;
+            if i = m - 1 || Hashtbl.mem trie key then go (i + 1) else []
+          end
+      in
+      go 0
+    (* Every group is walked, as the reference's [List.filter] tests
+       every candidate; the first rule fired wins. *)
+    and derive id =
+      let fired = List.map walk p.groups_of.(id) in
+      match mode with
+      | Apply.First_rule -> (
+          match List.find_opt (fun l -> l <> []) fired with
+          | Some (first :: _) -> Some first
+          | _ -> None)
+      | Apply.Check_conflicts -> (
+          match List.concat fired with
+          | [] -> None
+          | ((_, v, _) as first) :: rest -> (
+              match
+                List.find_opt (fun (_, v', _) -> not (V.equal v' v)) rest
+              with
+              | None -> Some first
+              | Some (rule, second, _) ->
+                  raise
+                    (Conflict_exn
+                       {
+                         attribute = p.attr_names.(id);
+                         first = v;
+                         second;
+                         rule;
+                       })))
+    in
+    match Array.iter (fun id -> ignore (resolve id)) p.top with
+    | () -> Ok (Tuple.of_array p.target cells, List.rev !used)
+    | exception Conflict_exn c -> Error c
+
+let extend_tuple ?(mode = Apply.First_rule) ?(telemetry = Telemetry.off) p
+    tuple =
+  eval p ~mode tuple ~on_scan:(fun () ->
+      Telemetry.incr telemetry "ilfd.fixpoint.fallback_classes")
 
 let run plan ~mode r ~target ~jobs ~telemetry =
-  let schema = Relation.schema r in
   let cr = Relation.columnar r in
   let n_rows = Columnar.length cr in
   let nkeys = Array.length plan.key_ids in
@@ -272,9 +482,10 @@ let run plan ~mode r ~target ~jobs ~telemetry =
     !reps;
   (* Chase cells, column-major over classes; 0 = NULL/underived. Classes
      whose base cells carry ambiguous numerics cannot be hash-matched
-     exactly and take the recursive engine individually — as does every
-     class when the chase is not exact, or in Check_conflicts mode, whose
-     conflict witness depends on the recursive engine's demand order. *)
+     exactly and run the per-tuple evaluator on their representative row
+     (which scans for them) — as does every class when the chase is not
+     exact, or in Check_conflicts mode, whose conflict witness depends on
+     the recursive engine's demand order. *)
   let per_class = mode = Apply.Check_conflicts || not plan.exact in
   let strata = if per_class then [||] else plan.strata in
   let state = Array.init plan.n_cols (fun _ -> Array.make n_classes 0) in
@@ -325,7 +536,7 @@ let run plan ~mode r ~target ~jobs ~telemetry =
                          end
                     in
                     if fill 0 then
-                      match Hashtbl.find_opt g.table k with
+                      match Hashtbl.find_opt (Lazy.force g.table) k with
                       | Some vcode ->
                           col.(cid) <- vcode;
                           incr facts;
@@ -345,45 +556,35 @@ let run plan ~mode r ~target ~jobs ~telemetry =
             done)
         stratum)
     strata;
-  let base_plan =
-    Array.of_list
-      (List.map
-         (fun (a : Schema.attribute) -> Schema.index_of_opt schema a.name)
-         (Schema.attributes target))
-  in
   (* Ascending class ids visit classes in first-row order, so the first
      class that conflicts holds the row the serial engine raises on. *)
-  let fallback_count = ref 0 in
+  let scanned = ref 0 in
   let tuples = lazy (Array.of_list (Relation.tuples r)) in
   for cid = 0 to n_classes - 1 do
     if fallback.(cid) then begin
-      incr fallback_count;
       let t = (Lazy.force tuples).(rep_row.(cid)) in
       let extended =
         match !inject_fallback_conflict t with
         | Some conflict -> Error conflict
-        | None ->
-            Apply.extend_tuple_compiled ~mode schema t ~target plan.compiled
+        | None -> eval plan ~mode t ~on_scan:(fun () -> incr scanned)
       in
       match extended with
       | Error conflict when mode = Apply.Check_conflicts ->
           raise (Apply.Conflict_found conflict)
       | Error conflict ->
           (* First_rule mode never conflicts; a witness here means the
-             fallback evaluator and the plan disagree about the mode, so
-             surface the rule and tuple rather than dying anonymously. *)
+             evaluator and the plan disagree about the mode, so surface
+             the rule and tuple rather than dying anonymously. *)
           raise (Fallback_desync { tuple = t; conflict })
       | Ok (ext, _) ->
           let delta = ref [] in
           Array.iteri
             (fun ti src ->
-              let base =
-                match src with Some j -> Tuple.nth t j | None -> V.Null
-              in
+              let base = if src >= 0 then Tuple.nth t src else V.Null in
               let v = Tuple.nth ext ti in
               if V.is_null base && not (V.is_null v) then
                 delta := (ti, Intern.code v) :: !delta)
-            base_plan;
+            plan.target_src;
           deltas.(cid) <- !delta;
           facts := !facts + List.length !delta
     end
@@ -393,7 +594,7 @@ let run plan ~mode r ~target ~jobs ~telemetry =
     Telemetry.add telemetry "ilfd.fixpoint.classes" n_classes;
     Telemetry.add telemetry "ilfd.fixpoint.rounds" (Array.length strata);
     Telemetry.add telemetry "ilfd.fixpoint.delta_facts" !facts;
-    Telemetry.add telemetry "ilfd.fixpoint.fallback_classes" !fallback_count;
+    Telemetry.add telemetry "ilfd.fixpoint.fallback_classes" !scanned;
     let dlen = Array.map List.length deltas in
     let derived = ref 0 in
     for i = 0 to n_rows - 1 do
@@ -413,5 +614,5 @@ let run plan ~mode r ~target ~jobs ~telemetry =
 let extend_relation ?(mode = Apply.First_rule) ?(jobs = 1)
     ?(telemetry = Telemetry.off) r ~target compiled =
   Telemetry.span telemetry "ilfd.extend" @@ fun () ->
-  let plan = make ~source:(Relation.schema r) ~target compiled in
-  run plan ~mode r ~target ~jobs ~telemetry
+  run (plan ~source:(Relation.schema r) ~target compiled) ~mode r ~target ~jobs
+    ~telemetry

@@ -1,34 +1,35 @@
-(** Compiled semi-naive fixpoint evaluation of an ILFD family — the
-    only production path for relation extension (Section 4.2's algebraic
-    [IM(x̄,y)] construction made executable).
+(** Compiled evaluation of an ILFD family — the only production path
+    for relation extension and for per-tuple derivation (Section 4.2's
+    [IM(x̄,y)] ILFD tables made executable).
 
-    Instead of re-running the recursive Armstrong engine per tuple,
-    the evaluator
-    - groups the relation's rows into {e derivation classes} (distinct
+    A {!plan} compiles, for one source/target schema pair, each
+    consequent attribute's rules into tables keyed by the match codes of
+    their antecedent condition values (consecutive rules with one
+    antecedent signature share a table). Two evaluators read them:
+    - {!extend_relation}, the set-at-a-time semi-naive chase. It groups
+      the relation's rows into {e derivation classes} (distinct
       {!Relational.Intern}-coded projections onto the attributes the
       family can read), one chase cell table for all rows of a class;
-    - compiles each consequent attribute's rules into hash tables keyed
-      by the match codes of their antecedent condition values
-      (consecutive rules with one antecedent signature share a table,
-      keep-first preserving First_rule priority);
-    - stratifies the attribute dependency graph (an attribute's stratum
-      is one more than the deepest attribute any of its rules reads) and
-      chases stratum by stratum, seeding a delta with the base facts and
-      visiting, for attributes whose rules can only fire on derived
+      stratifies the attribute dependency graph (an attribute's stratum
+      is one more than the deepest attribute any of its rules reads);
+      and chases stratum by stratum, seeding a delta with the base facts
+      and visiting, for attributes whose rules can only fire on derived
       antecedents, only classes the previous rounds changed.
+    - {!extend_tuple}, the per-tuple evaluator, which walks a trie over
+      each table's keys in the recursive engine's demand order and so
+      returns its derivation list, in its order, and its
+      [Check_conflicts] witness.
 
-    On acyclic families with First_rule semantics this is provably the
-    same function as the per-tuple reference {!Apply.extend_relation} —
-    each stratum fixes exactly the values the recursive engine would
-    look up — and the checker's [fixpoint-agreement] oracle holds it to
-    byte-identical output. Where the chase is not exact — cyclic
-    attribute dependencies, [Check_conflicts] mode, numeric rule values
-    whose cross-type identity is ambiguous above 2⁵³ — every derivation
-    class runs the recursive engine ({!Apply.extend_tuple_compiled}) on
-    its representative row instead, as do single classes whose base
-    cells carry such numerics. *)
+    On acyclic families both are provably the same function as the
+    per-tuple reference {!Apply.extend_tuple_compiled}, and the
+    checker's [fixpoint-agreement] and [conflict-agreement] oracles hold
+    them to it. Where table matching is not exact — cyclic attribute
+    dependencies, numeric rule values whose cross-type identity is
+    ambiguous above 2⁵³ — every tuple takes that scan instead, as do
+    single tuples (derivation classes) whose source cells the family
+    reads carry such numerics. *)
 
-(** Raised if the per-class recursive fallback ever reports a derivation
+(** Raised if a per-class evaluation ever reports a derivation
     conflict in [First_rule] mode, where conflicts are impossible by
     construction, so this exception marks an evaluator/plan
     desync — it carries the offending tuple and the conflicting rule (the
@@ -42,31 +43,64 @@ exception
   }
 
 (** Test-only fault injection: when the hook returns [Some conflict] for
-    a tuple taking the per-class fallback path, the evaluator behaves as
-    if the recursive engine had reported that conflict, so the
+    a tuple taking the per-class path of {!extend_relation}, the
+    extension behaves as if the evaluator had reported that conflict, so the
     {!Fallback_desync} arm can be exercised. Production value: a
     function returning [None] for every tuple. *)
 val inject_fallback_conflict :
   (Relational.Tuple.t -> Apply.conflict option) ref
 
 (** [supported ~source ~target ilfds] — whether the family's compiled
-    chase is exact for this source/target pair ([false] means
-    {!extend_relation} runs every class through the recursive
-    engine). *)
+    tables are exact for this source/target pair ([false] means every
+    tuple takes the scan). *)
 val supported :
   source:Relational.Schema.t ->
   target:Relational.Schema.t ->
   Def.t list ->
   bool
 
+(** A family compiled for one source/target schema pair. Its tables are
+    built on first use: the chase's on the first {!extend_relation} in
+    [First_rule] mode, the tries on the first {!extend_tuple}. *)
+type plan
+
+(** [plan ~source ~target compiled] — [compiled] for tuples of [source]
+    extended to [target] (a superset of [source]'s attributes, as for
+    {!Apply.extend_tuple}). O(family). A caller that derives many
+    tuples of one schema — a serve store, an explain report — builds
+    one plan per side and keeps it. *)
+val plan : source:Relational.Schema.t -> target:Relational.Schema.t ->
+  Apply.compiled -> plan
+
+val plan_target : plan -> Relational.Schema.t
+
+(** [extend_tuple ?mode ?telemetry plan tuple] — exactly
+    [Apply.extend_tuple_compiled ?mode source tuple ~target compiled]
+    for the plan's schemas and family: the same extended tuple, the same
+    derivations in the same order, and in [Check_conflicts] mode the
+    same conflict witness. A derivation costs a few table probes per
+    rule group, whatever the number of rules in the group.
+
+    A tuple the tables cannot evaluate exactly (see above) takes the
+    scan; [telemetry] (default {!Telemetry.off}) counts it in
+    [ilfd.fixpoint.fallback_classes]. *)
+val extend_tuple :
+  ?mode:Apply.mode ->
+  ?telemetry:Telemetry.t ->
+  plan ->
+  Relational.Tuple.t ->
+  (Relational.Tuple.t * Apply.derivation list, Apply.conflict) result
+
 (** [extend_relation ?mode ?jobs ?telemetry r ~target compiled] — the
-    relation extension: same output and same exceptions as the reference
-    {!Apply.extend_relation} over [Apply.compiled_rules compiled]. The
+    relation extension: the rows {!Apply.extend_tuple_compiled} gives
+    for [r]'s rows, in row order, raising the first conflicting row's
+    witness as {!Apply.Conflict_found} (the checker's
+    [Reference.extend_relation]). The
     family arrives already compiled ({!Apply.compile}) so a caller that
     extends several relations with one family — both sides of a batch
     run — compiles it once; only the per-source plan is built here.
-    In [Check_conflicts] mode every class runs
-    the recursive engine, since a conflict witness depends on its demand
+    In [Check_conflicts] mode every class runs {!extend_tuple} on its
+    representative row, since a conflict witness depends on the demand
     order; class ids follow first-row order, so the first class that
     conflicts holds the reference's first conflicting row and raises
     the same {!Apply.Conflict_found} witness. [jobs] (default [1]) > 1
@@ -85,10 +119,11 @@ val supported :
 
     [telemetry] records the [ilfd.extend] span and [ilfd.tuples],
     [ilfd.derivations], [ilfd.fixpoint.classes] (derivation classes),
-    [ilfd.fixpoint.rounds] (strata chased; [0] when every class runs the
-    recursive engine), [ilfd.fixpoint.delta_facts] (facts derived across
+    [ilfd.fixpoint.rounds] (strata chased; [0] when every class runs
+    {!extend_tuple}), [ilfd.fixpoint.delta_facts] (facts derived across
     classes, scratch intermediates included on the chase) and
-    [ilfd.fixpoint.fallback_classes] — all class-level, hence identical
+    [ilfd.fixpoint.fallback_classes] (classes that took the scan) — all
+    class-level, hence identical
     for every [jobs] value.
     @raise Apply.Conflict_found in [Check_conflicts] mode.
     @raise Fallback_desync as described above. *)

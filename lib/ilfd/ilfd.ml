@@ -1,7 +1,8 @@
 (* Facade: [Ilfd.t] is the ILFD type itself (from {!Def}), with the
    theory, derivation engines, tables and propositions as submodules.
-   Relation extension in production is {!Fixpoint.extend_relation};
-   {!Apply.extend_relation} is its serial per-tuple reference. *)
+   Derivation in production goes through {!Fixpoint}'s plans, for
+   relations and single tuples alike; {!Apply}'s per-tuple scan is the
+   reference they are held to. *)
 
 include Def
 

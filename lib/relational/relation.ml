@@ -456,10 +456,12 @@ module Keyed = struct
   let primary_key t = (List.hd t.indexes).key
   let cardinality t = t.count
 
-  let mem_key t values =
+  let find_key t values =
     let ix = List.hd t.indexes in
-    Array.length values = Tuple.plan_arity ix.plan
-    && Kmap.mem (Array.to_list values) ix.by_key
+    if Array.length values <> Tuple.plan_arity ix.plan then None
+    else Kmap.find_opt (Array.to_list values) ix.by_key
+
+  let mem_key t values = Option.is_some (find_key t values)
 
   let tuples t = List.rev t.rows
   (* [add] kept these rows distinct and key-valid: hand them over as they

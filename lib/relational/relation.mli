@@ -213,6 +213,9 @@ module Keyed : sig
       equals [values], in {!primary_key} order. O(log n). *)
   val mem_key : t -> Value.t array -> bool
 
+  (** [find_key t values] — the row {!mem_key} finds, if any. O(log n). *)
+  val find_key : t -> Value.t array -> Tuple.t option
+
   (** The rows in insertion order. O(n). *)
   val tuples : t -> Tuple.t list
 

@@ -141,6 +141,10 @@ let create ~derived ~manual ~suppressed =
   List.fold_left suppress t (List.rev suppressed)
 
 let mem t p = Option.is_some (place t p)
+
+let is_derived t p =
+  match place t p with Some (Derived _) -> true | _ -> false
+
 let is_manual t p = Pmap.mem p t.manual
 let is_suppressed t p = Pmap.mem p t.suppressed
 let count t = t.count
@@ -155,6 +159,14 @@ let first_touching t ~r_key ~s_key =
   | None, None -> None
 
 let pairs t = List.map snd (Placed.bindings t.order)
+
+let touching sides key =
+  match Kmap.find_opt key sides with
+  | Some placed -> List.map snd (Placed.bindings placed)
+  | None -> []
+
+let touching_r t key = touching t.by_r key
+let touching_s t key = touching t.by_s key
 
 let newest_first overlay =
   List.map fst

@@ -24,6 +24,9 @@ type t
 
 val compare_keys : key -> key -> int
 
+(** R key, then S key, each by {!compare_keys}. *)
+val compare_pairs : pair -> pair -> int
+
 (** [create ~derived ~manual ~suppressed] — derived pairs in derivation
     order; the overlays newest first, as {!manual} and {!suppressed}
     list them. A repeated pair keeps its first place. *)
@@ -49,6 +52,11 @@ val suppress : t -> pair -> t
 val unsuppress : t -> pair -> t
 
 val mem : t -> pair -> bool
+
+(** [is_derived t p] — [p] is effective at its derived place: derived
+    and not suppressed. *)
+val is_derived : t -> pair -> bool
+
 val is_manual : t -> pair -> bool
 val is_suppressed : t -> pair -> bool
 
@@ -61,6 +69,12 @@ val first_touching : t -> r_key:key -> s_key:key -> pair option
 
 (** The effective pairs, in effective order. O(n). *)
 val pairs : t -> pair list
+
+(** [touching_r t key] — the effective pairs whose R key is [key], in
+    effective order. O(log n) plus their number. *)
+val touching_r : t -> key -> pair list
+
+val touching_s : t -> key -> pair list
 
 (** The manual overlay, newest first. *)
 val manual : t -> pair list

@@ -4,7 +4,6 @@ module Tuple = Relational.Tuple
 module Value = Relational.Value
 module Incremental = Entity_id.Incremental
 module Matching_table = Entity_id.Matching_table
-module Extended_key = Entity_id.Extended_key
 module Explain = Entity_id.Explain
 
 let json_of_value = function
@@ -227,19 +226,19 @@ let handle_identify st =
              (sorted_entries (Store.matching_table st))) );
     ]
 
-let handle_explain st =
-  let cfg = Store.config st in
-  let inc = Store.incremental st in
-  let mode =
-    if cfg.Store.check_conflicts then Ilfd.Apply.Check_conflicts
-    else Ilfd.Apply.First_rule
+let handle_explain st req =
+  let r_key_attrs, s_key_attrs = store_keys st in
+  let key attrs field =
+    match Json.member field req with
+    | None -> None
+    | Some _ -> Some (key_of_json attrs field req)
   in
-  let explanations =
-    Explain.matches ~mode ~r:(Incremental.r inc) ~s:(Incremental.s inc)
-      ~key:(Extended_key.make cfg.Store.key)
-      (Incremental.ilfds inc)
-  in
-  ok [ ("report", Json.String (Explain.render explanations)) ]
+  let r_key = key r_key_attrs "r_key" and s_key = key s_key_attrs "s_key" in
+  ok
+    [
+      ( "report",
+        Json.String (Explain.render_items (Store.explain ?r_key ?s_key st)) );
+    ]
 
 let handle_merge st req ~op =
   let r_key_attrs, s_key_attrs = store_keys st in
@@ -286,7 +285,7 @@ let handle st req =
         match op with
         | "insert" -> handle_insert st req
         | "identify" -> handle_identify st
-        | "explain" -> handle_explain st
+        | "explain" -> handle_explain st req
         | "merge" -> handle_merge st req ~op:`Merge
         | "split" -> handle_merge st req ~op:`Split
         | "rollback" -> handle_rollback st

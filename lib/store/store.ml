@@ -274,21 +274,75 @@ let apply_op t op =
 
 (* ---- effective matching table ---- *)
 
+(* The entries of [pairs], on the key schemas the matching table uses. *)
+let entries t pairs =
+  let key base =
+    Tuple.of_array
+      (Schema.project (Keyed.schema base) (Keyed.primary_key base))
+  in
+  let r_key = key (base t R) and s_key = key (base t S) in
+  List.map
+    (fun (r, s) -> { Matching_table.r_key = r_key r; s_key = s_key s })
+    pairs
+
 let matching_table t =
-  let r = Incremental.r_base t.inc and s = Incremental.s_base t.inc in
-  let r_pk = Keyed.primary_key r and s_pk = Keyed.primary_key s in
-  let r_key_schema = Schema.project (Keyed.schema r) r_pk
-  and s_key_schema = Schema.project (Keyed.schema s) s_pk in
-  Matching_table.make ~r_key_attrs:r_pk ~s_key_attrs:s_pk
-    (List.map
-       (fun (r, s) ->
-         {
-           Matching_table.r_key = Tuple.of_array r_key_schema r;
-           s_key = Tuple.of_array s_key_schema s;
-         })
-       (Effective.pairs t.effective))
+  Matching_table.make
+    ~r_key_attrs:(Keyed.primary_key (base t R))
+    ~s_key_attrs:(Keyed.primary_key (base t S))
+    (entries t (Effective.pairs t.effective))
 
 let match_count t = Effective.count t.effective
+
+(* ---- explanations ---- *)
+
+module Pair_map = Map.Make (struct
+  type t = Effective.pair
+
+  let compare = Effective.compare_pairs
+end)
+
+(* Each pair an active merge record asserts, to that record's 1-based
+   position in the merge log; a later record wins. *)
+let asserting_records t =
+  fst
+    (List.fold_left
+       (fun (m, i) record ->
+         ( (if record.action = Merge_pair && not record.rolled_back then
+              Pair_map.add (record.m_r_key, record.m_s_key) i m
+            else m),
+           i + 1 ))
+       (Pair_map.empty, 1) (List.rev t.merges))
+
+let explain ?r_key ?s_key t =
+  let pairs =
+    match (r_key, s_key) with
+    | None, None -> Effective.pairs t.effective
+    | Some r_key, None -> Effective.touching_r t.effective r_key
+    | None, Some s_key -> Effective.touching_s t.effective s_key
+    | Some r_key, Some s_key ->
+        if Effective.mem t.effective (r_key, s_key) then [ (r_key, s_key) ]
+        else []
+  in
+  (* [identify]'s order: the keys of one side all have its primary
+     key's length, where [compare_keys] and [Tuple.compare] agree. *)
+  let pairs = List.sort Effective.compare_pairs pairs in
+  let records = lazy (asserting_records t) in
+  List.filter_map
+    (fun (pair, (entry : Matching_table.entry)) ->
+      if Effective.is_derived t.effective pair then
+        Option.map
+          (fun e -> Entity_id.Explain.Derived e)
+          (Incremental.explain t.inc entry)
+      else
+        Some
+          (Entity_id.Explain.Manual
+             {
+               entry;
+               record =
+                 Option.value ~default:0
+                   (Pair_map.find_opt pair (Lazy.force records));
+             }))
+    (List.combine pairs (entries t pairs))
 
 (* ---- opening ---- *)
 

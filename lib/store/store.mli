@@ -196,6 +196,23 @@ val matching_table : t -> Entity_id.Matching_table.t
     O(1). *)
 val match_count : t -> int
 
+(** [explain ?r_key ?s_key t] — one item per effective pair, in
+    [identify]'s order (R key, then S key). A derived pair shows its ILFD
+    chains, recomputed through the state's plans from its stored base
+    rows ({!Entity_id.Incremental.explain}); a manual pair cites the
+    active merge record that asserted it; a split pair is not in the
+    effective table and is not explained. [r_key] and/or [s_key]
+    restrict the answer to the pairs carrying those keys, found by key
+    lookups, so a keyed explanation costs O(log n) in the store size.
+    @raise Ilfd.Apply.Conflict_found in [check_conflicts] mode if a
+    stored row's derivations disagree (they did not when it was
+    accepted). *)
+val explain :
+  ?r_key:Relational.Value.t array ->
+  ?s_key:Relational.Value.t array ->
+  t ->
+  Entity_id.Explain.item list
+
 val incremental : t -> Entity_id.Incremental.t
 
 (** Conflict table, oldest first. *)

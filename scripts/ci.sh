@@ -44,9 +44,10 @@ dune exec bin/entity_ident.exe -- check --scenarios 0 \
 # 4. Mutation sanity: a deliberately broken engine variant MUST be
 #    caught — if the harness waves a seeded fault through, the harness
 #    itself has rotted, so invert the exit code. One fault per oracle:
-#    the generic engine matrix plus each family's own.
-for mutation in "broken-blocking-key " "kdb-lost-edge --family kdb" \
-    "md-phantom-match --family md" \
+#    the generic engine matrix, the per-tuple ILFD evaluator's
+#    derivation order (fixpoint-agreement) and each family's own.
+for mutation in "broken-blocking-key " "derivation-stratum-order " \
+    "kdb-lost-edge --family kdb" "md-phantom-match --family md" \
     "merge-rogue-pair --family merge-policy"; do
   fault=${mutation%% *}
   family_flag=${mutation#* }
@@ -176,14 +177,20 @@ rm -rf "$store_scratch"
 
 # 7. ILFD compilation scaling: compiling a 32k-rule family must cost at
 #    most 40x a 2k-rule one (linear is ~16x, the old quadratic compile
-#    ~256x and more). Batch runs, store opens and explain requests all
-#    compile the family, so a quadratic compile is a per-update cost.
+#    ~256x and more). Batch runs, store opens and rule additions all
+#    compile the family, so a quadratic compile is a per-update cost;
+#    an explain request derives through the plans the store holds.
 dune exec bench/compile_scaling.exe
 
 # 8. Serve-request scaling: on stores of 1k and 64k rows per side, the
-#    median insert and the median stats request at 64k must cost at
-#    most 4x their 1k medians (measured 1.3-1.5x and ~1x; a per-insert
-#    relation rebuild or a per-request matching-table rebuild is ~64x).
+#    median insert, stats request and keyed explain request at 64k must
+#    cost at most 4x their 1k medians (measured 1.1-2.6x, ~1x and
+#    1.1-1.4x; a per-insert relation rebuild, a per-request
+#    matching-table rebuild or an explain that re-runs the batch
+#    pipeline is ~64x). And an insert whose row fires one of 64k rules
+#    on one consequent must cost at most 4x one that fires one of 1k
+#    (measured 1.1-1.4x; a derivation that tests every candidate rule
+#    is ~57x).
 dune exec bench/insert_scaling.exe
 
 dune build bench/main.exe

@@ -129,6 +129,16 @@ let oracle_tests =
             ~seeds:(seeds ~from:1 5) ()
         in
         Alcotest.(check int) "5 callbacks" 5 !calls);
+    case "derivations in stratum order are caught" (fun () ->
+        let outcome =
+          C.Harness.run ~fault:C.Oracle.Stratum_order ~shrink:false
+            ~max_failures:1 ~seeds:(seeds ~from:1 10) ()
+        in
+        match outcome.failures with
+        | f :: _ ->
+            Alcotest.(check string) "the per-tuple check names it"
+              "fixpoint-agreement" f.discrepancy.check
+        | [] -> Alcotest.fail "the fault must be detected");
   ]
 
 (* Render (family, seed) entries for list-equality checks. *)

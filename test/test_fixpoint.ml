@@ -17,7 +17,7 @@ let extension_agrees (sc : Checker.Scenario.t) rel =
   let fixpoint = Ilfd.Fixpoint.extend_relation rel ~target
       (Ilfd.Apply.compile sc.ilfds)
   in
-  let recursive = Ilfd.Apply.extend_relation rel ~target sc.ilfds in
+  let recursive = Checker.Reference.extend_relation rel ~target sc.ilfds in
   R.Relation.equal fixpoint recursive
 
 let agreement_tests =
@@ -68,7 +68,7 @@ let agreement_tests =
           (V.equal a (vi 1));
         Alcotest.(check bool) "byte-identical to recursive" true
           (R.Relation.equal out
-             (Ilfd.Apply.extend_relation r ~target ilfds)));
+             (Checker.Reference.extend_relation r ~target ilfds)));
     case "cyclic families fall back and still agree" (fun () ->
         let ilfds =
           [
@@ -89,7 +89,7 @@ let agreement_tests =
         Alcotest.(check bool) "fallback agrees" true
           (R.Relation.equal
              (Ilfd.Fixpoint.extend_relation r ~target (Ilfd.Apply.compile ilfds))
-             (Ilfd.Apply.extend_relation r ~target ilfds)));
+             (Checker.Reference.extend_relation r ~target ilfds)));
     case "Check_conflicts witnesses match the serial reference" (fun () ->
         (* The production extender runs Check_conflicts per derivation
            class, in first-row order; at every job count it must raise
@@ -102,7 +102,7 @@ let agreement_tests =
         let agree label rel ~target ilfds =
           let reference =
             outcome (fun () ->
-                Ilfd.Apply.extend_relation ~mode:Ilfd.Apply.Check_conflicts
+                Checker.Reference.extend_relation ~mode:Ilfd.Apply.Check_conflicts
                   rel ~target ilfds)
           in
           List.iter
@@ -198,7 +198,7 @@ let agreement_tests =
         Alcotest.(check bool) "fallback agrees" true
           (R.Relation.equal
              (Ilfd.Fixpoint.extend_relation r ~target (Ilfd.Apply.compile ilfds))
-             (Ilfd.Apply.extend_relation r ~target ilfds)));
+             (Checker.Reference.extend_relation r ~target ilfds)));
   ]
 
 (* Set semantics through the extension. With no declared key, a rule
@@ -396,7 +396,7 @@ let fallback_tests =
         Alcotest.(check bool) "fallback classes counted" true
           (Telemetry.counter telemetry "ilfd.fixpoint.fallback_classes" > 0);
         let recursive =
-          Ilfd.Apply.extend_relation r ~target ilfds
+          Checker.Reference.extend_relation r ~target ilfds
         in
         Alcotest.(check bool) "agrees with recursive" true
           (R.Relation.equal out recursive));
@@ -479,6 +479,125 @@ let counter_tests =
         Alcotest.(check bool) "same rows" true (R.Relation.equal o1 o3));
   ]
 
+(* ---- the per-tuple evaluator ----
+
+   Random families over five attributes, with antecedents of zero to
+   three conditions (so rules of one consequent fall into many
+   signature groups, interleaved), values drawn so that Int and Float
+   spellings of one number meet, rows with NULLs, and a target that
+   drops some attributes (they become scratch) and adds others. On every
+   row, in both modes, the evaluator must give the scan's answer: the
+   tuple, the derivations in their order, the conflict witness. Cyclic
+   families are kept too: they must take the scan. *)
+
+let tuple_case_gen =
+  QCheck2.Gen.(
+    let attrs = [ "a"; "b"; "c"; "d"; "e" ] in
+    let value =
+      oneofl [ vi 1; vi 2; V.float 1.; V.float 2.5; v "x"; v "y" ]
+    in
+    (* Mostly acyclic: a rule usually reads attributes before the one it
+       derives, in [attrs] order. *)
+    let rule =
+      let* k = 0 -- 4 in
+      let earlier = List.filteri (fun i _ -> i < k) attrs in
+      let ante_attr =
+        if earlier = [] then oneofl attrs
+        else frequency [ (9, oneofl earlier); (1, oneofl attrs) ]
+      in
+      let* ante = list_size (0 -- 3) (map2 Ilfd.condition ante_attr value) in
+      let* v = value in
+      return
+        (match Ilfd.make ante [ Ilfd.condition (List.nth attrs k) v ] with
+        | r -> Some r
+        | exception Ilfd.Ill_formed _ -> None)
+    in
+    let cell = frequency [ (1, return V.null); (3, value) ] in
+    let* ilfds = map (List.filter_map Fun.id) (list_size (1 -- 14) rule) in
+    let* source = oneofl [ [ "a"; "b" ]; [ "a"; "c"; "e" ]; [ "b"; "d" ]; [ "a" ] ] in
+    let* extra = oneofl [ [ "c"; "d" ]; [ "e"; "c" ]; [ "d" ]; [] ] in
+    let extra = List.filter (fun x -> not (List.mem x source)) extra in
+    let* rows = list_size (1 -- 6) (list_repeat (List.length source) cell) in
+    return (ilfds, source, extra, rows))
+
+let print_tuple_case (ilfds, source, extra, rows) =
+  Printf.sprintf "rules: %s\nsource: %s, extra: %s\nrows: %s"
+    (String.concat "; " (List.map Ilfd.to_string ilfds))
+    (String.concat "," source) (String.concat "," extra)
+    (String.concat " | "
+       (List.map (fun r -> String.concat "," (List.map V.to_string r)) rows))
+
+let evaluator_agrees (ilfds, source, extra, rows) =
+  let source = R.Schema.of_names source in
+  let target = R.Schema.concat source (R.Schema.of_names extra) in
+  let compiled = Ilfd.Apply.compile ilfds in
+  let plan = Ilfd.Fixpoint.plan ~source ~target compiled in
+  let same a b =
+    match (a, b) with
+    | Ok (t1, d1), Ok (t2, d2) ->
+        R.Tuple.equal t1 t2
+        && List.equal
+             (fun (x : Ilfd.Apply.derivation) (y : Ilfd.Apply.derivation) ->
+               x.attribute = y.attribute && V.equal x.value y.value
+               && Ilfd.equal x.rule y.rule)
+             d1 d2
+    | Error (x : Ilfd.Apply.conflict), Error (y : Ilfd.Apply.conflict) ->
+        x.attribute = y.attribute && V.equal x.first y.first
+        && V.equal x.second y.second && Ilfd.equal x.rule y.rule
+    | _ -> false
+  in
+  List.for_all
+    (fun cells ->
+      let t = R.Tuple.make source cells in
+      List.for_all
+        (fun mode ->
+          same
+            (Ilfd.Fixpoint.extend_tuple ~mode plan t)
+            (Ilfd.Apply.extend_tuple_compiled ~mode source t ~target compiled))
+        [ Ilfd.Apply.First_rule; Ilfd.Apply.Check_conflicts ])
+    rows
+
+let tuple_tests =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:2000 ~name:"extend_tuple = the scan"
+         ~print:print_tuple_case tuple_case_gen evaluator_agrees);
+    case "a 2-step chain is listed in demand order" (fun () ->
+        (* c is looked up first (target order) and needs b; d needs
+           nothing derived. The reference records b, c, then d. *)
+        let ilfds =
+          [
+            Ilfd.make1 [ Ilfd.condition "a" (vi 1) ] "b" (vi 2);
+            Ilfd.make1 [ Ilfd.condition "b" (vi 2) ] "c" (vi 3);
+            Ilfd.make1 [ Ilfd.condition "a" (vi 1) ] "d" (vi 4);
+          ]
+        in
+        let source = R.Schema.of_names [ "a" ] in
+        let target = R.Schema.of_names [ "a"; "c"; "d" ] in
+        let plan =
+          Ilfd.Fixpoint.plan ~source ~target (Ilfd.Apply.compile ilfds)
+        in
+        match Ilfd.Fixpoint.extend_tuple plan (R.Tuple.make source [ vi 1 ]) with
+        | Ok (t, ds) ->
+            Alcotest.(check (list string)) "order" [ "b"; "c"; "d" ]
+              (List.map (fun (d : Ilfd.Apply.derivation) -> d.attribute) ds);
+            Alcotest.(check bool) "tuple" true
+              (R.Tuple.equal t (R.Tuple.make target [ vi 1; vi 3; vi 4 ]))
+        | Error _ -> Alcotest.fail "unexpected conflict");
+    case "scans are counted" (fun () ->
+        let _, ilfds, r, target = fallback_scenario () in
+        let plan =
+          Ilfd.Fixpoint.plan ~source:(R.Relation.schema r) ~target
+            (Ilfd.Apply.compile ilfds)
+        in
+        let telemetry = Telemetry.create () in
+        List.iter
+          (fun t -> ignore (Ilfd.Fixpoint.extend_tuple ~telemetry plan t))
+          (R.Relation.tuples r);
+        Alcotest.(check int) "one ambiguous row" 1
+          (Telemetry.counter telemetry "ilfd.fixpoint.fallback_classes"));
+  ]
+
 let () =
   Alcotest.run "fixpoint"
     [
@@ -488,4 +607,5 @@ let () =
       ("covering", covering_tests);
       ("fallback", fallback_tests);
       ("counters", counter_tests);
+      ("per-tuple", tuple_tests);
     ]

@@ -745,6 +745,93 @@ let stats_of st =
       | _ -> -1)
     [ "r_cardinality"; "s_cardinality"; "matches" ]
 
+let count_sub s sub =
+  let n = String.length s and k = String.length sub in
+  let rec go i acc =
+    if i + k > n then acc
+    else if String.sub s i k = sub then go (i + k) (acc + 1)
+    else go (i + 1) acc
+  in
+  go 0 0
+
+let explain_report st fields =
+  match
+    Eid_store.Json.string_member "report"
+      (Eid_store.Service.handle st
+         (Eid_store.Json.Obj
+            (("op", Eid_store.Json.String "explain") :: fields)))
+  with
+  | Some report -> report
+  | None -> Alcotest.fail "explain answered without a report"
+
+(* A whole-store explain lists identify's pairs in identify's order; a
+   derived pair's chains are the scan's over its stored base rows, a
+   manual pair cites an active merge of that pair, and the report heads
+   exactly the derived pairs with "] match ". *)
+let explain_disagrees st (m : Model.t) =
+  let want =
+    List.sort
+      (fun (r1, s1) (r2, s2) ->
+        match Model.compare_keys r1 r2 with
+        | 0 -> Model.compare_keys s1 s2
+        | c -> c)
+      (Model.effective_pairs m)
+  in
+  let items = S.explain st in
+  let entry_of = function
+    | E.Explain.Derived e -> e.entry
+    | E.Explain.Manual { entry; _ } -> entry
+  in
+  let chains rel key =
+    let schema = R.Relation.schema rel in
+    match
+      List.find_opt
+        (fun t ->
+          Model.key_eq
+            (R.Tuple.to_array
+               (R.Tuple.project schema t (R.Relation.primary_key rel)))
+            key)
+        (R.Relation.tuples rel)
+    with
+    | None -> None
+    | Some t -> (
+        match
+          Ilfd.Apply.extend_tuple schema t ~target:(Model.target rel)
+            Model.ilfds
+        with
+        | Ok (_, ds) -> Some ds
+        | Error _ -> None)
+  in
+  let log = Array.of_list (S.merge_log st) in
+  let item_ok ((r, s) as pair) item =
+    match item with
+    | E.Explain.Derived e ->
+        (not (Model.mem_pair m.suppressed pair))
+        && List.exists (Model.pair_eq pair) m.derived
+        && same (chains m.r r) (Some e.r_derivations)
+        && same (chains m.s s) (Some e.s_derivations)
+    | E.Explain.Manual { record; _ } ->
+        Model.mem_pair m.manual pair
+        && record >= 1
+        && record <= Array.length log
+        &&
+        let cited = log.(record - 1) in
+        cited.action = S.Merge_pair
+        && (not cited.rolled_back)
+        && Model.pair_eq (cited.m_r_key, cited.m_s_key) pair
+  in
+  let derived =
+    List.length
+      (List.filter (function E.Explain.Derived _ -> true | _ -> false) items)
+  in
+  if not (same (pairs_of_entries (List.map entry_of items)) want) then
+    Some "the pairs differ from identify's"
+  else if not (List.for_all2 item_ok want items) then
+    Some "an item's chains or citation differ"
+  else if count_sub (explain_report st []) "] match " <> derived then
+    Some "the report does not head each derived pair with \"] match \""
+  else None
+
 let run_model ops =
   in_dir (fun dir ->
       let st = ref (open_ok ~config:model_cfg dir) in
@@ -812,6 +899,9 @@ let run_model ops =
         then fail "the stats cardinalities differ";
         if not (same (S.merge_log !st) (List.rev m.merges)) then
           fail "the merge log differs";
+        (match explain_disagrees !st m with
+        | Some why -> fail "explain: %s" why
+        | None -> ());
         if not (same (S.conflicts !st) (List.rev m.conflicts)) then
           fail "the conflict table differs";
         (m, i + 1)
@@ -819,6 +909,106 @@ let run_model ops =
       ignore (List.fold_left step (Model.empty, 0) ops);
       S.close !st;
       true)
+
+let explain_tests =
+  let key attrs values =
+    Eid_store.Json.Obj
+      (List.map2
+         (fun a v -> (a, Eid_store.Service.json_of_value v))
+         attrs (Array.to_list values))
+  in
+  [
+    case "explain answers from the effective table" (fun () ->
+        (* The README session's two inserts, a split kept, then a merge of
+           two rows no rule bridges: identify lists only the merged pair,
+           and so must explain, citing the merge. *)
+        in_dir (fun dir ->
+            let t = open_ok ~config:cfg dir in
+            ignore (ok (S.insert t S.R r_match));
+            ignore (ok (S.insert t S.S s_match));
+            let r_key = [| v "TwinCities"; v "Chinese" |]
+            and s_key = [| v "TwinCities"; v "Hunan" |] in
+            Alcotest.(check bool) "derived pair explained" true
+              (count_sub (explain_report t []) "] match (TwinCities" = 1);
+            ignore (ok (S.split t ~r_key ~s_key));
+            ignore (ok (S.insert t S.R r_lone));
+            ignore (ok (S.insert t S.S s_solo));
+            ignore
+              (ok
+                 (S.merge t ~r_key:[| v "Lone"; v "Thai" |]
+                    ~s_key:[| v "Solo"; v "Gyros" |]));
+            let report = explain_report t [] in
+            Alcotest.(check int) "no derived pair" 0
+              (count_sub report "] match ");
+            Alcotest.(check int) "TwinCities is split" 0
+              (count_sub report "TwinCities");
+            Alcotest.(check string) "the merge, cited"
+              "[1] manual (Lone, Thai) ~ (Solo, Gyros)\n\
+              \      asserted by merge-log record #2; no ILFD derivation\n\n"
+              report;
+            (* Keyed: the split pair has nothing to explain; the merged
+               pair is found from either key. *)
+            Alcotest.(check string) "split pair, keyed" ""
+              (explain_report t
+                 [
+                   ("r_key", key cfg.r_key r_key);
+                   ("s_key", key cfg.s_key s_key);
+                 ]);
+            Alcotest.(check string) "merged pair by its R key" report
+              (explain_report t
+                 [ ("r_key", key cfg.r_key [| v "Lone"; v "Thai" |]) ]);
+            Alcotest.(check string) "merged pair by its S key" report
+              (explain_report t
+                 [ ("s_key", key cfg.s_key [| v "Solo"; v "Gyros" |]) ]);
+            ignore (S.rollback t);
+            ignore (S.rollback t);
+            let keyed =
+              explain_report t [ ("s_key", key cfg.s_key s_key) ]
+            in
+            Alcotest.(check int) "rolled back: derived again" 1
+              (count_sub keyed "] match (TwinCities, Chinese) ~ (TwinCities, Hunan)");
+            Alcotest.(check int) "with its chain" 1
+              (count_sub keyed "speciality := Hunan");
+            S.close t));
+  ]
+
+let scan_tests =
+  [
+    case "inserts and replays that take the scan are counted" (fun () ->
+        (* A cyclic family has no exact rule tables: every derivation
+           takes the scan, live or replayed, and the store's sink
+           counts each. *)
+        let cyclic =
+          {
+            cfg with
+            rules =
+              cfg.rules @ [ "cuisine = Chinese -> speciality = Hunan" ];
+          }
+        in
+        let scans t =
+          Telemetry.counter (S.telemetry t) "ilfd.fixpoint.fallback_classes"
+        in
+        in_dir (fun dir ->
+            let t =
+              open_ok ~telemetry:(Telemetry.create ()) ~config:cyclic dir
+            in
+            ignore (ok (S.insert t S.R r_match));
+            ignore (ok (S.insert t S.S s_match));
+            Alcotest.(check int) "two live inserts" 2 (scans t);
+            Alcotest.(check int) "still matched" 1 (cardinality t);
+            S.close t;
+            let t = open_ok ~telemetry:(Telemetry.create ()) dir in
+            Alcotest.(check int) "two replayed records" 2 (scans t);
+            S.close t);
+        in_dir (fun dir ->
+            let t =
+              open_ok ~telemetry:(Telemetry.create ()) ~config:cfg dir
+            in
+            ignore (ok (S.insert t S.R r_match));
+            ignore (ok (S.insert t S.S s_match));
+            Alcotest.(check int) "an acyclic family never scans" 0 (scans t);
+            S.close t));
+  ]
 
 let model_tests =
   [
@@ -837,4 +1027,6 @@ let () =
       ("recovery", recovery_tests);
       ("overlay", overlay_tests);
       ("model", model_tests);
+      ("explain", explain_tests);
+      ("scan", scan_tests);
     ]
