@@ -25,15 +25,13 @@ let experiments =
     ("sweep", Sweeps.all);
     ("timings", Timings.all);
     ("partition", Partition_bench.all);
-    ("parallel", Parallel_bench.all);
   ]
 
 let run_all () =
   Paper_tables.all ();
   Sweeps.all ();
   Timings.all ();
-  Partition_bench.all ();
-  Parallel_bench.all ()
+  Partition_bench.all ()
 
 let () =
   match Array.to_list Sys.argv with

@@ -83,30 +83,6 @@ let extkey_arg =
   Arg.(required & opt (some string) None & info [ "key" ] ~docv:"ATTRS"
          ~doc:"Comma-separated extended key.")
 
-(* 0 means "one domain per host core" (make -j convention); a negative
-   count is a usage error, rejected at parse time rather than silently
-   treated as "all cores". *)
-let jobs_conv =
-  let parse s =
-    match int_of_string_opt s with
-    | Some n when n >= 0 -> Ok n
-    | Some _ ->
-        Error (`Msg "--jobs must be >= 0 (0 = one domain per host core)")
-    | None -> Error (`Msg (Printf.sprintf "invalid job count %S" s))
-  in
-  Arg.conv (parse, Format.pp_print_int)
-
-let jobs_arg =
-  Arg.(value & opt jobs_conv 1 & info [ "jobs"; "j" ] ~docv:"N"
-         ~doc:"Run the identification pipeline on $(docv) domains \
-               (default 1 = serial; 0 = one per host core). \
-               The result is identical for every value.")
-
-(* One resolution rule for every front end: the library's. The CLI's 0
-   means "default" (make -j convention) and maps to [None]; the library
-   itself raises on non-positive counts. *)
-let resolve_jobs n = Parallel.resolve (if n = 0 then None else Some n)
-
 let stats_arg =
   Arg.(value
        & opt ~vopt:(Some `Pretty)
@@ -211,11 +187,10 @@ let identify_cmd =
                    {\"r\":{...},\"s\":{...}} object per line, default) or \
                    csv (header row of r.*/s.* columns).")
   in
-  let run r s rk sk rules key jobs stats show negative check_conflicts
-      explain stream_out stream_format =
+  let run r s rk sk rules key stats show negative check_conflicts explain
+      stream_out stream_format =
     let r, s, ilfds = setup r s rk sk rules in
     let key = Entity_id.Extended_key.make (parse_key_list key) in
-    let jobs = resolve_jobs jobs in
     let telemetry = telemetry_of stats in
     let mode =
       if check_conflicts then Ilfd.Apply.Check_conflicts
@@ -236,7 +211,7 @@ let identify_cmd =
               (Entity_id.Identify.extension_schema s key)
           in
           let emit = pair_emitter oc stream_format ~r_names ~s_names in
-          Entity_id.Identify.run_stream ~mode ~jobs ~telemetry ~r ~s ~key
+          Entity_id.Identify.run_stream ~mode ~telemetry ~r ~s ~key
             ~init:0
             ~f:(fun n tr ts ->
               emit tr ts;
@@ -274,7 +249,7 @@ let identify_cmd =
     | None ->
     let o =
       try
-        Entity_id.Identify.run ~mode ~jobs ~telemetry ~r ~s ~key ilfds
+        Entity_id.Identify.run ~mode ~telemetry ~r ~s ~key ilfds
       with Ilfd.Apply.Conflict_found c ->
         Format.eprintf "entity_ident: %a@." Ilfd.Apply.pp_conflict c;
         exit 2
@@ -318,7 +293,8 @@ let identify_cmd =
       print_endline "explanations:";
       print_string
         (Entity_id.Explain.render
-           (Entity_id.Explain.matches ~mode ~r ~s ~key ilfds))
+           (Entity_id.Explain.matches ~mode ~r ~s ~key ilfds
+              o.matching_table))
     end;
     let report = Entity_id.Verify.check o.matching_table in
     Format.printf "%a@." Entity_id.Verify.pp_report report;
@@ -328,7 +304,7 @@ let identify_cmd =
   Cmd.v
     (Cmd.info "identify" ~doc:"Run extended-key + ILFD entity identification.")
     Term.(const run $ r_file $ s_file $ r_key_arg $ s_key_arg $ rules_file
-          $ extkey_arg $ jobs_arg $ stats_arg $ show $ negative
+          $ extkey_arg $ stats_arg $ show $ negative
           $ check_conflicts $ explain $ stream_out $ stream_format)
 
 (* ---- closure ---- *)
@@ -427,14 +403,11 @@ let fuse_cmd =
     Arg.(value & opt (some string) None & info [ "out" ] ~docv:"CSV"
            ~doc:"Write the fused relation to a CSV file (default: print).")
   in
-  let run r s rk sk rules key jobs stats policy output =
+  let run r s rk sk rules key stats policy output =
     let r, s, ilfds = setup r s rk sk rules in
     let key = Entity_id.Extended_key.make (parse_key_list key) in
     let telemetry = telemetry_of stats in
-    let o =
-      Entity_id.Identify.run ~jobs:(resolve_jobs jobs) ~telemetry ~r ~s ~key
-        ilfds
-    in
+    let o = Entity_id.Identify.run ~telemetry ~r ~s ~key ilfds in
     let conflicts = Entity_id.Fusion.conflicts o in
     List.iter
       (fun (attr, l, rt, k) ->
@@ -466,7 +439,7 @@ let fuse_cmd =
        ~doc:"Identify entities, resolve attribute-value conflicts, and \
              emit the actually-integrated relation.")
     Term.(const run $ r_file $ s_file $ r_key_arg $ s_key_arg $ rules_file
-          $ extkey_arg $ jobs_arg $ stats_arg $ policy_arg $ output)
+          $ extkey_arg $ stats_arg $ policy_arg $ output)
 
 (* ---- session ---- *)
 
@@ -614,11 +587,10 @@ let check_cmd =
   Cmd.v
     (Cmd.info "check"
        ~doc:"Run the differential/metamorphic correctness harness: every \
-             engine (naive, blocked, parallel, incremental, rule-driven, \
-             clustering) must agree on every seeded scenario, constraints \
-             and metamorphic laws must hold, and any counterexample is \
-             shrunk to a minimal replayable scenario. Exits 1 on a \
-             counterexample.")
+             engine (naive, blocked, incremental, rule-driven, clustering) \
+             must agree on every seeded scenario, constraints and \
+             metamorphic laws must hold, and any counterexample is shrunk \
+             to a minimal replayable scenario. Exits 1 on a counterexample.")
     Term.(const run $ family_arg $ seed_arg $ scenarios_arg $ fault_arg
           $ shrink_arg $ corpus_arg $ max_failures_arg $ stats_arg)
 

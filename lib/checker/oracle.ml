@@ -438,68 +438,32 @@ let check_partition (sc : Scenario.t) (base : Identify.outcome) =
     Decision.partition_naive ~identity ~distinctness:[] base.r_extended
       base.s_extended
   in
-  let agree name (m, d, u) =
-    if pairs_equal m m0 && pairs_equal d d0 && pairs_equal u u0 then Ok ()
-    else
-      fail "partition-agreement"
-        "%s partition differs from naive: %d/%d/%d vs %d/%d/%d \
-         (matched/distinct/undetermined)"
-        name (List.length m) (List.length d) (List.length u) (List.length m0)
-        (List.length d0) (List.length u0)
+  let m, d, u =
+    Decision.partition ~identity ~distinctness:[] base.r_extended
+      base.s_extended
   in
-  let* () =
-    agree "blocked"
-      (Decision.partition ~identity ~distinctness:[] base.r_extended
-         base.s_extended)
-  in
-  agree "parallel(jobs=3)"
-    (Decision.partition ~jobs:3 ~identity ~distinctness:[] base.r_extended
-       base.s_extended)
-
-let check_jobs (sc : Scenario.t) (base : Identify.outcome) =
-  let o : Identify.outcome =
-    Identify.run ~jobs:4 ~r:sc.r ~s:sc.s ~key:sc.key sc.ilfds
-  in
-  if
-    R.Relation.equal o.r_extended base.r_extended
-    && R.Relation.equal o.s_extended base.s_extended
-    && List.equal entry_equal
-         (MT.entries o.matching_table)
-         (MT.entries base.matching_table)
-    && pairs_equal o.pairs base.pairs
-    && List.equal R.Tuple.equal o.unmatched_r base.unmatched_r
-    && List.equal R.Tuple.equal o.unmatched_s base.unmatched_s
-    && List.length o.violations = List.length base.violations
-  then Ok ()
+  if pairs_equal m m0 && pairs_equal d d0 && pairs_equal u u0 then Ok ()
   else
-    fail "jobs-invariance"
-      "outcome at jobs=4 differs from jobs=1 (%d vs %d entries, %d vs %d \
-       violations)"
-      (MT.cardinality o.matching_table)
-      (MT.cardinality base.matching_table)
-      (List.length o.violations)
-      (List.length base.violations)
+    fail "partition-agreement"
+      "blocked partition differs from naive: %d/%d/%d vs %d/%d/%d \
+       (matched/distinct/undetermined)"
+      (List.length m) (List.length d) (List.length u) (List.length m0)
+      (List.length d0) (List.length u0)
 
 (* Streamed execution must observe exactly the pairs the materialising
-   engine produces, in the same row-major order, at every job count. *)
+   engine produces, in the same row-major order. *)
 let check_stream (sc : Scenario.t) (base : Identify.outcome) =
-  let cell jobs =
-    let streamed =
-      List.rev
-        (Identify.run_stream ~jobs ~r:sc.r ~s:sc.s ~key:sc.key ~init:[]
-           ~f:(fun acc tr ts -> (tr, ts) :: acc)
-           sc.ilfds)
-    in
-    if pairs_equal streamed base.pairs then Ok ()
-    else
-      fail "stream-agreement"
-        "run_stream at jobs=%d observes %d pairs vs run's %d, or in a \
-         different order"
-        jobs (List.length streamed) (List.length base.pairs)
+  let streamed =
+    List.rev
+      (Identify.run_stream ~r:sc.r ~s:sc.s ~key:sc.key ~init:[]
+         ~f:(fun acc tr ts -> (tr, ts) :: acc)
+         sc.ilfds)
   in
-  List.fold_left
-    (fun acc jobs -> Result.bind acc (fun () -> cell jobs))
-    (Ok ()) [ 1; 2; 4 ]
+  if pairs_equal streamed base.pairs then Ok ()
+  else
+    fail "stream-agreement"
+      "run_stream observes %d pairs vs run's %d, or in a different order"
+      (List.length streamed) (List.length base.pairs)
 
 (* Bucketing the tagged verdict stream by Match_result must reproduce
    Decision.partition's three lists byte-for-byte. *)
@@ -509,32 +473,26 @@ let check_partition_stream (sc : Scenario.t) (base : Identify.outcome) =
     Decision.partition ~identity ~distinctness:[] base.r_extended
       base.s_extended
   in
-  let cell jobs =
-    let m, d, u =
-      Decision.partition_stream ~jobs ~identity ~distinctness:[]
-        ~init:([], [], [])
-        ~f:(fun (m, d, u) result tr ts ->
-          match result with
-          | Entity_id.Match_result.Match -> ((tr, ts) :: m, d, u)
-          | Entity_id.Match_result.No_match -> (m, (tr, ts) :: d, u)
-          | Entity_id.Match_result.Undetermined -> (m, d, (tr, ts) :: u))
-        base.r_extended base.s_extended
-    in
-    if
-      pairs_equal (List.rev m) m0
-      && pairs_equal (List.rev d) d0
-      && pairs_equal (List.rev u) u0
-    then Ok ()
-    else
-      fail "stream-agreement"
-        "partition_stream at jobs=%d rebuckets to %d/%d/%d vs partition's \
-         %d/%d/%d (matched/distinct/undetermined)"
-        jobs (List.length m) (List.length d) (List.length u)
-        (List.length m0) (List.length d0) (List.length u0)
+  let m, d, u =
+    Decision.partition_stream ~identity ~distinctness:[] ~init:([], [], [])
+      ~f:(fun (m, d, u) result tr ts ->
+        match result with
+        | Entity_id.Match_result.Match -> ((tr, ts) :: m, d, u)
+        | Entity_id.Match_result.No_match -> (m, (tr, ts) :: d, u)
+        | Entity_id.Match_result.Undetermined -> (m, d, (tr, ts) :: u))
+      base.r_extended base.s_extended
   in
-  List.fold_left
-    (fun acc jobs -> Result.bind acc (fun () -> cell jobs))
-    (Ok ()) [ 1; 2 ]
+  if
+    pairs_equal (List.rev m) m0
+    && pairs_equal (List.rev d) d0
+    && pairs_equal (List.rev u) u0
+  then Ok ()
+  else
+    fail "stream-agreement"
+      "partition_stream rebuckets to %d/%d/%d vs partition's %d/%d/%d \
+       (matched/distinct/undetermined)"
+      (List.length m) (List.length d) (List.length u) (List.length m0)
+      (List.length d0) (List.length u0)
 
 let check_rules (sc : Scenario.t) ~engine_entries =
   let o : Identify.outcome =
@@ -786,7 +744,6 @@ let run ?(fault = No_fault) ?(telemetry = Telemetry.off) (sc : Scenario.t) =
           engine_entries (reference_entries sc)
       in
       let* () = check_partition sc base in
-      let* () = check_jobs sc base in
       let* () = check_stream sc base in
       let* () = check_partition_stream sc base in
       let* () = check_rules sc ~engine_entries in

@@ -4,8 +4,7 @@
     A scenario is pushed through the whole engine matrix — recursive
     per-tuple vs semi-naive fixpoint ILFD extension, and the per-tuple
     evaluator vs the scan on every row ([fixpoint-agreement]), the naive
-    reference join, the blocked
-    partition, the parallel executor, the rule-driven matcher, the
+    reference join, the blocked partition, the rule-driven matcher, the
     incremental replay, k-ary clustering — and through the metamorphic
     transformations (ILFD prefixes, tuple removal, tuple-order
     permutation, attribute relabeling). The first check that fails

@@ -43,15 +43,13 @@ type 'rule spec = {
     'rule -> Schema.t -> Schema.t -> Tuple.t -> Tuple.t -> V.truth;
 }
 
-let fired ?(jobs = 1) ?(telemetry = Telemetry.off) ?(label = "") spec rules
-    sr rt ss st =
+let fired ?(telemetry = Telemetry.off) ?(label = "") spec rules sr rt ss st =
   let set = { ns = Array.length st; fired = Itbl.create 64 } in
   let nr = Array.length rt and ns = Array.length st in
   (* Counter namespace: "blocking" or "blocking.<label>", so the two
      rule kinds of a partition stay distinguishable in one sink. *)
   let pfx = if label = "" then "blocking" else "blocking." ^ label in
   let tele_on = Telemetry.enabled telemetry in
-  let chunks = ref 0 in
   (* Interned column views of both sides, shared by every rule's coded
      buckets; forced only when some rule can block. *)
   let r_coded = lazy (Columnar.encode sr rt)
@@ -65,9 +63,8 @@ let fired ?(jobs = 1) ?(telemetry = Telemetry.off) ?(label = "") spec rules
          is redundant. Otherwise, resolve the rule's attribute lookups
          against the two schemas once; [hits] is then pure array/hash
          work per candidate pair. *)
-      let covering = spec.equality_only rule in
       let hits =
-        if covering then fun _ _ -> true
+        if spec.equality_only rule then fun _ _ -> true
         else begin
           let applies_lr = spec.compile rule sr ss
           and applies_rl = spec.compile rule ss sr in
@@ -76,69 +73,27 @@ let fired ?(jobs = 1) ?(telemetry = Telemetry.off) ?(label = "") spec rules
             || applies_rl st.(j) rt.(i) = V.True
         end
       in
-      (* [scan m row_of candidates] — evaluate the rule over the row set
-         [row_of 0 .. row_of (m-1)], where [candidates i k] calls [k j]
-         for every j the rule could fire on with row i. Candidate pairs
-         proposed (callback invocations) are a pure function of the
-         blocking structure, not of the fired set or the scan order, so
-         the counter is identical serial vs chunked. The
-         per-pair cost when the sink is off is one branch on an
+      (* [all_rows candidates] — evaluate the rule over R's rows, where
+         [candidates i k] calls [k j] for every j the rule could fire on
+         with row i. Candidate pairs proposed (callback invocations) are
+         a pure function of the blocking structure, not of the fired
+         set. The [mem] check only skips re-evaluating pairs already
+         recorded by an earlier rule; within one rule no (i, j) is
+         proposed twice (each row probes exactly one bucket of distinct
+         js). The per-pair cost when the sink is off is one branch on an
          immutable bool — dwarfed by the compiled-rule evaluation it
          sits next to. *)
-      let scan m row_of candidates =
-        if jobs <= 1 || covering then begin
-          (* Serial reference path: record hits as they are found. The
-             [mem] check only skips re-evaluating pairs already recorded
-             by an earlier rule; within one rule no (i, j) is proposed
-             twice (each row probes exactly one bucket of distinct js).
-             Covering rules take this path whatever [jobs] is: their
-             per-candidate work is a single set insert, so chunking them
-             over domains is pure dispatch overhead (the merge repeats
-             the same inserts on the calling domain anyway). *)
-          let cand = ref 0 in
-          for p = 0 to m - 1 do
-            let i = row_of p in
-            candidates i (fun j ->
-                if tele_on then incr cand;
-                let id = pair_id set i j in
-                if (not (Itbl.mem set.fired id)) && hits i j then
-                  Itbl.replace set.fired id ())
-          done;
-          if tele_on then Telemetry.add telemetry (pfx ^ ".candidates") !cand
-        end
-        else begin
-          (* Parallel path: pool domains scan disjoint row chunks,
-             reading the tuple arrays, the frozen fired set, and the
-             rule's buckets — all immutable during the scan — and
-             accumulate newly fired pair ids (and telemetry) privately.
-             The merge happens on the calling domain between scans, so
-             the next rule sees exactly the set the serial path would. *)
-          if tele_on then chunks := !chunks + Parallel.chunk_count ~jobs m;
-          let chunk_hits =
-            Parallel.map_chunks ~jobs m (fun ~start ~stop ->
-                let lt = Telemetry.local telemetry in
-                let cand = ref 0 in
-                let acc = ref [] in
-                for p = start to stop - 1 do
-                  let i = row_of p in
-                  candidates i (fun j ->
-                      if tele_on then incr cand;
-                      let id = pair_id set i j in
-                      if (not (Itbl.mem set.fired id)) && hits i j then
-                        acc := id :: !acc)
-                done;
-                if tele_on then
-                  Telemetry.local_add lt (pfx ^ ".candidates") !cand;
-                (!acc, lt))
-          in
-          List.iter
-            (fun (ids, lt) ->
-              List.iter (fun id -> Itbl.replace set.fired id ()) ids;
-              Telemetry.merge telemetry lt)
-            chunk_hits
-        end
+      let all_rows candidates =
+        let cand = ref 0 in
+        for i = 0 to nr - 1 do
+          candidates i (fun j ->
+              if tele_on then incr cand;
+              let id = pair_id set i j in
+              if (not (Itbl.mem set.fired id)) && hits i j then
+                Itbl.replace set.fired id ())
+        done;
+        if tele_on then Telemetry.add telemetry (pfx ^ ".candidates") !cand
       in
-      let all_rows = scan nr (fun p -> p) in
       (match spec.blocking_key rule with
       | Some attrs
         when List.for_all (Schema.mem sr) attrs
@@ -191,8 +146,6 @@ let fired ?(jobs = 1) ?(telemetry = Telemetry.off) ?(label = "") spec rules
           (pfx ^ ".rule." ^ spec.rule_name rule ^ ".fired")
           (Itbl.length set.fired - fired_before))
     rules;
-  if tele_on then begin
+  if tele_on then
     Telemetry.add telemetry (pfx ^ ".fired") (Itbl.length set.fired);
-    if jobs > 1 then Telemetry.add telemetry "parallel.chunks" !chunks
-  end;
   set

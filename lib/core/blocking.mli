@@ -32,9 +32,9 @@ val row_lists : pairset -> nr:int -> int list array
 
 (** [min_conflict a b] — the row-major-minimal pair present in both
     pairsets, or [None] when they are disjoint. This is the pair on
-    which a serial row-major scan would first see both an identity and
-    a distinctness rule fire, so the parallel partition engine can
-    reproduce the serial [Inconsistent] witness without scanning.
+    which a row-major scan would first see both an identity and a
+    distinctness rule fire, so the partition engine can reproduce the
+    naive scan's [Inconsistent] witness without scanning.
     @raise Invalid_argument if the pairsets index different S sides. *)
 val min_conflict : pairset -> pairset -> (int * int) option
 
@@ -68,14 +68,9 @@ type 'rule spec = {
     Relational.Value.truth;
 }
 
-(** [fired ?jobs spec rules sr rt ss st] — all pairs some rule fires
-    on. A rule with a usable blocking key probes hash buckets over its
-    key columns; a rule with none falls back to a nested loop. With
-    [jobs > 1] each rule's probe loop is chunked over R's rows on pool
-    domains ({!Parallel.map_chunks}); newly fired pairs are accumulated
-    privately per chunk and merged between scans, so the resulting set —
-    a pure function of the inputs — is identical to the serial one.
-    [jobs = 1] (the default) is the serial reference path.
+(** [fired spec rules sr rt ss st] — all pairs some rule fires on. A
+    rule with a usable blocking key probes hash buckets over its key
+    columns; a rule with none falls back to a nested loop.
 
     [telemetry] (default {!Telemetry.off}) records, under
     ["blocking.<label>"] (or plain ["blocking"] when [label] is empty):
@@ -83,12 +78,8 @@ type 'rule spec = {
     [.candidates] (pairs actually proposed for evaluation — compare
     with |R|×|S|), [.fired] (final pairset cardinality), and
     [.rule.<name>.fired] per rule (pairs first recorded by that rule, in
-    rule order). All of these are identical for every [jobs] value;
-    chunk bodies accumulate into {!Telemetry.local}s merged at join. The
-    execution-configuration counter [parallel.chunks] lives in the
-    [parallel.*] namespace excluded from {!Telemetry.counters_stable}. *)
+    rule order). *)
 val fired :
-  ?jobs:int ->
   ?telemetry:Telemetry.t ->
   ?label:string ->
   'rule spec ->

@@ -92,7 +92,7 @@ let distinctness_spec =
    [pairs_considered]. Candidate counters accumulate across
    [Blocking.fired] calls in one sink, so the pairs actually considered
    by THIS partition are the delta around its two blocking passes. *)
-let block_pair_space ~jobs ~telemetry ~identity ~distinctness sr rt ss st =
+let block_pair_space ~telemetry ~identity ~distinctness sr rt ss st =
   let tele_on = Telemetry.enabled telemetry in
   let considered_counters t =
     Telemetry.counter t "blocking.identity.candidates"
@@ -101,12 +101,12 @@ let block_pair_space ~jobs ~telemetry ~identity ~distinctness sr rt ss st =
   let considered_before = if tele_on then considered_counters telemetry else 0 in
   let m =
     Telemetry.span telemetry "partition.block.identity" (fun () ->
-        Blocking.fired ~jobs ~telemetry ~label:"identity" identity_spec
+        Blocking.fired ~telemetry ~label:"identity" identity_spec
           identity sr rt ss st)
   in
   let d =
     Telemetry.span telemetry "partition.block.distinctness" (fun () ->
-        Blocking.fired ~jobs ~telemetry ~label:"distinctness"
+        Blocking.fired ~telemetry ~label:"distinctness"
           distinctness_spec distinctness sr rt ss st)
   in
   Telemetry.add telemetry "partition.pairs_naive"
@@ -119,8 +119,8 @@ let block_pair_space ~jobs ~telemetry ~identity ~distinctness sr rt ss st =
 (* A pair in both fired sets is an Inconsistent/Blocking_desync witness;
    the row walk assumes the sets are disjoint, so detect the conflict up
    front. [min_conflict] returns the row-major-minimal shared pair — the
-   one the naive nested scan raises on first, whatever the job count —
-   and [decide_pair] then raises with the same witnessing rules.
+   one the naive nested scan raises on first — and [decide_pair] then
+   raises with the same witnessing rules.
    The scan is skipped entirely when either side fired nothing (the
    common case: the flagship workload has no distinctness firings at
    all), instead of paying a full conflict scan per run for nothing. *)
@@ -166,8 +166,8 @@ let stream_rows ~nr ~ns ~m_rows ~d_rows ~emit =
     walk 0 m_rows.(i) d_rows.(i)
   done
 
-let partition_stream ?(jobs = 1) ?(telemetry = Telemetry.off)
-    ?decide:decide_hook ~identity ~distinctness ~init ~f r s =
+let partition_stream ?(telemetry = Telemetry.off) ?decide:decide_hook
+    ~identity ~distinctness ~init ~f r s =
   let sr = Relational.Relation.schema r
   and ss = Relational.Relation.schema s in
   let decide_pair = resolve_decide_hook ~identity ~distinctness decide_hook in
@@ -176,7 +176,7 @@ let partition_stream ?(jobs = 1) ?(telemetry = Telemetry.off)
   let nr = Array.length rt and ns = Array.length st in
   let tele_on = Telemetry.enabled telemetry in
   let m, d =
-    block_pair_space ~jobs ~telemetry ~identity ~distinctness sr rt ss st
+    block_pair_space ~telemetry ~identity ~distinctness sr rt ss st
   in
   let n_m = ref 0 and n_d = ref 0 and n_u = ref 0 in
   let acc = ref init in
@@ -200,9 +200,9 @@ let partition_stream ?(jobs = 1) ?(telemetry = Telemetry.off)
   end;
   !acc
 
-let partition ?jobs ?telemetry ?decide ~identity ~distinctness r s =
+let partition ?telemetry ?decide ~identity ~distinctness r s =
   let matched = ref [] and distinct = ref [] and unknown = ref [] in
-  partition_stream ?jobs ?telemetry ?decide ~identity ~distinctness ~init:()
+  partition_stream ?telemetry ?decide ~identity ~distinctness ~init:()
     ~f:(fun () result tr ts ->
       let bucket =
         match result with

@@ -48,8 +48,7 @@ let of_rows ?mode ~key ~r_plan ~s_plan entry tr ts =
   in
   { entry; key_values; r_derivations; s_derivations }
 
-let matches ?mode ~r ~s ~key ilfds =
-  let outcome = Identify.run ?mode ~r ~s ~key ilfds in
+let matches ?mode ~r ~s ~key ilfds mt =
   let compiled = Ilfd.Apply.compile ilfds in
   let plan rel =
     Ilfd.Fixpoint.plan ~source:(Relation.schema rel)
@@ -67,7 +66,7 @@ let matches ?mode ~r ~s ~key ilfds =
       | Some tr, Some ts ->
           Some (of_rows ?mode ~key ~r_plan ~s_plan entry tr ts)
       | _ -> None)
-    (Matching_table.entries outcome.matching_table)
+    (Matching_table.entries mt)
 
 let prove_derivation ilfds schema tuple (d : Ilfd.Apply.derivation) =
   (* The tuple's original non-NULL values form the antecedent; the

@@ -41,22 +41,24 @@ val of_rows :
   Relational.Tuple.t ->
   explanation
 
-(** [matches ?mode ~r ~s ~key ilfds] — one explanation per matched pair,
-    in matching-table order (re-runs the pipeline for the pairs; the
-    family is compiled once per call into one plan per side, each
-    pair's tuples are found through one key index per side, and their
-    chains are derived through the plans).
+(** [matches ?mode ~r ~s ~key ilfds mt] — one explanation per pair of
+    [mt], the matching table of the run being explained ({!Identify.run}
+    over the same arguments), in its order. It runs no pipeline of its
+    own: the family is compiled once per call into one plan per side,
+    each pair's tuples are found through one key index per side, and
+    their chains are derived through the plans.
     [mode] (default [First_rule]) is the derivation mode, matching the
     run being explained.
-    @raise Ilfd.Apply.Conflict_found in [Check_conflicts] mode when some
-    tuple's derivations disagree — the same witness the identification
-    pipeline itself reports for that instance. *)
+    @raise Ilfd.Apply.Conflict_found in [Check_conflicts] mode when a
+    pair's tuple has derivations that disagree — the same witness the
+    identification pipeline reports for that tuple. *)
 val matches :
   ?mode:Ilfd.Apply.mode ->
   r:Relational.Relation.t ->
   s:Relational.Relation.t ->
   key:Extended_key.t ->
   Ilfd.t list ->
+  Matching_table.t ->
   explanation list
 
 (** [prove_derivation ilfds source_tuple schema derivation] — an

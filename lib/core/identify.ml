@@ -34,18 +34,18 @@ let extension_schema relation key =
 (* Both relations ILFD-extended to the K_Ext target schemas — the phase
    shared verbatim by [run], [run_stream] and [run_rules]. The family is
    compiled once for both sides. *)
-let extend_both ?mode ~jobs ~telemetry ~r ~s ~key ilfds =
+let extend_both ?mode ~telemetry ~r ~s ~key ilfds =
   let r_target = extension_schema r key
   and s_target = extension_schema s key in
   let compiled = Ilfd.Apply.compile ilfds in
   let r_ext =
     Telemetry.span telemetry "identify.extend_r" (fun () ->
-        Ilfd.Fixpoint.extend_relation ?mode ~jobs ~telemetry r
+        Ilfd.Fixpoint.extend_relation ?mode ~telemetry r
           ~target:r_target compiled)
   in
   let s_ext =
     Telemetry.span telemetry "identify.extend_s" (fun () ->
-        Ilfd.Fixpoint.extend_relation ?mode ~jobs ~telemetry s
+        Ilfd.Fixpoint.extend_relation ?mode ~telemetry s
           ~target:s_target compiled)
   in
   (r_target, s_target, r_ext, s_ext)
@@ -133,14 +133,13 @@ let join_fold ~telemetry ~key ~r_ext ~s_ext ~init ~f =
     ~ns:(Array.length st) ~emit:(fun i j -> acc := f !acc rt.(i) st.(j));
   !acc
 
-let run_stream ?mode ?(jobs = 1) ?(telemetry = Telemetry.off) ~r ~s ~key
-    ~init ~f ilfds =
-  let _, _, r_ext, s_ext = extend_both ?mode ~jobs ~telemetry ~r ~s ~key ilfds in
+let run_stream ?mode ?(telemetry = Telemetry.off) ~r ~s ~key ~init ~f ilfds =
+  let _, _, r_ext, s_ext = extend_both ?mode ~telemetry ~r ~s ~key ilfds in
   join_fold ~telemetry ~key ~r_ext ~s_ext ~init ~f
 
-let run ?mode ?(jobs = 1) ?(telemetry = Telemetry.off) ~r ~s ~key ilfds =
+let run ?mode ?(telemetry = Telemetry.off) ~r ~s ~key ilfds =
   let ((_, _, r_ext, s_ext) as extended) =
-    extend_both ?mode ~jobs ~telemetry ~r ~s ~key ilfds
+    extend_both ?mode ~telemetry ~r ~s ~key ilfds
   in
   let pairs =
     join_fold ~telemetry ~key ~r_ext ~s_ext ~init:[]
@@ -150,13 +149,13 @@ let run ?mode ?(jobs = 1) ?(telemetry = Telemetry.off) ~r ~s ~key ilfds =
 
 let is_verified o = o.violations = []
 
-let run_rules ?mode ?(jobs = 1) ?(telemetry = Telemetry.off) ~identity
+let run_rules ?mode ?(telemetry = Telemetry.off) ~identity
     ?(distinctness = []) ~r ~s ~key ilfds =
   let ((_, _, r_ext, s_ext) as extended) =
-    extend_both ?mode ~jobs ~telemetry ~r ~s ~key ilfds
+    extend_both ?mode ~telemetry ~r ~s ~key ilfds
   in
   let matched =
-    Decision.partition_stream ~jobs ~telemetry ~identity ~distinctness
+    Decision.partition_stream ~telemetry ~identity ~distinctness
       ~init:[]
       ~f:(fun acc result tr ts ->
         match result with

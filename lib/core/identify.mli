@@ -30,23 +30,17 @@ type outcome = {
   unmatched_s : Relational.Tuple.t list;  (** the S′ counterpart *)
 }
 
-(** [run ?mode ?jobs ?telemetry ~r ~s ~key ilfds] — {!run_stream}'s
-    pairs collected in order, with the outcome assembled around them.
-    [jobs] (default [1]) > 1 runs the ILFD extension of both relations
-    chunked over that many domains ({!Ilfd.Fixpoint.extend_relation});
-    the outcome is identical for every [jobs] value.
+(** [run ?mode ?telemetry ~r ~s ~key ilfds] — {!run_stream}'s pairs
+    collected in order, with the outcome assembled around them.
 
     [telemetry] (default {!Telemetry.off}) records the
     [identify.extend_r] / [identify.extend_s] / [identify.join] spans,
     the [identify.pairs] / [identify.unmatched_r] / [identify.unmatched_s]
     / [identify.violations] / [identify.join.buckets] counters, and the
-    ILFD extension counters ({!Ilfd.Fixpoint.extend_relation}). Everything
-    outside the [parallel.*] namespace is identical for every [jobs]
-    value.
+    ILFD extension counters ({!Ilfd.Fixpoint.extend_relation}).
     @raise Ilfd.Apply.Conflict_found in [Check_conflicts] mode. *)
 val run :
   ?mode:Ilfd.Apply.mode ->
-  ?jobs:int ->
   ?telemetry:Telemetry.t ->
   r:Relational.Relation.t ->
   s:Relational.Relation.t ->
@@ -54,19 +48,18 @@ val run :
   Ilfd.t list ->
   outcome
 
-(** [run_stream ?mode ?jobs ?telemetry ~r ~s ~key ~init ~f ilfds] — the
+(** [run_stream ?mode ?telemetry ~r ~s ~key ~init ~f ilfds] — the
     streaming form of {!run}'s join: folds [f] over every matched
-    [(r', s')] pair of extended tuples in the serial row-major order
+    [(r', s')] pair of extended tuples in row-major order
     (ascending R′ row, ascending S′ partner within a row) straight out of
     the hash join's probe loop, {e without materialising the pair list}
     or buffering any verdict, so peak memory is the join state, not the
     output. The fold observes exactly the pairs {!run} materialises, in
-    the same order, for every [jobs] value. [telemetry] records what
-    {!run} records apart from the outcome counters.
+    the same order. [telemetry] records what {!run} records apart from
+    the outcome counters.
     @raise Ilfd.Apply.Conflict_found in [Check_conflicts] mode. *)
 val run_stream :
   ?mode:Ilfd.Apply.mode ->
-  ?jobs:int ->
   ?telemetry:Telemetry.t ->
   r:Relational.Relation.t ->
   s:Relational.Relation.t ->
@@ -89,17 +82,14 @@ val extension_schema :
     attributes are derived into R′/S′ (pass the union of attributes your
     rules mention). The matched pairs are folded off
     {!Decision.partition_stream}. Distinctness rules contribute nothing
-    to MT but an {!Decision.Inconsistent} pair raises. [jobs] (default
-    [1]) > 1 parallelises the ILFD extension and the blocking passes.
-    Results — including which pair raises — are identical to serial for
-    every [jobs] value. [telemetry] additionally collects
+    to MT but an {!Decision.Inconsistent} pair raises. [telemetry]
+    additionally collects
     the {!Decision.partition_stream} blocking counters (candidate-pair
     reduction vs the cross product).
     @raise Decision.Inconsistent when an identity and a distinctness rule
     fire on the same pair. *)
 val run_rules :
   ?mode:Ilfd.Apply.mode ->
-  ?jobs:int ->
   ?telemetry:Telemetry.t ->
   identity:Rules.Identity.t list ->
   ?distinctness:Rules.Distinctness.t list ->

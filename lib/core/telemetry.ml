@@ -1,5 +1,5 @@
 (* Counters + span timings with a no-op default sink. See telemetry.mli
-   for the threading and determinism contracts. *)
+   for the threading contract. *)
 
 type state = {
   counters : (string, int ref) Hashtbl.t;
@@ -48,27 +48,6 @@ let span t name f =
           charge ();
           raise e)
 
-(* ---- per-domain accumulators ---- *)
-
-type local = Lnone | Lsome of (string, int ref) Hashtbl.t
-
-let local = function Off -> Lnone | On _ -> Lsome (Hashtbl.create 8)
-
-let local_add l name n =
-  match l with
-  | Lnone -> ()
-  | Lsome h -> (
-      match Hashtbl.find_opt h name with
-      | Some r -> r := !r + n
-      | None -> Hashtbl.add h name (ref n))
-
-let local_incr l name = local_add l name 1
-
-let merge t l =
-  match l with
-  | Lnone -> ()
-  | Lsome h -> Hashtbl.iter (fun name r -> add t name !r) h
-
 (* ---- reading ---- *)
 
 let counter t name =
@@ -83,12 +62,6 @@ let counters t =
   | On s ->
       Hashtbl.fold (fun name r acc -> (name, !r) :: acc) s.counters []
       |> List.sort compare
-
-let is_parallel_counter (name, _) =
-  String.length name >= 9 && String.sub name 0 9 = "parallel."
-
-let counters_stable t =
-  List.filter (fun c -> not (is_parallel_counter c)) (counters t)
 
 type span_stat = { span_name : string; total_ms : float; calls : int }
 

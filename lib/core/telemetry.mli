@@ -7,18 +7,7 @@
     wall-clock spans.
 
     {b Threading model.} A sink is single-domain: only the domain that
-    created it may call {!add}/{!incr}/{!span} on it. Parallel sections
-    ({!Parallel.map_chunks} chunk bodies) accumulate into a private
-    {!local} per chunk and the calling domain folds them in with
-    {!merge} after the join — the parallel paths stay contention-free
-    and need no locks.
-
-    {b Determinism.} Pipeline counters are defined so that they are
-    identical for every [jobs] value (candidate pairs proposed, rule
-    firings, derivation classes, verdict counts…). The only exceptions live in
-    the [parallel.*] namespace (chunk utilisation, configured jobs),
-    which deliberately reports the execution configuration; comparisons
-    across job counts should filter it out ({!counters_stable}).
+    created it may call {!add}/{!incr}/{!span} on it. It takes no locks.
 
     {b Clock.} Spans only ever consume {e differences} of the clock,
     taken on one domain. The default clock is [Unix.gettimeofday] — the
@@ -47,22 +36,6 @@ val incr : t -> string -> unit
     exactly [f ()]. *)
 val span : t -> string -> (unit -> 'a) -> 'a
 
-(** {2 Per-domain accumulators} *)
-
-(** A chunk-private accumulator. Created on the calling domain, carried
-    into a chunk body, returned with the chunk's result, and folded into
-    the sink with {!merge} after the join. For an {!off} sink, locals
-    are a no-op too. *)
-type local
-
-val local : t -> local
-val local_add : local -> string -> int -> unit
-val local_incr : local -> string -> unit
-
-(** [merge t l] — fold a chunk's accumulator into the sink. Must run on
-    the sink's owning domain (i.e. after the chunk is joined). *)
-val merge : t -> local -> unit
-
 (** {2 Reading} *)
 
 (** [counter t name] — current value, 0 if never touched. *)
@@ -70,10 +43,6 @@ val counter : t -> string -> int
 
 (** All counters, sorted by name. Empty for {!off}. *)
 val counters : t -> (string * int) list
-
-(** {!counters} without the [parallel.*] namespace — the jobs-invariant
-    subset, for comparing runs across execution configurations. *)
-val counters_stable : t -> (string * int) list
 
 type span_stat = { span_name : string; total_ms : float; calls : int }
 

@@ -448,7 +448,7 @@ let extend_tuple ?(mode = Apply.First_rule) ?(telemetry = Telemetry.off) p
   eval p ~mode tuple ~on_scan:(fun () ->
       Telemetry.incr telemetry "ilfd.fixpoint.fallback_classes")
 
-let run plan ~mode r ~target ~jobs ~telemetry =
+let run plan ~mode r ~target ~telemetry =
   let cr = Relation.columnar r in
   let n_rows = Columnar.length cr in
   let nkeys = Array.length plan.key_ids in
@@ -600,19 +600,16 @@ let run plan ~mode r ~target ~jobs ~telemetry =
     for i = 0 to n_rows - 1 do
       derived := !derived + dlen.(class_of_row.(i))
     done;
-    Telemetry.add telemetry "ilfd.derivations" !derived;
-    if jobs > 1 then
-      Telemetry.add telemetry "parallel.chunks"
-        (Parallel.chunk_count ~jobs n_rows)
+    Telemetry.add telemetry "ilfd.derivations" !derived
   end;
   (* Rows: base cells plus the class delta. Every delta cell fills a NULL
      base cell, so when [r] has a declared key and [target] keeps its
      attributes, [Relation.extend] inherits [r]'s set semantics and coded
      view rather than re-establishing them. *)
-  Relation.extend ~jobs r target ~classes:class_of_row ~derived:deltas
+  Relation.extend r target ~classes:class_of_row ~derived:deltas
 
-let extend_relation ?(mode = Apply.First_rule) ?(jobs = 1)
-    ?(telemetry = Telemetry.off) r ~target compiled =
+let extend_relation ?(mode = Apply.First_rule) ?(telemetry = Telemetry.off) r
+    ~target compiled =
   Telemetry.span telemetry "ilfd.extend" @@ fun () ->
-  run (plan ~source:(Relation.schema r) ~target compiled) ~mode r ~target ~jobs
+  run (plan ~source:(Relation.schema r) ~target compiled) ~mode r ~target
     ~telemetry

@@ -91,7 +91,7 @@ val extend_tuple :
   Relational.Tuple.t ->
   (Relational.Tuple.t * Apply.derivation list, Apply.conflict) result
 
-(** [extend_relation ?mode ?jobs ?telemetry r ~target compiled] — the
+(** [extend_relation ?mode ?telemetry r ~target compiled] — the
     relation extension: the rows {!Apply.extend_tuple_compiled} gives
     for [r]'s rows, in row order, raising the first conflicting row's
     witness as {!Apply.Conflict_found} (the checker's
@@ -103,8 +103,7 @@ val extend_tuple :
     representative row, since a conflict witness depends on the demand
     order; class ids follow first-row order, so the first class that
     conflicts holds the reference's first conflicting row and raises
-    the same {!Apply.Conflict_found} witness. [jobs] (default [1]) > 1
-    materialises row chunks on that many domains.
+    the same {!Apply.Conflict_found} witness.
 
     The rows are built by {!Relational.Relation.extend} from [r]'s rows
     and the classes' derived cells, as storage codes the chase already
@@ -122,14 +121,11 @@ val extend_tuple :
     [ilfd.fixpoint.rounds] (strata chased; [0] when every class runs
     {!extend_tuple}), [ilfd.fixpoint.delta_facts] (facts derived across
     classes, scratch intermediates included on the chase) and
-    [ilfd.fixpoint.fallback_classes] (classes that took the scan) — all
-    class-level, hence identical
-    for every [jobs] value.
+    [ilfd.fixpoint.fallback_classes] (classes that took the scan).
     @raise Apply.Conflict_found in [Check_conflicts] mode.
     @raise Fallback_desync as described above. *)
 val extend_relation :
   ?mode:Apply.mode ->
-  ?jobs:int ->
   ?telemetry:Telemetry.t ->
   Relational.Relation.t ->
   target:Relational.Schema.t ->

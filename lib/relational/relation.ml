@@ -267,7 +267,7 @@ let columnar r =
 
 (* ---- extension ---- *)
 
-let extend ~jobs r target ~classes ~derived =
+let extend r target ~classes ~derived =
   let n = Array.length r.rows in
   if Array.length classes <> n then
     invalid_arg "Relation.extend: one class per row";
@@ -313,15 +313,7 @@ let extend ~jobs r target ~classes ~derived =
       derived.(classes.(i));
     Tuple.of_array target cells
   in
-  (* Chunks write disjoint rows, and read only frozen structures (decoded
-     values included), so chunk-order concatenation keeps row order. *)
-  let rows =
-    if jobs <= 1 then Array.init n materialise
-    else
-      Array.concat
-        (Parallel.map_chunks ~jobs n (fun ~start ~stop ->
-             Array.init (stop - start) (fun k -> materialise (start + k))))
-  in
+  let rows = Array.init n materialise in
   if inherits then
     {
       schema = target;

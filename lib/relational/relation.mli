@@ -63,7 +63,7 @@ val build : builder -> t
 
 (** {2 Extension} *)
 
-(** [extend ~jobs r target ~classes ~derived] — the paper's R′ over
+(** [extend r target ~classes ~derived] — the paper's R′ over
     [target] (Section 4.2): row [i] is row [i] of [r] with every
     attribute of [target] that [r] lacks NULL, then each [(p, code)] of
     [derived.(classes.(i))] written at position [p] of [target]. A
@@ -77,15 +77,13 @@ val build : builder -> t
     runs, and the {!columnar} view is set from [r]'s: untouched columns
     are shared, derived cells take their codes from [derived]. Otherwise
     the rows go through {!of_tuples}, which may collapse rows that
-    derivation made equal. [jobs] > 1 materialises row chunks on that
-    many domains ({!Parallel.map_chunks}); the result is the same.
+    derivation made equal.
     @raise Invalid_argument when [classes] does not have one entry per
     row, when a derived cell lands on a non-NULL cell, or on a row that
     breaks a type of [target].
     @raise Key_violation or Schema.Unknown_attribute as {!of_tuples}
     does, on the fallback. *)
 val extend :
-  jobs:int ->
   t ->
   Schema.t ->
   classes:int array ->

@@ -251,14 +251,19 @@ let to_string j =
     | Bool b -> Buffer.add_string buf (if b then "true" else "false")
     | Int i -> Buffer.add_string buf (string_of_int i)
     | Float f ->
-        if Float.is_finite f then
+        if Float.is_finite f then begin
           (* %.17g is exact for doubles; trim to the shortest of the two
-             standard precisions that round-trips. *)
+             standard precisions that round-trips. An integral value
+             prints with no fraction or exponent ("3", "-0"), which would
+             read back as an [Int]: give it a ".0". *)
           let s = Printf.sprintf "%.12g" f in
           let s =
             if float_of_string s = f then s else Printf.sprintf "%.17g" f
           in
-          Buffer.add_string buf s
+          Buffer.add_string buf s;
+          if not (String.exists (fun c -> c = '.' || c = 'e' || c = 'E') s)
+          then Buffer.add_string buf ".0"
+        end
         else begin
           Buffer.add_char buf '"';
           Buffer.add_string buf (Float.to_string f);

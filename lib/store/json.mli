@@ -21,9 +21,12 @@ type t =
     allowed; trailing garbage is an error). *)
 val parse : string -> (t, string) result
 
-(** Compact single-line rendering. Non-finite floats have no JSON
-    literal and are rendered as quoted strings, keeping output always
-    parseable. *)
+(** Compact single-line rendering. A finite float prints with the
+    fewest digits (12 or 17 significant) that read back to the same
+    double, and always with a fraction or an exponent — [3.] prints as
+    [3.0], [-0.] as [-0.0] — so {!parse} never reads it back as an
+    [Int]. Non-finite floats have no JSON literal and are rendered as
+    quoted strings, keeping output always parseable. *)
 val to_string : t -> string
 
 (** [member name j] — field [name] of an object ([None] when absent or

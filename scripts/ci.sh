@@ -1,9 +1,9 @@
 #!/bin/sh
 # CI gate: build everything, run the full test suite, then run the
-# partition and parallel benches in smoke mode — their serial-vs-engine
-# agreement assertions are cheap correctness checks worth executing on
-# every commit (both exit nonzero on any disagreement; the grep is a
-# belt-and-braces check on the JSON they emit).
+# partition bench in smoke mode — its naive-vs-engine agreement
+# assertions are cheap correctness checks worth executing on every
+# commit (it exits nonzero on any disagreement; the grep is a
+# belt-and-braces check on the JSON it emits).
 set -eux
 
 cd "$(dirname "$0")/.."
@@ -77,6 +77,22 @@ if dune exec bin/entity_ident.exe -- soak --no-such-flag \
   echo "CI: soak accepted an unknown flag" >&2
   exit 1
 fi
+# Deleted execution modes stay deleted: --jobs/-j (the domain pool) and
+# --shards/--mem-budget (the out-of-core mode) are unknown options, a
+# usage error (exit 124), on an otherwise valid invocation.
+for removed in "identify --jobs 2" "identify -j 2" "fuse --jobs 2" \
+    "identify --shards 4" "identify --mem-budget 1"; do
+  status=0
+  # shellcheck disable=SC2086
+  dune exec bin/entity_ident.exe -- $removed --left data/restaurants_r.csv \
+    --right data/restaurants_s.csv --r-key name,cuisine \
+    --s-key name,speciality --key name,cuisine,speciality \
+    --rules data/restaurants.ilfd > /dev/null 2>&1 || status=$?
+  if [ "$status" -ne 124 ]; then
+    echo "CI: '$removed' exited $status, not 124 (unknown option)" >&2
+    exit 1
+  fi
+done
 
 # Malformed CSV input (a NULL in a key column, an unterminated quote,
 # a key naming no column, a header repeating a column) must exit 2 with
@@ -198,75 +214,53 @@ bench_dir=$(mktemp -d)
 (
   cd "$bench_dir"
   BENCH_SMOKE=1 "$OLDPWD"/_build/default/bench/main.exe partition
-  BENCH_SMOKE=1 "$OLDPWD"/_build/default/bench/main.exe parallel
-  if grep -q '"agree": false' BENCH_partition.json BENCH_parallel.json; then
+  if grep -q '"agree": false' BENCH_partition.json; then
     echo "CI: bench agreement check failed" >&2
     exit 1
   fi
-  # The stats-enabled artefacts must be well-formed JSON with no
+  # The stats-enabled artefact must be well-formed JSON with no
   # non-finite numbers and the keys downstream tooling reads.
-  for f in BENCH_partition.json BENCH_parallel.json; do
-    if grep -Eq '(^|[^a-zA-Z])(nan|inf)' "$f"; then
-      echo "CI: non-finite number in $f" >&2
-      exit 1
-    fi
-  done
+  if grep -Eq '(^|[^a-zA-Z])(nan|inf)' BENCH_partition.json; then
+    echo "CI: non-finite number in BENCH_partition.json" >&2
+    exit 1
+  fi
   if command -v python3 > /dev/null; then
     python3 - <<'EOF'
 import json, sys
 
-for path in ("BENCH_partition.json", "BENCH_parallel.json"):
-    with open(path) as f:
-        doc = json.load(f)  # raises on malformed JSON
-    for key in ("results", "stats"):
-        if key not in doc:
-            sys.exit(f"CI: {path} is missing the {key!r} object")
-    stats = doc["stats"]
-    for key in ("counters", "spans", "derived"):
-        if key not in stats:
-            sys.exit(f"CI: {path} stats block is missing {key!r}")
-    def walk(x):
-        if isinstance(x, float) and (x != x or abs(x) == float("inf")):
-            sys.exit(f"CI: non-finite number in {path}")
-        if isinstance(x, dict):
-            for v in x.values():
-                walk(v)
-        elif isinstance(x, list):
-            for v in x:
-                walk(v)
-    walk(doc)
+path = "BENCH_partition.json"
+with open(path) as f:
+    doc = json.load(f)  # raises on malformed JSON
+for key in ("results", "stats"):
+    if key not in doc:
+        sys.exit(f"CI: {path} is missing the {key!r} object")
+stats = doc["stats"]
+for key in ("counters", "spans", "derived"):
+    if key not in stats:
+        sys.exit(f"CI: {path} stats block is missing {key!r}")
+def walk(x):
+    if isinstance(x, float) and (x != x or abs(x) == float("inf")):
+        sys.exit(f"CI: non-finite number in {path}")
+    if isinstance(x, dict):
+        for v in x.values():
+            walk(v)
+    elif isinstance(x, list):
+        for v in x:
+            walk(v)
+walk(doc)
 
 # The production extension path must actually be the fixpoint (at least
-# one chase round recorded) in both pipeline-bearing artefacts, and the
-# partition bench's fixpoint-vs-recursive head-to-head must agree.
-for path in ("BENCH_partition.json", "BENCH_parallel.json"):
-    counters = json.load(open(path))["stats"]["counters"]
-    if counters.get("ilfd.fixpoint.rounds", 0) < 1:
-        sys.exit(f"CI: {path} recorded no fixpoint rounds — "
-                 "the extension ran on the fallback path")
-
-ext = json.load(open("BENCH_partition.json")).get("extension")
+# one chase round recorded), and the fixpoint-vs-recursive head-to-head
+# must agree.
+if stats["counters"].get("ilfd.fixpoint.rounds", 0) < 1:
+    sys.exit(f"CI: {path} recorded no fixpoint rounds — "
+             "the extension ran on the fallback path")
+ext = doc.get("extension")
 if ext is None:
-    sys.exit("CI: BENCH_partition.json is missing the extension object")
+    sys.exit(f"CI: {path} is missing the extension object")
 if ext.get("agree") is not True:
     sys.exit("CI: fixpoint extension disagrees with the recursive engine")
-
-doc = json.load(open("BENCH_parallel.json"))
-if doc.get("stats_jobs_invariant") is not True:
-    sys.exit("CI: telemetry counters differ between job counts")
-
-# The small-input regression gate: at 1k x 1k the parallel partition
-# must cost at most 15% over serial (spawn-per-call made jobs=2 run
-# 14x slower; the pool + serial-fallback threshold is what this holds).
-rows = {(r["n_r"], r["jobs"]): r["ms"] for r in doc["results"]}
-serial, j2 = rows.get((1000, 1)), rows.get((1000, 2))
-if serial is None or j2 is None:
-    sys.exit("CI: parallel bench smoke sweep is missing the 1k x 1k rows")
-if j2 > serial * 1.15:
-    sys.exit(
-        f"CI: jobs=2 at 1k x 1k took {j2:.2f} ms vs {serial:.2f} ms serial "
-        "(> 1.15x) — the small-input parallel regression is back")
-print("CI: bench JSON artefacts are well-formed")
+print("CI: bench JSON artefact is well-formed")
 EOF
   fi
 )

@@ -234,30 +234,13 @@ let decision_tests =
         E.Decision.partition ~identity ~distinctness o.r_extended o.s_extended
         = E.Decision.partition_naive ~identity ~distinctness o.r_extended
             o.s_extended);
-    qtest ~count:15 "parallel partition equals serial for any jobs"
-      (restaurant_gen ())
-      (fun inst ->
-        (* The executor's contract: identical lists, identical order, for
-           every jobs value — including a count that does not divide the
-           row count. *)
-        let o = E.Identify.run ~r:inst.r ~s:inst.s ~key:inst.key inst.ilfds in
-        let identity = [ E.Extended_key.equivalence_rule inst.key ] in
-        let distinctness =
-          E.Negative.distinctness_rules_of_ilfds inst.ilfds
-        in
-        let run jobs =
-          E.Decision.partition ~jobs ~identity ~distinctness o.r_extended
-            o.s_extended
-        in
-        let reference = run 1 in
-        List.for_all (fun jobs -> run jobs = reference) [ 2; 4; 7 ]);
     case "parallel Inconsistent raises from the row-major-first pair"
       (fun () ->
         (* Two conflicting pairs witnessed by different rules: (r0, s0)
-           agrees on name only, (r1, s1) on street only. The serial scan
-           hits (r0, s0) first, so every jobs value must report the
-           name rules — even though with jobs >= 2 another domain owns
-           that chunk. *)
+           agrees on name only, (r1, s1) on street only. The naive
+           row-major scan hits (r0, s0) first, so the blocked partition
+           must report the name rules — even though the street rules come
+           first in rule order. *)
         let eq_rule make name attr =
           make ~name
             [
@@ -285,25 +268,17 @@ let decision_tests =
           relation [ "name"; "street" ] []
             [ [ "A"; "X" ]; [ "C"; "S2" ] ]
         in
-        let witness jobs =
-          match
-            E.Decision.partition ~jobs ~identity ~distinctness r s
-          with
+        let witness =
+          match E.Decision.partition ~identity ~distinctness r s with
           | _ -> None
           | exception
               E.Decision.Inconsistent { identity = i; distinctness = d } ->
               Some (i.name, d.name)
         in
         Alcotest.(check (option (pair string string)))
-          "serial witness"
+          "witness"
           (Some ("i-name", "d-name"))
-          (witness 1);
-        List.iter
-          (fun jobs ->
-            Alcotest.(check (option (pair string string)))
-              (Printf.sprintf "jobs=%d witness" jobs)
-              (witness 1) (witness jobs))
-          [ 2; 4; 7 ]);
+          witness);
     case "desynchronised decide raises Blocking_desync (serial arm)"
       (fun () ->
         (* The blocking index says an identity and a distinctness rule
@@ -346,11 +321,9 @@ let decision_tests =
               (R.Tuple.equal s_tuple witness));
     case "desynchronised decide raises Blocking_desync (parallel arm)"
       (fun () ->
-        (* Same desynchronisation under jobs > 1: the min_conflict
-           pre-scan owns the both-fired arm there, and must report the
-           row-major-minimal conflicting pair — (r0, s0) on name — for
-           every jobs value, with the same witness the serial arm
-           reports. *)
+        (* Same desynchronisation over two conflicting pairs: the
+           min_conflict pre-scan must report the row-major-minimal one —
+           (r0, s0) on name — though the street rules come first. *)
         let eq_rule make name attr =
           make ~name
             [
@@ -385,10 +358,9 @@ let decision_tests =
             distinctness = None;
           }
         in
-        let witness jobs =
+        let witness =
           match
-            E.Decision.partition ~jobs ~decide:quiet ~identity
-              ~distinctness r s
+            E.Decision.partition ~decide:quiet ~identity ~distinctness r s
           with
           | _ -> None
           | exception E.Decision.Blocking_desync { r_tuple; s_tuple } ->
@@ -397,13 +369,8 @@ let decision_tests =
                   R.Tuple.equal s_tuple (List.nth (R.Relation.tuples s) 0)
                 )
         in
-        List.iter
-          (fun jobs ->
-            Alcotest.(check (option (pair bool bool)))
-              (Printf.sprintf "jobs=%d row-major-first witness" jobs)
-              (Some (true, true))
-              (witness jobs))
-          [ 1; 2; 4; 7 ]);
+        Alcotest.(check (option (pair bool bool)))
+          "row-major-first witness" (Some (true, true)) witness);
   ]
 
 (* ---- Matching_table ---- *)
@@ -474,29 +441,13 @@ let matching_table_tests =
 
 let identify_tests =
   [
-    qtest ~count:10 "run and run_rules are jobs-invariant"
-      (restaurant_gen ~n_entities:12 ())
-      (fun inst ->
-        let same o (o' : E.Identify.outcome) =
-          o.E.Identify.pairs = o'.pairs
-          && R.Relation.tuples o.r_extended = R.Relation.tuples o'.r_extended
-          && R.Relation.tuples o.s_extended = R.Relation.tuples o'.s_extended
-          && E.Matching_table.entries o.matching_table
-             = E.Matching_table.entries o'.matching_table
-          && o.unmatched_r = o'.unmatched_r
-          && o.unmatched_s = o'.unmatched_s
+    case "pairs agree with matching table" (fun () ->
+        let o =
+          E.Identify.run ~r:PD.table5_r ~s:PD.table5_s ~key:PD.example3_key
+            PD.ilfds_i1_i8
         in
-        let run jobs =
-          E.Identify.run ~jobs ~r:inst.r ~s:inst.s ~key:inst.key inst.ilfds
-        in
-        let identity = [ E.Extended_key.equivalence_rule inst.key ] in
-        let run_rules jobs =
-          E.Identify.run_rules ~jobs ~identity ~r:inst.r ~s:inst.s
-            ~key:inst.key inst.ilfds
-        in
-        same (run 1) (run 3)
-        && same (run 1) (run 8)
-        && same (run_rules 1) (run_rules 3));
+        Alcotest.(check int) "" (List.length o.pairs)
+          (E.Matching_table.cardinality o.matching_table));
     case "Example 2 / Table 3: the TwinCities pair" (fun () ->
         let o =
           E.Identify.run ~r:PD.table2_r ~s:PD.table2_s ~key:PD.example2_key
@@ -634,13 +585,6 @@ let identify_tests =
             ~key:(E.Extended_key.make [ "cuisine" ]) []
         in
         Alcotest.(check int) "" 1
-          (E.Matching_table.cardinality o.matching_table));
-    case "pairs agree with matching table" (fun () ->
-        let o =
-          E.Identify.run ~r:PD.table5_r ~s:PD.table5_s ~key:PD.example3_key
-            PD.ilfds_i1_i8
-        in
-        Alcotest.(check int) "" (List.length o.pairs)
           (E.Matching_table.cardinality o.matching_table));
   ]
 

@@ -754,17 +754,22 @@ let cluster_tests =
 
 (* ---- Explain ---- *)
 
+(* The explanations of a run's matching table, as the CLI makes them. *)
+let explain ?mode ~r ~s ~key ilfds =
+  E.Explain.matches ?mode ~r ~s ~key ilfds
+    (E.Identify.run ~r ~s ~key ilfds).matching_table
+
 let explain_tests =
   [
     case "one explanation per matched pair" (fun () ->
         let es =
-          E.Explain.matches ~r:PD.table5_r ~s:PD.table5_s
+          explain ~r:PD.table5_r ~s:PD.table5_s
             ~key:PD.example3_key PD.ilfds_i1_i8
         in
         Alcotest.(check int) "" 3 (List.length es));
     case "It'sGreek explanation shows the I7+I8 chain" (fun () ->
         let es =
-          E.Explain.matches ~r:PD.table5_r ~s:PD.table5_s
+          explain ~r:PD.table5_r ~s:PD.table5_s
             ~key:PD.example3_key PD.ilfds_i1_i8
         in
         let greek =
@@ -785,7 +790,7 @@ let explain_tests =
           (List.mem "speciality" attrs));
     case "agreed key values are reported" (fun () ->
         let es =
-          E.Explain.matches ~r:PD.table2_r ~s:PD.table2_s
+          explain ~r:PD.table2_r ~s:PD.table2_s
             ~key:PD.example2_key [ PD.example2_ilfd ]
         in
         match es with
@@ -799,7 +804,7 @@ let explain_tests =
         | _ -> Alcotest.fail "one explanation expected");
     case "every derivation step carries an Armstrong proof" (fun () ->
         let es =
-          E.Explain.matches ~r:PD.table5_r ~s:PD.table5_s
+          explain ~r:PD.table5_r ~s:PD.table5_s
             ~key:PD.example3_key PD.ilfds_i1_i8
         in
         let r_schema = R.Relation.schema PD.table5_r in
@@ -842,7 +847,7 @@ let explain_tests =
            with [assert false]; it must raise [Conflict_found] with the
            disagreeing derivations attached, like the pipeline itself. *)
         let explain mode =
-          E.Explain.matches ?mode
+          explain ?mode
             ~r:(relation [ "name" ] [ [ "name" ] ] [ [ "alpha" ] ])
             ~s:
               (relation
@@ -866,7 +871,7 @@ let explain_tests =
           (List.length (explain None)));
     case "render mentions rules and values" (fun () ->
         let es =
-          E.Explain.matches ~r:PD.table2_r ~s:PD.table2_s
+          explain ~r:PD.table2_r ~s:PD.table2_s
             ~key:PD.example2_key [ PD.example2_ilfd ]
         in
         let out = E.Explain.render es in
@@ -883,52 +888,6 @@ let explain_tests =
           [ "TwinCities"; "cuisine=Indian"; "Mughalai" ]);
   ]
 
-(* ---- Parallel ---- *)
-
-let parallel_tests =
-  [
-    case "map_chunks on empty range is total for every jobs" (fun () ->
-        (* n = 0 must not crash (the old assert-false path): the clamped
-           chunking is a single empty range run inline — a no-op chunk,
-           no domain spawn — whatever the jobs count. *)
-        List.iter
-          (fun jobs ->
-            Alcotest.(check (list (pair int int)))
-              (Printf.sprintf "jobs=%d" jobs)
-              [ (0, 0) ]
-              (Parallel.map_chunks ~jobs 0 (fun ~start ~stop ->
-                   (start, stop)));
-            Alcotest.(check int)
-              (Printf.sprintf "jobs=%d chunk_count" jobs)
-              1
-              (Parallel.chunk_count ~jobs 0))
-          [ 1; 2; 3; 4 ]);
-    case "map_chunks on singleton range is one full chunk" (fun () ->
-        List.iter
-          (fun jobs ->
-            Alcotest.(check (list (pair int int)))
-              (Printf.sprintf "jobs=%d" jobs)
-              [ (0, 1) ]
-              (Parallel.map_chunks ~jobs 1 (fun ~start ~stop ->
-                   (start, stop))))
-          [ 1; 2; 3; 4 ]);
-    qtest ~count:50 "map_chunks covers [0, n) in order for any jobs"
-      QCheck2.Gen.(pair (0 -- 33) (1 -- 4))
-      (fun (n, jobs) ->
-        (* Chunks must be ascending, contiguous, and cover exactly
-           [0, n) — including the degenerate n = 0 and n = 1 inputs. *)
-        let chunks =
-          Parallel.map_chunks ~jobs n (fun ~start ~stop -> (start, stop))
-        in
-        let rec contiguous at = function
-          | [] -> at = n
-          | (start, stop) :: rest ->
-              start = at && stop >= start && contiguous stop rest
-        in
-        List.length chunks = Parallel.chunk_count ~jobs n
-        && contiguous 0 chunks);
-  ]
-
 let () =
   Alcotest.run "extensions"
     [
@@ -940,5 +899,4 @@ let () =
       ("align", align_tests);
       ("fusion", fusion_tests);
       ("cluster", cluster_tests);
-      ("parallel", parallel_tests);
     ]

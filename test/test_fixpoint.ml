@@ -92,8 +92,8 @@ let agreement_tests =
              (Checker.Reference.extend_relation r ~target ilfds)));
     case "Check_conflicts witnesses match the serial reference" (fun () ->
         (* The production extender runs Check_conflicts per derivation
-           class, in first-row order; at every job count it must raise
-           the reference's first-row witness, or return its rows. *)
+           class, in first-row order; it must raise the reference's
+           first-row witness, or return its rows. *)
         let outcome f =
           match f () with
           | rel -> Ok rel
@@ -105,29 +105,25 @@ let agreement_tests =
                 Checker.Reference.extend_relation ~mode:Ilfd.Apply.Check_conflicts
                   rel ~target ilfds)
           in
-          List.iter
-            (fun jobs ->
-              let label = Printf.sprintf "%s jobs=%d" label jobs in
-              match
-                ( reference,
-                  outcome (fun () ->
-                      Ilfd.Fixpoint.extend_relation
-                        ~mode:Ilfd.Apply.Check_conflicts ~jobs rel ~target
-                        (Ilfd.Apply.compile ilfds)) )
-              with
-              | Ok a, Ok b ->
-                  Alcotest.(check bool) (label ^ " rows") true
-                    (R.Relation.equal a b)
-              | Error a, Error b ->
-                  Alcotest.(check string) (label ^ " attribute") a.attribute
-                    b.attribute;
-                  Alcotest.(check bool) (label ^ " values") true
-                    (V.equal a.first b.first && V.equal a.second b.second);
-                  Alcotest.(check bool) (label ^ " rule") true
-                    (Ilfd.equal a.rule b.rule)
-              | Ok _, Error _ -> Alcotest.fail (label ^ ": spurious conflict")
-              | Error _, Ok _ -> Alcotest.fail (label ^ ": missed conflict"))
-            [ 1; 3 ]
+          match
+            ( reference,
+              outcome (fun () ->
+                  Ilfd.Fixpoint.extend_relation
+                    ~mode:Ilfd.Apply.Check_conflicts rel ~target
+                    (Ilfd.Apply.compile ilfds)) )
+          with
+          | Ok a, Ok b ->
+              Alcotest.(check bool) (label ^ " rows") true
+                (R.Relation.equal a b)
+          | Error a, Error b ->
+              Alcotest.(check string) (label ^ " attribute") a.attribute
+                b.attribute;
+              Alcotest.(check bool) (label ^ " values") true
+                (V.equal a.first b.first && V.equal a.second b.second);
+              Alcotest.(check bool) (label ^ " rule") true
+                (Ilfd.equal a.rule b.rule)
+          | Ok _, Error _ -> Alcotest.fail (label ^ ": spurious conflict")
+          | Error _, Ok _ -> Alcotest.fail (label ^ ": missed conflict")
         in
         for seed = 1 to 40 do
           let sc = Checker.Scenario.generate ~seed in
@@ -259,7 +255,7 @@ let extension_tests =
              "Relation.extend: a derived cell overwrites a non-NULL cell")
           (fun () ->
             ignore
-              (R.Relation.extend ~jobs:1 r (R.Relation.schema r)
+              (R.Relation.extend r (R.Relation.schema r)
                  ~classes:[| 0 |]
                  ~derived:[| [ (0, R.Intern.code (v "y")) ] |])));
   ]
@@ -460,23 +456,6 @@ let counter_tests =
           (c "ilfd.fixpoint.classes" <= c "ilfd.tuples");
         Alcotest.(check int) "no fallback classes" 0
           (c "ilfd.fixpoint.fallback_classes"));
-    case "fixpoint counters are jobs-invariant" (fun () ->
-        let inst =
-          Workload.Restaurant.generate
-            { Workload.Restaurant.default with n_entities = 30; seed = 11 }
-        in
-        let target = E.Identify.extension_schema inst.r inst.key in
-        let run jobs =
-          let telemetry = Telemetry.create () in
-          let out =
-            Ilfd.Fixpoint.extend_relation ~jobs ~telemetry inst.r ~target
-              (Ilfd.Apply.compile inst.ilfds)
-          in
-          (Telemetry.counters_stable telemetry, out)
-        in
-        let c1, o1 = run 1 and c3, o3 = run 3 in
-        Alcotest.(check (list (pair string int))) "jobs 1 = jobs 3" c1 c3;
-        Alcotest.(check bool) "same rows" true (R.Relation.equal o1 o3));
   ]
 
 (* ---- the per-tuple evaluator ----

@@ -1,7 +1,6 @@
 (* Tests for the telemetry subsystem: the sink itself (counters, spans,
-   local accumulators, rendering) and its contract with the pipeline —
-   counters account for exactly what ran, and everything outside the
-   [parallel.*] namespace is identical whatever the job count. *)
+   rendering) and its contract with the pipeline — counters account for
+   exactly what ran. *)
 
 module R = Relational
 module V = R.Value
@@ -68,30 +67,6 @@ let sink_tests =
         match Telemetry.spans t with
         | [ { Telemetry.calls; _ } ] -> Alcotest.(check int) "calls" 1 calls
         | _ -> Alcotest.fail "span expected");
-    case "locals merge into the sink" (fun () ->
-        let t = Telemetry.create () in
-        let l1 = Telemetry.local t and l2 = Telemetry.local t in
-        Telemetry.local_add l1 "c" 3;
-        Telemetry.local_incr l2 "c";
-        Telemetry.local_incr l2 "d";
-        Telemetry.merge t l1;
-        Telemetry.merge t l2;
-        Alcotest.(check int) "c" 4 (Telemetry.counter t "c");
-        Alcotest.(check int) "d" 1 (Telemetry.counter t "d"));
-    case "local of an off sink is a no-op" (fun () ->
-        let t = Telemetry.off in
-        let l = Telemetry.local t in
-        Telemetry.local_add l "c" 3;
-        Telemetry.merge t l;
-        Alcotest.(check int) "" 0 (Telemetry.counter t "c"));
-    case "counters_stable filters the parallel namespace" (fun () ->
-        let t = Telemetry.create () in
-        Telemetry.add t "parallel.chunks" 7;
-        Telemetry.add t "partition.pairs_naive" 9;
-        Alcotest.(check (list (pair string int)))
-          ""
-          [ ("partition.pairs_naive", 9) ]
-          (Telemetry.counters_stable t));
     case "reset clears everything" (fun () ->
         let t = Telemetry.create () in
         Telemetry.incr t "c";
@@ -138,10 +113,10 @@ let sink_tests =
 
 (* ---- the pipeline contract ---- *)
 
-let run_paper_pipeline ?(jobs = 1) () =
+let run_paper_pipeline () =
   let telemetry = Telemetry.create () in
   let o =
-    E.Identify.run ~jobs ~telemetry ~r:PD.table5_r ~s:PD.table5_s
+    E.Identify.run ~telemetry ~r:PD.table5_r ~s:PD.table5_s
       ~key:PD.example3_key PD.ilfds_i1_i8
   in
   (telemetry, o)
@@ -150,11 +125,11 @@ let restaurant_instance () =
   Workload.Restaurant.generate
     { Workload.Restaurant.default with n_entities = 40; seed = 7 }
 
-let run_rules_pipeline ?(jobs = 1) () =
+let run_rules_pipeline () =
   let telemetry = Telemetry.create () in
   let inst = restaurant_instance () in
   let o =
-    E.Identify.run_rules ~jobs ~telemetry
+    E.Identify.run_rules ~telemetry
       ~identity:[ E.Extended_key.equivalence_rule inst.key ]
       ~r:inst.r ~s:inst.s ~key:inst.key inst.ilfds
   in
@@ -233,19 +208,6 @@ let pipeline_tests =
         Alcotest.(check int) "fallback classes" 0
           (c "ilfd.fixpoint.fallback_classes");
         Alcotest.(check int) "derivations" 2 (c "ilfd.derivations"));
-    case "stable counters are jobs-invariant" (fun () ->
-        let t1, _ = run_rules_pipeline ~jobs:1 () in
-        let t4, _ = run_rules_pipeline ~jobs:4 () in
-        Alcotest.(check (list (pair string int)))
-          "jobs 1 = jobs 4"
-          (Telemetry.counters_stable t1)
-          (Telemetry.counters_stable t4);
-        let i1, _ = run_paper_pipeline ~jobs:1 () in
-        let i4, _ = run_paper_pipeline ~jobs:3 () in
-        Alcotest.(check (list (pair string int)))
-          "identify jobs 1 = jobs 3"
-          (Telemetry.counters_stable i1)
-          (Telemetry.counters_stable i4));
     case "disabled telemetry changes nothing" (fun () ->
         let _, on = run_rules_pipeline () in
         let inst = restaurant_instance () in
