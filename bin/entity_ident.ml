@@ -18,16 +18,23 @@
 
 open Cmdliner
 
-let read_rules path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      In_channel.input_lines ic
-      |> List.filteri (fun _ line ->
-             let t = String.trim line in
-             t <> "" && not (String.length t > 0 && t.[0] = '#'))
-      |> List.map Ilfd.parse)
+(* The optional rules file: each rule with its trimmed source line,
+   which serve persists verbatim. A line that does not parse is a usage
+   error naming the file and the line (exit 2), as malformed CSV is. *)
+let read_rules = function
+  | None -> []
+  | Some path ->
+      In_channel.with_open_text path In_channel.input_lines
+      |> List.mapi (fun i line -> (i + 1, String.trim line))
+      |> List.filter_map (fun (n, line) ->
+             if line = "" || line.[0] = '#' then None
+             else
+               match Ilfd.parse line with
+               | rule -> Some (line, rule)
+               | exception Ilfd.Ill_formed reason ->
+                   Format.eprintf "entity_ident: %s: line %d: %s@." path n
+                     reason;
+                   exit 2)
 
 let parse_key_list s =
   String.split_on_char ',' s |> List.map String.trim
@@ -89,11 +96,10 @@ let stats_arg =
            (some (enum [ ("json", `Json); ("pretty", `Pretty) ]))
            None
        & info [ "stats" ] ~docv:"FORMAT"
-           ~doc:"Collect pipeline telemetry (phase timings, candidate-pair \
-                 reduction, fixpoint rounds and class sharing) and print it \
-                 after the normal \
-                 output; $(docv) is json or pretty (plain --stats means \
-                 pretty).")
+           ~doc:"Collect pipeline telemetry (phase timings, join and \
+                 fixpoint counters, class sharing) and print it after the \
+                 normal output; $(docv) is json or pretty (plain --stats \
+                 means pretty).")
 
 let telemetry_of = function
   | None -> Telemetry.off
@@ -108,8 +114,7 @@ let print_stats fmt telemetry =
 let setup r s rk sk rules_path =
   let r = load_relation r ~keys:[ parse_key_list rk ]
   and s = load_relation s ~keys:[ parse_key_list sk ] in
-  let ilfds = match rules_path with None -> [] | Some p -> read_rules p in
-  (r, s, ilfds)
+  (r, s, List.map snd (read_rules rules_path))
 
 (* ---- streaming output ---- *)
 
@@ -315,7 +320,7 @@ let closure_cmd =
            ~doc:"Conditions, e.g. \"speciality = Hunan & name = X\".")
   in
   let run rules given =
-    let ilfds = match rules with None -> [] | Some p -> read_rules p in
+    let ilfds = List.map snd (read_rules rules) in
     let conds =
       String.split_on_char '&' given
       |> List.map (fun c ->
@@ -338,7 +343,7 @@ let closure_cmd =
 
 let cover_cmd =
   let run rules =
-    let ilfds = match rules with None -> [] | Some p -> read_rules p in
+    let ilfds = List.map snd (read_rules rules) in
     List.iter
       (fun i -> print_endline (Ilfd.to_string i))
       (Ilfd.Theory.minimal_cover ilfds)
@@ -512,7 +517,8 @@ let fault_arg =
            ~doc:"Inject a seeded engine fault (mutation sanity check): the \
                  harness must catch it. One of none, broken-blocking-key, \
                  drop-last-pair, lost-insert, kdb-lost-edge, \
-                 md-phantom-match, merge-rogue-pair.")
+                 md-phantom-match, merge-rogue-pair, \
+                 derivation-stratum-order, nmt-lost-pair.")
 
 let shrink_arg =
   Arg.(value & opt ~vopt:true bool true & info [ "shrink" ] ~docv:"BOOL"
@@ -587,10 +593,12 @@ let check_cmd =
   Cmd.v
     (Cmd.info "check"
        ~doc:"Run the differential/metamorphic correctness harness: every \
-             engine (naive, blocked, incremental, rule-driven, clustering) \
-             must agree on every seeded scenario, constraints and \
-             metamorphic laws must hold, and any counterexample is shrunk \
-             to a minimal replayable scenario. Exits 1 on a counterexample.")
+             engine (fixpoint extension, join, Figure 3 partition, \
+             incremental, store, clustering) must agree with the others \
+             and with the naive references on every seeded scenario, \
+             constraints and metamorphic laws must hold, and any \
+             counterexample is shrunk to a minimal replayable scenario. \
+             Exits 1 on a counterexample.")
     Term.(const run $ family_arg $ seed_arg $ scenarios_arg $ fault_arg
           $ shrink_arg $ corpus_arg $ max_failures_arg $ stats_arg)
 
@@ -616,17 +624,6 @@ let soak_cmd =
 let store_dir_arg =
   Arg.(required & opt (some string) None & info [ "store" ] ~docv:"DIR"
          ~doc:"Store directory (WAL, snapshot, config, lock).")
-
-(* Rule lines kept verbatim (not parsed): the store persists the
-   concrete syntax in config.json and hashes it for snapshot guards. *)
-let read_rule_lines path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      In_channel.input_lines ic
-      |> List.map String.trim
-      |> List.filter (fun t -> t <> "" && t.[0] <> '#'))
 
 let serve_cmd =
   let opt_attrs name doc =
@@ -666,8 +663,9 @@ let serve_cmd =
               s_attrs = parse_key_list sa;
               s_key = parse_key_list sk;
               key = parse_key_list k;
-              rules =
-                (match rules with None -> [] | Some p -> read_rule_lines p);
+              (* The store persists the concrete syntax in config.json
+                 and hashes it for snapshot guards. *)
+              rules = List.map fst (read_rules rules);
               check_conflicts;
             }
       | None, None, None, None, None -> None

@@ -2,8 +2,8 @@ module R = Relational
 module MT = Entity_id.Matching_table
 module EK = Entity_id.Extended_key
 module Identify = Entity_id.Identify
-module Decision = Entity_id.Decision
 module Incremental = Entity_id.Incremental
+module Monotonic = Entity_id.Monotonic
 module Cluster = Entity_id.Cluster
 module Verify = Entity_id.Verify
 module Negative = Entity_id.Negative
@@ -18,6 +18,7 @@ type fault =
   | Md_phantom_match
   | Merge_rogue_pair
   | Stratum_order
+  | Nmt_lost_pair
 
 let all_faults =
   [
@@ -29,6 +30,7 @@ let all_faults =
     Md_phantom_match;
     Merge_rogue_pair;
     Stratum_order;
+    Nmt_lost_pair;
   ]
 
 let fault_to_string = function
@@ -40,6 +42,7 @@ let fault_to_string = function
   | Md_phantom_match -> "md-phantom-match"
   | Merge_rogue_pair -> "merge-rogue-pair"
   | Stratum_order -> "derivation-stratum-order"
+  | Nmt_lost_pair -> "nmt-lost-pair"
 
 let fault_of_string s =
   List.find_opt (fun f -> String.equal (fault_to_string f) s) all_faults
@@ -432,24 +435,6 @@ let check_fixpoint ~fault (sc : Scenario.t) (base : Identify.outcome) =
   let* () = side "S" sc.s base.s_extended in
   check_tuples ~fault ~mode:Ilfd.Apply.First_rule "fixpoint-agreement" sc
 
-let check_partition (sc : Scenario.t) (base : Identify.outcome) =
-  let identity = [ EK.equivalence_rule sc.key ] in
-  let m0, d0, u0 =
-    Decision.partition_naive ~identity ~distinctness:[] base.r_extended
-      base.s_extended
-  in
-  let m, d, u =
-    Decision.partition ~identity ~distinctness:[] base.r_extended
-      base.s_extended
-  in
-  if pairs_equal m m0 && pairs_equal d d0 && pairs_equal u u0 then Ok ()
-  else
-    fail "partition-agreement"
-      "blocked partition differs from naive: %d/%d/%d vs %d/%d/%d \
-       (matched/distinct/undetermined)"
-      (List.length m) (List.length d) (List.length u) (List.length m0)
-      (List.length d0) (List.length u0)
-
 (* Streamed execution must observe exactly the pairs the materialising
    engine produces, in the same row-major order. *)
 let check_stream (sc : Scenario.t) (base : Identify.outcome) =
@@ -464,45 +449,6 @@ let check_stream (sc : Scenario.t) (base : Identify.outcome) =
     fail "stream-agreement"
       "run_stream observes %d pairs vs run's %d, or in a different order"
       (List.length streamed) (List.length base.pairs)
-
-(* Bucketing the tagged verdict stream by Match_result must reproduce
-   Decision.partition's three lists byte-for-byte. *)
-let check_partition_stream (sc : Scenario.t) (base : Identify.outcome) =
-  let identity = [ EK.equivalence_rule sc.key ] in
-  let m0, d0, u0 =
-    Decision.partition ~identity ~distinctness:[] base.r_extended
-      base.s_extended
-  in
-  let m, d, u =
-    Decision.partition_stream ~identity ~distinctness:[] ~init:([], [], [])
-      ~f:(fun (m, d, u) result tr ts ->
-        match result with
-        | Entity_id.Match_result.Match -> ((tr, ts) :: m, d, u)
-        | Entity_id.Match_result.No_match -> (m, (tr, ts) :: d, u)
-        | Entity_id.Match_result.Undetermined -> (m, d, (tr, ts) :: u))
-      base.r_extended base.s_extended
-  in
-  if
-    pairs_equal (List.rev m) m0
-    && pairs_equal (List.rev d) d0
-    && pairs_equal (List.rev u) u0
-  then Ok ()
-  else
-    fail "stream-agreement"
-      "partition_stream rebuckets to %d/%d/%d vs partition's %d/%d/%d \
-       (matched/distinct/undetermined)"
-      (List.length m) (List.length d) (List.length u) (List.length m0)
-      (List.length d0) (List.length u0)
-
-let check_rules (sc : Scenario.t) ~engine_entries =
-  let o : Identify.outcome =
-    Identify.run_rules
-      ~identity:[ EK.equivalence_rule sc.key ]
-      ~r:sc.r ~s:sc.s ~key:sc.key sc.ilfds
-  in
-  entry_sets_equal "rules-vs-join" ~left:"rule-engine" ~right:"join-engine"
-    (MT.entries o.matching_table)
-    engine_entries
 
 (* Every seventh row goes in twice: the replay must hold set semantics,
    so its pairs (with their multiplicity) and its unmatched accounting
@@ -549,7 +495,7 @@ let check_family ~fault ~telemetry (sc : Scenario.t) (base : Identify.outcome)
     | Md_phantom_match -> Families.Phantom_match
     | Merge_rogue_pair -> Families.Rogue_pair
     | No_fault | Broken_blocking_key | Drop_last_pair | Lost_insert
-    | Stratum_order ->
+    | Stratum_order | Nmt_lost_pair ->
         Families.No_fault
   in
   Result.map_error
@@ -657,6 +603,107 @@ let check_mono_ilfds (sc : Scenario.t) ~base_entries =
     (MT.entries o.matching_table)
     base_entries
 
+(* ---- the Figure 3 partition against the three-valued reference ---- *)
+
+(* A user distinctness rule over K_Ext: same first attribute, different
+   last one. Its [=] atom gives it a blocking key and its [≠] atom keeps
+   it from covering, so [Negative] evaluates it within hash buckets,
+   while the Prop-1 rules (constant atoms only) take the nested loop. *)
+let user_distinctness (sc : Scenario.t) =
+  let attrs = EK.attributes sc.key in
+  let last = List.nth attrs (List.length attrs - 1) in
+  Rules.Distinctness.make ~name:"figure3-user"
+    [
+      Rules.Atom.eq_attrs (List.hd attrs);
+      Rules.Atom.make
+        (Rules.Atom.attr Rules.Atom.Left last)
+        R.Predicate.Ne
+        (Rules.Atom.attr Rules.Atom.Right last);
+    ]
+
+let figure3_snapshot (sc : Scenario.t) ilfds user =
+  let t = Monotonic.create ~r:sc.r ~s:sc.s ~key:sc.key () in
+  Monotonic.snapshot
+    (Monotonic.add_distinctness (Monotonic.add_ilfds t ilfds) user)
+
+let entries_of (sc : Scenario.t) (base : Identify.outcome) pairs =
+  let rs = R.Relation.schema base.r_extended
+  and ss = R.Relation.schema base.s_extended in
+  let rk = R.Relation.primary_key sc.r and sk = R.Relation.primary_key sc.s in
+  List.map
+    (fun (t, u) ->
+      { MT.r_key = R.Tuple.project rs t rk; s_key = R.Tuple.project ss u sk })
+    pairs
+
+(* [Monotonic.snapshot] and [Negative.of_rules] against
+   [Reference.partition_naive] over R′ and S′: MT under the extended-key
+   equivalence rule alone, NMT under the Prop-1 rules of the ILFDs plus
+   [user_distinctness] alone. A pair in both is matched (monotonic.ml),
+   and the rest of |R|×|S| is undetermined. On a strict scenario the two
+   rule sets must also be consistent, and the partition must only grow
+   from half the ILFDs to all of them (Section 3.3). *)
+let check_figure3 ~fault (sc : Scenario.t) (base : Identify.outcome) =
+  let check = "figure3-agreement" in
+  let user = user_distinctness sc in
+  let identity = [ EK.equivalence_rule sc.key ]
+  and distinctness = user :: Negative.distinctness_rules_of_ilfds sc.ilfds in
+  let naive ~identity ~distinctness =
+    Reference.partition_naive ~identity ~distinctness base.r_extended
+      base.s_extended
+  in
+  let mt_ref, _, _ = naive ~identity ~distinctness:[] in
+  let _, nmt_ref, _ = naive ~identity:[] ~distinctness in
+  let mt_ref = entries_of sc base mt_ref
+  and nmt_ref = entries_of sc base nmt_ref in
+  let not_matched_ref =
+    List.filter (fun e -> not (List.exists (entry_equal e) mt_ref)) nmt_ref
+  in
+  let snap = figure3_snapshot sc sc.ilfds user in
+  let not_matched =
+    match (fault, List.rev (MT.entries snap.not_matched)) with
+    | Nmt_lost_pair, _ :: kept -> List.rev kept
+    | _, entries -> List.rev entries
+  in
+  let* () =
+    entry_sets_equal check ~left:"the snapshot's MT" ~right:"the reference MT"
+      (MT.entries snap.matched) mt_ref
+  in
+  let* () =
+    entry_sets_equal check ~left:"Negative.of_rules"
+      ~right:"the reference NMT"
+      (MT.entries
+         (Negative.of_rules ~r:base.r_extended ~s:base.s_extended
+            distinctness))
+      nmt_ref
+  in
+  let* () =
+    entry_sets_equal check ~left:"the snapshot's not-matched set"
+      ~right:"the reference NMT minus MT" not_matched not_matched_ref
+  in
+  let undetermined =
+    (R.Relation.cardinality sc.r * R.Relation.cardinality sc.s)
+    - List.length mt_ref
+    - List.length not_matched_ref
+  in
+  if snap.undetermined_count <> undetermined then
+    fail check "the snapshot counts %d undetermined pairs, the reference %d"
+      snap.undetermined_count undetermined
+  else if not sc.strict then Ok ()
+  else
+    match naive ~identity ~distinctness with
+    | exception Reference.Inconsistent { identity; distinctness } ->
+        fail check "identity rule %s and distinctness rule %s both fire on \
+          a pair of a strict scenario" identity.name distinctness.name
+    | _ ->
+        let half =
+          figure3_snapshot sc (take (List.length sc.ilfds / 2) sc.ilfds) user
+        in
+        if Monotonic.monotone_step half snap then Ok ()
+        else
+          fail check
+            "a pair determined under half the ILFDs changes or loses its \
+             verdict under all of them"
+
 let check_mono_tuples (sc : Scenario.t) ~base_entries =
   match List.rev (R.Relation.tuples sc.r) with
   | [] -> Ok ()
@@ -729,7 +776,7 @@ let run ?(fault = No_fault) ?(telemetry = Telemetry.off) (sc : Scenario.t) =
             | [] -> []
             | _ :: t -> List.rev t)
         | No_fault | Lost_insert | Kdb_lost_edge | Md_phantom_match
-        | Merge_rogue_pair | Stratum_order ->
+        | Merge_rogue_pair | Stratum_order | Nmt_lost_pair ->
             base_entries
       in
       let mt =
@@ -743,10 +790,8 @@ let run ?(fault = No_fault) ?(telemetry = Telemetry.off) (sc : Scenario.t) =
         entry_sets_equal "verdict-tables" ~left:"engine" ~right:"reference"
           engine_entries (reference_entries sc)
       in
-      let* () = check_partition sc base in
+      let* () = check_figure3 ~fault sc base in
       let* () = check_stream sc base in
-      let* () = check_partition_stream sc base in
-      let* () = check_rules sc ~engine_entries in
       let* () = check_incremental ~fault sc base ~engine_entries in
       let* () = check_store sc ~base_entries in
       let* () = check_cluster sc base in

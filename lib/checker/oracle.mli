@@ -4,18 +4,21 @@
     A scenario is pushed through the whole engine matrix — recursive
     per-tuple vs semi-naive fixpoint ILFD extension, and the per-tuple
     evaluator vs the scan on every row ([fixpoint-agreement]), the naive
-    reference join, the blocked partition, the rule-driven matcher, the
-    incremental replay, k-ary clustering — and through the metamorphic
-    transformations (ILFD prefixes, tuple removal, tuple-order
-    permutation, attribute relabeling). The first check that fails
-    yields a {!discrepancy}; checks run in a fixed order so the failing
-    check's name is a stable identity the shrinker can preserve.
+    reference join, the Figure 3 partition ({!Entity_id.Monotonic} and
+    {!Entity_id.Negative}) against the three-valued reference
+    ({!Reference.partition_naive}, [figure3-agreement]), the streamed
+    join, the incremental replay, k-ary clustering — and through the
+    metamorphic transformations (ILFD prefixes, tuple removal,
+    tuple-order permutation, attribute relabeling). The first check that
+    fails yields a {!discrepancy}; checks run in a fixed order so the
+    failing check's name is a stable identity the shrinker can preserve.
 
     Constraint-level expectations (uniqueness, MT/NMT consistency,
-    soundness against the generator's ground truth) only apply when the
-    scenario is {!Scenario.t.strict}; the differential checks apply
-    always — corrupted inputs have no "right" answer, but every engine
-    must still give the {e same} answer. *)
+    soundness against the generator's ground truth, and the Figure 3
+    partition's consistency and growth) only apply when the scenario is
+    {!Scenario.t.strict}; the differential checks apply always —
+    corrupted inputs have no "right" answer, but every engine must still
+    give the {e same} answer. *)
 
 (** A seeded mutation: a deliberately wrong engine variant the harness
     must catch (the mutation sanity check). [No_fault] runs the real
@@ -43,6 +46,8 @@ type fault =
       (** the per-tuple evaluator ({!Ilfd.Fixpoint.extend_tuple}) lists
           its derivations in stratum order instead of the reference's
           demand order *)
+  | Nmt_lost_pair
+      (** the Figure 3 snapshot's not-matched set loses its last entry *)
 
 val all_faults : fault list
 val fault_to_string : fault -> string

@@ -38,3 +38,68 @@ let strata ilfds =
         d
   in
   stratum
+
+module V = Relational.Value
+
+type verdict = {
+  result : Match_result.t;
+  identity : Rules.Identity.t option;
+  distinctness : Rules.Distinctness.t option;
+}
+
+exception Inconsistent of {
+  identity : Rules.Identity.t;
+  distinctness : Rules.Distinctness.t;
+}
+
+let decide ~identity ~distinctness s1 t1 s2 t2 =
+  (* Both rule kinds state symmetric facts about (e1, e2); try each rule
+     in both orientations. *)
+  let fired_identity =
+    List.find_opt
+      (fun rule ->
+        Rules.Identity.applies rule s1 t1 s2 t2 = V.True
+        || Rules.Identity.applies rule s2 t2 s1 t1 = V.True)
+      identity
+  in
+  let fired_distinctness =
+    List.find_opt
+      (fun rule ->
+        Rules.Distinctness.applies rule s1 t1 s2 t2 = V.True
+        || Rules.Distinctness.applies rule s2 t2 s1 t1 = V.True)
+      distinctness
+  in
+  match fired_identity, fired_distinctness with
+  | Some i, Some d -> raise (Inconsistent { identity = i; distinctness = d })
+  | Some _, None ->
+      { result = Match_result.Match;
+        identity = fired_identity;
+        distinctness = None }
+  | None, Some _ ->
+      { result = Match_result.No_match;
+        identity = None;
+        distinctness = fired_distinctness }
+  | None, None ->
+      { result = Match_result.Undetermined;
+        identity = None;
+        distinctness = None }
+
+let partition_naive ~identity ~distinctness r s =
+  let sr = Relational.Relation.schema r
+  and ss = Relational.Relation.schema s in
+  let matched = ref [] and distinct = ref [] and unknown = ref [] in
+  Relational.Relation.iter
+    (fun tr ->
+      Relational.Relation.iter
+        (fun ts ->
+          let v = decide ~identity ~distinctness sr tr ss ts in
+          let bucket =
+            match v.result with
+            | Match_result.Match -> matched
+            | Match_result.No_match -> distinct
+            | Match_result.Undetermined -> unknown
+          in
+          bucket := (tr, ts) :: !bucket)
+        s)
+    r;
+  (List.rev !matched, List.rev !distinct, List.rev !unknown)

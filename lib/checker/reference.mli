@@ -1,8 +1,9 @@
-(** The ILFD references the production evaluators are held to: the
+(** The references the production engines are held to: the ILFD
     per-tuple scan ({!Ilfd.Apply.extend_tuple_compiled}) mapped over a
-    relation, and the strata the seeded derivation-order fault sorts
-    by. Nothing outside the checker, its tests and the benches calls
-    them. *)
+    relation, the strata the seeded derivation-order fault sorts by, and
+    the paper's three-valued entity-identification function (Section
+    3.2) with the nested-loop Figure 3 partition built from it. Nothing
+    outside the checker, its tests and the benches calls them. *)
 
 (** [extend_relation ?mode r ~target ilfds] maps
     {!Ilfd.Apply.extend_tuple} over a relation, serially and in row
@@ -25,3 +26,52 @@ val extend_relation :
     rules reads. An attribute met again while its own stratum is being
     computed counts as [0], so cyclic families get a stratum too. *)
 val strata : Ilfd.t list -> string -> int
+
+(** {2 The entity-identification function}
+
+    "true" only if some identity rule applies; "false" only if some
+    distinctness rule applies; "unknown" otherwise. If both apply, the
+    rule base is inconsistent with the consistency constraint — reported
+    rather than silently resolved. The [figure3-agreement] oracle holds
+    {!Entity_id.Monotonic.snapshot} and {!Entity_id.Negative.of_rules}
+    to {!partition_naive}. *)
+
+type verdict = {
+  result : Match_result.t;
+  identity : Rules.Identity.t option;  (** the rule that fired, if any *)
+  distinctness : Rules.Distinctness.t option;
+}
+
+exception Inconsistent of {
+  identity : Rules.Identity.t;
+  distinctness : Rules.Distinctness.t;
+}
+
+(** [decide ~identity ~distinctness s1 t1 s2 t2]. Both rule kinds state
+    symmetric facts about (e1, e2), so each rule is tried in both
+    orientations.
+    @raise Inconsistent when both an identity and a distinctness rule
+    apply to the same pair. *)
+val decide :
+  identity:Rules.Identity.t list ->
+  distinctness:Rules.Distinctness.t list ->
+  Relational.Schema.t ->
+  Relational.Tuple.t ->
+  Relational.Schema.t ->
+  Relational.Tuple.t ->
+  verdict
+
+(** [partition_naive ~identity ~distinctness r s] — every (r, s) pair
+    classified by one {!decide}, in row-major order:
+    [(matching, not_matching, undetermined)] with the witnessing tuples.
+    This is the Figure 3 partition, materialised.
+    @raise Inconsistent from the first pair, in row-major order, on
+    which both an identity and a distinctness rule apply. *)
+val partition_naive :
+  identity:Rules.Identity.t list ->
+  distinctness:Rules.Distinctness.t list ->
+  Relational.Relation.t ->
+  Relational.Relation.t ->
+  (Relational.Tuple.t * Relational.Tuple.t) list
+  * (Relational.Tuple.t * Relational.Tuple.t) list
+  * (Relational.Tuple.t * Relational.Tuple.t) list

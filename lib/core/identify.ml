@@ -32,8 +32,8 @@ let extension_schema relation key =
   Schema.concat schema (Schema.of_names missing)
 
 (* Both relations ILFD-extended to the K_Ext target schemas — the phase
-   shared verbatim by [run], [run_stream] and [run_rules]. The family is
-   compiled once for both sides. *)
+   shared verbatim by [run] and [run_stream]. The family is compiled once
+   for both sides. *)
 let extend_both ?mode ~telemetry ~r ~s ~key ilfds =
   let r_target = extension_schema r key
   and s_target = extension_schema s key in
@@ -51,9 +51,8 @@ let extend_both ?mode ~telemetry ~r ~s ~key ilfds =
   (r_target, s_target, r_ext, s_ext)
 
 (* The outcome over the matched pairs — candidate-key matching table,
-   uniqueness check, NULL-key accounting — assembled once for [run] and
-   [run_rules]; counter costs (List.length) are paid only when the sink
-   is live. *)
+   uniqueness check, NULL-key accounting; counter costs (List.length)
+   are paid only when the sink is live. *)
 let assemble ~telemetry ~r ~s ~key (r_target, s_target, r_ext, s_ext) pairs =
   let r_key = Relation.primary_key r and s_key = Relation.primary_key s in
   let r_key_plan = Tuple.plan r_target r_key
@@ -148,19 +147,3 @@ let run ?mode ?(telemetry = Telemetry.off) ~r ~s ~key ilfds =
   assemble ~telemetry ~r ~s ~key extended (List.rev pairs)
 
 let is_verified o = o.violations = []
-
-let run_rules ?mode ?(telemetry = Telemetry.off) ~identity
-    ?(distinctness = []) ~r ~s ~key ilfds =
-  let ((_, _, r_ext, s_ext) as extended) =
-    extend_both ?mode ~telemetry ~r ~s ~key ilfds
-  in
-  let matched =
-    Decision.partition_stream ~telemetry ~identity ~distinctness
-      ~init:[]
-      ~f:(fun acc result tr ts ->
-        match result with
-        | Match_result.Match -> (tr, ts) :: acc
-        | Match_result.No_match | Match_result.Undetermined -> acc)
-      r_ext s_ext
-  in
-  assemble ~telemetry ~r ~s ~key extended (List.rev matched)

@@ -74,30 +74,5 @@ val run_stream :
 val extension_schema :
   Relational.Relation.t -> Extended_key.t -> Relational.Schema.t
 
-(** [run_rules ?mode ~identity ?distinctness ~r ~s ~key ilfds] — the
-    general form: extended-key equivalence is only {e one} identity rule
-    (Section 4.1); this variant matches with an arbitrary identity-rule
-    set over the ILFD-extended relations, still recording pairs by their
-    candidate-key values and checking uniqueness. [key] controls which
-    attributes are derived into R′/S′ (pass the union of attributes your
-    rules mention). The matched pairs are folded off
-    {!Decision.partition_stream}. Distinctness rules contribute nothing
-    to MT but an {!Decision.Inconsistent} pair raises. [telemetry]
-    additionally collects
-    the {!Decision.partition_stream} blocking counters (candidate-pair
-    reduction vs the cross product).
-    @raise Decision.Inconsistent when an identity and a distinctness rule
-    fire on the same pair. *)
-val run_rules :
-  ?mode:Ilfd.Apply.mode ->
-  ?telemetry:Telemetry.t ->
-  identity:Rules.Identity.t list ->
-  ?distinctness:Rules.Distinctness.t list ->
-  r:Relational.Relation.t ->
-  s:Relational.Relation.t ->
-  key:Extended_key.t ->
-  Ilfd.t list ->
-  outcome
-
 (** [is_verified o] — the prototype's acknowledge/warning distinction. *)
 val is_verified : outcome -> bool

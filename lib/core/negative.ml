@@ -1,26 +1,113 @@
 module Relation = Relational.Relation
+module Schema = Relational.Schema
 module Tuple = Relational.Tuple
+module V = Relational.Value
+module Columnar = Relational.Columnar
+
+module Itbl = Hashtbl.Make (Int)
+
+(* The pairs some rule fires on, as ids [i * ns + j] into the two tuple
+   arrays. e1 ≢ e2 is symmetric, so each rule is tried in both
+   orientations (the paper's Table 4 entry fires with e1 = the S-tuple).
+   A rule whose [=]-atoms imply equality on some attributes
+   ([Rules.Distinctness.blocking_key]) only fires on pairs with
+   identical non-NULL values there, so R rows probe hash buckets of S
+   rows over those columns; a rule with no such attributes — every
+   Prop-1 rule, whose atoms all compare with constants — is evaluated on
+   every pair. *)
+let fired rules sr rt ss st =
+  let nr = Array.length rt and ns = Array.length st in
+  let set = Itbl.create 64 in
+  (* Interned column views of both sides, shared by every rule's coded
+     buckets; forced only when some rule can block. *)
+  let r_coded = lazy (Columnar.encode sr rt)
+  and s_coded = lazy (Columnar.encode ss st) in
+  List.iter
+    (fun rule ->
+      (* A rule made only of same-attribute equalities fires on exactly
+         the pairs its buckets propose — identical non-NULL values on
+         every mentioned attribute — so evaluating it per pair is
+         redundant. Otherwise, resolve the rule's attribute lookups
+         against the two schemas once; [hits] is then pure array/hash
+         work per candidate pair. *)
+      let hits =
+        if Rules.Distinctness.equality_only rule then fun _ _ -> true
+        else begin
+          let applies_lr = Rules.Distinctness.compile rule sr ss
+          and applies_rl = Rules.Distinctness.compile rule ss sr in
+          fun i j ->
+            applies_lr rt.(i) st.(j) = V.True
+            || applies_rl st.(j) rt.(i) = V.True
+        end
+      in
+      (* [all_rows candidates] — evaluate the rule over R's rows, where
+         [candidates i k] calls [k j] for every j the rule could fire on
+         with row i. The [mem] check only skips pairs an earlier rule
+         already recorded. *)
+      let all_rows candidates =
+        for i = 0 to nr - 1 do
+          candidates i (fun j ->
+              let id = (i * ns) + j in
+              if (not (Itbl.mem set id)) && hits i j then
+                Itbl.replace set id ())
+        done
+      in
+      match Rules.Distinctness.blocking_key rule with
+      | Some attrs
+        when List.for_all (Schema.mem sr) attrs
+             && List.for_all (Schema.mem ss) attrs ->
+          (* Bucket keys are the rows' interned key columns, small int
+             arrays: storage codes partition values exactly like
+             structural equality on the values themselves. *)
+          let r_cols = Columnar.columns (Lazy.force r_coded) attrs
+          and s_cols = Columnar.columns (Lazy.force s_coded) attrs in
+          let s_buckets = Hashtbl.create (max 16 ns) in
+          for j = 0 to ns - 1 do
+            match Columnar.key_opt s_cols j with
+            | Some k -> (
+                match Hashtbl.find_opt s_buckets k with
+                | Some l -> l := j :: !l
+                | None -> Hashtbl.add s_buckets k (ref [ j ]))
+            | None -> ()
+          done;
+          all_rows (fun i k ->
+              match Columnar.key_opt r_cols i with
+              | Some key -> (
+                  match Hashtbl.find_opt s_buckets key with
+                  | Some js -> List.iter k !js
+                  | None -> ())
+              | None -> ())
+      | Some _ ->
+          (* A blocking attribute is missing from one of the schemas: it
+             reads as NULL on every tuple of that side, so the implied
+             equality never holds and the rule never fires. *)
+          ()
+      | None ->
+          all_rows (fun _ k ->
+              for j = 0 to ns - 1 do
+                k j
+              done))
+    rules;
+  set
+
+(* The fired pairs as one ascending list of S rows per R row. *)
+let row_lists set ~nr ~ns =
+  let rows = Array.make nr [] in
+  Itbl.iter
+    (fun id () ->
+      let i = id / ns in
+      rows.(i) <- (id mod ns) :: rows.(i))
+    set;
+  Array.map (List.sort Int.compare) rows
 
 let of_rules ~r ~s rules =
   let sr = Relation.schema r and ss = Relation.schema s in
   let r_key = Relation.primary_key r and s_key = Relation.primary_key s in
   let rt = Array.of_list (Relation.tuples r)
   and st = Array.of_list (Relation.tuples s) in
-  (* e1 ≢ e2 is symmetric: Blocking tries each rule in both orientations
-     (the paper's Table 4 entry fires with e1 = the S-tuple). *)
-  let d =
-    Blocking.fired
-      {
-        Blocking.rule_name = (fun (rule : Rules.Distinctness.t) -> rule.name);
-        blocking_key = Rules.Distinctness.blocking_key;
-        equality_only = Rules.Distinctness.equality_only;
-        applies = Rules.Distinctness.applies;
-        compile = Rules.Distinctness.compile;
-      }
-      rules sr rt ss st
-  in
+  let d = fired rules sr rt ss st in
   (* Output in row-major pair order, visiting only the fired pairs. *)
-  let d_rows = Blocking.row_lists d ~nr:(Array.length rt) in
+  let d_rows = row_lists d ~nr:(Array.length rt) ~ns:(Array.length st) in
   let entries = ref [] in
   Array.iteri
     (fun i tr ->

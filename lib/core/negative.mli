@@ -8,8 +8,17 @@
     them on demand for analysis and for the consistency check. *)
 
 (** [of_rules ~r ~s rules] — entries for every R×S pair on which some
-    rule applies. Rules are evaluated on the {e extended} relations if
-    you pass them (any relation pair with compatible keys works). *)
+    rule applies, in either orientation, in row-major pair order. Rules
+    are evaluated on the {e extended} relations if you pass them (any
+    relation pair with compatible keys works).
+
+    A rule whose [=]-atoms imply equality on some attributes
+    ({!Rules.Distinctness.blocking_key}) is evaluated only on pairs
+    sharing a hash bucket over those attributes, and a rule made only of
+    [e1.A = e2.A] atoms is not evaluated at all: its buckets are its
+    pairs. Any other rule is evaluated on all |R|×|S| pairs. That
+    includes every Proposition 1 rule, whose atoms all compare an
+    attribute with a constant. *)
 val of_rules :
   r:Relational.Relation.t ->
   s:Relational.Relation.t ->

@@ -77,37 +77,21 @@ let spans t =
 
 (* Guarded quotients: derived metrics must never be NaN or infinite,
    whatever the counter values. *)
-let reduction num den =
-  if den = 0 then if num = 0 then 1.0 else float_of_int num
-  else float_of_int num /. float_of_int den
-
 let rate num den = if den = 0 then 0.0 else float_of_int num /. float_of_int den
 
 let derived t =
   match t with
   | Off -> []
   | On s ->
-      let have name = Hashtbl.mem s.counters name in
-      let c = counter t in
-      let metrics = [] in
-      let metrics =
-        if have "ilfd.fixpoint.classes" then
+      if Hashtbl.mem s.counters "ilfd.fixpoint.classes" then
+        let c = counter t in
+        [
           ( "ilfd_class_sharing",
             rate
               (c "ilfd.tuples" - c "ilfd.fixpoint.classes")
-              (c "ilfd.tuples") )
-          :: metrics
-        else metrics
-      in
-      let metrics =
-        if have "partition.pairs_naive" then
-          ( "candidate_pair_reduction",
-            reduction (c "partition.pairs_naive")
-              (c "partition.pairs_considered") )
-          :: metrics
-        else metrics
-      in
-      metrics
+              (c "ilfd.tuples") );
+        ]
+      else []
 
 (* ---- rendering ---- *)
 

@@ -51,11 +51,6 @@ val spans : t -> span_stat list
 
 (** Derived metrics computed from the pipeline's counter conventions,
     each guarded against zero denominators (never NaN/infinite):
-    - ["candidate_pair_reduction"]: [partition.pairs_naive] (the
-      theoretical |R|×|S| pair space) over [partition.pairs_considered]
-      (the candidate pairs blocking actually proposed; capped at
-      [partition.pairs_naive] when blocking pruned everything); present
-      when a partition ran.
     - ["ilfd_class_sharing"]: fraction of extended tuples that shared a
       derivation class with an earlier tuple,
       [(ilfd.tuples - ilfd.fixpoint.classes) / ilfd.tuples] (0 when no

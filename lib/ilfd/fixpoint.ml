@@ -73,8 +73,7 @@ exception
    First_rule mode the per-class evaluation by construction never
    reports a conflict, so the arm is unreachable in production.
    Tests inject a witness here to prove the arm raises the
-   typed exception (same pattern as [Decision.partition]'s [?decide]
-   hook) instead of an anonymous assertion failure. *)
+   typed exception instead of an anonymous assertion failure. *)
 let inject_fallback_conflict : (Relational.Tuple.t -> Apply.conflict option) ref
     =
   ref (fun _ -> None)

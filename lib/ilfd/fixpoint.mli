@@ -34,8 +34,7 @@
     construction, so this exception marks an evaluator/plan
     desync — it carries the offending tuple and the conflicting rule (the
     same witness shape as {!Apply.Conflict_found}) rather than dying on
-    an anonymous assertion. Matches the [Conflict_found] /
-    [Blocking_desync] typed-witness pattern used across the engine. *)
+    an anonymous assertion. *)
 exception
   Fallback_desync of {
     tuple : Relational.Tuple.t;

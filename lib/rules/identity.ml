@@ -32,16 +32,6 @@ let of_attribute_equalities ~name attrs =
 
 let applies rule s1 t1 s2 t2 = Atom.eval_all s1 t1 s2 t2 rule.atoms
 
-let compile rule s1 s2 = Atom.compile s1 s2 rule.atoms
-
-let blocking_key rule =
-  match Atom.implied_equalities rule.atoms with
-  | [] -> None
-  | attrs -> Some attrs
-
-let equality_only rule =
-  rule.atoms <> [] && List.for_all Atom.is_same_attribute_equality rule.atoms
-
 let attributes rule =
   let ls, rs = List.split (List.map Atom.attributes rule.atoms) in
   ( List.sort_uniq String.compare (List.concat ls),

@@ -37,34 +37,7 @@ val applies :
   Relational.Tuple.t ->
   Relational.Value.truth
 
-(** [compile rule s1 s2] — {!applies} with the attribute lookups resolved
-    once against the schema pair ({!Atom.compile});
-    [compile rule s1 s2 t1 t2 = applies rule s1 t1 s2 t2]. *)
-val compile :
-  t ->
-  Relational.Schema.t ->
-  Relational.Schema.t ->
-  Relational.Tuple.t ->
-  Relational.Tuple.t ->
-  Relational.Value.truth
-
 (** Attributes mentioned on each side: [(left, right)], deduplicated. *)
 val attributes : t -> string list * string list
-
-(** [blocking_key rule] — the attributes on which the rule's predicates
-    imply attribute-value equality ({!Atom.implied_equalities}): when the
-    rule fires on [(t1, t2)], in either orientation, both tuples carry
-    identical non-NULL values on every listed attribute. [None] when no
-    equality is implied (e.g. a rule over constant-only atoms), in which
-    case a matcher must fall back to nested-loop evaluation. For a
-    well-formed rule this is every mentioned attribute, so it is [None]
-    only for attribute-free rules. *)
-val blocking_key : t -> string list option
-
-(** [equality_only rule] — every atom is [e1.A = e2.A]
-    ({!Atom.is_same_attribute_equality}). Such a rule fires on exactly
-    the tuple pairs sharing one {!blocking_key} bucket, so blocking can
-    skip per-pair evaluation entirely. *)
-val equality_only : t -> bool
 
 val pp : Format.formatter -> t -> unit

@@ -346,9 +346,25 @@ let explain ?r_key ?s_key t =
 
 (* ---- opening ---- *)
 
-let parse_rules rules =
-  try Ok (List.map Ilfd.parse rules)
-  with e -> Error (Printf.sprintf "cannot parse rules: %s" (Printexc.to_string e))
+(* What a configuration must satisfy before anything is built or
+   written from it: each side's attributes are distinct and include its
+   key, and every rule parses. Returns the parsed rules. *)
+let validate_config c =
+  let ( let* ) = Result.bind in
+  let side name attrs key =
+    match Schema.of_names attrs with
+    | exception Schema.Duplicate_attribute a ->
+        Error (Printf.sprintf "the %s schema lists %S twice" name a)
+    | schema -> (
+        match List.find_opt (fun a -> not (Schema.mem schema a)) key with
+        | Some a ->
+            Error (Printf.sprintf "%s key attribute %S is not a column" name a)
+        | None -> Ok ())
+  in
+  let* () = side "R" c.r_attrs c.r_key in
+  let* () = side "S" c.s_attrs c.s_key in
+  try Ok (List.map Ilfd.parse c.rules)
+  with Ilfd.Ill_formed reason -> Error ("cannot parse rules: " ^ reason)
 
 let fresh_incremental config ilfds telemetry =
   let r_schema = Schema.of_names config.r_attrs
@@ -374,25 +390,31 @@ let load_config dir =
       | Error e -> Error (Printf.sprintf "config.json: %s" e)
       | Ok j -> Result.map (fun c -> Some c) (config_of_json j))
 
+(* The store's configuration and its parsed rules. The configuration is
+   validated before a new store's config.json is written, so a rejected
+   one leaves nothing behind. *)
 let resolve_config dir provided =
   let ( let* ) = Result.bind in
   let* stored = load_config dir in
-  match (provided, stored) with
-  | None, None ->
-      Error "a new store needs a configuration (schemas, keys, rules)"
-  | None, Some c -> Ok c
-  | Some c, None ->
-      Fsutil.with_atomic_out (config_path dir) (fun oc ->
-          output_string oc (Json.to_string (config_to_json c));
-          output_char oc '\n');
-      Ok c
-  | Some c, Some stored ->
-      if c = stored then Ok c
-      else
-        Error
-          "configuration disagrees with the store's config.json; a changed \
-           configuration is a new store (recover with the old one, dump, \
-           re-ingest)"
+  let* c =
+    match (provided, stored) with
+    | None, None ->
+        Error "a new store needs a configuration (schemas, keys, rules)"
+    | Some c, None | None, Some c -> Ok c
+    | Some c, Some stored ->
+        if c = stored then Ok c
+        else
+          Error
+            "configuration disagrees with the store's config.json; a \
+             changed configuration is a new store (recover with the old \
+             one, dump, re-ingest)"
+  in
+  let* ilfds = validate_config c in
+  if stored = None then
+    Fsutil.with_atomic_out (config_path dir) (fun oc ->
+        output_string oc (Json.to_string (config_to_json c));
+        output_char oc '\n');
+  Ok (c, ilfds)
 
 let decode_ops payloads =
   try Ok (List.map (fun p -> (Marshal.from_string p 0 : op)) payloads)
@@ -407,8 +429,7 @@ let open_store ?(telemetry = Telemetry.off) ?(sync = true) ?config ~dir () =
     Error msg
   in
   match
-    let* config = resolve_config dir config in
-    let* ilfds = parse_rules config.rules in
+    let* config, ilfds = resolve_config dir config in
     let hash = rules_hash config in
     (* Snapshot first: a valid one with the current rules hash bounds
        the replay; anything else falls back to a full replay (the WAL is

@@ -133,8 +133,13 @@ type merge_record = {
     [sync:false] skips fsync on commit (flush only) — for oracles and
     tests that simulate crashes by truncation rather than power loss.
 
-    Errors (lock held by a live process, undecodable config, config
-    mismatch) are returned, not raised. *)
+    A configuration is validated before anything is written: each
+    side's attributes must be distinct and include its key, and every
+    rule must parse. A rejected one leaves no config.json or WAL behind,
+    so a corrected open of the same directory creates the store.
+
+    Errors (lock held by a live process, undecodable or invalid config,
+    config mismatch) are returned, not raised. *)
 val open_store :
   ?telemetry:Telemetry.t ->
   ?sync:bool ->

@@ -1,5 +1,6 @@
 (* Tests for the paper's core contribution: extended keys, the
-   three-valued decision function, matching/negative tables with their
+   three-valued decision function (the checker's reference) and the
+   blocked negative table held to it, matching/negative tables with their
    uniqueness and consistency constraints, the Identify pipeline against
    the paper's own tables (2, 3, 4, 5, 6, 7), the integrated table, the
    monotonic engine (Figure 3), the algebraic construction (Section 4.2),
@@ -8,6 +9,7 @@
 module R = Relational
 module V = R.Value
 module E = Entity_id
+module Ref = Checker.Reference
 module PD = Workload.Paper_data
 open Helpers
 
@@ -20,14 +22,14 @@ let get schema t a = V.to_string (R.Tuple.get schema t a)
 let match_result_tests =
   [
     case "refines lattice" (fun () ->
-        let open E.Match_result in
+        let open Checker.Match_result in
         Alcotest.(check bool) "" true (refines Undetermined Match);
         Alcotest.(check bool) "" true (refines Undetermined No_match);
         Alcotest.(check bool) "" true (refines Match Match);
         Alcotest.(check bool) "" false (refines Match No_match);
         Alcotest.(check bool) "" false (refines No_match Undetermined));
     case "of_truth" (fun () ->
-        let open E.Match_result in
+        let open Checker.Match_result in
         Alcotest.(check bool) "" true (equal (of_truth V.True) Match);
         Alcotest.(check bool) "" true (equal (of_truth V.False) No_match);
         Alcotest.(check bool) "" true
@@ -79,7 +81,24 @@ let extended_key_tests =
              world));
   ]
 
-(* ---- Decision ---- *)
+(* ---- The three-valued decision function (the checker's reference) ---- *)
+
+(* [Negative.of_rules] lists exactly the reference's not-matching pairs,
+   by candidate key, in row-major order. *)
+let nmt_agrees_with_reference ~distinctness r s =
+  let _, d, _ = Ref.partition_naive ~identity:[] ~distinctness r s in
+  let project rel t =
+    R.Tuple.project (R.Relation.schema rel) t (R.Relation.primary_key rel)
+  in
+  let same (a : E.Matching_table.entry) (b : E.Matching_table.entry) =
+    R.Tuple.equal a.r_key b.r_key && R.Tuple.equal a.s_key b.s_key
+  in
+  List.equal same
+    (List.map
+       (fun (tr, ts) ->
+         { E.Matching_table.r_key = project r tr; s_key = project s ts })
+       d)
+    (E.Matching_table.entries (E.Negative.of_rules ~r ~s distinctness))
 
 let decision_tests =
   let schema = R.Schema.of_names [ "name"; "cuisine"; "speciality" ] in
@@ -93,42 +112,42 @@ let decision_tests =
   [
     case "match via identity rule" (fun () ->
         let verdict =
-          E.Decision.decide ~identity ~distinctness schema
+          Ref.decide ~identity ~distinctness schema
             (tup [ "A"; "Chinese"; "Hunan" ])
             schema
             (tup [ "A"; "Chinese"; "Hunan" ])
         in
         Alcotest.(check bool) "" true
-          (E.Match_result.equal verdict.result E.Match_result.Match);
+          (Checker.Match_result.equal verdict.result Checker.Match_result.Match);
         Alcotest.(check bool) "witness rule" true
           (Option.is_some verdict.identity));
     case "no-match via distinctness rule" (fun () ->
         let verdict =
-          E.Decision.decide ~identity ~distinctness schema
+          Ref.decide ~identity ~distinctness schema
             (tup [ "A"; "Indian"; "Mughalai" ])
             schema
             (tup [ "B"; "Greek"; "Gyros" ])
         in
         Alcotest.(check bool) "" true
-          (E.Match_result.equal verdict.result E.Match_result.No_match));
+          (Checker.Match_result.equal verdict.result Checker.Match_result.No_match));
     case "distinctness applies in swapped orientation" (fun () ->
         let verdict =
-          E.Decision.decide ~identity ~distinctness schema
+          Ref.decide ~identity ~distinctness schema
             (tup [ "B"; "Greek"; "Gyros" ])
             schema
             (tup [ "A"; "Indian"; "Mughalai" ])
         in
         Alcotest.(check bool) "" true
-          (E.Match_result.equal verdict.result E.Match_result.No_match));
+          (Checker.Match_result.equal verdict.result Checker.Match_result.No_match));
     case "undetermined without applicable rule" (fun () ->
         let verdict =
-          E.Decision.decide ~identity ~distinctness schema
+          Ref.decide ~identity ~distinctness schema
             (tup [ "A"; "Chinese"; "Hunan" ])
             schema
             (tup [ "B"; "Greek"; "Gyros" ])
         in
         Alcotest.(check bool) "" true
-          (E.Match_result.equal verdict.result E.Match_result.Undetermined));
+          (Checker.Match_result.equal verdict.result Checker.Match_result.Undetermined));
     case "inconsistent rules raise" (fun () ->
         (* An identity rule and a distinctness rule both firing. *)
         let bad_distinct =
@@ -142,14 +161,14 @@ let decision_tests =
         in
         Alcotest.(check bool) "" true
           (match
-             E.Decision.decide ~identity ~distinctness:[ bad_distinct ]
+             Ref.decide ~identity ~distinctness:[ bad_distinct ]
                schema
                (tup [ "A"; "Chinese"; "Hunan" ])
                schema
                (tup [ "A"; "Chinese"; "Hunan" ])
            with
           | _ -> false
-          | exception E.Decision.Inconsistent _ -> true));
+          | exception Ref.Inconsistent _ -> true));
     case "partition is a partition" (fun () ->
         let r =
           relation [ "name"; "cuisine"; "speciality" ] []
@@ -159,44 +178,16 @@ let decision_tests =
           relation [ "name"; "cuisine"; "speciality" ] []
             [ [ "A"; "Chinese"; "Hunan" ]; [ "C"; "Greek"; "Gyros" ] ]
         in
-        let m, d, u = E.Decision.partition ~identity ~distinctness r s in
+        let m, d, u = Ref.partition_naive ~identity ~distinctness r s in
         Alcotest.(check int) "total" 4
           (List.length m + List.length d + List.length u);
         Alcotest.(check int) "matched" 1 (List.length m);
         (* B(Mughalai) is provably distinct from both Chinese A and
            Greek C. *)
         Alcotest.(check int) "distinct" 2 (List.length d));
-    case "blocked partition raises Inconsistent like naive" (fun () ->
-        let bad_distinct =
-          Rules.Distinctness.make ~name:"bad"
-            [
-              Rules.Atom.make
-                (Rules.Atom.attr Rules.Atom.Left "name")
-                R.Predicate.Eq
-                (Rules.Atom.attr Rules.Atom.Right "name");
-            ]
-        in
-        let rel =
-          relation [ "name"; "cuisine"; "speciality" ] []
-            [ [ "A"; "Chinese"; "Hunan" ] ]
-        in
-        let attempt f =
-          match f ~identity ~distinctness:[ bad_distinct ] rel rel with
-          | _ -> None
-          | exception
-              E.Decision.Inconsistent { identity = i; distinctness = d } ->
-              Some (i.name, d.name)
-        in
-        let blocked =
-          attempt (fun ~identity ~distinctness r s ->
-              E.Decision.partition ~identity ~distinctness r s)
-        in
-        Alcotest.(check bool) "raises" true (Option.is_some blocked);
-        Alcotest.(check bool) "same witnesses as naive" true
-          (blocked = attempt E.Decision.partition_naive));
     case "no-equality rules fall back to nested loop" (fun () ->
-        (* A pure-≠ distinctness rule has no blocking key; the engine
-           must still agree with the naive partition on it. *)
+        (* A pure-≠ distinctness rule has no blocking key; the negative
+           table must still agree with the reference on it. *)
         let neq =
           Rules.Distinctness.make ~name:"different-cuisine"
             [
@@ -217,160 +208,44 @@ let decision_tests =
             [ [ "A"; "Chinese"; "Hunan" ]; [ "C"; "Greek"; "Gyros" ] ]
         in
         Alcotest.(check bool) "" true
-          (E.Decision.partition ~identity ~distinctness:[ neq ] r s
-          = E.Decision.partition_naive ~identity ~distinctness:[ neq ] r s));
+          (nmt_agrees_with_reference ~distinctness:[ neq ] r s));
     qtest ~count:20 "blocked partition equals naive on random instances"
       (restaurant_gen ())
       (fun inst ->
         (* Randomized extended relations (including NULL keys and
-           homonyms) partitioned under both the extended-key identity
-           rule and ILFD-induced distinctness rules: all three lists
-           must agree element-for-element, in order. *)
+           homonyms) under the ILFD-induced distinctness rules: the
+           negative table lists the reference's not-matching pairs,
+           in order. *)
         let o = E.Identify.run ~r:inst.r ~s:inst.s ~key:inst.key inst.ilfds in
-        let identity = [ E.Extended_key.equivalence_rule inst.key ] in
-        let distinctness =
-          E.Negative.distinctness_rules_of_ilfds inst.ilfds
-        in
-        E.Decision.partition ~identity ~distinctness o.r_extended o.s_extended
-        = E.Decision.partition_naive ~identity ~distinctness o.r_extended
-            o.s_extended);
-    case "parallel Inconsistent raises from the row-major-first pair"
-      (fun () ->
-        (* Two conflicting pairs witnessed by different rules: (r0, s0)
-           agrees on name only, (r1, s1) on street only. The naive
-           row-major scan hits (r0, s0) first, so the blocked partition
-           must report the name rules — even though the street rules come
-           first in rule order. *)
-        let eq_rule make name attr =
-          make ~name
-            [
-              Rules.Atom.make
-                (Rules.Atom.attr Rules.Atom.Left attr)
-                R.Predicate.Eq
-                (Rules.Atom.attr Rules.Atom.Right attr);
-            ]
-        in
-        let identity =
-          [
-            eq_rule Rules.Identity.make "i-street" "street";
-            eq_rule Rules.Identity.make "i-name" "name";
-          ]
-        and distinctness =
-          [
-            eq_rule Rules.Distinctness.make "d-street" "street";
-            eq_rule Rules.Distinctness.make "d-name" "name";
-          ]
-        in
+        nmt_agrees_with_reference
+          ~distinctness:(E.Negative.distinctness_rules_of_ilfds inst.ilfds)
+          o.r_extended o.s_extended);
+    case "extra identity rules match (paper's r1 shape)" (fun () ->
+        (* A one-Chinese-restaurant-per-database world: cuisine equality
+           alone identifies. *)
         let r =
-          relation [ "name"; "street" ] []
-            [ [ "A"; "S1" ]; [ "B"; "S2" ] ]
-        and s =
-          relation [ "name"; "street" ] []
-            [ [ "A"; "X" ]; [ "C"; "S2" ] ]
+          relation [ "name"; "cuisine" ] [ [ "name" ] ]
+            [ [ "WokA"; "Chinese" ] ]
         in
-        let witness =
-          match E.Decision.partition ~identity ~distinctness r s with
-          | _ -> None
-          | exception
-              E.Decision.Inconsistent { identity = i; distinctness = d } ->
-              Some (i.name, d.name)
+        let s =
+          relation [ "name"; "cuisine" ] [ [ "name" ] ]
+            [ [ "WokB"; "Chinese" ] ]
         in
-        Alcotest.(check (option (pair string string)))
-          "witness"
-          (Some ("i-name", "d-name"))
-          witness);
-    case "desynchronised decide raises Blocking_desync (serial arm)"
-      (fun () ->
-        (* The blocking index says an identity and a distinctness rule
-           both fire on the only pair, but the injected decision function
-           disagrees and returns Undetermined instead of raising
-           Inconsistent — the serial merge must surface the offending
-           pair as a Blocking_desync witness rather than die on an
-           assertion. *)
-        let eq_rule make name attr =
-          make ~name
+        let r1 =
+          Rules.Identity.make ~name:"r1"
             [
               Rules.Atom.make
-                (Rules.Atom.attr Rules.Atom.Left attr)
+                (Rules.Atom.attr Rules.Atom.Left "cuisine")
                 R.Predicate.Eq
-                (Rules.Atom.attr Rules.Atom.Right attr);
-            ]
-        in
-        let identity = [ eq_rule Rules.Identity.make "i-name" "name" ]
-        and distinctness =
-          [ eq_rule Rules.Distinctness.make "d-name" "name" ]
-        in
-        let rel = relation [ "name"; "street" ] [] [ [ "A"; "S1" ] ] in
-        let quiet _ _ _ _ =
-          {
-            E.Decision.result = E.Match_result.Undetermined;
-            identity = None;
-            distinctness = None;
-          }
-        in
-        let witness = List.hd (R.Relation.tuples rel) in
-        match
-          E.Decision.partition ~decide:quiet ~identity ~distinctness rel
-            rel
-        with
-        | _ -> Alcotest.fail "Blocking_desync expected"
-        | exception E.Decision.Blocking_desync { r_tuple; s_tuple } ->
-            Alcotest.(check bool) "r witness" true
-              (R.Tuple.equal r_tuple witness);
-            Alcotest.(check bool) "s witness" true
-              (R.Tuple.equal s_tuple witness));
-    case "desynchronised decide raises Blocking_desync (parallel arm)"
-      (fun () ->
-        (* Same desynchronisation over two conflicting pairs: the
-           min_conflict pre-scan must report the row-major-minimal one —
-           (r0, s0) on name — though the street rules come first. *)
-        let eq_rule make name attr =
-          make ~name
-            [
+                (Rules.Atom.const (v "Chinese"));
               Rules.Atom.make
-                (Rules.Atom.attr Rules.Atom.Left attr)
+                (Rules.Atom.attr Rules.Atom.Right "cuisine")
                 R.Predicate.Eq
-                (Rules.Atom.attr Rules.Atom.Right attr);
+                (Rules.Atom.const (v "Chinese"));
             ]
         in
-        let identity =
-          [
-            eq_rule Rules.Identity.make "i-street" "street";
-            eq_rule Rules.Identity.make "i-name" "name";
-          ]
-        and distinctness =
-          [
-            eq_rule Rules.Distinctness.make "d-street" "street";
-            eq_rule Rules.Distinctness.make "d-name" "name";
-          ]
-        in
-        let r =
-          relation [ "name"; "street" ] []
-            [ [ "A"; "S1" ]; [ "B"; "S2" ] ]
-        and s =
-          relation [ "name"; "street" ] []
-            [ [ "A"; "X" ]; [ "C"; "S2" ] ]
-        in
-        let quiet _ _ _ _ =
-          {
-            E.Decision.result = E.Match_result.Undetermined;
-            identity = None;
-            distinctness = None;
-          }
-        in
-        let witness =
-          match
-            E.Decision.partition ~decide:quiet ~identity ~distinctness r s
-          with
-          | _ -> None
-          | exception E.Decision.Blocking_desync { r_tuple; s_tuple } ->
-              Some
-                ( R.Tuple.equal r_tuple (List.nth (R.Relation.tuples r) 0),
-                  R.Tuple.equal s_tuple (List.nth (R.Relation.tuples s) 0)
-                )
-        in
-        Alcotest.(check (option (pair bool bool)))
-          "row-major-first witness" (Some (true, true)) witness);
+        let m, _, _ = Ref.partition_naive ~identity:[ r1 ] ~distinctness:[] r s in
+        Alcotest.(check int) "" 1 (List.length m));
   ]
 
 (* ---- Matching_table ---- *)
@@ -544,48 +419,6 @@ let identify_tests =
         Alcotest.(check (list string)) ""
           [ "name"; "cuisine"; "street"; "speciality" ]
           (R.Schema.names s));
-    case "run_rules with extended-key rule equals run" (fun () ->
-        let rule = E.Extended_key.equivalence_rule PD.example3_key in
-        let via_rules =
-          E.Identify.run_rules ~identity:[ rule ] ~r:PD.table5_r
-            ~s:PD.table5_s ~key:PD.example3_key PD.ilfds_i1_i8
-        in
-        let direct =
-          E.Identify.run ~r:PD.table5_r ~s:PD.table5_s ~key:PD.example3_key
-            PD.ilfds_i1_i8
-        in
-        Alcotest.(check bool) "" true
-          (mt_entries_equal via_rules.matching_table direct.matching_table));
-    case "run_rules accepts extra identity rules (paper's r1 shape)" (fun () ->
-        (* A one-Chinese-restaurant-per-database world: cuisine equality
-           alone identifies. *)
-        let r =
-          relation [ "name"; "cuisine" ] [ [ "name" ] ]
-            [ [ "WokA"; "Chinese" ] ]
-        in
-        let s =
-          relation [ "name"; "cuisine" ] [ [ "name" ] ]
-            [ [ "WokB"; "Chinese" ] ]
-        in
-        let r1 =
-          Rules.Identity.make ~name:"r1"
-            [
-              Rules.Atom.make
-                (Rules.Atom.attr Rules.Atom.Left "cuisine")
-                R.Predicate.Eq
-                (Rules.Atom.const (v "Chinese"));
-              Rules.Atom.make
-                (Rules.Atom.attr Rules.Atom.Right "cuisine")
-                R.Predicate.Eq
-                (Rules.Atom.const (v "Chinese"));
-            ]
-        in
-        let o =
-          E.Identify.run_rules ~identity:[ r1 ] ~r ~s
-            ~key:(E.Extended_key.make [ "cuisine" ]) []
-        in
-        Alcotest.(check int) "" 1
-          (E.Matching_table.cardinality o.matching_table));
   ]
 
 (* ---- Negative ---- *)

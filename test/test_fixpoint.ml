@@ -308,17 +308,21 @@ let intern_tests =
 
 (* ---- covering buckets ---- *)
 
-let pair_equal (a1, b1) (a2, b2) = R.Tuple.equal a1 a2 && R.Tuple.equal b1 b2
-let pairs_equal = List.equal pair_equal
+(* [e1.A = e2.A] for each attribute: a rule its hash buckets cover. *)
+let same_values attrs =
+  Rules.Distinctness.make ~name:"same-values" (List.map Rules.Atom.eq_attrs attrs)
 
 let covering_tests =
   [
     case "equality-only rules are their own blocking key" (fun () ->
-        let rule = Rules.Identity.of_attribute_equalities ~name:"ek" [ "n"; "c" ] in
+        let rule = same_values [ "n"; "c" ] in
         Alcotest.(check bool) "equality_only" true
-          (Rules.Identity.equality_only rule);
+          (Rules.Distinctness.equality_only rule);
+        Alcotest.(check (option (list string))) "blocking key"
+          (Some [ "c"; "n" ])
+          (Rules.Distinctness.blocking_key rule);
         let mixed =
-          Rules.Identity.make ~name:"mixed"
+          Rules.Distinctness.make ~name:"mixed"
             [
               Rules.Atom.eq_attrs "n";
               Rules.Atom.make
@@ -327,10 +331,11 @@ let covering_tests =
             ]
         in
         Alcotest.(check bool) "constant atom disqualifies" false
-          (Rules.Identity.equality_only mixed));
+          (Rules.Distinctness.equality_only mixed));
     case "covering partition = naive partition on dirty data" (fun () ->
         (* Duplicates share buckets; NULLs never bucket; the covering
-           short-cut must reproduce the nested loop exactly on both. *)
+           short-cut must reproduce the nested loop exactly on both. The
+           relations declare no key, so an entry holds whole tuples. *)
         let rows =
           [
             [ "a"; "1" ]; [ "a"; "1" ]; [ "b"; "2" ]; [ "c"; "1" ];
@@ -345,15 +350,20 @@ let covering_tests =
         let schema = R.Schema.of_names [ "n"; "c" ] in
         let r = with_null schema rows
         and s = with_null schema (List.tl rows) in
-        let identity =
-          [ Rules.Identity.of_attribute_equalities ~name:"ek" [ "n"; "c" ] ]
+        let distinctness = [ same_values [ "n"; "c" ] ] in
+        let _, naive, _ =
+          Checker.Reference.partition_naive ~identity:[] ~distinctness r s
         in
-        let fast = E.Decision.partition ~identity ~distinctness:[] r s
-        and naive = E.Decision.partition_naive ~identity ~distinctness:[] r s in
-        let (m1, d1, u1) = fast and (m2, d2, u2) = naive in
-        Alcotest.(check bool) "matched" true (pairs_equal m1 m2);
-        Alcotest.(check bool) "distinct" true (pairs_equal d1 d2);
-        Alcotest.(check bool) "undetermined" true (pairs_equal u1 u2));
+        let fast =
+          E.Matching_table.entries (E.Negative.of_rules ~r ~s distinctness)
+        in
+        Alcotest.(check bool) "distinct" true
+          (List.equal
+             (fun (tr, ts) (ur, us) -> R.Tuple.equal tr ur && R.Tuple.equal ts us)
+             naive
+             (List.map
+                (fun (e : E.Matching_table.entry) -> (e.r_key, e.s_key))
+                fast)));
   ]
 
 (* ---- per-class fallback and its desync witness ---- *)

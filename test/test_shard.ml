@@ -1,5 +1,5 @@
-(* Tests for the streamed join and partition against their materialised
-   forms, and for how a stream stops early. *)
+(* Tests for the streamed join against its materialised form, and for
+   how a stream stops early. *)
 
 module R = Relational
 module E = Entity_id
@@ -39,25 +39,6 @@ let stream_tests =
         let inst = instance () in
         let empty_inst = { inst with r = empty_like inst.r } in
         Alcotest.check pairs "pairs" [] (stream_pairs empty_inst));
-    case "partition_stream rebuckets to partition's lists" (fun () ->
-        let inst = instance () in
-        let identity = [ E.Extended_key.equivalence_rule inst.key ] in
-        let m0, d0, u0 =
-          E.Decision.partition ~identity ~distinctness:[] inst.r inst.s
-        in
-        let m, d, u =
-          E.Decision.partition_stream ~identity ~distinctness:[]
-            ~init:([], [], [])
-            ~f:(fun (m, d, u) result tr ts ->
-              match result with
-              | E.Match_result.Match -> ((tr, ts) :: m, d, u)
-              | E.Match_result.No_match -> (m, (tr, ts) :: d, u)
-              | E.Match_result.Undetermined -> (m, d, (tr, ts) :: u))
-            inst.r inst.s
-        in
-        Alcotest.check pairs "matched" m0 (List.rev m);
-        Alcotest.check pairs "distinct" d0 (List.rev d);
-        Alcotest.check pairs "undetermined" u0 (List.rev u));
   ]
 
 (* ---- stopping early ---- *)

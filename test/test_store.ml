@@ -325,6 +325,28 @@ let recovery_tests =
             | Ok t ->
                 S.close t;
                 Alcotest.fail "config mismatch should refuse to open"));
+    case "an invalid configuration leaves no files behind" (fun () ->
+        in_dir (fun dir ->
+            List.iter
+              (fun bad ->
+                (match S.open_store ~sync:false ~config:bad ~dir () with
+                | Error _ -> ()
+                | Ok t ->
+                    S.close t;
+                    Alcotest.fail "an invalid configuration opened");
+                Alcotest.(check (list string)) "no files" []
+                  (Array.to_list (Sys.readdir dir)))
+              [
+                { cfg with S.rules = [ "speciality = Hunan ->" ] };
+                { cfg with S.r_key = [ "nope" ] };
+                { cfg with S.s_attrs = [ "name"; "name" ] };
+              ];
+            let t = open_ok ~config:cfg dir in
+            ok (S.insert t S.R r_match) |> ignore;
+            ok (S.insert t S.S s_match) |> ignore;
+            Alcotest.(check int) "the corrected store matches" 1
+              (cardinality t);
+            S.close t));
   ]
 
 (* ---- conflicts and the merge overlay ---- *)

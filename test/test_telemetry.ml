@@ -76,9 +76,7 @@ let sink_tests =
         Alcotest.(check int) "spans" 0 (List.length (Telemetry.spans t)));
     case "json renders finite numbers and expected keys" (fun () ->
         let t = Telemetry.create () in
-        Telemetry.add t "partition.pairs_naive" 100;
-        Telemetry.add t "blocking.identity.candidates" 0;
-        Telemetry.add t "blocking.distinctness.candidates" 0;
+        Telemetry.add t "identify.pairs" 100;
         Telemetry.add t "ilfd.tuples" 0;
         Telemetry.add t "ilfd.fixpoint.classes" 0;
         ignore (Telemetry.span t "phase" (fun () -> ()));
@@ -90,21 +88,18 @@ let sink_tests =
             "\"counters\"";
             "\"spans\"";
             "\"derived\"";
-            "\"partition.pairs_naive\":100";
+            "\"identify.pairs\":100";
             "\"phase\":{\"ms\":";
-            "\"candidate_pair_reduction\"";
             "\"ilfd_class_sharing\"";
           ];
-        (* The whole point of the guarded quotients: candidates = 0 and
-           tuples = 0 must not leak non-finite floats into the JSON. *)
+        (* The whole point of the guarded quotients: tuples = 0 must not
+           leak non-finite floats into the JSON. *)
         Alcotest.(check bool) "no nan" false (contains json "nan");
         Alcotest.(check bool) "no inf" false (contains json "inf"));
     case "derived quotients are guarded" (fun () ->
         let t = Telemetry.create () in
         Telemetry.add t "ilfd.tuples" 0;
         Telemetry.add t "ilfd.fixpoint.classes" 0;
-        Telemetry.add t "partition.pairs_naive" 0;
-        Telemetry.add t "partition.pairs_considered" 0;
         List.iter
           (fun (_, value) ->
             Alcotest.(check bool) "finite" true (Float.is_finite value))
@@ -125,16 +120,6 @@ let restaurant_instance () =
   Workload.Restaurant.generate
     { Workload.Restaurant.default with n_entities = 40; seed = 7 }
 
-let run_rules_pipeline () =
-  let telemetry = Telemetry.create () in
-  let inst = restaurant_instance () in
-  let o =
-    E.Identify.run_rules ~telemetry
-      ~identity:[ E.Extended_key.equivalence_rule inst.key ]
-      ~r:inst.r ~s:inst.s ~key:inst.key inst.ilfds
-  in
-  (telemetry, o)
-
 let pipeline_tests =
   [
     case "identify counters match the outcome" (fun () ->
@@ -151,36 +136,6 @@ let pipeline_tests =
           (List.exists
              (fun s -> s.Telemetry.span_name = "identify.extend_r")
              (Telemetry.spans t)));
-    case "partition verdict counters sum to the cross product" (fun () ->
-        let t, _ = run_rules_pipeline () in
-        let c = Telemetry.counter t in
-        Alcotest.(check int) "matched + distinct + undetermined = pairs"
-          (c "partition.pairs_naive")
-          (c "partition.matched" + c "partition.distinct"
-          + c "partition.undetermined"));
-    case "blocking counters expose the candidate reduction" (fun () ->
-        let t, o = run_rules_pipeline () in
-        let c = Telemetry.counter t in
-        (* Blocking proposes at most the cross product, exactly the fired
-           pairs of the only identity rule, and every match came through
-           it. *)
-        Alcotest.(check bool) "candidates <= pairs" true
-          (c "blocking.identity.candidates" <= c "partition.pairs_naive");
-        (* The considered count is precisely what the two blocking passes
-           proposed — the actually-enumerated pair space the reduction
-           metric divides by. *)
-        Alcotest.(check int) "pairs_considered = blocking candidates"
-          (c "blocking.identity.candidates"
-          + c "blocking.distinctness.candidates")
-          (c "partition.pairs_considered");
-        Alcotest.(check int) "fired = matched" (List.length o.pairs)
-          (c "blocking.identity.fired");
-        Alcotest.(check bool) "per-rule breakdown present" true
-          (List.exists
-             (fun (name, _) ->
-               contains name "blocking.identity.rule."
-               && contains name ".fired")
-             (Telemetry.counters t)));
     case "fixpoint counters are canonical" (fun () ->
         (* Two tuples agreeing on every attribute the family can read
            (the key id is irrelevant to it) are one derivation class;
@@ -209,14 +164,13 @@ let pipeline_tests =
           (c "ilfd.fixpoint.fallback_classes");
         Alcotest.(check int) "derivations" 2 (c "ilfd.derivations"));
     case "disabled telemetry changes nothing" (fun () ->
-        let _, on = run_rules_pipeline () in
         let inst = restaurant_instance () in
-        let off =
-          E.Identify.run_rules
-            ~identity:[ E.Extended_key.equivalence_rule inst.key ]
-            ~r:inst.r ~s:inst.s ~key:inst.key inst.ilfds
+        let run telemetry =
+          E.Identify.run ~telemetry ~r:inst.r ~s:inst.s ~key:inst.key
+            inst.ilfds
         in
-        Alcotest.(check bool) "same outcome" true (on = off));
+        Alcotest.(check bool) "same outcome" true
+          (run (Telemetry.create ()) = run Telemetry.off));
     case "incremental insertions charge the stored sink" (fun () ->
         let telemetry = Telemetry.create () in
         let t =
