@@ -301,7 +301,13 @@ let identify_cmd =
            (Entity_id.Explain.matches ~mode ~r ~s ~key ilfds
               o.matching_table))
     end;
-    let report = Entity_id.Verify.check o.matching_table in
+    (* [Identify.run] has checked uniqueness already. *)
+    let report =
+      {
+        Entity_id.Verify.uniqueness = o.violations;
+        consistent_with_negative = true;
+      }
+    in
     Format.printf "%a@." Entity_id.Verify.pp_report report;
     print_stats stats telemetry;
     if not (Entity_id.Verify.is_sound_wrt_constraints report) then exit 1

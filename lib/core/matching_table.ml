@@ -103,12 +103,12 @@ let to_relation t =
       (List.map (fun a -> "r_" ^ a) t.r_key_attrs
       @ List.map (fun a -> "s_" ^ a) t.s_key_attrs)
   in
+  (* Sorting by every column in schema order is [Tuple.compare], and the
+     entries are distinct already: one sort, one [of_tuples]. *)
   let rows =
     List.map (fun e -> Tuple.concat e.r_key e.s_key) t.entries
   in
-  Relational.Algebra.sort_by
-    (Relational.Schema.names schema)
-    (Relational.Relation.of_tuples schema rows)
+  Relational.Relation.of_tuples schema (List.sort Tuple.compare rows)
 
 let pp ppf t = Relational.Relation.pp ppf (to_relation t)
 

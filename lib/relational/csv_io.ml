@@ -72,7 +72,10 @@ let scan s ~cell ~record =
       field (if s.[i] = '\r' then i + 2 else i + 1) ~first:true
     end
   in
-  field 0 ~first:true
+  (* A UTF-8 byte-order mark (Excel writes one) is not part of the first
+     cell. *)
+  let bom = n >= 3 && s.[0] = '\xef' && s.[1] = '\xbb' && s.[2] = '\xbf' in
+  field (if bom then 3 else 0) ~first:true
 
 let parse_string s =
   let records = ref [] and cells = ref [] in

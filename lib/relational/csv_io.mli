@@ -1,7 +1,9 @@
 (** Minimal CSV reader/writer for relations (RFC-4180-style quoting).
 
     The first record is the header (attribute names). Cells are parsed with
-    {!Value.of_csv_string}: empty and ["null"] cells become [Null]. *)
+    {!Value.of_csv_string}: empty and ["null"] cells become [Null]. A
+    UTF-8 byte-order mark ([EF BB BF]) at the very start of the input is
+    skipped, so it never becomes part of the first column's name. *)
 
 exception Parse_error of { line : int; message : string }
 

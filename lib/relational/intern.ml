@@ -39,15 +39,36 @@ type snapshot = {
 
 let lock = Mutex.create ()
 
-(* Structural-equality lookup table; only touched under [lock]. The
-   polymorphic hash/compare here agree with [Value.equal] on every
-   constructor (including NaN, which [Stdlib.compare] equates with
-   itself just as [Float.equal] does). *)
-let by_value : (V.t, int) Hashtbl.t = Hashtbl.create 1024
+(* The lookup side, touched only under [lock]: open addressing over
+   codes. A slot holds [code + 1], or 0 when empty; the array's length
+   is a power of two and at most half its slots are full, so a linear
+   probe from a value's hash soon meets the value or an empty slot. *)
+let slots = ref (Array.make 1024 0)
+
+(* Agrees with [Value.equal] and allocates nothing: [Hashtbl.hash] of
+   the payload, which equates 0. with -0. and every NaN with every
+   other, as [Float.equal] does. *)
+let hash = function
+  | V.Null -> 0
+  | V.Int i -> Hashtbl.hash i
+  | V.Float f -> Hashtbl.hash f
+  | V.Bool b -> Hashtbl.hash b
+  | V.String s -> Hashtbl.hash s
+
+(* The slot holding [v]'s code, or the empty slot where it belongs.
+   [probe] is closed, so a lookup allocates nothing. *)
+let rec probe slots values v mask i =
+  let c = slots.(i) in
+  if c = 0 || V.equal values.(c - 1) v then i
+  else probe slots values v mask ((i + 1) land mask)
+
+let slot_of slots values v =
+  let mask = Array.length slots - 1 in
+  probe slots values v mask (hash v land mask)
 
 let snap =
   let values = Array.make 64 V.Null and matches = Array.make 64 0 in
-  Hashtbl.add by_value V.Null 0;
+  !slots.(slot_of !slots values V.Null) <- null_code + 1;
   Atomic.make { values; matches; len = 1 }
 
 let ensure_capacity s =
@@ -60,28 +81,40 @@ let ensure_capacity s =
     { values; matches; len = s.len }
   end
 
+(* Doubles the slot array once [len] codes would fill half of it. *)
+let ensure_slots values len =
+  if 2 * len > Array.length !slots then begin
+    let grown = Array.make (2 * Array.length !slots) 0 in
+    for c = 0 to len - 1 do
+      grown.(slot_of grown values values.(c)) <- c + 1
+    done;
+    slots := grown
+  end
+
 (* Both the value and its match code are in place before [Atomic.set]
    publishes the new length, so a reader that can see a code always
    sees its cells. Canonicalisation recurses at most once ([canon] is
-   idempotent: it maps into ints, which map to themselves). *)
+   idempotent: it maps into ints, which map to themselves), and gives a
+   float's int partner its code first. *)
 let rec intern_locked v =
-  match Hashtbl.find_opt by_value v with
-  | Some c -> c
-  | None ->
-      let m =
-        if ambiguous v then unsafe_match
-        else
-          let cv = canon v in
-          if V.equal cv v then min_int (* self; patched below *)
-          else intern_locked cv
-      in
-      let s = ensure_capacity (Atomic.get snap) in
-      let c = s.len in
-      s.values.(c) <- v;
-      s.matches.(c) <- (if m = min_int then c else m);
-      Hashtbl.add by_value v c;
-      Atomic.set snap { s with len = c + 1 };
-      c
+  let found = !slots.(slot_of !slots (Atomic.get snap).values v) in
+  if found > 0 then found - 1
+  else
+    let m =
+      if ambiguous v then unsafe_match
+      else
+        let cv = canon v in
+        if V.equal cv v then min_int (* self; patched below *)
+        else intern_locked cv
+    in
+    let s = ensure_capacity (Atomic.get snap) in
+    let c = s.len in
+    s.values.(c) <- v;
+    s.matches.(c) <- (if m = min_int then c else m);
+    ensure_slots s.values (c + 1);
+    !slots.(slot_of !slots s.values v) <- c + 1;
+    Atomic.set snap { s with len = c + 1 };
+    c
 
 let code v =
   Mutex.lock lock;
@@ -95,9 +128,9 @@ let code v =
 
 let find v =
   Mutex.lock lock;
-  let c = Hashtbl.find_opt by_value v in
+  let c = !slots.(slot_of !slots (Atomic.get snap).values v) - 1 in
   Mutex.unlock lock;
-  c
+  if c < 0 then None else Some c
 
 let read what c =
   let s = Atomic.get snap in

@@ -14,8 +14,19 @@
     must fall back to {!Value.non_null_eq} (or to a structural engine)
     for them.
 
-    Codes are process-global and never recycled. Writes are serialised
-    by a mutex; reads ({!value}, {!match_code}, {!codes_match}) are
+    The table: codes index a value array and a match-code array; the
+    way back, from a value to its code, is open addressing over codes —
+    a power-of-two [int array] of [code + 1] slots (0 is empty), at most
+    half full, probed linearly from a hash of the value's payload and
+    compared with {!Value.equal}. The hash allocates nothing and, like
+    {!Value.equal}, equates [0.] with [-0.] and every NaN with every
+    other, so a lookup that finds its value allocates nothing. Codes are
+    handed out first seen first, an integral float's int partner before
+    the float.
+
+    Codes are process-global and never recycled. Writes ({!code},
+    {!share}) and {!find} are serialised by a mutex; reads ({!value},
+    {!match_code}, {!codes_match}, {!compare_codes}, {!size}) are
     lock-free against a published snapshot, so worker domains may decode
     and match codes freely as long as only already-interned codes reach
     them — the intended discipline is: intern on the loading/planning

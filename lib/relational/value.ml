@@ -107,7 +107,8 @@ let to_string = function
   | Bool b -> string_of_bool b
   | String s -> s
 
-let of_csv_string s =
+(* Every cell the first-byte test below cannot decide. *)
+let parse_cell s =
   let s = String.trim s in
   if s = "" || String.lowercase_ascii s = "null" then Null
   else
@@ -121,6 +122,38 @@ let of_csv_string s =
             | "true" -> Bool true
             | "false" -> Bool false
             | _ -> String s))
+
+(* [s] equals [word], which is lowercase, ignoring ASCII case; closed,
+   so it allocates nothing. *)
+let rec equal_caseless_from s word i =
+  i = String.length s
+  || Char.lowercase_ascii s.[i] = word.[i]
+     && equal_caseless_from s word (i + 1)
+
+let equal_caseless s word =
+  String.length s = String.length word && equal_caseless_from s word 0
+
+(* A cell that starts with an ASCII letter and does not end in a byte
+   [String.trim] strips is decided by its first byte: [int_of_string]
+   needs a sign or a digit first, and [float_of_string] (which drops
+   underscores, then calls strtod) accepts a leading letter only in
+   nan, inf and infinity. So only n, i (NULL, NaN, infinity; underscores
+   make n_an a float) and t, f (booleans) need a closer look, and n and
+   i take the general path. *)
+let of_csv_string s =
+  let n = String.length s in
+  if n = 0 then Null
+  else
+    match s.[n - 1] with
+    | ' ' | '\t' | '\n' | '\r' | '\012' -> parse_cell s
+    | _ -> (
+        match s.[0] with
+        | 't' | 'T' -> if equal_caseless s "true" then Bool true else String s
+        | 'f' | 'F' ->
+            if equal_caseless s "false" then Bool false else String s
+        | 'n' | 'N' | 'i' | 'I' -> parse_cell s
+        | 'a' .. 'z' | 'A' .. 'Z' -> String s
+        | _ -> parse_cell s)
 
 let pp ppf v = Format.pp_print_string ppf (to_string v)
 

@@ -69,8 +69,16 @@ val truth_of_bool : bool -> truth
 (** Renders [Null] as ["null"], strings verbatim, numbers in OCaml syntax. *)
 val to_string : t -> string
 
-(** Parses a CSV cell: ["null"]/[""] → [Null], then int, float, bool, else
-    string. *)
+(** Parses a CSV cell, trimmed of the whitespace [String.trim] strips:
+    [""] and ["null"] in any case → [Null]; then OCaml's integer syntax
+    ([int_of_string]: [42], [-7], [0x1F], [0b101], [1_000]) → [Int];
+    then OCaml's float syntax ([float_of_string]: [4.5], [1e5], [-0.],
+    [0x1p3], [nan], [inf], [infinity], any case, underscores allowed, so
+    [n_an] too) → [Float]; then ["true"]/["false"] in any case →
+    [Bool]; anything else → [String], trimmed. A cell that starts with
+    an ASCII letter other than [n], [i], [t], [f] (either case) and ends
+    in no stripped whitespace is a [String] without trying the number
+    parsers. *)
 val of_csv_string : string -> t
 
 val pp : Format.formatter -> t -> unit

@@ -124,6 +124,21 @@ for case in "null_key.csv name,cuisine NULL value" \
     exit 1
   fi
 done
+# A CSV that starts with a UTF-8 byte-order mark (as Excel writes it)
+# loads like one without: the mark is not part of the first column's
+# name, so identify exits 0 and prints the match.
+printf '\357\273\277name,cuisine\nAnjuman,Indian\n' > "$bad_csv/bom.csv"
+status=0
+dune exec bin/entity_ident.exe -- identify --left "$bad_csv/bom.csv" \
+  --right "$bad_csv/ok.csv" --r-key name,cuisine --s-key name,cuisine \
+  --key name,cuisine --show mt > "$bad_csv/out" 2> "$bad_csv/err" \
+  || status=$?
+if [ "$status" -ne 0 ] || ! grep -q "Anjuman *Indian *Anjuman *Indian" \
+    "$bad_csv/out"; then
+  echo "CI: identify on a BOM-prefixed CSV exited $status without the" \
+       "match: $(cat "$bad_csv/out" "$bad_csv/err")" >&2
+  exit 1
+fi
 # mine reads its relation through the same error path, with no key.
 status=0
 dune exec bin/entity_ident.exe -- mine --from "$bad_csv/open_quote.csv" \

@@ -260,6 +260,137 @@ let extension_tests =
                  ~derived:[| [ (0, R.Intern.code (v "y")) ] |])));
   ]
 
+(* ---- the intern table ---- *)
+
+module Value_map = Map.Make (V)
+
+(* Each run of the intern property draws its values from a space of its
+   own (its [epoch]), so ints, floats and strings are unseen by the pool
+   when the run starts; NULL, the booleans, signed zeros and NaNs may
+   have been interned by any earlier test. *)
+let intern_epoch = ref 0
+let base epoch = 1_000_000_000_000_000 + (epoch * 1_000_000_000)
+
+let nan_payloads =
+  [| Float.nan; -.Float.nan; Int64.float_of_bits 0x7FF0000000000001L;
+     Int64.float_of_bits 0xFFF8000000000042L |]
+
+(* [(tag, k)] to a value and whether it is unseen: an int, an integral
+   float (its int partner is interned first), a fractional float, an
+   int and a float past 2^53 (no partner), a string, then the values
+   other tests share. *)
+let intern_value epoch (tag, k) =
+  match tag with
+  | 0 -> (V.int (base epoch + k), true)
+  | 1 -> (V.float (float_of_int (base epoch + k)), true)
+  | 2 -> (V.float (float_of_int (base epoch + k) +. 0.5), true)
+  | 3 -> (V.int (max_int - base epoch - k), true)
+  | 4 -> (V.float (0x1p60 +. (0x1p8 *. float_of_int (base epoch + k))), true)
+  | 5 -> (V.string (Printf.sprintf "intern %d %d" epoch k), true)
+  | 6 -> (V.bool (k land 1 = 0), false)
+  | 7 -> (V.null, false)
+  | 8 -> (V.float (if k land 1 = 0 then 0. else -0.), false)
+  | _ -> (V.float nan_payloads.(k land 3), false)
+
+(* Most draws are distinct: over 10k values per run, so the slot array
+   doubles several times. *)
+let intern_gen =
+  QCheck2.Gen.(
+    list_size (10_500 -- 12_000)
+      (pair
+         (frequency
+            [ (3, return 0); (3, return 1); (2, return 2); (1, return 3);
+              (1, return 4); (6, return 5); (1, return 6); (1, return 7);
+              (1, return 8); (1, return 9) ])
+         (int_bound 999_999_999)))
+
+(* The integral float's canonical int partner, which takes its code
+   first, as [Intern] documents. *)
+let partner = function
+  | V.Float f when Float.is_integer f && Float.abs f <= 0x1p53 ->
+      Some (V.int (int_of_float f))
+  | _ -> None
+
+(* Interns the draws in order and checks each against a first-seen
+   numbering that starts at [size ()]. *)
+let interns_in_first_seen_order draws =
+  incr intern_epoch;
+  let epoch = !intern_epoch in
+  let next = ref (R.Intern.size ()) and model = ref Value_map.empty in
+  let expect v =
+    match Value_map.find_opt v !model with
+    | Some c -> c
+    | None ->
+        let c =
+          match R.Intern.find v with
+          | Some c -> c
+          | None ->
+              let c = !next in
+              incr next;
+              c
+        in
+        model := Value_map.add v c !model;
+        c
+  in
+  List.for_all
+    (fun draw ->
+      let v, unseen = intern_value epoch draw in
+      let known = Value_map.mem v !model in
+      let before = R.Intern.find v in
+      if unseen && (not known) && before <> None then
+        QCheck2.Test.fail_reportf "%s found before it was interned"
+          (V.to_string v);
+      if (not known) && before = None then
+        Option.iter (fun p -> ignore (expect p)) (partner v);
+      let want = expect v in
+      let got = R.Intern.code v in
+      if got <> want then
+        QCheck2.Test.fail_reportf "%s got code %d, expected %d" (V.to_string v)
+          got want;
+      R.Intern.find v = Some got
+      && V.equal (R.Intern.value got) v
+      && R.Intern.size () = !next)
+    draws
+
+(* Two domains intern overlapping value sets, each decoding every code
+   it gets while the other writes; then each decodes all of the other's
+   codes. *)
+let two_domains_agree () =
+  let n = 20_000 in
+  let values lo =
+    List.init n (fun i -> V.string (Printf.sprintf "two domains %d" (lo + i)))
+  in
+  let left = values 0 and right = List.rev (values (n / 2)) in
+  let intern vs =
+    Domain.spawn (fun () ->
+        List.map
+          (fun v ->
+            let c = R.Intern.code v in
+            if not (V.equal (R.Intern.value c) v) then failwith "decoded wrong";
+            (v, c))
+          vs)
+  in
+  let l = intern left and r = intern right in
+  let l = Domain.join l and r = Domain.join r in
+  let codes = Hashtbl.create n in
+  List.iter (fun (v, c) -> Hashtbl.replace codes (V.to_string v) c) l;
+  List.iter
+    (fun (v, c) ->
+      match Hashtbl.find_opt codes (V.to_string v) with
+      | Some c' ->
+          Alcotest.(check int) ("one code for " ^ V.to_string v) c' c
+      | None -> ())
+    r;
+  let decodes pairs =
+    Domain.spawn (fun () ->
+        List.for_all (fun (v, c) -> V.equal (R.Intern.value c) v) pairs)
+  in
+  let on_right = decodes l and on_left = decodes r in
+  Alcotest.(check bool) "left codes decode on another domain" true
+    (Domain.join on_right);
+  Alcotest.(check bool) "right codes decode on another domain" true
+    (Domain.join on_left)
+
 let intern_tests =
   [
     case "codes round-trip and share structure" (fun () ->
@@ -304,6 +435,19 @@ let intern_tests =
         let bigf = R.Intern.code (V.float 9007199254740994.0) in
         Alcotest.(check bool) "9007199254740993 <> 9007199254740994." false
           (R.Intern.codes_match big bigf));
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:3 ~name:"codes follow first-seen order"
+         ~print:(fun d -> Printf.sprintf "%d draws" (List.length d))
+         intern_gen interns_in_first_seen_order);
+    case "0. and -0. share a code, and so do all NaNs" (fun () ->
+        let zero = R.Intern.code (V.float 0.) in
+        Alcotest.(check int) "-0." zero (R.Intern.code (V.float (-0.)));
+        let nan = R.Intern.code (V.float Float.nan) in
+        Array.iter
+          (fun f ->
+            Alcotest.(check int) "NaN payload" nan (R.Intern.code (V.float f)))
+          nan_payloads);
+    case "two domains intern overlapping values" two_domains_agree;
   ]
 
 (* ---- covering buckets ---- *)

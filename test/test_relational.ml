@@ -106,6 +106,82 @@ let value_gen =
         map V.bool bool;
       ])
 
+(* [Value.of_csv_string] before it decided cells by their first byte,
+   copied verbatim: the reference the classifier must agree with. *)
+let of_csv_string_reference s =
+  let s = String.trim s in
+  if s = "" || String.lowercase_ascii s = "null" then V.Null
+  else
+    match int_of_string_opt s with
+    | Some i -> V.Int i
+    | None -> (
+        match float_of_string_opt s with
+        | Some f -> V.Float f
+        | None -> (
+            match String.lowercase_ascii s with
+            | "true" -> V.Bool true
+            | "false" -> V.Bool false
+            | _ -> V.String s))
+
+(* Stricter than [Value.equal]: a float must keep its bits, so -0. and
+   0. (or two NaN payloads) count as different results. *)
+let same_value a b =
+  match a, b with
+  | V.Float x, V.Float y ->
+      Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | _ -> V.equal a b
+
+(* Cells that sit on the classifier's edges: every ASCII letter first;
+   null, true, false, nan, inf and infinity in mixed case with
+   underscores; OCaml number syntax; the empty cell and non-ASCII bytes;
+   any of these wrapped in whitespace, the vertical tab ('\011') among
+   it though [String.trim] keeps it. *)
+let csv_cell_gen =
+  QCheck2.Gen.(
+    let tail =
+      string_size
+        ~gen:(oneofl [ 'a'; 'Z'; '1'; '_'; '.'; ' '; 'e'; 'n'; 'f' ])
+        (0 -- 6)
+    in
+    let letter_first =
+      let* c = oneof [ char_range 'a' 'z'; char_range 'A' 'Z' ] in
+      let* rest = tail in
+      return (String.make 1 c ^ rest)
+    in
+    let word =
+      let* w = oneofl [ "null"; "true"; "false"; "nan"; "inf"; "infinity" ] in
+      let* upper = list_repeat (String.length w) bool in
+      let w =
+        String.mapi
+          (fun i c -> if List.nth upper i then Char.uppercase_ascii c else c)
+          w
+      in
+      let* cut = int_bound (String.length w) in
+      let* underscore = frequency [ (3, return false); (1, return true) ] in
+      return
+        (if underscore then
+           String.sub w 0 cut ^ "_" ^ String.sub w cut (String.length w - cut)
+         else w)
+    in
+    let number =
+      oneofl
+        [ "_1"; "0x1F"; "0b101"; "0o17"; "1_000"; "+3"; "-0."; "1e5"; "42";
+          "4.5"; "-nan"; "+inf"; "0x1p3"; "1."; ".5"; "_"; "-" ]
+    in
+    let odd =
+      oneof
+        [ return "";
+          oneofl [ "\xc3\xa9t\xc3\xa9"; "\xef\xbb\xbfx"; "\xfftrue"; "t\xc3\xa9" ];
+          string_size ~gen:char (0 -- 5) ]
+    in
+    let space = oneofl [ ""; " "; "\t"; "\r"; "\n"; "\012"; "\011" ] in
+    let* core =
+      frequency [ (4, letter_first); (4, word); (2, number); (1, odd) ]
+    in
+    let* lead = frequency [ (3, return ""); (1, space) ] in
+    let* trail = frequency [ (3, return ""); (1, space) ] in
+    return (lead ^ core ^ trail))
+
 let value_props =
   [
     qtest "compare is reflexive" value_gen (fun a -> V.compare a a = 0);
@@ -142,6 +218,10 @@ let value_props =
           (V.compare (V.int 1) (V.float 1.5) < 0);
         Alcotest.(check bool) "2. > 1" true
           (V.compare (V.float 2.) (V.int 1) > 0));
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:5000 ~print:(Printf.sprintf "%S")
+         ~name:"of_csv_string = the reference classifier" csv_cell_gen
+         (fun s -> same_value (V.of_csv_string s) (of_csv_string_reference s)));
   ]
 
 (* ---- Schema / Tuple ---- *)
@@ -635,8 +715,9 @@ let key_tools_tests =
 (* ---- CSV ---- *)
 
 (* CSV text over the key-edge cells, rendered as the loader reads them:
-   empty and "null" (NULL), 1 and 1.0 (Int vs Float), nan, 0. and -0.
-   (equal floats), x, and a quoted cell holding a comma. Rows come from
+   empty and "null" (NULL), 1 and 1.0 (Int vs Float), nan and Nan, 0.
+   and -0. (equal floats), x and "x " (equal once trimmed), TRUE, Thai (a
+   string starting like true), and a quoted cell holding a comma. Rows come from
    a small pool, so exact duplicates and key collisions are common; a
    ragged row, an unterminated quote at the end and CRLF separators turn
    up now and then. Keys: none, one, composite, two declared keys, and
@@ -644,7 +725,9 @@ let key_tools_tests =
 let csv_text_gen =
   QCheck2.Gen.(
     let cell =
-      oneofl [ ""; "null"; "1"; "1.0"; "nan"; "0."; "-0."; "x"; "\"x,y\"" ]
+      oneofl
+        [ ""; "null"; "1"; "1.0"; "nan"; "Nan"; "0."; "-0."; "x"; "x "; "TRUE";
+          "Thai"; "\"x,y\"" ]
     in
     let* keys =
       oneofl
@@ -793,6 +876,20 @@ let csv_tests =
              (String.concat ";" (List.map (String.concat ",") keys))
              text)
          csv_text_gen csv_load_agrees);
+    case "a UTF-8 byte-order mark is not part of the first column" (fun () ->
+        let text = "\xef\xbb\xbfname,cuisine\nAnjuman,Indian\n" in
+        Alcotest.(check (list (list string))) "parse_string"
+          [ [ "name"; "cuisine" ]; [ "Anjuman"; "Indian" ] ]
+          (R.Csv_io.parse_string text);
+        let r =
+          R.Csv_io.relation_of_string ~keys:[ [ "name"; "cuisine" ] ] text
+        in
+        Alcotest.(check (list string)) "columns" [ "name"; "cuisine" ]
+          (R.Schema.names (R.Relation.schema r));
+        Alcotest.(check bool) "row" true
+          (R.Relation.equal r
+             (relation [ "name"; "cuisine" ] [ [ "name"; "cuisine" ] ]
+                [ [ "Anjuman"; "Indian" ] ])));
   ]
 
 let pretty_tests =
