@@ -1,7 +1,7 @@
-(* The extension phase head-to-head — the production semi-naive fixpoint
-   vs the per-tuple recursive reference engine — plus one
-   telemetry-enabled pipeline run, written to BENCH_partition.json in the
-   working directory. *)
+(* The extension phase head-to-head — the production fixpoint, one trie
+   evaluation per derivation class, vs the per-tuple recursive reference
+   engine — plus one telemetry-enabled pipeline run, written to
+   BENCH_partition.json in the working directory. *)
 
 module R = Relational
 module E = Entity_id

@@ -256,7 +256,7 @@ type probe = {
 let by_stratum ilfds = function
   | Error _ as e -> e
   | Ok (t, ds) ->
-      let stratum = Reference.strata ilfds in
+      let stratum = Reference.stratum ilfds in
       Ok
         ( t,
           List.stable_sort
@@ -322,7 +322,7 @@ let probes (sc : Scenario.t) rel =
            Ilfd.make1 [ Ilfd.condition a v ] ("echo_" ^ a) v)
   in
   let demand_ilfds = sc.ilfds @ echo in
-  let stratum = Reference.strata demand_ilfds in
+  let stratum = Reference.stratum demand_ilfds in
   let wide =
     List.concat_map Ilfd.attributes demand_ilfds
     |> List.sort_uniq String.compare
@@ -411,8 +411,8 @@ let check_fixpoint ~fault (sc : Scenario.t) (base : Identify.outcome) =
     let rows = R.Relation.tuples ext in
     if not (List.equal R.Tuple.equal manual rows) then
       fail "fixpoint-agreement"
-        "%s': semi-naive fixpoint extension disagrees with per-tuple \
-         recursive derivation"
+        "%s': fixpoint extension disagrees with per-tuple recursive \
+         derivation"
         name
     else if
       match rebuild ext rows with

@@ -2,7 +2,7 @@
     verdict.
 
     A scenario is pushed through the whole engine matrix — recursive
-    per-tuple vs semi-naive fixpoint ILFD extension, and the per-tuple
+    per-tuple vs fixpoint ILFD extension, and the per-tuple
     evaluator vs the scan on every row ([fixpoint-agreement]), the naive
     reference join, the Figure 3 partition ({!Entity_id.Monotonic} and
     {!Entity_id.Negative}) against the three-valued reference

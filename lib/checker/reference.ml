@@ -10,7 +10,7 @@ let extend_relation ?mode r ~target ilfds =
     ~keys:(Relational.Relation.declared_keys r)
     (List.map extend (Relational.Relation.tuples r))
 
-let strata ilfds =
+let stratum ilfds =
   let rules_of = Hashtbl.create 16 in
   List.iter
     (fun rule ->

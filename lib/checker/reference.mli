@@ -1,6 +1,7 @@
 (** The references the production engines are held to: the ILFD
     per-tuple scan ({!Ilfd.Apply.extend_tuple_compiled}) mapped over a
-    relation, the strata the seeded derivation-order fault sorts by, and
+    relation, the attribute stratum the seeded derivation-order fault
+    sorts by, and
     the paper's three-valued entity-identification function (Section
     3.2) with the nested-loop Figure 3 partition built from it. Nothing
     outside the checker, its tests and the benches calls them. *)
@@ -21,11 +22,11 @@ val extend_relation :
   Ilfd.t list ->
   Relational.Relation.t
 
-(** [strata ilfds] — each attribute's stratum under [ilfds]: [0] when no
+(** [stratum ilfds] — each attribute's stratum under [ilfds]: [0] when no
     rule derives it, else one more than the deepest attribute any of its
     rules reads. An attribute met again while its own stratum is being
     computed counts as [0], so cyclic families get a stratum too. *)
-val strata : Ilfd.t list -> string -> int
+val stratum : Ilfd.t list -> string -> int
 
 (** {2 The entity-identification function}
 

@@ -57,7 +57,7 @@ let compile ilfds =
 let compiled_rules c = c.rules
 
 (* The consequent-attribute index, for evaluators built on top of the
-   compiled form (the semi-naive fixpoint); sorted by attribute so the
+   compiled form (the fixpoint's tries); sorted by attribute so the
    listing order is deterministic whatever the hashtable layout. Rule
    order within an attribute is family order — First_rule semantics. *)
 let consequents c =

@@ -6,62 +6,40 @@ module Intern = Relational.Intern
 module Columnar = Relational.Columnar
 
 (* One group per run of consecutive same-antecedent-signature rules of
-   a consequent attribute. Both of its tables are keyed on the match
-   codes of the antecedent condition values, in the antecedent's sorted
-   condition order, and each is built on first use:
-   - [table], for the chase: the storage code the first such rule
-     assigns (keep-first insertion preserves First_rule priority inside
-     a group; group order preserves it across groups);
-   - [trie], for the per-tuple evaluator: every proper prefix of a key,
-     zero-padded to the key's length, maps to [Prefix], and a full key
-     to every (rule, value, value's match code) it fires, in family
-     order. Full keys hold no zero (NULL never matches), so the two
-     kinds of entry never collide. *)
+   a consequent attribute. Its trie is keyed on the match codes of the
+   antecedent condition values, in the antecedent's sorted condition
+   order, and built on first use: every proper prefix of a key,
+   zero-padded to the key's length, maps to [Prefix], and a full key to
+   every (rule, value, value's storage code) it fires, in family order.
+   Full keys hold no zero (NULL never matches), so the two kinds of
+   entry never collide. *)
 type node = Prefix | Leaf of (Def.t * V.t * int) list
 
 type group = {
-  sig_ids : int array;  (** chase column per antecedent condition *)
-  table : (int array, int) Hashtbl.t Lazy.t;
+  sig_ids : int array;  (** column per antecedent condition *)
   trie : (int array, node) Hashtbl.t Lazy.t;
-}
-
-type attr_task = {
-  col_id : int;  (** chase column of the derived attribute *)
-  target_pos : int;  (** target schema position, [-1] for scratch *)
-  groups : group list;
-  delta_only : bool;
-      (** every rule needs an antecedent that can only exist by
-          derivation, so classes untouched by earlier rounds can be
-          skipped *)
 }
 
 type plan = {
   compiled : Apply.compiled;
   source : Schema.t;
   target : Schema.t;
-  n_cols : int;  (** chase columns: every attribute any rule mentions *)
-  attr_names : string array;  (** chase column -> attribute *)
-  col_target : int array;  (** chase column -> target position, or [-1] *)
-  key_ids : int array;  (** chase columns initialised from source cells *)
+  n_cols : int;  (** columns: every attribute any rule mentions *)
+  attr_names : string array;  (** column -> attribute *)
+  col_target : int array;  (** column -> target position, or [-1] *)
+  key_ids : int array;  (** columns initialised from source cells *)
   key_attrs : string array;  (** their source attribute names *)
   key_src : int array;  (** their source positions *)
   groups_of : group list array;
-      (** chase column -> its rules' groups, in family order; empty when
-          the chase is not exact *)
+      (** column -> its rules' groups, in family order *)
   top : int array;
-      (** the derivable chase columns of the target, in target order:
-          the attributes the reference looks up, in its order *)
+      (** the derivable columns of the target, in target order: the
+          attributes the reference looks up, in its order *)
   target_src : int array;  (** target position -> source position, or [-1] *)
-  strata : attr_task array array;
-      (** tasks grouped by stratum, in evaluation order; empty when the
-          chase is not exact *)
   exact : bool;
-      (** the compiled chase replays the recursive engine's First_rule
-          answer: the family is acyclic and every rule value has a
-          well-defined match class *)
+      (** the tries replay the reference: the family is acyclic and every
+          rule value has a well-defined match class *)
 }
-
-exception Cyclic
 
 exception
   Fallback_desync of {
@@ -70,18 +48,18 @@ exception
   }
 
 (* Fault-injection hook for the [Fallback_desync] arm below: in
-   First_rule mode the per-class evaluation by construction never
-   reports a conflict, so the arm is unreachable in production.
-   Tests inject a witness here to prove the arm raises the
-   typed exception instead of an anonymous assertion failure. *)
+   First_rule mode the scan by construction never reports a conflict,
+   so the arm is unreachable in production. Tests inject a witness here
+   to prove the arm raises the typed exception instead of an anonymous
+   assertion failure. *)
 let inject_fallback_conflict : (Relational.Tuple.t -> Apply.conflict option) ref
     =
   ref (fun _ -> None)
 
 let plan ~source ~target c =
   let cons = Apply.consequents c in
-  (* Chase column ids, in first-mention order over the (deterministic)
-     consequent listing. *)
+  (* Column ids, in first-mention order over the (deterministic)
+     consequent listing: each attribute, then its groups' signatures. *)
   let ids : (string, int) Hashtbl.t = Hashtbl.create 16 in
   let n_cols = ref 0 in
   let id_of attr =
@@ -93,122 +71,19 @@ let plan ~source ~target c =
         Hashtbl.add ids attr i;
         i
   in
-  List.iter
-    (fun (attr, rules) ->
-      ignore (id_of attr);
-      List.iter
-        (fun (rule, _) ->
-          List.iter
-            (fun (cond : Def.condition) -> ignore (id_of cond.attribute))
-            (Def.antecedent rule))
-        rules)
-    cons;
-  let n = !n_cols in
-  let attr_names = Array.make n "" in
-  Hashtbl.iter (fun a i -> attr_names.(i) <- a) ids;
-  let rules_of attr = Option.value (List.assoc_opt attr cons) ~default:[] in
-  let derivable = Array.make n false in
-  List.iter (fun (attr, _) -> derivable.(id_of attr) <- true) cons;
-  (* The class key: the mentioned attributes present in both source and
-     target. The recursive engine reads nothing else of a tuple, so it
-     determines the whole derivation — including a conflict — whatever
-     the family. *)
-  let target_pos =
-    Array.map
-      (fun a ->
-        match Schema.index_of_opt target a with Some i -> i | None -> -1)
-      attr_names
-  in
-  let is_key =
-    Array.mapi
-      (fun id a -> target_pos.(id) >= 0 && Schema.mem source a)
-      attr_names
-  in
-  let key_ids =
-    Array.of_list
-      (List.filter (fun id -> is_key.(id)) (List.init n (fun i -> i)))
-  in
-  let key_attrs = Array.map (fun id -> attr_names.(id)) key_ids in
-  (* Every rule value (antecedent conditions and the derived value) must
-     have a well-defined match class, or hash matching could diverge
-     from [non_null_eq]; one ambiguous numeric disqualifies the chase. *)
-  let safe v = Intern.match_code (Intern.code v) <> Intern.unsafe_match in
-  let all_safe =
-    List.for_all
-      (fun (_, rules) ->
-        List.for_all
-          (fun (rule, v) ->
-            safe v
-            && List.for_all
-                 (fun (cond : Def.condition) -> safe cond.value)
-                 (Def.antecedent rule))
-          rules)
-      cons
-  in
-  (* Stratify: a derivable attribute sits one level above the deepest
-     attribute any of its rules reads. A cycle means demand order (which
-     the recursive engine's cut semantics depends on) cannot be replayed
-     by rounds — no exact chase. *)
-  let strat = Array.make n (-1) in
-  let rec depth id =
-    if strat.(id) = -2 then raise Cyclic
-    else if strat.(id) >= 0 then strat.(id)
-    else if not derivable.(id) then begin
-      strat.(id) <- 0;
-      0
-    end
-    else begin
-      strat.(id) <- -2;
-      let d =
-        List.fold_left
-          (fun acc (rule, _) ->
-            List.fold_left
-              (fun acc (cond : Def.condition) ->
-                max acc (depth (id_of cond.attribute)))
-              acc (Def.antecedent rule))
-          0
-          (rules_of attr_names.(id))
-      in
-      strat.(id) <- d + 1;
-      d + 1
-    end
-  in
-  let exact =
-    all_safe
-    &&
-    match
-      for id = 0 to n - 1 do
-        ignore (depth id)
-      done
-    with
-    | () -> true
-    | exception Cyclic -> false
-  in
-  let match_of v = Intern.match_code (Intern.code v) in
   let group_of sig_attrs rules =
-    let key_of rule =
-      Array.of_list
-        (List.map
-           (fun (c : Def.condition) -> match_of c.value)
-           (Def.antecedent rule))
-    in
-    let table =
-      lazy
-        (let table = Hashtbl.create 8 in
-         List.iter
-           (fun (rule, v) ->
-             let k = key_of rule in
-             if not (Hashtbl.mem table k) then
-               Hashtbl.add table k (Intern.code v))
-           rules;
-         table)
-    in
     let trie =
       lazy
         (let trie = Hashtbl.create 8 in
          List.iter
            (fun (rule, v) ->
-             let k = key_of rule in
+             let k =
+               Array.of_list
+                 (List.map
+                    (fun (c : Def.condition) ->
+                      Intern.match_code (Intern.code c.value))
+                    (Def.antecedent rule))
+             in
              let m = Array.length k in
              for p = 0 to m - 2 do
                let prefix =
@@ -221,7 +96,7 @@ let plan ~source ~target c =
                match Hashtbl.find_opt trie k with Some (Leaf l) -> l | _ -> []
              in
              (* Prepend now, reverse once below: family order. *)
-             Hashtbl.replace trie k (Leaf ((rule, v, match_of v) :: fired)))
+             Hashtbl.replace trie k (Leaf ((rule, v, Intern.code v) :: fired)))
            rules;
          Hashtbl.filter_map_inplace
            (fun _ node ->
@@ -231,7 +106,7 @@ let plan ~source ~target c =
            trie;
          trie)
     in
-    { sig_ids = Array.of_list (List.map id_of sig_attrs); table; trie }
+    { sig_ids = Array.of_list (List.map id_of sig_attrs); trie }
   in
   let signature rule =
     List.map (fun (c : Def.condition) -> c.attribute) (Def.antecedent rule)
@@ -247,90 +122,126 @@ let plan ~source ~target c =
           in
           span [] rules
         in
-        group_of s same :: groups_of rest
+        let g = group_of s same in
+        g :: groups_of rest
   in
+  let grouped =
+    List.map
+      (fun (attr, rules) ->
+        let id = id_of attr in
+        (id, groups_of rules))
+      cons
+  in
+  let n = !n_cols in
+  let attr_names = Array.make n "" in
+  Hashtbl.iter (fun a i -> attr_names.(i) <- a) ids;
   let groups_by_col = Array.make n [] in
-  if exact then
-    List.iter
-      (fun (attr, rules) -> groups_by_col.(id_of attr) <- groups_of rules)
-      cons;
+  List.iter (fun (id, groups) -> groups_by_col.(id) <- groups) grouped;
+  (* The class key: the mentioned attributes present in both source and
+     target. The recursive engine reads nothing else of a tuple, so it
+     determines the whole derivation — including a conflict — whatever
+     the family. *)
+  let col_target =
+    Array.map
+      (fun a ->
+        match Schema.index_of_opt target a with Some i -> i | None -> -1)
+      attr_names
+  in
+  let key_ids =
+    Array.of_list
+      (List.filter
+         (fun id -> col_target.(id) >= 0 && Schema.mem source attr_names.(id))
+         (List.init n Fun.id))
+  in
+  let key_attrs = Array.map (fun id -> attr_names.(id)) key_ids in
+  (* Every rule value (antecedent conditions and the derived value) must
+     have a well-defined match class, or hash matching could diverge
+     from [non_null_eq]; one ambiguous numeric disqualifies the tries. *)
+  let safe v = Intern.match_code (Intern.code v) <> Intern.unsafe_match in
+  let all_safe =
+    List.for_all
+      (fun (_, rules) ->
+        List.for_all
+          (fun (rule, v) ->
+            safe v
+            && List.for_all
+                 (fun (cond : Def.condition) -> safe cond.value)
+                 (Def.antecedent rule))
+          rules)
+      cons
+  in
+  (* On a cycle a lookup can re-enter an attribute in progress, and the
+     demand order the reference's cut semantics depend on is no longer a
+     walk over the tries. A group's rules all read its signature. *)
+  let visit = Bytes.make n '\000' in
+  let rec acyclic id =
+    match Bytes.get visit id with
+    | '\002' -> true
+    | '\001' -> false
+    | _ ->
+        Bytes.set visit id '\001';
+        List.for_all (fun g -> Array.for_all acyclic g.sig_ids)
+          groups_by_col.(id)
+        && begin
+             Bytes.set visit id '\002';
+             true
+           end
+  in
+  let exact = all_safe && List.for_all acyclic (List.init n Fun.id) in
   let top =
     List.filter_map
       (fun (a : Schema.attribute) ->
         match Hashtbl.find_opt ids a.name with
-        | Some id when derivable.(id) -> Some id
+        | Some id when groups_by_col.(id) <> [] -> Some id
         | _ -> None)
       (Schema.attributes target)
   in
-  let p =
-    {
-      compiled = c;
-      source;
-      target;
-      n_cols = n;
-      attr_names;
-      col_target = target_pos;
-      key_ids;
-      key_attrs;
-      key_src = Array.map (fun a -> Schema.index_of source a) key_attrs;
-      groups_of = groups_by_col;
-      top = Array.of_list top;
-      target_src =
-        Array.of_list
-          (List.map
-             (fun (a : Schema.attribute) ->
-               match Schema.index_of_opt source a.name with
-               | Some i -> i
-               | None -> -1)
-             (Schema.attributes target));
-      strata = [||];
-      exact;
-    }
-  in
-  if not exact then p
-  else
-    let task_of (attr, rules) =
-      let id = id_of attr in
-      let delta_only =
-        rules <> []
-        && List.for_all
-             (fun (rule, _) ->
-               List.exists
-                 (fun (c : Def.condition) ->
-                   let b = id_of c.attribute in
-                   derivable.(b) && not is_key.(b))
-                 (Def.antecedent rule))
-             rules
-      in
-      ( strat.(id),
-        {
-          col_id = id;
-          target_pos = target_pos.(id);
-          groups = groups_by_col.(id);
-          delta_only;
-        } )
-    in
-    let tasks = List.map task_of cons in
-    let max_stratum = List.fold_left (fun m (s, _) -> max m s) 0 tasks in
-    let strata =
-      Array.init max_stratum (fun k ->
-          Array.of_list
-            (List.filter_map
-               (fun (s, t) -> if s = k + 1 then Some t else None)
-               tasks))
-    in
-    { p with strata }
+  {
+    compiled = c;
+    source;
+    target;
+    n_cols = n;
+    attr_names;
+    col_target;
+    key_ids;
+    key_attrs;
+    key_src = Array.map (fun a -> Schema.index_of source a) key_attrs;
+    groups_of = groups_by_col;
+    top = Array.of_list top;
+    target_src =
+      Array.of_list
+        (List.map
+           (fun (a : Schema.attribute) ->
+             match Schema.index_of_opt source a.name with
+             | Some i -> i
+             | None -> -1)
+           (Schema.attributes target));
+    exact;
+  }
 
 let supported ~source ~target ilfds =
   (plan ~source ~target (Apply.compile ilfds)).exact
 
 let plan_target p = p.target
 
+(* A tuple whose key codes (storage codes of its source cells, in
+   [key_ids] order) the tries cannot evaluate exactly takes the scan:
+   the plan is not exact (a cyclic family, or an ambiguous numeric rule
+   value), or a cell the family reads is a numeric above 2^53, whose
+   match class is ambiguous. *)
+let scans p key =
+  (not p.exact)
+  || Array.exists
+       (fun c -> c <> 0 && Intern.match_code c = Intern.unsafe_match)
+       key
+
 exception Conflict_exn of Apply.conflict
 
-(* The per-tuple evaluator: the recursive engine's answer — its tuple,
-   its derivation list in its order, its conflict witness — read off the
-   group tries instead of a scan of every candidate rule.
+(* The evaluator: the recursive engine's answer for a tuple whose key
+   codes are [key] (0 = NULL) — its derivations in its order, its
+   conflict witness — read off the group tries instead of a scan of
+   every candidate rule. Each derivation is (column, (rule, value,
+   value's storage code)), scratch attributes included.
 
    The reference derives an attribute by testing every candidate rule's
    antecedent in family order ([List.filter]), each condition in order
@@ -346,106 +257,101 @@ exception Conflict_exn of Apply.conflict
    reference's first lookups in the reference's order, and the rules it
    finds applicable are the leaves reached, in family order. A derived
    attribute is resolved once: no re-entry is possible without a cycle.
-
-   [on_scan] is called when the tuple takes the scan instead: the plan
-   is not exact (a cyclic family, or an ambiguous numeric rule value),
-   or a source cell the family reads is a numeric above 2^53, whose
-   match class is ambiguous. *)
-let eval ~on_scan p ~mode tuple =
-  let n = p.n_cols in
-  let codes = Array.make n 0 in
-  let resolved = Bytes.make n '\000' in
-  let safe = ref p.exact in
+   Only called when [scans p key] is false. *)
+let eval p ~mode key =
+  (* A column's match code once resolved (0: NULL, or nothing derived);
+     -1 until then. *)
+  let codes = Array.make p.n_cols (-1) in
   Array.iteri
-    (fun k id ->
-      let v = Tuple.nth tuple p.key_src.(k) in
-      if not (V.is_null v) then begin
-        let m = Intern.match_code (Intern.code v) in
-        if m = Intern.unsafe_match then safe := false;
-        codes.(id) <- m;
-        Bytes.set resolved id '\001'
-      end)
+    (fun k id -> if key.(k) <> 0 then codes.(id) <- Intern.match_code key.(k))
     p.key_ids;
-  if not !safe then begin
-    on_scan ();
-    Apply.extend_tuple_compiled ~mode p.source tuple ~target:p.target
-      p.compiled
-  end
-  else
-    let cells =
-      Array.map
-        (fun i -> if i >= 0 then Tuple.nth tuple i else V.Null)
-        p.target_src
+  let used = ref [] in
+  let rec resolve id =
+    if codes.(id) >= 0 then codes.(id)
+    else begin
+      codes.(id) <- 0;
+      (match derive id with
+      | None -> ()
+      | Some ((_, _, code) as fired) ->
+          codes.(id) <- Intern.match_code code;
+          used := (id, fired) :: !used);
+      codes.(id)
+    end
+  (* The rules of [g] the tuple fires, after making the group's first
+     lookups. *)
+  and walk g =
+    let m = Array.length g.sig_ids in
+    let probe = Array.make m 0 in
+    let trie = Lazy.force g.trie in
+    let rec go i =
+      if i = m then
+        match Hashtbl.find_opt trie probe with Some (Leaf l) -> l | _ -> []
+      else
+        let c = resolve g.sig_ids.(i) in
+        if c = 0 then []
+        else begin
+          probe.(i) <- c;
+          if i = m - 1 || Hashtbl.mem trie probe then go (i + 1) else []
+        end
     in
-    let used = ref [] in
-    let rec resolve id =
-      if Bytes.get resolved id = '\001' then codes.(id)
-      else begin
-        Bytes.set resolved id '\001';
-        (match derive id with
-        | None -> ()
-        | Some (rule, v, m) ->
-            codes.(id) <- m;
-            let pos = p.col_target.(id) in
-            if pos >= 0 then cells.(pos) <- v;
-            used :=
-              { Apply.attribute = p.attr_names.(id); value = v; rule }
-              :: !used);
-        codes.(id)
-      end
-    (* The rules of [g] the tuple fires, after making the group's first
-       lookups. *)
-    and walk g =
-      let m = Array.length g.sig_ids in
-      let key = Array.make m 0 in
-      let trie = Lazy.force g.trie in
-      let rec go i =
-        if i = m then
-          match Hashtbl.find_opt trie key with Some (Leaf l) -> l | _ -> []
-        else
-          let c = resolve g.sig_ids.(i) in
-          if c = 0 then []
-          else begin
-            key.(i) <- c;
-            if i = m - 1 || Hashtbl.mem trie key then go (i + 1) else []
-          end
-      in
-      go 0
-    (* Every group is walked, as the reference's [List.filter] tests
-       every candidate; the first rule fired wins. *)
-    and derive id =
-      let fired = List.map walk p.groups_of.(id) in
-      match mode with
-      | Apply.First_rule -> (
-          match List.find_opt (fun l -> l <> []) fired with
-          | Some (first :: _) -> Some first
-          | _ -> None)
-      | Apply.Check_conflicts -> (
-          match List.concat fired with
-          | [] -> None
-          | ((_, v, _) as first) :: rest -> (
-              match
-                List.find_opt (fun (_, v', _) -> not (V.equal v' v)) rest
-              with
-              | None -> Some first
-              | Some (rule, second, _) ->
-                  raise
-                    (Conflict_exn
-                       {
-                         attribute = p.attr_names.(id);
-                         first = v;
-                         second;
-                         rule;
-                       })))
-    in
-    match Array.iter (fun id -> ignore (resolve id)) p.top with
-    | () -> Ok (Tuple.of_array p.target cells, List.rev !used)
-    | exception Conflict_exn c -> Error c
+    go 0
+  (* Every group is walked, as the reference's [List.filter] tests
+     every candidate; the first rule fired wins. *)
+  and derive id =
+    let fired = List.map walk p.groups_of.(id) in
+    match mode with
+    | Apply.First_rule ->
+        List.find_map (function first :: _ -> Some first | [] -> None) fired
+    | Apply.Check_conflicts -> (
+        match List.concat fired with
+        | [] -> None
+        | ((_, v, _) as first) :: rest -> (
+            match
+              List.find_opt (fun (_, v', _) -> not (V.equal v' v)) rest
+            with
+            | None -> Some first
+            | Some (rule, second, _) ->
+                raise
+                  (Conflict_exn
+                     {
+                       attribute = p.attr_names.(id);
+                       first = v;
+                       second;
+                       rule;
+                     })))
+  in
+  match Array.iter (fun id -> ignore (resolve id)) p.top with
+  | () -> Ok (List.rev !used)
+  | exception Conflict_exn c -> Error c
+
+let scan p ~mode tuple =
+  Apply.extend_tuple_compiled ~mode p.source tuple ~target:p.target p.compiled
 
 let extend_tuple ?(mode = Apply.First_rule) ?(telemetry = Telemetry.off) p
     tuple =
-  eval p ~mode tuple ~on_scan:(fun () ->
-      Telemetry.incr telemetry "ilfd.fixpoint.fallback_classes")
+  let key = Array.map (fun i -> Intern.code (Tuple.nth tuple i)) p.key_src in
+  if scans p key then begin
+    Telemetry.incr telemetry "ilfd.fixpoint.fallback_classes";
+    scan p ~mode tuple
+  end
+  else
+    match eval p ~mode key with
+    | Error c -> Error c
+    | Ok ds ->
+        let cells =
+          Array.map
+            (fun i -> if i >= 0 then Tuple.nth tuple i else V.Null)
+            p.target_src
+        in
+        let derivations =
+          List.map
+            (fun (id, (rule, v, _)) ->
+              let pos = p.col_target.(id) in
+              if pos >= 0 then cells.(pos) <- v;
+              { Apply.attribute = p.attr_names.(id); value = v; rule })
+            ds
+        in
+        Ok (Tuple.of_array p.target cells, derivations)
 
 let run plan ~mode r ~target ~telemetry =
   let cr = Relation.columnar r in
@@ -453,8 +359,8 @@ let run plan ~mode r ~target ~telemetry =
   let nkeys = Array.length plan.key_ids in
   let key_cols = Array.map (fun a -> Columnar.column cr a) plan.key_attrs in
   (* Derivation classes: one per distinct coded projection onto the
-     source-initialised chase columns — those cells alone determine the
-     whole derivation, so all rows of a class share one. Class ids follow
+     source-initialised columns — those cells alone determine the whole
+     derivation, so all rows of a class share one. Class ids follow
      first-row order. *)
   let class_of_row = Array.make n_rows 0 in
   let tbl : (int array, int) Hashtbl.t = Hashtbl.create (max 16 n_rows) in
@@ -468,130 +374,61 @@ let run plan ~mode r ~target ~telemetry =
         let cid = !count in
         incr count;
         Hashtbl.add tbl k cid;
-        reps := (cid, k, i) :: !reps;
+        reps := (k, i) :: !reps;
         class_of_row.(i) <- cid
   done;
   let n_classes = !count in
-  let class_key = Array.make n_classes [||] in
-  let rep_row = Array.make n_classes 0 in
-  List.iter
-    (fun (cid, k, i) ->
-      class_key.(cid) <- k;
-      rep_row.(cid) <- i)
-    !reps;
-  (* Chase cells, column-major over classes; 0 = NULL/underived. Classes
-     whose base cells carry ambiguous numerics cannot be hash-matched
-     exactly and run the per-tuple evaluator on their representative row
-     (which scans for them) — as does every class when the chase is not
-     exact, or in Check_conflicts mode, whose conflict witness depends on
-     the recursive engine's demand order. *)
-  let per_class = mode = Apply.Check_conflicts || not plan.exact in
-  let strata = if per_class then [||] else plan.strata in
-  let state = Array.init plan.n_cols (fun _ -> Array.make n_classes 0) in
-  let fallback = Array.make n_classes per_class in
-  for cid = 0 to n_classes - 1 do
-    let k = class_key.(cid) in
-    for p = 0 to nkeys - 1 do
-      state.(plan.key_ids.(p)).(cid) <- k.(p);
-      if k.(p) <> 0 && Intern.match_code k.(p) = Intern.unsafe_match then
-        fallback.(cid) <- true
-    done
-  done;
+  let reps = Array.of_list (List.rev !reps) in
   let deltas = Array.make n_classes [] in
-  let changed = Bytes.make (max 1 n_classes) '\000' in
-  let changed_list = ref [] in
   let facts = ref 0 in
-  let mark cid =
-    if Bytes.get changed cid = '\000' then begin
-      Bytes.set changed cid '\001';
-      changed_list := cid :: !changed_list
-    end
-  in
-  (* The semi-naive chase: strata in dependency order; within a class,
-     groups in rule order and the first table hit wins — exactly the
-     value the recursive engine's first applicable rule would assign,
-     because every antecedent cell it reads was fixed by an earlier
-     stratum. *)
-  Array.iter
-    (fun stratum ->
-      Array.iter
-        (fun task ->
-          let col = state.(task.col_id) in
-          let scan cid =
-            if (not fallback.(cid)) && col.(cid) = 0 then
-              let rec try_groups = function
-                | [] -> ()
-                | g :: rest ->
-                    let m = Array.length g.sig_ids in
-                    let k = Array.make m 0 in
-                    let rec fill p =
-                      p = m
-                      ||
-                      let cell = state.(g.sig_ids.(p)).(cid) in
-                      cell <> 0
-                      && begin
-                           k.(p) <- Intern.match_code cell;
-                           fill (p + 1)
-                         end
-                    in
-                    if fill 0 then
-                      match Hashtbl.find_opt (Lazy.force g.table) k with
-                      | Some vcode ->
-                          col.(cid) <- vcode;
-                          incr facts;
-                          if task.target_pos >= 0 then
-                            deltas.(cid) <-
-                              (task.target_pos, vcode) :: deltas.(cid);
-                          mark cid
-                      | None -> try_groups rest
-                    else try_groups rest
-              in
-              try_groups task.groups
-          in
-          if task.delta_only then List.iter scan !changed_list
-          else
-            for cid = 0 to n_classes - 1 do
-              scan cid
-            done)
-        stratum)
-    strata;
-  (* Ascending class ids visit classes in first-row order, so the first
-     class that conflicts holds the row the serial engine raises on. *)
   let scanned = ref 0 in
   let tuples = lazy (Array.of_list (Relation.tuples r)) in
-  for cid = 0 to n_classes - 1 do
-    if fallback.(cid) then begin
-      let t = (Lazy.force tuples).(rep_row.(cid)) in
-      let extended =
-        match !inject_fallback_conflict t with
-        | Some conflict -> Error conflict
-        | None -> eval plan ~mode t ~on_scan:(fun () -> incr scanned)
-      in
-      match extended with
-      | Error conflict when mode = Apply.Check_conflicts ->
-          raise (Apply.Conflict_found conflict)
-      | Error conflict ->
-          (* First_rule mode never conflicts; a witness here means the
-             evaluator and the plan disagree about the mode, so surface
-             the rule and tuple rather than dying anonymously. *)
-          raise (Fallback_desync { tuple = t; conflict })
-      | Ok (ext, _) ->
-          let delta = ref [] in
-          Array.iteri
-            (fun ti src ->
-              let base = if src >= 0 then Tuple.nth t src else V.Null in
-              let v = Tuple.nth ext ti in
-              if V.is_null base && not (V.is_null v) then
-                delta := (ti, Intern.code v) :: !delta)
-            plan.target_src;
-          deltas.(cid) <- !delta;
-          facts := !facts + List.length !delta
-    end
-  done;
+  (* Ascending class ids visit classes in first-row order, so the first
+     class that conflicts holds the row the reference raises on. Only a
+     class that takes the scan decodes a row: its representative. *)
+  Array.iteri
+    (fun cid (key, rep) ->
+      if scans plan key then begin
+        incr scanned;
+        let t = (Lazy.force tuples).(rep) in
+        let extended =
+          match !inject_fallback_conflict t with
+          | Some conflict -> Error conflict
+          | None -> scan plan ~mode t
+        in
+        match extended with
+        | Error conflict when mode = Apply.Check_conflicts ->
+            raise (Apply.Conflict_found conflict)
+        | Error conflict ->
+            (* First_rule mode never conflicts; a witness here means the
+               scan and the plan disagree about the mode, so surface the
+               rule and tuple rather than dying anonymously. *)
+            raise (Fallback_desync { tuple = t; conflict })
+        | Ok (ext, ds) ->
+            facts := !facts + List.length ds;
+            Array.iteri
+              (fun ti src ->
+                let base = if src >= 0 then Tuple.nth t src else V.Null in
+                let v = Tuple.nth ext ti in
+                if V.is_null base && not (V.is_null v) then
+                  deltas.(cid) <- (ti, Intern.code v) :: deltas.(cid))
+              plan.target_src
+      end
+      else
+        match eval plan ~mode key with
+        | Error conflict -> raise (Apply.Conflict_found conflict)
+        | Ok ds ->
+            facts := !facts + List.length ds;
+            deltas.(cid) <-
+              List.filter_map
+                (fun (id, (_, _, code)) ->
+                  let pos = plan.col_target.(id) in
+                  if pos >= 0 then Some (pos, code) else None)
+                ds)
+    reps;
   if Telemetry.enabled telemetry then begin
     Telemetry.add telemetry "ilfd.tuples" n_rows;
     Telemetry.add telemetry "ilfd.fixpoint.classes" n_classes;
-    Telemetry.add telemetry "ilfd.fixpoint.rounds" (Array.length strata);
     Telemetry.add telemetry "ilfd.fixpoint.delta_facts" !facts;
     Telemetry.add telemetry "ilfd.fixpoint.fallback_classes" !scanned;
     let dlen = Array.map List.length deltas in

@@ -3,35 +3,29 @@
     [IM(x̄,y)] ILFD tables made executable).
 
     A {!plan} compiles, for one source/target schema pair, each
-    consequent attribute's rules into tables keyed by the match codes of
+    consequent attribute's rules into tries keyed by the match codes of
     their antecedent condition values (consecutive rules with one
-    antecedent signature share a table). Two evaluators read them:
-    - {!extend_relation}, the set-at-a-time semi-naive chase. It groups
-      the relation's rows into {e derivation classes} (distinct
-      {!Relational.Intern}-coded projections onto the attributes the
-      family can read), one chase cell table for all rows of a class;
-      stratifies the attribute dependency graph (an attribute's stratum
-      is one more than the deepest attribute any of its rules reads);
-      and chases stratum by stratum, seeding a delta with the base facts
-      and visiting, for attributes whose rules can only fire on derived
-      antecedents, only classes the previous rounds changed.
-    - {!extend_tuple}, the per-tuple evaluator, which walks a trie over
-      each table's keys in the recursive engine's demand order and so
-      returns its derivation list, in its order, and its
-      [Check_conflicts] witness.
+    antecedent signature share a trie). One evaluator reads them: it
+    walks the tries in the recursive engine's demand order, from the
+    storage codes of the cells the family reads, and so returns its
+    derivation list, in its order, and its [Check_conflicts] witness.
+    {!extend_tuple} runs it on one tuple; {!extend_relation} runs it once
+    per {e derivation class} (distinct {!Relational.Intern}-coded
+    projection onto the attributes the family can read), straight from
+    the relation's columnar view.
 
-    On acyclic families both are provably the same function as the
-    per-tuple reference {!Apply.extend_tuple_compiled}, and the
+    On acyclic families the evaluator is provably the same function as
+    the per-tuple reference {!Apply.extend_tuple_compiled}, and the
     checker's [fixpoint-agreement] and [conflict-agreement] oracles hold
-    them to it. Where table matching is not exact — cyclic attribute
+    it to it. Where trie matching is not exact — cyclic attribute
     dependencies, numeric rule values whose cross-type identity is
     ambiguous above 2⁵³ — every tuple takes that scan instead, as do
     single tuples (derivation classes) whose source cells the family
     reads carry such numerics. *)
 
-(** Raised if a per-class evaluation ever reports a derivation
-    conflict in [First_rule] mode, where conflicts are impossible by
-    construction, so this exception marks an evaluator/plan
+(** Raised if a class taking the scan in {!extend_relation} ever
+    reports a derivation conflict in [First_rule] mode, where conflicts
+    are impossible by construction, so this exception marks a scan/plan
     desync — it carries the offending tuple and the conflicting rule (the
     same witness shape as {!Apply.Conflict_found}) rather than dying on
     an anonymous assertion. *)
@@ -42,15 +36,15 @@ exception
   }
 
 (** Test-only fault injection: when the hook returns [Some conflict] for
-    a tuple taking the per-class path of {!extend_relation}, the
-    extension behaves as if the evaluator had reported that conflict, so the
+    a representative row taking the scan path of {!extend_relation}, the
+    extension behaves as if the scan had reported that conflict, so the
     {!Fallback_desync} arm can be exercised. Production value: a
     function returning [None] for every tuple. *)
 val inject_fallback_conflict :
   (Relational.Tuple.t -> Apply.conflict option) ref
 
 (** [supported ~source ~target ilfds] — whether the family's compiled
-    tables are exact for this source/target pair ([false] means every
+    tries are exact for this source/target pair ([false] means every
     tuple takes the scan). *)
 val supported :
   source:Relational.Schema.t ->
@@ -58,9 +52,8 @@ val supported :
   Def.t list ->
   bool
 
-(** A family compiled for one source/target schema pair. Its tables are
-    built on first use: the chase's on the first {!extend_relation} in
-    [First_rule] mode, the tries on the first {!extend_tuple}. *)
+(** A family compiled for one source/target schema pair. Each group's
+    trie is built the first time the evaluator walks it. *)
 type plan
 
 (** [plan ~source ~target compiled] — [compiled] for tuples of [source]
@@ -77,10 +70,10 @@ val plan_target : plan -> Relational.Schema.t
     [Apply.extend_tuple_compiled ?mode source tuple ~target compiled]
     for the plan's schemas and family: the same extended tuple, the same
     derivations in the same order, and in [Check_conflicts] mode the
-    same conflict witness. A derivation costs a few table probes per
+    same conflict witness. A derivation costs a few trie probes per
     rule group, whatever the number of rules in the group.
 
-    A tuple the tables cannot evaluate exactly (see above) takes the
+    A tuple the tries cannot evaluate exactly (see above) takes the
     scan; [telemetry] (default {!Telemetry.off}) counts it in
     [ilfd.fixpoint.fallback_classes]. *)
 val extend_tuple :
@@ -98,15 +91,16 @@ val extend_tuple :
     family arrives already compiled ({!Apply.compile}) so a caller that
     extends several relations with one family — both sides of a batch
     run — compiles it once; only the per-source plan is built here.
-    In [Check_conflicts] mode every class runs {!extend_tuple} on its
-    representative row, since a conflict witness depends on the demand
-    order; class ids follow first-row order, so the first class that
-    conflicts holds the reference's first conflicting row and raises
-    the same {!Apply.Conflict_found} witness.
+    Each class is derived once, in both modes: by the evaluator, from
+    the class's key codes in [r]'s columnar view, or, when it takes the
+    scan, from its representative row, the only row decoded. Class ids
+    follow first-row order, so the first class that conflicts holds the
+    reference's first conflicting row and raises the same
+    {!Apply.Conflict_found} witness.
 
     The rows are built by {!Relational.Relation.extend} from [r]'s rows
-    and the classes' derived cells, as storage codes the chase already
-    holds. When [r] has a declared key and [target] keeps every
+    and the classes' derived cells, as storage codes the tries' leaves
+    already hold. When [r] has a declared key and [target] keeps every
     attribute of [r], the result inherits [r]'s set semantics and coded
     view: its rows are distinct and key-valid by construction, no
     set-semantics pass runs, and nothing is interned. Every [Identify],
@@ -117,9 +111,8 @@ val extend_tuple :
 
     [telemetry] records the [ilfd.extend] span and [ilfd.tuples],
     [ilfd.derivations], [ilfd.fixpoint.classes] (derivation classes),
-    [ilfd.fixpoint.rounds] (strata chased; [0] when every class runs
-    {!extend_tuple}), [ilfd.fixpoint.delta_facts] (facts derived across
-    classes, scratch intermediates included on the chase) and
+    [ilfd.fixpoint.delta_facts] (derivations made across classes,
+    scratch intermediates included) and
     [ilfd.fixpoint.fallback_classes] (classes that took the scan).
     @raise Apply.Conflict_found in [Check_conflicts] mode.
     @raise Fallback_desync as described above. *)

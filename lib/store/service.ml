@@ -14,12 +14,12 @@ let json_of_value = function
   | Value.String s -> Json.String s
 
 let value_of_json = function
-  | Json.Null -> Value.Null
-  | Json.Bool b -> Value.Bool b
-  | Json.Int i -> Value.Int i
-  | Json.Float f -> Value.Float f
-  | Json.String s -> Value.String s
-  | Json.List _ | Json.Obj _ -> Value.Null
+  | Json.Null -> Some Value.Null
+  | Json.Bool b -> Some (Value.Bool b)
+  | Json.Int i -> Some (Value.Int i)
+  | Json.Float f -> Some (Value.Float f)
+  | Json.String s -> Some (Value.String s)
+  | Json.List _ | Json.Obj _ -> None
 
 (* ---- responses ---- *)
 
@@ -38,6 +38,14 @@ exception Bad_request of string
 let bad fmt = Printf.ksprintf (fun m -> raise (Bad_request m)) fmt
 
 (* ---- request field extraction ---- *)
+
+(* The cell [field] gives attribute [name]: a list or an object is no
+   value, and storing it as NULL would lose it silently. *)
+let cell_of_json field name j =
+  match value_of_json j with
+  | Some v -> v
+  | None ->
+      bad "%S attribute %S holds a list or an object, not a value" field name
 
 let side_of req =
   match Json.string_member "side" req with
@@ -63,7 +71,7 @@ let row_of_json schema j =
         (List.map
            (fun name ->
              match List.assoc_opt name members with
-             | Some v -> value_of_json v
+             | Some v -> cell_of_json "row" name v
              | None -> Value.Null)
            names)
   | _ -> bad "expected an object of attribute values"
@@ -77,7 +85,7 @@ let key_of_json attrs field req =
           (List.map
              (fun name ->
                match Json.member name j with
-               | Some v -> value_of_json v
+               | Some v -> cell_of_json field name v
                | None -> bad "%S is missing key attribute %S" field name)
              attrs)
       in
@@ -316,31 +324,83 @@ let mutating req =
   | Some ("insert" | "merge" | "split" | "rollback") -> true
   | _ -> false
 
+let max_request_bytes = 1 lsl 20
+
+(* [ic]'s lines, read a chunk at a time. A line longer than
+   [max_request_bytes] (its newline not counted) is [`Too_large]: its
+   bytes past the cap are read and dropped chunk by chunk, never held. A
+   final line without a newline is still a line, as for [input_line].
+   Only [chunk]'s first [len] bytes are this read's: a short read leaves
+   an earlier read's bytes, newlines included, after them. *)
+let line_reader ic =
+  let chunk = Bytes.create 65536 in
+  let pos = ref 0 and len = ref 0 in
+  let line = Buffer.create 1024 in
+  let rec newline i =
+    if i = !len || Bytes.get chunk i = '\n' then i else newline (i + 1)
+  in
+  let rec next ~over =
+    if !pos = !len then begin
+      pos := 0;
+      len := input ic chunk 0 (Bytes.length chunk)
+    end;
+    if !len = 0 then
+      if over then `Too_large
+      else if Buffer.length line = 0 then `Eof
+      else `Line (Buffer.contents line)
+    else
+      let stop = newline !pos in
+      let over =
+        over || Buffer.length line + (stop - !pos) > max_request_bytes
+      in
+      if over then Buffer.reset line
+      else Buffer.add_subbytes line chunk !pos (stop - !pos);
+      if stop = !len then begin
+        pos := !len;
+        next ~over
+      end
+      else begin
+        pos := stop + 1;
+        if over then `Too_large else `Line (Buffer.contents line)
+      end
+  in
+  fun () ->
+    Buffer.clear line;
+    next ~over:false
+
 let serve ?snapshot_every st ic oc =
   let since_snapshot = ref 0 in
+  let answer line =
+    match Json.parse line with
+    | Error m -> error "parse" m
+    | Ok req ->
+        let resp = handle st req in
+        (match snapshot_every with
+        | Some n when n > 0 && mutating req ->
+            incr since_snapshot;
+            if !since_snapshot >= n then begin
+              Store.snapshot st;
+              since_snapshot := 0
+            end
+        | _ -> ());
+        resp
+  in
+  let next_line = line_reader ic in
   let rec loop () =
-    match input_line ic with
-    | exception End_of_file -> ()
-    | line when String.trim line = "" -> loop ()
-    | line ->
-        let response =
-          match Json.parse line with
-          | Error m -> error "parse" m
-          | Ok req ->
-              let resp = handle st req in
-              (match snapshot_every with
-              | Some n when n > 0 && mutating req ->
-                  incr since_snapshot;
-                  if !since_snapshot >= n then begin
-                    Store.snapshot st;
-                    since_snapshot := 0
-                  end
-              | _ -> ());
-              resp
-        in
-        output_string oc (Json.to_string response);
-        output_char oc '\n';
-        flush oc;
-        loop ()
+    let reply response =
+      output_string oc (Json.to_string response);
+      output_char oc '\n';
+      flush oc;
+      loop ()
+    in
+    match next_line () with
+    | `Eof -> ()
+    | `Line line when String.trim line = "" -> loop ()
+    | `Line line -> reply (answer line)
+    | `Too_large ->
+        reply
+          (error "request_too_large"
+             (Printf.sprintf "a request line may hold at most %d bytes"
+                max_request_bytes))
   in
   loop ()

@@ -3,8 +3,16 @@
 
     One request per line, one response per line, always a JSON object
     with an ["ok"] boolean. Malformed input (bad JSON, unknown op,
-    missing fields) produces an [{"ok":false,"error":...}] response on
-    the same line position — the loop never crashes on input.
+    missing fields, a list or an object where a cell value belongs)
+    produces an [{"ok":false,"error":...}] response on the same line
+    position — the loop never crashes on input, and nothing of a
+    rejected request is journalled.
+
+    A request line holds at most {!max_request_bytes} bytes (1 MiB), its
+    newline not counted. A longer line answers
+    [{"ok":false,"error":"request_too_large",...}]: it is neither parsed
+    nor journalled, and the loop reads past it holding at most the cap
+    and one 64 KiB chunk of it.
 
     Requests ([op] field selects):
     - [insert]: ["side"] (["r"]/["s"]), ["row"] an object of attribute
@@ -31,13 +39,21 @@ val handle : Store.t -> Json.t -> Json.t
 (** [handle_line store line] — parse, handle, render. *)
 val handle_line : Store.t -> string -> string
 
+(** The longest request line {!serve} reads, in bytes: 1 MiB. *)
+val max_request_bytes : int
+
 (** [serve ?snapshot_every store ic oc] — the request loop: read lines
-    from [ic] until EOF, respond on [oc] (flushed per line). With
-    [snapshot_every:n], a snapshot is written after every [n] mutating
-    requests. *)
+    from [ic] until EOF, respond on [oc] (flushed per line). A line over
+    {!max_request_bytes} gets the [request_too_large] error and the loop
+    goes on. With [snapshot_every:n], a snapshot is written after every
+    [n] mutating requests. *)
 val serve : ?snapshot_every:int -> Store.t -> in_channel -> out_channel -> unit
 
 (** Conversions shared with the CLI. *)
 
 val json_of_value : Relational.Value.t -> Json.t
-val value_of_json : Json.t -> Relational.Value.t
+
+(** [value_of_json j] — the cell value [j] spells: [null], a boolean, a
+    number or a string; [None] for a list or an object, which a request
+    rejects as a [bad_request] naming the attribute. *)
+val value_of_json : Json.t -> Relational.Value.t option

@@ -5,7 +5,9 @@
 # partition bench in smoke mode — its fixpoint-vs-recursive extension
 # agreement is a cheap correctness check worth executing on every
 # commit (it exits nonzero on any disagreement; the grep is a
-# belt-and-braces check on the JSON it emits).
+# belt-and-braces check on the JSON it emits), and its stats block must
+# show every derivation class evaluated on the ILFD tries, none on the
+# scan.
 set -eux
 
 cd "$(dirname "$0")/.."
@@ -249,7 +251,8 @@ dune exec bench/insert_scaling.exe
 
 # 9. Partition bench smoke run: the production fixpoint extension must
 #    agree with the recursive reference, and the telemetry-enabled
-#    Identify.run behind its stats block must record fixpoint rounds.
+#    Identify.run behind its stats block must record derivation classes
+#    and no class taking the scan fallback.
 dune build bench/main.exe
 bench_dir=$(mktemp -d)
 (
@@ -289,12 +292,16 @@ def walk(x):
             walk(v)
 walk(doc)
 
-# The production extension path must actually be the fixpoint (at least
-# one chase round recorded), and the fixpoint-vs-recursive head-to-head
-# must agree.
-if stats["counters"].get("ilfd.fixpoint.rounds", 0) < 1:
-    sys.exit(f"CI: {path} recorded no fixpoint rounds — "
-             "the extension ran on the fallback path")
+# The production extension path must actually be the ILFD tries (some
+# derivation classes evaluated, none of them on the scan fallback), and
+# the fixpoint-vs-recursive head-to-head must agree.
+counters = stats["counters"]
+if counters.get("ilfd.fixpoint.classes", 0) < 1:
+    sys.exit(f"CI: {path} recorded no derivation classes — "
+             "the extension did not run")
+if counters.get("ilfd.fixpoint.fallback_classes") != 0:
+    sys.exit(f"CI: {path} recorded fallback classes — "
+             "the extension ran on the scan fallback")
 ext = doc.get("extension")
 if ext is None:
     sys.exit(f"CI: {path} is missing the extension object")

@@ -1203,6 +1203,118 @@ let model_tests =
          run_model);
   ]
 
+(* ---- the protocol boundary ----
+
+   Malformed requests get a typed error and leave the store as it was:
+   nothing is journalled, so the WAL offset does not move. *)
+
+let protocol_tests =
+  [
+    case "a list or object cell is a bad request" (fun () ->
+        in_dir (fun dir ->
+            let t = open_ok ~config:cfg dir in
+            let refused line attribute =
+              match Json.parse (Eid_store.Service.handle_line t line) with
+              | Ok reply ->
+                  Alcotest.(check (option string))
+                    (line ^ ": error") (Some "bad_request")
+                    (Json.string_member "error" reply);
+                  let detail =
+                    Option.value ~default:"" (Json.string_member "detail" reply)
+                  in
+                  Alcotest.(check bool)
+                    (line ^ ": the detail names " ^ attribute)
+                    true
+                    (List.mem (Printf.sprintf "%S" attribute)
+                       (String.split_on_char ' ' detail))
+              | Error e -> Alcotest.failf "unparsable reply: %s" e
+            in
+            refused
+              {|{"op":"insert","side":"r","row":{"name":"TwinCities","cuisine":"Chinese","street":["Co.B2"]}}|}
+              "street";
+            refused
+              {|{"op":"insert","side":"r","row":{"name":["Lone"],"cuisine":"Thai","street":"Elm"}}|}
+              "name";
+            refused
+              {|{"op":"merge","r_key":{"name":{"n":"Lone"},"cuisine":"Thai"},"s_key":{"name":"Solo","speciality":"Gyros"}}|}
+              "name";
+            refused
+              {|{"op":"explain","s_key":{"name":"Solo","speciality":[]}}|}
+              "speciality";
+            Alcotest.(check int) "nothing journalled" 0 (S.wal_offset t);
+            Alcotest.(check int) "no conflict recorded" 0
+              (List.length (S.conflicts t));
+            Alcotest.(check int) "no row stored" 0
+              (R.Relation.Keyed.cardinality
+                 (E.Incremental.r_base (S.incremental t)));
+            S.close t));
+    case "an over-long request line is refused, and serve goes on"
+      (fun () ->
+        in_dir (fun dir ->
+            let t = open_ok ~config:cfg dir in
+            let requests = Filename.concat dir "requests"
+            and replies = Filename.concat dir "replies" in
+            Out_channel.with_open_bin requests (fun oc ->
+                Printf.fprintf oc
+                  {|{"op":"insert","side":"r","row":{"name":"%s","cuisine":"Thai","street":"Elm"}}|}
+                  (String.make (2 lsl 20) 'x');
+                output_string oc "\n{\"op\":\"stats\"}\n");
+            In_channel.with_open_bin requests (fun ic ->
+                Out_channel.with_open_bin replies (fun oc ->
+                    Eid_store.Service.serve t ic oc));
+            let lines =
+              In_channel.with_open_bin replies In_channel.input_all
+              |> String.split_on_char '\n'
+              |> List.filter (fun l -> l <> "")
+              |> List.map (fun l ->
+                     match Json.parse l with
+                     | Ok j -> j
+                     | Error e -> Alcotest.failf "unparsable reply: %s" e)
+            in
+            match lines with
+            | [ too_large; stats ] ->
+                Alcotest.(check (option string)) "typed error"
+                  (Some "request_too_large")
+                  (Json.string_member "error" too_large);
+                Alcotest.(check bool) "stats answers" true
+                  (Json.member "ok" stats = Some (Json.Bool true));
+                Alcotest.(check bool) "nothing journalled" true
+                  (Json.member "wal_offset" stats = Some (Json.Int 0));
+                S.close t
+            | _ -> Alcotest.failf "expected 2 replies, got %d" (List.length lines)));
+    case "serve reads every line of a stream longer than its buffer"
+      (fun () ->
+        (* 4,400 lines of 15 bytes, then one without a newline: the last
+           read is short, and the bytes an earlier read left after it
+           hold newlines that are not this line's. *)
+        in_dir (fun dir ->
+            let t = open_ok ~config:cfg dir in
+            let requests = Filename.concat dir "requests"
+            and replies = Filename.concat dir "replies" in
+            let stats = {|{"op":"stats"}|} in
+            Out_channel.with_open_bin requests (fun oc ->
+                for _ = 1 to 4400 do
+                  output_string oc (stats ^ "\n")
+                done;
+                output_string oc stats);
+            In_channel.with_open_bin requests (fun ic ->
+                Out_channel.with_open_bin replies (fun oc ->
+                    Eid_store.Service.serve t ic oc));
+            let lines =
+              In_channel.with_open_bin replies In_channel.input_lines
+            in
+            Alcotest.(check int) "one reply per request" 4401
+              (List.length lines);
+            Alcotest.(check bool) "every reply is ok" true
+              (List.for_all
+                 (fun l ->
+                   match Json.parse l with
+                   | Ok j -> Json.member "ok" j = Some (Json.Bool true)
+                   | Error _ -> false)
+                 lines);
+            S.close t));
+  ]
+
 let () =
   Alcotest.run "store"
     [
@@ -1214,4 +1326,5 @@ let () =
       ("explain", explain_tests);
       ("scan", scan_tests);
       ("json", json_tests);
+      ("protocol", protocol_tests);
     ]
