@@ -123,19 +123,38 @@ let setup r s rk sk rules_path =
 let pair_emitter oc format ~r_names ~s_names =
   match format with
   | `Ndjson ->
-      let side names t =
-        Eid_store.Json.Obj
+      (* Each record is rendered into one reused buffer: the members'
+         names, quoted and escaped, are rendered once per run, and each
+         cell is appended straight from its value. The bytes are those
+         of [Json.to_string] on the record's object. *)
+      let members names =
+        Array.of_list
           (List.mapi
              (fun k name ->
-               let v = Relational.Tuple.nth t k in
-               (name, Eid_store.Service.json_of_value v))
+               let b = Buffer.create 16 in
+               if k > 0 then Buffer.add_char b ',';
+               Eid_store.Json.add_string b name;
+               Buffer.add_char b ':';
+               Buffer.contents b)
              names)
       in
+      let r_members = members r_names and s_members = members s_names in
+      let buf = Buffer.create 256 in
+      let side members t =
+        Array.iteri
+          (fun k member ->
+            Buffer.add_string buf member;
+            Eid_store.Service.add_value buf (Relational.Tuple.nth t k))
+          members
+      in
       fun tr ts ->
-        output_string oc
-          (Eid_store.Json.to_string
-             (Obj [ ("r", side r_names tr); ("s", side s_names ts) ]));
-        output_char oc '\n'
+        Buffer.clear buf;
+        Buffer.add_string buf "{\"r\":{";
+        side r_members tr;
+        Buffer.add_string buf "},\"s\":{";
+        side s_members ts;
+        Buffer.add_string buf "}}\n";
+        Buffer.output_buffer oc buf
   | `Csv ->
       let cell = Relational.Csv_io.escape_cell in
       output_string oc

@@ -2,6 +2,8 @@ module Relation = Relational.Relation
 module Schema = Relational.Schema
 module Tuple = Relational.Tuple
 module Columnar = Relational.Columnar
+module Code_table = Relational.Code_table
+module Intern = Relational.Intern
 
 type outcome = {
   r_extended : Relation.t;
@@ -13,14 +15,19 @@ type outcome = {
   unmatched_s : Tuple.t list;
 }
 
-(* Tuples whose K_Ext projection still carries a NULL after extension:
-   the K_Ext hash join can never match them (non_null_eq), so they were
-   previously dropped without a trace. *)
-let null_key_tuples schema relation kext =
-  let plan = Tuple.plan schema kext in
-  List.filter
-    (fun t -> Tuple.has_null (Tuple.project_with plan t))
-    (Relation.tuples relation)
+(* Rows whose K_Ext projection still carries a NULL after extension,
+   found on the code columns and decoded alone: the K_Ext join can never
+   match them (non_null_eq), so they are reported rather than dropped
+   without a trace. *)
+let null_key_tuples relation kext =
+  let cols = Columnar.columns (Relation.columnar relation) kext in
+  let rec go i acc =
+    if i < 0 then acc
+    else if Array.exists (fun col -> col.(i) = Intern.null_code) cols then
+      go (i - 1) (Relation.row relation i :: acc)
+    else go (i - 1) acc
+  in
+  go (Relation.cardinality relation - 1) []
 
 let extension_schema relation key =
   let schema = Relation.schema relation in
@@ -75,8 +82,8 @@ let assemble ~telemetry ~r ~s ~key (r_target, s_target, r_ext, s_ext) pairs =
       matching_table;
       violations = Matching_table.uniqueness_violations matching_table;
       pairs;
-      unmatched_r = null_key_tuples r_target r_ext kext;
-      unmatched_s = null_key_tuples s_target s_ext kext;
+      unmatched_r = null_key_tuples r_ext kext;
+      unmatched_s = null_key_tuples s_ext kext;
     }
   in
   if Telemetry.enabled telemetry then begin
@@ -87,49 +94,79 @@ let assemble ~telemetry ~r ~s ~key (r_target, s_target, r_ext, s_ext) pairs =
   end;
   o
 
-(* The coded hash join: one build table over the S key columns, one
-   row-major probe. Bucket keys are small int arrays — the relations'
-   interned storage codes — so build and probe are integer hashing with
-   no per-tuple value projection (storage codes partition cells exactly
-   like structural equality on the values). Tuples with any NULL key
-   value never match (non_null_eq). Building in descending row order
-   conses each bucket straight into ascending partner order — no
-   reversal pass — so [emit i j] observes strictly ascending (i, j), the
-   serial row-major order. *)
-let serial_join ~telemetry ~r_cols ~s_cols ~nr ~ns ~emit =
-  let buckets = Hashtbl.create (max 16 ns) in
-  for j = ns - 1 downto 0 do
-    match Columnar.key_opt s_cols j with
-    | Some k -> (
-        match Hashtbl.find_opt buckets k with
-        | Some partners -> partners := j :: !partners
-        | None -> Hashtbl.add buckets k (ref [ j ]))
-    | None -> ()
-  done;
-  Telemetry.add telemetry "identify.join.buckets" (Hashtbl.length buckets);
-  for i = 0 to nr - 1 do
-    match Columnar.key_opt r_cols i with
-    | Some k -> (
-        match Hashtbl.find_opt buckets k with
-        | Some partners -> List.iter (fun j -> emit i j) !partners
-        | None -> ())
-    | None -> ()
-  done
+type key_kind = Null_key | Unsafe_key | Safe_key
 
-(* The K_Ext join over the extended relations, folded in the serial
-   row-major order (ascending R′ row, ascending S′ partner within it)
-   straight off the probe loop, with zero verdict buffering — the one
-   production path behind [run] and [run_stream]. *)
+(* Row [i]'s K_Ext cells by their match codes, from column [k] on: one
+   NULL and it can never match; else one ambiguous number (above 2^53)
+   and only [Value.non_null_eq] can tell its partners. *)
+let rec key_kind cols i k kind =
+  if k = Array.length cols then kind
+  else
+    let m = cols.(k).(i) in
+    if m = Intern.null_code then Null_key
+    else
+      key_kind cols i (k + 1) (if m = Intern.unsafe_match then Unsafe_key else kind)
+
+(* The K_Ext join over the extended relations' code columns, folded in
+   the serial row-major order (ascending R′ row, ascending S′ partner
+   within it) straight off the probe loop, with zero verdict buffering —
+   the one production path behind [run] and [run_stream].
+
+   S′ rows go into one code table keyed on their K_Ext match codes, so
+   [Int 1] meets [Float 1.] as [non_null_eq] says; rows equal on those
+   codes chain in ascending order. Each R′ row probes it with its own
+   match codes. A row holding an ambiguous number takes the fallback:
+   an S′ one is tested against every safe R′ row and merged into its
+   chain in row order, an R′ one is tested against every S′ row; both
+   with [Intern.codes_match], which is [non_null_eq] on the values. Only
+   the rows of matched pairs are decoded. *)
 let join_fold ~telemetry ~key ~r_ext ~s_ext ~init ~f =
   let kext = Extended_key.attributes key in
   Telemetry.span telemetry "identify.join" @@ fun () ->
-  let s_cols = Columnar.columns (Relation.columnar s_ext) kext
-  and r_cols = Columnar.columns (Relation.columnar r_ext) kext in
-  let st = Array.of_list (Relation.tuples s_ext)
-  and rt = Array.of_list (Relation.tuples r_ext) in
+  let r_codes = Columnar.columns (Relation.columnar r_ext) kext
+  and s_codes = Columnar.columns (Relation.columnar s_ext) kext in
+  let matches = Array.map (Array.map Intern.match_code) in
+  let r_match = matches r_codes and s_match = matches s_codes in
+  let nr = Relation.cardinality r_ext and ns = Relation.cardinality s_ext in
+  let table = Code_table.create ~chains:true ns in
+  let unsafe_s = ref [] in
+  for j = 0 to ns - 1 do
+    match key_kind s_match j 0 Safe_key with
+    | Safe_key -> ignore (Code_table.find_or_add table s_match j)
+    | Unsafe_key -> unsafe_s := j :: !unsafe_s
+    | Null_key -> ()
+  done;
+  let unsafe_s = List.rev !unsafe_s in
+  Telemetry.add telemetry "identify.join.buckets" (Code_table.size table);
+  let agree i j =
+    Array.for_all2 (fun rc sc -> Intern.codes_match rc.(i) sc.(j)) r_codes
+      s_codes
+  in
   let acc = ref init in
-  serial_join ~telemetry ~r_cols ~s_cols ~nr:(Array.length rt)
-    ~ns:(Array.length st) ~emit:(fun i j -> acc := f !acc rt.(i) st.(j));
+  let emit tr j = acc := f !acc (Lazy.force tr) (Relation.row s_ext j) in
+  for i = 0 to nr - 1 do
+    match key_kind r_match i 0 Safe_key with
+    | Null_key -> ()
+    | Unsafe_key ->
+        let tr = lazy (Relation.row r_ext i) in
+        for j = 0 to ns - 1 do
+          if agree i j then emit tr j
+        done
+    | Safe_key ->
+        let tr = lazy (Relation.row r_ext i) in
+        let rec merge j unsafe =
+          match unsafe with
+          | u :: rest when j < 0 || u < j ->
+              if agree i u then emit tr u;
+              merge j rest
+          | _ ->
+              if j >= 0 then begin
+                emit tr j;
+                merge (Code_table.next table j) unsafe
+              end
+        in
+        merge (Code_table.find table s_match r_match i) unsafe_s
+  done;
   !acc
 
 let run_stream ?mode ?(telemetry = Telemetry.off) ~r ~s ~key ~init ~f ilfds =

@@ -94,51 +94,78 @@ let equal a b = compare a b = 0
 
 (* --- concrete syntax ------------------------------------------------ *)
 
-let parse_value raw =
-  let raw = String.trim raw in
-  let len = String.length raw in
-  if len >= 2 && raw.[0] = '"' && raw.[len - 1] = '"' then
-    V.String (String.sub raw 1 (len - 2))
-  else V.of_csv_string raw
+(* The parser reads the line in place, over bounds: a piece is copied
+   out only as an attribute name or a value. *)
 
-let parse_condition raw =
-  match String.index_opt raw '=' with
-  | None ->
-      raise
-        (Ill_formed
-           (Printf.sprintf "expected attribute = value, got %S"
-              (String.trim raw)))
-  | Some i ->
-      let attribute = String.trim (String.sub raw 0 i) in
-      let value =
-        parse_value (String.sub raw (i + 1) (String.length raw - i - 1))
-      in
+let is_space = function ' ' | '\012' | '\n' | '\r' | '\t' -> true | _ -> false
+
+(* [src.[start, stop)] without the whitespace [String.trim] strips. *)
+let trim src start stop =
+  let start = ref start and stop = ref stop in
+  while !start < !stop && is_space src.[!start] do
+    incr start
+  done;
+  while !stop > !start && is_space src.[!stop - 1] do
+    decr stop
+  done;
+  (!start, !stop)
+
+let sub src (start, stop) = String.sub src start (stop - start)
+
+let parse_value src start stop =
+  let start, stop = trim src start stop in
+  if stop - start >= 2 && src.[start] = '"' && src.[stop - 1] = '"' then
+    V.String (String.sub src (start + 1) (stop - start - 2))
+  else V.of_csv_string (sub src (start, stop))
+
+let parse_condition src start stop =
+  match String.index_from_opt src start '=' with
+  | Some i when i < stop ->
+      let attribute = sub src (trim src start i) in
+      let value = parse_value src (i + 1) stop in
       if attribute = "" then raise (Ill_formed "empty attribute name");
       if V.is_null value then
         raise (Ill_formed (Printf.sprintf "condition on %s has no value" attribute));
       condition attribute value
+  | _ ->
+      raise
+        (Ill_formed
+           (Printf.sprintf "expected attribute = value, got %S"
+              (sub src (trim src start stop))))
 
-let split_on_string sep s =
-  (* Split on a multi-character separator. *)
-  let seplen = String.length sep and len = String.length s in
-  let rec go start acc i =
-    if i + seplen > len then List.rev (String.sub s start (len - start) :: acc)
-    else if String.sub s i seplen = sep then
-      go (i + seplen) (String.sub s start (i - start) :: acc) (i + seplen)
-    else go start acc (i + 1)
+(* The conditions of [src.[start, stop)], pieces separated by [sep], in
+   order; a blank piece is skipped. *)
+let conditions src start stop sep =
+  let rec pieces start acc =
+    let stop' =
+      match String.index_from_opt src start sep with
+      | Some i when i < stop -> i
+      | _ -> stop
+    in
+    let acc =
+      let a, b = trim src start stop' in
+      if a = b then acc else parse_condition src start stop' :: acc
+    in
+    if stop' = stop then List.rev acc else pieces (stop' + 1) acc
   in
-  go 0 [] 0
+  pieces start []
 
+(* The position of the first "->" at or after [i], or [-1]. *)
+let rec arrow src i =
+  match String.index_from_opt src i '-' with
+  | Some j when j + 1 < String.length src ->
+      if src.[j + 1] = '>' then j else arrow src (j + 1)
+  | _ -> -1
+
+(* The right-hand side is read first: when both sides are malformed, its
+   error is the one reported. *)
 let parse src =
-  match split_on_string "->" src with
-  | [ lhs; rhs ] ->
-      let conds part seps =
-        String.split_on_char seps part
-        |> List.filter (fun s -> String.trim s <> "")
-        |> List.map parse_condition
-      in
-      make (conds lhs '&') (conds rhs ',')
-  | _ -> raise (Ill_formed (Printf.sprintf "expected exactly one -> in %S" src))
+  let a = arrow src 0 in
+  if a < 0 || arrow src (a + 2) >= 0 then
+    raise (Ill_formed (Printf.sprintf "expected exactly one -> in %S" src));
+  let cons = conditions src (a + 2) (String.length src) ',' in
+  let ante = conditions src 0 a '&' in
+  make ante cons
 
 let pp_condition ppf c =
   Format.fprintf ppf "%s=%s" c.attribute (V.to_string c.value)

@@ -4,6 +4,7 @@ module Tuple = Relational.Tuple
 module Relation = Relational.Relation
 module Intern = Relational.Intern
 module Columnar = Relational.Columnar
+module Code_table = Relational.Code_table
 
 (* One group per run of consecutive same-antecedent-signature rules of
    a consequent attribute. Its trie is keyed on the match codes of the
@@ -156,8 +157,10 @@ let plan ~source ~target c =
   let key_attrs = Array.map (fun id -> attr_names.(id)) key_ids in
   (* Every rule value (antecedent conditions and the derived value) must
      have a well-defined match class, or hash matching could diverge
-     from [non_null_eq]; one ambiguous numeric disqualifies the tries. *)
-  let safe v = Intern.match_code (Intern.code v) <> Intern.unsafe_match in
+     from [non_null_eq]; one ambiguous numeric disqualifies the tries.
+     The test reads the value alone: a plan interns nothing, the tries
+     intern their values when first walked. *)
+  let safe v = not (Intern.is_unsafe v) in
   let all_safe =
     List.for_all
       (fun (_, rules) ->
@@ -356,41 +359,25 @@ let extend_tuple ?(mode = Apply.First_rule) ?(telemetry = Telemetry.off) p
 let run plan ~mode r ~target ~telemetry =
   let cr = Relation.columnar r in
   let n_rows = Columnar.length cr in
-  let nkeys = Array.length plan.key_ids in
   let key_cols = Array.map (fun a -> Columnar.column cr a) plan.key_attrs in
   (* Derivation classes: one per distinct coded projection onto the
      source-initialised columns — those cells alone determine the whole
      derivation, so all rows of a class share one. Class ids follow
      first-row order. *)
-  let class_of_row = Array.make n_rows 0 in
-  let tbl : (int array, int) Hashtbl.t = Hashtbl.create (max 16 n_rows) in
-  let reps = ref [] in
-  let count = ref 0 in
-  for i = 0 to n_rows - 1 do
-    let k = Array.init nkeys (fun p -> key_cols.(p).(i)) in
-    match Hashtbl.find_opt tbl k with
-    | Some cid -> class_of_row.(i) <- cid
-    | None ->
-        let cid = !count in
-        incr count;
-        Hashtbl.add tbl k cid;
-        reps := (k, i) :: !reps;
-        class_of_row.(i) <- cid
-  done;
-  let n_classes = !count in
-  let reps = Array.of_list (List.rev !reps) in
+  let class_of_row, firsts = Code_table.classes key_cols n_rows in
+  let n_classes = Array.length firsts in
   let deltas = Array.make n_classes [] in
   let facts = ref 0 in
   let scanned = ref 0 in
-  let tuples = lazy (Array.of_list (Relation.tuples r)) in
   (* Ascending class ids visit classes in first-row order, so the first
      class that conflicts holds the row the reference raises on. Only a
      class that takes the scan decodes a row: its representative. *)
   Array.iteri
-    (fun cid (key, rep) ->
+    (fun cid rep ->
+      let key = Array.map (fun col -> col.(rep)) key_cols in
       if scans plan key then begin
         incr scanned;
-        let t = (Lazy.force tuples).(rep) in
+        let t = Relation.row r rep in
         let extended =
           match !inject_fallback_conflict t with
           | Some conflict -> Error conflict
@@ -425,7 +412,7 @@ let run plan ~mode r ~target ~telemetry =
                   let pos = plan.col_target.(id) in
                   if pos >= 0 then Some (pos, code) else None)
                 ds)
-    reps;
+    firsts;
   if Telemetry.enabled telemetry then begin
     Telemetry.add telemetry "ilfd.tuples" n_rows;
     Telemetry.add telemetry "ilfd.fixpoint.classes" n_classes;

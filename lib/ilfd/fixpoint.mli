@@ -58,7 +58,10 @@ type plan
 
 (** [plan ~source ~target compiled] — [compiled] for tuples of [source]
     extended to [target] (a superset of [source]'s attributes, as for
-    {!Apply.extend_tuple}). O(family). A caller that derives many
+    {!Apply.extend_tuple}). O(family), and it interns nothing: the
+    match-class safety of the rule values is read off the values
+    ({!Relational.Intern.is_unsafe}), and each trie interns its values
+    when first walked. A caller that derives many
     tuples of one schema — a serve store, an explain report — builds
     one plan per side and keeps it. *)
 val plan : source:Relational.Schema.t -> target:Relational.Schema.t ->
@@ -98,12 +101,14 @@ val extend_tuple :
     reference's first conflicting row and raises the same
     {!Apply.Conflict_found} witness.
 
-    The rows are built by {!Relational.Relation.extend} from [r]'s rows
-    and the classes' derived cells, as storage codes the tries' leaves
-    already hold. When [r] has a declared key and [target] keeps every
-    attribute of [r], the result inherits [r]'s set semantics and coded
-    view: its rows are distinct and key-valid by construction, no
-    set-semantics pass runs, and nothing is interned. Every [Identify],
+    The classes are grouped on [r]'s code columns by a
+    {!Relational.Code_table}, and the rows are built by
+    {!Relational.Relation.extend} from [r]'s and the classes' derived
+    cells, as storage codes the tries' leaves already hold. When [r] has
+    a declared key and [target] keeps every attribute of [r], the result
+    inherits [r]'s set semantics and is held as code columns: its rows
+    are distinct and key-valid by construction, no set-semantics pass
+    runs, nothing is interned, and no row is decoded. Every [Identify],
     [Explain], [Cluster] and [Incremental] target keeps the source's
     attributes, and the CLI declares a key on both sides. Otherwise the
     rows go through {!Relational.Relation.of_tuples}, which collapses

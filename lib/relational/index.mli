@@ -1,9 +1,17 @@
 (** Indexes over relations — point lookups on an attribute list without
-    rescanning, used by the incremental identification engine.
-    NULL-containing keys are not indexed (they can never satisfy a
-    non-NULL equality lookup). Keys are stored as {!Intern} storage
-    codes, so probes compare ints rather than structural values; lookup
-    semantics (structural value equality) are unchanged. *)
+    rescanning, used by the incremental identification engine for its
+    K_Ext probes. NULL-containing keys are not indexed (they can never
+    satisfy a non-NULL equality lookup). A lookup finds the tuples whose
+    key is {!Value.non_null_eq} to the probe on every attribute — the
+    paper's K_Ext join condition ({!Tuple.agree}), under which [Int 1]
+    and [Float 1.] match — as the batch join does.
+
+    Keys are stored as {!Intern} match codes, so probes compare ints
+    rather than structural values, and a probe interns nothing
+    ({!Intern.find_match}). A key cell whose match class is ambiguous
+    (a number above 2⁵³, {!Intern.is_unsafe}) has no such code: those
+    tuples, and every tuple when the probe holds such a number, are
+    tested with {!Value.non_null_eq}, in O(n). *)
 
 type t
 
@@ -12,14 +20,16 @@ type t
 val build : Relation.t -> string list -> t
 
 (** [of_tuples schema attrs tuples] — index [tuples] (conforming to
-    [schema]) on [attrs], in list order.
+    [schema]) on [attrs], in list order. Tuples {!add}ed later conform
+    to [schema] too.
     @raise Schema.Unknown_attribute for unknown attributes. *)
 val of_tuples : Schema.t -> string list -> Tuple.t list -> t
 
 val attributes : t -> string list
 
-(** [lookup idx values] — all tuples whose (non-NULL) projection equals
-    [values], in insertion order. NULLs in [values] find nothing. *)
+(** [lookup idx values] — all tuples whose projection is
+    {!Value.non_null_eq} to [values] on every attribute, in insertion
+    order. NULLs in [values] find nothing. *)
 val lookup : t -> Value.t list -> Tuple.t list
 
 (** [lookup_tuple idx schema tuple] — project [tuple] on the index

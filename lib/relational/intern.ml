@@ -22,7 +22,7 @@ let canon v =
       V.Int (int_of_float f)
   | _ -> v
 
-let ambiguous = function
+let is_unsafe = function
   | V.Int x -> x > max_exact || x < -max_exact
   | V.Float f -> Float.is_integer f && Float.abs f > max_exactf
   | V.Null | V.Bool _ | V.String _ -> false
@@ -101,7 +101,7 @@ let rec intern_locked v =
   if found > 0 then found - 1
   else
     let m =
-      if ambiguous v then unsafe_match
+      if is_unsafe v then unsafe_match
       else
         let cv = canon v in
         if V.equal cv v then min_int (* self; patched below *)
@@ -131,6 +131,14 @@ let find v =
   let c = !slots.(slot_of !slots (Atomic.get snap).values v) - 1 in
   Mutex.unlock lock;
   if c < 0 then None else Some c
+
+(* A class's representative is interned before any of its members, so a
+   class whose representative is not interned has no member interned;
+   and a representative's match code is its own code. *)
+let find_match v =
+  if V.is_null v then Some null_code
+  else if is_unsafe v then Some unsafe_match
+  else find (canon v)
 
 let read what c =
   let s = Atomic.get snap in

@@ -66,6 +66,20 @@ val share : Value.t -> Value.t
     codes are equal (and neither is {!null_code}). *)
 val match_code : int -> int
 
+(** [is_unsafe v] — [v]'s match class is ambiguous: a number of
+    magnitude above 2⁵³ ([Int], or an integral [Float]). A pure
+    function of the value, equal to [match_code (code v) = unsafe_match]
+    but interning nothing, so a caller can test rule values without
+    taking the lock or growing the pool. *)
+val is_unsafe : Value.t -> bool
+
+(** [find_match v] — the match code [v] has or would have, without
+    interning [v]: {!unsafe_match} when {!is_unsafe} holds, {!null_code}
+    for [Null], and [None] when no interned value shares [v]'s match
+    class, so that nothing coded can match [v]. For a read-only probe on
+    match codes, as {!find} is for storage codes. *)
+val find_match : Value.t -> int option
+
 (** [codes_match a b] — {!Value.non_null_eq} on the decoded values:
     integer compares on the match codes when both are safe, decoded
     structural matching otherwise. NULL ([0]) never matches. *)

@@ -1,11 +1,13 @@
 type t = {
   schema : Schema.t;
   keys : string list list;
-  rows : Tuple.t array;
-  (* The column-major code view: set by [build] and [extend], which have
-     the codes at hand, otherwise built on first use. A pure function of
-     [rows], so a racing double computation is benign (both results are
-     equal). *)
+  n : int;  (** rows *)
+  (* The rows as tuples and their column-major code view. At least one is
+     set; the other is built from it on first use and cached. Each is a
+     pure function of the other, so a racing double computation is
+     benign (both results are equal). The coded constructors ([build],
+     [extend]) set only the codes. *)
+  mutable rows : Tuple.t array option;
   mutable coded : Columnar.t option;
 }
 
@@ -57,74 +59,10 @@ let of_tuples schema ?(keys = []) tuple_list =
   in
   let distinct = List.rev distinct in
   validate_keys schema keys distinct;
-  { schema; keys; rows = Array.of_list distinct; coded = None }
+  let rows = Array.of_list distinct in
+  { schema; keys; n = Array.length rows; rows = Some rows; coded = None }
 
 (* ---- coded construction ---- *)
-
-(* Row indices of a growing code store, hashed and compared on their
-   codes in the columns [on]: open addressing over an int array, where a
-   slot holds [i + 1] for row [i] and [0] when free. The columns are
-   passed to each probe, so the store may reallocate them as it grows.
-   The probes loop rather than take closures: a closure per row and key
-   tripled the builder's allocation and cost it a third more time. *)
-type row_set = {
-  on : int array;
-  mutable slots : int array;  (** a power of two long, at most half full *)
-  mutable size : int;
-}
-
-let hash_on cols on i =
-  let h = ref 0 in
-  for k = 0 to Array.length on - 1 do
-    h := (!h * 31) + cols.(on.(k)).(i)
-  done;
-  Hashtbl.hash !h
-
-let equal_on cols on i j =
-  let k = ref 0 and n = Array.length on in
-  while
-    !k < n
-    &&
-    let col = cols.(on.(!k)) in
-    col.(i) = col.(j)
-  do
-    incr k
-  done;
-  !k = n
-
-let null_on cols on i =
-  let k = ref 0 and n = Array.length on in
-  while !k < n && cols.(on.(!k)).(i) <> Intern.null_code do
-    incr k
-  done;
-  !k < n
-
-(* The slot of the row equal to row [i] on [set.on], or the free slot
-   where row [i] would go. *)
-let slot set cols i =
-  let mask = Array.length set.slots - 1 in
-  let p = ref (hash_on cols set.on i land mask) in
-  while
-    let s = set.slots.(!p) in
-    s <> 0 && not (equal_on cols set.on (s - 1) i)
-  do
-    p := (!p + 1) land mask
-  done;
-  !p
-
-(* The kept row equal to row [i] on [set.on], or [-1]. *)
-let find set cols i = set.slots.(slot set cols i) - 1
-
-let add set cols i =
-  set.slots.(slot set cols i) <- i + 1;
-  set.size <- set.size + 1;
-  if 2 * set.size > Array.length set.slots then begin
-    let old = set.slots in
-    set.slots <- Array.make (2 * Array.length old) 0;
-    Array.iter
-      (fun s -> if s <> 0 then set.slots.(slot set cols (s - 1)) <- s)
-      old
-  end
 
 type builder = {
   b_schema : Schema.t;
@@ -133,16 +71,21 @@ type builder = {
   mutable capacity : int;
   mutable n : int;  (** rows kept *)
   declared : bool;
-  sets : row_set array;
-      (** one per checked key (the declared keys before the first that
-          names a missing attribute), or one over every column when no
-          key is declared *)
+  on : int array array;
+      (** per checked key (the declared keys before the first that names
+          a missing attribute), its column positions; with no declared
+          key, one entry over every column *)
+  mutable key_cols : int array array array;
+      (** per checked key, its columns of [cols] *)
+  sets : Code_table.t array;  (** per checked key, the rows kept *)
   missing : string option;  (** that first missing attribute *)
   mutable live : int;
       (** the sets that can still decide the outcome: all of them until
           a row breaks a key [k], then those before [k] *)
   mutable witness : int;  (** the first row that broke key [live] *)
 }
+
+let select cols on = Array.map (Array.map (fun p -> cols.(p))) on
 
 let builder schema ~keys =
   let arity = Schema.arity schema in
@@ -160,20 +103,20 @@ let builder schema ~keys =
   let on, missing =
     if keys = [] then ([ Array.init arity Fun.id ], None) else checked keys
   in
-  let sets =
-    Array.of_list
-      (List.map (fun on -> { on; slots = Array.make 64 0; size = 0 }) on)
-  in
+  let on = Array.of_list on in
+  let cols = Array.init arity (fun _ -> Array.make capacity 0) in
   {
     b_schema = schema;
     b_keys = keys;
-    cols = Array.init arity (fun _ -> Array.make capacity 0);
+    cols;
     capacity;
     n = 0;
     declared = keys <> [];
-    sets;
+    on;
+    key_cols = select cols on;
+    sets = Array.map (fun _ -> Code_table.create 32) on;
     missing;
-    live = Array.length sets;
+    live = Array.length on;
     witness = -1;
   }
 
@@ -186,17 +129,24 @@ let grow b =
         Array.blit col 0 wider 0 b.n;
         wider)
       b.cols;
+  b.key_cols <- select b.cols b.on;
   b.capacity <- capacity
 
 let break b k i =
   b.live <- k;
   b.witness <- i
 
+let rec has_null cols i k =
+  k < Array.length cols
+  && (cols.(k).(i) = Intern.null_code || has_null cols i (k + 1))
+
 (* The candidate row goes into slot [n] and is probed there: kept, it
    stays; an exact duplicate is overwritten by the next row. With a
-   declared key, key 0's set also finds exact duplicates — equal rows
+   declared key, key 0's table also finds exact duplicates — equal rows
    agree on every key, and rows kept so far carry no NULL on key 0 — so
-   no set over the whole row is needed. *)
+   no table over the whole row is needed. A table that finds no equal
+   row adds the candidate in the same probe: every table reached before
+   a key breaks holds the kept row, as it must. *)
 let add_codes b codes =
   let arity = Array.length b.cols in
   if Array.length codes <> arity then
@@ -207,48 +157,78 @@ let add_codes b codes =
     for a = 0 to arity - 1 do
       cols.(a).(i) <- codes.(a)
     done;
-    let first = b.sets.(0) in
-    if b.declared && null_on cols first.on i then break b 0 i
+    let first = b.key_cols.(0) in
+    if b.declared && has_null first i 0 then break b 0 i
     else
-      let j = find first cols i in
-      if j >= 0 then begin
+      let j = Code_table.find_or_add b.sets.(0) first i in
+      if j <> i then begin
         if b.declared && not (Array.for_all (fun col -> col.(i) = col.(j)) cols)
         then break b 0 i
       end
       else begin
         let k = ref 1 in
         while !k < b.live do
-          let set = b.sets.(!k) in
-          if null_on cols set.on i || find set cols i >= 0 then break b !k i
+          let on = b.key_cols.(!k) in
+          if has_null on i 0 || Code_table.find_or_add b.sets.(!k) on i <> i
+          then break b !k i
           else incr k
-        done;
-        for k = 0 to b.live - 1 do
-          add b.sets.(k) cols i
         done;
         b.n <- i + 1
       end
   end
 
+let decode schema cols i =
+  Tuple.of_array schema (Array.map (fun col -> Intern.value col.(i)) cols)
+
+let typed schema =
+  List.exists (fun (a : Schema.attribute) -> a.ty <> None)
+    (Schema.attributes schema)
+
+let code_columns schema c = Array.init (Schema.arity schema) (Columnar.nth c)
+
+let rows (r : t) =
+  match (r.rows, r.coded) with
+  | Some rows, _ -> rows
+  | None, Some c ->
+      let rows = Array.init r.n (decode r.schema (code_columns r.schema c)) in
+      r.rows <- Some rows;
+      rows
+  | None, None -> assert false
+
+let row (r : t) i =
+  if i < 0 || i >= r.n then invalid_arg "Relation.row: no such row";
+  match (r.rows, r.coded) with
+  | Some rows, _ -> rows.(i)
+  | None, Some c -> decode r.schema (code_columns r.schema c) i
+  | None, None -> assert false
+
 let build b =
   let schema = b.b_schema in
-  let arity = Schema.arity schema in
-  let decode cols i =
-    Tuple.of_array schema
-      (Array.init arity (fun a -> Intern.value cols.(a).(i)))
-  in
   if b.live < Array.length b.sets then
     raise
       (Key_violation
-         { key = List.nth b.b_keys b.live; tuple = decode b.cols b.witness });
+         { key = List.nth b.b_keys b.live; tuple = decode schema b.cols b.witness });
   Option.iter (fun a -> raise (Schema.Unknown_attribute a)) b.missing;
   let n = b.n in
   let cols = Array.map (fun col -> Array.sub col 0 n) b.cols in
-  {
-    schema;
-    keys = b.b_keys;
-    rows = Array.init n (decode cols);
-    coded = Some (Columnar.make schema n cols);
-  }
+  (* Every code must be one [Intern] returned, as a decode would check. *)
+  let known = Intern.size () in
+  Array.iter
+    (Array.iter (fun c -> if c < 0 || c >= known then ignore (Intern.value c)))
+    cols;
+  let r =
+    {
+      schema;
+      keys = b.b_keys;
+      n;
+      rows = None;
+      coded = Some (Columnar.make schema n cols);
+    }
+  in
+  (* A typed schema's rows are checked against its types now, as a
+     decode would check them. *)
+  if typed schema then ignore (rows r);
+  r
 
 let create schema ?(keys = []) value_rows =
   of_tuples schema ~keys (List.map (Tuple.make schema) value_rows)
@@ -261,14 +241,14 @@ let columnar r =
   match r.coded with
   | Some c -> c
   | None ->
-      let c = Columnar.encode r.schema r.rows in
+      let c = Columnar.encode r.schema (rows r) in
       r.coded <- Some c;
       c
 
 (* ---- extension ---- *)
 
-let extend r target ~classes ~derived =
-  let n = Array.length r.rows in
+let extend (r : t) target ~classes ~derived =
+  let n = r.n in
   if Array.length classes <> n then
     invalid_arg "Relation.extend: one class per row";
   let base =
@@ -277,6 +257,9 @@ let extend r target ~classes ~derived =
          (fun (a : Schema.attribute) -> Schema.index_of_opt r.schema a.name)
          (Schema.attributes target))
   in
+  let overwrite () =
+    invalid_arg "Relation.extend: a derived cell overwrites a non-NULL cell"
+  in
   (* Set semantics carry over when a key is declared and the target keeps
      every attribute: derived cells only fill NULLs and declared-key cells
      are never NULL, so each row keeps its key values, hence stays
@@ -284,44 +267,53 @@ let extend r target ~classes ~derived =
   let inherits =
     r.keys <> [] && List.for_all (Schema.mem target) (Schema.names r.schema)
   in
-  let columns =
-    if not inherits then [||]
-    else begin
-      let written = Array.make (Array.length base) false in
-      Array.iter (List.iter (fun (p, _) -> written.(p) <- true)) derived;
-      let source = columnar r in
+  if inherits then begin
+    (* The deltas go straight into code columns: untouched columns are
+       shared with [r]'s, written ones copied, new ones start NULL. No
+       tuple is built, unless a typed target asks for its check. *)
+    let written = Array.make (Array.length base) false in
+    Array.iter (List.iter (fun (p, _) -> written.(p) <- true)) derived;
+    let source = columnar r in
+    let columns =
       Array.mapi
         (fun p -> function
           | Some j when not written.(p) -> Columnar.nth source j
           | Some j -> Array.copy (Columnar.nth source j)
           | None -> Array.make n Intern.null_code)
         base
-    end
-  in
-  let materialise i =
-    let t = r.rows.(i) in
-    let cells =
-      Array.map (function Some j -> Tuple.nth t j | None -> Value.Null) base
     in
-    List.iter
-      (fun (p, code) ->
-        if not (Value.is_null cells.(p)) then
-          invalid_arg
-            "Relation.extend: a derived cell overwrites a non-NULL cell";
-        cells.(p) <- Intern.value code;
-        if inherits then columns.(p).(i) <- code)
-      derived.(classes.(i));
-    Tuple.of_array target cells
-  in
-  let rows = Array.init n materialise in
-  if inherits then
+    let check = typed target in
+    for i = 0 to n - 1 do
+      List.iter
+        (fun (p, code) ->
+          let col = columns.(p) in
+          if col.(i) <> Intern.null_code then overwrite ();
+          col.(i) <- code)
+        derived.(classes.(i));
+      if check then ignore (decode target columns i)
+    done;
     {
       schema = target;
       keys = r.keys;
-      rows;
+      n;
+      rows = None;
       coded = Some (Columnar.make target n columns);
     }
-  else of_tuples target ~keys:r.keys (Array.to_list rows)
+  end
+  else
+    let materialise i =
+      let t = row r i in
+      let cells =
+        Array.map (function Some j -> Tuple.nth t j | None -> Value.Null) base
+      in
+      List.iter
+        (fun (p, code) ->
+          if not (Value.is_null cells.(p)) then overwrite ();
+          cells.(p) <- Intern.value code)
+        derived.(classes.(i));
+      Tuple.of_array target cells
+    in
+    of_tuples target ~keys:r.keys (List.init n materialise)
 
 let keys r = default_keys r.schema r.keys
 let declared_keys r = r.keys
@@ -329,22 +321,14 @@ let declared_keys r = r.keys
 let primary_key r =
   match r.keys with key :: _ -> key | [] -> Schema.names r.schema
 
-let cardinality r = Array.length r.rows
+let cardinality (r : t) = r.n
 let is_empty r = cardinality r = 0
-let tuples r = Array.to_list r.rows
-let iter f r = Array.iter f r.rows
-let fold f init r = Array.fold_left f init r.rows
-let exists p r = Array.exists p r.rows
-let for_all p r = Array.for_all p r.rows
-
-let find_opt p r =
-  let n = Array.length r.rows in
-  let rec loop i =
-    if i = n then None
-    else if p r.rows.(i) then Some r.rows.(i)
-    else loop (i + 1)
-  in
-  loop 0
+let tuples r = Array.to_list (rows r)
+let iter f r = Array.iter f (rows r)
+let fold f init r = Array.fold_left f init (rows r)
+let exists p r = Array.exists p (rows r)
+let for_all p r = Array.for_all p (rows r)
+let find_opt p r = Array.find_opt p (rows r)
 
 let mem r tuple = exists (Tuple.equal tuple) r
 
@@ -441,7 +425,7 @@ module Keyed = struct
       (empty schema ~keys) tuples
 
   let of_relation (r : relation) =
-    of_tuples r.schema ~keys:r.keys (Array.to_list r.rows)
+    of_tuples r.schema ~keys:r.keys (Array.to_list (rows r))
 
   let schema t = t.schema
   let declared_keys t = t.keys
@@ -462,7 +446,8 @@ module Keyed = struct
     {
       schema = t.schema;
       keys = t.keys;
-      rows = Array.of_list (tuples t);
+      n = t.count;
+      rows = Some (Array.of_list (tuples t));
       coded = None;
     }
 end

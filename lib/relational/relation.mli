@@ -11,7 +11,16 @@
     constructor) by a pass over the rows, {!build} on {!Intern} storage
     codes as the rows arrive, {!extend} by inheriting them from its
     source under a precondition it checks, and {!Keyed.to_relation} by
-    handing over rows that {!Keyed.add} checked one at a time. *)
+    handing over rows that {!Keyed.add} checked one at a time.
+
+    A relation holds its rows as tuples, as {!Intern} code columns
+    ({!columnar}), or both. The coded constructors ({!build} and an
+    {!extend} that inherits set semantics) hold only the code columns:
+    such a relation decodes its tuples on first use of {!tuples} (or
+    {!iter}, {!fold}, …) and keeps them, and {!row} decodes one row
+    without decoding the others. A relation built from tuples encodes
+    its code columns on first use of {!columnar}. Either way the rows
+    and the columns describe the same tuples. *)
 
 type t
 
@@ -52,8 +61,10 @@ val builder : Schema.t -> keys:string list list -> builder
     @raise Invalid_argument on a row of the wrong arity. *)
 val add_codes : builder -> int array -> unit
 
-(** [build b] — the relation of the rows kept, in first-seen order, with
-    its {!columnar} view already set to the codes it was built from.
+(** [build b] — the relation of the rows kept, in first-seen order,
+    held as the code columns it was built from: its tuples are decoded
+    on first use (at once when [schema] has a typed attribute, whose
+    check a decode makes).
     Raises what {!of_tuples} over the offered rows raises, in the same
     order: for each declared key in declaration order,
     {!Schema.Unknown_attribute} if it names a missing attribute, then
@@ -74,9 +85,11 @@ val build : builder -> t
     [r] — checked in O(arity) — the rows are distinct and key-valid by
     construction: a derived cell lands on a NULL, checked in O(1) per
     write, and declared-key cells are never NULL. No set-semantics pass
-    runs, and the {!columnar} view is set from [r]'s: untouched columns
-    are shared, derived cells take their codes from [derived]. Otherwise
-    the rows go through {!of_tuples}, which may collapse rows that
+    runs, and the result holds only code columns, made from [r]'s
+    ({!columnar}): untouched columns are shared, derived cells are
+    written as their codes from [derived], and no tuple is built (a
+    typed [target] decodes each row once, for its check). Otherwise the
+    rows go through {!of_tuples}, which may collapse rows that
     derivation made equal.
     @raise Invalid_argument when [classes] does not have one entry per
     row, when a derived cell lands on a non-NULL cell, or on a row that
@@ -93,10 +106,16 @@ val extend :
 val schema : t -> Schema.t
 
 (** [columnar r] — the relation's column-major {!Intern}-coded view. The
-    coded constructors ({!build}, {!extend}) set it from the codes they
-    hold; otherwise it is built on first use and cached (interning runs
-    on the calling domain; see {!Intern} for the domain discipline). *)
+    coded constructors ({!build}, {!extend}) hold it from the start;
+    otherwise it is built on first use and cached (interning runs on
+    the calling domain; see {!Intern} for the domain discipline). *)
 val columnar : t -> Columnar.t
+
+(** [row r i] — row [i] (from 0, in relation order): [List.nth (tuples
+    r) i]. A relation held as code columns decodes that row alone, each
+    call, and keeps nothing.
+    @raise Invalid_argument when [i] is not a row. *)
+val row : t -> int -> Tuple.t
 
 (** Candidate keys; never empty (defaults to the full attribute set). Only
     {e declared} keys are validated — the defaulted whole-schema key is a

@@ -230,19 +230,47 @@ let parse s =
 
 (* ---- printing ---- *)
 
-let escape buf s =
-  String.iter
-    (fun ch ->
-      match ch with
+(* Each run of bytes that needs no escape is copied with one
+   [Buffer.add_substring]; only a quote, a backslash or a control byte
+   stops it. *)
+let rec escape_from buf s start i =
+  if i = String.length s then Buffer.add_substring buf s start (i - start)
+  else
+    let ch = s.[i] in
+    if ch <> '"' && ch <> '\\' && Char.code ch >= 0x20 then
+      escape_from buf s start (i + 1)
+    else begin
+      Buffer.add_substring buf s start (i - start);
+      (match ch with
       | '"' -> Buffer.add_string buf "\\\""
       | '\\' -> Buffer.add_string buf "\\\\"
       | '\n' -> Buffer.add_string buf "\\n"
       | '\r' -> Buffer.add_string buf "\\r"
       | '\t' -> Buffer.add_string buf "\\t"
-      | ch when Char.code ch < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code ch))
-      | ch -> Buffer.add_char buf ch)
-    s
+      | ch -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code ch)));
+      escape_from buf s (i + 1) (i + 1)
+    end
+
+let escape buf s = escape_from buf s 0 0
+
+let add_string buf s =
+  Buffer.add_char buf '"';
+  escape buf s;
+  Buffer.add_char buf '"'
+
+let add_float buf f =
+  if Float.is_finite f then begin
+    (* %.17g is exact for doubles; trim to the shortest of the two
+       standard precisions that round-trips. An integral value prints
+       with no fraction or exponent ("3", "-0"), which would read back
+       as an [Int]: give it a ".0". *)
+    let s = Printf.sprintf "%.12g" f in
+    let s = if float_of_string s = f then s else Printf.sprintf "%.17g" f in
+    Buffer.add_string buf s;
+    if not (String.exists (fun c -> c = '.' || c = 'e' || c = 'E') s) then
+      Buffer.add_string buf ".0"
+  end
+  else add_string buf (Float.to_string f)
 
 let to_string j =
   let buf = Buffer.create 256 in
@@ -250,29 +278,8 @@ let to_string j =
     | Null -> Buffer.add_string buf "null"
     | Bool b -> Buffer.add_string buf (if b then "true" else "false")
     | Int i -> Buffer.add_string buf (string_of_int i)
-    | Float f ->
-        if Float.is_finite f then begin
-          (* %.17g is exact for doubles; trim to the shortest of the two
-             standard precisions that round-trips. An integral value
-             prints with no fraction or exponent ("3", "-0"), which would
-             read back as an [Int]: give it a ".0". *)
-          let s = Printf.sprintf "%.12g" f in
-          let s =
-            if float_of_string s = f then s else Printf.sprintf "%.17g" f
-          in
-          Buffer.add_string buf s;
-          if not (String.exists (fun c -> c = '.' || c = 'e' || c = 'E') s)
-          then Buffer.add_string buf ".0"
-        end
-        else begin
-          Buffer.add_char buf '"';
-          Buffer.add_string buf (Float.to_string f);
-          Buffer.add_char buf '"'
-        end
-    | String s ->
-        Buffer.add_char buf '"';
-        escape buf s;
-        Buffer.add_char buf '"'
+    | Float f -> add_float buf f
+    | String s -> add_string buf s
     | List items ->
         Buffer.add_char buf '[';
         List.iteri
@@ -286,9 +293,8 @@ let to_string j =
         List.iteri
           (fun i (name, v) ->
             if i > 0 then Buffer.add_char buf ',';
-            Buffer.add_char buf '"';
-            escape buf name;
-            Buffer.add_string buf "\":";
+            add_string buf name;
+            Buffer.add_char buf ':';
             go v)
           members;
         Buffer.add_char buf '}'

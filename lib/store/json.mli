@@ -29,6 +29,25 @@ val parse : string -> (t, string) result
     quoted strings, keeping output always parseable. *)
 val to_string : t -> string
 
+(** {2 Writing into a buffer}
+
+    What {!to_string} appends for a string or a float, for a writer that
+    renders records straight from its own values into one reused buffer
+    (the [--stream-out] NDJSON writer) with no [t] in between. *)
+
+(** [escape buf s] — [s]'s bytes as the body of a JSON string, without
+    the quotes: a quote, a backslash and every byte below [0x20] are
+    escaped ([\n], [\r], [\t] by name, the others as [\u00XX]);
+    every other byte, UTF-8 included, is copied as is. Each run of bytes
+    that needs no escape is copied with one [Buffer.add_substring]. *)
+val escape : Buffer.t -> string -> unit
+
+(** [add_string buf s] — appends [to_string (String s)]. *)
+val add_string : Buffer.t -> string -> unit
+
+(** [add_float buf f] — appends [to_string (Float f)]. *)
+val add_float : Buffer.t -> float -> unit
+
 (** [member name j] — field [name] of an object ([None] when absent or
     [j] is not an object; last occurrence wins). *)
 val member : string -> t -> t option

@@ -13,6 +13,13 @@ let json_of_value = function
   | Value.Bool b -> Json.Bool b
   | Value.String s -> Json.String s
 
+let add_value buf = function
+  | Value.Null -> Buffer.add_string buf "null"
+  | Value.Int i -> Buffer.add_string buf (string_of_int i)
+  | Value.Float f -> Json.add_float buf f
+  | Value.Bool b -> Buffer.add_string buf (if b then "true" else "false")
+  | Value.String s -> Json.add_string buf s
+
 let value_of_json = function
   | Json.Null -> Some Value.Null
   | Json.Bool b -> Some (Value.Bool b)

@@ -53,6 +53,10 @@ val serve : ?snapshot_every:int -> Store.t -> in_channel -> out_channel -> unit
 
 val json_of_value : Relational.Value.t -> Json.t
 
+(** [add_value buf v] — appends [Json.to_string (json_of_value v)] to
+    [buf], building no {!Json.t}. *)
+val add_value : Buffer.t -> Relational.Value.t -> unit
+
 (** [value_of_json j] — the cell value [j] spells: [null], a boolean, a
     number or a string; [None] for a list or an object, which a request
     rejects as a [bad_request] naming the attribute. *)

@@ -141,6 +141,45 @@ if [ "$status" -ne 0 ] || ! grep -q "Anjuman *Indian *Anjuman *Indian" \
        "match: $(cat "$bad_csv/out" "$bad_csv/err")" >&2
   exit 1
 fi
+# The K_Ext join matches under non_null_eq, so an integer and a float
+# equal as numbers match: in the rendered matching table, in the stream
+# and in a serve session.
+printf 'id,a\nr1,1\n' > "$bad_csv/int.csv"
+printf 'sid,a\ns1,1.0\n' > "$bad_csv/float.csv"
+num_args="--left $bad_csv/int.csv --right $bad_csv/float.csv --r-key id \
+  --s-key sid --key a"
+status=0
+# shellcheck disable=SC2086
+dune exec bin/entity_ident.exe -- identify $num_args --show mt \
+  > "$bad_csv/out" 2> "$bad_csv/err" || status=$?
+if [ "$status" -ne 0 ] || ! grep -q "^r1 *s1 *$" "$bad_csv/out"; then
+  echo "CI: identify --show mt does not match 1 with 1.0:" \
+       "$(cat "$bad_csv/out" "$bad_csv/err")" >&2
+  exit 1
+fi
+status=0
+# shellcheck disable=SC2086
+dune exec bin/entity_ident.exe -- identify $num_args --stream-out - \
+  > "$bad_csv/out" 2> "$bad_csv/err" || status=$?
+if [ "$status" -ne 0 ] || ! grep -qF '{"r":{"id":"r1","a":1},"s":{"sid":"s1","a":1.0}}' \
+    "$bad_csv/out"; then
+  echo "CI: identify --stream-out does not match 1 with 1.0:" \
+       "$(cat "$bad_csv/out" "$bad_csv/err")" >&2
+  exit 1
+fi
+status=0
+printf '%s\n' '{"op":"insert","side":"r","row":{"id":"r1","a":1}}' \
+  '{"op":"insert","side":"s","row":{"sid":"s1","a":1.0}}' \
+  '{"op":"identify"}' \
+  | dune exec bin/entity_ident.exe -- serve --store "$bad_csv/store" \
+      --no-sync --r-schema id,a --s-schema sid,a --r-key id --s-key sid \
+      --key a > "$bad_csv/out" 2> "$bad_csv/err" || status=$?
+if [ "$status" -ne 0 ] || [ "$(grep -c '"s_key":{"sid":"s1"}' \
+    "$bad_csv/out")" -ne 2 ]; then
+  echo "CI: serve does not match 1 with 1.0:" \
+       "$(cat "$bad_csv/out" "$bad_csv/err")" >&2
+  exit 1
+fi
 # mine reads its relation through the same error path, with no key.
 status=0
 dune exec bin/entity_ident.exe -- mine --from "$bad_csv/open_quote.csv" \

@@ -423,6 +423,81 @@ let identify_tests =
 
 (* ---- Negative ---- *)
 
+(* ---- the K_Ext join against a nested loop ---- *)
+
+(* K_Ext cells: NULLs, repeated strings, ints and floats equal as
+   numbers, and numbers above 2^53, whose match class is ambiguous. *)
+let join_cell_gen =
+  QCheck2.Gen.(
+    frequency
+      [
+        (2, return V.Null);
+        (3, map V.string (oneofl [ "a"; "b" ]));
+        (3, map V.int (0 -- 2));
+        (3, map (fun i -> V.float (float_of_int i)) (0 -- 2));
+        ( 1,
+          oneofl
+            [
+              V.int (1 lsl 53);
+              V.int ((1 lsl 53) + 1);
+              V.float 9007199254740992.;
+              V.float 9007199254740994.;
+            ] );
+      ])
+
+let join_side_gen =
+  QCheck2.Gen.(list_size (0 -- 20) (pair join_cell_gen join_cell_gen))
+
+(* Every (r, s) pair, in row-major order, whose K_Ext cells agree under
+   [Tuple.agree] — the paper's join condition. *)
+let nested_loop_join r s kext =
+  let sr = R.Relation.schema r and ss = R.Relation.schema s in
+  List.concat_map
+    (fun tr ->
+      List.filter_map
+        (fun ts -> if R.Tuple.agree sr tr ss ts kext then Some (tr, ts) else None)
+        (R.Relation.tuples s))
+    (R.Relation.tuples r)
+
+let join_side id rows =
+  let schema = R.Schema.of_names [ id; "a"; "b" ] in
+  R.Relation.of_tuples schema ~keys:[ [ id ] ]
+    (List.mapi (fun i (a, b) -> R.Tuple.make schema [ V.int i; a; b ]) rows)
+
+let join_agrees (r_rows, s_rows) =
+  let r = join_side "rid" r_rows and s = join_side "sid" s_rows in
+  let kext = [ "a"; "b" ] in
+  let key = E.Extended_key.make kext in
+  let streamed =
+    List.rev
+      (E.Identify.run_stream ~r ~s ~key ~init:[]
+         ~f:(fun acc tr ts -> (tr, ts) :: acc)
+         [])
+  in
+  let o = E.Identify.run ~r ~s ~key [] in
+  let same = List.equal (fun (a, b) (c, d) -> R.Tuple.equal a c && R.Tuple.equal b d) in
+  let expected = nested_loop_join r s kext in
+  let null_keyed rel =
+    List.filter
+      (fun t -> V.is_null (R.Tuple.nth t 1) || V.is_null (R.Tuple.nth t 2))
+      (R.Relation.tuples rel)
+  in
+  same streamed expected && same o.pairs expected
+  && List.equal R.Tuple.equal o.unmatched_r (null_keyed r)
+  && List.equal R.Tuple.equal o.unmatched_s (null_keyed s)
+
+let join_tests =
+  [
+    qtest ~count:1000 "the K_Ext join = a nested-loop Tuple.agree join"
+      QCheck2.Gen.(pair join_side_gen join_side_gen)
+      join_agrees;
+    case "1 and 1.0 match on K_Ext" (fun () ->
+        let r = join_side "rid" [ (vi 1, v "x") ]
+        and s = join_side "sid" [ (V.float 1., v "x") ] in
+        let o = E.Identify.run ~r ~s ~key:(E.Extended_key.make [ "a"; "b" ]) [] in
+        Alcotest.(check int) "one pair" 1 (List.length o.pairs));
+  ]
+
 let negative_tests =
   [
     case "Table 4: Example 2's provably-distinct pair" (fun () ->
@@ -765,6 +840,7 @@ let () =
       ("decision", decision_tests);
       ("matching-table", matching_table_tests);
       ("identify", identify_tests);
+      ("join", join_tests);
       ("negative", negative_tests);
       ("integrate", integrate_tests);
       ("monotonic", monotonic_tests);

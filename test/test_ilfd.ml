@@ -72,6 +72,111 @@ let def_tests =
         Alcotest.(check (list string)) "" [ "a"; "b" ] (Ilfd.attributes i));
   ]
 
+(* ---- the rule parser against the split-based one it replaced ---- *)
+
+(* The parser as it read lines before the one-pass rewrite, kept as the
+   reference: split on "->", on '&' and ',', each piece cut out with
+   [String.sub]. *)
+module Split_parser = struct
+  let parse_value raw =
+    let raw = String.trim raw in
+    let len = String.length raw in
+    if len >= 2 && raw.[0] = '"' && raw.[len - 1] = '"' then
+      V.String (String.sub raw 1 (len - 2))
+    else V.of_csv_string raw
+
+  let parse_condition raw =
+    match String.index_opt raw '=' with
+    | None ->
+        raise
+          (Ilfd.Ill_formed
+             (Printf.sprintf "expected attribute = value, got %S"
+                (String.trim raw)))
+    | Some i ->
+        let attribute = String.trim (String.sub raw 0 i) in
+        let value =
+          parse_value (String.sub raw (i + 1) (String.length raw - i - 1))
+        in
+        if attribute = "" then raise (Ilfd.Ill_formed "empty attribute name");
+        if V.is_null value then
+          raise
+            (Ilfd.Ill_formed
+               (Printf.sprintf "condition on %s has no value" attribute));
+        Ilfd.condition attribute value
+
+  let split_on_string sep s =
+    let seplen = String.length sep and len = String.length s in
+    let rec go start acc i =
+      if i + seplen > len then List.rev (String.sub s start (len - start) :: acc)
+      else if String.sub s i seplen = sep then
+        go (i + seplen) (String.sub s start (i - start) :: acc) (i + seplen)
+      else go start acc (i + 1)
+    in
+    go 0 [] 0
+
+  (* The right-hand side's conditions are parsed first, as the old
+     [make (conds lhs '&') (conds rhs ',')] did. *)
+  let parse src =
+    match split_on_string "->" src with
+    | [ lhs; rhs ] ->
+        let conds part seps =
+          String.split_on_char seps part
+          |> List.filter (fun s -> String.trim s <> "")
+          |> List.map parse_condition
+        in
+        let cons = conds rhs ',' in
+        let ante = conds lhs '&' in
+        Ilfd.make ante cons
+    | _ ->
+        raise
+          (Ilfd.Ill_formed
+             (Printf.sprintf "expected exactly one -> in %S" src))
+end
+
+let rule_line_gen =
+  QCheck2.Gen.(
+    let fragment =
+      frequency
+        [
+          (4, oneofl [ "a"; "b"; "cuisine"; "x"; "Hunan"; "1"; "2.5"; "1.0" ]);
+          (4, oneofl [ " = "; "="; " & "; "&"; ", "; ","; " -> "; "->" ]);
+          (2, oneofl [ " "; "\t"; ""; "-"; ">"; "\""; "null"; "NULL"; "\"q r\"" ]);
+          (1, map (String.make 1) printable);
+        ]
+    in
+    let well_formed =
+      let cond = map2 (fun a x -> a ^ " = " ^ x) (oneofl [ "a"; "b"; "c" ])
+          (oneofl [ "x"; "1"; "1.0"; "\"St. Paul\""; "true" ]) in
+      let* ante = list_size (0 -- 3) cond and* cons = list_size (0 -- 2) cond in
+      return (String.concat " & " ante ^ " -> " ^ String.concat ", " cons)
+    in
+    frequency
+      [
+        (2, well_formed);
+        (3, map (String.concat "") (list_size (0 -- 14) fragment));
+      ])
+
+let parse_outcome parse line =
+  match parse line with
+  | rule -> Ok rule
+  | exception Ilfd.Ill_formed message -> Error message
+
+let parser_tests =
+  [
+    qtest ~count:3000 "parse = the split-based parser, rules and messages"
+      rule_line_gen (fun line ->
+        match (parse_outcome Ilfd.parse line, parse_outcome Split_parser.parse line) with
+        | Ok a, Ok b -> Ilfd.equal a b
+        | Error a, Error b -> String.equal a b
+        | _ -> false);
+    case "both sides bad: the right-hand side's error is reported" (fun () ->
+        match Ilfd.parse "lhsbad -> rhsbad" with
+        | _ -> Alcotest.fail "expected Ill_formed"
+        | exception Ilfd.Ill_formed message ->
+            Alcotest.(check string) "message"
+              "expected attribute = value, got \"rhsbad\"" message);
+  ]
+
 let encode_tests =
   [
     qtest "symbol/decode round-trip" Helpers.condition_gen (fun c ->
@@ -496,6 +601,7 @@ let () =
   Alcotest.run "ilfd"
     [
       ("def", def_tests);
+      ("parser", parser_tests);
       ("encode", encode_tests);
       ("theory", theory_tests);
       ("apply", apply_tests);

@@ -892,6 +892,240 @@ let csv_tests =
                 [ [ "Anjuman"; "Indian" ] ])));
   ]
 
+(* ---- Coded paths: the code table, on-demand decoding, match codes ---- *)
+
+(* Cells for the coded paths: NULLs, strings, and ints and floats equal
+   as numbers, some at or above 2^53, where match classes stop being
+   safe. *)
+let coded_cell_gen =
+  QCheck2.Gen.(
+    frequency
+      [
+        (2, return V.Null);
+        (3, map V.string (oneofl [ "a"; "b"; "c" ]));
+        (3, map V.int (int_range (-2) 2));
+        (3, map (fun i -> V.float (float_of_int i)) (int_range (-2) 2));
+        (1, map V.float (oneofl [ 0.5; -0.; Float.nan ]));
+        ( 1,
+          oneofl
+            [
+              V.int (1 lsl 53);
+              V.int ((1 lsl 53) + 1);
+              V.int (-(1 lsl 53) - 1);
+              V.float 9007199254740992.;
+              V.float 9007199254740994.;
+              V.float (-9007199254740994.);
+            ] );
+      ])
+
+(* Derivation classes as a polymorphic hash table over fresh key arrays
+   numbers them: ids in first-row order. *)
+let classes_reference cols n =
+  let tbl = Hashtbl.create 16 in
+  let firsts = ref [] in
+  let class_of_row =
+    Array.init n (fun i ->
+        let k = Array.map (fun col -> col.(i)) cols in
+        match Hashtbl.find_opt tbl k with
+        | Some c -> c
+        | None ->
+            let c = Hashtbl.length tbl in
+            Hashtbl.add tbl k c;
+            firsts := i :: !firsts;
+            c)
+  in
+  (class_of_row, Array.of_list (List.rev !firsts))
+
+let code_columns_gen =
+  QCheck2.Gen.(
+    let* width = 0 -- 3 and* n = 0 -- 60 in
+    let* cols = list_repeat width (array_repeat n (0 -- 4)) in
+    return (Array.of_list cols, n))
+
+let coded_schema = R.Schema.of_names [ "id"; "a"; "b" ]
+
+(* Rows over [coded_schema]: an id from a small range (so some rows
+   repeat, exactly or on the id), and two coded cells. *)
+let coded_rows_gen =
+  QCheck2.Gen.(
+    list_size (0 -- 25)
+      (let* id = 0 -- 12 and* a = coded_cell_gen and* b = coded_cell_gen in
+       return [ V.int id; a; b ]))
+
+let build_coded schema ~keys rows =
+  let b = R.Relation.builder schema ~keys in
+  List.iter
+    (fun row ->
+      R.Relation.add_codes b (Array.of_list (List.map R.Intern.code row)))
+    rows;
+  R.Relation.build b
+
+(* A coded relation [r] against the relation of the same tuples: read
+   the tuples first, or the columns first. *)
+let same_relation ~tuples_first r reference =
+  let n = R.Relation.cardinality reference in
+  let same_tuples () =
+    List.equal R.Tuple.equal (R.Relation.tuples r)
+      (R.Relation.tuples reference)
+  and same_rows () =
+    List.for_all
+      (fun i -> R.Tuple.equal (R.Relation.row r i) (R.Relation.row reference i))
+      (List.init n Fun.id)
+  and same_columns () =
+    R.Columnar.equal (R.Relation.columnar r) (R.Relation.columnar reference)
+  in
+  R.Relation.cardinality r = n
+  &&
+  if tuples_first then same_tuples () && same_rows () && same_columns ()
+  else same_columns () && same_rows () && same_tuples ()
+
+let outcome f = match f () with r -> Ok r | exception e -> Error e
+
+let on_demand_agrees (keys, rows) =
+  let reference () =
+    R.Relation.of_tuples coded_schema ~keys
+      (List.map (R.Tuple.make coded_schema) rows)
+  in
+  match (outcome reference, outcome (fun () -> build_coded coded_schema ~keys rows)) with
+  | Ok reference, Ok _ ->
+      List.for_all
+        (fun tuples_first ->
+          same_relation ~tuples_first
+            (build_coded coded_schema ~keys rows)
+            reference)
+        [ true; false ]
+  | Error (R.Relation.Key_violation a), Error (R.Relation.Key_violation b) ->
+      a.key = b.key && R.Tuple.equal a.tuple b.tuple
+  | _ -> false
+
+(* [Relation.extend] with inherited set semantics writes the deltas into
+   code columns: its rows are the rows built by hand. Each row is its
+   own class; a NULL [a] is filled with "z", and a new column [d] gets
+   the row's number. *)
+let extend_agrees rows =
+  let keyed = List.sort_uniq (fun a b -> V.compare (List.hd a) (List.hd b)) rows in
+  let r = build_coded coded_schema ~keys:[ [ "id" ] ] keyed in
+  let target = R.Schema.of_names [ "id"; "a"; "b"; "d" ] in
+  let n = R.Relation.cardinality r in
+  let derived =
+    Array.init n (fun i ->
+        let filled =
+          if V.is_null (R.Tuple.nth (R.Relation.row r i) 1) then
+            [ (1, R.Intern.code (V.string "z")) ]
+          else []
+        in
+        (3, R.Intern.code (V.int i)) :: filled)
+  in
+  let expected =
+    List.mapi
+      (fun i t ->
+        let cells = R.Tuple.to_array t in
+        let a = if V.is_null cells.(1) then V.string "z" else cells.(1) in
+        R.Tuple.make target [ cells.(0); a; cells.(2); V.int i ])
+      (R.Relation.tuples r)
+  in
+  let reference = R.Relation.of_tuples target ~keys:[ [ "id" ] ] expected in
+  let extended () =
+    R.Relation.extend r target ~classes:(Array.init n Fun.id) ~derived
+  in
+  same_relation ~tuples_first:true (extended ()) reference
+  && same_relation ~tuples_first:false (extended ()) reference
+
+let numeric_edge_gen =
+  QCheck2.Gen.(
+    let near = 1 lsl 53 in
+    frequency
+      [
+        (1, return V.Null);
+        (1, map V.bool bool);
+        (1, map V.string (string_size (0 -- 3)));
+        (2, map V.int int);
+        (3, map (fun d -> V.int (near + d)) (-3 -- 3));
+        (3, map (fun d -> V.int (-near + d)) (-3 -- 3));
+        (1, oneofl [ V.int max_int; V.int min_int ]);
+        (2, map V.float float);
+        ( 3,
+          map
+            (fun d -> V.float (Float.of_int near +. Float.of_int d))
+            (-4 -- 4) );
+        ( 3,
+          map
+            (fun d -> V.float (-.Float.of_int near +. Float.of_int d))
+            (-4 -- 4) );
+        (1, oneofl [ V.float Float.nan; V.float Float.infinity;
+                     V.float Float.neg_infinity; V.float 0.5; V.float (-0.) ]);
+      ])
+
+let index_gen =
+  QCheck2.Gen.(
+    pair
+      (list_size (0 -- 25) (pair coded_cell_gen coded_cell_gen))
+      (pair coded_cell_gen coded_cell_gen))
+
+let index_agrees (rows, (p, q)) =
+  let schema = R.Schema.of_names [ "id"; "a"; "b" ] in
+  let tuples =
+    List.mapi (fun i (a, b) -> R.Tuple.make schema [ V.int i; a; b ]) rows
+  in
+  let idx = R.Index.of_tuples schema [ "a"; "b" ] tuples in
+  let expected =
+    List.filter
+      (fun t ->
+        V.non_null_eq (R.Tuple.nth t 1) p && V.non_null_eq (R.Tuple.nth t 2) q)
+      tuples
+  in
+  List.equal R.Tuple.equal (R.Index.lookup idx [ p; q ]) expected
+
+let coded_tests =
+  [
+    qtest ~count:500 "Code_table.classes numbers classes in first-row order"
+      code_columns_gen (fun (cols, n) ->
+        let got = R.Code_table.classes cols n in
+        got = classes_reference cols n);
+    qtest ~count:500 "a coded relation decodes the rows of_tuples holds"
+      QCheck2.Gen.(pair (oneofl [ []; [ [ "id" ] ]; [ [ "id" ]; [ "a" ] ] ]) coded_rows_gen)
+      on_demand_agrees;
+    qtest ~count:300 "extend writes class deltas into code columns"
+      coded_rows_gen extend_agrees;
+    case "a coded relation decodes one row alone" (fun () ->
+        let r =
+          build_coded coded_schema ~keys:[ [ "id" ] ]
+            [ [ vi 1; v "x"; V.Null ]; [ vi 2; V.float 1.; v "y" ] ]
+        in
+        Alcotest.(check bool) "row 1" true
+          (R.Tuple.equal (R.Relation.row r 1)
+             (R.Tuple.make coded_schema [ vi 2; V.float 1.; v "y" ]));
+        Alcotest.check_raises "no row 2"
+          (Invalid_argument "Relation.row: no such row") (fun () ->
+            ignore (R.Relation.row r 2)));
+    qtest ~count:2000 "Intern.is_unsafe = an unsafe match code"
+      numeric_edge_gen (fun v ->
+        R.Intern.is_unsafe v
+        = (R.Intern.match_code (R.Intern.code v) = R.Intern.unsafe_match));
+    qtest ~count:2000 "Intern.find_match on an interned value is its match code"
+      numeric_edge_gen (fun v ->
+        let c = R.Intern.code v in
+        R.Intern.find_match v = Some (R.Intern.match_code c));
+    case "Intern.find_match interns nothing" (fun () ->
+        let before = R.Intern.size () in
+        Alcotest.(check (option int)) "an unseen string" None
+          (R.Intern.find_match (v "find_match: never interned"));
+        Alcotest.(check (option int)) "an unseen number" None
+          (R.Intern.find_match (V.float 7340033.));
+        Alcotest.(check int) "the pool did not grow" before (R.Intern.size ());
+        let c = R.Intern.code (vi 7340035) in
+        Alcotest.(check (option int)) "a float whose int is interned" (Some c)
+          (R.Intern.find_match (V.float 7340035.)));
+    qtest ~count:1000 "Index.lookup = a non_null_eq filter, in insertion order"
+      index_gen index_agrees;
+    case "Index: 1 finds 1.0" (fun () ->
+        let schema = R.Schema.of_names [ "id"; "a" ] in
+        let t = R.Tuple.make schema [ v "s1"; V.float 1. ] in
+        let idx = R.Index.of_tuples schema [ "a" ] [ t ] in
+        Alcotest.(check int) "found" 1
+          (List.length (R.Index.lookup idx [ vi 1 ])));
+  ]
+
 let pretty_tests =
   [
     case "render contains header and rows" (fun () ->
@@ -930,5 +1164,6 @@ let () =
       ("algebra-laws", algebra_law_tests);
       ("key-tools", key_tools_tests);
       ("csv", csv_tests);
+      ("coded", coded_tests);
       ("pretty", pretty_tests);
     ]

@@ -1161,6 +1161,28 @@ let rec json_equal a b =
       List.equal (fun (k, x) (l, y) -> k = l && json_equal x y) xs ys
   | _ -> a = b
 
+(* [Json.escape] as it was before it copied runs of plain bytes: one
+   byte at a time. *)
+let escape_bytewise buf s =
+  String.iter
+    (fun ch ->
+      match ch with
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | '\r' -> Buffer.add_string buf "\\r"
+      | '\t' -> Buffer.add_string buf "\\t"
+      | ch when Char.code ch < 0x20 ->
+          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code ch))
+      | ch -> Buffer.add_char buf ch)
+    s
+
+let escaped escape s =
+  let buf = Buffer.create 16 in
+  Buffer.add_string buf "pre";
+  escape buf s;
+  Buffer.contents buf
+
 let json_tests =
   [
     QCheck_alcotest.to_alcotest
@@ -1192,6 +1214,12 @@ let json_tests =
                  ^ String.sub doc at (n - at)
            in
            match Json.parse edited with Ok _ | Error _ -> true));
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:2000
+         ~name:"escape = the byte-at-a-time escape" ~print:(Printf.sprintf "%S")
+         QCheck2.Gen.(
+           string_size ~gen:(frequency [ (3, printable); (1, char) ]) (0 -- 40))
+         (fun s -> escaped Json.escape s = escaped escape_bytewise s));
   ]
 
 let model_tests =
@@ -1282,6 +1310,35 @@ let protocol_tests =
                   (Json.member "wal_offset" stats = Some (Json.Int 0));
                 S.close t
             | _ -> Alcotest.failf "expected 2 replies, got %d" (List.length lines)));
+    case "1 and 1.0 match on the extended key" (fun () ->
+        in_dir (fun dir ->
+            let config =
+              {
+                S.r_attrs = [ "id"; "a" ];
+                r_key = [ "id" ];
+                s_attrs = [ "sid"; "a" ];
+                s_key = [ "sid" ];
+                key = [ "a" ];
+                rules = [];
+                check_conflicts = false;
+              }
+            in
+            let t = open_ok ~config dir in
+            let matches line =
+              match Json.parse (Eid_store.Service.handle_line t line) with
+              | Ok reply -> (
+                  match Json.member "matches" reply with
+                  | Some (Json.List l) -> List.length l
+                  | _ -> Alcotest.failf "no matches in %s" (Json.to_string reply))
+              | Error e -> Alcotest.failf "unparsable reply: %s" e
+            in
+            Alcotest.(check int) "r1 alone" 0
+              (matches {|{"op":"insert","side":"r","row":{"id":"r1","a":1}}|});
+            Alcotest.(check int) "s1 meets r1" 1
+              (matches {|{"op":"insert","side":"s","row":{"sid":"s1","a":1.0}}|});
+            Alcotest.(check int) "r2 meets s1" 1
+              (matches {|{"op":"insert","side":"r","row":{"id":"r2","a":1.0}}|});
+            S.close t));
     case "serve reads every line of a stream longer than its buffer"
       (fun () ->
         (* 4,400 lines of 15 bytes, then one without a newline: the last
