@@ -94,19 +94,6 @@ let assemble ~telemetry ~r ~s ~key (r_target, s_target, r_ext, s_ext) pairs =
   end;
   o
 
-type key_kind = Null_key | Unsafe_key | Safe_key
-
-(* Row [i]'s K_Ext cells by their match codes, from column [k] on: one
-   NULL and it can never match; else one ambiguous number (above 2^53)
-   and only [Value.non_null_eq] can tell its partners. *)
-let rec key_kind cols i k kind =
-  if k = Array.length cols then kind
-  else
-    let m = cols.(k).(i) in
-    if m = Intern.null_code then Null_key
-    else
-      key_kind cols i (k + 1) (if m = Intern.unsafe_match then Unsafe_key else kind)
-
 (* The K_Ext join over the extended relations' code columns, folded in
    the serial row-major order (ascending R′ row, ascending S′ partner
    within it) straight off the probe loop, with zero verdict buffering —
@@ -131,7 +118,7 @@ let join_fold ~telemetry ~key ~r_ext ~s_ext ~init ~f =
   let table = Code_table.create ~chains:true ns in
   let unsafe_s = ref [] in
   for j = 0 to ns - 1 do
-    match key_kind s_match j 0 Safe_key with
+    match Columnar.key_kind s_match j with
     | Safe_key -> ignore (Code_table.find_or_add table s_match j)
     | Unsafe_key -> unsafe_s := j :: !unsafe_s
     | Null_key -> ()
@@ -145,7 +132,7 @@ let join_fold ~telemetry ~key ~r_ext ~s_ext ~init ~f =
   let acc = ref init in
   let emit tr j = acc := f !acc (Lazy.force tr) (Relation.row s_ext j) in
   for i = 0 to nr - 1 do
-    match key_kind r_match i 0 Safe_key with
+    match Columnar.key_kind r_match i with
     | Null_key -> ()
     | Unsafe_key ->
         let tr = lazy (Relation.row r_ext i) in

@@ -131,7 +131,7 @@ let extend_r t r tuple =
       t with
       r;
       r_ext = extended :: t.r_ext;
-      r_index = Index.add t.r_index t.r_target extended;
+      r_index = Index.add t.r_index extended;
       pairs = List.rev_append new_pairs t.pairs;
       unmatched_r =
         (if probe_null then extended :: t.unmatched_r else t.unmatched_r);
@@ -155,7 +155,7 @@ let extend_s t s tuple =
       t with
       s;
       s_ext = extended :: t.s_ext;
-      s_index = Index.add t.s_index t.s_target extended;
+      s_index = Index.add t.s_index extended;
       pairs = List.rev_append new_pairs t.pairs;
       unmatched_s =
         (if probe_null then extended :: t.unmatched_s else t.unmatched_s);
@@ -211,127 +211,70 @@ let violations t = Matching_table.uniqueness_violations (matching_table t)
 
 (* ---- snapshot state ----
 
-   The dump is pure data — value arrays, attribute name/type lists,
-   condition pairs — with no closures, no hash tables and no interned
-   codes, so it is safe to [Marshal] across processes (interned columnar
-   codes are process-local and must never be persisted; rebuilding the
-   relations re-interns on first use). [restore] reconstructs the exact
-   state without re-running ILFD derivation: the extended tuples, the
-   matched pairs and the unmatched accounting are all carried over, and
-   only the indexes are rebuilt. *)
+   The dump is the state without what is derived from the family or
+   bound to this process: the compiled plans, the telemetry sink and
+   the journal hook. What it holds — the keyed bases with their built
+   key maps, the K_Ext indexes (keyed on values, not interned codes),
+   schemas, tuples and pairs — is pure data: no closures and no
+   interned codes, so it is safe to [Marshal] across processes as it
+   is, and [restore] takes it back without rebuilding anything. *)
 
 type dump = {
-  d_r_attrs : (string * Value.ty option) list;
-  d_r_keys : string list list;
-  d_r_rows : Value.t array list;
-  d_s_attrs : (string * Value.ty option) list;
-  d_s_keys : string list list;
-  d_s_rows : Value.t array list;
-  d_key : string list;
-  d_ilfds : ((string * Value.t) list * (string * Value.t) list) list;
-      (** antecedent and consequent condition lists, as plain pairs *)
+  d_r : Keyed.t;
+  d_s : Keyed.t;
+  d_key : Extended_key.t;
   d_mode : Ilfd.Apply.mode;
-  d_r_target : (string * Value.ty option) list;
-  d_s_target : (string * Value.ty option) list;
-  d_r_ext : Value.t array list;  (** reverse insertion order, as held *)
-  d_s_ext : Value.t array list;
-  d_pairs : (Value.t array * Value.t array) list;
-  d_unmatched_r : Value.t array list;
-  d_unmatched_s : Value.t array list;
+  d_r_target : Schema.t;
+  d_s_target : Schema.t;
+  d_r_ext : Tuple.t list;
+  d_s_ext : Tuple.t list;
+  d_r_index : Index.t;
+  d_s_index : Index.t;
+  d_pairs : (Tuple.t * Tuple.t) list;
+  d_unmatched_r : Tuple.t list;
+  d_unmatched_s : Tuple.t list;
 }
 
 let dump t =
-  let attrs schema =
-    List.map
-      (fun (a : Schema.attribute) -> (a.name, a.ty))
-      (Schema.attributes schema)
-  in
-  let rows base = List.map Tuple.to_array (Keyed.tuples base) in
-  let conds cs =
-    List.map (fun (c : Ilfd.condition) -> (c.attribute, c.value)) cs
-  in
   {
-    d_r_attrs = attrs (Keyed.schema t.r);
-    d_r_keys = Keyed.declared_keys t.r;
-    d_r_rows = rows t.r;
-    d_s_attrs = attrs (Keyed.schema t.s);
-    d_s_keys = Keyed.declared_keys t.s;
-    d_s_rows = rows t.s;
-    d_key = Extended_key.attributes t.key;
-    d_ilfds =
-      List.map
-        (fun i -> (conds (Ilfd.antecedent i), conds (Ilfd.consequent i)))
-        t.ilfds;
+    d_r = t.r;
+    d_s = t.s;
+    d_key = t.key;
     d_mode = t.mode;
-    d_r_target = attrs t.r_target;
-    d_s_target = attrs t.s_target;
-    d_r_ext = List.map Tuple.to_array t.r_ext;
-    d_s_ext = List.map Tuple.to_array t.s_ext;
-    d_pairs =
-      List.map (fun (a, b) -> (Tuple.to_array a, Tuple.to_array b)) t.pairs;
-    d_unmatched_r = List.map Tuple.to_array t.unmatched_r;
-    d_unmatched_s = List.map Tuple.to_array t.unmatched_s;
+    d_r_target = t.r_target;
+    d_s_target = t.s_target;
+    d_r_ext = t.r_ext;
+    d_s_ext = t.s_ext;
+    d_r_index = t.r_index;
+    d_s_index = t.s_index;
+    d_pairs = t.pairs;
+    d_unmatched_r = t.unmatched_r;
+    d_unmatched_s = t.unmatched_s;
   }
 
-let restore ?(telemetry = Telemetry.off) d =
-  let schema_of attrs =
-    Schema.make
-      (List.map (fun (name, ty) -> { Schema.name; ty }) attrs)
-  in
-  let r_schema = schema_of d.d_r_attrs and s_schema = schema_of d.d_s_attrs in
-  let r_target = schema_of d.d_r_target and s_target = schema_of d.d_s_target in
-  let tuple_of schema cells = Tuple.of_array schema cells in
-  let r =
-    Keyed.of_tuples r_schema ~keys:d.d_r_keys
-      (List.map (tuple_of r_schema) d.d_r_rows)
-  and s =
-    Keyed.of_tuples s_schema ~keys:d.d_s_keys
-      (List.map (tuple_of s_schema) d.d_s_rows)
-  in
-  let key = Extended_key.make d.d_key in
-  let ilfds =
-    List.map
-      (fun (ante, cons) ->
-        let conds = List.map (fun (a, v) -> Ilfd.condition a v) in
-        Ilfd.make (conds ante) (conds cons))
-      d.d_ilfds
-  in
-  let r_ext = List.map (tuple_of r_target) d.d_r_ext
-  and s_ext = List.map (tuple_of s_target) d.d_s_ext in
-  let kext = Extended_key.attributes key in
-  (* [of_outcome] indexes the extended relation in relation order;
-     mirror it so a restored state probes partners in the same order a
-     never-interrupted one would. A dump of a state that extended an
-     exact-duplicate insert twice holds both copies; the index keeps the
-     first, as a relation of the rows would. *)
-  let index schema newest_first =
-    Index.of_tuples schema kext
-      (Keyed.tuples (Keyed.of_tuples schema ~keys:[] (List.rev newest_first)))
-  in
+let restore ?(telemetry = Telemetry.off) ~ilfds d =
   let r_plan, s_plan =
-    plans ilfds ~r_source:r_schema ~r_target ~s_source:s_schema ~s_target
+    plans ilfds ~r_source:(Keyed.schema d.d_r) ~r_target:d.d_r_target
+      ~s_source:(Keyed.schema d.d_s) ~s_target:d.d_s_target
   in
   {
-    r;
-    s;
-    key;
+    r = d.d_r;
+    s = d.d_s;
+    key = d.d_key;
     ilfds;
     r_plan;
     s_plan;
     mode = d.d_mode;
     telemetry;
-    r_target;
-    s_target;
-    r_ext;
-    s_ext;
-    r_index = index r_target r_ext;
-    s_index = index s_target s_ext;
-    pairs =
-      List.map
-        (fun (a, b) -> (tuple_of r_target a, tuple_of s_target b))
-        d.d_pairs;
-    unmatched_r = List.map (tuple_of r_target) d.d_unmatched_r;
-    unmatched_s = List.map (tuple_of s_target) d.d_unmatched_s;
+    r_target = d.d_r_target;
+    s_target = d.d_s_target;
+    r_ext = d.d_r_ext;
+    s_ext = d.d_s_ext;
+    r_index = d.d_r_index;
+    s_index = d.d_s_index;
+    pairs = d.d_pairs;
+    unmatched_r = d.d_unmatched_r;
+    unmatched_s = d.d_unmatched_s;
     journal = None;
   }
 

@@ -21,7 +21,7 @@
     and held in [t]: {!create} (and so {!add_ilfd}) and {!restore} build
     it, and every insertion — a live one or one replayed from a store's
     write-ahead log — reuses it, so an insert never recompiles the
-    family. The compiled form is derived data and is not part of a
+    family. Neither the family nor its compiled form is part of a
     {!dump}.
 
     Equivalence with the batch pipeline ({!Identify.run} on the final
@@ -139,17 +139,20 @@ val with_journal : t -> (journal_op -> unit) option -> t
 
 (** {2 Snapshot state}
 
-    A {!dump} is the complete identification state as pure data — no
-    closures, hash tables or process-local interned codes — safe to
-    [Marshal] to disk and back across processes. [restore] rebuilds the
-    exact state {e without} re-running ILFD derivation: extended tuples,
-    matched pairs and unmatched accounting are carried over; only the
-    indexes and the compiled ILFD family are rebuilt, in O(n log n). *)
+    A {!dump} is the identification state as pure data — no closures,
+    interned codes or compiled rules — safe to [Marshal] to disk and
+    back across processes. It holds the keyed base relations with their
+    built key maps and the K_Ext indexes, so [restore] takes them back
+    as they are: it re-runs no ILFD derivation, rebuilds no map and
+    touches no row, and compiles only the family's plans. The family
+    itself is not part of the dump: the caller passes it to [restore]. *)
 
 type dump
 
 val dump : t -> dump
 
-(** [restore ?telemetry d] — the state [d] was dumped from, with a fresh
-    telemetry sink and no journal hook attached. *)
-val restore : ?telemetry:Telemetry.t -> dump -> t
+(** [restore ?telemetry ~ilfds d] — the state [d] was dumped from, with
+    a fresh telemetry sink and no journal hook attached. [ilfds] must be
+    the family the state was built under, in family order (a store
+    guards this with the hash of its configuration). *)
+val restore : ?telemetry:Telemetry.t -> ilfds:Ilfd.t list -> dump -> t

@@ -3,6 +3,8 @@ module Schema = Relational.Schema
 module Tuple = Relational.Tuple
 module V = Relational.Value
 module Columnar = Relational.Columnar
+module Code_table = Relational.Code_table
+module Intern = Relational.Intern
 
 module Itbl = Hashtbl.Make (Int)
 
@@ -10,11 +12,11 @@ module Itbl = Hashtbl.Make (Int)
    arrays. e1 ≢ e2 is symmetric, so each rule is tried in both
    orientations (the paper's Table 4 entry fires with e1 = the S-tuple).
    A rule whose [=]-atoms imply equality on some attributes
-   ([Rules.Distinctness.blocking_key]) only fires on pairs with
-   identical non-NULL values there, so R rows probe hash buckets of S
-   rows over those columns; a rule with no such attributes — every
-   Prop-1 rule, whose atoms all compare with constants — is evaluated on
-   every pair. *)
+   ([Rules.Distinctness.blocking_key]) only fires on pairs whose values
+   there are non-NULL and equal under [Value.eq3], so R rows probe
+   buckets of S rows over those columns; a rule with no such
+   attributes — every Prop-1 rule, whose atoms all compare with
+   constants — is evaluated on every pair. *)
 let fired rules sr rt ss st =
   let nr = Array.length rt and ns = Array.length st in
   let set = Itbl.create 64 in
@@ -25,9 +27,9 @@ let fired rules sr rt ss st =
   List.iter
     (fun rule ->
       (* A rule made only of same-attribute equalities fires on exactly
-         the pairs its buckets propose — identical non-NULL values on
-         every mentioned attribute — so evaluating it per pair is
-         redundant. Otherwise, resolve the rule's attribute lookups
+         the pairs its buckets propose — non-NULL values equal under
+         [Value.eq3] on every mentioned attribute — so evaluating it per
+         pair is redundant. Otherwise, resolve the rule's attribute lookups
          against the two schemas once; [hits] is then pure array/hash
          work per candidate pair. *)
       let hits =
@@ -56,27 +58,47 @@ let fired rules sr rt ss st =
       | Some attrs
         when List.for_all (Schema.mem sr) attrs
              && List.for_all (Schema.mem ss) attrs ->
-          (* Bucket keys are the rows' interned key columns, small int
-             arrays: storage codes partition values exactly like
-             structural equality on the values themselves. *)
+          (* The blocking attributes bucket S rows on their match
+             codes, so a rule's [e1.a = e2.a] meets [Int 1] and
+             [Float 1.] as [Value.eq3] says, and a bucket's rows chain in
+             ascending order. A row holding an ambiguous number (above
+             2^53) takes the K_Ext join's fallback: it is tested against
+             every row of the other side with [Intern.codes_match],
+             which is [non_null_eq] on the values. *)
           let r_cols = Columnar.columns (Lazy.force r_coded) attrs
           and s_cols = Columnar.columns (Lazy.force s_coded) attrs in
-          let s_buckets = Hashtbl.create (max 16 ns) in
+          let matches = Array.map (Array.map Intern.match_code) in
+          let r_match = matches r_cols and s_match = matches s_cols in
+          let table = Code_table.create ~chains:true ns in
+          let unsafe_s = ref [] in
           for j = 0 to ns - 1 do
-            match Columnar.key_opt s_cols j with
-            | Some k -> (
-                match Hashtbl.find_opt s_buckets k with
-                | Some l -> l := j :: !l
-                | None -> Hashtbl.add s_buckets k (ref [ j ]))
-            | None -> ()
+            match Columnar.key_kind s_match j with
+            | Safe_key -> ignore (Code_table.find_or_add table s_match j)
+            | Unsafe_key -> unsafe_s := j :: !unsafe_s
+            | Null_key -> ()
           done;
+          let agree i j =
+            Array.for_all2
+              (fun rc sc -> Intern.codes_match rc.(i) sc.(j))
+              r_cols s_cols
+          in
+          let test i k j = if agree i j then k j in
           all_rows (fun i k ->
-              match Columnar.key_opt r_cols i with
-              | Some key -> (
-                  match Hashtbl.find_opt s_buckets key with
-                  | Some js -> List.iter k !js
-                  | None -> ())
-              | None -> ())
+              match Columnar.key_kind r_match i with
+              | Null_key -> ()
+              | Unsafe_key ->
+                  for j = 0 to ns - 1 do
+                    test i k j
+                  done
+              | Safe_key ->
+                  let rec chain j =
+                    if j >= 0 then begin
+                      k j;
+                      chain (Code_table.next table j)
+                    end
+                  in
+                  chain (Code_table.find table s_match r_match i);
+                  List.iter (test i k) !unsafe_s)
       | Some _ ->
           (* A blocking attribute is missing from one of the schemas: it
              reads as NULL on every tuple of that side, so the implied

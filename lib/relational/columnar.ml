@@ -34,8 +34,14 @@ let equal a b =
   && a.length = b.length
   && Array.for_all2 (fun x y -> x = y) a.columns b.columns
 
-let key cols i = Array.map (fun col -> col.(i)) cols
+type key_kind = Null_key | Unsafe_key | Safe_key
 
-let key_opt cols i =
-  if Array.exists (fun col -> col.(i) = Intern.null_code) cols then None
-  else Some (key cols i)
+let key_kind matches i =
+  let rec go k kind =
+    if k = Array.length matches then kind
+    else
+      let m = matches.(k).(i) in
+      if m = Intern.null_code then Null_key
+      else go (k + 1) (if m = Intern.unsafe_match then Unsafe_key else kind)
+  in
+  go 0 Safe_key

@@ -41,10 +41,13 @@ val columns : t -> string list -> int array array
     Codes are process-global, so two views of equal rows are equal. *)
 val equal : t -> t -> bool
 
-(** [key cols i] — row [i]'s codes across [cols] as a fresh array (a
-    hashable join/bucket key). *)
-val key : int array array -> int -> int array
+(** How a row's key reads on match-code columns: [Null_key] when a cell
+    is NULL, so it can never match; else [Unsafe_key] when a cell holds
+    an ambiguous number (above 2⁵³, {!Intern.unsafe_match}), whose
+    partners only {!Value.non_null_eq} can tell; else [Safe_key], whose
+    partners are exactly the rows with equal match codes. *)
+type key_kind = Null_key | Unsafe_key | Safe_key
 
-(** [key_opt cols i] — as {!key}, or [None] when any cell is NULL (a
-    NULL key can never satisfy a non-NULL equality probe). *)
-val key_opt : int array array -> int -> int array option
+(** [key_kind matches i] — row [i]'s key across [matches], columns of
+    {!Intern.match_code}s. *)
+val key_kind : int array array -> int -> key_kind

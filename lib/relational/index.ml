@@ -1,15 +1,17 @@
-(* Buckets are keyed by the Intern match codes of the key projection:
-   for values with a safe match class, code-list equality is exactly
-   [Value.non_null_eq] on every attribute, and the persistent map
-   compares small ints instead of walking value constructors. A key
-   holding an ambiguous number (above 2^53) has no such code: its tuple
-   goes on the [unsafe] list and is tested with [non_null_eq]. Every
-   tuple carries its insertion number, so a lookup that finds tuples in
-   both places returns them in insertion order. *)
-module Cmap = Map.Make (struct
-  type t = int list
+(* Buckets are keyed by the canonical representatives of the key cells'
+   match classes ([Intern.canon]): for values with a safe match class,
+   equal representatives are exactly [Value.non_null_eq] on every
+   attribute. The keys are values, not interned codes, so an index is
+   pure data that outlives the process that built it, and neither an
+   insert nor a probe interns anything. A key holding an ambiguous
+   number (above 2^53) has no representative: its tuple goes on the
+   [unsafe] list and is tested with [non_null_eq]. Every tuple carries
+   its insertion number, so a lookup that finds tuples in both places
+   returns them in insertion order. *)
+module Kmap = Map.Make (struct
+  type t = Value.t list
 
-  let compare = List.compare Int.compare
+  let compare = List.compare Value.compare
 end)
 
 type entry = int * Tuple.t  (** insertion number, tuple *)
@@ -17,7 +19,7 @@ type entry = int * Tuple.t  (** insertion number, tuple *)
 type t = {
   attrs : string list;
   plan : Tuple.plan;  (** [attrs] in the schema the index was built over *)
-  buckets : entry list Cmap.t;  (** reverse insertion order *)
+  buckets : entry list Kmap.t;  (** reverse insertion order *)
   unsafe : (Value.t list * entry) list;
       (** tuples whose key holds an ambiguous number, with that key;
           reverse insertion order *)
@@ -26,8 +28,8 @@ type t = {
 
 let attributes t = t.attrs
 
-let add t schema tuple =
-  let key = Tuple.values (Tuple.project schema tuple t.attrs) in
+let add t tuple =
+  let key = List.init (Tuple.plan_arity t.plan) (Tuple.nth_with t.plan tuple) in
   if List.exists Value.is_null key then t
   else
     let entry = (t.size, tuple) in
@@ -35,36 +37,22 @@ let add t schema tuple =
     if List.exists Intern.is_unsafe key then
       { t with unsafe = (key, entry) :: t.unsafe }
     else
-      let k = List.map (fun v -> Intern.match_code (Intern.code v)) key in
-      let existing = Option.value (Cmap.find_opt k t.buckets) ~default:[] in
-      { t with buckets = Cmap.add k (entry :: existing) t.buckets }
+      let k = List.map Intern.canon key in
+      let existing = Option.value (Kmap.find_opt k t.buckets) ~default:[] in
+      { t with buckets = Kmap.add k (entry :: existing) t.buckets }
 
 let of_tuples schema attrs tuples =
-  List.fold_left
-    (fun t tuple -> add t schema tuple)
+  List.fold_left add
     {
       attrs;
       plan = Tuple.plan schema attrs;
-      buckets = Cmap.empty;
+      buckets = Kmap.empty;
       unsafe = [];
       size = 0;
     }
     tuples
 
 let build r attrs = of_tuples (Relation.schema r) attrs (Relation.tuples r)
-
-(* Probing must not intern: a value whose match class no interned value
-   shares cannot key any bucket, so [Intern.find_match] failing is
-   simply a miss. *)
-let probe_key values =
-  let rec go acc = function
-    | [] -> Some (List.rev acc)
-    | v :: rest -> (
-        match Intern.find_match v with
-        | Some c -> go (c :: acc) rest
-        | None -> None)
-  in
-  go [] values
 
 let agrees values key = List.for_all2 Value.non_null_eq values key
 
@@ -86,16 +74,16 @@ let lookup t values =
         List.init (Tuple.plan_arity t.plan) (Tuple.nth_with t.plan tuple)
       in
       by_insertion
-        (Cmap.fold
+        (Kmap.fold
            (fun _ entries acc ->
              List.filter (fun (_, tuple) -> agrees values (key tuple)) entries
              @ acc)
            t.buckets unsafe)
     else
       let bucket =
-        match probe_key values with
-        | None -> []
-        | Some k -> Option.value (Cmap.find_opt k t.buckets) ~default:[]
+        Option.value
+          (Kmap.find_opt (List.map Intern.canon values) t.buckets)
+          ~default:[]
       in
       if unsafe = [] then List.rev_map snd bucket
       else by_insertion (bucket @ unsafe)

@@ -6,12 +6,14 @@
     paper's K_Ext join condition ({!Tuple.agree}), under which [Int 1]
     and [Float 1.] match — as the batch join does.
 
-    Keys are stored as {!Intern} match codes, so probes compare ints
-    rather than structural values, and a probe interns nothing
-    ({!Intern.find_match}). A key cell whose match class is ambiguous
-    (a number above 2⁵³, {!Intern.is_unsafe}) has no such code: those
-    tuples, and every tuple when the probe holds such a number, are
-    tested with {!Value.non_null_eq}, in O(n). *)
+    Keys are stored as the canonical representatives of their cells'
+    match classes ({!Intern.canon}), compared with {!Value.compare}, so
+    neither an insert nor a probe interns anything, and an index is pure
+    data — no closures and no interned codes — that is safe to
+    [Marshal] across processes. A key cell whose match class is
+    ambiguous (a number above 2⁵³, {!Intern.is_unsafe}) has no
+    representative: those tuples, and every tuple when the probe holds
+    such a number, are tested with {!Value.non_null_eq}, in O(n). *)
 
 type t
 
@@ -21,7 +23,7 @@ val build : Relation.t -> string list -> t
 
 (** [of_tuples schema attrs tuples] — index [tuples] (conforming to
     [schema]) on [attrs], in list order. Tuples {!add}ed later conform
-    to [schema] too.
+    to [schema] too: the index reads their key cells by position.
     @raise Schema.Unknown_attribute for unknown attributes. *)
 val of_tuples : Schema.t -> string list -> Tuple.t list -> t
 
@@ -36,8 +38,9 @@ val lookup : t -> Value.t list -> Tuple.t list
     attributes (under [schema]) and look that up. *)
 val lookup_tuple : t -> Schema.t -> Tuple.t -> Tuple.t list
 
-(** [add idx tuple] — functional update used when a relation grows. *)
-val add : t -> Schema.t -> Tuple.t -> t
+(** [add idx tuple] — functional update used when a relation grows;
+    [tuple] conforms to the schema [idx] was built over. *)
+val add : t -> Tuple.t -> t
 
 val cardinality : t -> int
 (** Indexed (non-NULL-key) tuples. *)

@@ -132,14 +132,6 @@ let find v =
   Mutex.unlock lock;
   if c < 0 then None else Some c
 
-(* A class's representative is interned before any of its members, so a
-   class whose representative is not interned has no member interned;
-   and a representative's match code is its own code. *)
-let find_match v =
-  if V.is_null v then Some null_code
-  else if is_unsafe v then Some unsafe_match
-  else find (canon v)
-
 let read what c =
   let s = Atomic.get snap in
   if c < 0 || c >= s.len then

@@ -73,12 +73,14 @@ val match_code : int -> int
     taking the lock or growing the pool. *)
 val is_unsafe : Value.t -> bool
 
-(** [find_match v] — the match code [v] has or would have, without
-    interning [v]: {!unsafe_match} when {!is_unsafe} holds, {!null_code}
-    for [Null], and [None] when no interned value shares [v]'s match
-    class, so that nothing coded can match [v]. For a read-only probe on
-    match codes, as {!find} is for storage codes. *)
-val find_match : Value.t -> int option
+(** [canon v] — the canonical representative of [v]'s match class: an
+    integral float of magnitude at most 2⁵³ is the int it equals, every
+    other value represents itself. For non-NULL values neither of which
+    {!is_unsafe}, [Value.equal (canon a) (canon b)] holds exactly when
+    [Value.non_null_eq a b] does: a key of representatives is a match
+    class key that, unlike a match code, means the same in every
+    process. A pure function; interns nothing. *)
+val canon : Value.t -> Value.t
 
 (** [codes_match a b] — {!Value.non_null_eq} on the decoded values:
     integer compares on the match codes when both are safe, decoded

@@ -175,7 +175,10 @@ val pp : Format.formatter -> t -> unit
     Each declared key gets a persistent map from the key's projection to
     the tuple carrying it; with no declared key, one map over the whole
     schema holds the set membership. Values are persistent: [Keyed.add]
-    returns a new relation and leaves its argument usable.
+    returns a new relation and leaves its argument usable. A value is
+    pure data — rows, schema and maps, no closures and no interned
+    codes — so it is safe to [Marshal] across processes with its maps
+    built.
 
     [Keyed.add] has exactly {!add}'s semantics, which a property test
     holds it to:

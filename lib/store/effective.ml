@@ -123,22 +123,17 @@ let suppress t p =
 let unsuppress t p =
   update t p (fun t -> { t with suppressed = Pmap.remove p t.suppressed })
 
-let create ~derived ~manual ~suppressed =
-  let empty =
-    {
-      derived = Pmap.empty;
-      manual = Pmap.empty;
-      suppressed = Pmap.empty;
-      clock = 0;
-      order = Placed.empty;
-      by_r = Kmap.empty;
-      by_s = Kmap.empty;
-      count = 0;
-    }
-  in
-  let t = List.fold_left derive empty derived in
-  let t = List.fold_left assert_manual t (List.rev manual) in
-  List.fold_left suppress t (List.rev suppressed)
+let empty =
+  {
+    derived = Pmap.empty;
+    manual = Pmap.empty;
+    suppressed = Pmap.empty;
+    clock = 0;
+    order = Placed.empty;
+    by_r = Kmap.empty;
+    by_s = Kmap.empty;
+    count = 0;
+  }
 
 let mem t p = Option.is_some (place t p)
 
@@ -167,10 +162,3 @@ let touching sides key =
 
 let touching_r t key = touching t.by_r key
 let touching_s t key = touching t.by_s key
-
-let newest_first overlay =
-  List.map fst
-    (List.sort (fun (_, a) (_, b) -> Int.compare b a) (Pmap.bindings overlay))
-
-let manual t = newest_first t.manual
-let suppressed t = newest_first t.suppressed

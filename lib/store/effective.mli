@@ -15,7 +15,12 @@
 
     Key arrays compare elementwise with {!Relational.Value.compare}, then
     by length ({!compare_keys}): equal exactly when they have the same
-    length and {!Relational.Value.equal} values. *)
+    length and {!Relational.Value.equal} values.
+
+    A value is pure data — persistent maps over value arrays and ticks,
+    no closures and no interned codes — so a store's snapshot
+    [Marshal]s it as it is and a reopen takes it back without
+    rebuilding it. *)
 
 type key = Relational.Value.t array
 type pair = key * key
@@ -27,11 +32,8 @@ val compare_keys : key -> key -> int
 (** R key, then S key, each by {!compare_keys}. *)
 val compare_pairs : pair -> pair -> int
 
-(** [create ~derived ~manual ~suppressed] — derived pairs in derivation
-    order; the overlays newest first, as {!manual} and {!suppressed}
-    list them. A repeated pair keeps its first place. *)
-val create :
-  derived:pair list -> manual:pair list -> suppressed:pair list -> t
+(** No pair derived, asserted or suppressed. *)
+val empty : t
 
 (** [derive t p] — [p] is derived, after every pair derived so far; no
     change if it already was. *)
@@ -75,9 +77,3 @@ val pairs : t -> pair list
 val touching_r : t -> key -> pair list
 
 val touching_s : t -> key -> pair list
-
-(** The manual overlay, newest first. *)
-val manual : t -> pair list
-
-(** The suppressed overlay, newest first. *)
-val suppressed : t -> pair list

@@ -1,6 +1,6 @@
 (** Filesystem plumbing shared by the durable store and the CLI's
-    crash-safe output paths: fsync, atomic replace-by-rename, and a
-    PID-stamped lock file with stale-lock recovery. *)
+    crash-safe output paths: fsync, atomic replace-by-rename, and a lock
+    file the kernel releases when its holder dies. *)
 
 (** [fsync_out oc] — flush the channel and fsync its descriptor, so the
     bytes are durable before the caller acknowledges anything. *)
@@ -16,7 +16,13 @@ val fsync_dir : string -> unit
     close and atomically rename over [path]. If [f] or any write step
     fails, the temp file is removed, [path] is untouched, and the error
     propagates — a crash or failure can never leave a truncated [path]
-    that parses as complete. *)
+    that parses as complete.
+
+    A [path] that exists and is not itself a regular file (a FIFO, a
+    device, a terminal, a symbolic link such as [/dev/stdout]) cannot be
+    replaced, only written: [f] writes straight into it (truncated if it
+    leads to a regular file), with no temp file, rename or fsync, and
+    the channel is closed after it. *)
 val with_atomic_out : ?fsync:bool -> string -> (out_channel -> 'a) -> 'a
 
 (** [remove_if_exists path] — unlink, ignoring a missing file. *)
@@ -34,11 +40,18 @@ val fresh_dir : string -> string
     Scratch-space cleanup; ignores races with concurrent removal. *)
 val remove_tree : string -> unit
 
-(** [acquire_lock path] — take the PID-stamped lock file, failing with a
-    diagnostic when a {e live} process holds it. A lock left behind by a
-    dead process (the kill -9 case) is detected via [kill 0] and broken
-    automatically. *)
-val acquire_lock : string -> (unit, string) result
+(** A held lock: an open lock file with a [Unix.lockf] lock on it. *)
+type lock
 
-(** [release_lock path] — remove the lock file. *)
-val release_lock : string -> unit
+(** [acquire_lock path] — create the lock file if needed and take an
+    exclusive [Unix.lockf] lock on it, without waiting; then write this
+    process's PID into it, for the message a refused opener prints. The
+    kernel holds the lock for the holder's lifetime and drops it when
+    the holder dies (the kill -9 case), so a lock left behind is taken
+    over with no staleness test, a live holder's lock is never broken,
+    and two openers never both succeed. A second acquisition from this
+    process is refused too. *)
+val acquire_lock : string -> (lock, string) result
+
+(** [release_lock l] — remove the lock file, then drop the lock. *)
+val release_lock : lock -> unit

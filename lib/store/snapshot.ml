@@ -1,4 +1,8 @@
-let magic = "EIDSNAP1"
+(* The magic names the payload type: a change to the type of
+   [Store]'s persisted state bumps its version, so a snapshot another
+   version wrote is never unmarshalled as this one. *)
+let prefix = "EIDSNAP"
+let magic = prefix ^ "2"
 
 type 'a payload = { rules_hash : string; wal_offset : int; state : 'a }
 
@@ -16,7 +20,11 @@ let write path p =
       put_u32 oc (Wal.crc32 body);
       output_string oc body)
 
-type error = Missing | Corrupt of string | Stale_rules of string
+type error =
+  | Missing
+  | Corrupt of string
+  | Other_format of string
+  | Stale_rules of string
 
 let get_u32 s pos =
   (Char.code s.[pos] lsl 24)
@@ -36,8 +44,11 @@ let read ~rules_hash path =
           if total < header_len then Error (Corrupt "short header")
           else
             let header = really_input_string ic header_len in
-            if String.sub header 0 (String.length magic) <> magic then
-              Error (Corrupt "bad magic")
+            let found = String.sub header 0 (String.length magic) in
+            if found <> magic then
+              if String.starts_with ~prefix found then
+                Error (Other_format found)
+              else Error (Corrupt "bad magic")
             else
               let len = get_u32 header (String.length magic) in
               let crc = get_u32 header (String.length magic + 4) in

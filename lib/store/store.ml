@@ -134,13 +134,14 @@ type merge_record = {
   rolled_back : bool;
 }
 
-(* Everything a snapshot must carry beyond the engine itself: the
-   overlay sets, the merge log and the conflict table (all pure data —
-   [Marshal]-safe by the same argument as {!Incremental.dump}). *)
+(* Everything a snapshot carries: the engine's dump, the effective pair
+   set as it is held, the merge log and the conflict table (all pure
+   data — [Marshal]-safe by the same argument as {!Incremental.dump}).
+   A change to this type, or to a type it holds, bumps
+   {!Snapshot}'s magic. *)
 type persisted = {
   p_inc : Incremental.dump;
-  p_manual : (Value.t array * Value.t array) list;  (* reverse order *)
-  p_suppressed : (Value.t array * Value.t array) list;
+  p_effective : Effective.t;
   p_merges : merge_record list;  (* reverse order *)
   p_conflicts : conflict list;  (* reverse order *)
 }
@@ -160,6 +161,7 @@ type t = {
   mutable conflict_log : conflict list;
   mutable replaying : bool;
   mutable recovered : int;
+  lock : Fsutil.lock;
 }
 
 let wal_path dir = Filename.concat dir "wal.log"
@@ -416,6 +418,11 @@ let resolve_config dir provided =
         output_char oc '\n');
   Ok (c, ilfds)
 
+let file_size path =
+  match Unix.stat path with
+  | st -> st.Unix.st_size
+  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> 0
+
 let decode_ops payloads =
   try Ok (List.map (fun p -> (Marshal.from_string p 0 : op)) payloads)
   with _ -> Error "WAL record passed its checksum but does not decode"
@@ -423,9 +430,9 @@ let decode_ops payloads =
 let open_store ?(telemetry = Telemetry.off) ?(sync = true) ?config ~dir () =
   let ( let* ) = Result.bind in
   Fsutil.ensure_dir dir;
-  let* () = Fsutil.acquire_lock (lock_path dir) in
+  let* lock = Fsutil.acquire_lock (lock_path dir) in
   let fail_unlocked msg =
-    Fsutil.release_lock (lock_path dir);
+    Fsutil.release_lock lock;
     Error msg
   in
   match
@@ -441,9 +448,27 @@ let open_store ?(telemetry = Telemetry.off) ?(sync = true) ?config ~dir () =
       | Error (Stale_rules _) ->
           Telemetry.incr telemetry "store.recovery.snapshot_stale";
           None
+      | Error (Other_format _) ->
+          Telemetry.incr telemetry "store.recovery.snapshot_format";
+          None
       | Error (Corrupt _) ->
           Telemetry.incr telemetry "store.recovery.snapshot_corrupt";
           None
+    in
+    (* A snapshot covers the WAL records before its offset. A log cut
+       below that offset no longer holds some of them, and records
+       appended later would land where the snapshot assumes others: the
+       snapshot can never again be read with this log, so it is set
+       aside, never to be read, before anything is appended. It may hold
+       the only copy of the records the log lost. *)
+    let restored =
+      match restored with
+      | Some p when p.Snapshot.wal_offset > file_size (wal_path dir) ->
+          Telemetry.incr telemetry "store.recovery.snapshot_ahead";
+          Sys.rename (snapshot_path dir) (snapshot_path dir ^ ".ahead");
+          Fsutil.fsync_dir dir;
+          None
+      | restored -> restored
     in
     let replay_from =
       match restored with Some p -> p.Snapshot.wal_offset | None -> 0
@@ -455,16 +480,16 @@ let open_store ?(telemetry = Telemetry.off) ?(sync = true) ?config ~dir () =
     end;
     let* ops = decode_ops replay.payloads in
     let wal, _ = Wal.open_append ~telemetry (wal_path dir) in
-    let inc, manual, suppressed, merges, conflict_log =
+    let inc, effective, merges, conflict_log =
       match restored with
       | Some p ->
           let st = p.Snapshot.state in
-          ( Incremental.restore ~telemetry st.p_inc,
-            st.p_manual,
-            st.p_suppressed,
+          ( Incremental.restore ~telemetry ~ilfds st.p_inc,
+            st.p_effective,
             st.p_merges,
             st.p_conflicts )
-      | None -> (fresh_incremental config ilfds telemetry, [], [], [], [])
+      | None ->
+          (fresh_incremental config ilfds telemetry, Effective.empty, [], [])
     in
     let t =
       {
@@ -475,14 +500,12 @@ let open_store ?(telemetry = Telemetry.off) ?(sync = true) ?config ~dir () =
         sync;
         wal;
         inc;
-        effective =
-          Effective.create
-            ~derived:(List.map pair_of (Incremental.entries inc))
-            ~manual ~suppressed;
+        effective;
         merges;
         conflict_log;
         replaying = true;
         recovered = 0;
+        lock;
       }
     in
     t.inc <-
@@ -512,13 +535,13 @@ let open_store ?(telemetry = Telemetry.off) ?(sync = true) ?config ~dir () =
   | Ok t -> Ok t
   | Error msg -> fail_unlocked msg
   | exception e ->
-      Fsutil.release_lock (lock_path dir);
+      Fsutil.release_lock lock;
       raise e
 
 let close t =
   (try commit t with Sys_error _ | Unix.Unix_error _ -> ());
   Wal.close t.wal;
-  Fsutil.release_lock (lock_path t.store_dir)
+  Fsutil.release_lock t.lock
 
 (* ---- operations ---- *)
 
@@ -603,8 +626,7 @@ let snapshot t =
       state =
         {
           p_inc = Incremental.dump t.inc;
-          p_manual = Effective.manual t.effective;
-          p_suppressed = Effective.suppressed t.effective;
+          p_effective = t.effective;
           p_merges = t.merges;
           p_conflicts = t.conflict_log;
         };

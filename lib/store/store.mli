@@ -5,7 +5,8 @@
     {b Directory layout.} A store directory holds [wal.log] (the
     append-only operation journal, {!Wal} framing, never compacted),
     [snapshot] (the latest {!Snapshot}), [config.json] (schemas, keys
-    and rules, written atomically) and [lock] (a PID-stamped lock file).
+    and rules, written atomically) and [lock] (held with a kernel lock
+    while the store is open, {!Fsutil.acquire_lock}).
 
     {b Durability contract.} An operation is applied to the in-memory
     engine first; only on success is it appended to the WAL and — with
@@ -16,12 +17,18 @@
     they are recorded in the conflict table as typed {!conflict} values
     and journalled too, so the conflict table itself survives a crash.
 
-    {b Recovery.} {!open_store} takes the lock (breaking a stale one
-    left by a dead process), loads the latest valid snapshot if its
-    rules hash matches the current configuration, replays the WAL tail
-    from the snapshot's offset, truncates a torn final record, and
-    reopens the log for appending. A snapshot with a stale rules hash
-    or a bad checksum is ignored in favour of a full replay.
+    {b Recovery.} {!open_store} takes the lock (a dead holder's lock is
+    free), loads the latest valid snapshot if its rules hash matches
+    the current configuration, replays the WAL tail from the snapshot's
+    offset, truncates a torn final record, and reopens the log for
+    appending. The snapshot holds the state as it is held — the engine's
+    keyed bases and indexes, the effective pair set, the merge log and
+    the conflict table — so loading it rebuilds nothing row by row. A
+    snapshot with a stale rules hash, a bad checksum or another format
+    version's magic is ignored in favour of a full replay; one whose
+    offset lies past the end of the WAL is first renamed
+    [snapshot.ahead], never read again, as records appended later would
+    land where it assumes others.
 
     {b Merge overlay.} The effective matching table is
     [(derived \ suppressed) ∪ manual]: {!merge} asserts a pair the

@@ -180,6 +180,32 @@ if [ "$status" -ne 0 ] || [ "$(grep -c '"s_key":{"sid":"s1"}' \
        "$(cat "$bad_csv/out" "$bad_csv/err")" >&2
   exit 1
 fi
+# --stream-out onto a FIFO streams into it in place: its reader gets
+# every record, and the path is still a FIFO afterwards (a temp file
+# renamed over it would leave a regular file in its place).
+fifo="$bad_csv/out.fifo"
+mkfifo "$fifo"
+cat "$fifo" > "$bad_csv/fifo.ndjson" &
+reader=$!
+restaurant_args="--left data/restaurants_r.csv --right data/restaurants_s.csv \
+  --r-key name,cuisine --s-key name,speciality --key name,cuisine,speciality \
+  --rules data/restaurants.ilfd"
+status=0
+# shellcheck disable=SC2086
+dune exec bin/entity_ident.exe -- identify $restaurant_args \
+  --stream-out "$fifo" > /dev/null 2> "$bad_csv/err" || status=$?
+# Let a reader still waiting see a writer come and go, then collect it.
+if [ -p "$fifo" ]; then exec 3<> "$fifo"; exec 3>&-; else kill "$reader"; fi
+wait "$reader" || true
+# shellcheck disable=SC2086
+dune exec bin/entity_ident.exe -- identify $restaurant_args \
+  --stream-out "$bad_csv/file.ndjson" > /dev/null
+if [ "$status" -ne 0 ] || [ ! -p "$fifo" ] \
+    || ! cmp -s "$bad_csv/fifo.ndjson" "$bad_csv/file.ndjson"; then
+  echo "CI: identify --stream-out onto a FIFO exited $status or did not" \
+       "stream into it in place: $(cat "$bad_csv/err")" >&2
+  exit 1
+fi
 # mine reads its relation through the same error path, with no key.
 status=0
 dune exec bin/entity_ident.exe -- mine --from "$bad_csv/open_quote.csv" \
@@ -211,12 +237,16 @@ done
 rm -rf "$bad_csv"
 
 # 6. Durable-store crash recovery: drive a request stream through the
-#    serve protocol, tear the WAL at three deterministic byte offsets
-#    (full-3: torn final record; half: mid-log cut; 0: empty log),
-#    recover each crash copy, and hold its identify response
-#    byte-for-byte against a fresh store re-ingested from the surviving
-#    store-dump request stream. Any divergence, leftover .tmp file, or
-#    stuck lock fails the gate.
+#    serve protocol, with a snapshot after its fourth request, tear the
+#    WAL at three deterministic byte offsets (full-3: torn final record;
+#    half: mid-log cut; 0: empty log), recover each crash copy, and hold
+#    its identify response byte-for-byte against a fresh store
+#    re-ingested from the surviving store-dump request stream. A copy
+#    whose log still holds every record the snapshot covers restores
+#    from it and keeps it; one cut below the snapshot's offset replays
+#    the log in full and sets the snapshot aside. Any divergence, a
+#    snapshot kept or set aside the wrong way, a leftover .tmp file, or
+#    a stuck lock fails the gate.
 eid=_build/default/bin/entity_ident.exe
 store_scratch=$(mktemp -d)
 serve_args="--no-sync --r-schema name,cuisine,street \
@@ -228,6 +258,8 @@ cat > "$store_scratch/requests.ndjson" <<'EOF'
 {"op":"insert","side":"s","row":{"name":"TwinCities","speciality":"Hunan","county":"Dakota"}}
 {"op":"insert","side":"r","row":{"name":"Anjuman","cuisine":"Indian","street":"LeSalleAve."}}
 {"op":"insert","side":"s","row":{"name":"Anjuman","speciality":"Mughalai","county":"Hennepin"}}
+{"op":"snapshot"}
+{"op":"stats"}
 {"op":"insert","side":"r","row":{"name":"It'sGreek","cuisine":"Greek","street":"FrontAve."}}
 {"op":"insert","side":"s","row":{"name":"It'sGreek","speciality":"Gyros","county":"Ramsey"}}
 {"op":"insert","side":"r","row":{"name":"Lone","cuisine":"Thai","street":"Elm"}}
@@ -237,7 +269,10 @@ cat > "$store_scratch/requests.ndjson" <<'EOF'
 EOF
 # shellcheck disable=SC2086
 "$eid" serve --store "$store_scratch/base" $serve_args \
-  < "$store_scratch/requests.ndjson" > /dev/null
+  < "$store_scratch/requests.ndjson" > "$store_scratch/responses.ndjson"
+# The stats answer after the snapshot gives the WAL offset it covers.
+snap_off=$(sed -n 's/.*"wal_offset":\([0-9]*\).*/\1/p' \
+  "$store_scratch/responses.ndjson")
 wal_size=$(wc -c < "$store_scratch/base/wal.log")
 for off in $((wal_size - 3)) $((wal_size / 2)) 0; do
   crash="$store_scratch/crash$off"
@@ -259,6 +294,16 @@ for off in $((wal_size - 3)) $((wal_size / 2)) 0; do
   fi
   if find "$crash" "$fresh" -name '*.tmp' -o -name lock | grep -q .; then
     echo "CI: leftover temp/lock files after recovery at offset $off" >&2
+    exit 1
+  fi
+  if [ "$off" -ge "$snap_off" ] && [ ! -f "$crash/snapshot" ]; then
+    echo "CI: recovery at WAL offset $off set aside the snapshot at" \
+         "$snap_off" >&2
+    exit 1
+  fi
+  if [ "$off" -lt "$snap_off" ] && [ -f "$crash/snapshot" ]; then
+    echo "CI: recovery at WAL offset $off kept the snapshot at $snap_off," \
+         "which covers records the log no longer holds" >&2
     exit 1
   fi
 done

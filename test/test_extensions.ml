@@ -102,7 +102,7 @@ let index_tests =
         let t =
           R.Tuple.make (R.Relation.schema sales) [ v "north"; v "eve"; vi 5 ]
         in
-        let idx = R.Index.add idx (R.Relation.schema sales) t in
+        let idx = R.Index.add idx t in
         Alcotest.(check int) "" 1
           (List.length (R.Index.lookup idx [ v "north" ])));
     case "multi-attribute key" (fun () ->

@@ -509,6 +509,45 @@ let covering_tests =
              (List.map
                 (fun (e : E.Matching_table.entry) -> (e.r_key, e.s_key))
                 fast)));
+    case "an equality rule fires on numbers equal across types" (fun () ->
+        (* [e1.a = e2.a] holds for [Int 1] and [Float 1.] ([Value.eq3]),
+           and for an int and a float above 2^53 that are the same
+           number, which have no match code and take the fallback. *)
+        let big = 1 lsl 60 in
+        let schema = R.Schema.of_names [ "id"; "a" ] in
+        let rel rows =
+          R.Relation.of_tuples schema
+            (List.map (fun (id, a) -> R.Tuple.make schema [ v id; a ]) rows)
+        in
+        let r =
+          rel
+            [
+              ("r1", V.int 1); ("r2", V.int big); ("r3", V.float 2.5);
+              ("r4", V.null);
+            ]
+        and s =
+          rel
+            [
+              ("s1", V.float 1.); ("s2", V.float (float_of_int big));
+              ("s3", V.int 2); ("s4", V.float 2.5); ("s5", V.null);
+            ]
+        in
+        let distinctness = [ same_values [ "a" ] ] in
+        let _, naive, _ =
+          Checker.Reference.partition_naive ~identity:[] ~distinctness r s
+        in
+        let fast =
+          List.map
+            (fun (e : E.Matching_table.entry) ->
+              (R.Tuple.to_string e.r_key, R.Tuple.to_string e.s_key))
+            (E.Matching_table.entries (E.Negative.of_rules ~r ~s distinctness))
+        in
+        Alcotest.(check int) "three pairs" 3 (List.length fast);
+        Alcotest.(check (list (pair string string))) "the reference's pairs"
+          (List.map
+             (fun (tr, ts) -> (R.Tuple.to_string tr, R.Tuple.to_string ts))
+             naive)
+          fast);
   ]
 
 (* ---- the scan fallback and its desync witness ---- *)

@@ -466,7 +466,8 @@ let compiled_tests =
             rules
         in
         let restored =
-          Entity_id.Incremental.restore (Entity_id.Incremental.dump fresh)
+          Entity_id.Incremental.restore ~ilfds:rules
+            (Entity_id.Incremental.dump fresh)
         in
         let s_schema = R.Relation.schema s in
         let keys =

@@ -1102,20 +1102,23 @@ let coded_tests =
       numeric_edge_gen (fun v ->
         R.Intern.is_unsafe v
         = (R.Intern.match_code (R.Intern.code v) = R.Intern.unsafe_match));
-    qtest ~count:2000 "Intern.find_match on an interned value is its match code"
+    qtest ~count:2000 "Intern.canon is the value of the match code"
       numeric_edge_gen (fun v ->
-        let c = R.Intern.code v in
-        R.Intern.find_match v = Some (R.Intern.match_code c));
-    case "Intern.find_match interns nothing" (fun () ->
+        let m = R.Intern.match_code (R.Intern.code v) in
+        R.Intern.is_unsafe v || R.Intern.code (R.Intern.canon v) = m);
+    case "Index inserts and probes intern nothing" (fun () ->
+        let schema = R.Schema.of_names [ "id"; "a" ] in
+        let row id a = R.Tuple.make schema [ v id; a ] in
         let before = R.Intern.size () in
-        Alcotest.(check (option int)) "an unseen string" None
-          (R.Intern.find_match (v "find_match: never interned"));
-        Alcotest.(check (option int)) "an unseen number" None
-          (R.Intern.find_match (V.float 7340033.));
-        Alcotest.(check int) "the pool did not grow" before (R.Intern.size ());
-        let c = R.Intern.code (vi 7340035) in
-        Alcotest.(check (option int)) "a float whose int is interned" (Some c)
-          (R.Intern.find_match (V.float 7340035.)));
+        let idx =
+          R.Index.of_tuples schema [ "a" ]
+            [ row "s1" (V.float 7340035.); row "s2" (v "canon: never interned") ]
+        in
+        Alcotest.(check int) "a float found by its int" 1
+          (List.length (R.Index.lookup idx [ vi 7340035 ]));
+        Alcotest.(check int) "an unseen number" 0
+          (List.length (R.Index.lookup idx [ V.float 7340033. ]));
+        Alcotest.(check int) "the pool did not grow" before (R.Intern.size ()));
     qtest ~count:1000 "Index.lookup = a non_null_eq filter, in insertion order"
       index_gen index_agrees;
     case "Index: 1 finds 1.0" (fun () ->

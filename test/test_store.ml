@@ -129,6 +129,94 @@ let wal_tests =
 
 (* ---- filesystem plumbing ---- *)
 
+(* A forked process that holds the lock at [lock] until the returned
+   descriptor is closed; returns once it holds it. *)
+let hold_lock lock =
+  let ready, ready_w = Unix.pipe () and release_r, release = Unix.pipe () in
+  match Unix.fork () with
+  | 0 ->
+      Unix.close ready;
+      Unix.close release;
+      Unix._exit
+        (match F.acquire_lock lock with
+        | Ok held ->
+            ignore (Unix.write_substring ready_w "y" 0 1 : int);
+            ignore (Unix.read release_r (Bytes.create 1) 0 1 : int);
+            F.release_lock held;
+            0
+        | Error _ -> 1)
+  | pid ->
+      Unix.close ready_w;
+      Unix.close release_r;
+      let got = Unix.read ready (Bytes.create 1) 0 1 in
+      Unix.close ready;
+      if got <> 1 then Alcotest.fail "the holder could not take the lock";
+      (pid, release)
+
+(* [rounds] rounds of three forked processes released at once to take
+   the same lock; every other round starts from a lock file a dead
+   process left. A winner marks its hold with an exclusively created
+   file and keeps the lock 5 ms, so two holds at once show as a marker
+   that already exists. Returns the number of such overlaps. *)
+let lock_race dir rounds =
+  let lock = Filename.concat dir "lock" and marker = Filename.concat dir "held" in
+  let dead =
+    let pid =
+      Unix.create_process "true" [| "true" |] Unix.stdin Unix.stdout Unix.stderr
+    in
+    ignore (Unix.waitpid [] pid);
+    pid
+  in
+  let racer start =
+    ignore (Unix.read start (Bytes.create 1) 0 1);
+    match F.acquire_lock lock with
+    | Error _ -> 2
+    | Ok held ->
+        let code =
+          match Unix.openfile marker [ Unix.O_CREAT; Unix.O_EXCL; Unix.O_WRONLY ] 0o644 with
+          | fd ->
+              Unix.close fd;
+              Unix.sleepf 0.005;
+              Unix.unlink marker;
+              0
+          | exception Unix.Unix_error (Unix.EEXIST, _, _) -> 1
+        in
+        F.release_lock held;
+        code
+  in
+  let overlaps = ref 0 in
+  for round = 1 to rounds do
+    if round mod 2 = 0 then
+      Out_channel.with_open_bin lock (fun oc ->
+          output_string oc (string_of_int dead ^ "\n"));
+    let start, go = Unix.pipe () in
+    let racers =
+      List.init 3 (fun _ ->
+          match Unix.fork () with
+          | 0 ->
+              Unix.close go;
+              Unix._exit (try racer start with _ -> 3)
+          | pid -> pid)
+    in
+    (* Closing the write end wakes every racer at once. *)
+    Unix.close start;
+    Unix.close go;
+    let codes =
+      List.map
+        (fun pid ->
+          match Unix.waitpid [] pid with
+          | _, Unix.WEXITED code -> code
+          | _ -> 3)
+        racers
+    in
+    if List.mem 3 codes then Alcotest.fail "a racer failed";
+    if not (List.mem 0 codes || List.mem 1 codes) then
+      Alcotest.failf "round %d: no racer took the lock" round;
+    overlaps := !overlaps + List.length (List.filter (( = ) 1) codes);
+    F.remove_if_exists marker
+  done;
+  !overlaps
+
 let fsutil_tests =
   [
     case "with_atomic_out leaves nothing behind on failure" (fun () ->
@@ -145,6 +233,34 @@ let fsutil_tests =
               (not (Sys.file_exists path));
             Alcotest.(check bool) "no temp file" true
               (not (Sys.file_exists (path ^ ".tmp")))));
+    case "with_atomic_out writes into a FIFO in place" (fun () ->
+        in_dir (fun dir ->
+            let fifo = Filename.concat dir "out.fifo" in
+            Unix.mkfifo fifo 0o600;
+            (* A reader that does not wait for the writer, so the writer's
+               open does not block either. *)
+            let reader = Unix.openfile fifo [ Unix.O_RDONLY; Unix.O_NONBLOCK ] 0 in
+            F.with_atomic_out fifo (fun oc -> output_string oc "one\ntwo\n");
+            let buf = Bytes.create 64 in
+            let n = Unix.read reader buf 0 (Bytes.length buf) in
+            Unix.close reader;
+            Alcotest.(check string) "read back" "one\ntwo\n" (Bytes.sub_string buf 0 n);
+            Alcotest.(check bool) "still a FIFO" true
+              ((Unix.stat fifo).Unix.st_kind = Unix.S_FIFO);
+            Alcotest.(check bool) "no temp file" false
+              (Sys.file_exists (fifo ^ ".tmp"))));
+    case "with_atomic_out writes through a symbolic link" (fun () ->
+        in_dir (fun dir ->
+            let target = Filename.concat dir "target" in
+            let link = Filename.concat dir "link" in
+            Out_channel.with_open_bin target (fun oc ->
+                output_string oc "an older, longer content\n");
+            Unix.symlink target link;
+            F.with_atomic_out link (fun oc -> output_string oc "new\n");
+            Alcotest.(check bool) "still a link" true
+              ((Unix.lstat link).Unix.st_kind = Unix.S_LNK);
+            Alcotest.(check string) "the target rewritten" "new\n"
+              (In_channel.with_open_bin target In_channel.input_all)));
     case "a stale lock from a dead process is broken" (fun () ->
         in_dir (fun dir ->
             (* A reaped child's PID is guaranteed dead and (in any
@@ -158,10 +274,41 @@ let fsutil_tests =
             let oc = open_out lock in
             output_string oc (string_of_int pid);
             close_out oc;
-            (match F.acquire_lock lock with
-            | Ok () -> ()
-            | Error e -> Alcotest.failf "stale lock not broken: %s" e);
-            F.release_lock lock));
+            match F.acquire_lock lock with
+            | Ok held -> F.release_lock held
+            | Error e -> Alcotest.failf "stale lock not broken: %s" e));
+    case "a holder that has not written its PID keeps the lock" (fun () ->
+        in_dir (fun dir ->
+            let lock = Filename.concat dir "lock" in
+            let pid, release = hold_lock lock in
+            (* The file as it is between its creation and the PID
+               write: empty, its holder alive. *)
+            Unix.truncate lock 0;
+            let taken =
+              match F.acquire_lock lock with
+              | Ok held ->
+                  F.release_lock held;
+                  true
+              | Error _ -> false
+            in
+            Unix.close release;
+            ignore (Unix.waitpid [] pid);
+            Alcotest.(check bool) "a live holder's lock was not broken" false
+              taken));
+    case "a killed holder's lock is taken over" (fun () ->
+        in_dir (fun dir ->
+            let lock = Filename.concat dir "lock" in
+            let pid, release = hold_lock lock in
+            Unix.kill pid Sys.sigkill;
+            ignore (Unix.waitpid [] pid);
+            Unix.close release;
+            Alcotest.(check bool) "the lock file is left behind" true
+              (Sys.file_exists lock);
+            match F.acquire_lock lock with
+            | Ok held -> F.release_lock held
+            | Error e -> Alcotest.failf "dead holder's lock kept: %s" e));
+    case "racing processes never hold the lock at once" (fun () ->
+        in_dir (fun dir -> Alcotest.(check int) "overlaps" 0 (lock_race dir 30)));
     case "a live lock refuses a second open" (fun () ->
         in_dir (fun dir ->
             let t = open_ok ~config:cfg dir in
@@ -287,6 +434,36 @@ let recovery_tests =
               (Telemetry.counter telemetry "store.recovery.snapshot_corrupt");
             Alcotest.(check int) "full WAL replayed" 2 (S.recovered_records t);
             Alcotest.(check int) "state rebuilt" 1 (cardinality t);
+            S.close t));
+    case "a log cut below the snapshot's offset sets it aside" (fun () ->
+        in_dir (fun dir ->
+            let t = open_ok ~config:cfg dir in
+            ignore (ok (S.insert t S.R r_match));
+            let first = S.wal_offset t in
+            ignore (ok (S.insert t S.S s_match));
+            S.snapshot t;
+            S.close t;
+            (* The log loses its second record, which the snapshot
+               covers: restoring it would keep the match the log no
+               longer holds. *)
+            Unix.truncate (wal_file dir) first;
+            let telemetry = Telemetry.create () in
+            let t = open_ok ~telemetry dir in
+            Alcotest.(check int) "ahead counted" 1
+              (Telemetry.counter telemetry "store.recovery.snapshot_ahead");
+            Alcotest.(check int) "full WAL replayed" 1 (S.recovered_records t);
+            Alcotest.(check int) "no match" 0 (cardinality t);
+            Alcotest.(check bool) "snapshot set aside" true
+              ((not (Sys.file_exists (Filename.concat dir "snapshot")))
+              && Sys.file_exists (Filename.concat dir "snapshot.ahead"));
+            (* Records appended now land past the old snapshot's offset;
+               a reopen replays them, not a stale state. *)
+            ignore (ok (S.insert t S.R r_lone));
+            ignore (ok (S.insert t S.S s_match));
+            S.close t;
+            let t = open_ok dir in
+            Alcotest.(check int) "every record replayed" 3 (S.recovered_records t);
+            Alcotest.(check int) "the match is back" 1 (cardinality t);
             S.close t));
     case "a logged duplicate insert replays as a no-op" (fun () ->
         in_dir (fun dir ->
@@ -1372,6 +1549,103 @@ let protocol_tests =
             S.close t));
   ]
 
+(* ---- snapshot formats ----
+
+   [store_formats/] holds a store written by the requests in
+   [requests.ndjson], once per snapshot format: [v1] by a binary whose
+   snapshots start with "EIDSNAP1" (the state as rows to rebuild), [v2]
+   by this one ("EIDSNAP2", the built maps). The WAL bytes are the same.
+   [answers.ndjson] is what the EIDSNAP1 binary answered on its own
+   store to identify, explain, conflicts and stats.
+
+   An old format is never unmarshalled: the store falls back to a full
+   replay. The current format must restore from its snapshot, so a
+   change to the persisted state's type that does not bump the magic
+   fails here; a bump that leaves [v2] behind moves it among the old
+   formats and calls for a new current fixture. *)
+
+let format_store version dir =
+  List.iter
+    (fun file ->
+      let src = Filename.concat (Filename.concat "store_formats" version) file in
+      Out_channel.with_open_bin (Filename.concat dir file) (fun oc ->
+          output_string oc (In_channel.with_open_bin src In_channel.input_all)))
+    [ "config.json"; "snapshot"; "wal.log" ]
+
+let format_answers dir =
+  let t = open_ok dir in
+  let answers =
+    List.map
+      (fun op -> Eid_store.Service.handle_line t (Printf.sprintf {|{"op":%S}|} op))
+      [ "identify"; "explain"; "conflicts"; "stats" ]
+  in
+  S.close t;
+  answers
+
+let expected_answers () =
+  In_channel.with_open_bin "store_formats/answers.ndjson" In_channel.input_lines
+
+let magic dir =
+  In_channel.with_open_bin (Filename.concat dir "snapshot") (fun ic ->
+      really_input_string ic 8)
+
+(* [stats] without its [recovered_records] member, and that member. *)
+let split_stats line =
+  match Json.parse line with
+  | Ok (Json.Obj members) ->
+      ( Json.to_string (Json.Obj (List.remove_assoc "recovered_records" members)),
+        List.assoc_opt "recovered_records" members )
+  | _ -> Alcotest.failf "stats answer does not parse: %s" line
+
+let fallbacks telemetry =
+  List.map
+    (fun c -> Telemetry.counter telemetry ("store.recovery." ^ c))
+    [ "snapshot_format"; "snapshot_corrupt"; "snapshot_stale"; "snapshot_ahead" ]
+
+let format_tests =
+  [
+    case "an EIDSNAP1 store opens by a full replay and answers as before"
+      (fun () ->
+        in_dir (fun dir ->
+            format_store "v1" dir;
+            Alcotest.(check string) "the old format" "EIDSNAP1" (magic dir);
+            let telemetry = Telemetry.create () in
+            let t = open_ok ~telemetry dir in
+            Alcotest.(check (list int)) "the old format counted, nothing else"
+              [ 1; 0; 0; 0 ] (fallbacks telemetry);
+            Alcotest.(check int) "every record replayed" 12
+              (S.recovered_records t);
+            S.close t;
+            match (format_answers dir, expected_answers ()) with
+            | [ identify; explain; conflicts; stats ],
+              [ identify'; explain'; conflicts'; stats' ] ->
+                Alcotest.(check string) "identify" identify' identify;
+                Alcotest.(check string) "explain" explain' explain;
+                Alcotest.(check string) "conflicts" conflicts' conflicts;
+                (* The old binary replayed the 5 records after its
+                   snapshot; the fallback replays all 12. Every other
+                   byte of the answer is the same. *)
+                let rest, recovered = split_stats stats
+                and rest', recovered' = split_stats stats' in
+                Alcotest.(check string) "stats" rest' rest;
+                Alcotest.(check bool) "recovered_records" true
+                  (recovered = Some (Json.Int 12)
+                  && recovered' = Some (Json.Int 5))
+            | _ -> Alcotest.fail "four answers each"));
+    case "an EIDSNAP2 store restores from its snapshot" (fun () ->
+        in_dir (fun dir ->
+            format_store "v2" dir;
+            Alcotest.(check string) "the current format" "EIDSNAP2" (magic dir);
+            let telemetry = Telemetry.create () in
+            let t = open_ok ~telemetry dir in
+            Alcotest.(check (list int)) "no fallback" [ 0; 0; 0; 0 ]
+              (fallbacks telemetry);
+            Alcotest.(check int) "the tail replayed" 5 (S.recovered_records t);
+            S.close t;
+            Alcotest.(check (list string)) "answers" (expected_answers ())
+              (format_answers dir)));
+  ]
+
 let () =
   Alcotest.run "store"
     [
@@ -1384,4 +1658,5 @@ let () =
       ("scan", scan_tests);
       ("json", json_tests);
       ("protocol", protocol_tests);
+      ("formats", format_tests);
     ]
