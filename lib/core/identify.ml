@@ -23,7 +23,7 @@ let null_key_tuples relation kext =
   let cols = Columnar.columns (Relation.columnar relation) kext in
   let rec go i acc =
     if i < 0 then acc
-    else if Array.exists (fun col -> col.(i) = Intern.null_code) cols then
+    else if Columnar.has_null cols i then
       go (i - 1) (Relation.row relation i :: acc)
     else go (i - 1) acc
   in
@@ -102,57 +102,35 @@ let assemble ~telemetry ~r ~s ~key (r_target, s_target, r_ext, s_ext) pairs =
    S′ rows go into one code table keyed on their K_Ext match codes, so
    [Int 1] meets [Float 1.] as [non_null_eq] says; rows equal on those
    codes chain in ascending order. Each R′ row probes it with its own
-   match codes. A row holding an ambiguous number takes the fallback:
-   an S′ one is tested against every safe R′ row and merged into its
-   chain in row order, an R′ one is tested against every S′ row; both
-   with [Intern.codes_match], which is [non_null_eq] on the values. Only
-   the rows of matched pairs are decoded. *)
+   match codes and walks the chain it finds. Only the rows of matched
+   pairs are decoded. *)
 let join_fold ~telemetry ~key ~r_ext ~s_ext ~init ~f =
   let kext = Extended_key.attributes key in
   Telemetry.span telemetry "identify.join" @@ fun () ->
-  let r_codes = Columnar.columns (Relation.columnar r_ext) kext
-  and s_codes = Columnar.columns (Relation.columnar s_ext) kext in
-  let matches = Array.map (Array.map Intern.match_code) in
-  let r_match = matches r_codes and s_match = matches s_codes in
+  let matches rel =
+    Array.map (Array.map Intern.match_code)
+      (Columnar.columns (Relation.columnar rel) kext)
+  in
+  let r_match = matches r_ext and s_match = matches s_ext in
   let nr = Relation.cardinality r_ext and ns = Relation.cardinality s_ext in
   let table = Code_table.create ~chains:true ns in
-  let unsafe_s = ref [] in
   for j = 0 to ns - 1 do
-    match Columnar.key_kind s_match j with
-    | Safe_key -> ignore (Code_table.find_or_add table s_match j)
-    | Unsafe_key -> unsafe_s := j :: !unsafe_s
-    | Null_key -> ()
+    if not (Columnar.has_null s_match j) then
+      ignore (Code_table.find_or_add table s_match j)
   done;
-  let unsafe_s = List.rev !unsafe_s in
   Telemetry.add telemetry "identify.join.buckets" (Code_table.size table);
-  let agree i j =
-    Array.for_all2 (fun rc sc -> Intern.codes_match rc.(i) sc.(j)) r_codes
-      s_codes
-  in
   let acc = ref init in
-  let emit tr j = acc := f !acc (Lazy.force tr) (Relation.row s_ext j) in
   for i = 0 to nr - 1 do
-    match Columnar.key_kind r_match i with
-    | Null_key -> ()
-    | Unsafe_key ->
-        let tr = lazy (Relation.row r_ext i) in
-        for j = 0 to ns - 1 do
-          if agree i j then emit tr j
-        done
-    | Safe_key ->
-        let tr = lazy (Relation.row r_ext i) in
-        let rec merge j unsafe =
-          match unsafe with
-          | u :: rest when j < 0 || u < j ->
-              if agree i u then emit tr u;
-              merge j rest
-          | _ ->
-              if j >= 0 then begin
-                emit tr j;
-                merge (Code_table.next table j) unsafe
-              end
-        in
-        merge (Code_table.find table s_match r_match i) unsafe_s
+    if not (Columnar.has_null r_match i) then begin
+      let tr = lazy (Relation.row r_ext i) in
+      let rec chain j =
+        if j >= 0 then begin
+          acc := f !acc (Lazy.force tr) (Relation.row s_ext j);
+          chain (Code_table.next table j)
+        end
+      in
+      chain (Code_table.find table s_match r_match i)
+    end
   done;
   !acc
 

@@ -63,10 +63,9 @@ val run :
     [Float 1.]. The join works on R′'s and S′'s code columns: S′ rows go
     into one {!Relational.Code_table} keyed on their K_Ext
     {!Relational.Intern} match codes, with equal rows chained in
-    ascending order, and each R′ row probes it. A row whose K_Ext cells
-    hold a number above 2⁵³ (no safe match code) is tested with
-    [non_null_eq] instead, against every row of the other side. Only the
-    rows of matched pairs are decoded into tuples
+    ascending order, and each R′ row probes it and walks its chain:
+    every value has a match code, and equal match codes are exactly
+    [non_null_eq]. Only the rows of matched pairs are decoded into tuples
     ({!Relational.Relation.row}); with the CLI's declared keys, R′ and S′
     are never decoded whole.
     @raise Ilfd.Apply.Conflict_found in [Check_conflicts] mode. *)

@@ -61,44 +61,26 @@ let fired rules sr rt ss st =
           (* The blocking attributes bucket S rows on their match
              codes, so a rule's [e1.a = e2.a] meets [Int 1] and
              [Float 1.] as [Value.eq3] says, and a bucket's rows chain in
-             ascending order. A row holding an ambiguous number (above
-             2^53) takes the K_Ext join's fallback: it is tested against
-             every row of the other side with [Intern.codes_match],
-             which is [non_null_eq] on the values. *)
-          let r_cols = Columnar.columns (Lazy.force r_coded) attrs
-          and s_cols = Columnar.columns (Lazy.force s_coded) attrs in
-          let matches = Array.map (Array.map Intern.match_code) in
-          let r_match = matches r_cols and s_match = matches s_cols in
-          let table = Code_table.create ~chains:true ns in
-          let unsafe_s = ref [] in
-          for j = 0 to ns - 1 do
-            match Columnar.key_kind s_match j with
-            | Safe_key -> ignore (Code_table.find_or_add table s_match j)
-            | Unsafe_key -> unsafe_s := j :: !unsafe_s
-            | Null_key -> ()
-          done;
-          let agree i j =
-            Array.for_all2
-              (fun rc sc -> Intern.codes_match rc.(i) sc.(j))
-              r_cols s_cols
+             ascending order. *)
+          let matches coded =
+            Array.map (Array.map Intern.match_code)
+              (Columnar.columns (Lazy.force coded) attrs)
           in
-          let test i k j = if agree i j then k j in
+          let r_match = matches r_coded and s_match = matches s_coded in
+          let table = Code_table.create ~chains:true ns in
+          for j = 0 to ns - 1 do
+            if not (Columnar.has_null s_match j) then
+              ignore (Code_table.find_or_add table s_match j)
+          done;
           all_rows (fun i k ->
-              match Columnar.key_kind r_match i with
-              | Null_key -> ()
-              | Unsafe_key ->
-                  for j = 0 to ns - 1 do
-                    test i k j
-                  done
-              | Safe_key ->
-                  let rec chain j =
-                    if j >= 0 then begin
-                      k j;
-                      chain (Code_table.next table j)
-                    end
-                  in
-                  chain (Code_table.find table s_match r_match i);
-                  List.iter (test i k) !unsafe_s)
+              if not (Columnar.has_null r_match i) then
+                let rec chain j =
+                  if j >= 0 then begin
+                    k j;
+                    chain (Code_table.next table j)
+                  end
+                in
+                chain (Code_table.find table s_match r_match i))
       | Some _ ->
           (* A blocking attribute is missing from one of the schemas: it
              reads as NULL on every tuple of that side, so the implied

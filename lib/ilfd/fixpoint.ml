@@ -37,9 +37,7 @@ type plan = {
       (** the derivable columns of the target, in target order: the
           attributes the reference looks up, in its order *)
   target_src : int array;  (** target position -> source position, or [-1] *)
-  exact : bool;
-      (** the tries replay the reference: the family is acyclic and every
-          rule value has a well-defined match class *)
+  exact : bool;  (** the tries replay the reference: the family is acyclic *)
 }
 
 exception
@@ -155,24 +153,6 @@ let plan ~source ~target c =
          (List.init n Fun.id))
   in
   let key_attrs = Array.map (fun id -> attr_names.(id)) key_ids in
-  (* Every rule value (antecedent conditions and the derived value) must
-     have a well-defined match class, or hash matching could diverge
-     from [non_null_eq]; one ambiguous numeric disqualifies the tries.
-     The test reads the value alone: a plan interns nothing, the tries
-     intern their values when first walked. *)
-  let safe v = not (Intern.is_unsafe v) in
-  let all_safe =
-    List.for_all
-      (fun (_, rules) ->
-        List.for_all
-          (fun (rule, v) ->
-            safe v
-            && List.for_all
-                 (fun (cond : Def.condition) -> safe cond.value)
-                 (Def.antecedent rule))
-          rules)
-      cons
-  in
   (* On a cycle a lookup can re-enter an attribute in progress, and the
      demand order the reference's cut semantics depend on is no longer a
      walk over the tries. A group's rules all read its signature. *)
@@ -190,7 +170,7 @@ let plan ~source ~target c =
              true
            end
   in
-  let exact = all_safe && List.for_all acyclic (List.init n Fun.id) in
+  let exact = List.for_all acyclic (List.init n Fun.id) in
   let top =
     List.filter_map
       (fun (a : Schema.attribute) ->
@@ -227,17 +207,6 @@ let supported ~source ~target ilfds =
 
 let plan_target p = p.target
 
-(* A tuple whose key codes (storage codes of its source cells, in
-   [key_ids] order) the tries cannot evaluate exactly takes the scan:
-   the plan is not exact (a cyclic family, or an ambiguous numeric rule
-   value), or a cell the family reads is a numeric above 2^53, whose
-   match class is ambiguous. *)
-let scans p key =
-  (not p.exact)
-  || Array.exists
-       (fun c -> c <> 0 && Intern.match_code c = Intern.unsafe_match)
-       key
-
 exception Conflict_exn of Apply.conflict
 
 (* The evaluator: the recursive engine's answer for a tuple whose key
@@ -260,7 +229,7 @@ exception Conflict_exn of Apply.conflict
    reference's first lookups in the reference's order, and the rules it
    finds applicable are the leaves reached, in family order. A derived
    attribute is resolved once: no re-entry is possible without a cycle.
-   Only called when [scans p key] is false. *)
+   Only called on an exact plan. *)
 let eval p ~mode key =
   (* A column's match code once resolved (0: NULL, or nothing derived);
      -1 until then. *)
@@ -332,12 +301,12 @@ let scan p ~mode tuple =
 
 let extend_tuple ?(mode = Apply.First_rule) ?(telemetry = Telemetry.off) p
     tuple =
-  let key = Array.map (fun i -> Intern.code (Tuple.nth tuple i)) p.key_src in
-  if scans p key then begin
+  if not p.exact then begin
     Telemetry.incr telemetry "ilfd.fixpoint.fallback_classes";
     scan p ~mode tuple
   end
   else
+    let key = Array.map (fun i -> Intern.code (Tuple.nth tuple i)) p.key_src in
     match eval p ~mode key with
     | Error c -> Error c
     | Ok ds ->
@@ -371,11 +340,11 @@ let run plan ~mode r ~target ~telemetry =
   let scanned = ref 0 in
   (* Ascending class ids visit classes in first-row order, so the first
      class that conflicts holds the row the reference raises on. Only a
-     class that takes the scan decodes a row: its representative. *)
+     class that takes the scan, on a cyclic family, decodes a row: its
+     representative. *)
   Array.iteri
     (fun cid rep ->
-      let key = Array.map (fun col -> col.(rep)) key_cols in
-      if scans plan key then begin
+      if not plan.exact then begin
         incr scanned;
         let t = Relation.row r rep in
         let extended =
@@ -402,6 +371,7 @@ let run plan ~mode r ~target ~telemetry =
               plan.target_src
       end
       else
+        let key = Array.map (fun col -> col.(rep)) key_cols in
         match eval plan ~mode key with
         | Error conflict -> raise (Apply.Conflict_found conflict)
         | Ok ds ->

@@ -17,11 +17,9 @@
     On acyclic families the evaluator is provably the same function as
     the per-tuple reference {!Apply.extend_tuple_compiled}, and the
     checker's [fixpoint-agreement] and [conflict-agreement] oracles hold
-    it to it. Where trie matching is not exact — cyclic attribute
-    dependencies, numeric rule values whose cross-type identity is
-    ambiguous above 2⁵³ — every tuple takes that scan instead, as do
-    single tuples (derivation classes) whose source cells the family
-    reads carry such numerics. *)
+    it to it. Every value has one match class ({!Relational.Intern}), so
+    trie matching is exact on every acyclic family; on a cyclic family
+    every tuple takes that scan instead. *)
 
 (** Raised if a class taking the scan in {!extend_relation} ever
     reports a derivation conflict in [First_rule] mode, where conflicts
@@ -44,8 +42,8 @@ val inject_fallback_conflict :
   (Relational.Tuple.t -> Apply.conflict option) ref
 
 (** [supported ~source ~target ilfds] — whether the family's compiled
-    tries are exact for this source/target pair ([false] means every
-    tuple takes the scan). *)
+    tries are exact for this source/target pair: the family is acyclic
+    ([false] means every tuple takes the scan). *)
 val supported :
   source:Relational.Schema.t ->
   target:Relational.Schema.t ->
@@ -58,12 +56,10 @@ type plan
 
 (** [plan ~source ~target compiled] — [compiled] for tuples of [source]
     extended to [target] (a superset of [source]'s attributes, as for
-    {!Apply.extend_tuple}). O(family), and it interns nothing: the
-    match-class safety of the rule values is read off the values
-    ({!Relational.Intern.is_unsafe}), and each trie interns its values
-    when first walked. A caller that derives many
-    tuples of one schema — a serve store, an explain report — builds
-    one plan per side and keeps it. *)
+    {!Apply.extend_tuple}). O(family), and it interns nothing: each
+    trie interns its values when first walked. A caller that derives
+    many tuples of one schema — a serve store, an explain report —
+    builds one plan per side and keeps it. *)
 val plan : source:Relational.Schema.t -> target:Relational.Schema.t ->
   Apply.compiled -> plan
 
@@ -76,8 +72,8 @@ val plan_target : plan -> Relational.Schema.t
     same conflict witness. A derivation costs a few trie probes per
     rule group, whatever the number of rules in the group.
 
-    A tuple the tries cannot evaluate exactly (see above) takes the
-    scan; [telemetry] (default {!Telemetry.off}) counts it in
+    On a cyclic family (see above) the tuple takes the scan;
+    [telemetry] (default {!Telemetry.off}) counts it in
     [ilfd.fixpoint.fallback_classes]. *)
 val extend_tuple :
   ?mode:Apply.mode ->
@@ -118,7 +114,8 @@ val extend_tuple :
     [ilfd.derivations], [ilfd.fixpoint.classes] (derivation classes),
     [ilfd.fixpoint.delta_facts] (derivations made across classes,
     scratch intermediates included) and
-    [ilfd.fixpoint.fallback_classes] (classes that took the scan).
+    [ilfd.fixpoint.fallback_classes] (classes that took the scan: every
+    class of a cyclic family, none of an acyclic one).
     @raise Apply.Conflict_found in [Check_conflicts] mode.
     @raise Fallback_desync as described above. *)
 val extend_relation :

@@ -12,8 +12,8 @@
 
     The codes are whatever the caller keys on: {!Intern} storage codes
     (equality is {!Value.equal}, as for set semantics and key checks) or
-    match codes (equality is {!Value.non_null_eq} on values with a safe
-    match class, as for the K_Ext join).
+    match codes (equality is {!Value.non_null_eq} on non-NULL values, as
+    for the K_Ext join).
 
     One table serves the relation builder's key and duplicate checks,
     the ILFD fixpoint's derivation classes and the K_Ext join. *)

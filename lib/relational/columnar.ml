@@ -34,14 +34,4 @@ let equal a b =
   && a.length = b.length
   && Array.for_all2 (fun x y -> x = y) a.columns b.columns
 
-type key_kind = Null_key | Unsafe_key | Safe_key
-
-let key_kind matches i =
-  let rec go k kind =
-    if k = Array.length matches then kind
-    else
-      let m = matches.(k).(i) in
-      if m = Intern.null_code then Null_key
-      else go (k + 1) (if m = Intern.unsafe_match then Unsafe_key else kind)
-  in
-  go 0 Safe_key
+let has_null cols i = Array.exists (fun col -> col.(i) = Intern.null_code) cols

@@ -41,13 +41,7 @@ val columns : t -> string list -> int array array
     Codes are process-global, so two views of equal rows are equal. *)
 val equal : t -> t -> bool
 
-(** How a row's key reads on match-code columns: [Null_key] when a cell
-    is NULL, so it can never match; else [Unsafe_key] when a cell holds
-    an ambiguous number (above 2⁵³, {!Intern.unsafe_match}), whose
-    partners only {!Value.non_null_eq} can tell; else [Safe_key], whose
-    partners are exactly the rows with equal match codes. *)
-type key_kind = Null_key | Unsafe_key | Safe_key
-
-(** [key_kind matches i] — row [i]'s key across [matches], columns of
-    {!Intern.match_code}s. *)
-val key_kind : int array array -> int -> key_kind
+(** [has_null cols i] — row [i] holds NULL ({!Intern.null_code}) in
+    one of [cols], columns of storage or match codes: a key that can
+    never match. *)
+val has_null : int array array -> int -> bool

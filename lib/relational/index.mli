@@ -10,10 +10,8 @@
     match classes ({!Intern.canon}), compared with {!Value.compare}, so
     neither an insert nor a probe interns anything, and an index is pure
     data — no closures and no interned codes — that is safe to
-    [Marshal] across processes. A key cell whose match class is
-    ambiguous (a number above 2⁵³, {!Intern.is_unsafe}) has no
-    representative: those tuples, and every tuple when the probe holds
-    such a number, are tested with {!Value.non_null_eq}, in O(n). *)
+    [Marshal] across processes. Every value has a representative, so a
+    lookup reads one bucket. *)
 
 type t
 

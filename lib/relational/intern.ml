@@ -1,31 +1,18 @@
 module V = Value
 
 let null_code = 0
-let unsafe_match = -1
-
-(* 2^53: the largest magnitude at which int -> float conversion is exact
-   and injective, i.e. the range where a single canonical representative
-   decides cross-type numeric equality. Beyond it, distinct ints collapse
-   onto one float (eq3 is not even transitive there), so such values keep
-   the unsafe sentinel and matching falls back to [Value.non_null_eq]. *)
-let max_exact = 9007199254740992
-let max_exactf = 9007199254740992.
 
 (* The canonical representative of a value's non_null_eq match class:
-   integral floats in the exact range become ints ([eq3 (Int 1)
-   (Float 1.)] is [True]); everything else represents itself. NaN is not
-   integral, so it canonicalises to itself — consistent with [eq3],
-   under which NaN matches NaN ([Float.compare nan nan = 0]). *)
+   an integral float an OCaml int can hold (in [-2^62, 2^62)) becomes
+   that int, as [Value.eq3] compares an int with a float exactly;
+   everything else represents itself. NaN is not integral, so it
+   canonicalises to itself — consistent with [eq3], under which NaN
+   matches NaN ([Float.compare nan nan = 0]). *)
 let canon v =
   match v with
-  | V.Float f when Float.is_integer f && Float.abs f <= max_exactf ->
-      V.Int (int_of_float f)
+  | V.Float f when Float.is_integer f && f >= -0x1p62 && f < 0x1p62 ->
+      V.Int (Float.to_int f)
   | _ -> v
-
-let is_unsafe = function
-  | V.Int x -> x > max_exact || x < -max_exact
-  | V.Float f -> Float.is_integer f && Float.abs f > max_exactf
-  | V.Null | V.Bool _ | V.String _ -> false
 
 (* The published read-only view. Writers mutate cells above [len] in
    place while holding the lock, then publish a new record with the
@@ -33,7 +20,7 @@ let is_unsafe = function
    in-place growth below capacity is invisible to them. *)
 type snapshot = {
   values : V.t array;  (** code -> stored value; slot 0 is NULL *)
-  matches : int array;  (** code -> match-class code or [unsafe_match] *)
+  matches : int array;  (** code -> match-class code *)
   len : int;
 }
 
@@ -100,17 +87,12 @@ let rec intern_locked v =
   let found = !slots.(slot_of !slots (Atomic.get snap).values v) in
   if found > 0 then found - 1
   else
-    let m =
-      if is_unsafe v then unsafe_match
-      else
-        let cv = canon v in
-        if V.equal cv v then min_int (* self; patched below *)
-        else intern_locked cv
-    in
+    let cv = canon v in
+    let partner = if V.equal cv v then None else Some (intern_locked cv) in
     let s = ensure_capacity (Atomic.get snap) in
     let c = s.len in
     s.values.(c) <- v;
-    s.matches.(c) <- (if m = min_int then c else m);
+    s.matches.(c) <- Option.value partner ~default:c;
     ensure_slots s.values (c + 1);
     !slots.(slot_of !slots s.values v) <- c + 1;
     Atomic.set snap { s with len = c + 1 };
@@ -141,12 +123,6 @@ let read what c =
 let value c = (read "value" c).values.(c)
 let match_code c = (read "match_code" c).matches.(c)
 let share v = value (code v)
-
-let codes_match a b =
-  a <> null_code && b <> null_code
-  &&
-  let ma = match_code a and mb = match_code b in
-  if ma >= 0 && mb >= 0 then ma = mb else V.non_null_eq (value a) (value b)
 
 let compare_codes a b = if a = b then 0 else V.compare (value a) (value b)
 

@@ -4,15 +4,11 @@
     arrays instead of structural value comparisons.
 
     Alongside the storage code each value carries a {e match code} — the
-    code of its canonical representative under the paper's non-NULL
-    matching semantics ({!Value.non_null_eq}), which equates [Int n] and
-    [Float f] when they denote the same number. Integral floats within
-    the exactly-representable range are canonicalised to ints; values
-    whose cross-type numeric identity cannot be decided by a single
-    representative (magnitudes above 2⁵³, where int↔float conversion
-    stops being injective) get the {!unsafe_match} sentinel and callers
-    must fall back to {!Value.non_null_eq} (or to a structural engine)
-    for them.
+    code of its canonical representative ({!canon}) under the paper's
+    non-NULL matching semantics ({!Value.non_null_eq}), which equates
+    [Int n] and [Float f] exactly when they denote the same number.
+    Every value has one: two non-NULL codes match iff their match codes
+    are equal.
 
     The table: codes index a value array and a match-code array; the
     way back, from a value to its code, is open addressing over codes —
@@ -26,20 +22,16 @@
 
     Codes are process-global and never recycled. Writes ({!code},
     {!share}) and {!find} are serialised by a mutex; reads ({!value},
-    {!match_code}, {!codes_match}, {!compare_codes}, {!size}) are
-    lock-free against a published snapshot, so worker domains may decode
-    and match codes freely as long as only already-interned codes reach
-    them — the intended discipline is: intern on the loading/planning
-    domain, compute on any domain. *)
+    {!match_code}, {!compare_codes}, {!size}) are lock-free against a
+    published snapshot, so worker domains may decode and match codes
+    freely as long as only already-interned codes reach them — the
+    intended discipline is: intern on the loading/planning domain,
+    compute on any domain. *)
 
 (** The storage code of [Value.Null]; always [0]. A code of [0] in a
     column therefore means "missing", and no non-NULL value ever maps
     to it. *)
 val null_code : int
-
-(** The match-code sentinel for values whose numeric identity is
-    ambiguous across int/float above 2⁵³; always negative. *)
-val unsafe_match : int
 
 (** [code v] — intern [v] (idempotent) and return its storage code.
     Equal values ({!Value.equal}) always share one code. *)
@@ -60,32 +52,20 @@ val value : int -> Value.t
     share one heap block. *)
 val share : Value.t -> Value.t
 
-(** [match_code c] — the canonical match-class code of storage code [c],
-    or {!unsafe_match} when cross-type matching for it is ambiguous.
-    Two safe codes match under {!Value.non_null_eq} iff their match
-    codes are equal (and neither is {!null_code}). *)
+(** [match_code c] — the canonical match-class code of storage code
+    [c]: the storage code of {!canon} of its value. Two codes match
+    under {!Value.non_null_eq} iff their match codes are equal and
+    neither is {!null_code} (whose match code is itself). *)
 val match_code : int -> int
 
-(** [is_unsafe v] — [v]'s match class is ambiguous: a number of
-    magnitude above 2⁵³ ([Int], or an integral [Float]). A pure
-    function of the value, equal to [match_code (code v) = unsafe_match]
-    but interning nothing, so a caller can test rule values without
-    taking the lock or growing the pool. *)
-val is_unsafe : Value.t -> bool
-
 (** [canon v] — the canonical representative of [v]'s match class: an
-    integral float of magnitude at most 2⁵³ is the int it equals, every
-    other value represents itself. For non-NULL values neither of which
-    {!is_unsafe}, [Value.equal (canon a) (canon b)] holds exactly when
+    integral float [f] with [-2⁶² <= f < 2⁶²], the range of an OCaml
+    int, is the int it equals; every other value represents itself.
+    For non-NULL values, [Value.equal (canon a) (canon b)] holds exactly when
     [Value.non_null_eq a b] does: a key of representatives is a match
     class key that, unlike a match code, means the same in every
     process. A pure function; interns nothing. *)
 val canon : Value.t -> Value.t
-
-(** [codes_match a b] — {!Value.non_null_eq} on the decoded values:
-    integer compares on the match codes when both are safe, decoded
-    structural matching otherwise. NULL ([0]) never matches. *)
-val codes_match : int -> int -> bool
 
 (** [compare_codes a b] — {!Value.compare} on the decoded values, with
     an equality fast path ([a = b] implies [0] without decoding). *)

@@ -54,16 +54,26 @@ let compare a b =
 
 let truth_of_bool b = if b then True else False
 
-(* Numeric comparison across Int/Float is meaningful; other cross-type
-   comparisons are Unknown so that a mistyped predicate cannot silently
-   match. *)
+(* [x] against [y], exactly. Rounding [x] to a float is monotone, so a
+   strict answer on the rounded value is the exact one. A tie means [y]
+   is integral and within one rounding of an int: at 2^62 or above it
+   exceeds every int; below, [Float.to_int] is exact. *)
+let cmp_int_float x y =
+  let c = Float.compare (float_of_int x) y in
+  if c <> 0 then c
+  else if y >= 0x1p62 then -1
+  else Int.compare x (Float.to_int y)
+
+(* Numeric comparison across Int/Float is meaningful and exact; other
+   cross-type comparisons are Unknown so that a mistyped predicate
+   cannot silently match. *)
 let cmp3 a b =
   match a, b with
   | Null, _ | _, Null -> None
   | Int x, Int y -> Some (Int.compare x y)
   | Float x, Float y -> Some (Float.compare x y)
-  | Int x, Float y -> Some (Float.compare (float_of_int x) y)
-  | Float x, Int y -> Some (Float.compare x (float_of_int y))
+  | Int x, Float y -> Some (cmp_int_float x y)
+  | Float x, Int y -> Some (- cmp_int_float y x)
   | Bool x, Bool y -> Some (Bool.compare x y)
   | String x, String y -> Some (String.compare x y)
   | (Int _ | Float _ | Bool _ | String _), _ -> None

@@ -39,11 +39,16 @@ val equal : t -> t -> bool
     [Float 1.] are the same quantity. *)
 val compare : t -> t -> int
 
-(** Three-valued equality: [Unknown] whenever either side is [Null]. *)
+(** Three-valued equality: [Unknown] whenever either side is [Null].
+    An [Int] and a [Float] compare as the numbers they denote, exactly,
+    at every magnitude: [Int 1] equals [Float 1.], [Int (2⁵³ + 1)] does
+    not equal [Float 2⁵³], so equality is an equivalence on non-NULL
+    values. *)
 val eq3 : t -> t -> truth
 
 (** Three-valued comparison for [<, <=, >, >=]; [Unknown] on [Null] or on
-    incomparable constructors. *)
+    incomparable constructors. [Int]/[Float] pairs order exactly, as
+    for {!eq3}. *)
 val lt3 : t -> t -> truth
 
 val le3 : t -> t -> truth

@@ -326,11 +326,6 @@ let handle_line st line =
   | Error m -> Json.to_string (error "parse" m)
   | Ok req -> Json.to_string (handle st req)
 
-let mutating req =
-  match Json.string_member "op" req with
-  | Some ("insert" | "merge" | "split" | "rollback") -> true
-  | _ -> false
-
 let max_request_bytes = 1 lsl 20
 
 (* [ic]'s lines, read a chunk at a time. A line longer than
@@ -375,20 +370,30 @@ let line_reader ic =
     Buffer.clear line;
     next ~over:false
 
+(* With [snapshot_every], [since_snapshot] counts the requests that
+   journalled a record (the WAL grew) since the last snapshot: a
+   periodic or an explicit snapshot clears it, and a clean shutdown
+   writes one when it is not zero. A request that journals nothing (a
+   read, a bad request, an exact duplicate insert) never calls for a
+   snapshot. *)
 let serve ?snapshot_every st ic oc =
   let since_snapshot = ref 0 in
+  let snapshot () =
+    Store.snapshot st;
+    since_snapshot := 0
+  in
   let answer line =
     match Json.parse line with
     | Error m -> error "parse" m
     | Ok req ->
+        let before = Store.wal_offset st in
         let resp = handle st req in
         (match snapshot_every with
-        | Some n when n > 0 && mutating req ->
+        | Some n when n > 0 && Store.wal_offset st > before ->
             incr since_snapshot;
-            if !since_snapshot >= n then begin
-              Store.snapshot st;
-              since_snapshot := 0
-            end
+            if !since_snapshot >= n then snapshot ()
+        | Some _ when Json.string_member "op" req = Some "snapshot" ->
+            since_snapshot := 0
         | _ -> ());
         resp
   in
@@ -401,7 +406,7 @@ let serve ?snapshot_every st ic oc =
       loop ()
     in
     match next_line () with
-    | `Eof -> ()
+    | `Eof -> if !since_snapshot > 0 then snapshot ()
     | `Line line when String.trim line = "" -> loop ()
     | `Line line -> reply (answer line)
     | `Too_large ->

@@ -46,7 +46,9 @@ val max_request_bytes : int
     from [ic] until EOF, respond on [oc] (flushed per line). A line over
     {!max_request_bytes} gets the [request_too_large] error and the loop
     goes on. With [snapshot_every:n], a snapshot is written after every
-    [n] mutating requests. *)
+    [n] requests that journalled a record, and at EOF when one came
+    after the last snapshot (periodic or explicit), so a clean shutdown
+    leaves nothing to replay. *)
 val serve : ?snapshot_every:int -> Store.t -> in_channel -> out_channel -> unit
 
 (** Conversions shared with the CLI. *)

@@ -141,19 +141,25 @@ if [ "$status" -ne 0 ] || ! grep -q "Anjuman *Indian *Anjuman *Indian" \
        "match: $(cat "$bad_csv/out" "$bad_csv/err")" >&2
   exit 1
 fi
-# The K_Ext join matches under non_null_eq, so an integer and a float
-# equal as numbers match: in the rendered matching table, in the stream
-# and in a serve session.
-printf 'id,a\nr1,1\n' > "$bad_csv/int.csv"
-printf 'sid,a\ns1,1.0\n' > "$bad_csv/float.csv"
+# The K_Ext join matches under non_null_eq, which compares an integer
+# with a float exactly: 1 matches 1.0 and 2^60 matches 2^60 as a float,
+# but 2^53 + 1 does not match 2^53 as a float, the float it rounds to.
+# In the rendered matching table, in the stream and in a serve session.
+printf 'id,a\nr1,1\nr2,9007199254740993\nr3,1152921504606846976\n' \
+  > "$bad_csv/int.csv"
+printf 'sid,a\ns1,1.0\ns2,9007199254740992.0\ns3,1152921504606846976.0\n' \
+  > "$bad_csv/float.csv"
 num_args="--left $bad_csv/int.csv --right $bad_csv/float.csv --r-key id \
   --s-key sid --key a"
 status=0
 # shellcheck disable=SC2086
 dune exec bin/entity_ident.exe -- identify $num_args --show mt \
   > "$bad_csv/out" 2> "$bad_csv/err" || status=$?
-if [ "$status" -ne 0 ] || ! grep -q "^r1 *s1 *$" "$bad_csv/out"; then
-  echo "CI: identify --show mt does not match 1 with 1.0:" \
+if [ "$status" -ne 0 ] || ! grep -q "^r1 *s1 *$" "$bad_csv/out" \
+    || ! grep -q "^r3 *s3 *$" "$bad_csv/out" \
+    || grep -q "^r2 " "$bad_csv/out"; then
+  echo "CI: identify --show mt does not match 1 with 1.0 and 2^60 with" \
+       "2^60., or matches 2^53 + 1 with 2^53.:" \
        "$(cat "$bad_csv/out" "$bad_csv/err")" >&2
   exit 1
 fi
@@ -162,22 +168,46 @@ status=0
 dune exec bin/entity_ident.exe -- identify $num_args --stream-out - \
   > "$bad_csv/out" 2> "$bad_csv/err" || status=$?
 if [ "$status" -ne 0 ] || ! grep -qF '{"r":{"id":"r1","a":1},"s":{"sid":"s1","a":1.0}}' \
-    "$bad_csv/out"; then
-  echo "CI: identify --stream-out does not match 1 with 1.0:" \
+    "$bad_csv/out" \
+    || ! grep -qF '{"r":{"id":"r3","a":1152921504606846976},"s":{"sid":"s3","a":1.152921504606847e+18}}' \
+    "$bad_csv/out" \
+    || grep -qF '"id":"r2"' "$bad_csv/out"; then
+  echo "CI: identify --stream-out does not match 1 with 1.0 and 2^60" \
+       "with 2^60., or matches 2^53 + 1 with 2^53.:" \
        "$(cat "$bad_csv/out" "$bad_csv/err")" >&2
   exit 1
 fi
 status=0
 printf '%s\n' '{"op":"insert","side":"r","row":{"id":"r1","a":1}}' \
   '{"op":"insert","side":"s","row":{"sid":"s1","a":1.0}}' \
+  '{"op":"insert","side":"r","row":{"id":"r2","a":9007199254740993}}' \
+  '{"op":"insert","side":"s","row":{"sid":"s2","a":9007199254740992.0}}' \
+  '{"op":"insert","side":"r","row":{"id":"r3","a":1152921504606846976}}' \
+  '{"op":"insert","side":"s","row":{"sid":"s3","a":1152921504606846976.0}}' \
   '{"op":"identify"}' \
   | dune exec bin/entity_ident.exe -- serve --store "$bad_csv/store" \
       --no-sync --r-schema id,a --s-schema sid,a --r-key id --s-key sid \
       --key a > "$bad_csv/out" 2> "$bad_csv/err" || status=$?
-if [ "$status" -ne 0 ] || [ "$(grep -c '"s_key":{"sid":"s1"}' \
-    "$bad_csv/out")" -ne 2 ]; then
-  echo "CI: serve does not match 1 with 1.0:" \
-       "$(cat "$bad_csv/out" "$bad_csv/err")" >&2
+if [ "$status" -ne 0 ] \
+    || [ "$(grep -c '"s_key":{"sid":"s1"}' "$bad_csv/out")" -ne 2 ] \
+    || [ "$(grep -c '"s_key":{"sid":"s3"}' "$bad_csv/out")" -ne 2 ] \
+    || grep -qF '"s_key":{"sid":"s2"}' "$bad_csv/out"; then
+  echo "CI: serve does not match 1 with 1.0 and 2^60 with 2^60., or" \
+       "matches 2^53 + 1 with 2^53.: $(cat "$bad_csv/out" "$bad_csv/err")" >&2
+  exit 1
+fi
+# Equality is transitive: 2^53 and 2^53 + 1 on R cannot both match 2^53.
+# on S, so the extended key stays sound (exit 0, one pair).
+printf 'id,a\nr2,9007199254740992\nr4,9007199254740993\n' > "$bad_csv/int.csv"
+printf 'sid,a\ns2,9007199254740992.0\n' > "$bad_csv/float.csv"
+status=0
+# shellcheck disable=SC2086
+dune exec bin/entity_ident.exe -- identify $num_args --show mt \
+  > "$bad_csv/out" 2> "$bad_csv/err" || status=$?
+if [ "$status" -ne 0 ] || ! grep -q "^r2 *s2 *$" "$bad_csv/out" \
+    || grep -q "^r4 " "$bad_csv/out"; then
+  echo "CI: identify matched 2^53 and 2^53 + 1 both with 2^53. (exit" \
+       "$status): $(cat "$bad_csv/out" "$bad_csv/err")" >&2
   exit 1
 fi
 # --stream-out onto a FIFO streams into it in place: its reader gets
@@ -238,9 +268,9 @@ rm -rf "$bad_csv"
 
 # 6. Durable-store crash recovery: drive a request stream through the
 #    serve protocol, with a snapshot after its fourth request, tear the
-#    WAL at three deterministic byte offsets (full-3: torn final record;
-#    half: mid-log cut; 0: empty log), recover each crash copy, and hold
-#    its identify response byte-for-byte against a fresh store
+#    WAL at every record boundary and one byte before each (a torn
+#    record), found from the WAL's framing, recover each crash copy, and
+#    hold its identify response byte-for-byte against a fresh store
 #    re-ingested from the surviving store-dump request stream. A copy
 #    whose log still holds every record the snapshot covers restores
 #    from it and keeps it; one cut below the snapshot's offset replays
@@ -273,8 +303,24 @@ EOF
 # The stats answer after the snapshot gives the WAL offset it covers.
 snap_off=$(sed -n 's/.*"wal_offset":\([0-9]*\).*/\1/p' \
   "$store_scratch/responses.ndjson")
-wal_size=$(wc -c < "$store_scratch/base/wal.log")
-for off in $((wal_size - 3)) $((wal_size / 2)) 0; do
+# Each WAL record is a 4-byte big-endian payload length, a 4-byte CRC,
+# then the payload; the log has no header.
+wal="$store_scratch/base/wal.log"
+wal_size=$(wc -c < "$wal")
+offsets=0
+pos=0
+while [ "$pos" -lt "$wal_size" ]; do
+  read -r b0 b1 b2 b3 <<LEN
+$(od -An -tu1 -j "$pos" -N 4 "$wal")
+LEN
+  pos=$((pos + 8 + ((b0 * 256 + b1) * 256 + b2) * 256 + b3))
+  offsets="$offsets $((pos - 1)) $pos"
+done
+if [ "$pos" -ne "$wal_size" ]; then
+  echo "CI: the WAL's record lengths sum to $pos, not its $wal_size bytes" >&2
+  exit 1
+fi
+for off in $offsets; do
   crash="$store_scratch/crash$off"
   fresh="$store_scratch/fresh$off"
   cp -r "$store_scratch/base" "$crash"
@@ -309,7 +355,7 @@ for off in $((wal_size - 3)) $((wal_size / 2)) 0; do
 done
 # The untorn store must still hold the three derivable pairs minus the
 # split one plus the manual merge (sanity that the gate tested real data).
-if ! grep -q Anjuman "$store_scratch/got$((wal_size - 3)).json"; then
+if ! grep -q Anjuman "$store_scratch/got$wal_size.json"; then
   echo "CI: crash-recovery gate saw no matched entities" >&2
   exit 1
 fi

@@ -426,7 +426,8 @@ let identify_tests =
 (* ---- the K_Ext join against a nested loop ---- *)
 
 (* K_Ext cells: NULLs, repeated strings, ints and floats equal as
-   numbers, and numbers above 2^53, whose match class is ambiguous. *)
+   numbers, numbers above 2^53, where an int may have no float equal to
+   it, and the ends of the int range. *)
 let join_cell_gen =
   QCheck2.Gen.(
     frequency
@@ -443,6 +444,10 @@ let join_cell_gen =
               V.float 9007199254740992.;
               V.float 9007199254740994.;
             ] );
+        ( 1,
+          oneofl
+            [ V.int max_int; V.int min_int; V.float 0x1p62; V.float (-0x1p62) ]
+        );
       ])
 
 let join_side_gen =

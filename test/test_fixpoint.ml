@@ -174,27 +174,39 @@ let agreement_tests =
           (R.Relation.create (R.Relation.schema r) ~keys:[ [ "id" ] ]
              [ [ vi 1; V.null; vi 1 ]; [ vi 4; vi 1; V.null ] ])
           ~target ilfds);
-    case "ambiguous numeric rule values disqualify the plan" (fun () ->
-        (* 2^53 + 1 has no exact float partner: hash matching on a
-           canonical representative is unsound there, so the family
-           must take the recursive path (and still agree). *)
+    case "rule values above 2^53 evaluate in the tries" (fun () ->
+        (* 2^53 + 1 has no float equal to it, and its match class is
+           exact: the plan is exact, the row holding it fires the rule,
+           and the row holding the float next to it, 2^53, does not. *)
         let big = 9007199254740993 in
         let ilfds =
           [ Ilfd.make1 [ Ilfd.condition "n" (vi big) ] "flag" (v "big") ]
         in
         let r =
           R.Relation.create (R.Schema.of_names [ "id"; "n" ]) ~keys:[ [ "id" ] ]
-            [ [ vi 1; vi big ]; [ vi 2; vi 3 ] ]
+            [
+              [ vi 1; vi big ]; [ vi 2; vi 3 ]; [ vi 3; V.float 0x1p53 ];
+            ]
         in
         let target =
           R.Schema.concat (R.Relation.schema r) (R.Schema.of_names [ "flag" ])
         in
         Alcotest.(check bool)
-          "not supported" false
+          "supported" true
           (Ilfd.Fixpoint.supported ~source:(R.Relation.schema r) ~target ilfds);
-        Alcotest.(check bool) "fallback agrees" true
-          (R.Relation.equal
-             (Ilfd.Fixpoint.extend_relation r ~target (Ilfd.Apply.compile ilfds))
+        let telemetry = Telemetry.create () in
+        let out =
+          Ilfd.Fixpoint.extend_relation ~telemetry r ~target
+            (Ilfd.Apply.compile ilfds)
+        in
+        Alcotest.(check int) "no scan" 0
+          (Telemetry.counter telemetry "ilfd.fixpoint.fallback_classes");
+        Alcotest.(check (list string)) "flags" [ "big"; "null"; "null" ]
+          (List.map
+             (fun t -> V.to_string (R.Tuple.nth t 2))
+             (R.Relation.tuples out));
+        Alcotest.(check bool) "agrees" true
+          (R.Relation.equal out
              (Checker.Reference.extend_relation r ~target ilfds)));
   ]
 
@@ -278,8 +290,8 @@ let nan_payloads =
 
 (* [(tag, k)] to a value and whether it is unseen: an int, an integral
    float (its int partner is interned first), a fractional float, an
-   int and a float past 2^53 (no partner), a string, then the values
-   other tests share. *)
+   int near [max_int], a float past 2^62 (no int partner), a string,
+   then the values other tests share. *)
 let intern_value epoch (tag, k) =
   match tag with
   | 0 -> (V.int (base epoch + k), true)
@@ -308,7 +320,7 @@ let intern_gen =
 (* The integral float's canonical int partner, which takes its code
    first, as [Intern] documents. *)
 let partner = function
-  | V.Float f when Float.is_integer f && Float.abs f <= 0x1p53 ->
+  | V.Float f when Float.is_integer f && f >= -0x1p62 && f < 0x1p62 ->
       Some (V.int (int_of_float f))
   | _ -> None
 
@@ -421,21 +433,26 @@ let intern_tests =
         Alcotest.(check bool) "distinct storage" true (i <> f);
         Alcotest.(check int) "one match class" (R.Intern.match_code i)
           (R.Intern.match_code f);
-        Alcotest.(check bool) "codes_match" true (R.Intern.codes_match i f);
+        Alcotest.(check int) "the int is the class" i (R.Intern.match_code f);
         let g = R.Intern.code (V.float 3.5) in
-        Alcotest.(check bool) "3 <> 3.5" false (R.Intern.codes_match i g);
-        Alcotest.(check bool) "NULL never matches" false
-          (R.Intern.codes_match R.Intern.null_code R.Intern.null_code));
-    case "ambiguous magnitudes carry the unsafe sentinel" (fun () ->
-        let big = R.Intern.code (vi 9007199254740993) in
-        Alcotest.(check int) "unsafe" R.Intern.unsafe_match
-          (R.Intern.match_code big);
-        (* codes_match must then defer to non_null_eq, which is exact. *)
-        Alcotest.(check bool) "still equal to itself" true
-          (R.Intern.codes_match big big);
-        let bigf = R.Intern.code (V.float 9007199254740994.0) in
-        Alcotest.(check bool) "9007199254740993 <> 9007199254740994." false
-          (R.Intern.codes_match big bigf));
+        Alcotest.(check bool) "3 <> 3.5" true
+          (R.Intern.match_code i <> R.Intern.match_code g);
+        Alcotest.(check int) "NULL is its own class" R.Intern.null_code
+          (R.Intern.match_code R.Intern.null_code));
+    case "numbers above 2^53 have exact match classes" (fun () ->
+        let m x = R.Intern.match_code (R.Intern.code x) in
+        Alcotest.(check bool) "2^53 + 1 is not 2^53." true
+          (m (vi 9007199254740993) <> m (V.float 0x1p53));
+        Alcotest.(check bool) "2^53 + 1 is not 2^53 + 2." true
+          (m (vi 9007199254740993) <> m (V.float 9007199254740994.));
+        Alcotest.(check int) "2^53 + 2 is 2^53 + 2." (m (vi 9007199254740994))
+          (m (V.float 9007199254740994.));
+        Alcotest.(check int) "2^60 is 2^60." (m (vi (1 lsl 60)))
+          (m (V.float 0x1p60));
+        Alcotest.(check int) "min_int is -2^62." (m (vi min_int))
+          (m (V.float (-0x1p62)));
+        Alcotest.(check bool) "max_int is not 2^62." true
+          (m (vi max_int) <> m (V.float 0x1p62)));
     QCheck_alcotest.to_alcotest
       (QCheck2.Test.make ~count:3 ~name:"codes follow first-seen order"
          ~print:(fun d -> Printf.sprintf "%d draws" (List.length d))
@@ -512,7 +529,7 @@ let covering_tests =
     case "an equality rule fires on numbers equal across types" (fun () ->
         (* [e1.a = e2.a] holds for [Int 1] and [Float 1.] ([Value.eq3]),
            and for an int and a float above 2^53 that are the same
-           number, which have no match code and take the fallback. *)
+           number: they share a match code, as they do below. *)
         let big = 1 lsl 60 in
         let schema = R.Schema.of_names [ "id"; "a" ] in
         let rel rows =
@@ -552,29 +569,33 @@ let covering_tests =
 
 (* ---- the scan fallback and its desync witness ---- *)
 
-(* A plan the compiler supports (safe rule values), over data whose base
-   cells carry an integer above 2^53 — the cross-type identity of such
-   numerics is ambiguous under interning, so the class holding that row
-   must take the per-tuple recursive fallback rather than the tries. *)
+(* A cyclic family ([n] and [flag] derive each other) has no exact
+   tries, so every derivation class takes the per-tuple recursive
+   fallback; [marker] is the second row's [n]. *)
 let fallback_scenario () =
-  let huge = 9007199254740993 (* 2^53 + 1 *) in
-  let ilfds = [ Ilfd.make1 [ Ilfd.condition "n" (vi 1) ] "flag" (v "one") ] in
+  let marker = 2 in
+  let ilfds =
+    [
+      Ilfd.make1 [ Ilfd.condition "n" (vi 1) ] "flag" (v "one");
+      Ilfd.make1 [ Ilfd.condition "flag" (v "one") ] "n" (vi 1);
+    ]
+  in
   let schema = R.Schema.of_names [ "id"; "n" ] in
   let r =
     R.Relation.of_tuples schema
       [
         R.Tuple.make schema [ vi 1; vi 1 ];
-        R.Tuple.make schema [ vi 2; vi huge ];
+        R.Tuple.make schema [ vi 2; vi marker ];
       ]
   in
   let target = R.Schema.of_names [ "id"; "n"; "flag" ] in
-  (huge, ilfds, r, target)
+  (marker, ilfds, r, target)
 
 let fallback_tests =
   [
-    case "ambiguous base cells take the per-class fallback" (fun () ->
+    case "a cyclic family takes the per-class fallback" (fun () ->
         let _, ilfds, r, target = fallback_scenario () in
-        Alcotest.(check bool) "plan supported" true
+        Alcotest.(check bool) "plan not supported" false
           (Ilfd.Fixpoint.supported ~source:(R.Relation.schema r) ~target
              ilfds);
         let telemetry = Telemetry.create () in
@@ -582,8 +603,8 @@ let fallback_tests =
           Ilfd.Fixpoint.extend_relation ~telemetry r ~target
             (Ilfd.Apply.compile ilfds)
         in
-        Alcotest.(check bool) "fallback classes counted" true
-          (Telemetry.counter telemetry "ilfd.fixpoint.fallback_classes" > 0);
+        Alcotest.(check int) "every class counted" 2
+          (Telemetry.counter telemetry "ilfd.fixpoint.fallback_classes");
         let recursive =
           Checker.Reference.extend_relation r ~target ilfds
         in
@@ -595,7 +616,7 @@ let fallback_tests =
            Fallback_desync with the offending tuple inside, not as an
            anonymous assertion failure. Exercised via the injection
            hook. *)
-        let huge, ilfds, r, target = fallback_scenario () in
+        let marker, ilfds, r, target = fallback_scenario () in
         let injected =
           {
             Ilfd.Apply.attribute = "flag";
@@ -610,7 +631,7 @@ let fallback_tests =
           (fun () ->
             (Ilfd.Fixpoint.inject_fallback_conflict :=
                fun t ->
-                 if V.equal (R.Tuple.nth t 1) (vi huge) then Some injected
+                 if V.equal (R.Tuple.nth t 1) (vi marker) then Some injected
                  else None);
             match
               Ilfd.Fixpoint.extend_relation r ~target
@@ -619,7 +640,7 @@ let fallback_tests =
             | _ -> Alcotest.fail "expected Fallback_desync"
             | exception Ilfd.Fixpoint.Fallback_desync { tuple; conflict } ->
                 Alcotest.(check bool) "witness tuple" true
-                  (V.equal (R.Tuple.nth tuple 1) (vi huge));
+                  (V.equal (R.Tuple.nth tuple 1) (vi marker));
                 Alcotest.(check string) "witness attribute" "flag"
                   conflict.attribute);
         (* The hook is restored: the same evaluation succeeds again. *)
@@ -800,7 +821,7 @@ let tuple_tests =
         List.iter
           (fun t -> ignore (Ilfd.Fixpoint.extend_tuple ~telemetry plan t))
           (R.Relation.tuples r);
-        Alcotest.(check int) "one ambiguous row" 1
+        Alcotest.(check int) "every row of a cyclic family" 2
           (Telemetry.counter telemetry "ilfd.fixpoint.fallback_classes"));
   ]
 

@@ -895,8 +895,8 @@ let csv_tests =
 (* ---- Coded paths: the code table, on-demand decoding, match codes ---- *)
 
 (* Cells for the coded paths: NULLs, strings, and ints and floats equal
-   as numbers, some at or above 2^53, where match classes stop being
-   safe. *)
+   as numbers, some at or above 2^53, where an int may have no float
+   equal to it, and at the ends of the int range. *)
 let coded_cell_gen =
   QCheck2.Gen.(
     frequency
@@ -916,6 +916,10 @@ let coded_cell_gen =
               V.float 9007199254740994.;
               V.float (-9007199254740994.);
             ] );
+        ( 1,
+          oneofl
+            [ V.int max_int; V.int min_int; V.float 0x1p62; V.float (-0x1p62) ]
+        );
       ])
 
 (* Derivation classes as a polymorphic hash table over fresh key arrays
@@ -1031,30 +1035,73 @@ let extend_agrees rows =
   same_relation ~tuples_first:true (extended ()) reference
   && same_relation ~tuples_first:false (extended ()) reference
 
+(* Ints and floats where rounding an int to a float loses it: around
+   ±2^53, where the floats' spacing reaches 2, and around the ends of
+   the int range, ±2^62, where it is 1024 (-2^62 is [min_int]; 2^62 is
+   one past [max_int]). *)
+let int_edge_gen =
+  QCheck2.Gen.(
+    let near = 1 lsl 53 and top = Float.to_int (Float.pred 0x1p62) in
+    frequency
+      [
+        (2, int);
+        (1, -3 -- 3);
+        (3, map (fun d -> near + d) (-3 -- 3));
+        (3, map (fun d -> -near + d) (-3 -- 3));
+        (2, map (fun d -> max_int - d) (0 -- 3));
+        (2, map (fun d -> min_int + d) (0 -- 3));
+        (1, map (fun d -> top + d) (-1 -- 1));
+      ])
+
+let float_edge_gen =
+  QCheck2.Gen.(
+    let near = 0x1p53 in
+    frequency
+      [
+        (2, float);
+        (1, map (fun d -> Float.of_int d +. 0.5) (-3 -- 3));
+        (3, map (fun d -> near +. Float.of_int d) (-4 -- 4));
+        (3, map (fun d -> -.near +. Float.of_int d) (-4 -- 4));
+        (1, return (near -. 0.5));
+        ( 3,
+          oneofl
+            [
+              0x1p62; -0x1p62; Float.pred 0x1p62; Float.succ (-0x1p62);
+              -0x1p62 -. 1024.; 0x1p62 +. 1024.;
+            ] );
+        ( 1,
+          oneofl [ Float.nan; Float.infinity; Float.neg_infinity; 0.5; -0. ]
+        );
+      ])
+
 let numeric_edge_gen =
   QCheck2.Gen.(
-    let near = 1 lsl 53 in
     frequency
       [
         (1, return V.Null);
         (1, map V.bool bool);
         (1, map V.string (string_size (0 -- 3)));
-        (2, map V.int int);
-        (3, map (fun d -> V.int (near + d)) (-3 -- 3));
-        (3, map (fun d -> V.int (-near + d)) (-3 -- 3));
-        (1, oneofl [ V.int max_int; V.int min_int ]);
-        (2, map V.float float);
-        ( 3,
-          map
-            (fun d -> V.float (Float.of_int near +. Float.of_int d))
-            (-4 -- 4) );
-        ( 3,
-          map
-            (fun d -> V.float (-.Float.of_int near +. Float.of_int d))
-            (-4 -- 4) );
-        (1, oneofl [ V.float Float.nan; V.float Float.infinity;
-                     V.float Float.neg_infinity; V.float 0.5; V.float (-0.) ]);
+        (5, map V.int int_edge_gen);
+        (5, map V.float float_edge_gen);
       ])
+
+(* [Int x] against [Float y] as exact numbers, without rounding [x]: [x]
+   against [y]'s integer part as an int, then a fraction of [y] breaks a
+   tie. NaN sorts below every number, as [Float.compare] puts it. *)
+let cmp_int_float_reference x y =
+  if Float.is_nan y then 1
+  else if y >= 0x1p62 then -1
+  else if y < -0x1p62 then 1
+  else
+    let whole = Float.floor y in
+    let c = Int.compare x (Float.to_int whole) in
+    if c <> 0 then c else if y > whole then -1 else 0
+
+let print_value v =
+  match v with
+  | V.Float f -> Printf.sprintf "Float %h" f
+  | V.Int i -> Printf.sprintf "Int %d" i
+  | _ -> V.to_string v
 
 let index_gen =
   QCheck2.Gen.(
@@ -1098,14 +1145,19 @@ let coded_tests =
         Alcotest.check_raises "no row 2"
           (Invalid_argument "Relation.row: no such row") (fun () ->
             ignore (R.Relation.row r 2)));
-    qtest ~count:2000 "Intern.is_unsafe = an unsafe match code"
-      numeric_edge_gen (fun v ->
-        R.Intern.is_unsafe v
-        = (R.Intern.match_code (R.Intern.code v) = R.Intern.unsafe_match));
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:5000
+         ~name:"equal canon = non_null_eq on non-NULL values"
+         ~print:QCheck2.Print.(pair print_value print_value)
+         QCheck2.Gen.(pair numeric_edge_gen numeric_edge_gen)
+         (fun (a, b) ->
+           V.is_null a || V.is_null b
+           || V.equal (R.Intern.canon a) (R.Intern.canon b)
+              = V.non_null_eq a b));
     qtest ~count:2000 "Intern.canon is the value of the match code"
       numeric_edge_gen (fun v ->
-        let m = R.Intern.match_code (R.Intern.code v) in
-        R.Intern.is_unsafe v || R.Intern.code (R.Intern.canon v) = m);
+        R.Intern.code (R.Intern.canon v)
+        = R.Intern.match_code (R.Intern.code v));
     case "Index inserts and probes intern nothing" (fun () ->
         let schema = R.Schema.of_names [ "id"; "a" ] in
         let row id a = R.Tuple.make schema [ v id; a ] in
@@ -1127,6 +1179,22 @@ let coded_tests =
         let idx = R.Index.of_tuples schema [ "a" ] [ t ] in
         Alcotest.(check int) "found" 1
           (List.length (R.Index.lookup idx [ vi 1 ])));
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:5000
+         ~name:"cmp3 compares Int with Float exactly"
+         ~print:QCheck2.Print.(pair int (fun y -> Printf.sprintf "%h" y))
+         QCheck2.Gen.(pair int_edge_gen float_edge_gen)
+         (fun (x, y) ->
+           (* [cmp3] is read through the three-valued relations; both
+              argument orders. *)
+           let want = cmp_int_float_reference x y in
+           let i = V.int x and f = V.float y in
+           List.for_all
+             (fun (rel, holds) -> rel i f = V.truth_of_bool holds)
+             [ (V.lt3, want < 0); (V.eq3, want = 0); (V.gt3, want > 0) ]
+           && List.for_all
+                (fun (rel, holds) -> rel f i = V.truth_of_bool holds)
+                [ (V.lt3, want > 0); (V.eq3, want = 0); (V.gt3, want < 0) ]));
   ]
 
 let pretty_tests =

@@ -1547,6 +1547,38 @@ let protocol_tests =
                    | Error _ -> false)
                  lines);
             S.close t));
+    case "a clean shutdown under snapshot_every writes a snapshot" (fun () ->
+        (* One insert, far fewer than [snapshot_every], then EOF: the
+           shutdown snapshot covers it, so the reopen replays nothing. A
+           stream that journals nothing (a read, a bad request) writes
+           none. *)
+        in_dir (fun dir ->
+            let requests = Filename.concat dir "requests"
+            and replies = Filename.concat dir "replies" in
+            let serve ?config line =
+              let telemetry = Telemetry.create () in
+              let t = open_ok ~telemetry ?config dir in
+              Out_channel.with_open_bin requests (fun oc ->
+                  output_string oc (line ^ "\n"));
+              In_channel.with_open_bin requests (fun ic ->
+                  Out_channel.with_open_bin replies (fun oc ->
+                      Eid_store.Service.serve ~snapshot_every:100 t ic oc));
+              S.close t;
+              Telemetry.counter telemetry "store.snapshots"
+            in
+            Alcotest.(check int) "one snapshot" 1
+              (serve ~config:cfg
+                 {|{"op":"insert","side":"r","row":{"name":"Lone","cuisine":"Thai","street":"Elm"}}|});
+            let t = open_ok dir in
+            Alcotest.(check int) "nothing replayed" 0 (S.recovered_records t);
+            Alcotest.(check int) "the row is back" 1
+              (R.Relation.Keyed.cardinality
+                 (E.Incremental.r_base (S.incremental t)));
+            S.close t;
+            Alcotest.(check int) "none for a stream that journals nothing" 0
+              (serve
+                 {|{"op":"stats"}
+{"op":"insert","side":"r","row":{"name":["Lone"],"cuisine":"Thai","street":"Elm"}}|})));
   ]
 
 (* ---- snapshot formats ----
@@ -1554,14 +1586,15 @@ let protocol_tests =
    [store_formats/] holds a store written by the requests in
    [requests.ndjson], once per snapshot format: [v1] by a binary whose
    snapshots start with "EIDSNAP1" (the state as rows to rebuild), [v2]
-   by this one ("EIDSNAP2", the built maps). The WAL bytes are the same.
-   [answers.ndjson] is what the EIDSNAP1 binary answered on its own
-   store to identify, explain, conflicts and stats.
+   by one writing "EIDSNAP2" (the built maps, with K_Ext indexes that
+   kept numbers above 2^53 apart), [v3] by this one ("EIDSNAP3"). The
+   WAL bytes are the same. [answers.ndjson] is what the EIDSNAP1 binary
+   answered on its own store to identify, explain, conflicts and stats.
 
    An old format is never unmarshalled: the store falls back to a full
    replay. The current format must restore from its snapshot, so a
    change to the persisted state's type that does not bump the magic
-   fails here; a bump that leaves [v2] behind moves it among the old
+   fails here; a bump that leaves [v3] behind moves it among the old
    formats and calls for a new current fixture. *)
 
 let format_store version dir =
@@ -1602,40 +1635,46 @@ let fallbacks telemetry =
     (fun c -> Telemetry.counter telemetry ("store.recovery." ^ c))
     [ "snapshot_format"; "snapshot_corrupt"; "snapshot_stale"; "snapshot_ahead" ]
 
+(* An old format's store: the snapshot is set aside for a full replay,
+   and every answer but [recovered_records] is the EIDSNAP1 binary's. *)
+let replays_old_format version () =
+  in_dir (fun dir ->
+      format_store (Printf.sprintf "v%d" version) dir;
+      Alcotest.(check string) "the old format"
+        (Printf.sprintf "EIDSNAP%d" version)
+        (magic dir);
+      let telemetry = Telemetry.create () in
+      let t = open_ok ~telemetry dir in
+      Alcotest.(check (list int)) "the old format counted, nothing else"
+        [ 1; 0; 0; 0 ] (fallbacks telemetry);
+      Alcotest.(check int) "every record replayed" 12 (S.recovered_records t);
+      S.close t;
+      match (format_answers dir, expected_answers ()) with
+      | [ identify; explain; conflicts; stats ],
+        [ identify'; explain'; conflicts'; stats' ] ->
+          Alcotest.(check string) "identify" identify' identify;
+          Alcotest.(check string) "explain" explain' explain;
+          Alcotest.(check string) "conflicts" conflicts' conflicts;
+          (* The old binary replayed the 5 records after its snapshot;
+             the fallback replays all 12. Every other byte of the answer
+             is the same. *)
+          let rest, recovered = split_stats stats
+          and rest', recovered' = split_stats stats' in
+          Alcotest.(check string) "stats" rest' rest;
+          Alcotest.(check bool) "recovered_records" true
+            (recovered = Some (Json.Int 12) && recovered' = Some (Json.Int 5))
+      | _ -> Alcotest.fail "four answers each")
+
 let format_tests =
   [
     case "an EIDSNAP1 store opens by a full replay and answers as before"
-      (fun () ->
+      (replays_old_format 1);
+    case "an EIDSNAP2 store opens by a full replay and answers as before"
+      (replays_old_format 2);
+    case "an EIDSNAP3 store restores from its snapshot" (fun () ->
         in_dir (fun dir ->
-            format_store "v1" dir;
-            Alcotest.(check string) "the old format" "EIDSNAP1" (magic dir);
-            let telemetry = Telemetry.create () in
-            let t = open_ok ~telemetry dir in
-            Alcotest.(check (list int)) "the old format counted, nothing else"
-              [ 1; 0; 0; 0 ] (fallbacks telemetry);
-            Alcotest.(check int) "every record replayed" 12
-              (S.recovered_records t);
-            S.close t;
-            match (format_answers dir, expected_answers ()) with
-            | [ identify; explain; conflicts; stats ],
-              [ identify'; explain'; conflicts'; stats' ] ->
-                Alcotest.(check string) "identify" identify' identify;
-                Alcotest.(check string) "explain" explain' explain;
-                Alcotest.(check string) "conflicts" conflicts' conflicts;
-                (* The old binary replayed the 5 records after its
-                   snapshot; the fallback replays all 12. Every other
-                   byte of the answer is the same. *)
-                let rest, recovered = split_stats stats
-                and rest', recovered' = split_stats stats' in
-                Alcotest.(check string) "stats" rest' rest;
-                Alcotest.(check bool) "recovered_records" true
-                  (recovered = Some (Json.Int 12)
-                  && recovered' = Some (Json.Int 5))
-            | _ -> Alcotest.fail "four answers each"));
-    case "an EIDSNAP2 store restores from its snapshot" (fun () ->
-        in_dir (fun dir ->
-            format_store "v2" dir;
-            Alcotest.(check string) "the current format" "EIDSNAP2" (magic dir);
+            format_store "v3" dir;
+            Alcotest.(check string) "the current format" "EIDSNAP3" (magic dir);
             let telemetry = Telemetry.create () in
             let t = open_ok ~telemetry dir in
             Alcotest.(check (list int)) "no fallback" [ 0; 0; 0; 0 ]
