@@ -57,7 +57,9 @@ let load_relation path ~keys =
   | exception Relational.Schema.Unknown_attribute a ->
       fail "key attribute %S is not a column" a
   | exception Relational.Relation.Key_violation { key; tuple } ->
-      let schema = Relational.Relation.schema (Relational.Csv_io.load path) in
+      let schema =
+        Relational.Schema.of_names (Relational.Csv_io.header path)
+      in
       fail "row %a has a %s on key (%s)" Relational.Tuple.pp tuple
         (if Relational.Tuple.has_null (Relational.Tuple.project schema tuple key)
          then "NULL value"
@@ -116,63 +118,6 @@ let setup r s rk sk rules_path =
   and s = load_relation s ~keys:[ parse_key_list sk ] in
   (r, s, List.map snd (read_rules rules_path))
 
-(* ---- streaming output ---- *)
-
-(* One matched (r', s') pair per output record, written as the join
-   produces it — the emitter never holds more than the current record. *)
-let pair_emitter oc format ~r_names ~s_names =
-  match format with
-  | `Ndjson ->
-      (* Each record is rendered into one reused buffer: the members'
-         names, quoted and escaped, are rendered once per run, and each
-         cell is appended straight from its value. The bytes are those
-         of [Json.to_string] on the record's object. *)
-      let members names =
-        Array.of_list
-          (List.mapi
-             (fun k name ->
-               let b = Buffer.create 16 in
-               if k > 0 then Buffer.add_char b ',';
-               Eid_store.Json.add_string b name;
-               Buffer.add_char b ':';
-               Buffer.contents b)
-             names)
-      in
-      let r_members = members r_names and s_members = members s_names in
-      let buf = Buffer.create 256 in
-      let side members t =
-        Array.iteri
-          (fun k member ->
-            Buffer.add_string buf member;
-            Eid_store.Service.add_value buf (Relational.Tuple.nth t k))
-          members
-      in
-      fun tr ts ->
-        Buffer.clear buf;
-        Buffer.add_string buf "{\"r\":{";
-        side r_members tr;
-        Buffer.add_string buf "},\"s\":{";
-        side s_members ts;
-        Buffer.add_string buf "}}\n";
-        Buffer.output_buffer oc buf
-  | `Csv ->
-      let cell = Relational.Csv_io.escape_cell in
-      output_string oc
-        (String.concat ","
-           (List.map (fun a -> cell ("r." ^ a)) r_names
-           @ List.map (fun a -> cell ("s." ^ a)) s_names));
-      output_char oc '\n';
-      let cells names t =
-        List.mapi
-          (fun k _ ->
-            cell (Relational.Value.to_string (Relational.Tuple.nth t k)))
-          names
-      in
-      fun tr ts ->
-        output_string oc
-          (String.concat "," (cells r_names tr @ cells s_names ts));
-        output_char oc '\n'
-
 (* ---- identify ---- *)
 
 let identify_cmd =
@@ -226,21 +171,23 @@ let identify_cmd =
            kill the process silently with SIGPIPE. *)
         (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
          with Invalid_argument _ -> ());
+        (* One record per matched pair, written as the join finds it,
+           from R′'s and S′'s code columns: no row is decoded. *)
         let stream oc =
-          let r_names =
+          let names rel =
             Relational.Schema.names
-              (Entity_id.Identify.extension_schema r key)
-          and s_names =
-            Relational.Schema.names
-              (Entity_id.Identify.extension_schema s key)
+              (Entity_id.Identify.extension_schema rel key)
           in
-          let emit = pair_emitter oc stream_format ~r_names ~s_names in
-          Entity_id.Identify.run_stream ~mode ~telemetry ~r ~s ~key
-            ~init:0
-            ~f:(fun n tr ts ->
-              emit tr ts;
+          Eid_store.Pair_writer.header oc stream_format ~r_names:(names r)
+            ~s_names:(names s);
+          let r', s' =
+            Entity_id.Identify.extend ~mode ~telemetry ~r ~s ~key ilfds
+          in
+          let write = Eid_store.Pair_writer.records oc stream_format r' s' in
+          Entity_id.Identify.fold_pairs ~telemetry ~key r' s' ~init:0
+            ~f:(fun n i j ->
+              write i j;
               n + 1)
-            ilfds
         in
         let count =
           (* To a file: write PATH.tmp and rename only after every record

@@ -38,32 +38,25 @@ let extension_schema relation key =
   in
   Schema.concat schema (Schema.of_names missing)
 
-(* Both relations ILFD-extended to the K_Ext target schemas — the phase
-   shared verbatim by [run] and [run_stream]. The family is compiled once
-   for both sides. *)
-let extend_both ?mode ~telemetry ~r ~s ~key ilfds =
-  let r_target = extension_schema r key
-  and s_target = extension_schema s key in
+(* The first phase: both relations ILFD-extended to the K_Ext target
+   schemas. The family is compiled once for both sides. *)
+let extend ?mode ?(telemetry = Telemetry.off) ~r ~s ~key ilfds =
   let compiled = Ilfd.Apply.compile ilfds in
-  let r_ext =
-    Telemetry.span telemetry "identify.extend_r" (fun () ->
-        Ilfd.Fixpoint.extend_relation ?mode ~telemetry r
-          ~target:r_target compiled)
+  let side name rel =
+    Telemetry.span telemetry name (fun () ->
+        Ilfd.Fixpoint.extend_relation ?mode ~telemetry rel
+          ~target:(extension_schema rel key) compiled)
   in
-  let s_ext =
-    Telemetry.span telemetry "identify.extend_s" (fun () ->
-        Ilfd.Fixpoint.extend_relation ?mode ~telemetry s
-          ~target:s_target compiled)
-  in
-  (r_target, s_target, r_ext, s_ext)
+  let r_ext = side "identify.extend_r" r in
+  (r_ext, side "identify.extend_s" s)
 
 (* The outcome over the matched pairs — candidate-key matching table,
    uniqueness check, NULL-key accounting; counter costs (List.length)
    are paid only when the sink is live. *)
-let assemble ~telemetry ~r ~s ~key (r_target, s_target, r_ext, s_ext) pairs =
+let assemble ~telemetry ~r ~s ~key (r_ext, s_ext) pairs =
   let r_key = Relation.primary_key r and s_key = Relation.primary_key s in
-  let r_key_plan = Tuple.plan r_target r_key
-  and s_key_plan = Tuple.plan s_target s_key in
+  let r_key_plan = Tuple.plan (Relation.schema r_ext) r_key
+  and s_key_plan = Tuple.plan (Relation.schema s_ext) s_key in
   let entry_of (tr, ts) =
     {
       Matching_table.r_key = Tuple.project_with r_key_plan tr;
@@ -94,17 +87,18 @@ let assemble ~telemetry ~r ~s ~key (r_target, s_target, r_ext, s_ext) pairs =
   end;
   o
 
-(* The K_Ext join over the extended relations' code columns, folded in
-   the serial row-major order (ascending R′ row, ascending S′ partner
-   within it) straight off the probe loop, with zero verdict buffering —
-   the one production path behind [run] and [run_stream].
+(* The second phase: the K_Ext join over the extended relations' code
+   columns, folded over the row indices of the matched pairs in the
+   serial row-major order (ascending R′ row, ascending S′ partner
+   within it) straight off the probe loop, with zero verdict buffering
+   — the one production path behind [run], [run_stream] and the CLI's
+   stream writer.
 
    S′ rows go into one code table keyed on their K_Ext match codes, so
    [Int 1] meets [Float 1.] as [non_null_eq] says; rows equal on those
    codes chain in ascending order. Each R′ row probes it with its own
-   match codes and walks the chain it finds. Only the rows of matched
-   pairs are decoded. *)
-let join_fold ~telemetry ~key ~r_ext ~s_ext ~init ~f =
+   match codes and walks the chain it finds. Nothing is decoded. *)
+let fold_pairs ?(telemetry = Telemetry.off) ~key r_ext s_ext ~init ~f =
   let kext = Extended_key.attributes key in
   Telemetry.span telemetry "identify.join" @@ fun () ->
   let matches rel =
@@ -122,10 +116,9 @@ let join_fold ~telemetry ~key ~r_ext ~s_ext ~init ~f =
   let acc = ref init in
   for i = 0 to nr - 1 do
     if not (Columnar.has_null r_match i) then begin
-      let tr = lazy (Relation.row r_ext i) in
       let rec chain j =
         if j >= 0 then begin
-          acc := f !acc (Lazy.force tr) (Relation.row s_ext j);
+          acc := f !acc i j;
           chain (Code_table.next table j)
         end
       in
@@ -134,17 +127,32 @@ let join_fold ~telemetry ~key ~r_ext ~s_ext ~init ~f =
   done;
   !acc
 
+(* [fold_pairs] with each pair's rows decoded; an R′ row is decoded once
+   for all its partners. *)
+let fold_tuples ~telemetry ~key r_ext s_ext ~init ~f =
+  let last = ref (-1, None) in
+  let r_row i =
+    match !last with
+    | k, Some t when k = i -> t
+    | _ ->
+        let t = Relation.row r_ext i in
+        last := (i, Some t);
+        t
+  in
+  fold_pairs ~telemetry ~key r_ext s_ext ~init ~f:(fun acc i j ->
+      f acc (r_row i) (Relation.row s_ext j))
+
 let run_stream ?mode ?(telemetry = Telemetry.off) ~r ~s ~key ~init ~f ilfds =
-  let _, _, r_ext, s_ext = extend_both ?mode ~telemetry ~r ~s ~key ilfds in
-  join_fold ~telemetry ~key ~r_ext ~s_ext ~init ~f
+  let r_ext, s_ext = extend ?mode ~telemetry ~r ~s ~key ilfds in
+  fold_tuples ~telemetry ~key r_ext s_ext ~init ~f
 
 let run ?mode ?(telemetry = Telemetry.off) ~r ~s ~key ilfds =
-  let ((_, _, r_ext, s_ext) as extended) =
-    extend_both ?mode ~telemetry ~r ~s ~key ilfds
+  let ((r_ext, s_ext) as extended) =
+    extend ?mode ~telemetry ~r ~s ~key ilfds
   in
   let pairs =
-    join_fold ~telemetry ~key ~r_ext ~s_ext ~init:[]
-      ~f:(fun acc tr ts -> (tr, ts) :: acc)
+    fold_tuples ~telemetry ~key r_ext s_ext ~init:[] ~f:(fun acc tr ts ->
+        (tr, ts) :: acc)
   in
   assemble ~telemetry ~r ~s ~key extended (List.rev pairs)
 

@@ -49,25 +49,15 @@ val run :
   outcome
 
 (** [run_stream ?mode ?telemetry ~r ~s ~key ~init ~f ilfds] — the
-    streaming form of {!run}'s join: folds [f] over every matched
-    [(r', s')] pair of extended tuples in row-major order
-    (ascending R′ row, ascending S′ partner within a row) straight out of
-    the hash join's probe loop, {e without materialising the pair list}
-    or buffering any verdict, so peak memory is the join state, not the
-    output. The fold observes exactly the pairs {!run} materialises, in
-    the same order. [telemetry] records what {!run} records apart from
-    the outcome counters.
-
-    A pair matches when its K_Ext cells are {!Relational.Value.non_null_eq}
-    on every attribute ({!Relational.Tuple.agree}), so [Int 1] matches
-    [Float 1.]. The join works on R′'s and S′'s code columns: S′ rows go
-    into one {!Relational.Code_table} keyed on their K_Ext
-    {!Relational.Intern} match codes, with equal rows chained in
-    ascending order, and each R′ row probes it and walks its chain:
-    every value has a match code, and equal match codes are exactly
-    [non_null_eq]. Only the rows of matched pairs are decoded into tuples
-    ({!Relational.Relation.row}); with the CLI's declared keys, R′ and S′
-    are never decoded whole.
+    streaming form of {!run}'s join: {!extend}, then {!fold_pairs} with
+    each matched pair's rows decoded ({!Relational.Relation.row}; an R′
+    row once for all its partners), so [f] sees every matched [(r', s')]
+    pair of extended tuples in row-major order (ascending R′ row,
+    ascending S′ partner within a row), {e without materialising the
+    pair list} or buffering any verdict: peak memory is the join state,
+    not the output. The fold observes exactly the pairs {!run}
+    materialises, in the same order. [telemetry] records what {!run}
+    records apart from the outcome counters.
     @raise Ilfd.Apply.Conflict_found in [Check_conflicts] mode. *)
 val run_stream :
   ?mode:Ilfd.Apply.mode ->
@@ -78,6 +68,52 @@ val run_stream :
   init:'a ->
   f:('a -> Relational.Tuple.t -> Relational.Tuple.t -> 'a) ->
   Ilfd.t list ->
+  'a
+
+(** {2 The two phases}
+
+    {!run} and {!run_stream} are these two calls; a caller that renders
+    the pairs itself (the CLI's [--stream-out] writer) makes them
+    directly and reads R′'s and S′'s code columns. *)
+
+(** [extend ?mode ?telemetry ~r ~s ~key ilfds] — [(R′, S′)]: each
+    relation widened to its {!extension_schema} and ILFD-extended
+    ({!Ilfd.Fixpoint.extend_relation}), the family compiled once for
+    both. With a declared key on each side, R′ and S′ are held as code
+    columns and no row is decoded. [telemetry] records the
+    [identify.extend_r] / [identify.extend_s] spans and the ILFD
+    extension counters.
+    @raise Ilfd.Apply.Conflict_found in [Check_conflicts] mode. *)
+val extend :
+  ?mode:Ilfd.Apply.mode ->
+  ?telemetry:Telemetry.t ->
+  r:Relational.Relation.t ->
+  s:Relational.Relation.t ->
+  key:Extended_key.t ->
+  Ilfd.t list ->
+  Relational.Relation.t * Relational.Relation.t
+
+(** [fold_pairs ?telemetry ~key r' s' ~init ~f] — the K_Ext join of
+    [r'] and [s'], folding [f] over the row indices [(i, j)] of every
+    matched pair in row-major order (ascending [i], ascending [j] within
+    it), straight out of the probe loop.
+
+    A pair matches when its K_Ext cells are {!Relational.Value.non_null_eq}
+    on every attribute ({!Relational.Tuple.agree}), so [Int 1] matches
+    [Float 1.]. The join works on the code columns: S′ rows go into one
+    {!Relational.Code_table} keyed on their K_Ext {!Relational.Intern}
+    match codes, with equal rows chained in ascending order, and each R′
+    row probes it and walks its chain: every value has a match code,
+    and equal match codes are exactly [non_null_eq]. No row is decoded.
+    [telemetry] records the [identify.join] span (which [f]'s own work
+    falls in) and the [identify.join.buckets] counter. *)
+val fold_pairs :
+  ?telemetry:Telemetry.t ->
+  key:Extended_key.t ->
+  Relational.Relation.t ->
+  Relational.Relation.t ->
+  init:'a ->
+  f:('a -> int -> int -> 'a) ->
   'a
 
 (** [extension_schema relation key] — the relation's schema widened with

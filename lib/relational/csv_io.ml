@@ -96,10 +96,23 @@ type reading =
   | Rows of Relation.builder * int array
   | Failed of int * string
 
+(* An upper bound on the rows of [s]: every record but the last ends
+   at a newline, and the first record is the header. A quoted newline
+   makes it an over-estimate. *)
+let row_bound s =
+  let n = String.length s in
+  let newlines = ref 0 in
+  for i = 0 to n - 1 do
+    if String.unsafe_get s i = '\n' then incr newlines
+  done;
+  if n > 0 && s.[n - 1] = '\n' then !newlines - 1 else !newlines
+
 (* One pass: each cell is interned once, straight into the builder's
-   code columns; no record list and no tuple is built before set
-   semantics are settled. *)
+   code columns, sized by [row_bound] so that they never regrow; no
+   record list and no tuple is built before set semantics are
+   settled. *)
 let relation_of_string ?(keys = []) s =
+  let rows = row_bound s in
   let state = ref (Header []) and width = ref 0 and record_no = ref 1 in
   let cell c =
     (match !state with
@@ -115,7 +128,7 @@ let relation_of_string ?(keys = []) s =
         match Schema.of_names (List.rev names) with
         | schema ->
             let codes = Array.make (Schema.arity schema) 0 in
-            state := Rows (Relation.builder schema ~keys, codes)
+            state := Rows (Relation.builder ~rows schema ~keys, codes)
         | exception Schema.Duplicate_attribute a ->
             let message =
               Printf.sprintf "duplicate column %S in the header" a
@@ -139,11 +152,18 @@ let relation_of_string ?(keys = []) s =
   | Rows (b, _) -> Relation.build b
   | Failed (line, message) -> fail line message
 
-let load ?(keys = []) path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> relation_of_string ~keys (In_channel.input_all ic))
+let read path = In_channel.with_open_bin path In_channel.input_all
+let load ?(keys = []) path = relation_of_string ~keys (read path)
+
+(* The scan stops at the end of the first record. *)
+let header path =
+  let names = ref [] in
+  (try
+     scan (read path)
+       ~cell:(fun c -> names := String.trim c :: !names)
+       ~record:(fun () -> raise Exit)
+   with Exit -> ());
+  List.rev !names
 
 let escape_cell s =
   let needs_quote =

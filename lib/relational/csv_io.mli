@@ -14,7 +14,9 @@ val parse_string : string -> string list list
     one pass over the records: each cell is interned once ({!Intern}),
     straight into the code columns of a {!Relation.builder}, which drops
     exact-duplicate rows (the first copy wins) and checks each declared
-    key as the rows arrive. The result has its {!Relation.columnar} view
+    key as the rows arrive. The builder is sized first, from a count of
+    [s]'s newlines (an upper bound on its rows), so its columns and key
+    tables never regrow. The result has its {!Relation.columnar} view
     set.
 
     The outcome is exactly that of {!Relation.of_tuples} over the rows of
@@ -30,6 +32,12 @@ val relation_of_string : ?keys:string list list -> string -> Relation.t
 
 val load : ?keys:string list list -> string -> Relation.t
 (** [load path] reads a relation from the file at [path]. *)
+
+(** [header path] — the attribute names {!load} reads from the file at
+    [path]: its first record's cells, trimmed. The records after it are
+    not parsed.
+    @raise Parse_error when the first record's quote is never closed. *)
+val header : string -> string list
 
 (** [escape_cell s] — [s] as one CSV cell: unchanged unless it holds a
     comma, a double quote or a line break, in which case it is quoted

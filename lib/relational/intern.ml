@@ -27,14 +27,20 @@ type snapshot = {
 let lock = Mutex.create ()
 
 (* The lookup side, touched only under [lock]: open addressing over
-   codes. A slot holds [code + 1], or 0 when empty; the array's length
-   is a power of two and at most half its slots are full, so a linear
-   probe from a value's hash soon meets the value or an empty slot. *)
+   codes. A slot holds [code + 1] in its low [code_bits] bits and the
+   value's [hash] above them, or 0 when empty; the array's length is a
+   power of two and at most half its slots are full, so a linear probe
+   from a value's hash soon meets the value or an empty slot. A probe
+   decodes a stored value only when its hash matches, and a resize
+   moves slots by the hash they carry. *)
 let slots = ref (Array.make 1024 0)
 
+let code_bits = 31
+let code_mask = (1 lsl code_bits) - 1
+
 (* Agrees with [Value.equal] and allocates nothing: [Hashtbl.hash] of
-   the payload, which equates 0. with -0. and every NaN with every
-   other, as [Float.equal] does. *)
+   the payload (30 bits), which equates 0. with -0. and every NaN with
+   every other, as [Float.equal] does. *)
 let hash = function
   | V.Null -> 0
   | V.Int i -> Hashtbl.hash i
@@ -42,20 +48,21 @@ let hash = function
   | V.Bool b -> Hashtbl.hash b
   | V.String s -> Hashtbl.hash s
 
-(* The slot holding [v]'s code, or the empty slot where it belongs.
-   [probe] is closed, so a lookup allocates nothing. *)
-let rec probe slots values v mask i =
-  let c = slots.(i) in
-  if c = 0 || V.equal values.(c - 1) v then i
-  else probe slots values v mask ((i + 1) land mask)
+(* The slot holding [v]'s code, or the empty slot where it belongs;
+   [h] is [hash v]. [probe] is closed, so a lookup allocates nothing. *)
+let rec probe slots values v h mask i =
+  let s = slots.(i) in
+  if s = 0 || (s lsr code_bits = h && V.equal values.((s land code_mask) - 1) v)
+  then i
+  else probe slots values v h mask ((i + 1) land mask)
 
-let slot_of slots values v =
+let slot_of slots values v h =
   let mask = Array.length slots - 1 in
-  probe slots values v mask (hash v land mask)
+  probe slots values v h mask (h land mask)
 
 let snap =
   let values = Array.make 64 V.Null and matches = Array.make 64 0 in
-  !slots.(slot_of !slots values V.Null) <- null_code + 1;
+  !slots.(slot_of !slots values V.Null 0) <- null_code + 1;
   Atomic.make { values; matches; len = 1 }
 
 let ensure_capacity s =
@@ -68,15 +75,23 @@ let ensure_capacity s =
     { values; matches; len = s.len }
   end
 
-(* Doubles the slot array once [len] codes would fill half of it. *)
-let ensure_slots values len =
+(* Doubles the slot array once [len] codes would fill half of it. Each
+   slot moves to the first free slot from its own hash: no value is
+   read and none hashed again. *)
+let ensure_slots len =
   if 2 * len > Array.length !slots then begin
     let grown = Array.make (2 * Array.length !slots) 0 in
-    for c = 0 to len - 1 do
-      grown.(slot_of grown values values.(c)) <- c + 1
-    done;
+    let mask = Array.length grown - 1 in
+    let rec free i = if grown.(i) = 0 then i else free ((i + 1) land mask) in
+    Array.iter
+      (fun s -> if s <> 0 then grown.(free ((s lsr code_bits) land mask)) <- s)
+      !slots;
     slots := grown
   end
+
+(* [v]'s code, or -1 when it has none; [h] is [hash v]. *)
+let lookup v h =
+  (!slots.(slot_of !slots (Atomic.get snap).values v h) land code_mask) - 1
 
 (* Both the value and its match code are in place before [Atomic.set]
    publishes the new length, so a reader that can see a code always
@@ -84,17 +99,19 @@ let ensure_slots values len =
    idempotent: it maps into ints, which map to themselves), and gives a
    float's int partner its code first. *)
 let rec intern_locked v =
-  let found = !slots.(slot_of !slots (Atomic.get snap).values v) in
-  if found > 0 then found - 1
+  let h = hash v in
+  let found = lookup v h in
+  if found >= 0 then found
   else
     let cv = canon v in
     let partner = if V.equal cv v then None else Some (intern_locked cv) in
     let s = ensure_capacity (Atomic.get snap) in
     let c = s.len in
+    if c >= code_mask then failwith "Intern: no code left";
     s.values.(c) <- v;
     s.matches.(c) <- Option.value partner ~default:c;
-    ensure_slots s.values (c + 1);
-    !slots.(slot_of !slots s.values v) <- c + 1;
+    ensure_slots (c + 1);
+    !slots.(slot_of !slots s.values v h) <- (h lsl code_bits) lor (c + 1);
     Atomic.set snap { s with len = c + 1 };
     c
 
@@ -110,7 +127,7 @@ let code v =
 
 let find v =
   Mutex.lock lock;
-  let c = !slots.(slot_of !slots (Atomic.get snap).values v) - 1 in
+  let c = lookup v (hash v) in
   Mutex.unlock lock;
   if c < 0 then None else Some c
 

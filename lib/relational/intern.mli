@@ -12,13 +12,17 @@
 
     The table: codes index a value array and a match-code array; the
     way back, from a value to its code, is open addressing over codes —
-    a power-of-two [int array] of [code + 1] slots (0 is empty), at most
-    half full, probed linearly from a hash of the value's payload and
-    compared with {!Value.equal}. The hash allocates nothing and, like
-    {!Value.equal}, equates [0.] with [-0.] and every NaN with every
-    other, so a lookup that finds its value allocates nothing. Codes are
-    handed out first seen first, an integral float's int partner before
-    the float.
+    a power-of-two [int array], at most half full, probed linearly from
+    a hash of the value's payload. A slot is one int: [code + 1] in its
+    low 31 bits and the value's 30-bit [Hashtbl.hash] above them (0 is
+    empty). A probe compares hashes first and reads a stored value,
+    compared with {!Value.equal}, only when they match; a resize moves
+    each slot by the hash it carries and hashes no value again. The hash
+    allocates nothing and, like {!Value.equal}, equates [0.] with [-0.]
+    and every NaN with every other, so a lookup that finds its value
+    allocates nothing. Codes are handed out first seen first, an
+    integral float's int partner before the float; there are at most
+    [2³¹ − 1] of them.
 
     Codes are process-global and never recycled. Writes ({!code},
     {!share}) and {!find} are serialised by a mutex; reads ({!value},

@@ -87,9 +87,9 @@ type builder = {
 
 let select cols on = Array.map (Array.map (fun p -> cols.(p))) on
 
-let builder schema ~keys =
+let builder ~rows schema ~keys =
   let arity = Schema.arity schema in
-  let capacity = 16 in
+  let capacity = max rows 0 in
   let rec checked = function
     | [] -> ([], None)
     | key :: rest -> (
@@ -114,14 +114,14 @@ let builder schema ~keys =
     declared = keys <> [];
     on;
     key_cols = select cols on;
-    sets = Array.map (fun _ -> Code_table.create 32) on;
+    sets = Array.map (fun _ -> Code_table.create capacity) on;
     missing;
     live = Array.length on;
     witness = -1;
   }
 
 let grow b =
-  let capacity = 2 * b.capacity in
+  let capacity = max 16 (2 * b.capacity) in
   b.cols <-
     Array.map
       (fun col ->
@@ -210,7 +210,12 @@ let build b =
          { key = List.nth b.b_keys b.live; tuple = decode schema b.cols b.witness });
   Option.iter (fun a -> raise (Schema.Unknown_attribute a)) b.missing;
   let n = b.n in
-  let cols = Array.map (fun col -> Array.sub col 0 n) b.cols in
+  (* Full columns are handed over as they are: a later [add_codes] grows
+     them into new arrays before it writes. *)
+  let cols =
+    if n = b.capacity then b.cols
+    else Array.map (fun col -> Array.sub col 0 n) b.cols
+  in
   (* Every code must be one [Intern] returned, as a decode would check. *)
   let known = Intern.size () in
   Array.iter

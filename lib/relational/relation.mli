@@ -50,10 +50,13 @@ val empty : Schema.t -> ?keys:string list list -> unit -> t
 
 type builder
 
-(** [builder schema ~keys] — an empty builder for a relation over
-    [schema] with the declared [keys] ([[]] for none). Never raises: key
-    problems surface in {!build}. *)
-val builder : Schema.t -> keys:string list list -> builder
+(** [builder ~rows schema ~keys] — an empty builder for a relation over
+    [schema] with the declared [keys] ([[]] for none), its code columns
+    and key tables sized for [rows] rows: up to that many rows nothing
+    regrows, and when exactly [rows] are kept, {!build} takes the
+    columns without copying them. Past [rows], the columns double as
+    needed. Never raises: key problems surface in {!build}. *)
+val builder : rows:int -> Schema.t -> keys:string list list -> builder
 
 (** [add_codes b codes] — offer the row whose cell [a] has storage code
     [codes.(a)] (read, not kept). An exact duplicate of a kept row is

@@ -155,6 +155,20 @@ let first_touching t ~r_key ~s_key =
 
 let pairs t = List.map snd (Placed.bindings t.order)
 
+(* Both maps hold their pairs in [compare_pairs] order: merge the
+   derived pairs left unsuppressed with the manual pairs not among them. *)
+let sorted_pairs t =
+  let derived =
+    Seq.filter_map
+      (fun (p, _) -> if Pmap.mem p t.suppressed then None else Some p)
+      (Pmap.to_seq t.derived)
+  and manual =
+    Seq.filter_map
+      (fun (p, _) -> if is_derived t p then None else Some p)
+      (Pmap.to_seq t.manual)
+  in
+  Seq.sorted_merge compare_pairs derived manual
+
 let touching sides key =
   match Kmap.find_opt key sides with
   | Some placed -> List.map snd (Placed.bindings placed)

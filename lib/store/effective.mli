@@ -72,6 +72,12 @@ val first_touching : t -> r_key:key -> s_key:key -> pair option
 (** The effective pairs, in effective order. O(n). *)
 val pairs : t -> pair list
 
+(** The effective pairs in {!compare_pairs} order, merged on demand
+    from the derived and the manual overlay, which hold their pairs in
+    that order: nothing is sorted, and each pair costs one or two map
+    lookups. *)
+val sorted_pairs : t -> pair Seq.t
+
 (** [touching_r t key] — the effective pairs whose R key is [key], in
     effective order. O(log n) plus their number. *)
 val touching_r : t -> key -> pair list

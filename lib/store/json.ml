@@ -6,6 +6,7 @@ type t =
   | String of string
   | List of t list
   | Obj of (string * t) list
+  | Raw of string
 
 exception Fail of string
 
@@ -258,6 +259,17 @@ let add_string buf s =
   escape buf s;
   Buffer.add_char buf '"'
 
+let member_prefixes names =
+  Array.of_list
+    (List.mapi
+       (fun k name ->
+         let b = Buffer.create 16 in
+         if k > 0 then Buffer.add_char b ',';
+         add_string b name;
+         Buffer.add_char b ':';
+         Buffer.contents b)
+       names)
+
 let add_float buf f =
   if Float.is_finite f then begin
     (* %.17g is exact for doubles; trim to the shortest of the two
@@ -298,6 +310,7 @@ let to_string j =
             go v)
           members;
         Buffer.add_char buf '}'
+    | Raw text -> Buffer.add_string buf text
   in
   go j;
   Buffer.contents buf

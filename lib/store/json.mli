@@ -16,6 +16,10 @@ type t =
   | String of string
   | List of t list
   | Obj of (string * t) list
+  | Raw of string
+      (** JSON text already rendered, which {!to_string} copies as it
+          is: a reply too large to build value by value. {!parse} never
+          produces it. *)
 
 (** [parse s] — the single JSON value in [s] (surrounding whitespace
     allowed; trailing garbage is an error). *)
@@ -47,6 +51,11 @@ val add_string : Buffer.t -> string -> unit
 
 (** [add_float buf f] — appends [to_string (Float f)]. *)
 val add_float : Buffer.t -> float -> unit
+
+(** [member_prefixes names] — for the [k]th name, what {!to_string}
+    writes before its value in an object of [names]' members: a comma
+    unless [k = 0], then the quoted name and a colon. *)
+val member_prefixes : string list -> string array
 
 (** [member name j] — field [name] of an object ([None] when absent or
     [j] is not an object; last occurrence wins). *)

@@ -26,7 +26,7 @@ let value_of_json = function
   | Json.Int i -> Some (Value.Int i)
   | Json.Float f -> Some (Value.Float f)
   | Json.String s -> Some (Value.String s)
-  | Json.List _ | Json.Obj _ -> None
+  | Json.List _ | Json.Obj _ | Json.Raw _ -> None
 
 (* ---- responses ---- *)
 
@@ -222,24 +222,36 @@ let handle_insert st req =
       ok [ ("matches", Json.List (List.map (json_of_entry ~r_attrs ~s_attrs) entries)) ]
   | Error c -> conflict_response c
 
-let sorted_entries mt =
-  List.sort
-    (fun (a : Matching_table.entry) (b : Matching_table.entry) ->
-      match Tuple.compare a.r_key b.r_key with
-      | 0 -> Tuple.compare a.s_key b.s_key
-      | c -> c)
-    (Matching_table.entries mt)
-
+(* The entries list, rendered straight into one buffer from the store's
+   pairs, already in order: the bytes [Json.to_string] gives the list
+   of [json_of_entry]s of the matching table's entries sorted by R key,
+   then S key. *)
 let handle_identify st =
   let r_attrs, s_attrs = store_keys st in
-  ok
-    [
-      ( "entries",
-        Json.List
-          (List.map
-             (json_of_entry ~r_attrs ~s_attrs)
-             (sorted_entries (Store.matching_table st))) );
-    ]
+  let r_members = Json.member_prefixes r_attrs
+  and s_members = Json.member_prefixes s_attrs in
+  let buf = Buffer.create 4096 in
+  let add_key members key =
+    Buffer.add_char buf '{';
+    Array.iteri
+      (fun k member ->
+        Buffer.add_string buf member;
+        add_value buf key.(k))
+      members;
+    Buffer.add_char buf '}'
+  in
+  Buffer.add_char buf '[';
+  Seq.iteri
+    (fun n (r_key, s_key) ->
+      if n > 0 then Buffer.add_char buf ',';
+      Buffer.add_string buf "{\"r_key\":";
+      add_key r_members r_key;
+      Buffer.add_string buf ",\"s_key\":";
+      add_key s_members s_key;
+      Buffer.add_char buf '}')
+    (Store.sorted_pairs st);
+  Buffer.add_char buf ']';
+  ok [ ("entries", Json.Raw (Buffer.contents buf)) ]
 
 let handle_explain st req =
   let r_key_attrs, s_key_attrs = store_keys st in

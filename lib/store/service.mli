@@ -21,7 +21,8 @@
       returns the typed conflict (and is recorded in the store's
       conflict table).
     - [identify]: the effective matching table, entries sorted
-      canonically.
+      canonically (R key, then S key), rendered from the store's pair
+      set ({!Store.sorted_pairs}) without building the table.
     - [explain]: re-derives and renders the audit trail for every
       matched pair (["report"], human-readable text).
     - [merge], [split]: ["r_key"]/["s_key"] objects of key attribute
@@ -51,7 +52,7 @@ val max_request_bytes : int
     leaves nothing to replay. *)
 val serve : ?snapshot_every:int -> Store.t -> in_channel -> out_channel -> unit
 
-(** Conversions shared with the CLI. *)
+(** Conversions shared with the CLI and {!Pair_writer}. *)
 
 val json_of_value : Relational.Value.t -> Json.t
 

@@ -294,6 +294,7 @@ let matching_table t =
     (entries t (Effective.pairs t.effective))
 
 let match_count t = Effective.count t.effective
+let sorted_pairs t = Effective.sorted_pairs t.effective
 
 (* ---- explanations ---- *)
 

@@ -208,6 +208,11 @@ val matching_table : t -> Entity_id.Matching_table.t
     O(1). *)
 val match_count : t -> int
 
+(** [sorted_pairs t] — the key pairs of {!matching_table}'s entries in
+    [identify]'s order (R key, then S key; {!Effective.sorted_pairs}),
+    read off the store's pair set without building the table. *)
+val sorted_pairs : t -> Effective.pair Seq.t
+
 (** [explain ?r_key ?s_key t] — one item per effective pair, in
     [identify]'s order (R key, then S key). A derived pair shows its ILFD
     chains, recomputed through the state's plans from its stored base

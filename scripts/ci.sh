@@ -100,15 +100,18 @@ for removed in "identify --jobs 2" "identify -j 2" "fuse --jobs 2" \
   fi
 done
 
-# Malformed CSV input (a NULL in a key column, an unterminated quote,
-# a key naming no column, a header repeating a column) must exit 2 with
-# a message naming the problem, never an uncaught exception.
+# Malformed CSV input (a NULL or a repeated value in a key column, an
+# unterminated quote, a key naming no column, a header repeating a
+# column) must exit 2 with a message naming the problem, never an
+# uncaught exception.
 bad_csv=$(mktemp -d)
 printf 'name,cuisine\nAnjuman,Indian\n' > "$bad_csv/ok.csv"
 printf 'name,cuisine\n,Indian\n' > "$bad_csv/null_key.csv"
+printf 'name,cuisine\nAnjuman,Indian\nAnjuman,Thai\n' > "$bad_csv/dup_key.csv"
 printf 'name,cuisine\n"Anjuman,Indian\n' > "$bad_csv/open_quote.csv"
 printf 'name,name\nAnjuman,Indian\n' > "$bad_csv/dup_header.csv"
 for case in "null_key.csv name,cuisine NULL value" \
+    "dup_key.csv name duplicate value on key (name)" \
     "open_quote.csv name,cuisine unterminated" \
     "ok.csv name,nope is not a column" \
     "dup_header.csv name duplicate column"; do

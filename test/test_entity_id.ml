@@ -491,6 +491,23 @@ let join_agrees (r_rows, s_rows) =
   && List.equal R.Tuple.equal o.unmatched_r (null_keyed r)
   && List.equal R.Tuple.equal o.unmatched_s (null_keyed s)
 
+(* The index fold, each pair's rows decoded, is [run_stream]. *)
+let fold_agrees (r_rows, s_rows) =
+  let r = join_side "rid" r_rows and s = join_side "sid" s_rows in
+  let key = E.Extended_key.make [ "a"; "b" ] in
+  let r', s' = E.Identify.extend ~r ~s ~key [] in
+  let indexed =
+    E.Identify.fold_pairs ~key r' s' ~init:[] ~f:(fun acc i j ->
+        (R.Relation.row r' i, R.Relation.row s' j) :: acc)
+  and streamed =
+    E.Identify.run_stream ~r ~s ~key ~init:[] ~f:(fun acc tr ts ->
+        (tr, ts) :: acc)
+      []
+  in
+  List.equal
+    (fun (a, b) (c, d) -> R.Tuple.equal a c && R.Tuple.equal b d)
+    indexed streamed
+
 let join_tests =
   [
     qtest ~count:1000 "the K_Ext join = a nested-loop Tuple.agree join"
@@ -501,6 +518,9 @@ let join_tests =
         and s = join_side "sid" [ (V.float 1., v "x") ] in
         let o = E.Identify.run ~r ~s ~key:(E.Extended_key.make [ "a"; "b" ]) [] in
         Alcotest.(check int) "one pair" 1 (List.length o.pairs));
+    qtest ~count:1000 "the index fold = run_stream, pair for pair"
+      QCheck2.Gen.(pair join_side_gen join_side_gen)
+      fold_agrees;
   ]
 
 let negative_tests =

@@ -747,6 +747,29 @@ let csv_text_gen =
     let* tail = frequency [ (20, return ""); (1, return "\"x") ] in
     return (keys, String.concat eol ("a,b,c" :: rows) ^ eol ^ tail))
 
+(* Texts whose newline count over-estimates their rows, which the
+   loader sizes its builder by: quoted cells holding LF, CRLF or several
+   newlines (one with a doubled quote), CRLF separators, and a last
+   record with or without its separator. Rows come from a small pool,
+   so duplicates and key collisions are common. *)
+let csv_multiline_gen =
+  QCheck2.Gen.(
+    let cell =
+      oneofl
+        [ ""; "1"; "2.5"; "x"; "\"a\nb\""; "\"a\r\nb\""; "\"\n\n\""; "\"q\"\"\n\"";
+          "\"x,y\"" ]
+    in
+    let* keys = oneofl [ []; [ [ "a" ] ]; [ [ "a"; "b" ] ]; [ [ "c" ]; [ "b" ] ] ] in
+    let* pool = list_size (1 -- 5) (list_repeat 3 cell) in
+    let pool = Array.of_list (List.map (String.concat ",") pool) in
+    let* rows =
+      list_size (0 -- 15)
+        (map (fun i -> pool.(i)) (int_bound (Array.length pool - 1)))
+    in
+    let* eol = oneofl [ "\n"; "\r\n" ] in
+    let* last = oneofl [ ""; eol ] in
+    return (keys, String.concat eol ("a,b,c" :: rows) ^ last))
+
 (* Witnesses compare with [Tuple.equal]: a loaded cell is the intern
    pool's representative of its class, so a 0. cell may come back as a
    -0. interned earlier. *)
@@ -890,6 +913,15 @@ let csv_tests =
           (R.Relation.equal r
              (relation [ "name"; "cuisine" ] [ [ "name"; "cuisine" ] ]
                 [ [ "Anjuman"; "Indian" ] ])));
+
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:1000
+         ~name:"newline-sized load = of_tuples over parse_string"
+         ~print:(fun (keys, text) ->
+           Printf.sprintf "keys %s, text %S"
+             (String.concat ";" (List.map (String.concat ",") keys))
+             text)
+         csv_multiline_gen csv_load_agrees);
   ]
 
 (* ---- Coded paths: the code table, on-demand decoding, match codes ---- *)
@@ -956,8 +988,9 @@ let coded_rows_gen =
       (let* id = 0 -- 12 and* a = coded_cell_gen and* b = coded_cell_gen in
        return [ V.int id; a; b ]))
 
+(* The builder sized for half the rows offered, so that it grows. *)
 let build_coded schema ~keys rows =
-  let b = R.Relation.builder schema ~keys in
+  let b = R.Relation.builder ~rows:(List.length rows / 2) schema ~keys in
   List.iter
     (fun row ->
       R.Relation.add_codes b (Array.of_list (List.map R.Intern.code row)))
@@ -1195,6 +1228,44 @@ let coded_tests =
            && List.for_all
                 (fun (rel, holds) -> rel f i = V.truth_of_bool holds)
                 [ (V.lt3, want > 0); (V.eq3, want = 0); (V.gt3, want < 0) ]));
+
+    case "Intern: equal hashes get distinct codes, found across resizes"
+      (fun () ->
+        (* A birthday search over fresh strings for two with one 30-bit
+           [Hashtbl.hash]: about 40k draws. *)
+        let fresh = Printf.sprintf "intern-collision-%d" in
+        let seen = Hashtbl.create 65536 in
+        let rec search i =
+          let s = fresh i in
+          match Hashtbl.find_opt seen (Hashtbl.hash s) with
+          | Some t -> (t, s)
+          | None ->
+              Hashtbl.add seen (Hashtbl.hash s) s;
+              search (i + 1)
+        in
+        let a, b = search 0 in
+        Alcotest.(check bool) "distinct strings" true (a <> b);
+        Alcotest.(check int) "one hash" (Hashtbl.hash a) (Hashtbl.hash b);
+        let ca = R.Intern.code (v a) and cb = R.Intern.code (v b) in
+        Alcotest.(check bool) "distinct codes" true (ca <> cb);
+        let found () =
+          Alcotest.(check (option int)) a (Some ca) (R.Intern.find (v a));
+          Alcotest.(check (option int)) b (Some cb) (R.Intern.find (v b));
+          Alcotest.(check bool) "decoded" true
+            (V.equal (R.Intern.value ca) (v a) && V.equal (R.Intern.value cb) (v b))
+        in
+        found ();
+        (* The slot array is at least twice, and (past its first 1024
+           slots) at most four times, the codes held; growing the pool to
+           four times that many doubles it at least twice. *)
+        let target = (4 * max (R.Intern.size ()) 256) + 2 in
+        let i = ref 0 in
+        while R.Intern.size () < target do
+          ignore (R.Intern.code (v (Printf.sprintf "intern-fill-%d" !i)));
+          incr i;
+          if !i mod 1024 = 0 then found ()
+        done;
+        found ());
   ]
 
 let pretty_tests =

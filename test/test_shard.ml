@@ -22,6 +22,33 @@ let stream_pairs (inst : Workload.Restaurant.instance) =
        ~f:(fun acc tr ts -> (tr, ts) :: acc)
        inst.ilfds)
 
+(* The CLI's path: the two phases, the fold's row indices decoded. *)
+let index_pairs (inst : Workload.Restaurant.instance) =
+  let r', s' =
+    E.Identify.extend ~r:inst.r ~s:inst.s ~key:inst.key inst.ilfds
+  in
+  List.rev
+    (E.Identify.fold_pairs ~key:inst.key r' s' ~init:[] ~f:(fun acc i j ->
+         (R.Relation.row r' i, R.Relation.row s' j) :: acc))
+
+(* Instances with NULL streets, partial rule coverage (so some K_Ext
+   cells stay NULL) and homonyms. *)
+let instance_gen =
+  QCheck2.Gen.(
+    map3
+      (fun n_entities seed coverage ->
+        Workload.Restaurant.generate
+          {
+            Workload.Restaurant.default with
+            n_entities;
+            seed;
+            null_street_rate = 0.2;
+            entity_ilfd_coverage = coverage;
+            spec_ilfd_coverage = coverage;
+          })
+      (0 -- 40) nat
+      (oneofl [ 0.; 0.5; 1. ]))
+
 let empty_like rel =
   R.Relation.empty (R.Relation.schema rel)
     ~keys:(R.Relation.declared_keys rel)
@@ -39,6 +66,11 @@ let stream_tests =
         let inst = instance () in
         let empty_inst = { inst with r = empty_like inst.r } in
         Alcotest.check pairs "pairs" [] (stream_pairs empty_inst));
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:100
+         ~name:"the index fold visits run_stream's pairs, in order"
+         instance_gen (fun inst ->
+           List.equal pair_equal (index_pairs inst) (stream_pairs inst)));
   ]
 
 (* ---- stopping early ---- *)

@@ -528,6 +528,31 @@ let recovery_tests =
 
 (* ---- conflicts and the merge overlay ---- *)
 
+(* [Effective.sorted_pairs] merges the overlays' sorted maps; it must
+   list the effective pairs once each, in [compare_pairs] order, whatever
+   mix of derived, manual and suppressed pairs the operations left —
+   including a pair both derived and asserted. *)
+let effective_op_gen =
+  QCheck2.Gen.(
+    let key = map (fun i -> [| vi i |]) (0 -- 3) in
+    let pair = map2 (fun r s -> (r, s)) key key in
+    list_size (0 -- 30)
+      (map2
+         (fun op p t ->
+           match op with
+           | 0 -> Eid_store.Effective.derive t p
+           | 1 -> Eid_store.Effective.assert_manual t p
+           | 2 -> Eid_store.Effective.retract_manual t p
+           | 3 -> Eid_store.Effective.suppress t p
+           | _ -> Eid_store.Effective.unsuppress t p)
+         (0 -- 4) pair))
+
+let sorted_pairs_agree ops =
+  let module Eff = Eid_store.Effective in
+  let t = List.fold_left (fun t op -> op t) Eff.empty ops in
+  let same = List.equal (fun a b -> Eff.compare_pairs a b = 0) in
+  same (List.of_seq (Eff.sorted_pairs t)) (List.sort Eff.compare_pairs (Eff.pairs t))
+
 let overlay_tests =
   [
     case "a key violation is recorded and survives recovery" (fun () ->
@@ -686,6 +711,10 @@ let overlay_tests =
                     ]));
             Alcotest.(check int) "split" 0 (cardinality t);
             S.close t));
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:1000
+         ~name:"sorted_pairs = the effective pairs, sorted"
+         effective_op_gen sorted_pairs_agree);
   ]
 
 (* ---- model-based interleavings ----
@@ -1082,6 +1111,45 @@ let explain_disagrees st (m : Model.t) =
     Some "the report does not head each derived pair with \"] match \""
   else None
 
+(* [identify]'s reply as it was built before it read the store's sorted
+   pairs: the matching table's entries sorted by R key, then S key, one
+   [Json.t] each. *)
+let table_identify_reply st =
+  let cfg = S.config st in
+  let obj attrs t =
+    Json.Obj
+      (List.mapi
+         (fun i name -> (name, Eid_store.Service.json_of_value (R.Tuple.nth t i)))
+         attrs)
+  in
+  let entries =
+    List.sort
+      (fun (a : E.Matching_table.entry) (b : E.Matching_table.entry) ->
+        match R.Tuple.compare a.r_key b.r_key with
+        | 0 -> R.Tuple.compare a.s_key b.s_key
+        | c -> c)
+      (E.Matching_table.entries (S.matching_table st))
+  in
+  Json.to_string
+    (Json.Obj
+       [
+         ("ok", Json.Bool true);
+         ( "entries",
+           Json.List
+             (List.map
+                (fun (e : E.Matching_table.entry) ->
+                  Json.Obj
+                    [
+                      ("r_key", obj cfg.r_key e.r_key);
+                      ("s_key", obj cfg.s_key e.s_key);
+                    ])
+                entries) );
+       ])
+
+let identify_reply st =
+  Json.to_string
+    (Eid_store.Service.handle st (Json.Obj [ ("op", Json.String "identify") ]))
+
 let run_model ops =
   in_dir (fun dir ->
       let st = ref (open_ok ~config:model_cfg dir) in
@@ -1139,6 +1207,8 @@ let run_model ops =
                (pairs_of_entries (E.Matching_table.entries (S.matching_table !st)))
                want_pairs)
         then fail "the matching table differs";
+        if identify_reply !st <> table_identify_reply !st then
+          fail "identify's reply differs from its table's";
         if
           stats_of !st
           <> [
@@ -1685,6 +1755,157 @@ let format_tests =
               (format_answers dir)));
   ]
 
+(* ---- the --stream-out writer ----
+
+   The code-column writer against the tuple emitter it replaced, copied
+   here as it was: same bytes, in both formats, on relations whose
+   K_Ext includes an attribute R lacks and an ILFD derives. *)
+
+let tuple_emitter oc format ~r_names ~s_names =
+  match format with
+  | `Ndjson ->
+      let members names =
+        Array.of_list
+          (List.mapi
+             (fun k name ->
+               let b = Buffer.create 16 in
+               if k > 0 then Buffer.add_char b ',';
+               Json.add_string b name;
+               Buffer.add_char b ':';
+               Buffer.contents b)
+             names)
+      in
+      let r_members = members r_names and s_members = members s_names in
+      let buf = Buffer.create 256 in
+      let side members t =
+        Array.iteri
+          (fun k member ->
+            Buffer.add_string buf member;
+            Eid_store.Service.add_value buf (R.Tuple.nth t k))
+          members
+      in
+      fun tr ts ->
+        Buffer.clear buf;
+        Buffer.add_string buf "{\"r\":{";
+        side r_members tr;
+        Buffer.add_string buf "},\"s\":{";
+        side s_members ts;
+        Buffer.add_string buf "}}\n";
+        Buffer.output_buffer oc buf
+  | `Csv ->
+      let cell = R.Csv_io.escape_cell in
+      output_string oc
+        (String.concat ","
+           (List.map (fun a -> cell ("r." ^ a)) r_names
+           @ List.map (fun a -> cell ("s." ^ a)) s_names));
+      output_char oc '\n';
+      let cells names t =
+        List.mapi
+          (fun k _ -> cell (R.Value.to_string (R.Tuple.nth t k)))
+          names
+      in
+      fun tr ts ->
+        output_string oc (String.concat "," (cells r_names tr @ cells s_names ts));
+        output_char oc '\n'
+
+(* Every constructor: NULL; ints at and near the ends of the int range
+   (±2⁶²) and past 2⁵³; floats integral or not, signed zeros, extremes,
+   NaN and infinities; both bools; strings a JSON escape or CSV quoting
+   must handle. *)
+let writer_value_gen =
+  QCheck2.Gen.(
+    oneof
+      [
+        return R.Value.Null;
+        map R.Value.int
+          (oneof
+             [ -3 -- 3; int;
+               oneofl [ min_int; max_int; min_int + 1; max_int - 1;
+                        (1 lsl 53) + 1; -(1 lsl 53) - 1 ] ]);
+        map R.Value.float
+          (oneof
+             [ json_float_gen;
+               oneofl [ 0x1p62; -0x1p62; Float.nan; Float.infinity;
+                        Float.neg_infinity; 2.5; -0. ] ]);
+        map R.Value.bool bool;
+        map R.Value.string
+          (oneof
+             [ json_string_gen;
+               map (String.concat "")
+                 (list_size (0 -- 5)
+                    (oneofl [ "a"; ","; "\""; "\n"; "\r"; "\r\n"; " ";
+                              "null"; "\u{e9}" ])) ]);
+      ])
+
+(* R (rid, k, x) and S (sid, k, d, y) on K_Ext (k, d): R lacks d, which
+   rules [k = kv -> d = dv] derive. K_Ext cells come from small pools so
+   that pairs match, often several per row; [x] and [y] take any value. *)
+let writer_case_gen =
+  QCheck2.Gen.(
+    let k_pool = [ v "a"; vi 1; R.Value.float 1.; v "a,\"b\"\n"; R.Value.Null ]
+    and d_pool = [ v "x"; vi 2; R.Value.float 2.5; v "\t\\"; R.Value.Null ] in
+    let* r_rows =
+      list_size (0 -- 12) (pair (oneofl k_pool) writer_value_gen)
+    and* s_rows =
+      list_size (0 -- 12)
+        (triple (oneofl k_pool) (oneofl d_pool) writer_value_gen)
+    and* rules =
+      list_size (0 -- 4)
+        (pair
+           (oneofl (List.filter (fun x -> not (R.Value.is_null x)) k_pool))
+           (oneofl (List.filter (fun x -> not (R.Value.is_null x)) d_pool)))
+    in
+    let relation names rows =
+      let schema = R.Schema.of_names names in
+      R.Relation.of_tuples schema ~keys:[ [ List.hd names ] ]
+        (List.mapi (fun i cells -> R.Tuple.make schema (vi i :: cells)) rows)
+    in
+    return
+      ( relation [ "rid"; "k"; "x" ] (List.map (fun (k, x) -> [ k; x ]) r_rows),
+        relation [ "sid"; "k"; "d"; "y" ]
+          (List.map (fun (k, d, y) -> [ k; d; y ]) s_rows),
+        List.map
+          (fun (kv, dv) -> Ilfd.make1 [ Ilfd.condition "k" kv ] "d" dv)
+          rules ))
+
+let written f =
+  let path = Filename.temp_file "pair_writer" ".out" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path f;
+      In_channel.with_open_bin path In_channel.input_all)
+
+let writer_agrees format (r, s, ilfds) =
+  let key = E.Extended_key.make [ "k"; "d" ] in
+  let names rel = R.Schema.names (E.Identify.extension_schema rel key) in
+  let r_names = names r and s_names = names s in
+  let before =
+    written (fun oc ->
+        let emit = tuple_emitter oc format ~r_names ~s_names in
+        E.Identify.run_stream ~r ~s ~key ~init:()
+          ~f:(fun () tr ts -> emit tr ts)
+          ilfds)
+  and after =
+    written (fun oc ->
+        Eid_store.Pair_writer.header oc format ~r_names ~s_names;
+        let r', s' = E.Identify.extend ~r ~s ~key ilfds in
+        let write = Eid_store.Pair_writer.records oc format r' s' in
+        E.Identify.fold_pairs ~key r' s' ~init:() ~f:(fun () i j -> write i j))
+  in
+  before = after
+  || QCheck2.Test.fail_reportf "tuple emitter:@.%S@.code-column writer:@.%S"
+       before after
+
+let writer_tests =
+  List.map
+    (fun (name, format) ->
+      QCheck_alcotest.to_alcotest
+        (QCheck2.Test.make ~count:300
+           ~name:(name ^ " writer = the tuple emitter, byte for byte")
+           writer_case_gen (writer_agrees format)))
+    [ ("NDJSON", `Ndjson); ("CSV", `Csv) ]
+
 let () =
   Alcotest.run "store"
     [
@@ -1698,4 +1919,5 @@ let () =
       ("json", json_tests);
       ("protocol", protocol_tests);
       ("formats", format_tests);
+      ("writer", writer_tests);
     ]
