@@ -250,7 +250,9 @@ let fig4 () =
     (E.Algebraic.agrees plan o);
   print_newline ();
   show ~title:"T_RS (the integrated table)"
-    (E.Integrate.integrated_table ~key:PD.example3_key o)
+    (E.Integrate.integrated_table
+       (E.Identify.matched ~r:PD.table5_r ~s:PD.table5_s ~key:PD.example3_key
+          PD.ilfds_i1_i8))
 
 (* ---- the Section 6 session ---- *)
 

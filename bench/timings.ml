@@ -96,11 +96,11 @@ let paper_pipeline_tests =
                   PD.ilfds_i1_i8)));
       Test.make ~name:"f4:integrated-table"
         (Staged.stage
-           (let o =
-              E.Identify.run ~r:PD.table5_r ~s:PD.table5_s
+           (let res =
+              E.Identify.matched ~r:PD.table5_r ~s:PD.table5_s
                 ~key:PD.example3_key PD.ilfds_i1_i8
             in
-            fun () -> E.Integrate.integrated_table ~key:PD.example3_key o));
+            fun () -> E.Integrate.integrated_table res));
       Test.make ~name:"s6:prolog-session-mt"
         (Staged.stage (fun () ->
              Prototype.Bridge.matching_table ~r:PD.table5_r ~s:PD.table5_s

@@ -113,10 +113,45 @@ let print_stats fmt telemetry =
   | Some `Json -> print_endline (Telemetry.to_json telemetry)
   | Some `Pretty -> Format.printf "%a@." Telemetry.pp telemetry
 
-let setup r s rk sk rules_path =
-  let r = load_relation r ~keys:[ parse_key_list rk ]
-  and s = load_relation s ~keys:[ parse_key_list sk ] in
-  (r, s, List.map snd (read_rules rules_path))
+let setup ~telemetry r s rk sk rules_path =
+  let load path key =
+    Telemetry.span telemetry "relational.csv_load" (fun () ->
+        load_relation path ~keys:[ parse_key_list key ])
+  in
+  let r = load r rk in
+  let s = load s sk in
+  let ilfds =
+    Telemetry.span telemetry "ilfd.parse" (fun () ->
+        List.map snd (read_rules rules_path))
+  in
+  (r, s, ilfds)
+
+(* A write that fails (a full disk, a closed pipe, a missing directory)
+   is a message naming the destination, and exit 3. When that is
+   stdout, its unwritten bytes go to /dev/null, so that the flush at
+   exit cannot fail again. *)
+let output_failed ?(stdout = false) what dest m =
+  Format.eprintf "entity_ident: cannot %s %s: %s@." what dest m;
+  if stdout then begin
+    let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+    Unix.dup2 null Unix.stdout;
+    Unix.close null
+  end;
+  exit 3
+
+(* [f]'s output to stdout, flushed before it returns. *)
+let to_stdout f =
+  match
+    f ();
+    Format.pp_print_flush Format.std_formatter ();
+    flush stdout
+  with
+  | () -> ()
+  | exception Sys_error m -> output_failed ~stdout:true "write to" "stdout" m
+
+let print_table ?title rel =
+  Relational.Pretty.output ?title stdout rel;
+  print_newline ()
 
 (* ---- identify ---- *)
 
@@ -158,9 +193,9 @@ let identify_cmd =
   in
   let run r s rk sk rules key stats show negative check_conflicts explain
       stream_out stream_format =
-    let r, s, ilfds = setup r s rk sk rules in
-    let key = Entity_id.Extended_key.make (parse_key_list key) in
     let telemetry = telemetry_of stats in
+    let r, s, ilfds = setup ~telemetry r s rk sk rules in
+    let key = Entity_id.Extended_key.make (parse_key_list key) in
     let mode =
       if check_conflicts then Ilfd.Apply.Check_conflicts
       else Ilfd.Apply.First_rule
@@ -205,10 +240,9 @@ let identify_cmd =
               Format.eprintf "entity_ident: %a@." Ilfd.Apply.pp_conflict c;
               exit 2
           | exception Sys_error m ->
-              Format.eprintf "entity_ident: cannot stream to %s: %s@."
-                (if dest = "-" then "stdout" else dest)
-                m;
-              exit 3
+              if dest = "-" then
+                output_failed ~stdout:true "stream to" "stdout" m
+              else output_failed "stream to" dest m
         in
         (* The summary must not corrupt a stream going to stdout. *)
         let ppf =
@@ -218,64 +252,54 @@ let identify_cmd =
           (if dest = "-" then "stdout" else dest);
         print_stats stats telemetry
     | None ->
-    let o =
-      try
-        Entity_id.Identify.run ~mode ~telemetry ~r ~s ~key ilfds
+    let res =
+      try Entity_id.Identify.matched ~mode ~telemetry ~r ~s ~key ilfds
       with Ilfd.Apply.Conflict_found c ->
         Format.eprintf "entity_ident: %a@." Ilfd.Apply.pp_conflict c;
         exit 2
     in
     let print_extended () =
-      print_string (Relational.Pretty.render ~title:"R'" o.r_extended);
-      print_newline ();
-      print_string (Relational.Pretty.render ~title:"S'" o.s_extended);
-      print_newline ()
+      print_table ~title:"R'" res.r_extended;
+      print_table ~title:"S'" res.s_extended
     in
     let print_mt () =
-      print_string
-        (Relational.Pretty.render ~title:"matching table"
-           (Entity_id.Matching_table.to_relation o.matching_table));
-      print_newline ()
+      print_table ~title:"matching table"
+        (Entity_id.Identify.matching_relation res)
     in
     let print_integrated () =
-      print_string
-        (Relational.Pretty.render ~title:"integrated table"
-           (Entity_id.Integrate.integrated_table ~key o));
-      print_newline ()
+      print_table ~title:"integrated table"
+        (Entity_id.Integrate.integrated_table res)
     in
-    (match show with
-    | `Mt -> print_mt ()
-    | `Integrated -> print_integrated ()
-    | `Extended -> print_extended ()
-    | `All ->
-        print_extended ();
-        print_mt ();
-        print_integrated ());
-    if negative then begin
-      let nmt =
-        Entity_id.Negative.of_ilfds ~r:o.r_extended ~s:o.s_extended ilfds
-      in
-      print_string
-        (Relational.Pretty.render ~title:"negative matching table"
-           (Entity_id.Matching_table.to_relation nmt));
-      print_newline ()
-    end;
-    if explain then begin
-      print_endline "explanations:";
-      print_string
-        (Entity_id.Explain.render
-           (Entity_id.Explain.matches ~mode ~r ~s ~key ilfds
-              o.matching_table))
-    end;
-    (* [Identify.run] has checked uniqueness already. *)
     let report =
       {
-        Entity_id.Verify.uniqueness = o.violations;
+        Entity_id.Verify.uniqueness = Entity_id.Identify.violations res;
         consistent_with_negative = true;
       }
     in
-    Format.printf "%a@." Entity_id.Verify.pp_report report;
-    print_stats stats telemetry;
+    to_stdout (fun () ->
+        Telemetry.span telemetry "output.render" (fun () ->
+            (match show with
+            | `Mt -> print_mt ()
+            | `Integrated -> print_integrated ()
+            | `Extended -> print_extended ()
+            | `All ->
+                print_extended ();
+                print_mt ();
+                print_integrated ());
+            if negative then
+              print_table ~title:"negative matching table"
+                (Entity_id.Matching_table.to_relation
+                   (Entity_id.Negative.of_ilfds ~r:res.r_extended
+                      ~s:res.s_extended ilfds));
+            if explain then begin
+              print_endline "explanations:";
+              print_string
+                (Entity_id.Explain.render
+                   (Entity_id.Explain.matches ~mode ~r ~s ~key ilfds
+                      (Entity_id.Identify.matching_table res)))
+            end;
+            Format.printf "%a@." Entity_id.Verify.pp_report report);
+        print_stats stats telemetry);
     if not (Entity_id.Verify.is_sound_wrt_constraints report) then exit 1
   in
   Cmd.v
@@ -381,35 +405,47 @@ let fuse_cmd =
            ~doc:"Write the fused relation to a CSV file (default: print).")
   in
   let run r s rk sk rules key stats policy output =
-    let r, s, ilfds = setup r s rk sk rules in
-    let key = Entity_id.Extended_key.make (parse_key_list key) in
     let telemetry = telemetry_of stats in
-    let o = Entity_id.Identify.run ~telemetry ~r ~s ~key ilfds in
-    let conflicts = Entity_id.Fusion.conflicts o in
-    List.iter
-      (fun (attr, l, rt, k) ->
-        Format.eprintf "conflict on %s: %s vs %s for %a@." attr
-          (Relational.Value.to_string l)
-          (Relational.Value.to_string rt)
-          Relational.Tuple.pp k)
-      conflicts;
+    let r, s, ilfds = setup ~telemetry r s rk sk rules in
+    let key = Entity_id.Extended_key.make (parse_key_list key) in
+    let res = Entity_id.Identify.matched ~telemetry ~r ~s ~key ilfds in
     let default =
       match policy with
       | `Non_null -> Entity_id.Fusion.Prefer_non_null
       | `Left -> Entity_id.Fusion.Prefer_left
       | `Right -> Entity_id.Fusion.Prefer_right
     in
-    (match Entity_id.Fusion.fuse ~default o with
-    | fused -> (
-        match output with
-        | Some path -> Relational.Csv_io.save fused path
-        | None -> print_string (Relational.Pretty.render fused))
-    | exception Entity_id.Fusion.Inconsistent { attribute; _ } ->
+    let fused =
+      Telemetry.span telemetry "fusion.fuse" @@ fun () ->
+      List.iter
+        (fun (attr, l, rt, k) ->
+          Format.eprintf "conflict on %s: %s vs %s for %a@." attr
+            (Relational.Value.to_string l)
+            (Relational.Value.to_string rt)
+            Relational.Tuple.pp k)
+        (Entity_id.Fusion.conflicts res);
+      try Entity_id.Fusion.fuse ~default res
+      with Entity_id.Fusion.Inconsistent { attribute; _ } ->
         Format.eprintf
           "fusion failed: unresolved conflict on %s (try --policy)@."
           attribute;
-        exit 1);
-    print_stats stats telemetry
+        exit 1
+    in
+    let render f = Telemetry.span telemetry "output.render" f in
+    (* To a file: written to PATH.tmp and renamed only once every byte
+       is flushed, as --stream-out writes. *)
+    (match output with
+    | Some path -> (
+        match
+          render (fun () ->
+              Eid_store.Fsutil.with_atomic_out path (fun oc ->
+                  Relational.Csv_io.output oc fused))
+        with
+        | () -> ()
+        | exception Sys_error m -> output_failed "write to" path m)
+    | None ->
+        to_stdout (fun () -> render (fun () -> Relational.Pretty.print fused)));
+    to_stdout (fun () -> print_stats stats telemetry)
   in
   Cmd.v
     (Cmd.info "fuse"
@@ -422,7 +458,7 @@ let fuse_cmd =
 
 let session_cmd =
   let run r s rk sk rules key =
-    let r, s, ilfds = setup r s rk sk rules in
+    let r, s, ilfds = setup ~telemetry:Telemetry.off r s rk sk rules in
     let key = Entity_id.Extended_key.make (parse_key_list key) in
     print_string (Prototype.Session.setup_extkey_transcript ~r ~s ~key ilfds);
     print_newline ();
@@ -490,7 +526,8 @@ let fault_arg =
                  harness must catch it. One of none, broken-blocking-key, \
                  drop-last-pair, lost-insert, kdb-lost-edge, \
                  md-phantom-match, merge-rogue-pair, \
-                 derivation-stratum-order, nmt-lost-pair.")
+                 derivation-stratum-order, nmt-lost-pair, \
+                 algebra-lost-pair.")
 
 let shrink_arg =
   Arg.(value & opt ~vopt:true bool true & info [ "shrink" ] ~docv:"BOOL"

@@ -93,7 +93,7 @@ let () =
 
   (* Fuse the db2/db3 pair to resolve the price conflict (14.00 vs
      14.50) explicitly. *)
-  let o = E.Identify.run ~r:db2 ~s:db3 ~key ilfds in
+  let o = E.Identify.matched ~r:db2 ~s:db3 ~key ilfds in
   print_endline "\ndb2 vs db3 attribute-value conflicts (Section 2):";
   List.iter
     (fun (attr, l, r, key_tuple) ->

@@ -30,15 +30,15 @@ let () =
   let ilfds = [ Ilfd.parse "speciality = Mughalai -> cuisine = Indian" ] in
   (* The extended key for the integrated world. *)
   let key = Entity_id.Extended_key.make [ "name"; "cuisine" ] in
-  let outcome = Entity_id.Identify.run ~r ~s ~key ilfds in
+  let res = Entity_id.Identify.matched ~r ~s ~key ilfds in
   print_string
     (R.Pretty.render ~title:"matching table"
-       (Entity_id.Matching_table.to_relation outcome.matching_table));
+       (Entity_id.Identify.matching_relation res));
   print_newline ();
   print_string
     (R.Pretty.render ~title:"integrated table"
-       (Entity_id.Integrate.integrated_table ~key outcome));
+       (Entity_id.Integrate.integrated_table res));
   print_newline ();
   Format.printf "%a@."
     Entity_id.Verify.pp_report
-    (Entity_id.Verify.check outcome.matching_table)
+    (Entity_id.Verify.check (Entity_id.Identify.matching_table res))

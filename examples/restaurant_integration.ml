@@ -37,7 +37,8 @@ let () =
   | None -> print_endline "no proof (unexpected!)");
 
   section "Table 6: the extended relations R' and S'";
-  let outcome = Entity_id.Identify.run ~r ~s ~key ilfds in
+  let res = Entity_id.Identify.matched ~r ~s ~key ilfds in
+  let outcome = Entity_id.Identify.decode res in
   print_string (R.Pretty.render ~title:"R'" outcome.r_extended);
   print_newline ();
   print_string (R.Pretty.render ~title:"S'" outcome.s_extended);
@@ -70,7 +71,7 @@ let () =
 
   section "The integrated table T_RS";
   print_string
-    (R.Pretty.render (Entity_id.Integrate.integrated_table ~key outcome));
+    (R.Pretty.render (Entity_id.Integrate.integrated_table res));
 
   section "Algebraic pipeline (Section 4.2) agreement";
   let plan = Entity_id.Algebraic.run ~r ~s ~key ilfds in

@@ -19,6 +19,7 @@ type fault =
   | Merge_rogue_pair
   | Stratum_order
   | Nmt_lost_pair
+  | Algebra_lost_pair
 
 let all_faults =
   [
@@ -31,6 +32,7 @@ let all_faults =
     Merge_rogue_pair;
     Stratum_order;
     Nmt_lost_pair;
+    Algebra_lost_pair;
   ]
 
 let fault_to_string = function
@@ -43,6 +45,7 @@ let fault_to_string = function
   | Merge_rogue_pair -> "merge-rogue-pair"
   | Stratum_order -> "derivation-stratum-order"
   | Nmt_lost_pair -> "nmt-lost-pair"
+  | Algebra_lost_pair -> "algebra-lost-pair"
 
 let fault_of_string s =
   List.find_opt (fun f -> String.equal (fault_to_string f) s) all_faults
@@ -496,7 +499,7 @@ let check_family ~fault ~telemetry (sc : Scenario.t) (base : Identify.outcome)
     | Md_phantom_match -> Families.Phantom_match
     | Merge_rogue_pair -> Families.Rogue_pair
     | No_fault | Broken_blocking_key | Drop_last_pair | Lost_insert
-    | Stratum_order | Nmt_lost_pair ->
+    | Stratum_order | Nmt_lost_pair | Algebra_lost_pair ->
         Families.No_fault
   in
   Result.map_error
@@ -705,6 +708,37 @@ let check_figure3 ~fault (sc : Scenario.t) (base : Identify.outcome) =
             "a pair determined under half the ILFDs changes or loses its \
              verdict under all of them"
 
+(* Section 4.2's second construction, the relational expressions of
+   [Algebraic], shares no code with [Identify]: its matching table must
+   be the engine's. Its doc lets it raise [Ill_formed] when the
+   saturated rules disagree on a table row, which only a family with
+   conflicting rules can do; such a scenario is counted, not failed. *)
+let check_algebra ~fault ~telemetry (sc : Scenario.t) ~engine_entries =
+  match Entity_id.Algebraic.run ~r:sc.r ~s:sc.s ~key:sc.key sc.ilfds with
+  | exception Ilfd.Table.Ill_formed reason ->
+      Telemetry.incr telemetry "checker.algebra.ill_formed";
+      if sc.corruption.conflict_rules > 0 then Ok ()
+      else
+        fail "algebra-agreement"
+          "the Section 4.2 expressions reject a family with no conflicting \
+           rule: %s"
+          reason
+  | plan ->
+      Telemetry.incr telemetry "checker.algebra.compared";
+      let entries =
+        MT.entries
+          (Entity_id.Algebraic.matching_table plan
+             ~r_key:(R.Relation.primary_key sc.r)
+             ~s_key:(R.Relation.primary_key sc.s))
+      in
+      let entries =
+        match (fault, List.rev entries) with
+        | Algebra_lost_pair, _ :: kept -> List.rev kept
+        | _ -> entries
+      in
+      entry_sets_equal "algebra-agreement" ~left:"Algebraic.run"
+        ~right:"the engine" entries engine_entries
+
 let check_mono_tuples (sc : Scenario.t) ~base_entries =
   match List.rev (R.Relation.tuples sc.r) with
   | [] -> Ok ()
@@ -777,7 +811,8 @@ let run ?(fault = No_fault) ?(telemetry = Telemetry.off) (sc : Scenario.t) =
             | [] -> []
             | _ :: t -> List.rev t)
         | No_fault | Lost_insert | Kdb_lost_edge | Md_phantom_match
-        | Merge_rogue_pair | Stratum_order | Nmt_lost_pair ->
+        | Merge_rogue_pair | Stratum_order | Nmt_lost_pair
+        | Algebra_lost_pair ->
             base_entries
       in
       let mt =
@@ -791,6 +826,7 @@ let run ?(fault = No_fault) ?(telemetry = Telemetry.off) (sc : Scenario.t) =
         entry_sets_equal "verdict-tables" ~left:"engine" ~right:"reference"
           engine_entries (reference_entries sc)
       in
+      let* () = check_algebra ~fault ~telemetry sc ~engine_entries in
       let* () = check_figure3 ~fault sc base in
       let* () = check_stream sc base in
       let* () = check_incremental ~fault sc base ~engine_entries in

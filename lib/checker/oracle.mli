@@ -48,6 +48,9 @@ type fault =
           demand order *)
   | Nmt_lost_pair
       (** the Figure 3 snapshot's not-matched set loses its last entry *)
+  | Algebra_lost_pair
+      (** the matching table of Section 4.2's relational expressions
+          ({!Entity_id.Algebraic}) loses its last entry *)
 
 val all_faults : fault list
 val fault_to_string : fault -> string

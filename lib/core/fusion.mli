@@ -23,25 +23,36 @@ exception Inconsistent of {
   right : Relational.Value.t;
 }
 
-(** [fuse ?default ?overrides outcome] — one row per real-world
-    entity: matched pairs merge attribute-wise (extended-key attributes
-    always agree by construction; other shared attributes resolve per
-    policy — [default] applies unless [overrides] names the attribute),
+(** [fuse ?default ?overrides res] — one row per real-world entity,
+    one per row of {!Integrate.rows}: matched pairs merge
+    attribute-wise (extended-key attributes always agree by
+    construction; other shared attributes resolve per policy —
+    [default] applies unless [overrides] names the attribute),
     one-sided attributes pass through, unmatched tuples are padded with
     NULL. The result's schema is the union of both extended schemas
-    (R′ order first). Keyed by nothing (the extended key may contain
-    NULLs for unmatched tuples).
-    @raise Inconsistent under [Prefer_non_null] on a true conflict. *)
+    (R′ order first); its rows are sorted on every column in schema
+    order ({!Relational.Value.compare}), with exact duplicates dropped.
+    Keyed by nothing (the extended key may contain NULLs for unmatched
+    tuples).
+
+    The cells are resolved on R′'s and S′'s code columns (two non-NULL
+    codes agree when their {!Relational.Intern.match_code}s do, which is
+    [eq3]), so the work is linear in the rows apart from the sort, and
+    the result is held as code columns; a [Resolve] result is interned.
+    @raise Inconsistent under [Prefer_non_null] on a true conflict: the
+    first pair's first conflicting attribute, in pair and schema
+    order. *)
 val fuse :
   ?default:policy ->
   ?overrides:(string * policy) list ->
-  Identify.outcome ->
+  Identify.result ->
   Relational.Relation.t
 
-(** [conflicts outcome] — the attribute-level conflicts a
+(** [conflicts res] — the attribute-level conflicts a
     [Prefer_non_null] fusion would hit: (attribute, left, right, r-key)
-    per matched pair and differing shared attribute. Empty means the
-    databases are mutually consistent on the matched entities. *)
+    per matched pair, in pair order, and per differing shared attribute,
+    in R′'s schema order. Empty means the databases are mutually
+    consistent on the matched entities. *)
 val conflicts :
-  Identify.outcome ->
+  Identify.result ->
   (string * Relational.Value.t * Relational.Value.t * Relational.Tuple.t) list

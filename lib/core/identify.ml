@@ -38,6 +38,18 @@ let extension_schema relation key =
   in
   Schema.concat schema (Schema.of_names missing)
 
+(* [Relation.row] that keeps the last row it decoded: asked for in pair
+   order, an R′ row is decoded once for all its partners. *)
+let row_cache relation =
+  let last = ref (-1, None) in
+  fun i ->
+    match !last with
+    | k, Some t when k = i -> t
+    | _ ->
+        let t = Relation.row relation i in
+        last := (i, Some t);
+        t
+
 (* The first phase: both relations ILFD-extended to the K_Ext target
    schemas. The family is compiled once for both sides. *)
 let extend ?mode ?(telemetry = Telemetry.off) ~r ~s ~key ilfds =
@@ -49,43 +61,6 @@ let extend ?mode ?(telemetry = Telemetry.off) ~r ~s ~key ilfds =
   in
   let r_ext = side "identify.extend_r" r in
   (r_ext, side "identify.extend_s" s)
-
-(* The outcome over the matched pairs — candidate-key matching table,
-   uniqueness check, NULL-key accounting; counter costs (List.length)
-   are paid only when the sink is live. *)
-let assemble ~telemetry ~r ~s ~key (r_ext, s_ext) pairs =
-  let r_key = Relation.primary_key r and s_key = Relation.primary_key s in
-  let r_key_plan = Tuple.plan (Relation.schema r_ext) r_key
-  and s_key_plan = Tuple.plan (Relation.schema s_ext) s_key in
-  let entry_of (tr, ts) =
-    {
-      Matching_table.r_key = Tuple.project_with r_key_plan tr;
-      s_key = Tuple.project_with s_key_plan ts;
-    }
-  in
-  let matching_table =
-    Matching_table.make ~r_key_attrs:r_key ~s_key_attrs:s_key
-      (List.map entry_of pairs)
-  in
-  let kext = Extended_key.attributes key in
-  let o =
-    {
-      r_extended = r_ext;
-      s_extended = s_ext;
-      matching_table;
-      violations = Matching_table.uniqueness_violations matching_table;
-      pairs;
-      unmatched_r = null_key_tuples r_ext kext;
-      unmatched_s = null_key_tuples s_ext kext;
-    }
-  in
-  if Telemetry.enabled telemetry then begin
-    Telemetry.add telemetry "identify.pairs" (List.length o.pairs);
-    Telemetry.add telemetry "identify.unmatched_r" (List.length o.unmatched_r);
-    Telemetry.add telemetry "identify.unmatched_s" (List.length o.unmatched_s);
-    Telemetry.add telemetry "identify.violations" (List.length o.violations)
-  end;
-  o
 
 (* The second phase: the K_Ext join over the extended relations' code
    columns, folded over the row indices of the matched pairs in the
@@ -130,15 +105,7 @@ let fold_pairs ?(telemetry = Telemetry.off) ~key r_ext s_ext ~init ~f =
 (* [fold_pairs] with each pair's rows decoded; an R′ row is decoded once
    for all its partners. *)
 let fold_tuples ~telemetry ~key r_ext s_ext ~init ~f =
-  let last = ref (-1, None) in
-  let r_row i =
-    match !last with
-    | k, Some t when k = i -> t
-    | _ ->
-        let t = Relation.row r_ext i in
-        last := (i, Some t);
-        t
-  in
+  let r_row = row_cache r_ext in
   fold_pairs ~telemetry ~key r_ext s_ext ~init ~f:(fun acc i j ->
       f acc (r_row i) (Relation.row s_ext j))
 
@@ -146,14 +113,188 @@ let run_stream ?mode ?(telemetry = Telemetry.off) ~r ~s ~key ~init ~f ilfds =
   let r_ext, s_ext = extend ?mode ~telemetry ~r ~s ~key ilfds in
   fold_tuples ~telemetry ~key r_ext s_ext ~init ~f
 
-let run ?mode ?(telemetry = Telemetry.off) ~r ~s ~key ilfds =
-  let ((r_ext, s_ext) as extended) =
-    extend ?mode ~telemetry ~r ~s ~key ilfds
+(* ---- the row-index result ---- *)
+
+type result = {
+  key : Extended_key.t;
+  r_key : string list;
+  s_key : string list;
+  r_extended : Relation.t;
+  s_extended : Relation.t;
+  r_rows : int array;
+  s_rows : int array;
+  r_partners : int array;
+  s_partners : int array;
+}
+
+let count_over_one = Array.fold_left (fun n k -> if k > 1 then n + 1 else n) 0
+
+(* The pairs go into two arrays that double as they fill; each pair
+   also bumps its rows' partner counts. The outcome counters decode the
+   NULL-keyed rows, paid only when the sink is live. *)
+let collect ?(telemetry = Telemetry.off) ~key ~r_key ~s_key r_ext s_ext =
+  let r_partners = Array.make (Relation.cardinality r_ext) 0
+  and s_partners = Array.make (Relation.cardinality s_ext) 0 in
+  let r_rows = ref (Array.make 1024 0) and s_rows = ref (Array.make 1024 0) in
+  let m =
+    fold_pairs ~telemetry ~key r_ext s_ext ~init:0 ~f:(fun m i j ->
+        if m = Array.length !r_rows then begin
+          let grow a = Array.append a (Array.make m 0) in
+          r_rows := grow !r_rows;
+          s_rows := grow !s_rows
+        end;
+        !r_rows.(m) <- i;
+        !s_rows.(m) <- j;
+        r_partners.(i) <- r_partners.(i) + 1;
+        s_partners.(j) <- s_partners.(j) + 1;
+        m + 1)
   in
-  let pairs =
-    fold_tuples ~telemetry ~key r_ext s_ext ~init:[] ~f:(fun acc tr ts ->
-        (tr, ts) :: acc)
+  if Telemetry.enabled telemetry then begin
+    let null_keyed rel =
+      List.length (null_key_tuples rel (Extended_key.attributes key))
+    in
+    Telemetry.add telemetry "identify.pairs" m;
+    Telemetry.add telemetry "identify.unmatched_r" (null_keyed r_ext);
+    Telemetry.add telemetry "identify.unmatched_s" (null_keyed s_ext);
+    Telemetry.add telemetry "identify.violations"
+      (count_over_one r_partners + count_over_one s_partners)
+  end;
+  {
+    key;
+    r_key;
+    s_key;
+    r_extended = r_ext;
+    s_extended = s_ext;
+    r_rows = Array.sub !r_rows 0 m;
+    s_rows = Array.sub !s_rows 0 m;
+    r_partners;
+    s_partners;
+  }
+
+let matched ?mode ?(telemetry = Telemetry.off) ~r ~s ~key ilfds =
+  let r_ext, s_ext = extend ?mode ~telemetry ~r ~s ~key ilfds in
+  collect ~telemetry ~key ~r_key:(Relation.primary_key r)
+    ~s_key:(Relation.primary_key s) r_ext s_ext
+
+(* Row [i]'s projection on [attrs]; an R′ row is decoded once for all
+   its partners when asked for in pair order. *)
+let key_of relation attrs =
+  let plan = Tuple.plan (Relation.schema relation) attrs in
+  let row = row_cache relation in
+  fun i -> Tuple.project_with plan (row i)
+
+(* An R′ row's pairs are contiguous in [r_rows], in ascending S′ order,
+   so its violation reads them off in place. The S′ rows' violations
+   come in the order the pairs first meet them, each listing its R′
+   partners in ascending order: the order
+   [Matching_table.uniqueness_violations] gives over the pair-ordered
+   entries. *)
+let violations res =
+  let r_key = key_of res.r_extended res.r_key
+  and s_key = key_of res.s_extended res.s_key in
+  let m = Array.length res.r_rows in
+  let rec r_side p acc =
+    if p >= m then List.rev acc
+    else
+      let i = res.r_rows.(p) in
+      let n = res.r_partners.(i) in
+      let acc =
+        if n < 2 then acc
+        else
+          Matching_table.R_tuple_matched_twice
+            {
+              r_key = r_key i;
+              s_keys = List.init n (fun k -> s_key res.s_rows.(p + k));
+            }
+          :: acc
+      in
+      r_side (p + n) acc
   in
-  assemble ~telemetry ~r ~s ~key extended (List.rev pairs)
+  let partners = Hashtbl.create 16 and order = ref [] in
+  Array.iteri
+    (fun p j ->
+      if res.s_partners.(j) > 1 then
+        match Hashtbl.find_opt partners j with
+        | Some l -> l := res.r_rows.(p) :: !l
+        | None ->
+            order := j :: !order;
+            Hashtbl.add partners j (ref [ res.r_rows.(p) ]))
+    res.s_rows;
+  let s_side =
+    List.rev_map
+      (fun j ->
+        Matching_table.S_tuple_matched_twice
+          {
+            s_key = s_key j;
+            r_keys = List.rev_map r_key !(Hashtbl.find partners j);
+          })
+      !order
+  in
+  r_side 0 [] @ s_side
+
+let matching_table res =
+  let r_key = key_of res.r_extended res.r_key
+  and s_key = key_of res.s_extended res.s_key in
+  Matching_table.make ~r_key_attrs:res.r_key ~s_key_attrs:res.s_key
+    (List.init (Array.length res.r_rows) (fun p ->
+         {
+           Matching_table.r_key = r_key res.r_rows.(p);
+           s_key = s_key res.s_rows.(p);
+         }))
+
+(* Pair [p] against pair [q] on their key codes, R key first: the
+   [Tuple.compare] of the entries' concatenated keys. *)
+let compare_keys r_cols s_cols res p q =
+  let rec on cols rows k =
+    if k = Array.length cols then 0
+    else
+      let c =
+        Intern.compare_codes cols.(k).(rows.(p)) cols.(k).(rows.(q))
+      in
+      if c <> 0 then c else on cols rows (k + 1)
+  in
+  let c = on r_cols res.r_rows 0 in
+  if c <> 0 then c else on s_cols res.s_rows 0
+
+let matching_relation res =
+  let cols rel attrs = Columnar.columns (Relation.columnar rel) attrs in
+  let r_cols = cols res.r_extended res.r_key
+  and s_cols = cols res.s_extended res.s_key in
+  let m = Array.length res.r_rows in
+  let order = Array.init m Fun.id in
+  Array.sort (compare_keys r_cols s_cols res) order;
+  let gather rows col = Array.map (fun p -> col.(rows.(p))) order in
+  let schema =
+    Schema.of_names
+      (List.map (fun a -> "r_" ^ a) res.r_key
+      @ List.map (fun a -> "s_" ^ a) res.s_key)
+  in
+  Relation.of_columnar
+    (Columnar.make schema m
+       (Array.append
+          (Array.map (gather res.r_rows) r_cols)
+          (Array.map (gather res.s_rows) s_cols)))
+
+let decode res =
+  let r_row = row_cache res.r_extended in
+  let pairs = ref [] in
+  for p = Array.length res.r_rows - 1 downto 0 do
+    pairs :=
+      (r_row res.r_rows.(p), Relation.row res.s_extended res.s_rows.(p))
+      :: !pairs
+  done;
+  let kext = Extended_key.attributes res.key in
+  {
+    r_extended = res.r_extended;
+    s_extended = res.s_extended;
+    matching_table = matching_table res;
+    violations = violations res;
+    pairs = !pairs;
+    unmatched_r = null_key_tuples res.r_extended kext;
+    unmatched_s = null_key_tuples res.s_extended kext;
+  }
+
+let run ?mode ?telemetry ~r ~s ~key ilfds =
+  decode (matched ?mode ?telemetry ~r ~s ~key ilfds)
 
 let is_verified o = o.violations = []

@@ -30,14 +30,11 @@ type outcome = {
   unmatched_s : Relational.Tuple.t list;  (** the S′ counterpart *)
 }
 
-(** [run ?mode ?telemetry ~r ~s ~key ilfds] — {!run_stream}'s pairs
-    collected in order, with the outcome assembled around them.
+(** [run ?mode ?telemetry ~r ~s ~key ilfds] — [decode (matched …)]:
+    the {!result} of the join, decoded into tuples.
 
-    [telemetry] (default {!Telemetry.off}) records the
-    [identify.extend_r] / [identify.extend_s] / [identify.join] spans,
-    the [identify.pairs] / [identify.unmatched_r] / [identify.unmatched_s]
-    / [identify.violations] / [identify.join.buckets] counters, and the
-    ILFD extension counters ({!Ilfd.Fixpoint.extend_relation}).
+    [telemetry] (default {!Telemetry.off}) records what {!matched}
+    records.
     @raise Ilfd.Apply.Conflict_found in [Check_conflicts] mode. *)
 val run :
   ?mode:Ilfd.Apply.mode ->
@@ -72,9 +69,9 @@ val run_stream :
 
 (** {2 The two phases}
 
-    {!run} and {!run_stream} are these two calls; a caller that renders
-    the pairs itself (the CLI's [--stream-out] writer) makes them
-    directly and reads R′'s and S′'s code columns. *)
+    {!matched} and {!run_stream} are these two calls; a caller that
+    renders the pairs itself (the CLI's [--stream-out] writer) makes
+    them directly and reads R′'s and S′'s code columns. *)
 
 (** [extend ?mode ?telemetry ~r ~s ~key ilfds] — [(R′, S′)]: each
     relation widened to its {!extension_schema} and ILFD-extended
@@ -115,6 +112,91 @@ val fold_pairs :
   init:'a ->
   f:('a -> int -> int -> 'a) ->
   'a
+
+(** {2 The row-index result}
+
+    Every materialised table is built from one result: the matched
+    pairs as the row indices {!fold_pairs} yields, in its row-major
+    order, with each row's number of partners. No pair is decoded to
+    build it. Uniqueness violations come from the partner counts, the
+    rows left unmatched are those with none, and the tables
+    ({!matching_relation}, {!Integrate.integrated_table},
+    {!Fusion.fuse}) are gathered from R′'s and S′'s code columns. *)
+
+type result = private {
+  key : Extended_key.t;  (** the K_Ext the rows were joined on *)
+  r_key : string list;
+      (** R's candidate key: MT_RS's R columns, [Relation.primary_key r] *)
+  s_key : string list;
+  r_extended : Relational.Relation.t;  (** R′ *)
+  s_extended : Relational.Relation.t;  (** S′ *)
+  r_rows : int array;
+      (** the R′ row of each matched pair, in row-major order (ascending
+          R′ row, ascending S′ partner within it) *)
+  s_rows : int array;  (** the S′ row of each matched pair *)
+  r_partners : int array;  (** per R′ row, its number of S′ partners *)
+  s_partners : int array;  (** per S′ row, its number of R′ partners *)
+}
+
+(** [matched ?mode ?telemetry ~r ~s ~key ilfds] — {!extend}, then
+    {!collect} with R's and S's primary keys.
+
+    [telemetry] (default {!Telemetry.off}) records the
+    [identify.extend_r] / [identify.extend_s] / [identify.join] spans,
+    the [identify.pairs] / [identify.unmatched_r] / [identify.unmatched_s]
+    / [identify.violations] / [identify.join.buckets] counters, and the
+    ILFD extension counters ({!Ilfd.Fixpoint.extend_relation}).
+    @raise Ilfd.Apply.Conflict_found in [Check_conflicts] mode. *)
+val matched :
+  ?mode:Ilfd.Apply.mode ->
+  ?telemetry:Telemetry.t ->
+  r:Relational.Relation.t ->
+  s:Relational.Relation.t ->
+  key:Extended_key.t ->
+  Ilfd.t list ->
+  result
+
+(** [collect ?telemetry ~key ~r_key ~s_key r' s'] — {!fold_pairs} over
+    [r'] and [s'] into the result, MT_RS keyed on [r_key] and [s_key].
+    With a live sink it adds the outcome counters {!matched} lists:
+    [identify.unmatched_r] counts R′ rows with a NULL K_Ext cell (the
+    {!outcome}'s [unmatched_r]), [identify.violations] the rows with
+    more than one partner. *)
+val collect :
+  ?telemetry:Telemetry.t ->
+  key:Extended_key.t ->
+  r_key:string list ->
+  s_key:string list ->
+  Relational.Relation.t ->
+  Relational.Relation.t ->
+  result
+
+(** [decode res] — the {!outcome}: each pair's rows decoded (an R′ row
+    once for all its partners), the {!matching_table}, the
+    {!violations}, and the rows with a NULL K_Ext cell. *)
+val decode : result -> outcome
+
+(** [violations res] — the uniqueness violations, read off the partner
+    counts: each R′ row with several partners, in row order, listing
+    them in ascending order; then each S′ row with several, in the order
+    the row-major pairs first meet it, listing its R′ partners in
+    ascending order. This is {!Matching_table.uniqueness_violations} of
+    {!matching_table}, without building it. *)
+val violations : result -> Matching_table.violation list
+
+(** [matching_table res] — MT_RS as a {!Matching_table.t}, entries in
+    pair order; built only for a caller that asks ({!Explain.matches},
+    {!decode}). *)
+val matching_table : result -> Matching_table.t
+
+(** [matching_relation res] — MT_RS as a relation with attributes
+    [r_<r_key>… s_<s_key>…], sorted on the key codes with
+    {!Relational.Intern.compare_codes} (the {!Relational.Tuple.compare}
+    order of {!Matching_table.to_relation}) and gathered from R′'s and
+    S′'s code columns: the same rows, in the same order, as
+    [Matching_table.to_relation (matching_table res)], with no pair
+    decoded. *)
+val matching_relation : result -> Relational.Relation.t
 
 (** [extension_schema relation key] — the relation's schema widened with
     its missing extended-key attributes (K_Ext−R, in key order). *)

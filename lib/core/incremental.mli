@@ -115,8 +115,9 @@ val unmatched_s : t -> Relational.Tuple.t list
     configuration keeps this empty as data arrives. *)
 val violations : t -> Matching_table.violation list
 
-(** [outcome t] — the equivalent batch view (for integration with
-    {!Integrate.integrated_table} and reporting). *)
+(** [outcome t] — the equivalent batch view, for reporting. Its R′ and
+    S′ joined by {!Identify.collect} give the row-index result that
+    {!Integrate.integrated_table} and {!Fusion.fuse} take. *)
 val outcome : t -> Identify.outcome
 
 (** {2 Journal hook}

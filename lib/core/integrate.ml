@@ -1,75 +1,86 @@
 module Relation = Relational.Relation
 module Schema = Relational.Schema
+module Columnar = Relational.Columnar
+module Intern = Relational.Intern
 module Tuple = Relational.Tuple
 module V = Relational.Value
 
-let matched_side project pairs =
-  List.map project pairs
+let unmatched_rows partners =
+  let rows = ref [] in
+  for i = Array.length partners - 1 downto 0 do
+    if partners.(i) = 0 then rows := i :: !rows
+  done;
+  Array.of_list !rows
 
-let unmatched side_tuples matched =
-  List.filter
-    (fun t -> not (List.exists (Tuple.equal t) matched))
-    side_tuples
+let unmatched relation partners =
+  Array.fold_right
+    (fun i acc -> Relation.row relation i :: acc)
+    (unmatched_rows partners) []
 
-let unmatched_r (o : Identify.outcome) =
-  unmatched (Relation.tuples o.r_extended) (matched_side fst o.pairs)
+let unmatched_r (res : Identify.result) =
+  unmatched res.r_extended res.r_partners
 
-let unmatched_s (o : Identify.outcome) =
-  unmatched (Relation.tuples o.s_extended) (matched_side snd o.pairs)
+let unmatched_s (res : Identify.result) =
+  unmatched res.s_extended res.s_partners
 
-(* The prototype sorts rows with setof, where null is an ordinary atom;
-   reproduce that ordering by comparing cells as their printed text. *)
-let atom_compare t1 t2 =
-  List.compare
-    (fun a b -> String.compare (V.to_string a) (V.to_string b))
-    (Tuple.values t1) (Tuple.values t2)
+let rows (res : Identify.result) =
+  let ur = unmatched_rows res.r_partners
+  and us = unmatched_rows res.s_partners in
+  let none a = Array.make (Array.length a) (-1) in
+  ( Array.concat [ res.r_rows; ur; none us ],
+    Array.concat [ res.s_rows; none ur; us ] )
 
-let integrated_table ~key (o : Identify.outcome) =
-  let rs = Relation.schema o.r_extended
-  and ss = Relation.schema o.s_extended in
-  let kext = Extended_key.attributes key in
-  let rest schema =
-    List.filter (fun a -> not (List.mem a kext)) (Schema.names schema)
+(* The prototype sorts rows with setof, where null is an ordinary atom:
+   cells compare as their printed text, each code's made once. The sort
+   is stable, so tied rows keep the order of [rows]. *)
+let integrated_table (res : Identify.result) =
+  let kext = Extended_key.attributes res.key in
+  let rest rel =
+    List.filter (fun a -> not (List.mem a kext))
+      (Schema.names (Relation.schema rel))
   in
-  let r_cols = kext @ rest rs and s_cols = kext @ rest ss in
+  let r_rest = rest res.r_extended and s_rest = rest res.s_extended in
   (* Column layout: r_<kext>, s_<kext>, r_<rest>, s_<rest>. *)
-  let header =
-    List.map (fun a -> "r_" ^ a) kext
-    @ List.map (fun a -> "s_" ^ a) kext
-    @ List.map (fun a -> "r_" ^ a) (rest rs)
-    @ List.map (fun a -> "s_" ^ a) (rest ss)
+  let schema =
+    Schema.of_names
+      (List.map (fun a -> "r_" ^ a) kext
+      @ List.map (fun a -> "s_" ^ a) kext
+      @ List.map (fun a -> "r_" ^ a) r_rest
+      @ List.map (fun a -> "s_" ^ a) s_rest)
   in
-  let schema = Schema.of_names header in
-  let null_r = List.map (fun _ -> V.Null) r_cols
-  and null_s = List.map (fun _ -> V.Null) s_cols in
-  let reorder r_vals s_vals =
-    (* r_vals follows kext @ rest rs; s_vals follows kext @ rest ss; the
-       output interleaves the kext blocks. *)
-    let nk = List.length kext in
-    let take n l = List.filteri (fun i _ -> i < n) l in
-    let drop n l = List.filteri (fun i _ -> i >= n) l in
-    take nk r_vals @ take nk s_vals @ drop nk r_vals @ drop nk s_vals
+  let ri, sj = rows res in
+  let side rel index attrs =
+    let c = Relation.columnar rel in
+    List.map (fun a -> (Columnar.column c a, index)) attrs
   in
-  let row_of_pair (tr, ts) =
-    reorder
-      (Tuple.values (Tuple.project rs tr r_cols))
-      (Tuple.values (Tuple.project ss ts s_cols))
+  let columns =
+    Array.of_list
+      (side res.r_extended ri kext
+      @ side res.s_extended sj kext
+      @ side res.r_extended ri r_rest
+      @ side res.s_extended sj s_rest)
   in
-  let row_of_r tr =
-    reorder (Tuple.values (Tuple.project rs tr r_cols)) null_s
+  let cell (col, index) t =
+    let i = index.(t) in
+    if i < 0 then Intern.null_code else col.(i)
   in
-  let row_of_s ts =
-    reorder null_r (Tuple.values (Tuple.project ss ts s_cols))
+  let text = Intern.memo V.to_string in
+  let compare t u =
+    let rec on k =
+      if k = Array.length columns then 0
+      else
+        let a = cell columns.(k) t and b = cell columns.(k) u in
+        let c = if a = b then 0 else String.compare (text a) (text b) in
+        if c <> 0 then c else on (k + 1)
+    in
+    on 0
   in
-  let rows =
-    List.map row_of_pair o.pairs
-    @ List.map row_of_r (unmatched_r o)
-    @ List.map row_of_s (unmatched_s o)
-  in
-  let tuples =
-    List.sort atom_compare (List.map (Tuple.make schema) rows)
-  in
-  Relation.of_tuples schema tuples
+  let n = Array.length ri in
+  let order = Array.init n Fun.id in
+  Array.stable_sort compare order;
+  Relation.of_columnar
+    (Columnar.make schema n
+       (Array.map (fun c -> Array.map (cell c) order) columns))
 
 let possibly_same ~key schema t1 t2 =
   let values_of t attr =

@@ -91,8 +91,10 @@ let matchtable_session ?(abbrev = []) ~r ~s ~key ilfds =
   render_table ~title:"matching table" ~header rows
 
 let integrated_session ?(abbrev = []) ~r ~s ~key ilfds =
-  let outcome = Entity_id.Identify.run ~r ~s ~key ilfds in
-  let rel = Entity_id.Integrate.integrated_table ~key outcome in
+  let rel =
+    Entity_id.Integrate.integrated_table
+      (Entity_id.Identify.matched ~r ~s ~key ilfds)
+  in
   let header =
     List.map
       (fun c ->

@@ -185,17 +185,46 @@ let cell_of_value = function
   | Value.Null -> ""
   | v -> escape_cell (Value.to_string v)
 
+(* The header row, then each row's cells, each code's cell text made
+   once ([Intern.memo]); each line is appended to [b], after which
+   [spill] may empty it. *)
+let write b ~spill r =
+  let names = Schema.names (Relation.schema r) in
+  let c = Relation.columnar r in
+  let cols = Array.init (List.length names) (Columnar.nth c) in
+  let cell = Intern.memo cell_of_value in
+  Buffer.add_string b (String.concat "," (List.map escape_cell names));
+  Buffer.add_char b '\n';
+  for i = 0 to Columnar.length c - 1 do
+    Array.iteri
+      (fun k col ->
+        if k > 0 then Buffer.add_char b ',';
+        Buffer.add_string b (cell col.(i)))
+      cols;
+    Buffer.add_char b '\n';
+    spill ()
+  done
+
 let to_string r =
-  let buf = Buffer.create 256 in
-  let add_row cells = Buffer.add_string buf (String.concat "," cells ^ "\n") in
-  add_row (List.map escape_cell (Schema.names (Relation.schema r)));
-  Relation.iter
-    (fun t -> add_row (List.map cell_of_value (Tuple.values t)))
-    r;
-  Buffer.contents buf
+  let b = Buffer.create 256 in
+  write b ~spill:ignore r;
+  Buffer.contents b
+
+let output oc r =
+  let b = Buffer.create 65536 in
+  let spill () =
+    if Buffer.length b >= 65536 then begin
+      Buffer.output_buffer oc b;
+      Buffer.clear b
+    end
+  in
+  write b ~spill r;
+  Buffer.output_buffer oc b
 
 let save r path =
   let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc (to_string r))
+  match output oc r with
+  | () -> close_out oc
+  | exception e ->
+      close_out_noerr oc;
+      raise e

@@ -44,7 +44,17 @@ val header : string -> string list
     with inner quotes doubled. *)
 val escape_cell : string -> string
 
-(** [to_string r] renders with a header row; [Null] prints as empty. *)
+(** [to_string r] renders with a header row; [Null] prints as empty.
+    The rows are rendered from [r]'s {!Relation.columnar} code columns,
+    each distinct code's cell once ({!Intern.memo}). *)
 val to_string : Relation.t -> string
 
+(** [output oc r] — writes {!to_string}'s text to [oc] as it is made.
+    @raise Sys_error when a write fails. *)
+val output : out_channel -> Relation.t -> unit
+
+(** [save r path] — {!output} into the file at [path], created or
+    truncated.
+    @raise Sys_error when the file cannot be opened, or a write or the
+    closing flush fails. *)
 val save : Relation.t -> string -> unit

@@ -144,3 +144,19 @@ let share v = value (code v)
 let compare_codes a b = if a = b then 0 else V.compare (value a) (value b)
 
 let size () = (Atomic.get snap).len
+
+(* A slot [memo] has not filled: compared with [==]. *)
+let unset = String.make 1 '\000'
+
+let memo f =
+  let cache = Array.make (size ()) unset in
+  fun c ->
+    if c >= Array.length cache then f (value c)
+    else
+      let s = cache.(c) in
+      if s != unset then s
+      else begin
+        let s = f (value c) in
+        cache.(c) <- s;
+        s
+      end

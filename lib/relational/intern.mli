@@ -77,3 +77,9 @@ val compare_codes : int -> int -> int
 
 (** Number of interned codes (including NULL). Monotonic. *)
 val size : unit -> int
+
+(** [memo f] — [fun c -> f (value c)], with each result kept: one
+    slot per code interned when [memo] is called, filled on first use,
+    so a renderer makes each distinct code's text once. A code interned
+    later is rendered on every call. *)
+val memo : (Value.t -> string) -> int -> string

@@ -31,16 +31,63 @@ let render_rows ~header rows =
     rows;
   Buffer.contents buf
 
-let render ?title r =
-  let header = Schema.names (Relation.schema r) in
-  let rows =
-    List.map
-      (fun t -> List.map Value.to_string (Tuple.values t))
-      (Relation.tuples r)
+(* The one table renderer, over the relation's code columns: each
+   distinct code's text is made once ([Intern.memo]), the widths are
+   taken over the texts, and each line is appended to [b], after which
+   [spill] may empty it. *)
+let write ?title b ~spill r =
+  let header = Array.of_list (Schema.names (Relation.schema r)) in
+  let c = Relation.columnar r in
+  let cols = Array.init (Array.length header) (Columnar.nth c) in
+  let text = Intern.memo Value.to_string in
+  let widths =
+    Array.mapi
+      (fun k col ->
+        Array.fold_left
+          (fun w code -> max w (String.length (text code)))
+          (String.length header.(k))
+          col)
+      cols
   in
-  let body = render_rows ~header rows in
-  match title with
-  | None -> body
-  | Some t -> t ^ "\n" ^ String.make (String.length t) '=' ^ "\n" ^ body
+  let spaces = String.make (Array.fold_left max 0 widths) ' ' in
+  let line cell =
+    Array.iteri
+      (fun k w ->
+        if k > 0 then Buffer.add_string b "  ";
+        let s = cell k in
+        Buffer.add_string b s;
+        Buffer.add_substring b spaces 0 (w - String.length s))
+      widths;
+    Buffer.add_char b '\n';
+    spill ()
+  in
+  Option.iter
+    (fun t ->
+      Buffer.add_string b t;
+      Buffer.add_char b '\n';
+      Buffer.add_string b (String.make (String.length t) '=');
+      Buffer.add_char b '\n')
+    title;
+  line (fun k -> header.(k));
+  line (fun k -> String.make widths.(k) '-');
+  for i = 0 to Columnar.length c - 1 do
+    line (fun k -> text cols.(k).(i))
+  done
 
-let print ?title r = print_string (render ?title r)
+let render ?title r =
+  let b = Buffer.create 4096 in
+  write ?title b ~spill:ignore r;
+  Buffer.contents b
+
+let output ?title oc r =
+  let b = Buffer.create 65536 in
+  let spill () =
+    if Buffer.length b >= 65536 then begin
+      Buffer.output_buffer oc b;
+      Buffer.clear b
+    end
+  in
+  write ?title b ~spill r;
+  Buffer.output_buffer oc b
+
+let print ?title r = output ?title stdout r

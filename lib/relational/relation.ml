@@ -235,6 +235,17 @@ let build b =
   if typed schema then ignore (rows r);
   r
 
+let of_columnar c =
+  let n = Columnar.length c and schema = Columnar.schema c in
+  let cols = Array.init (Schema.arity schema) (Columnar.nth c) in
+  let b = builder ~rows:n schema ~keys:[] in
+  let codes = Array.make (Array.length cols) 0 in
+  for i = 0 to n - 1 do
+    Array.iteri (fun a col -> codes.(a) <- col.(i)) cols;
+    add_codes b codes
+  done;
+  build b
+
 let create schema ?(keys = []) value_rows =
   of_tuples schema ~keys (List.map (Tuple.make schema) value_rows)
 

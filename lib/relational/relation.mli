@@ -75,6 +75,12 @@ val add_codes : builder -> int array -> unit
     @raise Invalid_argument on a code {!Intern} never returned. *)
 val build : builder -> t
 
+(** [of_columnar c] — the relation of [c]'s rows, in [c]'s order, with
+    no declared key: {!builder} and {!build} over each row's codes, so
+    an exact duplicate is dropped (the first copy wins) and the result
+    is held as code columns. *)
+val of_columnar : Columnar.t -> t
+
 (** {2 Extension} *)
 
 (** [extend r target ~classes ~derived] — the paper's R′ over

@@ -15,9 +15,6 @@ let header oc format ~r_names ~s_names =
         (String.concat "," (cells "r." r_names @ cells "s." s_names));
       output_char oc '\n'
 
-(* A cache slot no rendering fills: compared with [==]. *)
-let unset = String.make 1 '\000'
-
 let render = function
   | `Ndjson ->
       fun v ->
@@ -47,21 +44,12 @@ let records oc format r' s' =
       Array.init (List.length names) (Relational.Columnar.nth columnar) )
   in
   let r_prefixes, r_cols = side r' and s_prefixes, s_cols = side s' in
-  let render = render format in
-  let cache = Array.make (Intern.size ()) unset in
+  let text = Intern.memo (render format) in
   let buf = Buffer.create 256 in
   let add_side prefixes cols i =
     for k = 0 to Array.length cols - 1 do
       Buffer.add_string buf prefixes.(k);
-      let c = cols.(k).(i) in
-      let cell = cache.(c) in
-      Buffer.add_string buf
-        (if cell != unset then cell
-         else begin
-           let cell = render (Intern.value c) in
-           cache.(c) <- cell;
-           cell
-         end)
+      Buffer.add_string buf (text cols.(k).(i))
     done
   in
   fun i j ->

@@ -4,7 +4,8 @@
 
     Each distinct code is rendered once per {!records} call, into a
     cache indexed by code and sized to every code interned when the call
-    is made; a record then appends each cell's cached text. The bytes
+    is made ({!Relational.Intern.memo}); a record then appends each
+    cell's cached text. The bytes
     are those of the tuple-based emitter they replace: an NDJSON record
     is [Json.to_string] of [{"r":{...},"s":{...}}] with R′'s and S′'s
     attributes in schema order ({!Service.add_value} per cell); a CSV

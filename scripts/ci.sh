@@ -1,7 +1,7 @@
 #!/bin/sh
 # CI gate: build everything, run the full test suite, the correctness
 # harness and its seeded mutations, the CLI's input-hygiene checks, the
-# store's crash-recovery gate and the two scaling gates, then run the
+# store's crash-recovery gate and the three scaling gates, then run the
 # partition bench in smoke mode — its fixpoint-vs-recursive extension
 # agreement is a cheap correctness check worth executing on every
 # commit (it exits nonzero on any disagreement; the grep is a
@@ -50,9 +50,11 @@ dune exec bin/entity_ident.exe -- check --scenarios 0 \
 #    itself has rotted, so invert the exit code. One fault per oracle:
 #    the generic engine matrix, the per-tuple ILFD evaluator's
 #    derivation order (fixpoint-agreement), the Figure 3 partition's
-#    not-matched set (figure3-agreement) and each family's own.
+#    not-matched set (figure3-agreement), the Section 4.2 relational
+#    expressions' matching table (algebra-agreement) and each family's
+#    own.
 for mutation in "broken-blocking-key " "derivation-stratum-order " \
-    "nmt-lost-pair " \
+    "nmt-lost-pair " "algebra-lost-pair " \
     "kdb-lost-edge --family kdb" "md-phantom-match --family md" \
     "merge-rogue-pair --family merge-policy"; do
   fault=${mutation%% *}
@@ -239,6 +241,33 @@ if [ "$status" -ne 0 ] || [ ! -p "$fifo" ] \
        "stream into it in place: $(cat "$bad_csv/err")" >&2
   exit 1
 fi
+# A write that fails on a materialised output is a message naming the
+# destination and exit 3, never an uncaught exception or a silent exit 0:
+# identify's tables onto a full device, fuse --out onto a full device,
+# and fuse --out into a directory that does not exist, which leaves no
+# temp file behind.
+for case in "identify --show mt|/dev/full|stdout" \
+    "fuse --out /dev/full||/dev/full" \
+    "fuse --out $bad_csv/no/such/x.csv||$bad_csv/no/such/x.csv"; do
+  cmd=${case%%|*}
+  rest=${case#*|}
+  redirect=${rest%%|*}
+  dest=${rest#*|}
+  status=0
+  # shellcheck disable=SC2086
+  dune exec bin/entity_ident.exe -- $cmd $restaurant_args \
+    > "${redirect:-/dev/null}" 2> "$bad_csv/err" || status=$?
+  if [ "$status" -ne 3 ] \
+      || ! grep -q "cannot write to $dest: " "$bad_csv/err"; then
+    echo "CI: '$cmd' onto $dest exited $status without naming the" \
+         "destination: $(cat "$bad_csv/err")" >&2
+    exit 1
+  fi
+done
+if [ -e "$bad_csv/no" ]; then
+  echo "CI: a failed fuse --out left files behind" >&2
+  exit 1
+fi
 # mine reads its relation through the same error path, with no key.
 status=0
 dune exec bin/entity_ident.exe -- mine --from "$bad_csv/open_quote.csv" \
@@ -382,10 +411,18 @@ dune exec bench/compile_scaling.exe
 #    is ~57x).
 dune exec bench/insert_scaling.exe
 
-# 9. Partition bench smoke run: the production fixpoint extension must
-#    agree with the recursive reference, and the telemetry-enabled
-#    Identify.run behind its stats block must record derivation classes
-#    and no class taking the scan fallback.
+# 9. Materialised-output scaling: the integrated table, fuse's CSV and
+#    the rendered matching table, from the ILFD extension to the text,
+#    must cost at most 32x as much at 64k entities per side as at 4k
+#    (measured 16-23x: linear work plus the sorts' log factor; the
+#    per-row scan of the matched pairs that found unmatched rows was
+#    ~256x).
+dune exec bench/materialise_scaling.exe
+
+# 10. Partition bench smoke run: the production fixpoint extension
+#     must agree with the recursive reference, and the telemetry-enabled
+#     Identify.run behind its stats block must record derivation
+#     classes and no class taking the scan fallback.
 dune build bench/main.exe
 bench_dir=$(mktemp -d)
 (

@@ -149,6 +149,16 @@ let oracle_tests =
             Alcotest.(check string) "the Figure 3 check names it"
               "figure3-agreement" f.discrepancy.check
         | [] -> Alcotest.fail "the fault must be detected");
+    case "a pair lost by the Section 4.2 expressions is caught" (fun () ->
+        let outcome =
+          C.Harness.run ~fault:C.Oracle.Algebra_lost_pair ~shrink:false
+            ~max_failures:1 ~seeds:(seeds ~from:1 10) ()
+        in
+        match outcome.failures with
+        | f :: _ ->
+            Alcotest.(check string) "the algebra check names it"
+              "algebra-agreement" f.discrepancy.check
+        | [] -> Alcotest.fail "the fault must be detected");
   ]
 
 (* Render (family, seed) entries for list-equality checks. *)

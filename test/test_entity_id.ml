@@ -508,6 +508,146 @@ let fold_agrees (r_rows, s_rows) =
     (fun (a, b) (c, d) -> R.Tuple.equal a c && R.Tuple.equal b d)
     indexed streamed
 
+(* ---- the row-index tables against their tuple-based definitions ---- *)
+
+(* The definitions the row-index tables replaced, over the decoded
+   outcome: T_RS from the pairs plus every tuple no pair holds, sorted on
+   its cells' text; the fused relation from the same rows, sorted on its
+   values. *)
+let reference_unmatched rel matched =
+  List.filter
+    (fun t -> not (List.exists (R.Tuple.equal t) matched))
+    (R.Relation.tuples rel)
+
+let reference_integrated ~key (o : E.Identify.outcome) =
+  let rs = R.Relation.schema o.r_extended
+  and ss = R.Relation.schema o.s_extended in
+  let kext = E.Extended_key.attributes key in
+  let rest schema =
+    List.filter (fun a -> not (List.mem a kext)) (R.Schema.names schema)
+  in
+  let r_cols = kext @ rest rs and s_cols = kext @ rest ss in
+  let schema =
+    R.Schema.of_names
+      (List.map (fun a -> "r_" ^ a) kext
+      @ List.map (fun a -> "s_" ^ a) kext
+      @ List.map (fun a -> "r_" ^ a) (rest rs)
+      @ List.map (fun a -> "s_" ^ a) (rest ss))
+  in
+  let nk = List.length kext in
+  let take l = List.filteri (fun i _ -> i < nk) l
+  and drop l = List.filteri (fun i _ -> i >= nk) l in
+  let row r_vals s_vals =
+    R.Tuple.make schema (take r_vals @ take s_vals @ drop r_vals @ drop s_vals)
+  in
+  let r_vals tr = R.Tuple.values (R.Tuple.project rs tr r_cols)
+  and s_vals ts = R.Tuple.values (R.Tuple.project ss ts s_cols) in
+  let nulls cols = List.map (fun _ -> V.Null) cols in
+  let rows =
+    List.map (fun (tr, ts) -> row (r_vals tr) (s_vals ts)) o.pairs
+    @ List.map
+        (fun tr -> row (r_vals tr) (nulls s_cols))
+        (reference_unmatched o.r_extended (List.map fst o.pairs))
+    @ List.map
+        (fun ts -> row (nulls r_cols) (s_vals ts))
+        (reference_unmatched o.s_extended (List.map snd o.pairs))
+  in
+  let text t = List.map V.to_string (R.Tuple.values t) in
+  R.Relation.of_tuples schema
+    (List.stable_sort (fun a b -> compare (text a) (text b)) rows)
+
+let reference_fuse ~default (o : E.Identify.outcome) =
+  let rs = R.Relation.schema o.r_extended
+  and ss = R.Relation.schema o.s_extended in
+  let names =
+    R.Schema.names rs
+    @ List.filter (fun a -> not (R.Schema.mem rs a)) (R.Schema.names ss)
+  in
+  let out = R.Schema.of_names names in
+  let side schema t a =
+    match t with
+    | Some t -> Option.value (R.Tuple.get_opt schema t a) ~default:V.Null
+    | None -> V.Null
+  in
+  let cell tr ts a =
+    let l = side rs tr a and r = side ss ts a in
+    if V.is_null l then r
+    else if V.is_null r then l
+    else if V.eq3 l r = V.True then l
+    else
+      match default with
+      | E.Fusion.Prefer_left -> l
+      | E.Fusion.Prefer_right -> r
+      | _ ->
+          raise (E.Fusion.Inconsistent { attribute = a; left = l; right = r })
+  in
+  let row tr ts = R.Tuple.make out (List.map (cell tr ts) names) in
+  let rows =
+    List.map (fun (tr, ts) -> row (Some tr) (Some ts)) o.pairs
+    @ List.map
+        (fun tr -> row (Some tr) None)
+        (reference_unmatched o.r_extended (List.map fst o.pairs))
+    @ List.map
+        (fun ts -> row None (Some ts))
+        (reference_unmatched o.s_extended (List.map snd o.pairs))
+  in
+  R.Algebra.sort_by names (R.Relation.of_tuples out rows)
+
+(* Same schema, same rows in the same order, printed alike. *)
+let same_table a b =
+  R.Schema.equal (R.Relation.schema a) (R.Relation.schema b)
+  && R.Pretty.render a = R.Pretty.render b
+  && List.equal R.Tuple.equal (R.Relation.tuples a) (R.Relation.tuples b)
+
+(* Sides with an extra shared attribute [c], so fused pairs can
+   conflict; keyless sides may hold an all-NULL row, whose R-only and
+   S-only rows of T_RS are the same row. *)
+let table_side ?id rows =
+  let names = Option.to_list id @ [ "a"; "b"; "c" ] in
+  let schema = R.Schema.of_names names in
+  R.Relation.of_tuples schema
+    ~keys:(match id with Some id -> [ [ id ] ] | None -> [])
+    (List.mapi
+       (fun i (a, b, c) ->
+         R.Tuple.make schema
+           ((match id with Some _ -> [ V.int i ] | None -> []) @ [ a; b; c ]))
+       rows)
+
+let table_side_gen =
+  QCheck2.Gen.(
+    list_size (0 -- 12) (triple join_cell_gen join_cell_gen join_cell_gen))
+
+let tables_agree (keyed, (r_rows, s_rows)) =
+  let r = table_side ?id:(if keyed then Some "rid" else None) r_rows
+  and s = table_side ?id:(if keyed then Some "sid" else None) s_rows in
+  let key = E.Extended_key.make [ "a"; "b" ] in
+  let res = E.Identify.matched ~r ~s ~key [] in
+  let o = E.Identify.run ~r ~s ~key [] in
+  let violations vs =
+    List.map (Format.asprintf "%a" E.Matching_table.pp_violation) vs
+  in
+  let fused default =
+    match E.Fusion.fuse ~default res with
+    | t -> Ok (R.Pretty.render t)
+    | exception E.Fusion.Inconsistent { attribute; _ } -> Error attribute
+  and reference_fused default =
+    match reference_fuse ~default o with
+    | t -> Ok (R.Pretty.render t)
+    | exception E.Fusion.Inconsistent { attribute; _ } -> Error attribute
+  in
+  same_table
+    (E.Identify.matching_relation res)
+    (E.Matching_table.to_relation o.matching_table)
+  && violations (E.Identify.violations res)
+     = violations (E.Matching_table.uniqueness_violations o.matching_table)
+  && same_table (E.Integrate.integrated_table res)
+       (reference_integrated ~key o)
+  && List.equal R.Tuple.equal (E.Integrate.unmatched_r res)
+       (reference_unmatched o.r_extended (List.map fst o.pairs))
+  && List.for_all
+       (fun default -> fused default = reference_fused default)
+       E.Fusion.[ Prefer_left; Prefer_right; Prefer_non_null ]
+
 let join_tests =
   [
     qtest ~count:1000 "the K_Ext join = a nested-loop Tuple.agree join"
@@ -521,6 +661,18 @@ let join_tests =
     qtest ~count:1000 "the index fold = run_stream, pair for pair"
       QCheck2.Gen.(pair join_side_gen join_side_gen)
       fold_agrees;
+    qtest ~count:500
+      "the row-index tables = their tuple-based definitions, in order"
+      QCheck2.Gen.(pair bool (pair table_side_gen table_side_gen))
+      tables_agree;
+    case "an all-NULL row on both sides is one row of T_RS" (fun () ->
+        let nulls = [ (V.Null, V.Null, V.Null) ] in
+        let res =
+          E.Identify.matched ~r:(table_side nulls) ~s:(table_side nulls)
+            ~key:(E.Extended_key.make [ "a"; "b" ]) []
+        in
+        Alcotest.(check int) "" 1
+          (R.Relation.cardinality (E.Integrate.integrated_table res)));
   ]
 
 let negative_tests =
@@ -562,10 +714,10 @@ let integrate_tests =
   [
     case "row count = matches + unmatched both sides" (fun () ->
         let o =
-          E.Identify.run ~r:PD.table5_r ~s:PD.table5_s ~key:PD.example3_key
-            PD.ilfds_i1_i8
+          E.Identify.matched ~r:PD.table5_r ~s:PD.table5_s
+            ~key:PD.example3_key PD.ilfds_i1_i8
         in
-        let t = E.Integrate.integrated_table ~key:PD.example3_key o in
+        let t = E.Integrate.integrated_table o in
         (* 3 merged + 2 R-only + 1 S-only = 6 rows, as in the session. *)
         Alcotest.(check int) "" 6 (R.Relation.cardinality t);
         Alcotest.(check int) "unmatched R" 2
@@ -574,20 +726,20 @@ let integrate_tests =
           (List.length (E.Integrate.unmatched_s o)));
     case "column layout: kext blocks first" (fun () ->
         let o =
-          E.Identify.run ~r:PD.table5_r ~s:PD.table5_s ~key:PD.example3_key
-            PD.ilfds_i1_i8
+          E.Identify.matched ~r:PD.table5_r ~s:PD.table5_s
+            ~key:PD.example3_key PD.ilfds_i1_i8
         in
-        let t = E.Integrate.integrated_table ~key:PD.example3_key o in
+        let t = E.Integrate.integrated_table o in
         Alcotest.(check (list string)) ""
           [ "r_name"; "r_cuisine"; "r_speciality"; "s_name"; "s_cuisine";
             "s_speciality"; "r_street"; "s_county" ]
           (R.Schema.names (R.Relation.schema t)));
     case "merged rows agree on extended key" (fun () ->
         let o =
-          E.Identify.run ~r:PD.table5_r ~s:PD.table5_s ~key:PD.example3_key
-            PD.ilfds_i1_i8
+          E.Identify.matched ~r:PD.table5_r ~s:PD.table5_s
+            ~key:PD.example3_key PD.ilfds_i1_i8
         in
-        let t = E.Integrate.integrated_table ~key:PD.example3_key o in
+        let t = E.Integrate.integrated_table o in
         let schema = R.Relation.schema t in
         R.Relation.iter
           (fun row ->
@@ -606,10 +758,10 @@ let integrate_tests =
           t);
     case "possibly_same respects non-null conflicts" (fun () ->
         let o =
-          E.Identify.run ~r:PD.table5_r ~s:PD.table5_s ~key:PD.example3_key
-            PD.ilfds_i1_i8
+          E.Identify.matched ~r:PD.table5_r ~s:PD.table5_s
+            ~key:PD.example3_key PD.ilfds_i1_i8
         in
-        let t = E.Integrate.integrated_table ~key:PD.example3_key o in
+        let t = E.Integrate.integrated_table o in
         let schema = R.Relation.schema t in
         let rows = R.Relation.tuples t in
         let sichuan =

@@ -326,8 +326,19 @@ let incremental_tests =
             ~key:PD.example3_key PD.ilfds_i1_i8
         in
         let o = E.Incremental.outcome t in
-        let table = E.Integrate.integrated_table ~key:PD.example3_key o in
-        Alcotest.(check int) "" 6 (R.Relation.cardinality table));
+        let table =
+          E.Integrate.integrated_table
+            (E.Identify.collect ~key:PD.example3_key
+               ~r_key:(R.Relation.primary_key PD.table5_r)
+               ~s_key:(R.Relation.primary_key PD.table5_s)
+               o.r_extended o.s_extended)
+        in
+        Alcotest.(check int) "" 6 (R.Relation.cardinality table);
+        Alcotest.(check bool) "the batch's table" true
+          (R.Relation.equal table
+             (E.Integrate.integrated_table
+                (E.Identify.matched ~r:PD.table5_r ~s:PD.table5_s
+                   ~key:PD.example3_key PD.ilfds_i1_i8))));
     case "first-rule mode inserts through disagreeing rules" (fun () ->
         let t =
           E.Incremental.create
@@ -603,7 +614,7 @@ let align_tests =
 (* ---- Fusion ---- *)
 
 let fusion_outcome =
-  E.Identify.run ~r:PD.table5_r ~s:PD.table5_s ~key:PD.example3_key
+  E.Identify.matched ~r:PD.table5_r ~s:PD.table5_s ~key:PD.example3_key
     PD.ilfds_i1_i8
 
 let fusion_tests =
@@ -635,7 +646,7 @@ let fusion_tests =
         let r = relation [ "k"; "phone" ] [ [ "k" ] ] [ [ "e1"; "111" ] ] in
         let s = relation [ "k"; "phone" ] [ [ "k" ] ] [ [ "e1"; "222" ] ] in
         let key = E.Extended_key.make [ "k" ] in
-        let o = E.Identify.run ~r ~s ~key [] in
+        let o = E.Identify.matched ~r ~s ~key [] in
         Alcotest.(check int) "one conflict" 1
           (List.length (E.Fusion.conflicts o));
         Alcotest.(check bool) "" true
@@ -646,7 +657,7 @@ let fusion_tests =
         let r = relation [ "k"; "phone" ] [ [ "k" ] ] [ [ "e1"; "111" ] ] in
         let s = relation [ "k"; "phone" ] [ [ "k" ] ] [ [ "e1"; "222" ] ] in
         let key = E.Extended_key.make [ "k" ] in
-        let o = E.Identify.run ~r ~s ~key [] in
+        let o = E.Identify.matched ~r ~s ~key [] in
         let value_of fused =
           V.to_string
             (R.Tuple.get
@@ -676,7 +687,7 @@ let fusion_tests =
         in
         let s = relation [ "k"; "phone" ] [ [ "k" ] ] [ [ "e1"; "222" ] ] in
         let key = E.Extended_key.make [ "k" ] in
-        let o = E.Identify.run ~r ~s ~key [] in
+        let o = E.Identify.matched ~r ~s ~key [] in
         let fused = E.Fusion.fuse o in
         Alcotest.(check string) "" "222"
           (V.to_string

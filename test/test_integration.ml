@@ -150,20 +150,20 @@ let csv_flow_tests =
             "name,speciality,city\nTwinCities,Mughalai,St. Paul\n"
         in
         let key = E.Extended_key.make [ "name"; "cuisine" ] in
-        let o =
-          E.Identify.run ~r ~s ~key
+        let res =
+          E.Identify.matched ~r ~s ~key
             [ Ilfd.parse "speciality = Mughalai -> cuisine = Indian" ]
         in
         Alcotest.(check int) "one match" 1
-          (E.Matching_table.cardinality o.matching_table);
-        let t = E.Integrate.integrated_table ~key o in
+          (E.Matching_table.cardinality (E.Identify.matching_table res));
+        let t = E.Integrate.integrated_table res in
         Alcotest.(check int) "two rows" 2 (R.Relation.cardinality t));
     case "integrated table survives CSV round-trip" (fun () ->
-        let o =
-          E.Identify.run ~r:PD.table5_r ~s:PD.table5_s ~key:PD.example3_key
-            PD.ilfds_i1_i8
+        let t =
+          E.Integrate.integrated_table
+            (E.Identify.matched ~r:PD.table5_r ~s:PD.table5_s
+               ~key:PD.example3_key PD.ilfds_i1_i8)
         in
-        let t = E.Integrate.integrated_table ~key:PD.example3_key o in
         let round = R.Csv_io.relation_of_string (R.Csv_io.to_string t) in
         Alcotest.(check bool) "" true (R.Relation.equal t round));
   ]

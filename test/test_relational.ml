@@ -922,6 +922,20 @@ let csv_tests =
              (String.concat ";" (List.map (String.concat ",") keys))
              text)
          csv_multiline_gen csv_load_agrees);
+    case "save raises when the closing flush fails" (fun () ->
+        (* /dev/full takes the open and fails every write. *)
+        if Sys.file_exists "/dev/full" then
+          match R.Csv_io.save abc "/dev/full" with
+          | () -> Alcotest.fail "a failed flush must raise"
+          | exception Sys_error _ -> ());
+    case "output writes what to_string returns" (fun () ->
+        let path = Filename.temp_file "relational_test" ".csv" in
+        Fun.protect
+          ~finally:(fun () -> Sys.remove path)
+          (fun () ->
+            Out_channel.with_open_bin path (fun oc -> R.Csv_io.output oc abc);
+            Alcotest.(check string) "" (R.Csv_io.to_string abc)
+              (In_channel.with_open_bin path In_channel.input_all)));
   ]
 
 (* ---- Coded paths: the code table, on-demand decoding, match codes ---- *)
@@ -1291,6 +1305,15 @@ let pretty_tests =
             Alcotest.(check int) "rule same width" (String.length header)
               (String.length rule)
         | _ -> Alcotest.fail "too short"));
+    case "output writes what render returns" (fun () ->
+        let path = Filename.temp_file "relational_test" ".txt" in
+        Fun.protect
+          ~finally:(fun () -> Sys.remove path)
+          (fun () ->
+            Out_channel.with_open_bin path (fun oc ->
+                R.Pretty.output ~title:"t" oc abc);
+            Alcotest.(check string) "" (R.Pretty.render ~title:"t" abc)
+              (In_channel.with_open_bin path In_channel.input_all)));
   ]
 
 let () =
