@@ -10,6 +10,52 @@ let extend_relation ?mode r ~target ilfds =
     ~keys:(Relational.Relation.declared_keys r)
     (List.map extend (Relational.Relation.tuples r))
 
+module Seen = Set.Make (Relational.Tuple)
+
+(* [Error row]: the first row whose projection on [key] holds a NULL
+   or repeats an earlier row's. *)
+let first_breaking schema key rows =
+  let seen = Hashtbl.create 64 in
+  let rec loop = function
+    | [] -> Ok ()
+    | row :: rest ->
+        let proj = Relational.Tuple.project schema row key in
+        if Relational.Tuple.has_null proj then Error row
+        else
+          let k = Relational.Tuple.values proj in
+          if Hashtbl.mem seen k then Error row
+          else begin
+            Hashtbl.add seen k ();
+            loop rest
+          end
+  in
+  loop rows
+
+let set_semantics schema ~keys tuples =
+  let _, distinct =
+    List.fold_left
+      (fun (seen, acc) row ->
+        if Seen.mem row seen then (seen, acc)
+        else (Seen.add row seen, row :: acc))
+      (Seen.empty, []) tuples
+  in
+  let distinct = List.rev distinct in
+  List.iter
+    (fun key ->
+      List.iter (fun a -> ignore (Relational.Schema.index_of schema a)) key;
+      match first_breaking schema key distinct with
+      | Ok () -> ()
+      | Error tuple -> raise (Relational.Relation.Key_violation { key; tuple }))
+    keys;
+  distinct
+
+let encode schema rows =
+  let n = Array.length rows in
+  Relational.Columnar.make schema n
+    (Array.init (Relational.Schema.arity schema) (fun a ->
+         Array.init n (fun i ->
+             Relational.Intern.code (Relational.Tuple.nth rows.(i) a))))
+
 let stratum ilfds =
   let rules_of = Hashtbl.create 16 in
   List.iter

@@ -1,10 +1,11 @@
 (** The references the production engines are held to: the ILFD
     per-tuple scan ({!Ilfd.Apply.extend_tuple_compiled}) mapped over a
-    relation, the attribute stratum the seeded derivation-order fault
-    sorts by, and
-    the paper's three-valued entity-identification function (Section
-    3.2) with the nested-loop Figure 3 partition built from it. Nothing
-    outside the checker, its tests and the benches calls them. *)
+    relation, the tuple-based set-semantics pass and the cell-by-cell
+    encode the relation builder is held to, the attribute stratum the
+    seeded derivation-order fault sorts by, and the paper's three-valued
+    entity-identification function (Section 3.2) with the nested-loop
+    Figure 3 partition built from it. Nothing outside the checker, its
+    tests and the benches calls them. *)
 
 (** [extend_relation ?mode r ~target ilfds] maps
     {!Ilfd.Apply.extend_tuple} over a relation, serially and in row
@@ -21,6 +22,27 @@ val extend_relation :
   target:Relational.Schema.t ->
   Ilfd.t list ->
   Relational.Relation.t
+
+(** [set_semantics schema ~keys tuples] — the rows a relation over
+    [schema] with the declared [keys] keeps, on tuples: exact duplicates
+    ({!Relational.Tuple.compare}) collapse, the first copy kept in
+    place; then each key in declaration order is checked over the
+    distinct rows by a hash table of projections.
+    @raise Relational.Schema.Unknown_attribute when a key names a
+    missing attribute, checked as that key's turn comes.
+    @raise Relational.Relation.Key_violation with the first distinct
+    row whose projection on the first failing key holds a NULL or
+    repeats an earlier row's. *)
+val set_semantics :
+  Relational.Schema.t ->
+  keys:string list list ->
+  Relational.Tuple.t list ->
+  Relational.Tuple.t list
+
+(** [encode schema rows] — the code columns of [rows] (tuples over
+    [schema]), one {!Relational.Intern.code} per cell. *)
+val encode :
+  Relational.Schema.t -> Relational.Tuple.t array -> Relational.Columnar.t
 
 (** [stratum ilfds] — each attribute's stratum under [ilfds]: [0] when no
     rule derives it, else one more than the deepest attribute any of its

@@ -53,7 +53,9 @@ let row_cache relation =
 (* The first phase: both relations ILFD-extended to the K_Ext target
    schemas. The family is compiled once for both sides. *)
 let extend ?mode ?(telemetry = Telemetry.off) ~r ~s ~key ilfds =
-  let compiled = Ilfd.Apply.compile ilfds in
+  let compiled =
+    Telemetry.span telemetry "ilfd.compile" (fun () -> Ilfd.Apply.compile ilfds)
+  in
   let side name rel =
     Telemetry.span telemetry name (fun () ->
         Ilfd.Fixpoint.extend_relation ?mode ~telemetry rel

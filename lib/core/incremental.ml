@@ -5,10 +5,6 @@ module Tuple = Relational.Tuple
 module Value = Relational.Value
 module Index = Relational.Index
 
-type journal_op =
-  | Journal_insert_r of Tuple.t
-  | Journal_insert_s of Tuple.t
-
 type t = {
   r : Keyed.t;  (** the base rows, append-only, with a key index *)
   s : Keyed.t;
@@ -32,9 +28,6 @@ type t = {
           the same accounting as {!Identify.outcome.unmatched_r}, kept
           incrementally (reverse insertion order) *)
   unmatched_s : Tuple.t list;
-  journal : (journal_op -> unit) option;
-      (** called after every successful mutation, with the operation
-          just applied — the persistence layer's write-ahead hook *)
 }
 
 let kext t = Extended_key.attributes t.key
@@ -86,11 +79,7 @@ let of_outcome ?(mode = Ilfd.Apply.First_rule) ?(telemetry = Telemetry.off)
     pairs = List.rev o.pairs;
     unmatched_r = List.rev o.unmatched_r;
     unmatched_s = List.rev o.unmatched_s;
-    journal = None;
   }
-
-let with_journal t journal = { t with journal }
-let notify t op = match t.journal with None -> () | Some f -> f op
 
 let create ?(mode = Ilfd.Apply.First_rule) ?(telemetry = Telemetry.off) ~r ~s
     ~key ilfds =
@@ -137,7 +126,6 @@ let extend_r t r tuple =
         (if probe_null then extended :: t.unmatched_r else t.unmatched_r);
     }
   in
-  notify t' (Journal_insert_r tuple);
   (t', List.map (entry_of t') new_pairs)
 
 let extend_s t s tuple =
@@ -161,13 +149,11 @@ let extend_s t s tuple =
         (if probe_null then extended :: t.unmatched_s else t.unmatched_s);
     }
   in
-  notify t' (Journal_insert_s tuple);
   (t', List.map (entry_of t') new_pairs)
 
 (* The key check runs before the extension, so a row that both breaks a
    key and has disagreeing derivations reports the key violation. An
-   exact duplicate stops there: it changes nothing and is not
-   journalled. *)
+   exact duplicate stops there: it changes nothing. *)
 let insert_r t tuple =
   Telemetry.span t.telemetry "incremental.insert" @@ fun () ->
   match Keyed.add t.r tuple with
@@ -180,13 +166,10 @@ let insert_s t tuple =
   | None -> (t, [])
   | Some s -> extend_s t s tuple
 
+(* A knowledge update recomputes wholesale. *)
 let add_ilfd t ilfd =
-  (* A knowledge update recomputes wholesale; the journal hook survives
-     it (the persistence layer re-snapshots around rule changes). *)
-  with_journal
-    (create ~mode:t.mode ~telemetry:t.telemetry ~r:(Keyed.to_relation t.r)
-       ~s:(Keyed.to_relation t.s) ~key:t.key (t.ilfds @ [ ilfd ]))
-    t.journal
+  create ~mode:t.mode ~telemetry:t.telemetry ~r:(Keyed.to_relation t.r)
+    ~s:(Keyed.to_relation t.s) ~key:t.key (t.ilfds @ [ ilfd ])
 
 let explain t (entry : Matching_table.entry) =
   match
@@ -212,12 +195,12 @@ let violations t = Matching_table.uniqueness_violations (matching_table t)
 (* ---- snapshot state ----
 
    The dump is the state without what is derived from the family or
-   bound to this process: the compiled plans, the telemetry sink and
-   the journal hook. What it holds — the keyed bases with their built
-   key maps, the K_Ext indexes (keyed on values, not interned codes),
-   schemas, tuples and pairs — is pure data: no closures and no
-   interned codes, so it is safe to [Marshal] across processes as it
-   is, and [restore] takes it back without rebuilding anything. *)
+   bound to this process: the compiled plans and the telemetry sink.
+   What it holds — the keyed bases with their built key maps, the K_Ext
+   indexes (keyed on values, not interned codes), schemas, tuples and
+   pairs — is pure data: no closures and no interned codes, so it is
+   safe to [Marshal] across processes as it is, and [restore] takes it
+   back without rebuilding anything. *)
 
 type dump = {
   d_r : Keyed.t;
@@ -275,7 +258,6 @@ let restore ?(telemetry = Telemetry.off) ~ilfds d =
     pairs = d.d_pairs;
     unmatched_r = d.d_unmatched_r;
     unmatched_s = d.d_unmatched_s;
-    journal = None;
   }
 
 let outcome t =

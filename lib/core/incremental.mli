@@ -56,7 +56,7 @@ val create :
     Returns the new state and the matching-table entries the insertion
     created (possibly none). Set semantics as {!Relational.Relation.add}:
     an exact duplicate of a stored row returns [(t, [])] unchanged — not
-    extended, not counted and not journalled.
+    extended and not counted.
     @raise Relational.Relation.Key_violation if the tuple breaks one of
     R's declared keys (checked before the extension, so this wins over a
     derivation conflict).
@@ -120,24 +120,6 @@ val violations : t -> Matching_table.violation list
     {!Integrate.integrated_table} and {!Fusion.fuse} take. *)
 val outcome : t -> Identify.outcome
 
-(** {2 Journal hook}
-
-    The persistence layer's write-ahead attachment point: every
-    successful mutation notifies the hook with the operation just
-    applied, so a store can append it to a log without wrapping each
-    call site. The hook is carried across {!add_ilfd} (which recomputes
-    state wholesale) and is {e not} part of a {!dump}. *)
-
-type journal_op =
-  | Journal_insert_r of Relational.Tuple.t
-  | Journal_insert_s of Relational.Tuple.t
-
-(** [with_journal t hook] — [t] notifying [hook] ([None] detaches). The
-    hook runs after the mutation has fully succeeded (a key violation or
-    derivation conflict raises before it fires), with the {e original}
-    tuple as submitted, not the extended one. *)
-val with_journal : t -> (journal_op -> unit) option -> t
-
 (** {2 Snapshot state}
 
     A {!dump} is the identification state as pure data — no closures,
@@ -153,7 +135,7 @@ type dump
 val dump : t -> dump
 
 (** [restore ?telemetry ~ilfds d] — the state [d] was dumped from, with
-    a fresh telemetry sink and no journal hook attached. [ilfds] must be
+    a fresh telemetry sink. [ilfds] must be
     the family the state was built under, in family order (a store
     guards this with the hash of its configuration). *)
 val restore : ?telemetry:Telemetry.t -> ilfds:Ilfd.t list -> dump -> t

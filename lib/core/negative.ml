@@ -17,13 +17,10 @@ module Itbl = Hashtbl.Make (Int)
    buckets of S rows over those columns; a rule with no such
    attributes — every Prop-1 rule, whose atoms all compare with
    constants — is evaluated on every pair. *)
-let fired rules sr rt ss st =
+let fired rules ~r ~s rt st =
+  let sr = Relation.schema r and ss = Relation.schema s in
   let nr = Array.length rt and ns = Array.length st in
   let set = Itbl.create 64 in
-  (* Interned column views of both sides, shared by every rule's coded
-     buckets; forced only when some rule can block. *)
-  let r_coded = lazy (Columnar.encode sr rt)
-  and s_coded = lazy (Columnar.encode ss st) in
   List.iter
     (fun rule ->
       (* A rule made only of same-attribute equalities fires on exactly
@@ -62,11 +59,11 @@ let fired rules sr rt ss st =
              codes, so a rule's [e1.a = e2.a] meets [Int 1] and
              [Float 1.] as [Value.eq3] says, and a bucket's rows chain in
              ascending order. *)
-          let matches coded =
+          let matches rel =
             Array.map (Array.map Intern.match_code)
-              (Columnar.columns (Lazy.force coded) attrs)
+              (Columnar.columns (Relation.columnar rel) attrs)
           in
-          let r_match = matches r_coded and s_match = matches s_coded in
+          let r_match = matches r and s_match = matches s in
           let table = Code_table.create ~chains:true ns in
           for j = 0 to ns - 1 do
             if not (Columnar.has_null s_match j) then
@@ -109,7 +106,7 @@ let of_rules ~r ~s rules =
   let r_key = Relation.primary_key r and s_key = Relation.primary_key s in
   let rt = Array.of_list (Relation.tuples r)
   and st = Array.of_list (Relation.tuples s) in
-  let d = fired rules sr rt ss st in
+  let d = fired rules ~r ~s rt st in
   (* Output in row-major pair order, visiting only the fired pairs. *)
   let d_rows = row_lists d ~nr:(Array.length rt) ~ns:(Array.length st) in
   let entries = ref [] in

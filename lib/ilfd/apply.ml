@@ -70,11 +70,11 @@ let extend_tuple_compiled ?(mode = First_rule) schema tuple ~target c =
   let cells =
     Array.of_list
       (List.map
-         (fun (a : Schema.attribute) ->
-           match Schema.index_of_opt schema a.name with
-           | Some _ -> Tuple.get schema tuple a.name
+         (fun name ->
+           match Schema.index_of_opt schema name with
+           | Some _ -> Tuple.get schema tuple name
            | None -> V.Null)
-         (Schema.attributes target))
+         (Schema.names target))
   in
   let used : derivation list ref = ref [] in
   let in_progress = Hashtbl.create 8 in
@@ -150,9 +150,7 @@ let extend_tuple_compiled ?(mode = First_rule) schema tuple ~target c =
                   (Conflict_exn { attribute = attr; first = v; second; rule })))
   in
   match
-    List.iter
-      (fun (a : Schema.attribute) -> ignore (lookup a.name))
-      (Schema.attributes target)
+    List.iter (fun name -> ignore (lookup name)) (Schema.names target)
   with
   | () -> Ok (Tuple.of_array target cells, List.rev !used)
   | exception Conflict_exn c -> Error c

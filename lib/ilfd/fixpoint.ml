@@ -173,11 +173,11 @@ let plan ~source ~target c =
   let exact = List.for_all acyclic (List.init n Fun.id) in
   let top =
     List.filter_map
-      (fun (a : Schema.attribute) ->
-        match Hashtbl.find_opt ids a.name with
+      (fun name ->
+        match Hashtbl.find_opt ids name with
         | Some id when groups_by_col.(id) <> [] -> Some id
         | _ -> None)
-      (Schema.attributes target)
+      (Schema.names target)
   in
   {
     compiled = c;
@@ -194,11 +194,9 @@ let plan ~source ~target c =
     target_src =
       Array.of_list
         (List.map
-           (fun (a : Schema.attribute) ->
-             match Schema.index_of_opt source a.name with
-             | Some i -> i
-             | None -> -1)
-           (Schema.attributes target));
+           (fun name ->
+             Option.value (Schema.index_of_opt source name) ~default:(-1))
+           (Schema.names target));
     exact;
   }
 

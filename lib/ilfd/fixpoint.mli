@@ -107,8 +107,8 @@ val extend_tuple :
     runs, nothing is interned, and no row is decoded. Every [Identify],
     [Explain], [Cluster] and [Incremental] target keeps the source's
     attributes, and the CLI declares a key on both sides. Otherwise the
-    rows go through {!Relational.Relation.of_tuples}, which collapses
-    rows that derivation made equal.
+    code columns, written the same way, go through the relation
+    builder, which collapses rows that derivation made equal.
 
     [telemetry] records the [ilfd.extend] span and [ilfd.tuples],
     [ilfd.derivations], [ilfd.fixpoint.classes] (derivation classes),

@@ -11,18 +11,6 @@ let make schema length columns =
   then invalid_arg "Columnar.make: one column of [length] codes per attribute";
   { schema; length; columns }
 
-let encode schema rows =
-  let arity = Schema.arity schema in
-  let n = Array.length rows in
-  let columns = Array.init arity (fun _ -> Array.make n 0) in
-  for i = 0 to n - 1 do
-    let row = rows.(i) in
-    for a = 0 to arity - 1 do
-      columns.(a).(i) <- Intern.code (Tuple.nth row a)
-    done
-  done;
-  { schema; length = n; columns }
-
 let schema t = t.schema
 let length t = t.length
 let nth t a = t.columns.(a)

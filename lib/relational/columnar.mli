@@ -1,20 +1,12 @@
-(** Column-major, int-coded views of tuple sets.
+(** Column-major, int-coded rows: the form every {!Relation.t} holds.
 
     A columnar view stores one {!Intern} storage code per cell, one
     array per attribute, so key probes, blocking buckets and hash joins
     compare small integer arrays instead of structural values. Code [0]
     is NULL ({!Intern.null_code}); storage-code equality is exactly
-    {!Value.equal} on the decoded cells.
-
-    Encoding interns every cell, so it must run on the loading domain
-    (see {!Intern}); the resulting view is immutable and safe to read
-    from any domain. *)
+    {!Value.equal} on the decoded cells. *)
 
 type t
-
-(** [encode schema rows] — intern every cell of [rows] (tuples over
-    [schema]) and return the column-major code view. *)
-val encode : Schema.t -> Tuple.t array -> t
 
 (** [make schema length columns] — the view whose column [a] is
     [columns.(a)], taken as is (not copied): codes the caller interned,

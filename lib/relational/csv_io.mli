@@ -16,11 +16,11 @@ val parse_string : string -> string list list
     exact-duplicate rows (the first copy wins) and checks each declared
     key as the rows arrive. The builder is sized first, from a count of
     [s]'s newlines (an upper bound on its rows), so its columns and key
-    tables never regrow. The result has its {!Relation.columnar} view
-    set.
+    tables never regrow. The result is held as those code columns.
 
     The outcome is exactly that of {!Relation.of_tuples} over the rows of
-    {!parse_string}: the same rows in the same order, the same exception
+    {!parse_string} (and of the checker's tuple-based set-semantics pass
+    over them): the same rows in the same order, the same exception
     with the same witness. Exceptions come in this order:
     - [Parse_error] on an unterminated quote (line: where the input
       ends), empty input (line 1), a header that repeats a column name

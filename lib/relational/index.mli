@@ -19,9 +19,9 @@ type t
     @raise Schema.Unknown_attribute for unknown attributes. *)
 val build : Relation.t -> string list -> t
 
-(** [of_tuples schema attrs tuples] — index [tuples] (conforming to
-    [schema]) on [attrs], in list order. Tuples {!add}ed later conform
-    to [schema] too: the index reads their key cells by position.
+(** [of_tuples schema attrs tuples] — index [tuples] (over [schema])
+    on [attrs], in list order. Tuples {!add}ed later are over [schema]
+    too: the index reads their key cells by position.
     @raise Schema.Unknown_attribute for unknown attributes. *)
 val of_tuples : Schema.t -> string list -> Tuple.t list -> t
 
@@ -37,7 +37,7 @@ val lookup : t -> Value.t list -> Tuple.t list
 val lookup_tuple : t -> Schema.t -> Tuple.t -> Tuple.t list
 
 (** [add idx tuple] — functional update used when a relation grows;
-    [tuple] conforms to the schema [idx] was built over. *)
+    [tuple] is over the schema [idx] was built over. *)
 val add : t -> Tuple.t -> t
 
 val cardinality : t -> int

@@ -24,13 +24,9 @@
     integral float's int partner before the float; there are at most
     [2³¹ − 1] of them.
 
-    Codes are process-global and never recycled. Writes ({!code},
-    {!share}) and {!find} are serialised by a mutex; reads ({!value},
-    {!match_code}, {!compare_codes}, {!size}) are lock-free against a
-    published snapshot, so worker domains may decode and match codes
-    freely as long as only already-interned codes reach them — the
-    intended discipline is: intern on the loading/planning domain,
-    compute on any domain. *)
+    Codes are process-global and never recycled. The table is plain
+    mutable state for the one domain the pipeline runs on: nothing
+    locks it, so it must not be used from two domains at once. *)
 
 (** The storage code of [Value.Null]; always [0]. A code of [0] in a
     column therefore means "missing", and no non-NULL value ever maps

@@ -1,66 +1,16 @@
 type t = {
   schema : Schema.t;
   keys : string list list;
-  n : int;  (** rows *)
-  (* The rows as tuples and their column-major code view. At least one is
-     set; the other is built from it on first use and cached. Each is a
-     pure function of the other, so a racing double computation is
-     benign (both results are equal). The coded constructors ([build],
-     [extend]) set only the codes. *)
+  coded : Columnar.t;  (** the rows, as {!Intern} code columns *)
   mutable rows : Tuple.t array option;
-  mutable coded : Columnar.t option;
+      (** the rows as tuples, once decoded, or as [of_tuples] was given
+          them: a cache of [coded], never the other way round *)
 }
 
 exception Key_violation of { key : string list; tuple : Tuple.t }
 
-module Tset = Set.Make (struct
-  type t = Tuple.t
-
-  let compare = Tuple.compare
-end)
-
-let check_key schema key rows =
-  let seen = Hashtbl.create 64 in
-  let rec loop = function
-    | [] -> Ok ()
-    | row :: rest ->
-        let proj = Tuple.project schema row key in
-        if Tuple.has_null proj then Error row
-        else
-          let k = Tuple.values proj in
-          if Hashtbl.mem seen k then Error row
-          else begin
-            Hashtbl.add seen k ();
-            loop rest
-          end
-  in
-  loop rows
-
 let default_keys schema keys =
   match keys with [] -> [ Schema.names schema ] | _ :: _ -> keys
-
-let validate_keys schema keys rows =
-  List.iter
-    (fun key ->
-      List.iter (fun a -> ignore (Schema.index_of schema a)) key;
-      match check_key schema key rows with
-      | Ok () -> ()
-      | Error tuple -> raise (Key_violation { key; tuple }))
-    keys
-
-let of_tuples schema ?(keys = []) tuple_list =
-  (* Set semantics: collapse exact duplicates, preserving first-seen order. *)
-  let _, distinct =
-    List.fold_left
-      (fun (seen, acc) row ->
-        if Tset.mem row seen then (seen, acc)
-        else (Tset.add row seen, row :: acc))
-      (Tset.empty, []) tuple_list
-  in
-  let distinct = List.rev distinct in
-  validate_keys schema keys distinct;
-  let rows = Array.of_list distinct in
-  { schema; keys; n = Array.length rows; rows = Some rows; coded = None }
 
 (* ---- coded construction ---- *)
 
@@ -180,27 +130,8 @@ let add_codes b codes =
 let decode schema cols i =
   Tuple.of_array schema (Array.map (fun col -> Intern.value col.(i)) cols)
 
-let typed schema =
-  List.exists (fun (a : Schema.attribute) -> a.ty <> None)
-    (Schema.attributes schema)
-
-let code_columns schema c = Array.init (Schema.arity schema) (Columnar.nth c)
-
-let rows (r : t) =
-  match (r.rows, r.coded) with
-  | Some rows, _ -> rows
-  | None, Some c ->
-      let rows = Array.init r.n (decode r.schema (code_columns r.schema c)) in
-      r.rows <- Some rows;
-      rows
-  | None, None -> assert false
-
-let row (r : t) i =
-  if i < 0 || i >= r.n then invalid_arg "Relation.row: no such row";
-  match (r.rows, r.coded) with
-  | Some rows, _ -> rows.(i)
-  | None, Some c -> decode r.schema (code_columns r.schema c) i
-  | None, None -> assert false
+let code_columns c =
+  Array.init (Schema.arity (Columnar.schema c)) (Columnar.nth c)
 
 let build b =
   let schema = b.b_schema in
@@ -221,24 +152,11 @@ let build b =
   Array.iter
     (Array.iter (fun c -> if c < 0 || c >= known then ignore (Intern.value c)))
     cols;
-  let r =
-    {
-      schema;
-      keys = b.b_keys;
-      n;
-      rows = None;
-      coded = Some (Columnar.make schema n cols);
-    }
-  in
-  (* A typed schema's rows are checked against its types now, as a
-     decode would check them. *)
-  if typed schema then ignore (rows r);
-  r
+  { schema; keys = b.b_keys; coded = Columnar.make schema n cols; rows = None }
 
-let of_columnar c =
-  let n = Columnar.length c and schema = Columnar.schema c in
-  let cols = Array.init (Schema.arity schema) (Columnar.nth c) in
-  let b = builder ~rows:n schema ~keys:[] in
+(* Rows [0 .. n-1] of [cols] through a builder. *)
+let of_rows schema ~keys n cols =
+  let b = builder ~rows:n schema ~keys in
   let codes = Array.make (Array.length cols) 0 in
   for i = 0 to n - 1 do
     Array.iteri (fun a col -> codes.(a) <- col.(i)) cols;
@@ -246,90 +164,103 @@ let of_columnar c =
   done;
   build b
 
+let of_columnar c =
+  of_rows (Columnar.schema c) ~keys:[] (Columnar.length c) (code_columns c)
+
+(* A row the builder keeps raises its count; the tuples of those rows
+   become the decode cache, so [tuples] gives back the values offered. *)
+let of_tuples schema ?(keys = []) tuples =
+  let arity = Schema.arity schema in
+  let b = builder ~rows:(List.length tuples) schema ~keys in
+  let codes = Array.make arity 0 in
+  let kept = ref [] in
+  List.iter
+    (fun t ->
+      let got = Tuple.arity t in
+      if got <> arity then raise (Tuple.Arity_mismatch { expected = arity; got });
+      for a = 0 to arity - 1 do
+        codes.(a) <- Intern.code (Tuple.nth t a)
+      done;
+      let before = b.n in
+      add_codes b codes;
+      if b.n > before then kept := t :: !kept)
+    tuples;
+  let r = build b in
+  r.rows <- Some (Array.of_list (List.rev !kept));
+  r
+
 let create schema ?(keys = []) value_rows =
   of_tuples schema ~keys (List.map (Tuple.make schema) value_rows)
 
 let empty schema ?(keys = []) () = of_tuples schema ~keys []
 
 let schema r = r.schema
+let columnar r = r.coded
+let cardinality r = Columnar.length r.coded
 
-let columnar r =
-  match r.coded with
-  | Some c -> c
+let rows r =
+  match r.rows with
+  | Some rows -> rows
   | None ->
-      let c = Columnar.encode r.schema (rows r) in
-      r.coded <- Some c;
-      c
+      let rows =
+        Array.init (cardinality r) (decode r.schema (code_columns r.coded))
+      in
+      r.rows <- Some rows;
+      rows
+
+let row r i =
+  if i < 0 || i >= cardinality r then invalid_arg "Relation.row: no such row";
+  match r.rows with
+  | Some rows -> rows.(i)
+  | None -> decode r.schema (code_columns r.coded) i
 
 (* ---- extension ---- *)
 
 let extend (r : t) target ~classes ~derived =
-  let n = r.n in
+  let n = cardinality r in
   if Array.length classes <> n then
     invalid_arg "Relation.extend: one class per row";
   let base =
     Array.of_list
-      (List.map
-         (fun (a : Schema.attribute) -> Schema.index_of_opt r.schema a.name)
-         (Schema.attributes target))
+      (List.map (Schema.index_of_opt r.schema) (Schema.names target))
   in
-  let overwrite () =
-    invalid_arg "Relation.extend: a derived cell overwrites a non-NULL cell"
+  (* The deltas go straight into code columns: untouched columns are
+     shared with [r]'s, written ones copied, new ones start NULL. *)
+  let written = Array.make (Array.length base) false in
+  Array.iter (List.iter (fun (p, _) -> written.(p) <- true)) derived;
+  let source = r.coded in
+  let columns =
+    Array.mapi
+      (fun p -> function
+        | Some j when not written.(p) -> Columnar.nth source j
+        | Some j -> Array.copy (Columnar.nth source j)
+        | None -> Array.make n Intern.null_code)
+      base
   in
+  for i = 0 to n - 1 do
+    List.iter
+      (fun (p, code) ->
+        let col = columns.(p) in
+        if col.(i) <> Intern.null_code then
+          invalid_arg
+            "Relation.extend: a derived cell overwrites a non-NULL cell";
+        col.(i) <- code)
+      derived.(classes.(i))
+  done;
   (* Set semantics carry over when a key is declared and the target keeps
      every attribute: derived cells only fill NULLs and declared-key cells
      are never NULL, so each row keeps its key values, hence stays
-     distinct, and every declared key stays valid. *)
-  let inherits =
-    r.keys <> [] && List.for_all (Schema.mem target) (Schema.names r.schema)
-  in
-  if inherits then begin
-    (* The deltas go straight into code columns: untouched columns are
-       shared with [r]'s, written ones copied, new ones start NULL. No
-       tuple is built, unless a typed target asks for its check. *)
-    let written = Array.make (Array.length base) false in
-    Array.iter (List.iter (fun (p, _) -> written.(p) <- true)) derived;
-    let source = columnar r in
-    let columns =
-      Array.mapi
-        (fun p -> function
-          | Some j when not written.(p) -> Columnar.nth source j
-          | Some j -> Array.copy (Columnar.nth source j)
-          | None -> Array.make n Intern.null_code)
-        base
-    in
-    let check = typed target in
-    for i = 0 to n - 1 do
-      List.iter
-        (fun (p, code) ->
-          let col = columns.(p) in
-          if col.(i) <> Intern.null_code then overwrite ();
-          col.(i) <- code)
-        derived.(classes.(i));
-      if check then ignore (decode target columns i)
-    done;
+     distinct, and every declared key stays valid. Otherwise the builder
+     establishes them. *)
+  if r.keys <> [] && List.for_all (Schema.mem target) (Schema.names r.schema)
+  then
     {
       schema = target;
       keys = r.keys;
-      n;
+      coded = Columnar.make target n columns;
       rows = None;
-      coded = Some (Columnar.make target n columns);
     }
-  end
-  else
-    let materialise i =
-      let t = row r i in
-      let cells =
-        Array.map (function Some j -> Tuple.nth t j | None -> Value.Null) base
-      in
-      List.iter
-        (fun (p, code) ->
-          if not (Value.is_null cells.(p)) then overwrite ();
-          cells.(p) <- Intern.value code)
-        derived.(classes.(i));
-      Tuple.of_array target cells
-    in
-    of_tuples target ~keys:r.keys (List.init n materialise)
+  else of_rows target ~keys:r.keys n columns
 
 let keys r = default_keys r.schema r.keys
 let declared_keys r = r.keys
@@ -337,7 +268,6 @@ let declared_keys r = r.keys
 let primary_key r =
   match r.keys with key :: _ -> key | [] -> Schema.names r.schema
 
-let cardinality (r : t) = r.n
 let is_empty r = cardinality r = 0
 let tuples r = Array.to_list (rows r)
 let iter f r = Array.iter f (rows r)
@@ -356,10 +286,23 @@ let key_of r tuple = Tuple.project r.schema tuple (primary_key r)
 
 let with_keys r keys = of_tuples r.schema ~keys (tuples r)
 
+let relation_of_tuples = of_tuples
+
+(* Both are sets of rows, so equal sizes and every row of [b] among
+   [a]'s make them equal. Storage codes split cells as [Value.equal]
+   does. *)
 let equal a b =
   Schema.equal a.schema b.schema
   && cardinality a = cardinality b
-  && Tset.equal (Tset.of_list (tuples a)) (Tset.of_list (tuples b))
+  &&
+  let n = cardinality a in
+  let ca = code_columns a.coded and cb = code_columns b.coded in
+  let held = Code_table.create n in
+  for i = 0 to n - 1 do
+    ignore (Code_table.find_or_add held ca i)
+  done;
+  let rec all i = i = n || (Code_table.find held ca cb i >= 0 && all (i + 1)) in
+  all 0
 
 let pp ppf r =
   Format.fprintf ppf "@[<v>%a@,%a@]" Schema.pp r.schema
@@ -372,8 +315,8 @@ type relation = t
 
 module Keyed = struct
   (* Keys compare with [Value.compare], which is 0 exactly when
-     [Value.equal] holds: the equality [check_key] and set
-     semantics use. *)
+     [Value.equal] holds: the equality storage codes, and so the
+     builder's set semantics, use. *)
   module Kmap = Map.Make (struct
     type t = Value.t list
 
@@ -456,14 +399,7 @@ module Keyed = struct
   let mem_key t values = Option.is_some (find_key t values)
 
   let tuples t = List.rev t.rows
-  (* [add] kept these rows distinct and key-valid: hand them over as they
-     are. *)
+
   let to_relation t : relation =
-    {
-      schema = t.schema;
-      keys = t.keys;
-      n = t.count;
-      rows = Some (Array.of_list (tuples t));
-      coded = None;
-    }
+    relation_of_tuples t.schema ~keys:t.keys (tuples t)
 end

@@ -6,47 +6,48 @@
     silently collapsed, but two {e distinct} tuples agreeing on a candidate
     key raise {!Key_violation}.
 
-    Set semantics are established once, when a relation is constructed,
-    and every constructor establishes them: {!of_tuples} (the general
-    constructor) by a pass over the rows, {!build} on {!Intern} storage
-    codes as the rows arrive, {!extend} by inheriting them from its
-    source under a precondition it checks, and {!Keyed.to_relation} by
-    handing over rows that {!Keyed.add} checked one at a time.
+    Every relation holds its rows as {!Intern} code columns
+    ({!columnar}), and every constructor establishes set semantics the
+    same way: it offers the rows' codes to a {!builder} and {!build}s it.
+    The one exception is an {!extend} that inherits set semantics from
+    its source under a precondition it checks.
 
-    A relation holds its rows as tuples, as {!Intern} code columns
-    ({!columnar}), or both. The coded constructors ({!build} and an
-    {!extend} that inherits set semantics) hold only the code columns:
-    such a relation decodes its tuples on first use of {!tuples} (or
-    {!iter}, {!fold}, …) and keeps them, and {!row} decodes one row
-    without decoding the others. A relation built from tuples encodes
-    its code columns on first use of {!columnar}. Either way the rows
-    and the columns describe the same tuples. *)
+    Tuples are a cache: {!tuples} (or {!iter}, {!fold}, …) decodes
+    every row on first use and keeps them, and {!row} decodes one row
+    without decoding the others. {!of_tuples} keeps the tuples it was
+    given for the rows it keeps, so {!tuples} returns them as given. *)
 
 type t
 
 exception Key_violation of { key : string list; tuple : Tuple.t }
 
-(** [create schema ~keys rows] builds a relation.
+(** [create schema ~keys rows] builds a relation: {!of_tuples} over
+    [rows] made tuples.
     @raise Schema.Unknown_attribute if a key names a missing attribute.
     @raise Key_violation on a candidate-key violation (including a NULL in
     a key attribute).
     @raise Tuple.Arity_mismatch on a row of the wrong width. *)
 val create : Schema.t -> ?keys:string list list -> Value.t list list -> t
 
-(** [of_tuples schema ~keys tuples] is {!create} over prebuilt tuples. *)
+(** [of_tuples schema ~keys tuples] — each tuple's cells interned and
+    offered, in order, to a {!builder}, then {!build}: an exact
+    duplicate is dropped (the first copy wins), and a key problem raises
+    what {!build} raises.
+    @raise Tuple.Arity_mismatch on a tuple of the wrong width, as it is
+    offered. *)
 val of_tuples : Schema.t -> ?keys:string list list -> Tuple.t list -> t
 
 val empty : Schema.t -> ?keys:string list list -> unit -> t
 
 (** {2 Coded construction}
 
-    A relation assembled one row of {!Intern} storage codes at a time.
-    Storage codes partition cells exactly as {!Value.equal} does, so
-    deduplicating and key-checking on codes keeps exactly the rows
-    {!of_tuples} keeps and raises exactly what it raises: the builder
-    hashes row indices over its code columns, with one table per
-    declared key (key 0's table also finds exact duplicates) or, with no
-    declared key, one table over the whole row. *)
+    A relation assembled one row of {!Intern} storage codes at a time:
+    the one place set semantics are established. Storage codes partition
+    cells exactly as {!Value.equal} does, so the builder keeps the
+    distinct rows under {!Value.equal}, first seen first. It hashes row
+    indices over its code columns, with one table per declared key (key
+    0's table also finds exact duplicates) or, with no declared key, one
+    table over the whole row. *)
 
 type builder
 
@@ -66,12 +67,11 @@ val add_codes : builder -> int array -> unit
 
 (** [build b] — the relation of the rows kept, in first-seen order,
     held as the code columns it was built from: its tuples are decoded
-    on first use (at once when [schema] has a typed attribute, whose
-    check a decode makes).
-    Raises what {!of_tuples} over the offered rows raises, in the same
-    order: for each declared key in declaration order,
+    on first use.
+    For each declared key in declaration order, raises
     {!Schema.Unknown_attribute} if it names a missing attribute, then
-    {!Key_violation} carrying the first distinct row that breaks it.
+    {!Key_violation} carrying the first distinct row that breaks it (a
+    NULL in the key breaks it too), decoded from its codes.
     @raise Invalid_argument on a code {!Intern} never returned. *)
 val build : builder -> t
 
@@ -90,21 +90,19 @@ val of_columnar : Columnar.t -> t
     derived cell may only fill a NULL cell. The result's declared keys
     are [r]'s.
 
-    When [r] has a declared key and [target] keeps every attribute of
-    [r] — checked in O(arity) — the rows are distinct and key-valid by
-    construction: a derived cell lands on a NULL, checked in O(1) per
-    write, and declared-key cells are never NULL. No set-semantics pass
-    runs, and the result holds only code columns, made from [r]'s
-    ({!columnar}): untouched columns are shared, derived cells are
-    written as their codes from [derived], and no tuple is built (a
-    typed [target] decodes each row once, for its check). Otherwise the
-    rows go through {!of_tuples}, which may collapse rows that
-    derivation made equal.
+    The code columns are made from [r]'s ({!columnar}): untouched
+    columns are shared, derived cells are written as their codes from
+    [derived], and no tuple is built. When [r] has a declared key and
+    [target] keeps every attribute of [r] — checked in O(arity) — the
+    rows are distinct and key-valid by construction: a derived cell
+    lands on a NULL, checked in O(1) per write, and declared-key cells
+    are never NULL, so no set-semantics pass runs. Otherwise the rows go
+    through a {!builder}, which may collapse rows that derivation made
+    equal.
     @raise Invalid_argument when [classes] does not have one entry per
-    row, when a derived cell lands on a non-NULL cell, or on a row that
-    breaks a type of [target].
-    @raise Key_violation or Schema.Unknown_attribute as {!of_tuples}
-    does, on the fallback. *)
+    row, or when a derived cell lands on a non-NULL cell.
+    @raise Key_violation or Schema.Unknown_attribute as {!build} does,
+    when the rows go through a builder. *)
 val extend :
   t ->
   Schema.t ->
@@ -114,15 +112,13 @@ val extend :
 
 val schema : t -> Schema.t
 
-(** [columnar r] — the relation's column-major {!Intern}-coded view. The
-    coded constructors ({!build}, {!extend}) hold it from the start;
-    otherwise it is built on first use and cached (interning runs on
-    the calling domain; see {!Intern} for the domain discipline). *)
+(** [columnar r] — the relation's rows, as the column-major
+    {!Intern}-coded view it holds. *)
 val columnar : t -> Columnar.t
 
 (** [row r i] — row [i] (from 0, in relation order): [List.nth (tuples
-    r) i]. A relation held as code columns decodes that row alone, each
-    call, and keeps nothing.
+    r) i]. Until {!tuples} has decoded every row, it decodes that row
+    alone, each call, and keeps nothing.
     @raise Invalid_argument when [i] is not a row. *)
 val row : t -> int -> Tuple.t
 
@@ -148,10 +144,11 @@ val find_opt : (Tuple.t -> bool) -> t -> Tuple.t option
 val mem : t -> Tuple.t -> bool
 
 (** [add r tuple] is [r] plus [tuple]: an exact duplicate leaves [r]
-    as it is. O(n) — it rebuilds the relation and re-checks every key —
-    so bulk paths should use {!create}, and a relation that grows one
-    tuple at a time should be a {!Keyed.t}, whose [add] has these
-    semantics in O(log n) and is tested against this one.
+    as it is. O(n) — it rebuilds the relation through {!of_tuples} and
+    re-checks every key — so bulk paths should use {!create}, and a
+    relation that grows one tuple at a time should be a {!Keyed.t},
+    whose [add] has these semantics in O(log n) and is tested against
+    this one.
     @raise Key_violation as for {!create}. *)
 val add : t -> Tuple.t -> t
 
@@ -161,15 +158,13 @@ val value : t -> Tuple.t -> string -> Value.t
 (** [key_of r tuple] projects [tuple] on the primary key. *)
 val key_of : t -> Tuple.t -> Tuple.t
 
-(** [with_keys r keys] re-validates [r] under new candidate keys. *)
+(** [with_keys r keys] re-validates [r] under new candidate keys, through
+    {!of_tuples}. *)
 val with_keys : t -> string list list -> t
 
-(** [check_key schema key rows] is [Ok ()] or the first offending tuple. *)
-val check_key :
-  Schema.t -> string list -> Tuple.t list -> (unit, Tuple.t) result
-
-(** Structural equality: same schema (names and types, in order) and same
-    tuple set. Declared keys are not compared. *)
+(** Structural equality: same schema (names, in order) and same tuple
+    set under {!Value.equal}, compared on storage codes. Declared keys
+    are not compared. *)
 val equal : t -> t -> bool
 
 val pp : Format.formatter -> t -> unit
@@ -197,13 +192,9 @@ val pp : Format.formatter -> t -> unit
       first violated key in declaration order and the new tuple;
     - the rows keep insertion order.
 
-    Key equality is {!check_key}'s structural equality: {!Value.compare}
-    on the projected key, under which [Int 1] and [Float 1.] differ,
-    [nan] equals [nan] and [0.] equals [-0.].
-
-    It lives in this module so that [Keyed.to_relation] can hand over
-    the rows [Keyed.add] already holds distinct and key-valid, in O(n),
-    without checking them again. *)
+    Key equality is the builder's: {!Value.compare} on the projected
+    key, which is 0 exactly when {!Value.equal} holds, so [Int 1] and
+    [Float 1.] differ, [nan] equals [nan] and [0.] equals [-0.]. *)
 module Keyed : sig
   type relation := t
   type t
@@ -249,7 +240,6 @@ module Keyed : sig
   val tuples : t -> Tuple.t list
 
   (** [to_relation t] — the same rows as a relation, in insertion
-      order. O(n): [add] already holds them distinct and key-valid, so
-      they are handed over without a second check. *)
+      order: {!Relation.of_tuples} over {!tuples}. *)
   val to_relation : t -> relation
 end

@@ -1,27 +1,21 @@
-type attribute = { name : string; ty : Value.ty option }
-
-type t = { attrs : attribute array; positions : (string, int) Hashtbl.t }
+type t = { names : string array; positions : (string, int) Hashtbl.t }
 
 exception Duplicate_attribute of string
 exception Unknown_attribute of string
 
-let attr ?ty name = { name; ty }
-
-let make attrs =
-  let arr = Array.of_list attrs in
-  let positions = Hashtbl.create (Array.length arr) in
+let of_array names =
+  let positions = Hashtbl.create (Array.length names) in
   Array.iteri
-    (fun i a ->
-      if Hashtbl.mem positions a.name then raise (Duplicate_attribute a.name);
-      Hashtbl.add positions a.name i)
-    arr;
-  { attrs = arr; positions }
+    (fun i name ->
+      if Hashtbl.mem positions name then raise (Duplicate_attribute name);
+      Hashtbl.add positions name i)
+    names;
+  { names; positions }
 
-let of_names names = make (List.map (fun n -> { name = n; ty = None }) names)
+let of_names names = of_array (Array.of_list names)
 
-let attributes s = Array.to_list s.attrs
-let names s = Array.to_list s.attrs |> List.map (fun a -> a.name)
-let arity s = Array.length s.attrs
+let names s = Array.to_list s.names
+let arity s = Array.length s.names
 let mem s name = Hashtbl.mem s.positions name
 
 let index_of_opt s name = Hashtbl.find_opt s.positions name
@@ -31,42 +25,32 @@ let index_of s name =
   | Some i -> i
   | None -> raise (Unknown_attribute name)
 
-let ty_of s name = (s.attrs.(index_of s name)).ty
+let project s names =
+  of_names (List.map (fun n -> s.names.(index_of s n)) names)
 
-let project s names = make (List.map (fun n -> s.attrs.(index_of s n)) names)
-
-let concat a b = make (attributes a @ attributes b)
+let concat a b = of_array (Array.append a.names b.names)
 
 let rename s mapping =
   List.iter
     (fun (src, _) -> if not (mem s src) then raise (Unknown_attribute src))
     mapping;
-  let rename_one a =
-    match List.assoc_opt a.name mapping with
-    | Some fresh -> { a with name = fresh }
-    | None -> a
+  let rename_one name =
+    Option.value (List.assoc_opt name mapping) ~default:name
   in
-  make (List.map rename_one (attributes s))
+  of_array (Array.map rename_one s.names)
 
 let restrict_away s drop =
-  make (List.filter (fun a -> not (List.mem a.name drop)) (attributes s))
+  of_names (List.filter (fun name -> not (List.mem name drop)) (names s))
 
 let common a b = List.filter (mem b) (names a)
 
-let equal a b =
-  arity a = arity b
-  && List.for_all2
-       (fun x y -> String.equal x.name y.name && x.ty = y.ty)
-       (attributes a) (attributes b)
+let equal a b = a.names = b.names
 
 let pp ppf s =
   Format.fprintf ppf "(%a)"
     (Format.pp_print_list
        ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
-       (fun ppf a ->
-         match a.ty with
-         | None -> Format.pp_print_string ppf a.name
-         | Some ty -> Format.fprintf ppf "%s:%s" a.name (Value.ty_to_string ty)))
-    (attributes s)
+       Format.pp_print_string)
+    (names s)
 
 let to_string s = Format.asprintf "%a" pp s

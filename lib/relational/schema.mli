@@ -1,26 +1,19 @@
-(** Relation schemas: an ordered list of named, optionally typed attributes.
+(** Relation schemas: an ordered list of attribute names.
 
     Attribute names within a schema are unique. Synonym resolution (mapping
     semantically equivalent attributes in two databases to a common name) is
     assumed done at schema-integration time, as in the paper; the entity-id
     layer therefore addresses attributes purely by name. *)
 
-type attribute = { name : string; ty : Value.ty option }
-
 type t
 
 exception Duplicate_attribute of string
 exception Unknown_attribute of string
 
-(** [make attrs] builds a schema. @raise Duplicate_attribute on repeats. *)
-val make : attribute list -> t
-
-(** [of_names names] builds an untyped schema. *)
+(** [of_names names] builds a schema. @raise Duplicate_attribute on
+    repeats. *)
 val of_names : string list -> t
 
-val attr : ?ty:Value.ty -> string -> attribute
-
-val attributes : t -> attribute list
 val names : t -> string list
 val arity : t -> int
 val mem : t -> string -> bool
@@ -30,7 +23,6 @@ val mem : t -> string -> bool
 val index_of : t -> string -> int
 
 val index_of_opt : t -> string -> int option
-val ty_of : t -> string -> Value.ty option
 
 (** [project s names] is the sub-schema in the order of [names].
     @raise Unknown_attribute if any is absent. *)

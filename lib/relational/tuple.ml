@@ -2,23 +2,10 @@ type t = Value.t array
 
 exception Arity_mismatch of { expected : int; got : int }
 
-let check_types schema arr =
-  List.iteri
-    (fun i (a : Schema.attribute) ->
-      match a.ty with
-      | None -> ()
-      | Some ty ->
-          if not (Value.conforms arr.(i) ty) then
-            invalid_arg
-              (Printf.sprintf "Tuple.make: attribute %s expects %s, got %s"
-                 a.name (Value.ty_to_string ty) (Value.to_string arr.(i))))
-    (Schema.attributes schema)
-
 let of_array schema arr =
   let expected = Schema.arity schema in
   if Array.length arr <> expected then
     raise (Arity_mismatch { expected; got = Array.length arr });
-  check_types schema arr;
   Array.copy arr
 
 let make schema values = of_array schema (Array.of_list values)

@@ -8,11 +8,12 @@ type t
 
 exception Arity_mismatch of { expected : int; got : int }
 
-(** [make schema values] checks arity and (where the schema is typed)
-    domain conformance. @raise Arity_mismatch on wrong length.
-    @raise Invalid_argument on a type violation. *)
+(** [make schema values] checks arity.
+    @raise Arity_mismatch on wrong length. *)
 val make : Schema.t -> Value.t list -> t
 
+(** [of_array schema values] is {!make} over an array, copied.
+    @raise Arity_mismatch on wrong length. *)
 val of_array : Schema.t -> Value.t array -> t
 val arity : t -> int
 
@@ -29,7 +30,7 @@ val to_array : t -> Value.t array
 val set : Schema.t -> t -> string -> Value.t -> t
 
 (** [project schema tuple names] keeps the named attributes in the given
-    order (the resulting tuple conforms to [Schema.project schema names]). *)
+    order (the resulting tuple is over [Schema.project schema names]). *)
 val project : Schema.t -> t -> string list -> t
 
 (** Compiled projection plans: attribute names resolved to positional

@@ -185,8 +185,6 @@ let ty_to_string = function
   | TBool -> "bool"
   | TString -> "string"
 
-let conforms v ty = match type_of v with None -> true | Some t -> t = ty
-
 let hash = function
   | Null -> 0
   | Int i -> Hashtbl.hash (1, i)

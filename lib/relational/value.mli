@@ -90,15 +90,12 @@ val pp : Format.formatter -> t -> unit
 val pp_truth : Format.formatter -> truth -> unit
 val truth_to_string : truth -> string
 
-(** Type tags used by {!Schema} to describe attribute domains. *)
+(** The type tag of a non-NULL value's constructor. *)
 type ty = TInt | TFloat | TBool | TString
 
 val type_of : t -> ty option
 (** [type_of v] is [None] for [Null]. *)
 
 val ty_to_string : ty -> string
-
-(** [conforms v ty] holds when [v] is [Null] or has type [ty]. *)
-val conforms : t -> ty -> bool
 
 val hash : t -> int

@@ -2,7 +2,7 @@
    [Store]'s persisted state bumps its version, so a snapshot another
    version wrote is never unmarshalled as this one. *)
 let prefix = "EIDSNAP"
-let magic = prefix ^ "3"
+let magic = prefix ^ "4"
 
 type 'a payload = { rules_hash : string; wal_offset : int; state : 'a }
 

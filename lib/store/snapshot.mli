@@ -1,6 +1,6 @@
 (** Periodic full-state snapshots.
 
-    Format: the magic ["EIDSNAP3"], a 4-byte big-endian payload length,
+    Format: the magic ["EIDSNAP4"], a 4-byte big-endian payload length,
     a 4-byte big-endian CRC-32 of the payload, then the payload — a
     [Marshal]-encoded {!payload} recording the rules hash of the
     configuration the state was built under and the WAL offset the
@@ -14,8 +14,9 @@
     and a file with another version's magic is {!Other_format}, never
     unmarshalled. ["EIDSNAP1"] held the state as rows to rebuild;
     ["EIDSNAP2"] the built key maps and pair set, with K_Ext indexes
-    that kept numbers above 2⁵³ apart; ["EIDSNAP3"] holds indexes in
-    which every value has a match class.
+    that kept numbers above 2⁵³ apart; ["EIDSNAP3"] indexes in which
+    every value has a match class, and schemas whose attributes could
+    carry a type; ["EIDSNAP4"] holds schemas of attribute names only.
 
     Recovery refuses a snapshot whose [rules_hash] differs from the
     current configuration ({!Stale_rules}) — the derived state baked

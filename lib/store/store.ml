@@ -509,17 +509,6 @@ let open_store ?(telemetry = Telemetry.off) ?(sync = true) ?config ~dir () =
         lock;
       }
     in
-    t.inc <-
-      Incremental.with_journal t.inc
-        (Some
-           (fun jop ->
-             if not t.replaying then
-               append_op t
-                 (match jop with
-                 | Incremental.Journal_insert_r tuple ->
-                     Op_insert_r (Tuple.to_array tuple)
-                 | Incremental.Journal_insert_s tuple ->
-                     Op_insert_s (Tuple.to_array tuple))));
     let* () =
       try
         List.iter (apply_op t) ops;
@@ -546,10 +535,17 @@ let close t =
 
 (* ---- operations ---- *)
 
+(* The row is journalled once the state holds it: an exact duplicate
+   leaves the side's cardinality as it was and is not journalled. *)
 let insert t side row =
+  let before = Keyed.cardinality (base t side) in
   let result =
     match insert_tuple t side row with
-    | entries -> Ok entries
+    | entries ->
+        if Keyed.cardinality (base t side) > before then
+          append_op t
+            (match side with R -> Op_insert_r row | S -> Op_insert_s row);
+        Ok entries
     | exception Relation.Key_violation { key; _ } ->
         Error (Key_violation { side; row; key })
     | exception Ilfd.Apply.Conflict_found c ->

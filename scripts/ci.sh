@@ -101,6 +101,13 @@ for removed in "identify --jobs 2" "identify -j 2" "fuse --jobs 2" \
     exit 1
   fi
 done
+# The intern table takes no lock and publishes no snapshot: it relies on
+# the program running on one domain, so no domain, lock, atomic or
+# thread may appear in the program's sources.
+if grep -rnE '(Domain|Mutex|Atomic|Thread)\.' lib bin; then
+  echo "CI: a concurrency primitive is back in lib/ or bin/" >&2
+  exit 1
+fi
 
 # Malformed CSV input (a NULL or a repeated value in a key column, an
 # unterminated quote, a key naming no column, a header repeating a

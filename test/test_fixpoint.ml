@@ -213,7 +213,9 @@ let agreement_tests =
 (* Set semantics through the extension. With no declared key, a rule
    that fills a NULL can make two rows equal, so the extension must
    still deduplicate; with a declared key, the rows stay distinct by
-   construction and the coded view is inherited from the source. *)
+   construction and the code columns are inherited from the source.
+   Both are held to the checker's tuple-based set-semantics pass and
+   cell-by-cell encode, and to [of_tuples]. *)
 let extension_tests =
   let family =
     Ilfd.Apply.compile [ Ilfd.make1 [ Ilfd.condition "a" (v "x") ] "b" (v "v") ]
@@ -222,9 +224,14 @@ let extension_tests =
     Ilfd.Fixpoint.extend_relation r ~target:(R.Relation.schema r) family
   in
   let coded_view_agrees r =
-    R.Columnar.equal (R.Relation.columnar r)
-      (R.Columnar.encode (R.Relation.schema r)
-         (Array.of_list (R.Relation.tuples r)))
+    let schema = R.Relation.schema r and rows = R.Relation.tuples r in
+    let encoded = Checker.Reference.encode schema (Array.of_list rows) in
+    R.Columnar.equal (R.Relation.columnar r) encoded
+    && R.Columnar.equal
+         (R.Relation.columnar
+            (R.Relation.of_tuples schema ~keys:(R.Relation.declared_keys r)
+               rows))
+         encoded
   in
   [
     case "no declared key: a filled NULL collapses into its copy" (fun () ->
@@ -245,16 +252,19 @@ let extension_tests =
             [ [ v "x"; V.Null; vi 1 ]; [ v "x"; v "v"; vi 2 ] ]
         in
         let ext = extend r in
-        let expected =
-          R.Relation.of_tuples schema ~keys:[ [ "c" ] ]
-            [
-              R.Tuple.make schema [ v "x"; v "v"; vi 1 ];
-              R.Tuple.make schema [ v "x"; v "v"; vi 2 ];
-            ]
+        let rows =
+          [
+            R.Tuple.make schema [ v "x"; v "v"; vi 1 ];
+            R.Tuple.make schema [ v "x"; v "v"; vi 2 ];
+          ]
         in
         Alcotest.(check bool) "rows" true
           (List.equal R.Tuple.equal (R.Relation.tuples ext)
-             (R.Relation.tuples expected));
+             (Checker.Reference.set_semantics schema ~keys:[ [ "c" ] ] rows));
+        Alcotest.(check bool) "rows of_tuples keeps" true
+          (List.equal R.Tuple.equal (R.Relation.tuples ext)
+             (R.Relation.tuples
+                (R.Relation.of_tuples schema ~keys:[ [ "c" ] ] rows)));
         Alcotest.(check (list (list string))) "keys" [ [ "c" ] ]
           (R.Relation.declared_keys ext);
         Alcotest.(check bool) "coded view" true (coded_view_agrees ext));
@@ -365,45 +375,6 @@ let interns_in_first_seen_order draws =
       && R.Intern.size () = !next)
     draws
 
-(* Two domains intern overlapping value sets, each decoding every code
-   it gets while the other writes; then each decodes all of the other's
-   codes. *)
-let two_domains_agree () =
-  let n = 20_000 in
-  let values lo =
-    List.init n (fun i -> V.string (Printf.sprintf "two domains %d" (lo + i)))
-  in
-  let left = values 0 and right = List.rev (values (n / 2)) in
-  let intern vs =
-    Domain.spawn (fun () ->
-        List.map
-          (fun v ->
-            let c = R.Intern.code v in
-            if not (V.equal (R.Intern.value c) v) then failwith "decoded wrong";
-            (v, c))
-          vs)
-  in
-  let l = intern left and r = intern right in
-  let l = Domain.join l and r = Domain.join r in
-  let codes = Hashtbl.create n in
-  List.iter (fun (v, c) -> Hashtbl.replace codes (V.to_string v) c) l;
-  List.iter
-    (fun (v, c) ->
-      match Hashtbl.find_opt codes (V.to_string v) with
-      | Some c' ->
-          Alcotest.(check int) ("one code for " ^ V.to_string v) c' c
-      | None -> ())
-    r;
-  let decodes pairs =
-    Domain.spawn (fun () ->
-        List.for_all (fun (v, c) -> V.equal (R.Intern.value c) v) pairs)
-  in
-  let on_right = decodes l and on_left = decodes r in
-  Alcotest.(check bool) "left codes decode on another domain" true
-    (Domain.join on_right);
-  Alcotest.(check bool) "right codes decode on another domain" true
-    (Domain.join on_left)
-
 let intern_tests =
   [
     case "codes round-trip and share structure" (fun () ->
@@ -465,7 +436,6 @@ let intern_tests =
           (fun f ->
             Alcotest.(check int) "NaN payload" nan (R.Intern.code (V.float f)))
           nan_payloads);
-    case "two domains intern overlapping values" two_domains_agree;
   ]
 
 (* ---- covering buckets ---- *)

@@ -53,8 +53,9 @@ let value_tests =
         Alcotest.(check bool) "" true
           (V.equal (V.of_csv_string "abc") (v "abc")));
     case "conforms with null" (fun () ->
-        Alcotest.(check bool) "" true (V.conforms V.Null V.TInt);
-        Alcotest.(check bool) "" false (V.conforms (v "x") V.TInt));
+        (* NULL carries no type tag; every other value carries its own. *)
+        Alcotest.(check bool) "" true (V.type_of V.Null = None);
+        Alcotest.(check bool) "" true (V.type_of (v "x") = Some V.TString));
   ]
 
 let all_truths = [ V.True; V.False; V.Unknown ]
@@ -255,12 +256,6 @@ let schema_tests =
           "" [ "a" ]
           (R.Schema.names (R.Schema.restrict_away s [ "b"; "c" ]));
         Alcotest.(check (list string)) "" [ "b"; "c" ] (R.Schema.common s t));
-    case "typed schema rejects wrong type" (fun () ->
-        let s = R.Schema.make [ R.Schema.attr ~ty:V.TInt "n" ] in
-        Alcotest.(check bool) "" true
-          (match R.Tuple.make s [ v "oops" ] with
-          | _ -> false
-          | exception Invalid_argument _ -> true));
   ]
 
 let tuple_tests =
@@ -449,6 +444,14 @@ let relation_tests =
           | exception R.Relation.Key_violation _ -> true));
     qtest ~count:500 "keyed append agrees with add" insert_sequence_gen
       keyed_agrees;
+    case "of_tuples rejects a tuple of the wrong arity" (fun () ->
+        let schema = R.Schema.of_names [ "a"; "b" ] in
+        let narrow = R.Tuple.make (R.Schema.of_names [ "a" ]) [ v "x" ] in
+        Alcotest.check_raises "arity"
+          (R.Tuple.Arity_mismatch { expected = 2; got = 1 }) (fun () ->
+            ignore
+              (R.Relation.of_tuples schema
+                 [ R.Tuple.make schema [ v "x"; v "y" ]; narrow ])));
   ]
 
 (* ---- Algebra ---- *)
@@ -782,8 +785,8 @@ let csv_outcome f =
   | exception R.Relation.Key_violation { key; tuple } ->
       Error (`Key (key, tuple))
 
-(* The reference: [Relation.of_tuples] over [parse_string]'s records. *)
-let csv_reference keys text =
+(* [parse_string]'s records as tuples over the header's schema. *)
+let csv_records text =
   match R.Csv_io.parse_string text with
   | [] ->
       raise
@@ -803,23 +806,36 @@ let csv_reference keys text =
                });
         R.Tuple.make schema (List.map R.Value.of_csv_string cells)
       in
-      R.Relation.of_tuples schema ~keys (List.mapi tuple rows)
+      (schema, List.mapi tuple rows)
 
+(* The reference is the checker's tuple-based set-semantics pass over
+   [parse_string]'s records; [Relation.of_tuples] over them is one more
+   side. *)
 let csv_load_agrees (keys, text) =
+  let reference () =
+    let schema, tuples = csv_records text in
+    (schema, Checker.Reference.set_semantics schema ~keys tuples)
+  and general () =
+    let schema, tuples = csv_records text in
+    R.Relation.of_tuples schema ~keys tuples
+  in
   match
     ( csv_outcome (fun () -> R.Csv_io.relation_of_string ~keys text),
-      csv_outcome (fun () -> csv_reference keys text) )
+      csv_outcome reference,
+      csv_outcome general )
   with
-  | Ok loaded, Ok reference ->
+  | Ok loaded, Ok (schema, kept), Ok built ->
       let rows = R.Relation.tuples loaded in
-      List.equal R.Tuple.equal rows (R.Relation.tuples reference)
+      let encoded = Checker.Reference.encode schema (Array.of_list rows) in
+      List.equal R.Tuple.equal rows kept
+      && List.equal R.Tuple.equal rows (R.Relation.tuples built)
       && R.Relation.declared_keys loaded = keys
-      && R.Columnar.equal (R.Relation.columnar loaded)
-           (R.Columnar.encode (R.Relation.schema loaded) (Array.of_list rows))
-  | Error (`Key (k1, t1)), Error (`Key (k2, t2)) ->
-      k1 = k2 && R.Tuple.equal t1 t2
-  | Error a, Error b -> a = b
-  | Ok _, Error _ | Error _, Ok _ -> false
+      && R.Columnar.equal (R.Relation.columnar loaded) encoded
+      && R.Columnar.equal (R.Relation.columnar built) encoded
+  | Error (`Key (k1, t1)), Error (`Key (k2, t2)), Error (`Key (k3, t3)) ->
+      k1 = k2 && k2 = k3 && R.Tuple.equal t1 t2 && R.Tuple.equal t2 t3
+  | Error a, Error b, Error c -> a = b && b = c
+  | _ -> false
 
 let csv_tests =
   [
@@ -1011,19 +1027,17 @@ let build_coded schema ~keys rows =
     rows;
   R.Relation.build b
 
-(* A coded relation [r] against the relation of the same tuples: read
-   the tuples first, or the columns first. *)
-let same_relation ~tuples_first r reference =
-  let n = R.Relation.cardinality reference in
-  let same_tuples () =
-    List.equal R.Tuple.equal (R.Relation.tuples r)
-      (R.Relation.tuples reference)
+(* A coded relation [r] against the rows [kept] the checker's
+   set-semantics pass keeps: read the tuples first, or the columns
+   first. *)
+let same_relation ~tuples_first r kept =
+  let n = List.length kept in
+  let same_tuples () = List.equal R.Tuple.equal (R.Relation.tuples r) kept
   and same_rows () =
-    List.for_all
-      (fun i -> R.Tuple.equal (R.Relation.row r i) (R.Relation.row reference i))
-      (List.init n Fun.id)
+    List.equal R.Tuple.equal (List.init n (R.Relation.row r)) kept
   and same_columns () =
-    R.Columnar.equal (R.Relation.columnar r) (R.Relation.columnar reference)
+    R.Columnar.equal (R.Relation.columnar r)
+      (Checker.Reference.encode (R.Relation.schema r) (Array.of_list kept))
   in
   R.Relation.cardinality r = n
   &&
@@ -1032,21 +1046,30 @@ let same_relation ~tuples_first r reference =
 
 let outcome f = match f () with r -> Ok r | exception e -> Error e
 
+(* The builder against the reference pass, and [of_tuples] (the builder
+   behind tuples) as one more side. *)
 let on_demand_agrees (keys, rows) =
-  let reference () =
-    R.Relation.of_tuples coded_schema ~keys
-      (List.map (R.Tuple.make coded_schema) rows)
-  in
-  match (outcome reference, outcome (fun () -> build_coded coded_schema ~keys rows)) with
-  | Ok reference, Ok _ ->
+  let tuples = List.map (R.Tuple.make coded_schema) rows in
+  let coded () = build_coded coded_schema ~keys rows
+  and general () = R.Relation.of_tuples coded_schema ~keys tuples in
+  match
+    ( outcome (fun () ->
+          Checker.Reference.set_semantics coded_schema ~keys tuples),
+      outcome coded,
+      outcome general )
+  with
+  | Ok kept, Ok _, Ok _ ->
       List.for_all
         (fun tuples_first ->
-          same_relation ~tuples_first
-            (build_coded coded_schema ~keys rows)
-            reference)
+          same_relation ~tuples_first (coded ()) kept
+          && same_relation ~tuples_first (general ()) kept)
         [ true; false ]
-  | Error (R.Relation.Key_violation a), Error (R.Relation.Key_violation b) ->
-      a.key = b.key && R.Tuple.equal a.tuple b.tuple
+  | ( Error (R.Relation.Key_violation a),
+      Error (R.Relation.Key_violation b),
+      Error (R.Relation.Key_violation c) ) ->
+      a.key = b.key && b.key = c.key
+      && R.Tuple.equal a.tuple b.tuple
+      && R.Tuple.equal b.tuple c.tuple
   | _ -> false
 
 (* [Relation.extend] with inherited set semantics writes the deltas into
@@ -1075,12 +1098,17 @@ let extend_agrees rows =
         R.Tuple.make target [ cells.(0); a; cells.(2); V.int i ])
       (R.Relation.tuples r)
   in
-  let reference = R.Relation.of_tuples target ~keys:[ [ "id" ] ] expected in
+  let kept =
+    Checker.Reference.set_semantics target ~keys:[ [ "id" ] ] expected
+  in
   let extended () =
     R.Relation.extend r target ~classes:(Array.init n Fun.id) ~derived
   in
-  same_relation ~tuples_first:true (extended ()) reference
-  && same_relation ~tuples_first:false (extended ()) reference
+  same_relation ~tuples_first:true (extended ()) kept
+  && same_relation ~tuples_first:false (extended ()) kept
+  && same_relation ~tuples_first:true
+       (R.Relation.of_tuples target ~keys:[ [ "id" ] ] expected)
+       kept
 
 (* Ints and floats where rounding an int to a float loses it: around
    ±2^53, where the floats' spacing reaches 2, and around the ends of

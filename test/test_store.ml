@@ -1657,14 +1657,16 @@ let protocol_tests =
    [requests.ndjson], once per snapshot format: [v1] by a binary whose
    snapshots start with "EIDSNAP1" (the state as rows to rebuild), [v2]
    by one writing "EIDSNAP2" (the built maps, with K_Ext indexes that
-   kept numbers above 2^53 apart), [v3] by this one ("EIDSNAP3"). The
-   WAL bytes are the same. [answers.ndjson] is what the EIDSNAP1 binary
-   answered on its own store to identify, explain, conflicts and stats.
+   kept numbers above 2^53 apart), [v3] by one writing "EIDSNAP3"
+   (schemas whose attributes could carry a type), [v4] by this one
+   ("EIDSNAP4"). The WAL bytes are the same. [answers.ndjson] is what
+   the EIDSNAP1 binary answered on its own store to identify, explain,
+   conflicts and stats.
 
    An old format is never unmarshalled: the store falls back to a full
    replay. The current format must restore from its snapshot, so a
    change to the persisted state's type that does not bump the magic
-   fails here; a bump that leaves [v3] behind moves it among the old
+   fails here; a bump that leaves [v4] behind moves it among the old
    formats and calls for a new current fixture. *)
 
 let format_store version dir =
@@ -1741,10 +1743,12 @@ let format_tests =
       (replays_old_format 1);
     case "an EIDSNAP2 store opens by a full replay and answers as before"
       (replays_old_format 2);
-    case "an EIDSNAP3 store restores from its snapshot" (fun () ->
+    case "an EIDSNAP3 store opens by a full replay and answers as before"
+      (replays_old_format 3);
+    case "an EIDSNAP4 store restores from its snapshot" (fun () ->
         in_dir (fun dir ->
-            format_store "v3" dir;
-            Alcotest.(check string) "the current format" "EIDSNAP3" (magic dir);
+            format_store "v4" dir;
+            Alcotest.(check string) "the current format" "EIDSNAP4" (magic dir);
             let telemetry = Telemetry.create () in
             let t = open_ok ~telemetry dir in
             Alcotest.(check (list int)) "no fallback" [ 0; 0; 0; 0 ]

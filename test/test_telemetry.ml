@@ -135,6 +135,11 @@ let pipeline_tests =
         Alcotest.(check bool) "extend spans present" true
           (List.exists
              (fun s -> s.Telemetry.span_name = "identify.extend_r")
+             (Telemetry.spans t));
+        Alcotest.(check bool) "compile span present, once" true
+          (List.exists
+             (fun s ->
+               s.Telemetry.span_name = "ilfd.compile" && s.Telemetry.calls = 1)
              (Telemetry.spans t)));
     case "fixpoint counters are canonical" (fun () ->
         (* Two tuples agreeing on every attribute the family can read
