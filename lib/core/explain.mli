@@ -44,9 +44,9 @@ val of_rows :
 (** [matches ?mode ~r ~s ~key ilfds mt] — one explanation per pair of
     [mt], the matching table of the run being explained ({!Identify.run}
     over the same arguments), in its order. It runs no pipeline of its
-    own: the family is compiled once per call into one plan per side,
-    each pair's tuples are found through one key index per side, and
-    their chains are derived through the plans.
+    own: the family is compiled once per call, with one plan per side
+    sharing its tries, each pair's tuples are found through one key
+    index per side, and their chains are derived through the plans.
     [mode] (default [First_rule]) is the derivation mode, matching the
     run being explained.
     @raise Ilfd.Apply.Conflict_found in [Check_conflicts] mode when a

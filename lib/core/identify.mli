@@ -76,7 +76,7 @@ val run_stream :
 (** [extend ?mode ?telemetry ~r ~s ~key ilfds] — [(R′, S′)]: each
     relation widened to its {!extension_schema} and ILFD-extended
     ({!Ilfd.Fixpoint.extend_relation}), the family compiled once for
-    both. With a declared key on each side, R′ and S′ are held as code
+    both, so its tries are built once for both. With a declared key on each side, R′ and S′ are held as code
     columns and no row is decoded. [telemetry] records the
     [identify.extend_r] / [identify.extend_s] spans and the ILFD
     extension counters.

@@ -21,8 +21,9 @@
     and held in [t]: {!create} (and so {!add_ilfd}) and {!restore} build
     it, and every insertion — a live one or one replayed from a store's
     write-ahead log — reuses it, so an insert never recompiles the
-    family. Neither the family nor its compiled form is part of a
-    {!dump}.
+    family. Its two plans, one per side, share the compiled family's
+    tries, each built on the first insert that walks it. Neither the
+    family nor its compiled form is part of a {!dump}.
 
     Equivalence with the batch pipeline ({!Identify.run} on the final
     relations) is a tested invariant. Adding an {e ILFD} invalidates

@@ -30,23 +30,67 @@ type derivation = {
 
 (** A precompiled ILFD family: a consequent-attribute index built once,
     so deriving an attribute consults only the rules that can produce it
-    instead of scanning the whole family per attribute per tuple. *)
+    instead of scanning the whole family per attribute per tuple, and
+    the layout {!Fixpoint}'s evaluator reads (below). *)
 type compiled
 
-(** [compile ilfds] builds the index in time linear in the family (one
-    pass, each consequent list reversed once at the end). Production
+(** [compile ilfds] builds the index and the layout in time linear in
+    the family (one pass, each consequent list reversed once at the
+    end); the tries are built later, each on its first walk. Production
     callers compile once per family and build their {!Fixpoint.plan}s
     on it: a batch run for both sides ({!Fixpoint.extend_relation}), a
     serve store for every insert, replayed WAL record and explained
-    pair, an explain report for every pair. *)
+    pair, an explain report for every pair. Every plan made from one
+    compiled family shares its groups and tries. *)
 val compile : Def.t list -> compiled
 val compiled_rules : compiled -> Def.t list
 
 (** [consequents c] — the consequent-attribute index: for each derivable
     attribute (sorted by name), the rules that can produce it with the
     value each would assign, in family order (First_rule priority).
-    This is the compiled form evaluators such as {!Fixpoint} build on. *)
+    The scan below and the layout's groups are built on it. *)
 val consequents : compiled -> (string * (Def.t * Relational.Value.t) list) list
+
+(** {2 The evaluator's layout}
+
+    Every attribute the family mentions is a {e column}, numbered in
+    first-mention order over {!consequents}. Consecutive rules of one
+    consequent attribute with the same antecedent attributes form a
+    {e group}, with a trie keyed on the match codes
+    ({!Relational.Intern.match_code}) of their antecedent values, in the
+    antecedent's (sorted) condition order. *)
+
+(** A group's trie, built from {!Relational.Code_table}s over the
+    group's rule rows, with one scratch {e probe row} a walk writes a
+    tuple's codes into, one position per antecedent condition. *)
+type trie
+
+(** A group: the column of each antecedent condition, and its trie,
+    built (and its values interned) the first time it is forced. *)
+type group = private { sig_ids : int array; trie : trie Lazy.t }
+
+(** [prefix_found t i c] writes match code [c] at position [i] of [t]'s
+    probe row, then tells whether some rule's first [i + 1] antecedent
+    codes are the probe row's: always [true] at the last position, which
+    {!leaves} looks up whole. *)
+val prefix_found : trie -> int -> int -> bool
+
+(** [leaves t] — every [(rule, value, value's storage code)] whose
+    antecedent codes are the whole probe row, in family order, or [[]].
+    A zero-condition antecedent has no position: every rule of its group
+    is a leaf of the empty probe row. *)
+val leaves : trie -> (Def.t * Relational.Value.t * int) list
+
+(** [columns c] — column -> attribute. *)
+val columns : compiled -> string array
+
+(** [groups c] — column -> the groups of the rules deriving it, in
+    family order ([[]] for a column no rule derives). *)
+val groups : compiled -> group list array
+
+(** [acyclic c] — no attribute's derivation can re-enter it: the
+    condition under which the tries replay the scan exactly. *)
+val acyclic : compiled -> bool
 
 (** [extend_tuple_compiled ?mode schema tuple ~target c] — as
     {!extend_tuple}, against a precompiled family: the scan, which tests

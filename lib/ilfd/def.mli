@@ -56,10 +56,37 @@ val compare : t -> t -> int
 
 (** Parse the concrete syntax used by rule files and the CLI:
     ["speciality = Mughalai -> cuisine = Indian"], with [&] separating
-    antecedent conditions and [,] separating consequent conditions.
-    Values parse per [Value.of_csv_string] (quote to force string).
-    @raise Ill_formed on syntax errors. *)
+    antecedent conditions and [,] separating consequent conditions,
+    each [attribute = value]. An attribute name is bare: it runs to the
+    first [=] and holds none of [& , ->].
+
+    A value parses per [Value.of_csv_string] unless it is quoted. A
+    quoted value starts with a double quote and runs to the next double
+    quote that is not doubled; it is the string between them, each
+    doubled quote inside it read as one (the one escape). Inside it [&], [,], [->], [=], spaces and
+    words such as [007], [true] or [null] are literal:
+    [name = "Smith & Sons" -> city = Paris]. Only spaces may follow its
+    closing quote before the condition ends. An unquoted value runs to
+    the next separator of its side or [->], and may hold a quote after
+    its first byte.
+
+    The line is read in place: only the rule's conditions and values
+    are allocated, and each of the first 64 attribute names the program
+    reads is kept once and shared by every rule that names it.
+    @raise Ill_formed on syntax errors, among them an unterminated
+    quoted value and text after one. *)
 val parse : string -> t
 
+(** [pp] and [to_string] print a rule that {!parse} reads back as
+    itself: its conditions in attribute order as [attribute=value],
+    joined by [" & "] left of the arrow and by [", "] right of it. A
+    string value is quoted exactly when it would not read back bare:
+    when it is empty, starts or ends with a space, starts with a quote,
+    holds its side's separator or [->], or reads as NULL, a number or a
+    boolean ([007], [true], [null]). A float prints with the digits it
+    needs to read back as the same float. A value holding a line break
+    reads back from a string, but a rules file, read line by line,
+    cannot hold it. *)
 val pp : Format.formatter -> t -> unit
+
 val to_string : t -> string

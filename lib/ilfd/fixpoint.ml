@@ -6,38 +6,26 @@ module Intern = Relational.Intern
 module Columnar = Relational.Columnar
 module Code_table = Relational.Code_table
 
-(* One group per run of consecutive same-antecedent-signature rules of
-   a consequent attribute. Its trie is keyed on the match codes of the
-   antecedent condition values, in the antecedent's sorted condition
-   order, and built on first use: every proper prefix of a key,
-   zero-padded to the key's length, maps to [Prefix], and a full key to
-   every (rule, value, value's storage code) it fires, in family order.
-   Full keys hold no zero (NULL never matches), so the two kinds of
-   entry never collide. *)
-type node = Prefix | Leaf of (Def.t * V.t * int) list
-
-type group = {
-  sig_ids : int array;  (** column per antecedent condition *)
-  trie : (int array, node) Hashtbl.t Lazy.t;
-}
-
 type plan = {
   compiled : Apply.compiled;
   source : Schema.t;
   target : Schema.t;
-  n_cols : int;  (** columns: every attribute any rule mentions *)
-  attr_names : string array;  (** column -> attribute *)
   col_target : int array;  (** column -> target position, or [-1] *)
   key_ids : int array;  (** columns initialised from source cells *)
   key_attrs : string array;  (** their source attribute names *)
   key_src : int array;  (** their source positions *)
-  groups_of : group list array;
-      (** column -> its rules' groups, in family order *)
   top : int array;
       (** the derivable columns of the target, in target order: the
           attributes the reference looks up, in its order *)
   target_src : int array;  (** target position -> source position, or [-1] *)
-  exact : bool;  (** the tries replay the reference: the family is acyclic *)
+  (* The evaluator's scratch, reset per tuple or class. *)
+  codes : int array;
+      (** column -> its match code once resolved (0: NULL, or nothing
+          derived), [-1] until then *)
+  fired : (Def.t * V.t * int) list array;
+      (** column -> the leaves whose head derived it *)
+  order : int array;  (** the derived columns, in derivation order *)
+  mutable n_derived : int;
 }
 
 exception
@@ -55,141 +43,41 @@ let inject_fallback_conflict : (Relational.Tuple.t -> Apply.conflict option) ref
     =
   ref (fun _ -> None)
 
+(* The class key: the mentioned attributes present in both source and
+   target. The recursive engine reads nothing else of a tuple, so it
+   determines the whole derivation — including a conflict — whatever the
+   family. *)
 let plan ~source ~target c =
-  let cons = Apply.consequents c in
-  (* Column ids, in first-mention order over the (deterministic)
-     consequent listing: each attribute, then its groups' signatures. *)
-  let ids : (string, int) Hashtbl.t = Hashtbl.create 16 in
-  let n_cols = ref 0 in
-  let id_of attr =
-    match Hashtbl.find_opt ids attr with
-    | Some i -> i
-    | None ->
-        let i = !n_cols in
-        incr n_cols;
-        Hashtbl.add ids attr i;
-        i
-  in
-  let group_of sig_attrs rules =
-    let trie =
-      lazy
-        (let trie = Hashtbl.create 8 in
-         List.iter
-           (fun (rule, v) ->
-             let k =
-               Array.of_list
-                 (List.map
-                    (fun (c : Def.condition) ->
-                      Intern.match_code (Intern.code c.value))
-                    (Def.antecedent rule))
-             in
-             let m = Array.length k in
-             for p = 0 to m - 2 do
-               let prefix =
-                 Array.init m (fun i -> if i <= p then k.(i) else 0)
-               in
-               if not (Hashtbl.mem trie prefix) then
-                 Hashtbl.add trie prefix Prefix
-             done;
-             let fired =
-               match Hashtbl.find_opt trie k with Some (Leaf l) -> l | _ -> []
-             in
-             (* Prepend now, reverse once below: family order. *)
-             Hashtbl.replace trie k (Leaf ((rule, v, Intern.code v) :: fired)))
-           rules;
-         Hashtbl.filter_map_inplace
-           (fun _ node ->
-             match node with
-             | Leaf l -> Some (Leaf (List.rev l))
-             | Prefix -> Some Prefix)
-           trie;
-         trie)
-    in
-    { sig_ids = Array.of_list (List.map id_of sig_attrs); trie }
-  in
-  let signature rule =
-    List.map (fun (c : Def.condition) -> c.attribute) (Def.antecedent rule)
-  in
-  let rec groups_of = function
-    | [] -> []
-    | ((rule, _) :: _) as rules ->
-        let s = signature rule in
-        let same, rest =
-          let rec span acc = function
-            | (r', v') :: tl when signature r' = s -> span ((r', v') :: acc) tl
-            | tl -> (List.rev acc, tl)
-          in
-          span [] rules
-        in
-        let g = group_of s same in
-        g :: groups_of rest
-  in
-  let grouped =
-    List.map
-      (fun (attr, rules) ->
-        let id = id_of attr in
-        (id, groups_of rules))
-      cons
-  in
-  let n = !n_cols in
-  let attr_names = Array.make n "" in
-  Hashtbl.iter (fun a i -> attr_names.(i) <- a) ids;
-  let groups_by_col = Array.make n [] in
-  List.iter (fun (id, groups) -> groups_by_col.(id) <- groups) grouped;
-  (* The class key: the mentioned attributes present in both source and
-     target. The recursive engine reads nothing else of a tuple, so it
-     determines the whole derivation — including a conflict — whatever
-     the family. *)
+  let columns = Apply.columns c and groups = Apply.groups c in
+  let n = Array.length columns in
   let col_target =
     Array.map
       (fun a ->
         match Schema.index_of_opt target a with Some i -> i | None -> -1)
-      attr_names
+      columns
   in
   let key_ids =
     Array.of_list
       (List.filter
-         (fun id -> col_target.(id) >= 0 && Schema.mem source attr_names.(id))
+         (fun id -> col_target.(id) >= 0 && Schema.mem source columns.(id))
          (List.init n Fun.id))
   in
-  let key_attrs = Array.map (fun id -> attr_names.(id)) key_ids in
-  (* On a cycle a lookup can re-enter an attribute in progress, and the
-     demand order the reference's cut semantics depend on is no longer a
-     walk over the tries. A group's rules all read its signature. *)
-  let visit = Bytes.make n '\000' in
-  let rec acyclic id =
-    match Bytes.get visit id with
-    | '\002' -> true
-    | '\001' -> false
-    | _ ->
-        Bytes.set visit id '\001';
-        List.for_all (fun g -> Array.for_all acyclic g.sig_ids)
-          groups_by_col.(id)
-        && begin
-             Bytes.set visit id '\002';
-             true
-           end
-  in
-  let exact = List.for_all acyclic (List.init n Fun.id) in
+  let key_attrs = Array.map (fun id -> columns.(id)) key_ids in
+  let target_col = Array.make (Schema.arity target) (-1) in
+  Array.iteri (fun id pos -> if pos >= 0 then target_col.(pos) <- id) col_target;
   let top =
-    List.filter_map
-      (fun name ->
-        match Hashtbl.find_opt ids name with
-        | Some id when groups_by_col.(id) <> [] -> Some id
-        | _ -> None)
-      (Schema.names target)
+    List.filter
+      (fun id -> id >= 0 && match groups.(id) with [] -> false | _ -> true)
+      (Array.to_list target_col)
   in
   {
     compiled = c;
     source;
     target;
-    n_cols = n;
-    attr_names;
     col_target;
     key_ids;
     key_attrs;
     key_src = Array.map (fun a -> Schema.index_of source a) key_attrs;
-    groups_of = groups_by_col;
     top = Array.of_list top;
     target_src =
       Array.of_list
@@ -197,21 +85,23 @@ let plan ~source ~target c =
            (fun name ->
              Option.value (Schema.index_of_opt source name) ~default:(-1))
            (Schema.names target));
-    exact;
+    codes = Array.make n (-1);
+    fired = Array.make n [];
+    order = Array.make n 0;
+    n_derived = 0;
   }
-
-let supported ~source ~target ilfds =
-  (plan ~source ~target (Apply.compile ilfds)).exact
 
 let plan_target p = p.target
 
 exception Conflict_exn of Apply.conflict
 
 (* The evaluator: the recursive engine's answer for a tuple whose key
-   codes are [key] (0 = NULL) — its derivations in its order, its
-   conflict witness — read off the group tries instead of a scan of
-   every candidate rule. Each derivation is (column, (rule, value,
-   value's storage code)), scratch attributes included.
+   columns hold their match codes in [p.codes] (0 = NULL, every other
+   column -1) — its derivations in its order, left in [p.order] and
+   [p.fired], or its conflict witness, raised — read off the group tries
+   instead of a scan of every candidate rule. Scratch attributes are
+   derived too. The functions are closed, so a class allocates nothing
+   here.
 
    The reference derives an attribute by testing every candidate rule's
    antecedent in family order ([List.filter]), each condition in order
@@ -226,102 +116,130 @@ exception Conflict_exn of Apply.conflict
    holds. Walking each group's trie, in group order, therefore makes the
    reference's first lookups in the reference's order, and the rules it
    finds applicable are the leaves reached, in family order. A derived
-   attribute is resolved once: no re-entry is possible without a cycle.
-   Only called on an exact plan. *)
-let eval p ~mode key =
-  (* A column's match code once resolved (0: NULL, or nothing derived);
-     -1 until then. *)
-  let codes = Array.make p.n_cols (-1) in
-  Array.iteri
-    (fun k id -> if key.(k) <> 0 then codes.(id) <- Intern.match_code key.(k))
-    p.key_ids;
-  let used = ref [] in
-  let rec resolve id =
-    if codes.(id) >= 0 then codes.(id)
-    else begin
-      codes.(id) <- 0;
-      (match derive id with
-      | None -> ()
-      | Some ((_, _, code) as fired) ->
-          codes.(id) <- Intern.match_code code;
-          used := (id, fired) :: !used);
-      codes.(id)
-    end
-  (* The rules of [g] the tuple fires, after making the group's first
-     lookups. *)
-  and walk g =
-    let m = Array.length g.sig_ids in
-    let probe = Array.make m 0 in
-    let trie = Lazy.force g.trie in
-    let rec go i =
-      if i = m then
-        match Hashtbl.find_opt trie probe with Some (Leaf l) -> l | _ -> []
-      else
-        let c = resolve g.sig_ids.(i) in
-        if c = 0 then []
-        else begin
-          probe.(i) <- c;
-          if i = m - 1 || Hashtbl.mem trie probe then go (i + 1) else []
-        end
-    in
-    go 0
-  (* Every group is walked, as the reference's [List.filter] tests
-     every candidate; the first rule fired wins. *)
-  and derive id =
-    let fired = List.map walk p.groups_of.(id) in
-    match mode with
-    | Apply.First_rule ->
-        List.find_map (function first :: _ -> Some first | [] -> None) fired
-    | Apply.Check_conflicts -> (
-        match List.concat fired with
-        | [] -> None
-        | ((_, v, _) as first) :: rest -> (
-            match
-              List.find_opt (fun (_, v', _) -> not (V.equal v' v)) rest
-            with
-            | None -> Some first
-            | Some (rule, second, _) ->
-                raise
-                  (Conflict_exn
-                     {
-                       attribute = p.attr_names.(id);
-                       first = v;
-                       second;
-                       rule;
-                     })))
-  in
-  match Array.iter (fun id -> ignore (resolve id)) p.top with
-  | () -> Ok (List.rev !used)
-  | exception Conflict_exn c -> Error c
+   attribute is resolved once: no re-entry is possible without a cycle,
+   so no walk re-enters a trie and overwrites its probe row. Only called
+   on an acyclic family. *)
+let rec resolve p mode id =
+  if p.codes.(id) < 0 then begin
+    p.codes.(id) <- 0;
+    match derive p mode id (Apply.groups p.compiled).(id) [] [] with
+    | [] -> ()
+    | (_, _, code) :: _ as fired ->
+        p.codes.(id) <- Intern.match_code code;
+        p.fired.(id) <- fired;
+        p.order.(p.n_derived) <- id;
+        p.n_derived <- p.n_derived + 1
+  end;
+  p.codes.(id)
+
+(* The rules of a group the tuple fires, after making the group's first
+   lookups from position [i] of its signature on. *)
+and walk p mode (g : Apply.group) t i =
+  if i = Array.length g.sig_ids then Apply.leaves t
+  else
+    let c = resolve p mode g.sig_ids.(i) in
+    if c <> 0 && Apply.prefix_found t i c then walk p mode g t (i + 1) else []
+
+(* Every group is walked, as the reference's [List.filter] tests every
+   candidate, before the attribute's own conflict is raised. [first]:
+   the leaves whose head is the first rule fired, the [First_rule]
+   answer; [witness]: in [Check_conflicts] mode, the leaves whose head is
+   the first later rule fired with another value. *)
+and derive p mode id groups first witness =
+  match groups with
+  | [] -> (
+      match (first, witness) with
+      | (_, v, _) :: _, (rule, second, _) :: _ ->
+          raise
+            (Conflict_exn
+               {
+                 attribute = (Apply.columns p.compiled).(id);
+                 first = v;
+                 second;
+                 rule;
+               })
+      | _ -> first)
+  | g :: rest -> (
+      let fired = walk p mode g (Lazy.force g.trie) 0 in
+      match (mode, first, witness) with
+      | Apply.First_rule, [], _ -> derive p mode id rest fired witness
+      | Apply.First_rule, _ :: _, _ | Apply.Check_conflicts, _, _ :: _ ->
+          derive p mode id rest first witness
+      | Apply.Check_conflicts, [], [] -> (
+          match fired with
+          | (_, v, _) :: later ->
+              derive p mode id rest fired (disagreeing v later)
+          | [] -> derive p mode id rest first witness)
+      | Apply.Check_conflicts, (_, v, _) :: _, [] ->
+          derive p mode id rest first (disagreeing v fired))
+
+(* The leaves from the first one whose value differs from [v]. *)
+and disagreeing v = function
+  | (_, v', _) :: rest as l -> if V.equal v' v then disagreeing v rest else l
+  | [] -> []
+
+(* The scratch cleared for the next tuple or class, whose key column [k]
+   then holds storage code [c] ([set_key]). *)
+let reset p =
+  Array.fill p.codes 0 (Array.length p.codes) (-1);
+  p.n_derived <- 0
+
+let set_key p k c = if c <> 0 then p.codes.(p.key_ids.(k)) <- Intern.match_code c
+
+let eval p mode =
+  for i = 0 to Array.length p.top - 1 do
+    ignore (resolve p mode p.top.(i))
+  done
+
+(* The target cells derived by the last [eval], as (target position,
+   storage code), in derivation order. *)
+let rec delta p k acc =
+  if k < 0 then acc
+  else
+    let id = p.order.(k) in
+    let pos = p.col_target.(id) in
+    match p.fired.(id) with
+    | (_, _, code) :: _ when pos >= 0 -> delta p (k - 1) ((pos, code) :: acc)
+    | _ -> delta p (k - 1) acc
+
+(* The same derivations, as records, each target cell written into
+   [cells]. *)
+let rec derivations p cells k acc =
+  if k < 0 then acc
+  else
+    let id = p.order.(k) in
+    match p.fired.(id) with
+    | (rule, value, _) :: _ ->
+        let pos = p.col_target.(id) in
+        if pos >= 0 then cells.(pos) <- value;
+        derivations p cells (k - 1)
+          ({ Apply.attribute = (Apply.columns p.compiled).(id); value; rule }
+          :: acc)
+    | [] -> derivations p cells (k - 1) acc
 
 let scan p ~mode tuple =
   Apply.extend_tuple_compiled ~mode p.source tuple ~target:p.target p.compiled
 
 let extend_tuple ?(mode = Apply.First_rule) ?(telemetry = Telemetry.off) p
     tuple =
-  if not p.exact then begin
+  if not (Apply.acyclic p.compiled) then begin
     Telemetry.incr telemetry "ilfd.fixpoint.fallback_classes";
     scan p ~mode tuple
   end
-  else
-    let key = Array.map (fun i -> Intern.code (Tuple.nth tuple i)) p.key_src in
-    match eval p ~mode key with
-    | Error c -> Error c
-    | Ok ds ->
+  else begin
+    reset p;
+    Array.iteri (fun k i -> set_key p k (Intern.code (Tuple.nth tuple i))) p.key_src;
+    match eval p mode with
+    | exception Conflict_exn c -> Error c
+    | () ->
         let cells =
           Array.map
             (fun i -> if i >= 0 then Tuple.nth tuple i else V.Null)
             p.target_src
         in
-        let derivations =
-          List.map
-            (fun (id, (rule, v, _)) ->
-              let pos = p.col_target.(id) in
-              if pos >= 0 then cells.(pos) <- v;
-              { Apply.attribute = p.attr_names.(id); value = v; rule })
-            ds
-        in
+        let derivations = derivations p cells (p.n_derived - 1) [] in
         Ok (Tuple.of_array p.target cells, derivations)
+  end
 
 let run plan ~mode r ~target ~telemetry =
   let cr = Relation.columnar r in
@@ -336,13 +254,14 @@ let run plan ~mode r ~target ~telemetry =
   let deltas = Array.make n_classes [] in
   let facts = ref 0 in
   let scanned = ref 0 in
+  let exact = Apply.acyclic plan.compiled in
   (* Ascending class ids visit classes in first-row order, so the first
      class that conflicts holds the row the reference raises on. Only a
      class that takes the scan, on a cyclic family, decodes a row: its
      representative. *)
   Array.iteri
     (fun cid rep ->
-      if not plan.exact then begin
+      if not exact then begin
         incr scanned;
         let t = Relation.row r rep in
         let extended =
@@ -368,18 +287,16 @@ let run plan ~mode r ~target ~telemetry =
                   deltas.(cid) <- (ti, Intern.code v) :: deltas.(cid))
               plan.target_src
       end
-      else
-        let key = Array.map (fun col -> col.(rep)) key_cols in
-        match eval plan ~mode key with
-        | Error conflict -> raise (Apply.Conflict_found conflict)
-        | Ok ds ->
-            facts := !facts + List.length ds;
-            deltas.(cid) <-
-              List.filter_map
-                (fun (id, (_, _, code)) ->
-                  let pos = plan.col_target.(id) in
-                  if pos >= 0 then Some (pos, code) else None)
-                ds)
+      else begin
+        reset plan;
+        for k = 0 to Array.length key_cols - 1 do
+          set_key plan k key_cols.(k).(rep)
+        done;
+        (try eval plan mode
+         with Conflict_exn conflict -> raise (Apply.Conflict_found conflict));
+        facts := !facts + plan.n_derived;
+        deltas.(cid) <- delta plan (plan.n_derived - 1) []
+      end)
     firsts;
   if Telemetry.enabled telemetry then begin
     Telemetry.add telemetry "ilfd.tuples" n_rows;

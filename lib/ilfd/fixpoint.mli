@@ -2,13 +2,17 @@
     for relation extension and for per-tuple derivation (Section 4.2's
     [IM(x̄,y)] ILFD tables made executable).
 
-    A {!plan} compiles, for one source/target schema pair, each
-    consequent attribute's rules into tries keyed by the match codes of
-    their antecedent condition values (consecutive rules with one
-    antecedent signature share a trie). One evaluator reads them: it
-    walks the tries in the recursive engine's demand order, from the
-    storage codes of the cells the family reads, and so returns its
-    derivation list, in its order, and its [Check_conflicts] witness.
+    The compiled family ({!Apply.compile}) holds each consequent
+    attribute's rules in groups, one trie per group keyed by the match
+    codes of the antecedent condition values (consecutive rules with one
+    antecedent signature form a group), each trie built from
+    {!Relational.Code_table}s on its first walk. A {!plan} maps the
+    family's columns onto one source/target schema pair and shares the
+    family's tries with every other plan made from it. One evaluator
+    reads them: it walks the tries in the recursive engine's demand
+    order, from the storage codes of the cells the family reads, and so
+    returns its derivation list, in its order, and its
+    [Check_conflicts] witness.
     {!extend_tuple} runs it on one tuple; {!extend_relation} runs it once
     per {e derivation class} (distinct {!Relational.Intern}-coded
     projection onto the attributes the family can read), straight from
@@ -41,25 +45,20 @@ exception
 val inject_fallback_conflict :
   (Relational.Tuple.t -> Apply.conflict option) ref
 
-(** [supported ~source ~target ilfds] — whether the family's compiled
-    tries are exact for this source/target pair: the family is acyclic
-    ([false] means every tuple takes the scan). *)
-val supported :
-  source:Relational.Schema.t ->
-  target:Relational.Schema.t ->
-  Def.t list ->
-  bool
-
-(** A family compiled for one source/target schema pair. Each group's
-    trie is built the first time the evaluator walks it. *)
+(** A compiled family mapped onto one source/target schema pair, with
+    the evaluator's scratch (a code per column, reset per tuple or
+    class), so a derivation class allocates only its result. *)
 type plan
 
 (** [plan ~source ~target compiled] — [compiled] for tuples of [source]
     extended to [target] (a superset of [source]'s attributes, as for
-    {!Apply.extend_tuple}). O(family), and it interns nothing: each
-    trie interns its values when first walked. A caller that derives
-    many tuples of one schema — a serve store, an explain report —
-    builds one plan per side and keeps it. *)
+    {!Apply.extend_tuple}). O(columns + target arity): it builds no
+    group and no trie, and interns nothing. The groups and tries belong
+    to [compiled], and every plan made from it shares them: each trie
+    is built, interning its values, on the first walk of any of them.
+    A caller that derives many
+    tuples of one schema — a serve store, an explain report — builds
+    one plan per side and keeps it. *)
 val plan : source:Relational.Schema.t -> target:Relational.Schema.t ->
   Apply.compiled -> plan
 
@@ -89,7 +88,8 @@ val extend_tuple :
     [Reference.extend_relation]). The
     family arrives already compiled ({!Apply.compile}) so a caller that
     extends several relations with one family — both sides of a batch
-    run — compiles it once; only the per-source plan is built here.
+    run — compiles it once, and its tries are built once for both; only
+    the per-source plan is built here.
     Each class is derived once, in both modes: by the evaluator, from
     the class's key codes in [r]'s columnar view, or, when it takes the
     scan, from its representative row, the only row decoded. Class ids

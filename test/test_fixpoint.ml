@@ -60,7 +60,7 @@ let agreement_tests =
         in
         Alcotest.(check bool)
           "family compiles" true
-          (Ilfd.Fixpoint.supported ~source:(R.Relation.schema r) ~target ilfds);
+          (Ilfd.Apply.acyclic (Ilfd.Apply.compile ilfds));
         let out =
           Ilfd.Fixpoint.extend_relation r ~target (Ilfd.Apply.compile ilfds)
         in
@@ -86,7 +86,7 @@ let agreement_tests =
         in
         Alcotest.(check bool)
           "not supported" false
-          (Ilfd.Fixpoint.supported ~source:(R.Relation.schema r) ~target ilfds);
+          (Ilfd.Apply.acyclic (Ilfd.Apply.compile ilfds));
         Alcotest.(check bool) "fallback agrees" true
           (R.Relation.equal
              (Ilfd.Fixpoint.extend_relation r ~target (Ilfd.Apply.compile ilfds))
@@ -193,7 +193,7 @@ let agreement_tests =
         in
         Alcotest.(check bool)
           "supported" true
-          (Ilfd.Fixpoint.supported ~source:(R.Relation.schema r) ~target ilfds);
+          (Ilfd.Apply.acyclic (Ilfd.Apply.compile ilfds));
         let telemetry = Telemetry.create () in
         let out =
           Ilfd.Fixpoint.extend_relation ~telemetry r ~target
@@ -566,8 +566,7 @@ let fallback_tests =
     case "a cyclic family takes the per-class fallback" (fun () ->
         let _, ilfds, r, target = fallback_scenario () in
         Alcotest.(check bool) "plan not supported" false
-          (Ilfd.Fixpoint.supported ~source:(R.Relation.schema r) ~target
-             ilfds);
+          (Ilfd.Apply.acyclic (Ilfd.Apply.compile ilfds));
         let telemetry = Telemetry.create () in
         let out =
           Ilfd.Fixpoint.extend_relation ~telemetry r ~target
@@ -689,6 +688,44 @@ let tuple_case_gen =
     let* rows = list_size (1 -- 6) (list_repeat (List.length source) cell) in
     return (ilfds, source, extra, rows))
 
+(* Large groups: 200 to 2,000 rules in one to six blocks, each of one
+   consequent and one antecedent signature (zero to three attributes read before the
+   consequent), with values from a domain of three match classes in
+   four spellings ([Int 1] and [Float 1.] are one), so keys share
+   prefixes, full keys repeat, and each block is one group of tens to
+   thousands of rows. *)
+let large_case_gen =
+  QCheck2.Gen.(
+    let attrs = [ "a"; "b"; "c"; "d"; "e" ] in
+    let value = oneofl [ vi 1; V.float 1.; vi 2; v "x" ] in
+    let block size =
+      let* k = 1 -- 4 in
+      let earlier = List.filteri (fun i _ -> i < k) attrs in
+      let* signature =
+        map (List.sort_uniq String.compare)
+          (list_size (0 -- 3) (oneofl earlier))
+      in
+      list_repeat size
+        (let* ante = list_repeat (List.length signature) value in
+         let* x = value in
+         return
+           (Ilfd.make1
+              (List.map2 Ilfd.condition signature ante)
+              (List.nth attrs k) x))
+    in
+    let* n = 200 -- 2000 in
+    let* b = 1 -- 6 in
+    let* blocks =
+      flatten_l (List.init b (fun i -> block ((n / b) + if i = 0 then n mod b else 0)))
+    in
+    let ilfds = List.concat blocks in
+    let cell = frequency [ (1, return V.null); (4, value) ] in
+    let* source = oneofl [ [ "a"; "b" ]; [ "a"; "c"; "e" ]; [ "b"; "d" ]; [ "a" ] ] in
+    let* extra = oneofl [ [ "c"; "d" ]; [ "e"; "c" ]; [ "d" ]; [] ] in
+    let extra = List.filter (fun x -> not (List.mem x source)) extra in
+    let* rows = list_size (1 -- 6) (list_repeat (List.length source) cell) in
+    return (ilfds, source, extra, rows))
+
 let print_tuple_case (ilfds, source, extra, rows) =
   Printf.sprintf "rules: %s\nsource: %s, extra: %s\nrows: %s"
     (String.concat "; " (List.map Ilfd.to_string ilfds))
@@ -793,6 +830,54 @@ let tuple_tests =
           (R.Relation.tuples r);
         Alcotest.(check int) "every row of a cyclic family" 2
           (Telemetry.counter telemetry "ilfd.fixpoint.fallback_classes"));
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:60 ~name:"extend_tuple = the scan on large groups"
+         ~print:print_tuple_case large_case_gen evaluator_agrees);
+    case "plans made from one family share its tries" (fun () ->
+        let ilfds =
+          [
+            Ilfd.make1 [ Ilfd.condition "a" (vi 1) ] "b" (vi 2);
+            Ilfd.make1 [ Ilfd.condition "a" (vi 3) ] "b" (vi 4);
+            Ilfd.make1
+              [ Ilfd.condition "a" (vi 1); Ilfd.condition "b" (vi 2) ]
+              "c" (v "x");
+            Ilfd.make1 [ Ilfd.condition "d" (v "y") ] "e" (v "z");
+          ]
+        in
+        let compiled = Ilfd.Apply.compile ilfds in
+        let built_tries () =
+          Array.fold_left
+            (List.fold_left (fun n (g : Ilfd.Apply.group) ->
+                 if Lazy.is_val g.trie then n + 1 else n))
+            0 (Ilfd.Apply.groups compiled)
+        in
+        let r_source = R.Schema.of_names [ "id"; "a" ]
+        and s_source = R.Schema.of_names [ "a"; "d" ] in
+        let r_target = R.Schema.of_names [ "id"; "a"; "c" ]
+        and s_target = R.Schema.of_names [ "a"; "d"; "c" ] in
+        let r_plan = Ilfd.Fixpoint.plan ~source:r_source ~target:r_target compiled
+        and s_plan = Ilfd.Fixpoint.plan ~source:s_source ~target:s_target compiled in
+        Alcotest.(check int) "a plan builds no trie" 0
+          (built_tries ());
+        let derived plan source target cells =
+          match Ilfd.Fixpoint.extend_tuple plan (R.Tuple.make source cells) with
+          | Ok (t, _) -> V.to_string (R.Tuple.get target t "c")
+          | Error _ -> Alcotest.fail "unexpected conflict"
+        in
+        Alcotest.(check string) "R derives c" "x"
+          (derived r_plan r_source r_target [ vi 1; vi 1 ]);
+        let built = built_tries () in
+        Alcotest.(check int) "the walk built b's and c's tries" 2 built;
+        Alcotest.(check string) "S derives c" "x"
+          (derived s_plan s_source s_target [ V.float 1.; v "q" ]);
+        Alcotest.(check int) "S's first walk builds none" built
+          (built_tries ());
+        ignore
+          (Ilfd.Fixpoint.extend_relation
+             (R.Relation.create r_source ~keys:[ [ "id" ] ] [ [ vi 1; vi 3 ] ])
+             ~target:r_target compiled);
+        Alcotest.(check int) "nor does an extension" built
+          (built_tries ()));
   ]
 
 let () =

@@ -76,7 +76,9 @@ let def_tests =
 
 (* The parser as it read lines before the one-pass rewrite, kept as the
    reference: split on "->", on '&' and ',', each piece cut out with
-   [String.sub]. *)
+   [String.sub]. The one-pass parser read every line as this one did,
+   rules and messages, until a quoted value became one token; it still
+   does on every line whose quotes each enclose a whole quoted value. *)
 module Split_parser = struct
   let parse_value raw =
     let raw = String.trim raw in
@@ -131,7 +133,66 @@ module Split_parser = struct
         raise
           (Ilfd.Ill_formed
              (Printf.sprintf "expected exactly one -> in %S" src))
+
+  (* Whether every quote of [src] encloses one whole quoted value (a
+     piece's value that starts and ends with a quote and holds no
+     other) as this parser cuts the line: on "->", the part before the
+     first on '&', every later part on ','. A line with no quote
+     qualifies. *)
+  let quotes_delimit_values src =
+    let quotes s =
+      String.fold_left (fun n ch -> if ch = '"' then n + 1 else n) 0 s
+    in
+    let quoted raw =
+      let raw = String.trim raw in
+      let len = String.length raw in
+      len >= 2 && raw.[0] = '"' && raw.[len - 1] = '"' && quotes raw = 2
+    in
+    let values sep part =
+      List.filter_map
+        (fun piece ->
+          Option.map
+            (fun i -> String.sub piece (i + 1) (String.length piece - i - 1))
+            (String.index_opt piece '='))
+        (String.split_on_char sep part)
+    in
+    let values =
+      match split_on_string "->" src with
+      | lhs :: rest -> values '&' lhs @ List.concat_map (values ',') rest
+      | [] -> []
+    in
+    quotes src = 2 * List.length (List.filter quoted values)
 end
+
+(* Rule lines whose every quote encloses a whole quoted value: bare
+   values hold no quote and no separator, and a quoted value's text holds
+   no quote and nothing the split-based parser cuts on its side ('&' on
+   the left, ',' on the right, "->"). *)
+let quoted_line_gen =
+  QCheck2.Gen.(
+    let space = oneofl [ ""; " "; "  "; "\t" ] in
+    let text forbidden =
+      map (String.concat "")
+        (list_size (0 -- 4)
+           (oneofl
+              (List.filter
+                 (fun p -> not (List.mem p forbidden))
+                 [ "&"; ","; "="; " "; "x"; "007"; "true"; "null"; "2.5"; "-" ])))
+    in
+    let cond attr sep =
+      let* quoted = bool in
+      let* value =
+        if quoted then map (fun t -> "\"" ^ t ^ "\"") (text [ sep ])
+        else oneofl [ "x"; "Hunan"; "1"; "2.5"; "true"; "St.Paul" ]
+      in
+      let* s1 = space and* s2 = space and* s3 = space and* s4 = space in
+      return (s1 ^ attr ^ s2 ^ "=" ^ s3 ^ value ^ s4)
+    in
+    let* ante = list_size (0 -- 3) (oneofl [ "a"; "b"; "c" ]) in
+    let* cons = list_size (1 -- 2) (oneofl [ "d"; "e" ]) in
+    let* ante = flatten_l (List.map (fun a -> cond a "&") (List.sort_uniq compare ante)) in
+    let* cons = flatten_l (List.map (fun a -> cond a ",") (List.sort_uniq compare cons)) in
+    return (String.concat "&" ante ^ "->" ^ String.concat "," cons))
 
 let rule_line_gen =
   QCheck2.Gen.(
@@ -154,6 +215,7 @@ let rule_line_gen =
       [
         (2, well_formed);
         (3, map (String.concat "") (list_size (0 -- 14) fragment));
+        (2, quoted_line_gen);
       ])
 
 let parse_outcome parse line =
@@ -161,20 +223,116 @@ let parse_outcome parse line =
   | rule -> Ok rule
   | exception Ilfd.Ill_formed message -> Error message
 
+(* Rules over every kind of value a rule may hold: ints and floats at
+   their edges, booleans, and strings made of separators, quotes, spaces,
+   digits and the words a bare value reads as something else. *)
+let round_trip_rule_gen =
+  QCheck2.Gen.(
+    let piece =
+      oneofl
+        [ "&"; ","; "->"; "\""; "="; " "; "\t"; "007"; "1"; "2.5"; "1e5";
+          "0x1F"; "true"; "TRUE"; "false"; "null"; "nan"; "inf"; "x";
+          "Smith"; "-"; ">"; "#"; "\n" ]
+    in
+    let value =
+      frequency
+        [
+          (4, map (fun ps -> V.String (String.concat "" ps)) (list_size (0 -- 4) piece));
+          (1, map V.int (oneof [ int; int_range (-10) 10; oneofl [ min_int; max_int ] ]));
+          ( 1,
+            map V.float
+              (oneof
+                 [ float;
+                   oneofl
+                     [ Float.nan; Float.infinity; Float.neg_infinity; -0.; 0.1 +. 0.2;
+                       1e300; 5e-324; 123456789012345678.; 3.; 0x1p53 ] ]) );
+          (1, map V.bool bool);
+        ]
+    in
+    let conds attrs =
+      let* values = list_repeat (List.length attrs) value in
+      let* keep = list_repeat (List.length attrs) bool in
+      return
+        (List.concat
+           (List.map2
+              (fun (a, k) x -> if k then [ Ilfd.condition a x ] else [])
+              (List.combine attrs keep) values))
+    in
+    let* ante = conds [ "a"; "b"; "c" ] in
+    let* cons = conds [ "d"; "e" ] in
+    let* first = value in
+    return (Ilfd.make ante (Ilfd.condition "f" first :: cons)))
+
 let parser_tests =
   [
+    (* Rules and messages agree wherever every quote encloses a whole
+       quoted value; elsewhere a quoted value is one token where the
+       reference cut it. *)
     qtest ~count:3000 "parse = the split-based parser, rules and messages"
       rule_line_gen (fun line ->
+        let whole = Split_parser.quotes_delimit_values line in
         match (parse_outcome Ilfd.parse line, parse_outcome Split_parser.parse line) with
-        | Ok a, Ok b -> Ilfd.equal a b
-        | Error a, Error b -> String.equal a b
-        | _ -> false);
+        | Ok a, Ok b -> Ilfd.equal a b || not whole
+        | Error a, Error b -> String.equal a b || not whole
+        | Error _, Ok _ | Ok _, Error _ -> not whole);
     case "both sides bad: the right-hand side's error is reported" (fun () ->
         match Ilfd.parse "lhsbad -> rhsbad" with
         | _ -> Alcotest.fail "expected Ill_formed"
         | exception Ilfd.Ill_formed message ->
             Alcotest.(check string) "message"
               "expected attribute = value, got \"rhsbad\"" message);
+    case "a quoted value is one token" (fun () ->
+        let values line =
+          let i = Ilfd.parse line in
+          List.map
+            (fun (c : Ilfd.condition) -> (c.attribute, V.to_string c.value))
+            (Ilfd.antecedent i @ Ilfd.consequent i)
+        in
+        Alcotest.(check (list (pair string string))) "& inside quotes"
+          [ ("name", "Smith & Sons"); ("city", "Paris") ]
+          (values {|name = "Smith & Sons" -> city = Paris|});
+        Alcotest.(check (list (pair string string))) "-> and , inside quotes"
+          [ ("a", "x->y"); ("place", "Rome, Italy") ]
+          (values {|a = "x->y" -> place = "Rome, Italy"|});
+        Alcotest.(check (list (pair string string))) "a doubled quote is one"
+          [ ("a", {|say "hi"|}); ("b", {|"|}) ]
+          (values {|a = "say ""hi""" -> b = """"|});
+        Alcotest.(check (list (pair string string))) "a quote inside a bare value"
+          [ ("a", {|x"y|}); ("b", "z") ]
+          (values {|a = x"y -> b = z|});
+        let rejected line message =
+          match Ilfd.parse line with
+          | _ -> Alcotest.failf "%s: expected Ill_formed" line
+          | exception Ilfd.Ill_formed m -> Alcotest.(check string) line message m
+        in
+        rejected {|a = "open -> b = c|} {|unterminated quoted value "open -> b = c|};
+        rejected {|a = "x" y -> b = c|} {|unexpected text after the quoted value "x"|});
+    case "a value prints quoted only when it must" (fun () ->
+        List.iter
+          (fun rule ->
+            Alcotest.(check bool) (Ilfd.to_string rule) false
+              (String.contains (Ilfd.to_string rule) '"'))
+          Workload.Paper_data.ilfds_i1_i8;
+        let c a x = Ilfd.condition a x in
+        Alcotest.(check string) "awkward strings"
+          {|a="007" & b="true" & c=" padded" & d="null" & e="Smith & Sons" -> f=Smith & Sons, g="Rome, Italy", h=""""|}
+          (Ilfd.to_string
+             (Ilfd.make
+                [ c "a" (v "007"); c "b" (v "true"); c "c" (v " padded");
+                  c "d" (v "null"); c "e" (v "Smith & Sons") ]
+                [ c "f" (v "Smith & Sons"); c "g" (v "Rome, Italy");
+                  c "h" (v {|"|}) ]));
+        Alcotest.(check string) "numbers"
+          "a=7 & b=0.1 & c=0.30000000000000004 -> d=true"
+          (Ilfd.to_string
+             (Ilfd.make
+                [ c "a" (vi 7); c "b" (V.float 0.1); c "c" (V.float (0.1 +. 0.2)) ]
+                [ c "d" (V.bool true) ])));
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:2000
+         ~name:"parse (to_string r) = r over every kind of value"
+         ~print:Ilfd.to_string round_trip_rule_gen (fun rule ->
+           Ilfd.equal (Ilfd.parse (Ilfd.to_string rule)) rule));
   ]
 
 let encode_tests =

@@ -1757,6 +1757,44 @@ let format_tests =
             S.close t;
             Alcotest.(check (list string)) "answers" (expected_answers ())
               (format_answers dir)));
+    (* config.json holds the rules as text, parsed again on every open,
+       so a store written before a quoted value became one token reads
+       two kinds of rule differently: a doubled quote inside a quoted
+       value was kept doubled and is now one quote, and a value that
+       goes on after its closing quote was kept whole, quotes and all,
+       and now stops the open. *)
+    case "a config.json rule that reads differently since quoted values are one token"
+      (fun () ->
+        let write_config dir rule =
+          Out_channel.with_open_bin (Filename.concat dir "config.json") (fun oc ->
+              output_string oc
+                (Printf.sprintf
+                   {|{"r_attrs":["name","cuisine","street"],"r_key":["name","cuisine"],"s_attrs":["name","speciality","county"],"s_key":["name","speciality"],"key":["name","cuisine","speciality"],"rules":[%s],"check_conflicts":false}|}
+                   (Json.to_string (Json.String rule))))
+        in
+        in_dir (fun dir ->
+            write_config dir {|name = "p""q" -> cuisine = Thai|};
+            let t = open_ok dir in
+            let rules = E.Incremental.ilfds (S.incremental t) in
+            S.close t;
+            Alcotest.(check (list string)) "the doubled quote reads as one"
+              [ {|p"q|} ]
+              (List.concat_map
+                 (fun rule ->
+                   List.map
+                     (fun (c : Ilfd.condition) -> R.Value.to_string c.value)
+                     (Ilfd.antecedent rule))
+                 rules));
+        in_dir (fun dir ->
+            write_config dir {|name = "Joe's" Diner -> cuisine = American|};
+            match S.open_store ~sync:false ~dir () with
+            | Ok t ->
+                S.close t;
+                Alcotest.fail "expected the open to fail"
+            | Error e ->
+                Alcotest.(check string) "the open fails"
+                  {|cannot parse rules: unexpected text after the quoted value "Joe's"|}
+                  e));
   ]
 
 (* ---- the --stream-out writer ----
