@@ -14,8 +14,9 @@
      rendered ([Integrate.integrated_table], [Pretty.render]);
    - [fuse]: fuse --out, the fused relation as CSV ([Fusion.fuse],
      [Csv_io.to_string]);
-   - [mt]: identify --show mt, the matching table rendered
-     ([Identify.matching_relation], [Pretty.render]).
+   - [mt]: identify --show mt, the matching table built, verified and
+     rendered ([Identify.matching_table], [Verify.check],
+     [Matching_table.to_relation], [Pretty.render]).
 
    It exits 1 when one of them costs more than [max_ratio] times as
    much at 64k as at 4k. Work linear in the rows grows 16x (the sorts
@@ -70,8 +71,10 @@ let operations =
       fun res -> Relational.Csv_io.to_string (E.Fusion.fuse res) );
     ( "mt",
       fun res ->
+        let mt = E.Identify.matching_table res in
+        ignore (Sys.opaque_identity (E.Verify.check mt));
         Relational.Pretty.render ~title:"matching table"
-          (E.Identify.matching_relation res) );
+          (E.Matching_table.to_relation mt) );
   ]
 
 (* Seconds per operation: the best of 3 runs of [large / n] of them. *)

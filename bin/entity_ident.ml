@@ -182,7 +182,8 @@ let identify_cmd =
                    peak memory is the join state, never the match count. \
                    Replaces --show output and skips the uniqueness \
                    verification (which would materialise the matching \
-                   table).")
+                   table). Combined with --negative or --explain, whose \
+                   output it would drop, it exits 2.")
   in
   let stream_format =
     Arg.(value & opt (enum [ ("ndjson", `Ndjson); ("csv", `Csv) ]) `Ndjson
@@ -193,6 +194,20 @@ let identify_cmd =
   in
   let run r s rk sk rules key stats show negative check_conflicts explain
       stream_out stream_format =
+    (* The stream writes the pairs only: a flag asking for more is refused
+       before any input is read or any output opened. *)
+    (match
+       List.filter_map
+         (fun (set, flag) -> if set then Some flag else None)
+         [ (negative, "--negative"); (explain, "--explain") ]
+     with
+    | _ :: _ as dropped when stream_out <> None ->
+        Format.eprintf
+          "entity_ident: --stream-out writes the matched pairs only; it \
+           cannot be combined with %s@."
+          (String.concat " or " dropped);
+        exit 2
+    | _ -> ());
     let telemetry = telemetry_of stats in
     let r, s, ilfds = setup ~telemetry r s rk sk rules in
     let key = Entity_id.Extended_key.make (parse_key_list key) in
@@ -262,20 +277,16 @@ let identify_cmd =
       print_table ~title:"R'" res.r_extended;
       print_table ~title:"S'" res.s_extended
     in
+    let mt = Entity_id.Identify.matching_table res in
     let print_mt () =
       print_table ~title:"matching table"
-        (Entity_id.Identify.matching_relation res)
+        (Entity_id.Matching_table.to_relation mt)
     in
     let print_integrated () =
       print_table ~title:"integrated table"
         (Entity_id.Integrate.integrated_table res)
     in
-    let report =
-      {
-        Entity_id.Verify.uniqueness = Entity_id.Identify.violations res;
-        consistent_with_negative = true;
-      }
-    in
+    let report = Entity_id.Verify.check mt in
     to_stdout (fun () ->
         Telemetry.span telemetry "output.render" (fun () ->
             (match show with
@@ -295,8 +306,8 @@ let identify_cmd =
               print_endline "explanations:";
               print_string
                 (Entity_id.Explain.render
-                   (Entity_id.Explain.matches ~mode ~r ~s ~key ilfds
-                      (Entity_id.Identify.matching_table res)))
+                   (Entity_id.Explain.matches ~mode ~r ~s ~key res.compiled
+                      mt))
             end;
             Format.printf "%a@." Entity_id.Verify.pp_report report);
         print_stats stats telemetry);

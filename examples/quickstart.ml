@@ -31,9 +31,10 @@ let () =
   (* The extended key for the integrated world. *)
   let key = Entity_id.Extended_key.make [ "name"; "cuisine" ] in
   let res = Entity_id.Identify.matched ~r ~s ~key ilfds in
+  let mt = Entity_id.Identify.matching_table res in
   print_string
     (R.Pretty.render ~title:"matching table"
-       (Entity_id.Identify.matching_relation res));
+       (Entity_id.Matching_table.to_relation mt));
   print_newline ();
   print_string
     (R.Pretty.render ~title:"integrated table"
@@ -41,4 +42,4 @@ let () =
   print_newline ();
   Format.printf "%a@."
     Entity_id.Verify.pp_report
-    (Entity_id.Verify.check (Entity_id.Identify.matching_table res))
+    (Entity_id.Verify.check mt)

@@ -56,6 +56,71 @@ let encode schema rows =
          Array.init n (fun i ->
              Relational.Intern.code (Relational.Tuple.nth rows.(i) a))))
 
+module Matching_table = struct
+  module MT = Entity_id.Matching_table
+  module Tuple = Relational.Tuple
+
+  type t = { attrs : string list * string list; entries : MT.entry list }
+
+  let same (a : MT.entry) (b : MT.entry) =
+    Tuple.equal a.r_key b.r_key && Tuple.equal a.s_key b.s_key
+
+  let mem t e = List.exists (same e) t.entries
+
+  let make ~r_key_attrs ~s_key_attrs entries =
+    let kept =
+      List.fold_left
+        (fun kept e -> if List.exists (same e) kept then kept else e :: kept)
+        [] entries
+    in
+    { attrs = (r_key_attrs, s_key_attrs); entries = List.rev kept }
+
+  let entries t = t.entries
+  let cardinality t = List.length t.entries
+
+  let add t e =
+    let r_key_attrs, s_key_attrs = t.attrs in
+    make ~r_key_attrs ~s_key_attrs (t.entries @ [ e ])
+
+  (* Each key [side] gives that two or more entries share, at its first
+     entry, with every partner [other] gives, in entry order. *)
+  let shared side other entries =
+    let rec firsts seen = function
+      | [] -> []
+      | e :: rest when List.exists (Tuple.equal (side e)) seen ->
+          firsts seen rest
+      | e :: rest -> (
+          match
+            List.filter (fun d -> Tuple.equal (side d) (side e)) entries
+          with
+          | _ :: _ :: _ as group ->
+              (side e, List.map other group) :: firsts (side e :: seen) rest
+          | _ -> firsts (side e :: seen) rest)
+    in
+    firsts [] entries
+
+  let uniqueness_violations t =
+    List.map
+      (fun (r_key, s_keys) -> MT.R_tuple_matched_twice { r_key; s_keys })
+      (shared (fun (e : MT.entry) -> e.r_key) (fun e -> e.s_key) t.entries)
+    @ List.map
+        (fun (s_key, r_keys) -> MT.S_tuple_matched_twice { s_key; r_keys })
+        (shared (fun (e : MT.entry) -> e.s_key) (fun e -> e.r_key) t.entries)
+
+  let consistent mt nmt = not (List.exists (mem nmt) mt.entries)
+
+  let to_relation t =
+    let r_key_attrs, s_key_attrs = t.attrs in
+    Relational.Relation.of_tuples
+      (Relational.Schema.of_names
+         (List.map (( ^ ) "r_") r_key_attrs
+         @ List.map (( ^ ) "s_") s_key_attrs))
+      (List.sort Tuple.compare
+         (List.map
+            (fun (e : MT.entry) -> Tuple.concat e.r_key e.s_key)
+            t.entries))
+end
+
 let stratum ilfds =
   let rules_of = Hashtbl.create 16 in
   List.iter

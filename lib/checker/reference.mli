@@ -1,7 +1,8 @@
 (** The references the production engines are held to: the ILFD
     per-tuple scan ({!Ilfd.Apply.extend_tuple_compiled}) mapped over a
     relation, the tuple-based set-semantics pass and the cell-by-cell
-    encode the relation builder is held to, the attribute stratum the
+    encode the relation builder is held to, the tuple-based matching
+    table the coded one is held to, the attribute stratum the
     seeded derivation-order fault sorts by, and the paper's three-valued
     entity-identification function (Section 3.2) with the nested-loop
     Figure 3 partition built from it. Nothing outside the checker, its
@@ -43,6 +44,30 @@ val set_semantics :
     [schema]), one {!Relational.Intern.code} per cell. *)
 val encode :
   Relational.Schema.t -> Relational.Tuple.t array -> Relational.Columnar.t
+
+(** The matching table on tuples: its entries in a list, compared
+    with {!Relational.Tuple.equal} by scanning it, and [to_relation]
+    sorting the concatenated keys with {!Relational.Tuple.compare}.
+    Each function means what {!Entity_id.Matching_table}'s of the same
+    name does (quadratically), and the tests hold the coded table to
+    it. *)
+module Matching_table : sig
+  type t
+
+  val make :
+    r_key_attrs:string list ->
+    s_key_attrs:string list ->
+    Entity_id.Matching_table.entry list ->
+    t
+
+  val entries : t -> Entity_id.Matching_table.entry list
+  val cardinality : t -> int
+  val mem : t -> Entity_id.Matching_table.entry -> bool
+  val add : t -> Entity_id.Matching_table.entry -> t
+  val uniqueness_violations : t -> Entity_id.Matching_table.violation list
+  val consistent : t -> t -> bool
+  val to_relation : t -> Relational.Relation.t
+end
 
 (** [stratum ilfds] — each attribute's stratum under [ilfds]: [0] when no
     rule derives it, else one more than the deepest attribute any of its

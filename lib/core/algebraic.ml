@@ -94,19 +94,8 @@ let run ~r ~s ~key ilfds =
   { r_tables; s_tables; r_prime; s_prime; matching_relation }
 
 let matching_table plan ~r_key ~s_key =
-  let schema = Relation.schema plan.matching_relation in
-  let entries =
-    List.map
-      (fun row ->
-        {
-          Matching_table.r_key =
-            Tuple.project schema row (List.map (fun a -> "r_" ^ a) r_key);
-          s_key =
-            Tuple.project schema row (List.map (fun a -> "s_" ^ a) s_key);
-        })
-      (Relation.tuples plan.matching_relation)
-  in
-  Matching_table.make ~r_key_attrs:r_key ~s_key_attrs:s_key entries
+  Matching_table.of_relation ~r_key_attrs:r_key ~s_key_attrs:s_key
+    plan.matching_relation
 
 let agrees plan (outcome : Identify.outcome) =
   let direct = outcome.matching_table in

@@ -36,8 +36,9 @@ val run :
   Ilfd.t list ->
   plan
 
-(** [matching_table plan ~r_key ~s_key] — converted to the
-    {!Matching_table.t} shape for comparison with {!Identify}. *)
+(** [matching_table plan ~r_key ~s_key] — [matching_relation] as a
+    {!Matching_table.t} ({!Matching_table.of_relation}), for comparison
+    with {!Identify}. *)
 val matching_table :
   plan -> r_key:string list -> s_key:string list -> Matching_table.t
 

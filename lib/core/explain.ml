@@ -2,6 +2,8 @@ module Relation = Relational.Relation
 module Schema = Relational.Schema
 module Tuple = Relational.Tuple
 module V = Relational.Value
+module Columnar = Relational.Columnar
+module Code_table = Relational.Code_table
 
 type explanation = {
   entry : Matching_table.entry;
@@ -9,20 +11,6 @@ type explanation = {
   r_derivations : Ilfd.Apply.derivation list;
   s_derivations : Ilfd.Apply.derivation list;
 }
-
-module Tuple_tbl = Hashtbl.Make (Tuple)
-
-(* A relation's tuples by primary-key value; keys are declared unique,
-   so the first row with a key is the only one. *)
-let index_by_key rel =
-  let plan = Tuple.plan (Relation.schema rel) (Relation.primary_key rel) in
-  let by_key = Tuple_tbl.create (max 16 (Relation.cardinality rel)) in
-  Relation.iter
-    (fun t ->
-      let k = Tuple.project_with plan t in
-      if not (Tuple_tbl.mem by_key k) then Tuple_tbl.add by_key k t)
-    rel;
-  by_key
 
 type item =
   | Derived of explanation
@@ -48,25 +36,41 @@ let of_rows ?mode ~key ~r_plan ~s_plan entry tr ts =
   in
   { entry; key_values; r_derivations; s_derivations }
 
-let matches ?mode ~r ~s ~key ilfds mt =
-  let compiled = Ilfd.Apply.compile ilfds in
+(* Row [p] of [probe], a key of [rel]'s, to the row of [rel] holding
+   it: a code table over [rel]'s primary-key columns, which are distinct
+   under a declared key, so a key's first row is its only one. *)
+let find_by_key rel probe =
+  let on =
+    Columnar.columns (Relation.columnar rel) (Relation.primary_key rel)
+  in
+  let n = Relation.cardinality rel in
+  let held = Code_table.create n in
+  for i = 0 to n - 1 do
+    ignore (Code_table.find_or_add held on i)
+  done;
+  fun p ->
+    if Array.length probe <> Array.length on then None
+    else
+      let i = Code_table.find held on probe p in
+      if i < 0 then None else Some (Relation.row rel i)
+
+let matches ?mode ~r ~s ~key compiled mt =
   let plan rel =
     Ilfd.Fixpoint.plan ~source:(Relation.schema rel)
       ~target:(Identify.extension_schema rel key)
       compiled
   in
   let r_plan = plan r and s_plan = plan s in
-  let r_by_key = index_by_key r and s_by_key = index_by_key s in
-  List.filter_map
-    (fun (entry : Matching_table.entry) ->
-      match
-        ( Tuple_tbl.find_opt r_by_key entry.r_key,
-          Tuple_tbl.find_opt s_by_key entry.s_key )
-      with
-      | Some tr, Some ts ->
-          Some (of_rows ?mode ~key ~r_plan ~s_plan entry tr ts)
-      | _ -> None)
-    (Matching_table.entries mt)
+  let r_codes, s_codes = Matching_table.key_codes mt in
+  let r_row = find_by_key r r_codes and s_row = find_by_key s s_codes in
+  List.concat
+    (List.mapi
+       (fun p entry ->
+         match (r_row p, s_row p) with
+         | Some tr, Some ts ->
+             [ of_rows ?mode ~key ~r_plan ~s_plan entry tr ts ]
+         | _ -> [])
+       (Matching_table.entries mt))
 
 let prove_derivation ilfds schema tuple (d : Ilfd.Apply.derivation) =
   (* The tuple's original non-NULL values form the antecedent; the

@@ -41,14 +41,15 @@ val of_rows :
   Relational.Tuple.t ->
   explanation
 
-(** [matches ?mode ~r ~s ~key ilfds mt] — one explanation per pair of
-    [mt], the matching table of the run being explained ({!Identify.run}
-    over the same arguments), in its order. It runs no pipeline of its
-    own: the family is compiled once per call, with one plan per side
-    sharing its tries, each pair's tuples are found through one key
-    index per side, and their chains are derived through the plans.
-    [mode] (default [First_rule]) is the derivation mode, matching the
-    run being explained.
+(** [matches ?mode ~r ~s ~key compiled mt] — one explanation per pair
+    of [mt], in its order: [mt] is {!Identify.matching_table} of the
+    {!Identify.matched} run being explained and [compiled] that run's
+    family, so the plans walk the tries its extension built and nothing
+    is compiled again. Each pair's base rows are found by probing R's
+    and S's primary-key code columns with [mt]'s key codes, one
+    {!Relational.Code_table} per side (a pair naming no row is left
+    out). [mode] (default [First_rule]) is the derivation mode,
+    matching the run being explained.
     @raise Ilfd.Apply.Conflict_found in [Check_conflicts] mode when a
     pair's tuple has derivations that disagree — the same witness the
     identification pipeline reports for that tuple. *)
@@ -57,7 +58,7 @@ val matches :
   r:Relational.Relation.t ->
   s:Relational.Relation.t ->
   key:Extended_key.t ->
-  Ilfd.t list ->
+  Ilfd.Apply.compiled ->
   Matching_table.t ->
   explanation list
 

@@ -51,11 +51,11 @@ let row_cache relation =
         t
 
 (* The first phase: both relations ILFD-extended to the K_Ext target
-   schemas. The family is compiled once for both sides. *)
-let extend ?mode ?(telemetry = Telemetry.off) ~r ~s ~key ilfds =
-  let compiled =
-    Telemetry.span telemetry "ilfd.compile" (fun () -> Ilfd.Apply.compile ilfds)
-  in
+   schemas, with one compiled family for both sides. *)
+let compile telemetry ilfds =
+  Telemetry.span telemetry "ilfd.compile" (fun () -> Ilfd.Apply.compile ilfds)
+
+let extend_with ?mode ~telemetry ~r ~s ~key compiled =
   let side name rel =
     Telemetry.span telemetry name (fun () ->
         Ilfd.Fixpoint.extend_relation ?mode ~telemetry rel
@@ -63,6 +63,9 @@ let extend ?mode ?(telemetry = Telemetry.off) ~r ~s ~key ilfds =
   in
   let r_ext = side "identify.extend_r" r in
   (r_ext, side "identify.extend_s" s)
+
+let extend ?mode ?(telemetry = Telemetry.off) ~r ~s ~key ilfds =
+  extend_with ?mode ~telemetry ~r ~s ~key (compile telemetry ilfds)
 
 (* The second phase: the K_Ext join over the extended relations' code
    columns, folded over the row indices of the matched pairs in the
@@ -121,6 +124,7 @@ type result = {
   key : Extended_key.t;
   r_key : string list;
   s_key : string list;
+  compiled : Ilfd.Apply.compiled;
   r_extended : Relation.t;
   s_extended : Relation.t;
   r_rows : int array;
@@ -134,7 +138,8 @@ let count_over_one = Array.fold_left (fun n k -> if k > 1 then n + 1 else n) 0
 (* The pairs go into two arrays that double as they fill; each pair
    also bumps its rows' partner counts. The outcome counters decode the
    NULL-keyed rows, paid only when the sink is live. *)
-let collect ?(telemetry = Telemetry.off) ~key ~r_key ~s_key r_ext s_ext =
+let collect ?(telemetry = Telemetry.off) ~key ~r_key ~s_key ~compiled r_ext
+    s_ext =
   let r_partners = Array.make (Relation.cardinality r_ext) 0
   and s_partners = Array.make (Relation.cardinality s_ext) 0 in
   let r_rows = ref (Array.make 1024 0) and s_rows = ref (Array.make 1024 0) in
@@ -165,6 +170,7 @@ let collect ?(telemetry = Telemetry.off) ~key ~r_key ~s_key r_ext s_ext =
     key;
     r_key;
     s_key;
+    compiled;
     r_extended = r_ext;
     s_extended = s_ext;
     r_rows = Array.sub !r_rows 0 m;
@@ -174,108 +180,23 @@ let collect ?(telemetry = Telemetry.off) ~key ~r_key ~s_key r_ext s_ext =
   }
 
 let matched ?mode ?(telemetry = Telemetry.off) ~r ~s ~key ilfds =
-  let r_ext, s_ext = extend ?mode ~telemetry ~r ~s ~key ilfds in
+  let compiled = compile telemetry ilfds in
+  let r_ext, s_ext = extend_with ?mode ~telemetry ~r ~s ~key compiled in
   collect ~telemetry ~key ~r_key:(Relation.primary_key r)
-    ~s_key:(Relation.primary_key s) r_ext s_ext
+    ~s_key:(Relation.primary_key s) ~compiled r_ext s_ext
 
-(* Row [i]'s projection on [attrs]; an R′ row is decoded once for all
-   its partners when asked for in pair order. *)
-let key_of relation attrs =
-  let plan = Tuple.plan (Relation.schema relation) attrs in
-  let row = row_cache relation in
-  fun i -> Tuple.project_with plan (row i)
-
-(* An R′ row's pairs are contiguous in [r_rows], in ascending S′ order,
-   so its violation reads them off in place. The S′ rows' violations
-   come in the order the pairs first meet them, each listing its R′
-   partners in ascending order: the order
-   [Matching_table.uniqueness_violations] gives over the pair-ordered
-   entries. *)
-let violations res =
-  let r_key = key_of res.r_extended res.r_key
-  and s_key = key_of res.s_extended res.s_key in
-  let m = Array.length res.r_rows in
-  let rec r_side p acc =
-    if p >= m then List.rev acc
-    else
-      let i = res.r_rows.(p) in
-      let n = res.r_partners.(i) in
-      let acc =
-        if n < 2 then acc
-        else
-          Matching_table.R_tuple_matched_twice
-            {
-              r_key = r_key i;
-              s_keys = List.init n (fun k -> s_key res.s_rows.(p + k));
-            }
-          :: acc
-      in
-      r_side (p + n) acc
-  in
-  let partners = Hashtbl.create 16 and order = ref [] in
-  Array.iteri
-    (fun p j ->
-      if res.s_partners.(j) > 1 then
-        match Hashtbl.find_opt partners j with
-        | Some l -> l := res.r_rows.(p) :: !l
-        | None ->
-            order := j :: !order;
-            Hashtbl.add partners j (ref [ res.r_rows.(p) ]))
-    res.s_rows;
-  let s_side =
-    List.rev_map
-      (fun j ->
-        Matching_table.S_tuple_matched_twice
-          {
-            s_key = s_key j;
-            r_keys = List.rev_map r_key !(Hashtbl.find partners j);
-          })
-      !order
-  in
-  r_side 0 [] @ s_side
-
+(* The matched pairs' key codes, gathered from R′'s and S′'s columns in
+   pair order. *)
 let matching_table res =
-  let r_key = key_of res.r_extended res.r_key
-  and s_key = key_of res.s_extended res.s_key in
-  Matching_table.make ~r_key_attrs:res.r_key ~s_key_attrs:res.s_key
-    (List.init (Array.length res.r_rows) (fun p ->
-         {
-           Matching_table.r_key = r_key res.r_rows.(p);
-           s_key = s_key res.s_rows.(p);
-         }))
-
-(* Pair [p] against pair [q] on their key codes, R key first: the
-   [Tuple.compare] of the entries' concatenated keys. *)
-let compare_keys r_cols s_cols res p q =
-  let rec on cols rows k =
-    if k = Array.length cols then 0
-    else
-      let c =
-        Intern.compare_codes cols.(k).(rows.(p)) cols.(k).(rows.(q))
-      in
-      if c <> 0 then c else on cols rows (k + 1)
+  let gather rel attrs rows =
+    Array.map
+      (fun col -> Array.map (Array.get col) rows)
+      (Columnar.columns (Relation.columnar rel) attrs)
   in
-  let c = on r_cols res.r_rows 0 in
-  if c <> 0 then c else on s_cols res.s_rows 0
-
-let matching_relation res =
-  let cols rel attrs = Columnar.columns (Relation.columnar rel) attrs in
-  let r_cols = cols res.r_extended res.r_key
-  and s_cols = cols res.s_extended res.s_key in
-  let m = Array.length res.r_rows in
-  let order = Array.init m Fun.id in
-  Array.sort (compare_keys r_cols s_cols res) order;
-  let gather rows col = Array.map (fun p -> col.(rows.(p))) order in
-  let schema =
-    Schema.of_names
-      (List.map (fun a -> "r_" ^ a) res.r_key
-      @ List.map (fun a -> "s_" ^ a) res.s_key)
-  in
-  Relation.of_columnar
-    (Columnar.make schema m
-       (Array.append
-          (Array.map (gather res.r_rows) r_cols)
-          (Array.map (gather res.s_rows) s_cols)))
+  Matching_table.of_codes ~r_key_attrs:res.r_key ~s_key_attrs:res.s_key
+    (Array.append
+       (gather res.r_extended res.r_key res.r_rows)
+       (gather res.s_extended res.s_key res.s_rows))
 
 let decode res =
   let r_row = row_cache res.r_extended in
@@ -286,11 +207,12 @@ let decode res =
       :: !pairs
   done;
   let kext = Extended_key.attributes res.key in
+  let matching_table = matching_table res in
   {
     r_extended = res.r_extended;
     s_extended = res.s_extended;
-    matching_table = matching_table res;
-    violations = violations res;
+    matching_table;
+    violations = Matching_table.uniqueness_violations matching_table;
     pairs = !pairs;
     unmatched_r = null_key_tuples res.r_extended kext;
     unmatched_s = null_key_tuples res.s_extended kext;

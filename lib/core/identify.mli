@@ -118,9 +118,8 @@ val fold_pairs :
     Every materialised table is built from one result: the matched
     pairs as the row indices {!fold_pairs} yields, in its row-major
     order, with each row's number of partners. No pair is decoded to
-    build it. Uniqueness violations come from the partner counts, the
-    rows left unmatched are those with none, and the tables
-    ({!matching_relation}, {!Integrate.integrated_table},
+    build it. The rows left unmatched are those with no partner, and
+    the tables ({!matching_table}, {!Integrate.integrated_table},
     {!Fusion.fuse}) are gathered from R′'s and S′'s code columns. *)
 
 type result = private {
@@ -128,6 +127,10 @@ type result = private {
   r_key : string list;
       (** R's candidate key: MT_RS's R columns, [Relation.primary_key r] *)
   s_key : string list;
+  compiled : Ilfd.Apply.compiled;
+      (** the family R′ and S′ were extended with, its tries as the
+          extension built them: {!Explain.matches} derives the run's
+          pairs again with it *)
   r_extended : Relational.Relation.t;  (** R′ *)
   s_extended : Relational.Relation.t;  (** S′ *)
   r_rows : int array;
@@ -139,7 +142,8 @@ type result = private {
 }
 
 (** [matched ?mode ?telemetry ~r ~s ~key ilfds] — {!extend}, then
-    {!collect} with R's and S's primary keys.
+    {!collect} with R's and S's primary keys and the family {!extend}
+    compiled.
 
     [telemetry] (default {!Telemetry.off}) records the
     [identify.extend_r] / [identify.extend_s] / [identify.join] spans,
@@ -156,8 +160,9 @@ val matched :
   Ilfd.t list ->
   result
 
-(** [collect ?telemetry ~key ~r_key ~s_key r' s'] — {!fold_pairs} over
-    [r'] and [s'] into the result, MT_RS keyed on [r_key] and [s_key].
+(** [collect ?telemetry ~key ~r_key ~s_key ~compiled r' s'] —
+    {!fold_pairs} over [r'] and [s'] into the result, MT_RS keyed on
+    [r_key] and [s_key], [r'] and [s'] extended with [compiled].
     With a live sink it adds the outcome counters {!matched} lists:
     [identify.unmatched_r] counts R′ rows with a NULL K_Ext cell (the
     {!outcome}'s [unmatched_r]), [identify.violations] the rows with
@@ -167,36 +172,23 @@ val collect :
   key:Extended_key.t ->
   r_key:string list ->
   s_key:string list ->
+  compiled:Ilfd.Apply.compiled ->
   Relational.Relation.t ->
   Relational.Relation.t ->
   result
 
 (** [decode res] — the {!outcome}: each pair's rows decoded (an R′ row
-    once for all its partners), the {!matching_table}, the
-    {!violations}, and the rows with a NULL K_Ext cell. *)
+    once for all its partners), the {!matching_table}, its
+    {!Matching_table.uniqueness_violations}, and the rows with a NULL
+    K_Ext cell. *)
 val decode : result -> outcome
 
-(** [violations res] — the uniqueness violations, read off the partner
-    counts: each R′ row with several partners, in row order, listing
-    them in ascending order; then each S′ row with several, in the order
-    the row-major pairs first meet it, listing its R′ partners in
-    ascending order. This is {!Matching_table.uniqueness_violations} of
-    {!matching_table}, without building it. *)
-val violations : result -> Matching_table.violation list
-
-(** [matching_table res] — MT_RS as a {!Matching_table.t}, entries in
-    pair order; built only for a caller that asks ({!Explain.matches},
-    {!decode}). *)
+(** [matching_table res] — MT_RS, entry [p] being pair [p]'s R and S
+    keys: {!Matching_table.of_codes} over their codes, gathered from
+    R′'s and S′'s key columns in pair order, so no pair is decoded. The
+    CLI prints its {!Matching_table.to_relation} and the
+    {!Verify.check} of it. *)
 val matching_table : result -> Matching_table.t
-
-(** [matching_relation res] — MT_RS as a relation with attributes
-    [r_<r_key>… s_<s_key>…], sorted on the key codes with
-    {!Relational.Intern.compare_codes} (the {!Relational.Tuple.compare}
-    order of {!Matching_table.to_relation}) and gathered from R′'s and
-    S′'s code columns: the same rows, in the same order, as
-    [Matching_table.to_relation (matching_table res)], with no pair
-    decoded. *)
-val matching_relation : result -> Relational.Relation.t
 
 (** [extension_schema relation key] — the relation's schema widened with
     its missing extended-key attributes (K_Ext−R, in key order). *)

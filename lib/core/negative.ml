@@ -1,6 +1,5 @@
 module Relation = Relational.Relation
 module Schema = Relational.Schema
-module Tuple = Relational.Tuple
 module V = Relational.Value
 module Columnar = Relational.Columnar
 module Code_table = Relational.Code_table
@@ -91,39 +90,24 @@ let fired rules ~r ~s rt st =
     rules;
   set
 
-(* The fired pairs as one ascending list of S rows per R row. *)
-let row_lists set ~nr ~ns =
-  let rows = Array.make nr [] in
-  Itbl.iter
-    (fun id () ->
-      let i = id / ns in
-      rows.(i) <- (id mod ns) :: rows.(i))
-    set;
-  Array.map (List.sort Int.compare) rows
-
+(* The fired pairs' key codes, gathered from R's and S's columns in
+   row-major pair order: ascending ids. *)
 let of_rules ~r ~s rules =
-  let sr = Relation.schema r and ss = Relation.schema s in
-  let r_key = Relation.primary_key r and s_key = Relation.primary_key s in
   let rt = Array.of_list (Relation.tuples r)
   and st = Array.of_list (Relation.tuples s) in
-  let d = fired rules ~r ~s rt st in
-  (* Output in row-major pair order, visiting only the fired pairs. *)
-  let d_rows = row_lists d ~nr:(Array.length rt) ~ns:(Array.length st) in
-  let entries = ref [] in
-  Array.iteri
-    (fun i tr ->
-      List.iter
-        (fun j ->
-          entries :=
-            {
-              Matching_table.r_key = Tuple.project sr tr r_key;
-              s_key = Tuple.project ss st.(j) s_key;
-            }
-            :: !entries)
-        d_rows.(i))
-    rt;
-  Matching_table.make ~r_key_attrs:r_key ~s_key_attrs:s_key
-    (List.rev !entries)
+  let ns = Array.length st in
+  let ids = Array.of_seq (Itbl.to_seq_keys (fired rules ~r ~s rt st)) in
+  Array.sort Int.compare ids;
+  let gather rel row =
+    Array.map
+      (fun col -> Array.map (fun id -> col.(row id)) ids)
+      (Columnar.columns (Relation.columnar rel) (Relation.primary_key rel))
+  in
+  Matching_table.of_codes ~r_key_attrs:(Relation.primary_key r)
+    ~s_key_attrs:(Relation.primary_key s)
+    (Array.append
+       (gather r (fun id -> id / ns))
+       (gather s (fun id -> id mod ns)))
 
 let distinctness_rules_of_ilfds ilfds =
   List.concat_map

@@ -27,30 +27,24 @@ type truth_comparison = {
   false_non_matches : int;
 }
 
-let entry_mem entry entries =
-  List.exists
-    (fun (e : Matching_table.entry) ->
-      Tuple.equal e.r_key entry.Matching_table.r_key
-      && Tuple.equal e.s_key entry.s_key)
-    entries
-
 let against_truth ~truth ?negative mt =
-  let declared = Matching_table.entries mt in
-  let true_matches = List.length (List.filter (fun e -> entry_mem e truth) declared) in
-  let false_matches = List.length declared - true_matches in
-  let missed_matches =
-    List.length (List.filter (fun e -> not (entry_mem e declared)) truth)
+  let truth_table =
+    Matching_table.make ~r_key_attrs:(Matching_table.r_key_attrs mt)
+      ~s_key_attrs:(Matching_table.s_key_attrs mt) truth
   in
+  let count p l = List.length (List.filter p l) in
+  let declared = Matching_table.entries mt in
+  let true_matches = count (Matching_table.mem truth_table) declared in
   let negative_entries =
     match negative with None -> [] | Some nmt -> Matching_table.entries nmt
   in
   let false_non_matches =
-    List.length (List.filter (fun e -> entry_mem e truth) negative_entries)
+    count (Matching_table.mem truth_table) negative_entries
   in
   {
     true_matches;
-    false_matches;
-    missed_matches;
+    false_matches = List.length declared - true_matches;
+    missed_matches = count (fun e -> not (Matching_table.mem mt e)) truth;
     true_non_matches = List.length negative_entries - false_non_matches;
     false_non_matches;
   }

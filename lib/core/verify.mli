@@ -31,7 +31,10 @@ type truth_comparison = {
 }
 
 (** [against_truth ~truth ?negative mt] — [truth] is the set of truly
-    matching key pairs. *)
+    matching key pairs, keyed as [mt] is. Each count is of entries
+    found by {!Matching_table.mem}, so linear in the tables.
+    @raise Relational.Tuple.Arity_mismatch on a [truth] entry of
+    another width than [mt]'s keys. *)
 val against_truth :
   truth:Matching_table.entry list ->
   ?negative:Matching_table.t ->

@@ -1,8 +1,9 @@
 (* The magic names the payload type: a change to the type of
-   [Store]'s persisted state bumps its version, so a snapshot another
-   version wrote is never unmarshalled as this one. *)
+   [Store]'s persisted state, or to how config.json's rule text reads,
+   bumps its version, so a snapshot another version wrote is never
+   unmarshalled as this one. *)
 let prefix = "EIDSNAP"
-let magic = prefix ^ "4"
+let magic = prefix ^ "5"
 
 type 'a payload = { rules_hash : string; wal_offset : int; state : 'a }
 

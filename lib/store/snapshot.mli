@@ -1,6 +1,6 @@
 (** Periodic full-state snapshots.
 
-    Format: the magic ["EIDSNAP4"], a 4-byte big-endian payload length,
+    Format: the magic ["EIDSNAP5"], a 4-byte big-endian payload length,
     a 4-byte big-endian CRC-32 of the payload, then the payload — a
     [Marshal]-encoded {!payload} recording the rules hash of the
     configuration the state was built under and the WAL offset the
@@ -12,11 +12,17 @@
     last byte is therefore a format version: any change to the payload's
     type ({!Store}'s persisted state, and everything it holds) bumps it,
     and a file with another version's magic is {!Other_format}, never
-    unmarshalled. ["EIDSNAP1"] held the state as rows to rebuild;
-    ["EIDSNAP2"] the built key maps and pair set, with K_Ext indexes
-    that kept numbers above 2⁵³ apart; ["EIDSNAP3"] indexes in which
-    every value has a match class, and schemas whose attributes could
-    carry a type; ["EIDSNAP4"] holds schemas of attribute names only.
+    unmarshalled. So does any change to how [config.json]'s rule text
+    reads: the rules hash digests that text, not the rules it reads as,
+    so a snapshot of rows derived under the old reading would otherwise
+    restore beside a WAL whose replay derives others. ["EIDSNAP1"] held
+    the state as rows to rebuild; ["EIDSNAP2"] the built key maps and
+    pair set, with K_Ext indexes that kept numbers above 2⁵³ apart;
+    ["EIDSNAP3"] indexes in which every value has a match class, and
+    schemas whose attributes could carry a type; ["EIDSNAP4"] schemas of
+    attribute names only, written by binaries on either side of quoted
+    rule values becoming one token; ["EIDSNAP5"] the same payload,
+    written only under that reading.
 
     Recovery refuses a snapshot whose [rules_hash] differs from the
     current configuration ({!Stale_rules}) — the derived state baked

@@ -248,6 +248,22 @@ if [ "$status" -ne 0 ] || [ ! -p "$fifo" ] \
        "stream into it in place: $(cat "$bad_csv/err")" >&2
   exit 1
 fi
+# --stream-out writes the pairs only, so a flag whose output it would
+# drop is a usage error naming that flag, and no output file is left.
+for flag in --negative --explain; do
+  status=0
+  # shellcheck disable=SC2086
+  dune exec bin/entity_ident.exe -- identify $restaurant_args $flag \
+    --stream-out "$bad_csv/refused.ndjson" > /dev/null 2> "$bad_csv/err" \
+    || status=$?
+  if [ "$status" -ne 2 ] || ! grep -q -- "$flag" "$bad_csv/err" \
+      || [ -e "$bad_csv/refused.ndjson" ] \
+      || [ -e "$bad_csv/refused.ndjson.tmp" ]; then
+    echo "CI: identify --stream-out with $flag exited $status or left" \
+         "output: $(cat "$bad_csv/err")" >&2
+    exit 1
+  fi
+done
 # A write that fails on a materialised output is a message naming the
 # destination and exit 3, never an uncaught exception or a silent exit 0:
 # identify's tables onto a full device, fuse --out onto a full device,

@@ -259,6 +259,81 @@ let entry r s =
     s_key = ktup [ "sk" ] [ s ];
   }
 
+(* Cells a coded table must keep apart or together exactly as the
+   tuple-based one does: NULL, [Int 1] beside [Float 1.], [0.] beside
+   [-0.], [nan], and strings holding commas and quotes. *)
+let mt_cell_gen =
+  QCheck2.Gen.oneofl
+    [ V.Null; vi 1; V.float 1.; V.float 0.; V.float (-0.); V.float Float.nan;
+      v "x"; v "a,b"; v {|say "hi"|}; v {|"|} ]
+
+let mt_entry_gen =
+  QCheck2.Gen.(
+    map2
+      (fun (a, b) c ->
+        {
+          E.Matching_table.r_key =
+            R.Tuple.make (R.Schema.of_names [ "a"; "b" ]) [ a; b ];
+          s_key = R.Tuple.make (R.Schema.of_names [ "c" ]) [ c ];
+        })
+      (pair mt_cell_gen mt_cell_gen) mt_cell_gen)
+
+(* The same value, bit for bit: [-0.] is not [0.] here. *)
+let same_value a b =
+  match (a, b) with
+  | V.Float x, V.Float y ->
+      Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | V.Float _, _ | _, V.Float _ -> false
+  | _ -> V.equal a b
+
+let same_entries =
+  let same_key a b =
+    List.equal same_value (R.Tuple.values a) (R.Tuple.values b)
+  in
+  List.equal (fun (a : E.Matching_table.entry) (b : E.Matching_table.entry) ->
+      same_key a.r_key b.r_key && same_key a.s_key b.s_key)
+
+(* The coded table against [Checker.Reference]'s tuple-based one, built
+   from the same entries: what each function answers, in order. *)
+let coded_table_agrees (entries, others, extra) =
+  let make = E.Matching_table.make ~r_key_attrs:[ "a"; "b" ] ~s_key_attrs:[ "c" ]
+  and ref_make =
+    Ref.Matching_table.make ~r_key_attrs:[ "a"; "b" ] ~s_key_attrs:[ "c" ]
+  in
+  let mt = make entries and rt = ref_make entries in
+  let nmt = make others and nrt = ref_make others in
+  let never =
+    { extra with
+      E.Matching_table.s_key =
+        R.Tuple.make (R.Schema.of_names [ "c" ])
+          [ v "a value no table holds" ];
+    }
+  in
+  let printed vs =
+    List.map (Format.asprintf "%a" E.Matching_table.pp_violation) vs
+  in
+  let rows rel = R.Relation.tuples rel in
+  let mt' = E.Matching_table.add mt extra
+  and rt' = Ref.Matching_table.add rt extra in
+  same_entries (E.Matching_table.entries mt) (Ref.Matching_table.entries rt)
+  && E.Matching_table.cardinality mt = Ref.Matching_table.cardinality rt
+  && List.for_all
+       (fun e -> E.Matching_table.mem mt e = Ref.Matching_table.mem rt e)
+       (never :: extra :: entries @ others)
+  && same_entries
+       (E.Matching_table.entries mt')
+       (Ref.Matching_table.entries rt')
+  && E.Matching_table.cardinality mt' = Ref.Matching_table.cardinality rt'
+  && printed (E.Matching_table.uniqueness_violations mt)
+     = printed (Ref.Matching_table.uniqueness_violations rt)
+  && E.Matching_table.consistent mt nmt = Ref.Matching_table.consistent rt nrt
+  && E.Matching_table.consistent nmt mt = Ref.Matching_table.consistent nrt rt
+  && List.equal R.Tuple.equal
+       (rows (E.Matching_table.to_relation mt))
+       (rows (Ref.Matching_table.to_relation rt))
+  && R.Pretty.render (E.Matching_table.to_relation mt)
+     = R.Pretty.render (Ref.Matching_table.to_relation rt)
+
 let matching_table_tests =
   [
     case "duplicates collapse" (fun () ->
@@ -310,6 +385,31 @@ let matching_table_tests =
             Alcotest.(check string) "sorted" "1"
               (V.to_string (R.Tuple.nth first 0))
         | _ -> Alcotest.fail "two rows expected");
+    qtest ~count:1000 "the coded table = the tuple-based reference"
+      QCheck2.Gen.(
+        triple
+          (list_size (0 -- 15) mt_entry_gen)
+          (list_size (0 -- 6) mt_entry_gen)
+          mt_entry_gen)
+      coded_table_agrees;
+    case "an entry of the wrong arity raises" (fun () ->
+        let wide =
+          { E.Matching_table.r_key = ktup [ "rk"; "x" ] [ "1"; "2" ];
+            s_key = ktup [ "sk" ] [ "a" ] }
+        in
+        let mt =
+          E.Matching_table.make ~r_key_attrs:[ "rk" ] ~s_key_attrs:[ "sk" ] []
+        in
+        Alcotest.check_raises "make"
+          (R.Tuple.Arity_mismatch { expected = 1; got = 2 })
+          (fun () ->
+            ignore
+              (E.Matching_table.make ~r_key_attrs:[ "rk" ] ~s_key_attrs:[ "sk" ]
+                 [ entry "1" "a"; wide ]));
+        Alcotest.check_raises "add"
+          (R.Tuple.Arity_mismatch { expected = 1; got = 2 })
+          (fun () -> ignore (E.Matching_table.add mt wide));
+        Alcotest.(check bool) "mem" false (E.Matching_table.mem mt wide));
   ]
 
 (* ---- Identify on the paper's tables ---- *)
@@ -635,11 +735,23 @@ let tables_agree (keyed, (r_rows, s_rows)) =
     | t -> Ok (R.Pretty.render t)
     | exception E.Fusion.Inconsistent { attribute; _ } -> Error attribute
   in
-  same_table
-    (E.Identify.matching_relation res)
-    (E.Matching_table.to_relation o.matching_table)
-  && violations (E.Identify.violations res)
-     = violations (E.Matching_table.uniqueness_violations o.matching_table)
+  let mt = E.Identify.matching_table res
+  and reference =
+    let key rel t =
+      R.Tuple.project (R.Relation.schema rel) t (R.Relation.primary_key rel)
+    in
+    Ref.Matching_table.make ~r_key_attrs:(R.Relation.primary_key r)
+      ~s_key_attrs:(R.Relation.primary_key s)
+      (List.map
+         (fun (tr, ts) ->
+           { E.Matching_table.r_key = key o.r_extended tr;
+             s_key = key o.s_extended ts })
+         o.pairs)
+  in
+  same_table (E.Matching_table.to_relation mt)
+    (Ref.Matching_table.to_relation reference)
+  && violations (E.Matching_table.uniqueness_violations mt)
+     = violations (Ref.Matching_table.uniqueness_violations reference)
   && same_table (E.Integrate.integrated_table res)
        (reference_integrated ~key o)
   && List.equal R.Tuple.equal (E.Integrate.unmatched_r res)

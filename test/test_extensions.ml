@@ -331,6 +331,7 @@ let incremental_tests =
             (E.Identify.collect ~key:PD.example3_key
                ~r_key:(R.Relation.primary_key PD.table5_r)
                ~s_key:(R.Relation.primary_key PD.table5_s)
+               ~compiled:(Ilfd.Apply.compile PD.ilfds_i1_i8)
                o.r_extended o.s_extended)
         in
         Alcotest.(check int) "" 6 (R.Relation.cardinality table);
@@ -765,10 +766,50 @@ let cluster_tests =
 
 (* ---- Explain ---- *)
 
-(* The explanations of a run's matching table, as the CLI makes them. *)
+(* The explanations of a run's matching table, as the CLI makes them:
+   with the family the run compiled. *)
 let explain ?mode ~r ~s ~key ilfds =
-  E.Explain.matches ?mode ~r ~s ~key ilfds
-    (E.Identify.run ~r ~s ~key ilfds).matching_table
+  let res = E.Identify.matched ~r ~s ~key ilfds in
+  E.Explain.matches ?mode ~r ~s ~key res.compiled
+    (E.Identify.matching_table res)
+
+(* The explanations as they were made before the run's family reached
+   them: the rules compiled again, and each pair's rows found by a scan
+   of R and S for its keys. *)
+let explain_afresh ?mode ~r ~s ~key ilfds mt =
+  let compiled = Ilfd.Apply.compile ilfds in
+  let plan rel =
+    Ilfd.Fixpoint.plan ~source:(R.Relation.schema rel)
+      ~target:(E.Identify.extension_schema rel key) compiled
+  in
+  let r_plan = plan r and s_plan = plan s in
+  let find rel k =
+    R.Relation.find_opt (fun t -> R.Tuple.equal (R.Relation.key_of rel t) k) rel
+  in
+  List.filter_map
+    (fun (e : E.Matching_table.entry) ->
+      match (find r e.r_key, find s e.s_key) with
+      | Some tr, Some ts ->
+          Some (E.Explain.of_rows ?mode ~key ~r_plan ~s_plan e tr ts)
+      | _ -> None)
+    (E.Matching_table.entries mt)
+
+(* Both ways of explaining one first-rule run, in both modes: the same
+   rendered report, or the same conflict witness. *)
+let explanations_agree ~r ~s ~key ilfds =
+  let res = E.Identify.matched ~r ~s ~key ilfds in
+  let mt = E.Identify.matching_table res in
+  let outcome f =
+    match f () with
+    | es -> Ok (E.Explain.render es)
+    | exception Ilfd.Apply.Conflict_found c ->
+        Error (c.attribute, V.to_string c.first, V.to_string c.second)
+  in
+  List.for_all
+    (fun mode ->
+      outcome (fun () -> E.Explain.matches ~mode ~r ~s ~key res.compiled mt)
+      = outcome (fun () -> explain_afresh ~mode ~r ~s ~key ilfds mt))
+    Ilfd.Apply.[ First_rule; Check_conflicts ]
 
 let explain_tests =
   [
@@ -897,6 +938,32 @@ let explain_tests =
           (fun needle ->
             Alcotest.(check bool) needle true (contains needle))
           [ "TwinCities"; "cuisine=Indian"; "Mughalai" ]);
+    case
+      "the run's family explains as a fresh compile does, on the paper's data"
+      (fun () ->
+        Alcotest.(check bool) "Example 3" true
+          (explanations_agree ~r:PD.table5_r ~s:PD.table5_s
+             ~key:PD.example3_key PD.ilfds_i1_i8);
+        Alcotest.(check bool) "Example 2" true
+          (explanations_agree ~r:PD.table2_r ~s:PD.table2_s
+             ~key:PD.example2_key [ PD.example2_ilfd ]);
+        Alcotest.(check bool) "disagreeing rules" true
+          (explanations_agree
+             ~r:(relation [ "name" ] [ [ "name" ] ] [ [ "alpha" ] ])
+             ~s:
+               (relation [ "name"; "cuisine" ] [ [ "name" ] ]
+                  [ [ "alpha"; "first" ] ])
+             ~key:(E.Extended_key.make [ "name"; "cuisine" ])
+             [
+               Ilfd.parse "name = alpha -> cuisine = first";
+               Ilfd.parse "name = alpha -> cuisine = second";
+             ]));
+    qtest ~count:100
+      "the run's family explains as a fresh compile does, on generated scenarios"
+      seed_gen
+      (fun seed ->
+        let sc = Checker.Scenario.generate ~seed in
+        explanations_agree ~r:sc.r ~s:sc.s ~key:sc.key sc.ilfds);
   ]
 
 let () =

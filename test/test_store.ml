@@ -1658,15 +1658,16 @@ let protocol_tests =
    snapshots start with "EIDSNAP1" (the state as rows to rebuild), [v2]
    by one writing "EIDSNAP2" (the built maps, with K_Ext indexes that
    kept numbers above 2^53 apart), [v3] by one writing "EIDSNAP3"
-   (schemas whose attributes could carry a type), [v4] by this one
-   ("EIDSNAP4"). The WAL bytes are the same. [answers.ndjson] is what
-   the EIDSNAP1 binary answered on its own store to identify, explain,
-   conflicts and stats.
+   (schemas whose attributes could carry a type), [v4] by one writing
+   "EIDSNAP4" (the same payload, under a rule reading that kept a
+   doubled quote doubled), [v5] by this one ("EIDSNAP5"). The WAL bytes
+   are the same. [answers.ndjson] is what the EIDSNAP1 binary answered
+   on its own store to identify, explain, conflicts and stats.
 
    An old format is never unmarshalled: the store falls back to a full
    replay. The current format must restore from its snapshot, so a
    change to the persisted state's type that does not bump the magic
-   fails here; a bump that leaves [v4] behind moves it among the old
+   fails here; a bump that leaves [v5] behind moves it among the old
    formats and calls for a new current fixture. *)
 
 let format_store version dir =
@@ -1745,18 +1746,8 @@ let format_tests =
       (replays_old_format 2);
     case "an EIDSNAP3 store opens by a full replay and answers as before"
       (replays_old_format 3);
-    case "an EIDSNAP4 store restores from its snapshot" (fun () ->
-        in_dir (fun dir ->
-            format_store "v4" dir;
-            Alcotest.(check string) "the current format" "EIDSNAP4" (magic dir);
-            let telemetry = Telemetry.create () in
-            let t = open_ok ~telemetry dir in
-            Alcotest.(check (list int)) "no fallback" [ 0; 0; 0; 0 ]
-              (fallbacks telemetry);
-            Alcotest.(check int) "the tail replayed" 5 (S.recovered_records t);
-            S.close t;
-            Alcotest.(check (list string)) "answers" (expected_answers ())
-              (format_answers dir)));
+    case "an EIDSNAP4 store opens by a full replay and answers as before"
+      (replays_old_format 4);
     (* config.json holds the rules as text, parsed again on every open,
        so a store written before a quoted value became one token reads
        two kinds of rule differently: a doubled quote inside a quoted
@@ -1795,6 +1786,18 @@ let format_tests =
                 Alcotest.(check string) "the open fails"
                   {|cannot parse rules: unexpected text after the quoted value "Joe's"|}
                   e));
+    case "an EIDSNAP5 store restores from its snapshot" (fun () ->
+        in_dir (fun dir ->
+            format_store "v5" dir;
+            Alcotest.(check string) "the current format" "EIDSNAP5" (magic dir);
+            let telemetry = Telemetry.create () in
+            let t = open_ok ~telemetry dir in
+            Alcotest.(check (list int)) "no fallback" [ 0; 0; 0; 0 ]
+              (fallbacks telemetry);
+            Alcotest.(check int) "the tail replayed" 5 (S.recovered_records t);
+            S.close t;
+            Alcotest.(check (list string)) "answers" (expected_answers ())
+              (format_answers dir)));
   ]
 
 (* ---- the --stream-out writer ----
