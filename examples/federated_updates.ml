@@ -35,7 +35,7 @@ let () =
       (R.Relation.schema (E.Incremental.s t))
       [ v "PhoPalace"; v "Pho"; v "Hennepin" ]
   in
-  let t, created = E.Incremental.insert_s t pho in
+  let created = E.Incremental.insert_s t pho in
   Printf.printf "\ninsert S (PhoPalace, Pho, Hennepin): %d new match(es)\n"
     (List.length created);
 
@@ -45,7 +45,7 @@ let () =
       (R.Relation.schema (E.Incremental.r t))
       [ v "PhoPalace"; v "Vietnamese"; v "Lake.Ave." ]
   in
-  let t, created = E.Incremental.insert_r t pho_r in
+  let created = E.Incremental.insert_r t pho_r in
   Printf.printf "insert R (PhoPalace, Vietnamese, Lake.Ave.): %d new match(es)\n"
     (List.length created);
 
@@ -67,7 +67,7 @@ let () =
       (R.Relation.schema (E.Incremental.r t))
       [ v "VillageWok"; v "American"; v "Penn.Ave." ]
   in
-  let t, created = E.Incremental.insert_r t second_villagewok in
+  let created = E.Incremental.insert_r t second_villagewok in
   Printf.printf
     "\ninsert R (VillageWok, American, Penn.Ave.): %d new match(es); \
      uniqueness violations: %d\n"

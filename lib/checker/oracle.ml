@@ -185,21 +185,20 @@ let replay ?mode ?(skip = fun _ -> false) ?(repeat = fun _ -> false)
       ~key:sc.key sc.ilfds
   in
   (* One pass over both sides, inserting the rows [keep] selects. *)
-  let pass keep inc =
-    let step insert (inc, i) t =
-      ((if keep i then fst (insert inc t) else inc), i + 1)
+  let pass keep =
+    let step insert i t =
+      if keep i then ignore (insert inc t);
+      i + 1
     in
-    let inc, i =
-      List.fold_left (step Incremental.insert_r) (inc, 0)
-        (R.Relation.tuples sc.r)
+    let i =
+      List.fold_left (step Incremental.insert_r) 0 (R.Relation.tuples sc.r)
     in
-    fst
-      (List.fold_left (step Incremental.insert_s) (inc, i)
-         (R.Relation.tuples sc.s))
+    ignore
+      (List.fold_left (step Incremental.insert_s) i (R.Relation.tuples sc.s))
   in
+  pass (fun i -> not (skip i));
+  pass (fun i -> repeat i && not (skip i));
   inc
-  |> pass (fun i -> not (skip i))
-  |> pass (fun i -> repeat i && not (skip i))
 
 let conflict_of f =
   match f () with

@@ -32,8 +32,8 @@ exception Inconsistent of {
     NULL. The result's schema is the union of both extended schemas
     (R′ order first); its rows are sorted on every column in schema
     order ({!Relational.Value.compare}), with exact duplicates dropped.
-    Keyed by nothing (the extended key may contain NULLs for unmatched
-    tuples).
+    It declares no key (the extended key may contain NULLs for
+    unmatched tuples).
 
     The cells are resolved on R′'s and S′'s code columns (two non-NULL
     codes agree when their {!Relational.Intern.match_code}s do, which is

@@ -1,96 +1,133 @@
 module Relation = Relational.Relation
-module Keyed = Relational.Relation.Keyed
 module Schema = Relational.Schema
 module Tuple = Relational.Tuple
 module Value = Relational.Value
-module Index = Relational.Index
+module Columnar = Relational.Columnar
+module Code_table = Relational.Code_table
+module Intern = Relational.Intern
 
-type t = {
-  r : Keyed.t;  (** the base rows, append-only, with a key index *)
-  s : Keyed.t;
-  key : Extended_key.t;
-  ilfds : Ilfd.t list;
-  r_plan : Ilfd.Fixpoint.plan;
-      (** [ilfds] compiled for R's tuples once per state, never per
-          insert; rebuilt by [restore] and [add_ilfd], never dumped *)
-  s_plan : Ilfd.Fixpoint.plan;
-  mode : Ilfd.Apply.mode;  (** derivation mode, applied to every insert *)
-  telemetry : Telemetry.t;  (** sink charged by every insertion *)
-  r_target : Schema.t;
-  s_target : Schema.t;
-  r_ext : Tuple.t list;  (** reverse insertion order *)
-  s_ext : Tuple.t list;
-  r_index : Index.t;  (** extended R tuples on K_Ext *)
-  s_index : Index.t;
-  pairs : (Tuple.t * Tuple.t) list;  (** reverse order, extended tuples *)
-  unmatched_r : Tuple.t list;
-      (** extended R tuples whose K_Ext projection still carries a NULL —
-          the same accounting as {!Identify.outcome.unmatched_r}, kept
-          incrementally (reverse insertion order) *)
-  unmatched_s : Tuple.t list;
+(* One relation's side of the state: its base rows, R′ and the K_Ext
+   table over R′, each row of R′ added to the three together. *)
+type side = {
+  base : Relation.builder;  (** the base rows, with their key tables *)
+  keys : string list list;  (** the base's declared keys *)
+  ext : Relation.builder;
+      (** R′, with the base's declared keys: with none, a row derivation
+          made equal to a held one is dropped, as [Relation.extend] does *)
+  plan : Ilfd.Fixpoint.plan;
+      (** the family compiled for this side's tuples once per state, never
+          per insert; rebuilt by [restore] and [add_ilfd], never dumped *)
+  kext : int array;  (** K_Ext's positions in R′'s schema *)
+  key : int array;  (** the primary key's positions in R′'s schema *)
+  key_schema : Schema.t;
+  matches : int array array;
+      (** per K_Ext attribute, R′'s match codes by row; longer than R′ *)
+  table : Code_table.t;
+      (** chained, on [matches]: R′'s rows with no NULL on K_Ext *)
 }
 
-let kext t = Extended_key.attributes t.key
+type t = {
+  r : side;
+  s : side;
+  key : Extended_key.t;
+  ilfds : Ilfd.t list;
+  mode : Ilfd.Apply.mode;  (** derivation mode, applied to every insert *)
+  telemetry : Telemetry.t;  (** sink charged by every insertion *)
+  mutable r_rows : int array;
+      (** pair [p]'s R′ row, for [p] below [pairs]: derivation order *)
+  mutable s_rows : int array;
+  mutable pairs : int;
+}
 
-let entry_of t (tr, ts) =
+(* [a] if it has a slot [i], else a copy twice as long (or [i + 1]). *)
+let room a i =
+  if i < Array.length a then a
+  else
+    let wider = Array.make (max (i + 1) (2 * Array.length a)) 0 in
+    Array.blit a 0 wider 0 (Array.length a);
+    wider
+
+let positions schema attrs = Array.of_list (List.map (Schema.index_of schema) attrs)
+
+let builder_of schema ~keys n cols =
+  let b = Relation.builder ~rows:n schema ~keys in
+  Relation.add_rows b cols n;
+  b
+
+(* A side over the base rows [base] and the R′ rows [ext], code columns
+   of [n_base] and [n_ext] rows: the K_Ext table is the one
+   [Identify.fold_pairs] builds over S′, rows chained in order. *)
+let side ~key ~compiled schema ~keys (n_base, base) target (n_ext, ext) =
+  let kext = positions target (Extended_key.attributes key) in
+  let primary = match keys with k :: _ -> k | [] -> Schema.names schema in
+  let matches = Array.map (fun p -> Array.map Intern.match_code ext.(p)) kext in
+  let table = Code_table.create ~chains:true n_ext in
+  for i = 0 to n_ext - 1 do
+    if not (Columnar.has_null matches i) then
+      ignore (Code_table.find_or_add table matches i)
+  done;
   {
-    Matching_table.r_key = Tuple.project t.r_target tr (Keyed.primary_key t.r);
-    s_key = Tuple.project t.s_target ts (Keyed.primary_key t.s);
+    base = builder_of schema ~keys n_base base;
+    keys;
+    ext = builder_of target ~keys n_ext ext;
+    plan = Ilfd.Fixpoint.plan ~source:schema ~target compiled;
+    kext;
+    key = positions target primary;
+    key_schema = Schema.project target primary;
+    matches;
+    table;
   }
 
-let entries t = List.rev_map (entry_of t) t.pairs
-
-let matching_table t =
-  Matching_table.make
-    ~r_key_attrs:(Keyed.primary_key t.r)
-    ~s_key_attrs:(Keyed.primary_key t.s)
-    (entries t)
-
-(* One plan per side, over one compilation of the family. *)
-let plans ilfds ~r_source ~r_target ~s_source ~s_target =
-  let compiled = Ilfd.Apply.compile ilfds in
-  ( Ilfd.Fixpoint.plan ~source:r_source ~target:r_target compiled,
-    Ilfd.Fixpoint.plan ~source:s_source ~target:s_target compiled )
-
-let of_outcome ?(mode = Ilfd.Apply.First_rule) ?(telemetry = Telemetry.off)
-    ~r ~s ~key ~ilfds (o : Identify.outcome) =
-  let r_target = Relation.schema o.r_extended in
-  let s_target = Relation.schema o.s_extended in
-  let kext = Extended_key.attributes key in
-  let r_plan, s_plan =
-    plans ilfds ~r_source:(Relation.schema r) ~r_target
-      ~s_source:(Relation.schema s) ~s_target
-  in
-  {
-    r = Keyed.of_relation r;
-    s = Keyed.of_relation s;
-    key;
-    ilfds;
-    r_plan;
-    s_plan;
-    mode;
-    telemetry;
-    r_target;
-    s_target;
-    r_ext = List.rev (Relation.tuples o.r_extended);
-    s_ext = List.rev (Relation.tuples o.s_extended);
-    r_index = Index.build o.r_extended kext;
-    s_index = Index.build o.s_extended kext;
-    pairs = List.rev o.pairs;
-    unmatched_r = List.rev o.unmatched_r;
-    unmatched_s = List.rev o.unmatched_s;
-  }
+let columns rel =
+  let c = Relation.columnar rel in
+  (Columnar.length c, Array.init (Schema.arity (Relation.schema rel)) (Columnar.nth c))
 
 let create ?(mode = Ilfd.Apply.First_rule) ?(telemetry = Telemetry.off) ~r ~s
     ~key ilfds =
-  of_outcome ~mode ~telemetry ~r ~s ~key ~ilfds
-    (Identify.run ~mode ~telemetry ~r ~s ~key ilfds)
+  let res = Identify.matched ~mode ~telemetry ~r ~s ~key ilfds in
+  let side base ext =
+    side ~key ~compiled:res.compiled (Relation.schema base)
+      ~keys:(Relation.declared_keys base) (columns base) (Relation.schema ext)
+      (columns ext)
+  in
+  {
+    r = side r res.r_extended;
+    s = side s res.s_extended;
+    key;
+    ilfds;
+    mode;
+    telemetry;
+    r_rows = res.r_rows;
+    s_rows = res.s_rows;
+    pairs = Array.length res.r_rows;
+  }
+
+(* Row [i] of R′'s primary key, decoded. *)
+let key_of side i =
+  Tuple.of_array side.key_schema
+    (Array.map (fun p -> Intern.value (Relation.kept_code side.ext i p)) side.key)
+
+let entry t p =
+  { Matching_table.r_key = key_of t.r t.r_rows.(p); s_key = key_of t.s t.s_rows.(p) }
+
+let entries t = List.init t.pairs (entry t)
+
+let matching_table t =
+  let gather side rows =
+    Array.map
+      (fun a -> Array.init t.pairs (fun p -> Relation.kept_code side.ext rows.(p) a))
+      side.key
+  in
+  Matching_table.of_codes
+    ~r_key_attrs:(Schema.names t.r.key_schema)
+    ~s_key_attrs:(Schema.names t.s.key_schema)
+    (Array.append (gather t.r t.r_rows) (gather t.s t.s_rows))
 
 let derive t plan tuple =
   match
     Ilfd.Fixpoint.extend_tuple ~mode:t.mode ~telemetry:t.telemetry plan tuple
   with
-  | Ok derived -> derived
+  | Ok (extended, _) -> extended
   | Error conflict ->
       (* Only reachable in Check_conflicts mode; surface the witness the
          same way the batch pipeline does. *)
@@ -102,178 +139,205 @@ let count_insert t ~probe_null ~pairs_added =
   Telemetry.add t.telemetry "incremental.pairs_added" pairs_added;
   if probe_null then Telemetry.incr t.telemetry "incremental.null_key"
 
-(* [r] is [t.r] with [tuple] appended. *)
-let extend_r t r tuple =
-  let extended, _ = derive t t.r_plan tuple in
-  let partners = Index.lookup_tuple t.s_index t.r_target extended in
-  (* Index lookup finds S′ tuples equal on K_Ext; both sides must be
-     fully non-NULL (the index drops NULL keys, and so does the probe). *)
-  let probe_null =
-    Tuple.has_null (Tuple.project t.r_target extended (kext t))
-  in
-  let new_pairs =
-    if probe_null then [] else List.map (fun ts -> (extended, ts)) partners
-  in
-  count_insert t ~probe_null ~pairs_added:(List.length new_pairs);
-  let t' =
-    {
-      t with
-      r;
-      r_ext = extended :: t.r_ext;
-      r_index = Index.add t.r_index extended;
-      pairs = List.rev_append new_pairs t.pairs;
-      unmatched_r =
-        (if probe_null then extended :: t.unmatched_r else t.unmatched_r);
-    }
-  in
-  (t', List.map (entry_of t') new_pairs)
+let add_pair t i j =
+  let p = t.pairs in
+  t.r_rows <- room t.r_rows p;
+  t.s_rows <- room t.s_rows p;
+  t.r_rows.(p) <- i;
+  t.s_rows.(p) <- j;
+  t.pairs <- p + 1
 
-let extend_s t s tuple =
-  let extended, _ = derive t t.s_plan tuple in
-  let partners = Index.lookup_tuple t.r_index t.s_target extended in
-  let probe_null =
-    Tuple.has_null (Tuple.project t.s_target extended (kext t))
-  in
-  let new_pairs =
-    if probe_null then [] else List.map (fun tr -> (tr, extended)) partners
-  in
-  count_insert t ~probe_null ~pairs_added:(List.length new_pairs);
-  let t' =
-    {
-      t with
-      s;
-      s_ext = extended :: t.s_ext;
-      s_index = Index.add t.s_index extended;
-      pairs = List.rev_append new_pairs t.pairs;
-      unmatched_s =
-        (if probe_null then extended :: t.unmatched_s else t.unmatched_s);
-    }
-  in
-  (t', List.map (entry_of t') new_pairs)
-
-(* The key check runs before the extension, so a row that both breaks a
-   key and has disagreeing derivations reports the key violation. An
-   exact duplicate stops there: it changes nothing. *)
-let insert_r t tuple =
+(* The keys are checked before the extension, so a row that both breaks
+   a key and has disagreeing derivations reports the key violation, and
+   nothing is added before the extension has succeeded: an insert that
+   raises leaves the state as it was. Then the row goes into the base,
+   its extension into R′, and, with no NULL on K_Ext, the extension
+   probes the other side's table, whose chain lists its partners in
+   their insertion order, and joins its own. [pair i j] orders a new
+   pair's rows as R′ then S′. *)
+let insert t side other ~pair tuple =
   Telemetry.span t.telemetry "incremental.insert" @@ fun () ->
-  match Keyed.add t.r tuple with
-  | None -> (t, [])
-  | Some r -> extend_r t r tuple
+  if not (Relation.check side.base tuple) then []
+  else begin
+    let extended = derive t side.plan tuple in
+    ignore (Relation.append side.base tuple);
+    let i = Relation.kept side.ext in
+    Relation.add_codes side.ext
+      (Array.init (Tuple.arity extended) (fun a ->
+           Intern.code (Tuple.nth extended a)));
+    if Relation.kept side.ext = i then begin
+      count_insert t ~probe_null:false ~pairs_added:0;
+      []
+    end
+    else begin
+      Array.iteri
+        (fun k p ->
+          let col = room side.matches.(k) i in
+          col.(i) <- Intern.match_code (Relation.kept_code side.ext i p);
+          side.matches.(k) <- col)
+        side.kext;
+      let probe_null = Columnar.has_null side.matches i in
+      let rec partners j acc =
+        if j < 0 then List.rev acc
+        else partners (Code_table.next other.table j) (j :: acc)
+      in
+      let found =
+        if probe_null then []
+        else begin
+          let first = Code_table.find other.table other.matches side.matches i in
+          ignore (Code_table.find_or_add side.table side.matches i);
+          partners first []
+        end
+      in
+      count_insert t ~probe_null ~pairs_added:(List.length found);
+      List.map
+        (fun j ->
+          pair i j;
+          entry t (t.pairs - 1))
+        found
+    end
+  end
 
-let insert_s t tuple =
-  Telemetry.span t.telemetry "incremental.insert" @@ fun () ->
-  match Keyed.add t.s tuple with
-  | None -> (t, [])
-  | Some s -> extend_s t s tuple
+let insert_r t tuple = insert t t.r t.s ~pair:(add_pair t) tuple
+let insert_s t tuple = insert t t.s t.r ~pair:(fun s r -> add_pair t r s) tuple
+
+let r t = Relation.build t.r.base
+let s t = Relation.build t.s.base
 
 (* A knowledge update recomputes wholesale. *)
 let add_ilfd t ilfd =
-  create ~mode:t.mode ~telemetry:t.telemetry ~r:(Keyed.to_relation t.r)
-    ~s:(Keyed.to_relation t.s) ~key:t.key (t.ilfds @ [ ilfd ])
+  create ~mode:t.mode ~telemetry:t.telemetry ~r:(r t) ~s:(s t) ~key:t.key
+    (t.ilfds @ [ ilfd ])
 
 let explain t (entry : Matching_table.entry) =
   match
-    ( Keyed.find_key t.r (Tuple.to_array entry.r_key),
-      Keyed.find_key t.s (Tuple.to_array entry.s_key) )
+    ( Relation.find_key t.r.base (Tuple.to_array entry.r_key),
+      Relation.find_key t.s.base (Tuple.to_array entry.s_key) )
   with
-  | Some tr, Some ts ->
+  | Some i, Some j ->
       Some
-        (Explain.of_rows ~mode:t.mode ~key:t.key ~r_plan:t.r_plan
-           ~s_plan:t.s_plan entry tr ts)
+        (Explain.of_rows ~mode:t.mode ~key:t.key ~r_plan:t.r.plan
+           ~s_plan:t.s.plan entry
+           (Relation.kept_row t.r.base i)
+           (Relation.kept_row t.s.base j))
   | _ -> None
 
-let r t = Keyed.to_relation t.r
-let s t = Keyed.to_relation t.s
-let r_base t = t.r
-let s_base t = t.s
+let r_base t = t.r.base
+let s_base t = t.s.base
 let ilfds t = t.ilfds
-let unmatched_r t = List.rev t.unmatched_r
-let unmatched_s t = List.rev t.unmatched_s
+
+(* R′'s rows with a NULL on K_Ext, in insertion order: the rows the
+   K_Ext table does not hold. *)
+let null_keyed side =
+  List.filter_map
+    (fun i ->
+      if Columnar.has_null side.matches i then Some (Relation.kept_row side.ext i)
+      else None)
+    (List.init (Relation.kept side.ext) Fun.id)
+
+let unmatched_r t = null_keyed t.r
+let unmatched_s t = null_keyed t.s
 
 let violations t = Matching_table.uniqueness_violations (matching_table t)
-
-(* ---- snapshot state ----
-
-   The dump is the state without what is derived from the family or
-   bound to this process: the compiled plans and the telemetry sink.
-   What it holds — the keyed bases with their built key maps, the K_Ext
-   indexes (keyed on values, not interned codes), schemas, tuples and
-   pairs — is pure data: no closures and no interned codes, so it is
-   safe to [Marshal] across processes as it is, and [restore] takes it
-   back without rebuilding anything. *)
-
-type dump = {
-  d_r : Keyed.t;
-  d_s : Keyed.t;
-  d_key : Extended_key.t;
-  d_mode : Ilfd.Apply.mode;
-  d_r_target : Schema.t;
-  d_s_target : Schema.t;
-  d_r_ext : Tuple.t list;
-  d_s_ext : Tuple.t list;
-  d_r_index : Index.t;
-  d_s_index : Index.t;
-  d_pairs : (Tuple.t * Tuple.t) list;
-  d_unmatched_r : Tuple.t list;
-  d_unmatched_s : Tuple.t list;
-}
-
-let dump t =
-  {
-    d_r = t.r;
-    d_s = t.s;
-    d_key = t.key;
-    d_mode = t.mode;
-    d_r_target = t.r_target;
-    d_s_target = t.s_target;
-    d_r_ext = t.r_ext;
-    d_s_ext = t.s_ext;
-    d_r_index = t.r_index;
-    d_s_index = t.s_index;
-    d_pairs = t.pairs;
-    d_unmatched_r = t.unmatched_r;
-    d_unmatched_s = t.unmatched_s;
-  }
-
-let restore ?(telemetry = Telemetry.off) ~ilfds d =
-  let r_plan, s_plan =
-    plans ilfds ~r_source:(Keyed.schema d.d_r) ~r_target:d.d_r_target
-      ~s_source:(Keyed.schema d.d_s) ~s_target:d.d_s_target
-  in
-  {
-    r = d.d_r;
-    s = d.d_s;
-    key = d.d_key;
-    ilfds;
-    r_plan;
-    s_plan;
-    mode = d.d_mode;
-    telemetry;
-    r_target = d.d_r_target;
-    s_target = d.d_s_target;
-    r_ext = d.d_r_ext;
-    s_ext = d.d_s_ext;
-    r_index = d.d_r_index;
-    s_index = d.d_s_index;
-    pairs = d.d_pairs;
-    unmatched_r = d.d_unmatched_r;
-    unmatched_s = d.d_unmatched_s;
-  }
 
 let outcome t =
   let mt = matching_table t in
   {
-    Identify.r_extended =
-      Relation.of_tuples t.r_target
-        ~keys:(Keyed.declared_keys t.r)
-        (List.rev t.r_ext);
-    s_extended =
-      Relation.of_tuples t.s_target
-        ~keys:(Keyed.declared_keys t.s)
-        (List.rev t.s_ext);
+    Identify.r_extended = Relation.build t.r.ext;
+    s_extended = Relation.build t.s.ext;
     matching_table = mt;
     violations = Matching_table.uniqueness_violations mt;
-    pairs = List.rev t.pairs;
-    unmatched_r = List.rev t.unmatched_r;
-    unmatched_s = List.rev t.unmatched_s;
+    pairs =
+      List.init t.pairs (fun p ->
+          ( Relation.kept_row t.r.ext t.r_rows.(p),
+            Relation.kept_row t.s.ext t.s_rows.(p) ));
+    unmatched_r = unmatched_r t;
+    unmatched_s = unmatched_s t;
+  }
+
+(* ---- snapshot state ----
+
+   The dump is the state without anything bound to this process: no
+   code, no table, no plan, no sink. Each distinct value the code
+   columns hold is stored once, and each column as indices into that
+   table, so [restore] interns each value once and maps the columns
+   through the codes it got, in any process, whatever codes it has
+   handed out already. The pairs are row indices. *)
+
+type side_dump = {
+  d_schema : Schema.t;
+  d_keys : string list list;
+  d_base : int * int array array;  (** rows, then columns of indices *)
+  d_target : Schema.t;
+  d_ext : int * int array array;
+}
+
+type dump = {
+  d_key : Extended_key.t;
+  d_mode : Ilfd.Apply.mode;
+  d_values : Value.t array;
+  d_r : side_dump;
+  d_s : side_dump;
+  d_r_rows : int array;
+  d_s_rows : int array;
+}
+
+let dump t =
+  let index = Array.make (Intern.size ()) (-1) and values = ref [] in
+  let next = ref 0 in
+  let encode c =
+    if index.(c) < 0 then begin
+      index.(c) <- !next;
+      values := Intern.value c :: !values;
+      incr next
+    end;
+    index.(c)
+  in
+  let cols b =
+    let n = Relation.kept b in
+    ( n,
+      Array.init
+        (Schema.arity (Relation.builder_schema b))
+        (fun a -> Array.init n (fun i -> encode (Relation.kept_code b i a))) )
+  in
+  let side s =
+    let d_base = cols s.base in
+    {
+      d_schema = Relation.builder_schema s.base;
+      d_keys = s.keys;
+      d_base;
+      d_target = Relation.builder_schema s.ext;
+      d_ext = cols s.ext;
+    }
+  in
+  let d_r = side t.r in
+  let d_s = side t.s in
+  {
+    d_key = t.key;
+    d_mode = t.mode;
+    d_values = Array.of_list (List.rev !values);
+    d_r;
+    d_s;
+    d_r_rows = Array.sub t.r_rows 0 t.pairs;
+    d_s_rows = Array.sub t.s_rows 0 t.pairs;
+  }
+
+let restore ?(telemetry = Telemetry.off) ~ilfds d =
+  let codes = Array.map Intern.code d.d_values in
+  let decode (n, cols) = (n, Array.map (Array.map (Array.get codes)) cols) in
+  let compiled = Ilfd.Apply.compile ilfds in
+  let side s =
+    side ~key:d.d_key ~compiled s.d_schema ~keys:s.d_keys (decode s.d_base)
+      s.d_target (decode s.d_ext)
+  in
+  {
+    r = side d.d_r;
+    s = side d.d_s;
+    key = d.d_key;
+    ilfds;
+    mode = d.d_mode;
+    telemetry;
+    r_rows = Array.copy d.d_r_rows;
+    s_rows = Array.copy d.d_s_rows;
+    pairs = Array.length d.d_r_rows;
   }

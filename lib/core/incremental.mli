@@ -7,23 +7,30 @@
     has to be performed whenever the information about real-world
     entities exists in different databases". This engine maintains the
     matching table under tuple insertions without re-running the whole
-    pipeline: each new tuple is extended once and probed against a hash
-    index of the other side's extended relation.
+    pipeline: each new tuple is extended once and probed against the
+    K_Ext table of the other side's extended relation.
 
-    Each side's base relation is held as a
-    {!Relational.Relation.Keyed.t}: rows in insertion order, a count and
-    a persistent index per declared key. An insertion costs O(k log n)
-    for k declared keys, plus the extension of the one new tuple and an
-    O(log n) K_Ext probe; nothing on the insert path rebuilds a
-    {!Relational.Relation.t}.
+    The state is the batch engine's representation ({!Identify.matched}),
+    grown one row at a time. Each side holds its base rows in a
+    {!Relational.Relation.builder}, whose key tables check every insert
+    ({!Relational.Relation.append}: {!Relational.Relation.add}'s
+    semantics); R′ as {!Relational.Intern} code columns, in another
+    builder with the base's declared keys; and a chained
+    {!Relational.Code_table} on R′'s K_Ext match codes, the table
+    {!Identify.fold_pairs} builds. The matched pairs are two growable
+    arrays of (R′ row, S′ row) indices. An insertion costs one probe per
+    declared key, the extension of the one new tuple and one K_Ext
+    probe, and updates the state in place; nothing on the insert path
+    builds a {!Relational.Relation.t}.
 
     The ILFD family is compiled ({!Ilfd.Apply.compile}) once per state
     and held in [t]: {!create} (and so {!add_ilfd}) and {!restore} build
     it, and every insertion — a live one or one replayed from a store's
     write-ahead log — reuses it, so an insert never recompiles the
     family. Its two plans, one per side, share the compiled family's
-    tries, each built on the first insert that walks it. Neither the
-    family nor its compiled form is part of a {!dump}.
+    tries ({!create} takes those {!Identify.matched} built), each built
+    on the first insert that walks it. Neither the family nor its
+    compiled form is part of a {!dump}.
 
     Equivalence with the batch pipeline ({!Identify.run} on the final
     relations) is a tested invariant. Adding an {e ILFD} invalidates
@@ -39,8 +46,13 @@ type t
     raises {!Ilfd.Apply.Conflict_found} with the witness instead of
     silently taking the first rule.
 
+    The state takes R′'s and S′'s code columns and the pair arrays of
+    {!Identify.matched} as they are, decoding no row. With no declared
+    key, R′ may hold fewer rows than R: {!Relational.Relation.extend}
+    collapses rows derivation made equal, and so does every insert.
+
     [telemetry] (default {!Telemetry.off}) is stored on the state: the
-    initial batch run charges the {!Identify.run} counters, and every
+    initial batch run charges the {!Identify.matched} counters, and every
     subsequent insertion charges the [incremental.insert] span plus —
     unless it is an exact duplicate — the [incremental.inserts] /
     [incremental.pairs_added] / [incremental.null_key] counters. *)
@@ -53,23 +65,33 @@ val create :
   Ilfd.t list ->
   t
 
-(** [insert_r t tuple] — add a tuple (of R's original schema) to R.
-    Returns the new state and the matching-table entries the insertion
-    created (possibly none). Set semantics as {!Relational.Relation.add}:
-    an exact duplicate of a stored row returns [(t, [])] unchanged — not
-    extended and not counted.
+(** [insert_r t tuple] — add a tuple (of R's original schema) to R, in
+    place. Returns the matching-table entries the insertion created
+    (possibly none), its partners in S's insertion order, each key
+    decoded from its codes: a cell reads as the first spelling
+    {!Relational.Intern} saw of its value ([0.] and [-0.] are one).
+    Set semantics as {!Relational.Relation.add}: an exact duplicate of
+    a stored row returns [[]] and changes nothing — not extended and
+    not counted.
+
+    The arity and every key are checked first, probing without adding
+    and interning nothing; then the tuple is extended; only then is
+    anything added. So an insert that raises leaves the state as it was
+    (a key rejection interns nothing), and a row that breaks a key and
+    has disagreeing derivations reports the key violation.
+    @raise Relational.Tuple.Arity_mismatch on a tuple of the wrong width.
     @raise Relational.Relation.Key_violation if the tuple breaks one of
-    R's declared keys (checked before the extension, so this wins over a
-    derivation conflict).
+    R's declared keys: the first in declaration order.
     @raise Ilfd.Apply.Conflict_found in [Check_conflicts] mode when the
     tuple's derivations disagree. *)
-val insert_r : t -> Relational.Tuple.t -> t * Matching_table.entry list
+val insert_r : t -> Relational.Tuple.t -> Matching_table.entry list
 
-val insert_s : t -> Relational.Tuple.t -> t * Matching_table.entry list
+val insert_s : t -> Relational.Tuple.t -> Matching_table.entry list
 
-(** [add_ilfd t ilfd] — extend the knowledge base; recomputes extended
-    relations, the matching table and the compiled family (monotone: the
-    previous matches are preserved — {!Monotonic} has the property-level
+(** [add_ilfd t ilfd] — a fresh state with the knowledge base extended:
+    it recomputes the extended relations, the matching table and the
+    compiled family, and leaves [t] as it was (monotone: the previous
+    matches are preserved — {!Monotonic} has the property-level
     statement). *)
 val add_ilfd : t -> Ilfd.t -> t
 
@@ -82,32 +104,37 @@ val matching_table : t -> Matching_table.t
     primary keys are [entry]'s, derived through the state's plans
     ({!Explain.of_rows}), or [None] when either key names no stored row.
     It does not check that the rows match: the caller picks the pair.
-    O(log n) plus the two derivations. *)
+    One key probe per side ({!Relational.Relation.find_key}, which
+    interns nothing) plus the two derivations. *)
 val explain : t -> Matching_table.entry -> Explain.explanation option
 
 (** [r t] — R as a {!Relational.Relation.t}, built on each call in
-    O(n) ({!Relational.Relation.Keyed.to_relation}: the rows are not
+    O(n) ({!Relational.Relation.build} of the base rows: the rows are not
     checked again). For reports, {!add_ilfd} and tests; hot paths read
     {!r_base}. *)
 val r : t -> Relational.Relation.t
 
 val s : t -> Relational.Relation.t
 
-(** [r_base t] — R's base rows as held: schema, declared keys,
-    cardinality and primary-key probes in O(1) or O(log n). *)
-val r_base : t -> Relational.Relation.Keyed.t
+(** [r_base t] — R's base rows as held, for reading only: their schema
+    ({!Relational.Relation.builder_schema}), count
+    ({!Relational.Relation.kept}) and primary-key probes
+    ({!Relational.Relation.find_key}), each in O(1). Adding to it
+    desynchronises the state. *)
+val r_base : t -> Relational.Relation.builder
 
-val s_base : t -> Relational.Relation.Keyed.t
+val s_base : t -> Relational.Relation.builder
 
 (** [ilfds t] — the ILFD family in force, already parsed, in family
     order. *)
 val ilfds : t -> Ilfd.t list
 
 (** [unmatched_r t] — extended R tuples whose K_Ext projection still
-    carries a NULL, maintained incrementally as tuples arrive (same
-    accounting as {!Identify.outcome}'s [unmatched_r], in insertion
-    order). These are the tuples the extended-key join can never match;
-    [incremental.null_key] counts them when telemetry is live. *)
+    carries a NULL (same accounting as {!Identify.outcome}'s
+    [unmatched_r], in insertion order), found on R′'s match codes and
+    decoded. These are the tuples the extended-key join can never match;
+    [incremental.null_key] counts the inserted ones when telemetry is
+    live. *)
 val unmatched_r : t -> Relational.Tuple.t list
 
 val unmatched_s : t -> Relational.Tuple.t list
@@ -124,11 +151,12 @@ val outcome : t -> Identify.outcome
 (** {2 Snapshot state}
 
     A {!dump} is the identification state as pure data — no closures,
-    interned codes or compiled rules — safe to [Marshal] to disk and
-    back across processes. It holds the keyed base relations with their
-    built key maps and the K_Ext indexes, so [restore] takes them back
-    as they are: it re-runs no ILFD derivation, rebuilds no map and
-    touches no row, and compiles only the family's plans. The family
+    no compiled rules and no {!Relational.Intern} code — safe to
+    [Marshal] to disk and back across processes. It holds each distinct
+    value the base and R′ columns use, once; the columns as indices into
+    that table; the schemas and declared keys; and the pairs as row
+    indices. It shares nothing with the state it was taken from, so a
+    state restored from it is independent of that one. The family
     itself is not part of the dump: the caller passes it to [restore]. *)
 
 type dump
@@ -136,7 +164,10 @@ type dump
 val dump : t -> dump
 
 (** [restore ?telemetry ~ilfds d] — the state [d] was dumped from, with
-    a fresh telemetry sink. [ilfds] must be
-    the family the state was built under, in family order (a store
-    guards this with the hash of its configuration). *)
+    a fresh telemetry sink: each value of the table interned once, in
+    whatever process, the columns mapped through the codes it got, and
+    the key and K_Ext tables rebuilt over them. It runs no ILFD
+    derivation and compiles the family once, for the two plans. [ilfds]
+    must be the family the state was built under, in family order (a
+    store guards this with the hash of its configuration). *)
 val restore : ?telemetry:Telemetry.t -> ilfds:Ilfd.t list -> dump -> t

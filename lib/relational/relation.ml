@@ -133,14 +133,20 @@ let decode schema cols i =
 let code_columns c =
   Array.init (Schema.arity (Columnar.schema c)) (Columnar.nth c)
 
-let build b =
-  let schema = b.b_schema in
+(* What [build] raises for the rows offered so far, if anything. *)
+let valid b =
   if b.live < Array.length b.sets then
     raise
       (Key_violation
-         { key = List.nth b.b_keys b.live; tuple = decode schema b.cols b.witness });
-  Option.iter (fun a -> raise (Schema.Unknown_attribute a)) b.missing;
-  let n = b.n in
+         {
+           key = List.nth b.b_keys b.live;
+           tuple = decode b.b_schema b.cols b.witness;
+         });
+  Option.iter (fun a -> raise (Schema.Unknown_attribute a)) b.missing
+
+let build b =
+  valid b;
+  let schema = b.b_schema and n = b.n in
   (* Full columns are handed over as they are: a later [add_codes] grows
      them into new arrays before it writes. *)
   let cols =
@@ -154,15 +160,83 @@ let build b =
     cols;
   { schema; keys = b.b_keys; coded = Columnar.make schema n cols; rows = None }
 
-(* Rows [0 .. n-1] of [cols] through a builder. *)
-let of_rows schema ~keys n cols =
-  let b = builder ~rows:n schema ~keys in
+let add_rows b cols n =
   let codes = Array.make (Array.length cols) 0 in
   for i = 0 to n - 1 do
     Array.iteri (fun a col -> codes.(a) <- col.(i)) cols;
     add_codes b codes
-  done;
+  done
+
+(* Rows [0 .. n-1] of [cols] through a builder. *)
+let of_rows schema ~keys n cols =
+  let b = builder ~rows:n schema ~keys in
+  add_rows b cols n;
   build b
+
+(* The candidate goes into slot [n] as the codes its cells already have,
+   [-1] for a cell never interned: such a cell is in no kept row, so it
+   equals none, and the probes find what [add_codes] would without
+   interning anything. A hit on key 0 is an exact duplicate when every
+   cell agrees; any other hit, or a NULL on a declared key, breaks that
+   key, and the first in declaration order is the one raised. *)
+let check b tuple =
+  valid b;
+  let arity = Array.length b.cols in
+  let got = Tuple.arity tuple in
+  if got <> arity then raise (Tuple.Arity_mismatch { expected = arity; got });
+  if b.n = b.capacity then grow b;
+  let i = b.n and cols = b.cols in
+  for a = 0 to arity - 1 do
+    cols.(a).(i) <-
+      (match Intern.find (Tuple.nth tuple a) with Some c -> c | None -> -1)
+  done;
+  let rec probe k =
+    k = Array.length b.sets
+    ||
+    let on = b.key_cols.(k) in
+    let j =
+      if b.declared && has_null on i 0 then -2
+      else Code_table.find b.sets.(k) on on i
+    in
+    if j = -1 then probe (k + 1)
+    else if k = 0 && j >= 0 && Array.for_all (fun col -> col.(i) = col.(j)) cols
+    then false
+    else raise (Key_violation { key = List.nth b.b_keys k; tuple })
+  in
+  probe 0
+
+let append b tuple =
+  check b tuple
+  &&
+  let codes = Array.init (Array.length b.cols) (fun a -> Intern.code (Tuple.nth tuple a)) in
+  add_codes b codes;
+  true
+
+let builder_schema b = b.b_schema
+let kept b = b.n
+
+let kept_code b i a =
+  if i < 0 || i >= b.n then invalid_arg "Relation.kept_code: no such row";
+  b.cols.(a).(i)
+
+let kept_row b i =
+  if i < 0 || i >= b.n then invalid_arg "Relation.kept_row: no such row";
+  decode b.b_schema b.cols i
+
+(* Probed from a one-row store of the values' codes: a value never
+   interned is in no kept row. *)
+let find_key b values =
+  valid b;
+  let on = b.key_cols.(0) in
+  if Array.length values <> Array.length on then None
+  else
+    let codes = Array.map Intern.find values in
+    if Array.exists Option.is_none codes then None
+    else
+      let probe = Array.map (fun c -> [| Option.get c |]) codes in
+      match Code_table.find b.sets.(0) on probe 0 with
+      | -1 -> None
+      | i -> Some i
 
 let of_columnar c =
   of_rows (Columnar.schema c) ~keys:[] (Columnar.length c) (code_columns c)
@@ -286,8 +360,6 @@ let key_of r tuple = Tuple.project r.schema tuple (primary_key r)
 
 let with_keys r keys = of_tuples r.schema ~keys (tuples r)
 
-let relation_of_tuples = of_tuples
-
 (* Both are sets of rows, so equal sizes and every row of [b] among
    [a]'s make them equal. Storage codes split cells as [Value.equal]
    does. *)
@@ -308,98 +380,3 @@ let pp ppf r =
   Format.fprintf ppf "@[<v>%a@,%a@]" Schema.pp r.schema
     (Format.pp_print_list ~pp_sep:Format.pp_print_cut Tuple.pp)
     (tuples r)
-
-(* ---- append-only keyed relations ---- *)
-
-type relation = t
-
-module Keyed = struct
-  (* Keys compare with [Value.compare], which is 0 exactly when
-     [Value.equal] holds: the equality storage codes, and so the
-     builder's set semantics, use. *)
-  module Kmap = Map.Make (struct
-    type t = Value.t list
-
-    let compare = List.compare Value.compare
-  end)
-
-  type index = {
-    key : string list;
-    plan : Tuple.plan;
-    by_key : Tuple.t Kmap.t;  (** projection on [key] -> the row carrying it *)
-  }
-
-  type t = {
-    schema : Schema.t;
-    keys : string list list;  (** as declared *)
-    indexes : index list;  (** one per declared key, or one on the schema *)
-    rows : Tuple.t list;  (** reverse insertion order *)
-    count : int;
-  }
-
-  let empty schema ~keys =
-    let index key =
-      { key; plan = Tuple.plan schema key; by_key = Kmap.empty }
-    in
-    let indexed = match keys with [] -> [ Schema.names schema ] | _ -> keys in
-    { schema; keys; indexes = List.map index indexed; rows = []; count = 0 }
-
-  let project ix tuple =
-    List.init (Tuple.plan_arity ix.plan) (Tuple.nth_with ix.plan tuple)
-
-  (* The first index that finds a NULL or a stored row decides, in
-     declaration order. A stored row equal to [tuple] agrees with it on
-     every key, so the first index is the one that finds an exact
-     duplicate; on a later index a hit is always a different row. *)
-  let add t tuple =
-    let declared = t.keys <> [] in
-    let projections = List.map (fun ix -> project ix tuple) t.indexes in
-    let violation ix = Key_violation { key = ix.key; tuple } in
-    let rec probe indexes projections =
-      match (indexes, projections) with
-      | ix :: indexes, k :: projections ->
-          if declared && List.exists Value.is_null k then raise (violation ix);
-          (match Kmap.find_opt k ix.by_key with
-          | None -> probe indexes projections
-          | Some row when Tuple.equal row tuple -> false
-          | Some _ -> raise (violation ix))
-      | _ -> true
-    in
-    if not (probe t.indexes projections) then None
-    else
-      Some
-        {
-          t with
-          indexes =
-            List.map2
-              (fun ix k -> { ix with by_key = Kmap.add k tuple ix.by_key })
-              t.indexes projections;
-          rows = tuple :: t.rows;
-          count = t.count + 1;
-        }
-
-  let of_tuples schema ~keys tuples =
-    List.fold_left
-      (fun t tuple -> Option.value (add t tuple) ~default:t)
-      (empty schema ~keys) tuples
-
-  let of_relation (r : relation) =
-    of_tuples r.schema ~keys:r.keys (Array.to_list (rows r))
-
-  let schema t = t.schema
-  let declared_keys t = t.keys
-  let primary_key t = (List.hd t.indexes).key
-  let cardinality t = t.count
-
-  let find_key t values =
-    let ix = List.hd t.indexes in
-    if Array.length values <> Tuple.plan_arity ix.plan then None
-    else Kmap.find_opt (Array.to_list values) ix.by_key
-
-  let mem_key t values = Option.is_some (find_key t values)
-
-  let tuples t = List.rev t.rows
-
-  let to_relation t : relation =
-    relation_of_tuples t.schema ~keys:t.keys (tuples t)
-end

@@ -75,6 +75,55 @@ val add_codes : builder -> int array -> unit
     @raise Invalid_argument on a code {!Intern} never returned. *)
 val build : builder -> t
 
+(** [add_rows b cols n] — {!add_codes} of rows [0 .. n-1] of the code
+    columns [cols], in order. *)
+val add_rows : builder -> int array array -> int -> unit
+
+(** {3 One row at a time}
+
+    A builder that grows by {!append} keeps a relation that grows one
+    tuple at a time, like a serve store's base relations, with {!add}'s
+    semantics at the cost of one probe per declared key, and {!build}
+    can be taken again after more rows are added. *)
+
+(** [check b tuple] — [true] when {!append} would keep [tuple], [false]
+    when it is an exact duplicate ({!Value.equal} on every cell) of a
+    kept row. Interns nothing and changes nothing: a cell never interned
+    is in no kept row.
+    @raise Tuple.Arity_mismatch on a tuple of the wrong width.
+    @raise Key_violation carrying [tuple] and the first declared key, in
+    declaration order, that it breaks: a NULL in it, or a kept row that
+    agrees with it there and differs elsewhere.
+    @raise Schema.Unknown_attribute or Key_violation as {!build} would,
+    first, when the rows offered so far already fail. *)
+val check : builder -> Tuple.t -> bool
+
+(** [append b tuple] — {!check}, then, when it holds, [tuple]'s cells
+    interned and the row kept, last: {!Relation.add}'s semantics. An
+    exact duplicate returns [false] and changes nothing, and a tuple
+    that raises interns nothing and leaves [b] as it was. *)
+val append : builder -> Tuple.t -> bool
+
+val builder_schema : builder -> Schema.t
+
+(** The number of rows kept so far. *)
+val kept : builder -> int
+
+(** [kept_code b i a] — the storage code of kept row [i] at attribute
+    position [a].
+    @raise Invalid_argument when [i] is not a kept row. *)
+val kept_code : builder -> int -> int -> int
+
+(** [kept_row b i] — kept row [i], decoded.
+    @raise Invalid_argument when [i] is not a kept row. *)
+val kept_row : builder -> int -> Tuple.t
+
+(** [find_key b values] — the kept row whose cells on the first declared
+    key (on every attribute when none is declared) are [values], in key
+    order, compared with {!Value.equal}; [None] when there is none or
+    [values] has another width. One probe; it interns nothing. *)
+val find_key : builder -> Value.t array -> int option
+
 (** [of_columnar c] — the relation of [c]'s rows, in [c]'s order, with
     no declared key: {!builder} and {!build} over each row's codes, so
     an exact duplicate is dropped (the first copy wins) and the result
@@ -146,9 +195,9 @@ val mem : t -> Tuple.t -> bool
 (** [add r tuple] is [r] plus [tuple]: an exact duplicate leaves [r]
     as it is. O(n) — it rebuilds the relation through {!of_tuples} and
     re-checks every key — so bulk paths should use {!create}, and a
-    relation that grows one tuple at a time should be a {!Keyed.t},
-    whose [add] has these semantics in O(log n) and is tested against
-    this one.
+    relation that grows one tuple at a time should be a {!builder} that
+    grows by {!append}, which has these semantics in one probe per key
+    and is tested against this one.
     @raise Key_violation as for {!create}. *)
 val add : t -> Tuple.t -> t
 
@@ -168,78 +217,3 @@ val with_keys : t -> string list list -> t
 val equal : t -> t -> bool
 
 val pp : Format.formatter -> t -> unit
-
-(** {2 Append-only keyed relations} *)
-
-(** Append-only relations with a persistent index per key: the
-    O(k log n) form of {!add} (k declared keys), for a relation that
-    grows one tuple at a time, like the incremental engine's base
-    relations.
-
-    Each declared key gets a persistent map from the key's projection to
-    the tuple carrying it; with no declared key, one map over the whole
-    schema holds the set membership. Values are persistent: [Keyed.add]
-    returns a new relation and leaves its argument usable. A value is
-    pure data — rows, schema and maps, no closures and no interned
-    codes — so it is safe to [Marshal] across processes with its maps
-    built.
-
-    [Keyed.add] has exactly {!add}'s semantics, which a property test
-    holds it to:
-    - an exact duplicate ({!Tuple.equal}) changes nothing;
-    - a NULL in a declared key, or a second distinct tuple agreeing with
-      a stored one on a declared key, raises {!Key_violation} with the
-      first violated key in declaration order and the new tuple;
-    - the rows keep insertion order.
-
-    Key equality is the builder's: {!Value.compare} on the projected
-    key, which is 0 exactly when {!Value.equal} holds, so [Int 1] and
-    [Float 1.] differ, [nan] equals [nan] and [0.] equals [-0.]. *)
-module Keyed : sig
-  type relation := t
-  type t
-
-  (** [empty schema ~keys] — no rows, with the given declared keys
-      ([[]] for none). @raise Schema.Unknown_attribute if a key names a
-      missing attribute. *)
-  val empty : Schema.t -> keys:string list list -> t
-
-  (** [of_relation r] — [r]'s rows and declared keys, in [r]'s order. *)
-  val of_relation : relation -> t
-
-  (** [of_tuples schema ~keys tuples] — [tuples] added in order: the
-      same rows {!Relation.of_tuples} keeps.
-      @raise Key_violation on the first tuple that breaks a declared
-      key. *)
-  val of_tuples : Schema.t -> keys:string list list -> Tuple.t list -> t
-
-  (** [add t tuple] — [Some] relation with [tuple] appended, or [None]
-      when [tuple] is an exact duplicate of a stored row.
-      @raise Key_violation as {!Relation.add} does. *)
-  val add : t -> Tuple.t -> t option
-
-  val schema : t -> Schema.t
-
-  (** The keys as declared; [[]] when none were. *)
-  val declared_keys : t -> string list list
-
-  (** The first declared key, or the whole schema when none was
-      declared ({!Relation.primary_key}). *)
-  val primary_key : t -> string list
-
-  val cardinality : t -> int
-
-  (** [mem_key t values] — some row's projection on {!primary_key}
-      equals [values], in {!primary_key} order. O(log n). *)
-  val mem_key : t -> Value.t array -> bool
-
-  (** [find_key t values] — the row {!mem_key} finds, if any. O(log n). *)
-  val find_key : t -> Value.t array -> Tuple.t option
-
-  (** The rows in insertion order. O(n). *)
-  val tuples : t -> Tuple.t list
-
-  (** [to_relation t] — the same rows as a relation, in insertion
-      order: {!Relation.of_tuples} over {!tuples}. *)
-  val to_relation : t -> relation
-end

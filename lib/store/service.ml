@@ -1,4 +1,3 @@
-module Keyed = Relational.Relation.Keyed
 module Schema = Relational.Schema
 module Tuple = Relational.Tuple
 module Value = Relational.Value
@@ -213,7 +212,7 @@ let handle_insert st req =
   let side = side_of req in
   let row =
     match Json.member "row" req with
-    | Some j -> row_of_json (Keyed.schema (base st side)) j
+    | Some j -> row_of_json (Relational.Relation.builder_schema (base st side)) j
     | None -> bad "missing \"row\""
   in
   match Store.insert st side row with
@@ -296,8 +295,8 @@ let handle_stats st =
     [
       ("wal_offset", Json.Int (Store.wal_offset st));
       ("recovered_records", Json.Int (Store.recovered_records st));
-      ("r_cardinality", Json.Int (Keyed.cardinality (base st Store.R)));
-      ("s_cardinality", Json.Int (Keyed.cardinality (base st Store.S)));
+      ("r_cardinality", Json.Int (Relational.Relation.kept (base st Store.R)));
+      ("s_cardinality", Json.Int (Relational.Relation.kept (base st Store.S)));
       ("matches", Json.Int (Store.match_count st));
       ("conflicts", Json.Int (List.length (Store.conflicts st)));
       ("merge_log", Json.Int (List.length (Store.merge_log st)));

@@ -3,7 +3,7 @@
    bumps its version, so a snapshot another version wrote is never
    unmarshalled as this one. *)
 let prefix = "EIDSNAP"
-let magic = prefix ^ "5"
+let magic = prefix ^ "6"
 
 type 'a payload = { rules_hash : string; wal_offset : int; state : 'a }
 

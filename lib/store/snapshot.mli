@@ -1,6 +1,6 @@
 (** Periodic full-state snapshots.
 
-    Format: the magic ["EIDSNAP5"], a 4-byte big-endian payload length,
+    Format: the magic ["EIDSNAP6"], a 4-byte big-endian payload length,
     a 4-byte big-endian CRC-32 of the payload, then the payload — a
     [Marshal]-encoded {!payload} recording the rules hash of the
     configuration the state was built under and the WAL offset the
@@ -22,7 +22,9 @@
     schemas whose attributes could carry a type; ["EIDSNAP4"] schemas of
     attribute names only, written by binaries on either side of quoted
     rule values becoming one token; ["EIDSNAP5"] the same payload,
-    written only under that reading.
+    written only under that reading; ["EIDSNAP6"] the engine's state as
+    a table of distinct values, code columns of indices into it and
+    pairs of row indices, with no map and no index.
 
     Recovery refuses a snapshot whose [rules_hash] differs from the
     current configuration ({!Stale_rules}) — the derived state baked

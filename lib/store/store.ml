@@ -1,5 +1,4 @@
 module Relation = Relational.Relation
-module Keyed = Relational.Relation.Keyed
 module Schema = Relational.Schema
 module Tuple = Relational.Tuple
 module Value = Relational.Value
@@ -153,7 +152,7 @@ type t = {
   telemetry : Telemetry.t;
   sync : bool;
   wal : Wal.writer;
-  mutable inc : Incremental.t;
+  inc : Incremental.t;
   mutable effective : Effective.t;
       (** [(derived \ suppressed) ∪ manual], kept current by every
           operation: the derived pairs are [inc]'s *)
@@ -252,13 +251,12 @@ let pair_of (e : Matching_table.entry) =
   (Tuple.to_array e.r_key, Tuple.to_array e.s_key)
 
 let insert_tuple t side row =
-  let tuple = Tuple.of_array (Keyed.schema (base t side)) row in
-  let inc', entries =
+  let tuple = Tuple.of_array (Relation.builder_schema (base t side)) row in
+  let entries =
     match side with
     | R -> Incremental.insert_r t.inc tuple
     | S -> Incremental.insert_s t.inc tuple
   in
-  t.inc <- inc';
   t.effective <-
     List.fold_left
       (fun eff e -> Effective.derive eff (pair_of e))
@@ -278,19 +276,17 @@ let apply_op t op =
 
 (* The entries of [pairs], on the key schemas the matching table uses. *)
 let entries t pairs =
-  let key base =
-    Tuple.of_array
-      (Schema.project (Keyed.schema base) (Keyed.primary_key base))
+  let key attrs =
+    Tuple.of_array (Schema.of_names attrs)
   in
-  let r_key = key (base t R) and s_key = key (base t S) in
+  let r_key = key t.store_config.r_key and s_key = key t.store_config.s_key in
   List.map
     (fun (r, s) -> { Matching_table.r_key = r_key r; s_key = s_key s })
     pairs
 
 let matching_table t =
-  Matching_table.make
-    ~r_key_attrs:(Keyed.primary_key (base t R))
-    ~s_key_attrs:(Keyed.primary_key (base t S))
+  Matching_table.make ~r_key_attrs:t.store_config.r_key
+    ~s_key_attrs:t.store_config.s_key
     (entries t (Effective.pairs t.effective))
 
 let match_count t = Effective.count t.effective
@@ -538,11 +534,11 @@ let close t =
 (* The row is journalled once the state holds it: an exact duplicate
    leaves the side's cardinality as it was and is not journalled. *)
 let insert t side row =
-  let before = Keyed.cardinality (base t side) in
+  let before = Relation.kept (base t side) in
   let result =
     match insert_tuple t side row with
     | entries ->
-        if Keyed.cardinality (base t side) > before then
+        if Relation.kept (base t side) > before then
           append_op t
             (match side with R -> Op_insert_r row | S -> Op_insert_s row);
         Ok entries
@@ -566,7 +562,21 @@ let insert t side row =
   commit t;
   result
 
-let key_exists t side key = Keyed.mem_key (base t side) key
+let key_exists t side key = Relation.find_key (base t side) key <> None
+
+(* A copy of [key] that shares no block with any other value. The store's
+   derived pairs hold key cells decoded from their codes, so equal cells
+   are one block; journalled as they are, a witness would marshal them as
+   shared, and its WAL bytes would depend on that. *)
+let unshared key =
+  Array.map
+    (function
+      | Value.Null -> Value.Null
+      | Value.Int i -> Value.Int i
+      | Value.Float f -> Value.Float f
+      | Value.Bool b -> Value.Bool b
+      | Value.String s -> Value.String (String.init (String.length s) (String.get s)))
+    key
 
 let validate_merge t ~r_key ~s_key =
   if not (key_exists t R r_key) then Error (Unknown_key { side = R; key = r_key })
@@ -577,7 +587,14 @@ let validate_merge t ~r_key ~s_key =
   else
     match Effective.first_touching t.effective ~r_key ~s_key with
     | Some (existing_r, existing_s) ->
-        Error (Merge_uniqueness { r_key; s_key; existing_r; existing_s })
+        Error
+          (Merge_uniqueness
+             {
+               r_key;
+               s_key;
+               existing_r = unshared existing_r;
+               existing_s = unshared existing_s;
+             })
     | None -> Ok ()
 
 let merge t ~r_key ~s_key =

@@ -21,9 +21,11 @@
     free), loads the latest valid snapshot if its rules hash matches
     the current configuration, replays the WAL tail from the snapshot's
     offset, truncates a torn final record, and reopens the log for
-    appending. The snapshot holds the state as it is held — the engine's
-    keyed bases and indexes, the effective pair set, the merge log and
-    the conflict table — so loading it rebuilds nothing row by row. A
+    appending. The snapshot holds the engine's state with no
+    process-bound code ({!Entity_id.Incremental.dump}: a value table and
+    code columns of indices into it), the effective pair set, the merge
+    log and the conflict table, so loading it interns each value once,
+    rebuilds the key and K_Ext tables and derives nothing. A
     snapshot with a stale rules hash, a bad checksum or another format
     version's magic is ignored in favour of a full replay; one whose
     offset lies past the end of the WAL is first renamed
@@ -220,7 +222,9 @@ val sorted_pairs : t -> Effective.pair Seq.t
     active merge record that asserted it; a split pair is not in the
     effective table and is not explained. [r_key] and/or [s_key]
     restrict the answer to the pairs carrying those keys, found by key
-    lookups, so a keyed explanation costs O(log n) in the store size.
+    lookups, so a keyed explanation costs O(log n) in the store size;
+    the rows are found with {!Relational.Relation.find_key}, which
+    interns nothing.
     @raise Ilfd.Apply.Conflict_found in [check_conflicts] mode if a
     stored row's derivations disagree (they did not when it was
     accepted). *)

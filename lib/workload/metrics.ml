@@ -1,5 +1,3 @@
-module Tuple = Relational.Tuple
-
 type t = {
   precision : float;
   recall : float;
@@ -9,19 +7,21 @@ type t = {
   truth_size : int;
 }
 
-let entry_equal (a : Entity_id.Matching_table.entry)
-    (b : Entity_id.Matching_table.entry) =
-  Tuple.equal a.r_key b.r_key && Tuple.equal a.s_key b.s_key
+module MT = Entity_id.Matching_table
+
+(* [mt]'s entries that are true: each probes one table of the truth,
+   keyed as [mt] is. *)
+let true_entries ~truth mt =
+  let table =
+    MT.make ~r_key_attrs:(MT.r_key_attrs mt) ~s_key_attrs:(MT.s_key_attrs mt)
+      truth
+  in
+  List.partition (MT.mem table) (MT.entries mt)
 
 let evaluate ~truth mt =
-  let declared_entries = Entity_id.Matching_table.entries mt in
-  let declared = List.length declared_entries in
-  let correct =
-    List.length
-      (List.filter
-         (fun e -> List.exists (entry_equal e) truth)
-         declared_entries)
-  in
+  let right, wrong = true_entries ~truth mt in
+  let correct = List.length right in
+  let declared = correct + List.length wrong in
   let truth_size = List.length truth in
   (* Empty-edge conventions (every quotient below must stay finite —
      these feed straight into bench tables):
@@ -43,10 +43,7 @@ let evaluate ~truth mt =
   in
   { precision; recall; f1; declared; correct; truth_size }
 
-let soundness_violations ~truth mt =
-  List.filter
-    (fun e -> not (List.exists (entry_equal e) truth))
-    (Entity_id.Matching_table.entries mt)
+let soundness_violations ~truth mt = snd (true_entries ~truth mt)
 
 let pp ppf m =
   Format.fprintf ppf "P=%.3f R=%.3f F1=%.3f (%d declared, %d correct, %d true)"

@@ -14,6 +14,11 @@ type t = {
   truth_size : int;
 }
 
+(** [evaluate ~truth mt] — [mt]'s entries counted correct when the truth
+    holds them ({!Entity_id.Matching_table.mem} on one table of [truth],
+    keyed as [mt] is); [truth_size] is [truth]'s length.
+    @raise Relational.Tuple.Arity_mismatch on a truth entry whose keys
+    are not as wide as [mt]'s. *)
 val evaluate :
   truth:Entity_id.Matching_table.entry list -> Entity_id.Matching_table.t -> t
 

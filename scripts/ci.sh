@@ -399,13 +399,14 @@ for off in $offsets; do
   cp -r "$store_scratch/base" "$crash"
   truncate -s "$off" "$crash/wal.log"
   "$eid" store-dump --store "$crash" > "$store_scratch/dump$off.ndjson"
-  echo '{"op":"identify"}' | "$eid" serve --store "$crash" --no-sync \
-    > "$store_scratch/got$off.json"
+  # identify, and explain, which reads the restored base rows by key.
+  printf '%s\n' '{"op":"identify"}' '{"op":"explain"}' \
+    | "$eid" serve --store "$crash" --no-sync > "$store_scratch/got$off.json"
   # shellcheck disable=SC2086
   "$eid" serve --store "$fresh" $serve_args \
     < "$store_scratch/dump$off.ndjson" > /dev/null
-  echo '{"op":"identify"}' | "$eid" serve --store "$fresh" --no-sync \
-    > "$store_scratch/want$off.json"
+  printf '%s\n' '{"op":"identify"}' '{"op":"explain"}' \
+    | "$eid" serve --store "$fresh" --no-sync > "$store_scratch/want$off.json"
   if ! cmp "$store_scratch/got$off.json" "$store_scratch/want$off.json"; then
     echo "CI: recovered store at WAL offset $off diverges from the" \
          "re-ingested dump" >&2

@@ -1,5 +1,5 @@
-(* Tests for the extension layer: aggregation, hash indexes, the
-   incremental (federated-update) engine, and ILFD mining. *)
+(* Tests for the extension layer: aggregation, the incremental
+   (federated-update) engine, and ILFD mining. *)
 
 module R = Relational
 module V = R.Value
@@ -77,41 +77,107 @@ let aggregate_tests =
           (List.map V.to_string (R.Aggregate.distinct_values sales "amount")));
   ]
 
-(* ---- Index ---- *)
-
-let index_tests =
-  [
-    case "lookup finds all matches in order" (fun () ->
-        let idx = R.Index.build sales [ "region" ] in
-        Alcotest.(check int) "" 3 (List.length (R.Index.lookup idx [ v "east" ]));
-        Alcotest.(check int) "" 0 (List.length (R.Index.lookup idx [ v "north" ])));
-    case "null keys are not indexed nor found" (fun () ->
-        let idx = R.Index.build sales [ "amount" ] in
-        Alcotest.(check int) "4 of 5 indexed" 4 (R.Index.cardinality idx);
-        Alcotest.(check int) "" 0 (List.length (R.Index.lookup idx [ V.Null ])));
-    case "index agrees with selection" (fun () ->
-        let idx = R.Index.build sales [ "rep" ] in
-        let by_index = R.Index.lookup idx [ v "cal" ] in
-        let by_scan =
-          R.Relation.tuples
-            (R.Algebra.select (R.Predicate.eq "rep" (v "cal")) sales)
-        in
-        Alcotest.(check int) "" (List.length by_scan) (List.length by_index));
-    case "add extends the index" (fun () ->
-        let idx = R.Index.build sales [ "region" ] in
-        let t =
-          R.Tuple.make (R.Relation.schema sales) [ v "north"; v "eve"; vi 5 ]
-        in
-        let idx = R.Index.add idx t in
-        Alcotest.(check int) "" 1
-          (List.length (R.Index.lookup idx [ v "north" ])));
-    case "multi-attribute key" (fun () ->
-        let idx = R.Index.build sales [ "region"; "rep" ] in
-        Alcotest.(check int) "" 2
-          (List.length (R.Index.lookup idx [ v "east"; v "cal" ])));
-  ]
-
 (* ---- Incremental ---- *)
+
+(* K_Ext cells on every edge of the match: NULL, [Int 1] with
+   [Float 1.], 2^53 and 2^53 + 1 against [2^53.], [0.] with [-0.],
+   [nan], and strings holding a comma and a quote. *)
+let kext_cell_gen =
+  QCheck2.Gen.oneofl
+    [ V.Null; vi 1; V.float 1.; vi (1 lsl 53); vi ((1 lsl 53) + 1);
+      V.float (2. ** 53.); V.float 0.; V.float (-0.); V.float Float.nan;
+      v "a,b"; v {|say "hi"|} ]
+
+(* A K_Ext of one attribute or two, and inserts on either side, ids
+   from a small pool so that exact duplicates and key violations are
+   common. *)
+let interleaved_gen =
+  QCheck2.Gen.(
+    let* width = int_range 1 2 in
+    let* inserts =
+      list_size (0 -- 40)
+        (triple bool (int_bound 5) (list_repeat width kext_cell_gen))
+    in
+    return (width, inserts))
+
+let entry_strings (e : E.Matching_table.entry) =
+  (R.Tuple.to_string e.r_key, R.Tuple.to_string e.s_key)
+
+(* A violation as its key and sorted partners: the batch lists them in
+   row-major order, the state in derivation order. *)
+let violation_strings = function
+  | E.Matching_table.R_tuple_matched_twice { r_key; s_keys } ->
+      ("r", R.Tuple.to_string r_key, List.sort compare (List.map R.Tuple.to_string s_keys))
+  | S_tuple_matched_twice { s_key; r_keys } ->
+      ("s", R.Tuple.to_string s_key, List.sort compare (List.map R.Tuple.to_string r_keys))
+
+(* Each insert against a reference that keeps each side's rows in a
+   list: it is kept unless it is an exact duplicate or breaks the key,
+   and its entries are the other side's rows it agrees with on K_Ext
+   ([Tuple.agree]), in their insertion order. At the end the state is
+   the batch run on the rows kept. *)
+let interleaved_agrees (width, inserts) =
+  let attrs = List.filteri (fun i _ -> i < width) [ "a"; "b" ] in
+  let r_schema = R.Schema.of_names ("id" :: attrs)
+  and s_schema = R.Schema.of_names ("sid" :: attrs) in
+  let key = E.Extended_key.make attrs in
+  let t =
+    E.Incremental.create
+      ~r:(R.Relation.empty r_schema ~keys:[ [ "id" ] ] ())
+      ~s:(R.Relation.empty s_schema ~keys:[ [ "sid" ] ] ())
+      ~key []
+  in
+  let kept_r = ref [] and kept_s = ref [] in
+  let step ok (on_r, id, cells) =
+    let schema, other_schema, mine, theirs, insert =
+      if on_r then (r_schema, s_schema, kept_r, kept_s, E.Incremental.insert_r)
+      else (s_schema, r_schema, kept_s, kept_r, E.Incremental.insert_s)
+    in
+    let tuple = R.Tuple.make schema (vi id :: cells) in
+    let key_of schema row = R.Tuple.project schema row [ List.hd (R.Schema.names schema) ] in
+    let expected =
+      if List.exists (R.Tuple.equal tuple) !mine then Some []
+      else if List.exists (fun row -> V.equal (R.Tuple.nth row 0) (vi id)) !mine
+      then None
+      else begin
+        mine := tuple :: !mine;
+        Some
+          (List.filter_map
+             (fun row ->
+               if R.Tuple.agree schema tuple other_schema row attrs then
+                 let mine = key_of schema tuple and other = key_of other_schema row in
+                 Some
+                   (if on_r then
+                      { E.Matching_table.r_key = mine; s_key = other }
+                    else { r_key = other; s_key = mine })
+               else None)
+             (List.rev !theirs))
+      end
+    in
+    let got =
+      match insert t tuple with
+      | entries -> Some entries
+      | exception R.Relation.Key_violation _ -> None
+    in
+    ok
+    && Option.equal
+         (List.equal (fun a b -> entry_strings a = entry_strings b))
+         expected got
+  in
+  let ok = List.fold_left step true inserts in
+  let r = R.Relation.of_tuples r_schema ~keys:[ [ "id" ] ] (List.rev !kept_r)
+  and s = R.Relation.of_tuples s_schema ~keys:[ [ "sid" ] ] (List.rev !kept_s) in
+  let batch = E.Identify.run ~r ~s ~key [] in
+  let sorted f l = List.sort compare (List.map f l) in
+  ok
+  && R.Relation.equal (E.Incremental.r t) r
+  && R.Relation.equal (E.Incremental.s t) s
+  && sorted entry_strings (E.Incremental.entries t)
+     = sorted entry_strings (E.Matching_table.entries batch.matching_table)
+  && List.equal R.Tuple.equal (E.Incremental.unmatched_r t) batch.unmatched_r
+  && List.equal R.Tuple.equal (E.Incremental.unmatched_s t) batch.unmatched_s
+  && sorted violation_strings (E.Incremental.violations t)
+     = sorted violation_strings batch.violations
 
 let incremental_tests =
   [
@@ -147,7 +213,7 @@ let incremental_tests =
             (Ilfd.parse
                "name = TwinCities & street = Co.B3 -> speciality = Mughalai")
         in
-        let t, created = E.Incremental.insert_s t s_tuple in
+        let created = E.Incremental.insert_s t s_tuple in
         Alcotest.(check int) "one new match" 1 (List.length created);
         Alcotest.(check int) "" 4
           (E.Matching_table.cardinality (E.Incremental.matching_table t)));
@@ -169,7 +235,7 @@ let incremental_tests =
             (R.Relation.schema PD.table5_r)
             [ v "Mystery"; v "Fusion"; v "Nowhere.St." ]
         in
-        let t, created = E.Incremental.insert_r t r_tuple in
+        let created = E.Incremental.insert_r t r_tuple in
         Alcotest.(check int) "" 0 (List.length created);
         Alcotest.(check int) "table unchanged" 3
           (E.Matching_table.cardinality (E.Incremental.matching_table t));
@@ -238,16 +304,12 @@ let incremental_tests =
         let t =
           E.Incremental.create ~r:empty_r ~s:empty_s ~key:inst.key inst.ilfds
         in
-        let t =
-          List.fold_left
-            (fun t tuple -> fst (E.Incremental.insert_r t tuple))
-            t (R.Relation.tuples inst.r)
-        in
-        let t =
-          List.fold_left
-            (fun t tuple -> fst (E.Incremental.insert_s t tuple))
-            t (R.Relation.tuples inst.s)
-        in
+        R.Relation.iter
+          (fun tuple -> ignore (E.Incremental.insert_r t tuple))
+          inst.r;
+        R.Relation.iter
+          (fun tuple -> ignore (E.Incremental.insert_s t tuple))
+          inst.s;
         let batch =
           E.Identify.run ~r:inst.r ~s:inst.s ~key:inst.key inst.ilfds
         in
@@ -274,34 +336,37 @@ let incremental_tests =
           R.Relation.empty (R.Relation.schema rel)
             ~keys:(R.Relation.declared_keys rel) ()
         in
-        (* Every third row goes in twice in a row, and once more after
-           the other side is complete: a copy must neither probe for
-           partners again nor join the unmatched accounting again. *)
-        let again insert t tuples =
-          List.fold_left
-            (fun (t, ok) tuple ->
-              let t', created = insert t tuple in
-              (t', ok && t' == t && created = []))
-            (t, true)
-            (List.filteri (fun i _ -> i mod 3 = 0) tuples)
-        in
-        let stream insert t tuples =
-          List.fold_left
-            (fun (t, ok) tuple ->
-              let t, _ = insert t tuple in
-              let t', created = insert t tuple in
-              (t', ok && t' == t && created = []))
-            (t, true) tuples
-        in
-        let rows = R.Relation.tuples inst.r and srows = R.Relation.tuples inst.s in
+        (* Every row goes in twice in a row, and every third once more
+           after the other side is complete: a copy must neither probe
+           for partners again nor join the unmatched accounting again,
+           nor change anything else. *)
         let t =
           E.Incremental.create ~r:(empty inst.r) ~s:(empty inst.s)
             ~key:inst.key inst.ilfds
         in
-        let t, ok1 = stream E.Incremental.insert_r t rows in
-        let t, ok2 = stream E.Incremental.insert_s t srows in
-        let t, ok3 = again E.Incremental.insert_r t rows in
-        let t, ok4 = again E.Incremental.insert_s t srows in
+        let size () =
+          ( R.Relation.kept (E.Incremental.r_base t),
+            R.Relation.kept (E.Incremental.s_base t),
+            List.length (E.Incremental.entries t),
+            List.length (E.Incremental.unmatched_r t),
+            List.length (E.Incremental.unmatched_s t) )
+        in
+        let copy insert tuple =
+          let before = size () in
+          insert t tuple = [] && size () = before
+        in
+        let fold f tuples = List.fold_left (fun ok tuple -> f tuple && ok) true tuples in
+        let stream insert tuples =
+          fold (fun tuple -> ignore (insert t tuple); copy insert tuple) tuples
+        in
+        let again insert tuples =
+          fold (copy insert) (List.filteri (fun i _ -> i mod 3 = 0) tuples)
+        in
+        let rows = R.Relation.tuples inst.r and srows = R.Relation.tuples inst.s in
+        let ok1 = stream E.Incremental.insert_r rows in
+        let ok2 = stream E.Incremental.insert_s srows in
+        let ok3 = again E.Incremental.insert_r rows in
+        let ok4 = again E.Incremental.insert_s srows in
         let batch =
           E.Identify.run ~r:inst.r ~s:inst.s ~key:inst.key inst.ilfds
         in
@@ -357,7 +422,7 @@ let incremental_tests =
         in
         (* Cut semantics: the first rule wins, deriving cuisine=first and
            matching the S tuple. *)
-        let _, created = E.Incremental.insert_r t r_tuple in
+        let created = E.Incremental.insert_r t r_tuple in
         Alcotest.(check int) "" 1 (List.length created));
     check_raises_any "check-conflicts mode raises on a conflicting insert"
       (fun () ->
@@ -393,7 +458,7 @@ let incremental_tests =
         let r_tuple =
           R.Tuple.make (R.Schema.of_names [ "name" ]) [ v "alpha" ]
         in
-        let _, created = E.Incremental.insert_r t r_tuple in
+        let created = E.Incremental.insert_r t r_tuple in
         Alcotest.(check int) "" 1 (List.length created));
     check_raises_any "check-conflicts mode survives add_ilfd" (fun () ->
         (* The mode must be preserved when the knowledge base grows: the
@@ -430,6 +495,90 @@ let incremental_tests =
         Alcotest.(check int) "one row" 1 (R.Relation.cardinality o.r_extended);
         Alcotest.(check bool) "as batch" true
           (R.Relation.equal o.r_extended batch.r_extended));
+    qtest ~count:1000
+      "interleaved inserts = a nested-loop join, and end as batch"
+      interleaved_gen interleaved_agrees;
+    case "a rejected insert changes nothing" (fun () ->
+        let t =
+          E.Incremental.create ~mode:Ilfd.Apply.Check_conflicts
+            ~r:(relation [ "name"; "cuisine" ] [ [ "name" ] ] [ [ "alpha"; "x" ] ])
+            ~s:(relation [ "name"; "cuisine" ] [ [ "name" ] ] [ [ "alpha"; "x" ] ])
+            ~key:(E.Extended_key.make [ "name"; "cuisine" ])
+            [
+              Ilfd.parse "name = beta -> cuisine = first";
+              Ilfd.parse "name = beta -> cuisine = second";
+            ]
+        in
+        let schema = R.Schema.of_names [ "name"; "cuisine" ] in
+        let state () =
+          ( R.Relation.kept (E.Incremental.r_base t),
+            List.map
+              (fun (e : E.Matching_table.entry) ->
+                (R.Tuple.to_string e.r_key, R.Tuple.to_string e.s_key))
+              (E.Incremental.entries t),
+            List.map R.Tuple.to_string (E.Incremental.unmatched_r t) )
+        in
+        let answer tuple =
+          match E.Incremental.insert_r t tuple with
+          | _ -> "accepted"
+          | exception R.Relation.Key_violation { key; _ } ->
+              "key " ^ String.concat "," key
+          | exception Ilfd.Apply.Conflict_found c -> "conflict " ^ c.attribute
+          | exception R.Tuple.Arity_mismatch { got; _ } ->
+              Printf.sprintf "arity %d" got
+        in
+        let rejected ~interns_nothing want tuple =
+          let before = state () and interned = R.Intern.size () in
+          Alcotest.(check string) "rejected" want (answer tuple);
+          Alcotest.(check bool) "the state as it was" true (state () = before);
+          if interns_nothing then
+            Alcotest.(check int) "nothing interned" interned (R.Intern.size ());
+          Alcotest.(check string) "the same answer again" want (answer tuple);
+          Alcotest.(check bool) "still as it was" true (state () = before)
+        in
+        rejected ~interns_nothing:true "key name"
+          (R.Tuple.make schema [ v "alpha"; v "a rejected insert: key" ]);
+        rejected ~interns_nothing:true "key name"
+          (R.Tuple.make schema [ V.Null; v "a rejected insert: NULL key" ]);
+        rejected ~interns_nothing:false "conflict cuisine"
+          (R.Tuple.make schema [ v "beta"; V.Null ]);
+        rejected ~interns_nothing:false "arity 3"
+          (R.Tuple.make
+             (R.Schema.of_names [ "name"; "cuisine"; "street" ])
+             [ v "gamma"; v "x"; v "Elm" ]);
+        (* The state still takes inserts, and matches them. *)
+        Alcotest.(check int) "a later insert matches" 1
+          (List.length
+             (E.Incremental.insert_s t (R.Tuple.make schema [ v "gamma"; v "y" ])
+             @ E.Incremental.insert_r t (R.Tuple.make schema [ v "gamma"; v "y" ]))));
+    case "a key cell decodes to the first spelling interned" (fun () ->
+        (* [0.] and [-0.] are one value, with one storage code: whichever
+           spelling this process interned first is the one every entry
+           reads back, on both sides. *)
+        let first = R.Intern.value (R.Intern.code (V.float (-0.))) in
+        let t =
+          E.Incremental.create
+            ~r:(relation [ "id"; "k" ] [ [ "id" ] ] [])
+            ~s:(relation [ "id"; "k" ] [ [ "id" ] ] [])
+            ~key:(E.Extended_key.make [ "k" ])
+            []
+        in
+        let schema = R.Schema.of_names [ "id"; "k" ] in
+        ignore (E.Incremental.insert_r t (R.Tuple.make schema [ V.float 0.; V.float 0. ]));
+        let sign = function
+          | V.Float f -> Float.sign_bit f
+          | _ -> Alcotest.fail "a float key"
+        in
+        match
+          E.Incremental.insert_s t
+            (R.Tuple.make schema [ V.float (-0.); V.float (-0.) ])
+        with
+        | [ e ] ->
+            Alcotest.(check bool) "R's key" (sign first)
+              (sign (R.Tuple.nth e.r_key 0));
+            Alcotest.(check bool) "S's key" (sign first)
+              (sign (R.Tuple.nth e.s_key 0))
+        | _ -> Alcotest.fail "one match");
   ]
 
 (* ---- Mine ---- *)
@@ -971,7 +1120,6 @@ let () =
     [
       ("explain", explain_tests);
       ("aggregate", aggregate_tests);
-      ("index", index_tests);
       ("incremental", incremental_tests);
       ("mine", mine_tests);
       ("align", align_tests);

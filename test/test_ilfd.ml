@@ -634,12 +634,12 @@ let compiled_tests =
         in
         let insert t row =
           match Entity_id.Incremental.insert_s t (R.Tuple.make s_schema row) with
-          | t', entries ->
+          | entries ->
               Ok
                 ( keys entries,
                   keys
                     (Entity_id.Matching_table.entries
-                       (Entity_id.Incremental.matching_table t')) )
+                       (Entity_id.Incremental.matching_table t)) )
           | exception Ilfd.Apply.Conflict_found c -> Error (conflict_witness c)
         in
         let answers t =

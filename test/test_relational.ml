@@ -321,9 +321,7 @@ let tuple_tests =
 
 (* ---- Relation ---- *)
 
-(* ---- Keyed: the incremental append, held to Relation.add ---- *)
-
-module Keyed = R.Relation.Keyed
+(* ---- the builder's append, held to Relation.add ---- *)
 
 (* Cells that sit on every edge of key equality: NULL, [Int 1] vs
    [Float 1.], [nan] (equal to itself), [0.] vs [-0.] (equal). *)
@@ -349,48 +347,55 @@ let insert_sequence_gen =
     let* picks = list_size (0 -- 20) (int_bound (Array.length pool - 1)) in
     return (keys, List.map (fun i -> pool.(i)) picks))
 
+(* After every offer the builder agrees with [Relation.add] on what it
+   keeps or raises, builds the same relation, and a rejected tuple
+   interned nothing. *)
 let keyed_agrees (keys, rows) =
   let schema = R.Schema.of_names [ "a"; "b"; "c" ] in
+  let b = R.Relation.builder ~rows:0 schema ~keys in
   let violation f =
     match f () with
     | x -> Ok x
     | exception R.Relation.Key_violation { key; tuple } -> Error (key, tuple)
   in
-  let step (rel, keyed, ok) (a, b, c) =
-    let tuple = R.Tuple.make schema [ a; b; c ] in
-    match
-      ( violation (fun () -> R.Relation.add rel tuple),
-        violation (fun () -> Keyed.add keyed tuple) )
-    with
-    | Ok rel', Ok None ->
-        (rel, keyed, ok && R.Relation.cardinality rel' = R.Relation.cardinality rel)
-    | Ok rel', Ok (Some keyed') ->
-        ( rel',
-          keyed',
+  let step (rel, ok) (x, y, z) =
+    let tuple = R.Tuple.make schema [ x; y; z ] in
+    let kept = R.Relation.kept b and interned = R.Intern.size () in
+    let appended = violation (fun () -> R.Relation.append b tuple) in
+    let unchanged = R.Intern.size () = interned in
+    match (violation (fun () -> R.Relation.add rel tuple), appended) with
+    | Ok rel', Ok false ->
+        ( rel,
           ok
-          && R.Relation.cardinality rel' = R.Relation.cardinality rel + 1 )
+          && R.Relation.cardinality rel' = R.Relation.cardinality rel
+          && R.Relation.kept b = kept )
+    | Ok rel', Ok true ->
+        ( rel',
+          ok
+          && R.Relation.cardinality rel' = R.Relation.cardinality rel + 1
+          && R.Relation.kept b = kept + 1
+          && R.Relation.equal (R.Relation.build b) rel' )
     | Error (k1, t1), Error (k2, t2) ->
-        (rel, keyed, ok && k1 = k2 && R.Tuple.equal t1 t2)
-    | _ -> (rel, keyed, false)
+        ( rel,
+          ok && k1 = k2 && R.Tuple.equal t1 t2
+          && R.Relation.kept b = kept
+          && unchanged )
+    | _ -> (rel, false)
   in
-  let rel, keyed, ok =
-    List.fold_left step
-      (R.Relation.empty schema ~keys (), Keyed.empty schema ~keys, true)
-      rows
+  let rel, ok =
+    List.fold_left step (R.Relation.empty schema ~keys (), true) rows
   in
   let pk = R.Relation.primary_key rel in
-  let probe (a, b, c) =
-    let key = R.Tuple.project schema (R.Tuple.make schema [ a; b; c ]) pk in
-    Keyed.mem_key keyed (R.Tuple.to_array key)
+  let probe (x, y, z) =
+    let key = R.Tuple.project schema (R.Tuple.make schema [ x; y; z ]) pk in
+    Option.is_some (R.Relation.find_key b (R.Tuple.to_array key))
     = R.Relation.exists
         (fun row -> R.Tuple.equal (R.Tuple.project schema row pk) key)
         rel
   in
   ok
-  && List.equal R.Tuple.equal (R.Relation.tuples rel) (Keyed.tuples keyed)
-  && Keyed.cardinality keyed = R.Relation.cardinality rel
-  && Keyed.primary_key keyed = pk
-  && R.Relation.equal (Keyed.to_relation keyed) rel
+  && List.equal R.Tuple.equal (R.Relation.tuples rel)
+       (List.init (R.Relation.kept b) (R.Relation.kept_row b))
   && List.for_all probe rows
 
 let relation_tests =
@@ -1178,26 +1183,6 @@ let print_value v =
   | V.Int i -> Printf.sprintf "Int %d" i
   | _ -> V.to_string v
 
-let index_gen =
-  QCheck2.Gen.(
-    pair
-      (list_size (0 -- 25) (pair coded_cell_gen coded_cell_gen))
-      (pair coded_cell_gen coded_cell_gen))
-
-let index_agrees (rows, (p, q)) =
-  let schema = R.Schema.of_names [ "id"; "a"; "b" ] in
-  let tuples =
-    List.mapi (fun i (a, b) -> R.Tuple.make schema [ V.int i; a; b ]) rows
-  in
-  let idx = R.Index.of_tuples schema [ "a"; "b" ] tuples in
-  let expected =
-    List.filter
-      (fun t ->
-        V.non_null_eq (R.Tuple.nth t 1) p && V.non_null_eq (R.Tuple.nth t 2) q)
-      tuples
-  in
-  List.equal R.Tuple.equal (R.Index.lookup idx [ p; q ]) expected
-
 let coded_tests =
   [
     qtest ~count:500 "Code_table.classes numbers classes in first-row order"
@@ -1233,27 +1218,6 @@ let coded_tests =
       numeric_edge_gen (fun v ->
         R.Intern.code (R.Intern.canon v)
         = R.Intern.match_code (R.Intern.code v));
-    case "Index inserts and probes intern nothing" (fun () ->
-        let schema = R.Schema.of_names [ "id"; "a" ] in
-        let row id a = R.Tuple.make schema [ v id; a ] in
-        let before = R.Intern.size () in
-        let idx =
-          R.Index.of_tuples schema [ "a" ]
-            [ row "s1" (V.float 7340035.); row "s2" (v "canon: never interned") ]
-        in
-        Alcotest.(check int) "a float found by its int" 1
-          (List.length (R.Index.lookup idx [ vi 7340035 ]));
-        Alcotest.(check int) "an unseen number" 0
-          (List.length (R.Index.lookup idx [ V.float 7340033. ]));
-        Alcotest.(check int) "the pool did not grow" before (R.Intern.size ()));
-    qtest ~count:1000 "Index.lookup = a non_null_eq filter, in insertion order"
-      index_gen index_agrees;
-    case "Index: 1 finds 1.0" (fun () ->
-        let schema = R.Schema.of_names [ "id"; "a" ] in
-        let t = R.Tuple.make schema [ v "s1"; V.float 1. ] in
-        let idx = R.Index.of_tuples schema [ "a" ] [ t ] in
-        Alcotest.(check int) "found" 1
-          (List.length (R.Index.lookup idx [ vi 1 ])));
     QCheck_alcotest.to_alcotest
       (QCheck2.Test.make ~count:5000
          ~name:"cmp3 compares Int with Float exactly"

@@ -187,7 +187,7 @@ let pipeline_tests =
             (R.Relation.schema PD.table5_s)
             [ v "Mystery"; v "Vegan"; v "Hennepin" ]
         in
-        let _, _ = E.Incremental.insert_s t s_tuple in
+        ignore (E.Incremental.insert_s t s_tuple);
         Alcotest.(check int) "inserts" 1
           (Telemetry.counter telemetry "incremental.inserts");
         Alcotest.(check bool) "insert span" true

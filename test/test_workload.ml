@@ -268,6 +268,38 @@ let metrics_tests =
         Float.is_finite m.precision
         && Float.is_finite m.recall
         && Float.is_finite m.f1);
+    (* The counts are the list-scan definition: an entry is correct when
+       some truth entry equals it on both keys ([Tuple.equal]). The cells
+       include [Int 1] against [Float 1.], which differ, and [0.] against
+       [-0.], which are one value. *)
+    qtest ~count:300 "the counts through the truth table = the list scan"
+      QCheck2.Gen.(
+        let cell = oneofl [ vi 1; V.float 1.; V.float 0.; V.float (-0.); v "a" ] in
+        let entry =
+          map2
+            (fun r s ->
+              {
+                E.Matching_table.r_key = R.Tuple.make (R.Schema.of_names [ "rk" ]) [ r ];
+                s_key = R.Tuple.make (R.Schema.of_names [ "sk" ]) [ s ];
+              })
+            cell cell
+        in
+        pair (list_size (0 -- 8) entry) (list_size (0 -- 8) entry))
+      (fun (declared, truth) ->
+        let table = mt declared in
+        let equal (a : E.Matching_table.entry) (b : E.Matching_table.entry) =
+          R.Tuple.equal a.r_key b.r_key && R.Tuple.equal a.s_key b.s_key
+        in
+        let wrong =
+          List.filter
+            (fun e -> not (List.exists (equal e) truth))
+            (E.Matching_table.entries table)
+        in
+        let m = W.Metrics.evaluate ~truth table in
+        m.declared = E.Matching_table.cardinality table
+        && m.correct = m.declared - List.length wrong
+        && m.truth_size = List.length truth
+        && List.equal equal wrong (W.Metrics.soundness_violations ~truth table));
   ]
 
 let () =
